@@ -136,6 +136,9 @@ let sub =
   lift2 (fun ~nan (al, ah) (bl, bh) ->
       of_corners ~nan [ al -. bl; al -. bh; ah -. bl; ah -. bh ])
 
+(* Whether the range [lo, hi] holds a finite float. *)
+let has_finite lo hi = lo < hi || Float.is_finite lo
+
 let mul a b =
   lift2
     (fun ~nan (al, ah) (bl, bh) ->
@@ -150,7 +153,6 @@ let mul a b =
          [-0,-0] * [-inf,inf] every corner is NaN while -0. *. 1. is -0.
          Whenever one operand admits 0 and the other a finite value, 0 is
          an attainable product, so pin it into the hull explicitly. *)
-      let has_finite lo hi = lo < hi || Float.is_finite lo in
       let corners = [ al *. bl; al *. bh; ah *. bl; ah *. bh ] in
       let corners =
         if
@@ -174,7 +176,11 @@ let div a b =
         }
       else
         let nan = nan || (may_inf a && may_inf b) in
-        of_corners ~nan [ al /. bl; al /. bh; ah /. bl; ah /. bh ])
+        (* finite / ±inf is ±0, but for [-inf, inf] / [-inf, -inf] every
+           corner is inf/inf = NaN and the hull would miss it. *)
+        let corners = [ al /. bl; al /. bh; ah /. bl; ah /. bh ] in
+        let corners = if may_inf b && has_finite al ah then 0. :: corners else corners in
+        of_corners ~nan corners)
     a b
 
 let min_ =

@@ -14,7 +14,7 @@ type status =
   | Exhausted of { reason : Lopc_robust.Budget.stop_reason }
   | Too_large of { max_states : int }
 
-type iteration = Auto | Power | Power_aitken | Gauss_seidel
+type iteration = Auto | Power | Gauss_seidel
 
 let status_to_string = function
   | Converged { iters } -> Printf.sprintf "converged in %d iterations" iters
@@ -35,9 +35,9 @@ exception Budget_stop of Lopc_robust.Budget.stop_reason
    stay separate entries, so float accumulation order — and hence the
    result — matches the historical list-of-rows representation
    bit-for-bit). Rows are laid out in discovery order: exploration is a
-   plain BFS in which every state is queued exactly once, so states are
-   popped — and their rows appended — in id order, which is what lets the
-   matrix be built in one pass with no intermediate per-row lists. *)
+   plain BFS that expands states — and appends their rows — in id order,
+   which is what lets the matrix be built in one pass with no intermediate
+   per-row lists. *)
 type csr = {
   n : int;
   row_ptr : int array;        (* length n + 1 *)
@@ -151,10 +151,10 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
         | Some reason -> raise (Budget_stop reason))
     in
     (* Phase 1: explore the reachable state space (one unit of fuel per
-       popped frontier state) and append each popped state's row straight
-       into the CSR arrays. BFS discipline makes the two coincide: a state
-       is pushed exactly once, at discovery, so pop order equals id order
-       and row [i] is complete before row [i + 1] begins. *)
+       expanded state) and append each expanded state's row straight into
+       the CSR arrays. Ids are assigned at discovery and states are
+       expanded in id order, so [state_of_id] past [filled] is the BFS
+       frontier and row [i] is complete before row [i + 1] begins. *)
     let index : ('state, int) Hashtbl.t = Hashtbl.create 4096 in
     let state_of_id = ref (Array.make 64 initial) in
     let count = ref 0 in
@@ -192,37 +192,29 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
       (!rate).(!nnz) <- r;
       incr nnz
     in
-    let frontier = Queue.create () in
-    Queue.push initial frontier;
     let filled = ref 0 in
-    while not (Queue.is_empty frontier) do
+    while !filled < !count do
       check_budget ();
-      match Queue.take_opt frontier with
-      | None -> ()
-      | Some s ->
-        let i = !filled in
-        incr filled;
-        (* BFS invariant: the i-th pop is the state discovered i-th. *)
-        assert (i = (match Hashtbl.find_opt index s with Some v -> v | None -> -1));
-        if i + 1 >= Array.length !row_ptr then begin
-          let fresh = Array.make (2 * Array.length !row_ptr) 0 in
-          Array.blit !row_ptr 0 fresh 0 (Array.length !row_ptr);
-          row_ptr := fresh
-        end;
-        List.iter
-          (fun (s', r) ->
-            if r < 0. || not (Float.is_finite r) then
-              invalid_arg "Ctmc.solve: non-positive or non-finite rate";
-            if not (Float.equal r 0.) then begin
-              let before = !count in
-              let j = id_of s' in
-              if !count > before then Queue.push s' frontier;
-              (* Self-loops compare by id (int), not by polymorphic
-                 equality on the caller's state type. *)
-              if j <> i then push_entry j r
-            end)
-          (transitions s);
-        (!row_ptr).(i + 1) <- !nnz
+      let i = !filled in
+      let s = (!state_of_id).(i) in
+      incr filled;
+      if i + 1 >= Array.length !row_ptr then begin
+        let fresh = Array.make (2 * Array.length !row_ptr) 0 in
+        Array.blit !row_ptr 0 fresh 0 (Array.length !row_ptr);
+        row_ptr := fresh
+      end;
+      List.iter
+        (fun (s', r) ->
+          if r < 0. || not (Float.is_finite r) then
+            invalid_arg "Ctmc.solve: non-positive or non-finite rate";
+          if not (Float.equal r 0.) then begin
+            let j = id_of s' in
+            (* Self-loops compare by id (int), not by polymorphic
+               equality on the caller's state type. *)
+            if j <> i then push_entry j r
+          end)
+        (transitions s);
+      (!row_ptr).(i + 1) <- !nnz
     done;
     let n = !count in
     let m =
@@ -248,15 +240,13 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
     let method_ =
       match iteration with
       | Auto -> if strongly_connected m c then Gauss_seidel else Power
-      | (Power | Power_aitken | Gauss_seidel) as it -> it
+      | (Power | Gauss_seidel) as it -> it
     in
     let pi = Array.make n (1. /. Float.of_int n) in
     let iter = ref 0 in
     let last_diff = ref Float.infinity in
     let converged = ref false in
-    (match method_ with
-    | Auto -> assert false
-    | Power | Power_aitken ->
+    let power () =
       (* Uniformized power iteration pi <- pi P, P = I + Q / lambda, on the
          CSR rows. [diff] doubles as the l1 residual of the pre-sweep
          iterate (next - pi = pi (P - I) = pi Q / lambda), so convergence
@@ -264,8 +254,6 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
          drift cannot accumulate over long runs (historically [sum pi]
          drifted freely and convergence was declared on the raw step). *)
       let next = Array.make n 0. in
-      let prev = if method_ = Power_aitken then Array.make n 0. else [||] in
-      let prev2 = if method_ = Power_aitken then Array.make n 0. else [||] in
       while (not !converged) && !iter < max_iter do
         check_budget ();
         incr iter;
@@ -282,40 +270,15 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
         for i = 0 to n - 1 do
           diff := !diff +. Float.abs (next.(i) -. pi.(i))
         done;
-        if method_ = Power_aitken then begin
-          Array.blit prev 0 prev2 0 n;
-          Array.blit pi 0 prev 0 n
-        end;
         Array.blit next 0 pi 0 n;
         normalize pi;
         last_diff := !diff;
         if !diff <= tol then converged := true
-        else if
-          method_ = Power_aitken && !iter >= 3 && !iter mod 8 = 0
-        then begin
-          (* Aitken delta-squared extrapolation on the last three iterates;
-             the guarded denominator skips components that already
-             converged. Negative extrapolants are clamped — the result is
-             only a better starting point, never the reported answer (the
-             residual test above still gates convergence). *)
-          for i = 0 to n - 1 do
-            let d2 = pi.(i) -. (2. *. prev.(i)) +. prev2.(i) in
-            if Float.abs d2 > 1e-300 then begin
-              let step = pi.(i) -. prev.(i) in
-              let x =
-                (pi.(i) -. (step *. step /. d2)
-                [@lint.allow
-                  "division-by-vanishing"
-                    "the enclosing branch holds only when |d2| > 1e-300, so the \
-                     denominator is bounded away from 0; a non-finite quotient is \
-                     additionally rejected by the Float.is_finite guard below"])
-              in
-              if x > 0. && Float.is_finite x then pi.(i) <- x
-            end
-          done;
-          normalize pi
-        end
       done
+    in
+    (match method_ with
+    | Auto -> assert false
+    | Power -> power ()
     | Gauss_seidel ->
       (* Balance-equation Gauss–Seidel on the transposed (incoming) matrix:
          pi_j <- (sum_{i<>j} pi_i q_ij) / q_j, sweeping states in id order
@@ -347,28 +310,7 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
              spread). Restart on the unconditionally safe power path,
              keeping the fuel and iteration budgets already spent. *)
           Array.fill pi 0 n (1. /. Float.of_int n);
-          let next = Array.make n 0. in
-          while (not !converged) && !iter < max_iter do
-            check_budget ();
-            incr iter;
-            Array.fill next 0 n 0.;
-            for i = 0 to n - 1 do
-              let stay = pi.(i) *. (1. -. (m.out_rate.(i) /. lambda)) in
-              next.(i) <- next.(i) +. stay;
-              for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-                let j = m.col.(k) in
-                next.(j) <- next.(j) +. (pi.(i) *. m.rate.(k) /. lambda)
-              done
-            done;
-            let diff = ref 0. in
-            for i = 0 to n - 1 do
-              diff := !diff +. Float.abs (next.(i) -. pi.(i))
-            done;
-            Array.blit next 0 pi 0 n;
-            normalize pi;
-            last_diff := !diff;
-            if !diff <= tol then converged := true
-          done
+          power ()
         end
       done);
     let sol = { index; state_of_id; pi } in

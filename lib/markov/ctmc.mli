@@ -20,10 +20,6 @@ type iteration =
   | Power
       (** Uniformized power iteration [pi <- pi (I + Q/lambda)] — the
           historical method, kept as the unconditionally safe reference. *)
-  | Power_aitken
-      (** Power iteration with periodic componentwise Aitken delta-squared
-          extrapolation; convergence is still gated by the residual, the
-          extrapolant only re-seeds the iterate. *)
   | Gauss_seidel
       (** Balance-equation Gauss–Seidel on the incoming-transition matrix.
           Far fewer sweeps than [Power] on stiff chains; requires every

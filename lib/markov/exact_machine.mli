@@ -13,10 +13,16 @@
     - exact vs LoPC: measures the Bard/BKT approximation error itself.
 
     State: per node, the phase of its (single) outstanding cycle —
-    working, request in the wire, request at the destination, reply in
-    the wire, reply at home — plus the FIFO content of every node's
-    handler queue. The state space grows quickly: [p = 2] has a few
-    dozen states, [p = 3] a few hundred, [p = 4] several thousand. *)
+    working, request in the wire toward node [d], request in node [d]'s
+    FIFO, reply in the wire, reply in its own FIFO — plus the FIFO
+    content of every node's handler queue. A node owns at most one queued
+    item, so each FIFO is fully described by its items' positions, and a
+    state packs exactly into one immediate [int]: node [i] contributes the
+    digit [code_i·p + pos_i] (its [2p + 3]-valued phase code and its
+    item's position, [< p]) in base [(2p + 3)·p]. Successors are computed
+    by digit arithmetic on scratch arrays, with no allocation beyond the
+    successor list. The state space grows quickly: [p = 2] has 27
+    states, [p = 3] 412, [p = 4] 8 865 and [p = 5] 246 096. *)
 
 type result = {
   states : int;           (** Reachable CTMC states. *)
@@ -28,13 +34,20 @@ type result = {
   uy : float;             (** Exact utilization by reply handlers. *)
 }
 
+val max_nodes : int
+(** Largest [p] whose packed states fit in an [int], derived from the
+    encoding: 8 on 64-bit platforms, far past any chain that can be
+    enumerated. Beyond it {!all_to_all_status} reports [Too_large]
+    without exploring. *)
+
 val all_to_all :
   ?max_states:int -> p:int -> w:float -> so:float -> st:float -> unit -> result
 (** [all_to_all ~p ~w ~so ~st ()] solves the [p]-node machine exactly.
     All times must be strictly positive (exponential rates); [p >= 2].
     [max_states] defaults to [2_000_000].
     @raise Invalid_argument on non-positive parameters.
-    @raise Ctmc.State_space_too_large if [p] is too ambitious. *)
+    @raise Ctmc.State_space_too_large if the chain exceeds [max_states]
+    or [p > max_nodes]. *)
 
 val all_to_all_status :
   ?budget:Lopc_robust.Budget.t ->
@@ -45,5 +58,6 @@ val all_to_all_status :
     degradation cascade): state-space overflow, a non-converged power
     iteration, and budget stops come back as a {!Ctmc.status} instead of
     an exception or a silent wrong answer. [budget] is consulted once per
-    explored CTMC state and once per power-iteration sweep. Only raises
+    explored CTMC state and once per sweep. [p > max_nodes] returns
+    [(None, Too_large { max_states })] at once. Only raises
     [Invalid_argument] on invalid machine parameters. *)

@@ -227,7 +227,19 @@ let test_summary_format () =
   Alcotest.(check bool) "unknown key reports false" false
     (Absint.print_summary ppf absint "Fixture.nope")
 
+(* The counterexample "sound transfer: div" once drew: every corner of
+   [-inf, inf] / [-inf, -inf] is NaN, yet -6692.3 /. neg_infinity = 0. *)
+let test_div_finite_by_infinity () =
+  let x = -0x1.a245622bdae53p+12 in
+  let q =
+    Interval.div (around x Interval.top) (around neg_infinity Interval.nan_only)
+  in
+  Alcotest.(check bool) "x / -inf is a member" true (Interval.mem (x /. neg_infinity) q)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest (lattice_laws @ transfer_laws @ refine_laws)
   @ fixture_tests
-  @ [ Alcotest.test_case "--show-intervals format" `Quick test_summary_format ]
+  @ [
+      Alcotest.test_case "--show-intervals format" `Quick test_summary_format;
+      Alcotest.test_case "div: finite over infinity" `Quick test_div_finite_by_infinity;
+    ]
