@@ -183,8 +183,8 @@ let () =
          output is byte-identical to --jobs 1" );
       ( "--entry",
         Arg.String (fun e -> entries := e :: !entries),
-        "KEY Extra determinism-taint entry point (key or key prefix, e.g. \
-         Amva.solve_status or Amva); repeatable" );
+        "KEY Extra entry point for the determinism-taint and unbounded-retry \
+         rules (key or key prefix, e.g. Amva.solve_status or Amva); repeatable" );
       ( "--explain",
         Arg.String (fun id -> explain := Some id),
         "ID Print the rationale and a minimal violating example for a rule" );

@@ -616,49 +616,29 @@ let def_value st (d : Callgraph.def) =
 
 let max_rounds = 50
 
-let fixpoint st =
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < max_rounds do
-    incr rounds;
-    changed := false;
-    let seen = ref SSet.empty in
-    List.iter
-      (fun (d : Callgraph.def) ->
-        if not (SSet.mem d.key !seen) then begin
-          seen := SSet.add d.key !seen;
-          match def_value st d with
-          | None -> ()
-          | Some next ->
-            let cur =
-              Option.value (SMap.find_opt d.key st.summaries) ~default:bot_value
-            in
-            let next = widen_value cur next in
-            if not (value_equal cur next) then begin
-              st.summaries <- SMap.add d.key next st.summaries;
-              changed := true
-            end
-        end)
-      st.graph.defs
-  done
-
 let fresh_state ~reporting graph summaries params =
   { graph; summaries; params; violations = []; reporting; quiet = false }
 
+(* Only the first binding of a shadowed key is evaluated. The step reads
+   callee summaries through [st.summaries], so it points the state at the
+   fixpoint's current values first. *)
 let analyze graph =
   let st = fresh_state ~reporting:false graph SMap.empty SMap.empty in
-  fixpoint st;
-  { graph; summaries = st.summaries; params = st.params }
+  let summaries =
+    Callgraph.fixpoint ~max_rounds graph ~init:SMap.empty ~bot:bot_value
+      ~equal:value_equal ~step:(fun summaries d cur ->
+        if not (Callgraph.is_first_binding graph d) then None
+        else begin
+          st.summaries <- summaries;
+          Option.map (widen_value cur) (def_value st d)
+        end)
+  in
+  { graph; summaries; params = st.params }
 
 let check (t : t) =
   let st = fresh_state ~reporting:true t.graph t.summaries t.params in
-  let seen = ref SSet.empty in
   List.iter
-    (fun (d : Callgraph.def) ->
-      if not (SSet.mem d.key !seen) then begin
-        seen := SSet.add d.key !seen;
-        ignore (def_value st d)
-      end)
+    (fun d -> if Callgraph.is_first_binding t.graph d then ignore (def_value st d))
     t.graph.defs;
   List.rev st.violations
 

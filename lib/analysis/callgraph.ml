@@ -10,9 +10,10 @@
 
    Each node records every global reference in its body (with the
    instantiated type at the use site and the exception handlers enclosing
-   it) and every textual raise site. The three typed rules — determinism
-   taint, exception escape, RNG stream discipline — are all graph walks
-   over this structure. *)
+   it) and every textual raise site. The interprocedural rules are transfer
+   functions over the three walks at the end of this file: [reach]
+   (entry-point BFS), [fixpoint] (round-robin summaries) and [witness]
+   (the call chain behind a summary fact). *)
 
 module SMap = Map.Make (String)
 module SSet = Set.Make (String)
@@ -400,3 +401,92 @@ let find_type t ~owner segments =
       | Some decl -> Some (key, decl)
       | None -> None)
     candidates
+
+(* ------------------------------------------------------------------ *)
+(* Graph walks                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The interprocedural rules are transfer functions over the three walks
+   below. The walks own the visiting order (defs order, then ref order),
+   so rule output stays deterministic without each rule re-deriving it. *)
+
+let dir_prefix dir path = String.starts_with ~prefix:(dir ^ "/") path
+
+let path_head target =
+  match String.index_opt target '.' with
+  | Some i -> String.sub target 0 i
+  | None -> target
+
+(* Bindings of one key share a unit, so the binding's offset tells them apart. *)
+let is_first_binding t d =
+  match find t d.key with
+  | Some first -> Int.equal first.def_loc.loc_start.pos_cnum d.def_loc.loc_start.pos_cnum
+  | None -> false
+
+let reach t ~entry visit =
+  let entries =
+    List.filter entry t.defs
+    |> List.map (fun d -> d.key)
+    |> List.sort_uniq String.compare
+  in
+  let visited = ref (SSet.of_list entries) in
+  let queue = Queue.create () in
+  List.iter (fun k -> Queue.push (k, [ k ]) queue) entries;
+  let out = ref [] in
+  while not (Queue.is_empty queue) do
+    let key, chain = Queue.pop queue in
+    match find t key with
+    | None -> ()
+    | Some d ->
+      out := List.rev_append (visit d (List.rev chain)) !out;
+      List.iter
+        (fun r ->
+          if SMap.mem r.target t.by_key && not (SSet.mem r.target !visited) then begin
+            visited := SSet.add r.target !visited;
+            Queue.push (r.target, r.target :: chain) queue
+          end)
+        d.refs
+  done;
+  List.rev !out
+
+let fixpoint ?max_rounds t ~init ~bot ~equal ~step =
+  let values = ref init in
+  let changed = ref true in
+  let rounds = ref 0 in
+  let capped () = match max_rounds with Some m -> !rounds >= m | None -> false in
+  while !changed && not (capped ()) do
+    incr rounds;
+    changed := false;
+    List.iter
+      (fun d ->
+        let cur = Option.value (SMap.find_opt d.key !values) ~default:bot in
+        match step !values d cur with
+        | None -> ()
+        | Some next ->
+          if not (equal cur next) then begin
+            values := SMap.add d.key next !values;
+            changed := true
+          end)
+      t.defs
+  done;
+  !values
+
+let witness t key ~direct ~carries =
+  let rec go seen key =
+    match find t key with
+    | None -> None
+    | Some d -> (
+      match direct d with
+      | Some w -> Some ([ key ], w)
+      | None ->
+        List.find_map
+          (fun r ->
+            if SMap.mem r.target t.by_key && (not (SSet.mem r.target seen)) && carries r
+            then
+              Option.map
+                (fun (chain, w) -> (key :: chain, w))
+                (go (SSet.add r.target seen) r.target)
+            else None)
+          d.refs)
+  in
+  go (SSet.singleton key) key

@@ -77,3 +77,55 @@ val normalize_path : t -> Path.t -> string
     recursive expansion can update its owner. *)
 val find_type :
   t -> owner:string -> string list -> (string * Types.type_declaration) option
+
+(** {1 Graph walks}
+
+    The typed rules are transfer functions over these three walks. Each
+    walk fixes its visiting order ([defs] order, then [refs] order), so
+    rule output is deterministic. *)
+
+(** [dir_prefix dir path]: [path] lies strictly under directory [dir]. *)
+val dir_prefix : string -> string -> bool
+
+(** First dotted segment of a key (["Random.int"] → ["Random"]). *)
+val path_head : string -> string
+
+(** The def is the first binding of its key — the one {!find} returns.
+    Later bindings of the same key are shadowed toplevels. *)
+val is_first_binding : t -> def -> bool
+
+(** [reach t ~entry visit] runs a breadth-first search from the keys of the
+    defs satisfying [entry] (sorted, de-duplicated), following the refs
+    that resolve to a def, in ref order. [visit d chain] runs once per
+    reached def, with [chain] the first-discovered key path from an entry
+    to [d] (entry first); the results are concatenated in visiting
+    order. *)
+val reach : t -> entry:(def -> bool) -> (def -> string list -> 'a list) -> 'a list
+
+(** Round-robin fixpoint over [defs], in order, until a whole round
+    changes nothing or [max_rounds] rounds have run (default: no cap).
+    Values start at [init]; a key missing from the current map reads as
+    [bot]. [step values d cur] sees the current map and the current
+    value of [d.key], and returns the new value, or [None] to leave it
+    untouched. Every binding of a shadowed key is stepped against the one
+    shared value. *)
+val fixpoint :
+  ?max_rounds:int ->
+  t ->
+  init:'a SMap.t ->
+  bot:'a ->
+  equal:('a -> 'a -> bool) ->
+  step:('a SMap.t -> def -> 'a -> 'a option) ->
+  'a SMap.t
+
+(** [witness t key ~direct ~carries] finds a chain from [key] to a def
+    with a direct fact: at each def, [direct] is tried first; otherwise
+    the search descends depth-first, in ref order, into callees that
+    resolve to a def, are not yet on the path, and satisfy [carries]. The
+    chain starts with [key]. [None] when no such descent exists. *)
+val witness :
+  t ->
+  string ->
+  direct:(def -> 'w option) ->
+  carries:(ref_site -> bool) ->
+  (string list * 'w) option

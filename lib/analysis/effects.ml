@@ -291,31 +291,17 @@ let summary_equal a b =
 
 (* Least fixpoint by chaotic iteration: the domain (powerset of toplevel
    keys, twice, plus two booleans) is finite and [merge] is monotone, so
-   the loop terminates. *)
+   the iteration terminates. *)
 let fixpoint (graph : Callgraph.t) direct =
-  let sets = ref direct in
-  let get key = Option.value (SMap.find_opt key !sets) ~default:empty_summary in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (d : Callgraph.def) ->
-        let current = get d.key in
-        let propagated =
-          List.fold_left
-            (fun acc (r : Callgraph.ref_site) ->
-              if SMap.mem r.target graph.Callgraph.by_key then
-                merge acc (get r.target)
-              else acc)
-            current d.refs
-        in
-        if not (summary_equal propagated current) then begin
-          sets := SMap.add d.key propagated !sets;
-          changed := true
-        end)
-      graph.defs
-  done;
-  !sets
+  let get sets key = Option.value (SMap.find_opt key sets) ~default:empty_summary in
+  Callgraph.fixpoint graph ~init:direct ~bot:empty_summary ~equal:summary_equal
+    ~step:(fun sets d current ->
+      Some
+        (List.fold_left
+           (fun acc (r : Callgraph.ref_site) ->
+             if SMap.mem r.target graph.Callgraph.by_key then merge acc (get sets r.target)
+             else acc)
+           current d.refs))
 
 (* ------------------------------------------------------------------ *)
 (* Mutable toplevels                                                   *)
@@ -347,20 +333,12 @@ let classify_toplevels (graph : Callgraph.t) =
 (* ------------------------------------------------------------------ *)
 
 let analyze (graph : Callgraph.t) =
-  let events, locals, direct =
-    List.fold_left
-      (fun (events, locals, direct) (d : Callgraph.def) ->
-        match d.body with
-        | None -> (events, locals, direct)
-        | Some body ->
-          if SMap.mem d.key events then (events, locals, direct)
-          else
-            let evs = events_of_body graph body in
-            let fresh = fresh_locals graph body in
-            ( SMap.add d.key evs events,
-              SMap.add d.key fresh locals,
-              SMap.add d.key (direct_summary ~fresh evs) direct ))
-      (SMap.empty, SMap.empty, SMap.empty) graph.defs
+  (* Direct facts come from the first binding of each key. *)
+  let bodies = SMap.filter_map (fun _ (d : Callgraph.def) -> d.body) graph.by_key in
+  let events = SMap.map (events_of_body graph) bodies in
+  let locals = SMap.map (fresh_locals graph) bodies in
+  let direct =
+    SMap.mapi (fun key evs -> direct_summary ~fresh:(SMap.find key locals) evs) events
   in
   let summaries = fixpoint graph direct in
   let mutable_globals, atomic_cells = classify_toplevels graph in

@@ -29,13 +29,11 @@ let hint =
    Diverged), validate earlier with invalid_arg, or — if the raise is provably \
    unreachable — suppress with [@lint.allow \"exn-escape\" \"why\"]"
 
-type config = {
-  entry_names : string list;  (* definitions checked for the non-raising contract *)
-  allowed : string list;  (* exceptions the contract permits *)
-}
+(* The definitions held to the non-raising contract, and the exceptions the
+   contract permits. *)
+let entry_name = "solve_status"
 
-let default_config =
-  { entry_names = [ "solve_status" ]; allowed = [ "Invalid_argument" ] }
+let allowed = [ "Invalid_argument" ]
 
 (* Stdlib helpers that raise, by normalised key. *)
 let external_raisers =
@@ -77,102 +75,65 @@ let direct_escapes (d : Callgraph.def) =
   in
   SSet.of_list (from_raises @ from_externals)
 
-(* Fixpoint of escape(d) = direct(d) ∪ ⋃ (escape(callee) \ caught-at-site). *)
+let escape sets key = Option.value (SMap.find_opt key sets) ~default:SSet.empty
+
+(* Fixpoint of escape(d) = direct(d) ∪ ⋃ (escape(callee) \ caught-at-site),
+   with direct(d) taken from the first binding of each key. *)
 let escape_sets (graph : Callgraph.t) =
-  let sets =
-    ref
-      (List.fold_left
-         (fun acc (d : Callgraph.def) ->
-           if SMap.mem d.key acc then acc else SMap.add d.key (direct_escapes d) acc)
-         SMap.empty graph.defs)
-  in
-  let escape key = Option.value (SMap.find_opt key !sets) ~default:SSet.empty in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (d : Callgraph.def) ->
-        let current = escape d.key in
-        let propagated =
-          List.fold_left
-            (fun acc (r : Callgraph.ref_site) ->
-              if not (SMap.mem r.target graph.by_key) then acc
-              else
-                SSet.fold
-                  (fun exn acc ->
-                    if catches r.caught exn then acc else SSet.add exn acc)
-                  (escape r.target) acc)
-            current d.refs
-        in
-        if not (SSet.equal propagated current) then begin
-          sets := SMap.add d.key propagated !sets;
-          changed := true
-        end)
-      graph.defs
-  done;
-  !sets
+  Callgraph.fixpoint graph
+    ~init:(SMap.map direct_escapes graph.by_key)
+    ~bot:SSet.empty ~equal:SSet.equal
+    ~step:(fun sets d current ->
+      Some
+        (List.fold_left
+           (fun acc (r : Callgraph.ref_site) ->
+             if not (SMap.mem r.target graph.by_key) then acc
+             else
+               SSet.fold
+                 (fun exn acc -> if catches r.caught exn then acc else SSet.add exn acc)
+                 (escape sets r.target) acc)
+           current d.refs))
 
-(* A witness chain from [key] to a site that lets [exn] out: first a direct
-   raise or known-raising stdlib call, otherwise descend into the first
-   callee whose escape set still carries [exn] past the handlers at the call
-   site. Termination: escape(d) ∋ exn guarantees such a callee exists, and
-   [seen] breaks cycles. *)
+(* A witness chain from [key] to a site that lets [exn] out: a direct raise
+   or known-raising stdlib call, reached through callees whose escape sets
+   still carry [exn] past the handlers at the call site. *)
 let witness graph sets key exn =
-  let escape k = Option.value (SMap.find_opt k sets) ~default:SSet.empty in
-  let rec go seen key =
-    match Callgraph.find graph key with
-    | None -> None
-    | Some d -> (
-      let direct_raise =
-        List.find_opt
-          (fun (r : Callgraph.raise_site) ->
-            r.exn = exn && not (catches r.raise_caught exn))
-          d.raises
-      in
-      match direct_raise with
-      | Some r -> Some ([ key ], Printf.sprintf "raise %s" r.written, r.raise_loc)
-      | None -> (
-        let direct_external =
-          List.find_opt
-            (fun (r : Callgraph.ref_site) ->
-              match List.assoc_opt r.target external_raisers with
-              | Some e -> e = exn && not (catches r.caught exn)
-              | None -> false)
-            d.refs
-        in
-        match direct_external with
-        | Some r -> Some ([ key ], r.target, r.ref_loc)
-        | None ->
-          d.refs
-          |> List.find_map (fun (r : Callgraph.ref_site) ->
-                 if
-                   SMap.mem r.target graph.by_key
-                   && (not (SSet.mem r.target seen))
-                   && SSet.mem exn (escape r.target)
-                   && not (catches r.caught exn)
-                 then
-                   match go (SSet.add r.target seen) r.target with
-                   | Some (chain, site, loc) -> Some (key :: chain, site, loc)
-                   | None -> None
-                 else None)))
+  let direct (d : Callgraph.def) =
+    match
+      List.find_opt
+        (fun (r : Callgraph.raise_site) ->
+          r.exn = exn && not (catches r.raise_caught exn))
+        d.raises
+    with
+    | Some r -> Some (Printf.sprintf "raise %s" r.written, r.raise_loc)
+    | None ->
+      List.find_map
+        (fun (r : Callgraph.ref_site) ->
+          match List.assoc_opt r.target external_raisers with
+          | Some e when e = exn && not (catches r.caught exn) ->
+            Some (r.target, r.ref_loc)
+          | _ -> None)
+        d.refs
   in
-  go (SSet.singleton key) key
+  let carries (r : Callgraph.ref_site) =
+    SSet.mem exn (escape sets r.target) && not (catches r.caught exn)
+  in
+  Callgraph.witness graph key ~direct ~carries
 
-let check ?(config = default_config) (graph : Callgraph.t) =
+let check (graph : Callgraph.t) =
   let sets = escape_sets graph in
   graph.defs
-  |> List.filter (fun (d : Callgraph.def) ->
-         List.mem d.def_name config.entry_names)
+  |> List.filter (fun (d : Callgraph.def) -> d.def_name = entry_name)
   |> List.concat_map (fun (d : Callgraph.def) ->
          let escaping =
-           SSet.elements (Option.value (SMap.find_opt d.key sets) ~default:SSet.empty)
-           |> List.filter (fun exn -> not (List.mem exn config.allowed))
+           SSet.elements (escape sets d.key)
+           |> List.filter (fun exn -> not (List.mem exn allowed))
          in
          List.filter_map
            (fun exn ->
              match witness graph sets d.key exn with
              | None -> None
-             | Some (chain, site, loc) ->
+             | Some (chain, (site, loc)) ->
                let what =
                  if exn = "*" then "a computed (re-raised) exception"
                  else Printf.sprintf "`%s`" exn

@@ -17,12 +17,4 @@ val severity : Finding.severity
 
 val summary : string
 
-type config = {
-  entry_names : string list;
-      (** definitions checked for the non-raising contract *)
-  allowed : string list;  (** exceptions the contract permits *)
-}
-
-val default_config : config
-
-val check : ?config:config -> Callgraph.t -> Finding.t list
+val check : Callgraph.t -> Finding.t list

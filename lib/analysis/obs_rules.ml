@@ -2,11 +2,7 @@
    observability layer (anything under lib/obs — the recorder, probes and
    emitters) may reach a wall clock. Trace timestamps must be simulated
    cycles only, or traces stop being byte-identical across runs and the
-   jobs-independence guarantee (same trace at any --jobs) breaks. Same BFS
-   machinery as the determinism taint, restricted to clock sources. *)
-
-module SMap = Callgraph.SMap
-module SSet = Callgraph.SSet
+   jobs-independence guarantee (same trace at any --jobs) breaks. *)
 
 let rule_id = "obs-no-wallclock"
 
@@ -19,51 +15,19 @@ let hint =
    event times) and thread it to the emitter explicitly; wall-clock time makes \
    traces differ run to run and across --jobs"
 
-type config = { entry_dirs : string list }
+let entry_dir = "lib/obs"
 
-let default_config = { entry_dirs = [ "lib/obs" ] }
-
-let dir_prefix dir path =
-  let n = String.length dir in
-  String.length path > n && String.sub path 0 n = dir && path.[n] = '/'
-
-let is_entry config (d : Callgraph.def) =
-  List.exists (fun dir -> dir_prefix dir d.Callgraph.source) config.entry_dirs
-
-let wall_clocks = [ "Sys.time"; "Unix.gettimeofday"; "Unix.time" ]
-
-let check ?(config = default_config) (graph : Callgraph.t) =
-  let findings = ref [] in
-  let visited = ref SSet.empty in
-  let queue = Queue.create () in
-  let entries =
-    List.filter (is_entry config) graph.defs
-    |> List.map (fun (d : Callgraph.def) -> d.key)
-    |> List.sort_uniq String.compare
-  in
-  List.iter (fun k -> Queue.push (k, [ k ]) queue) entries;
-  List.iter (fun k -> visited := SSet.add k !visited) entries;
-  while not (Queue.is_empty queue) do
-    let key, chain = Queue.pop queue in
-    match Callgraph.find graph key with
-    | None -> ()
-    | Some d ->
-      List.iter
+let check (graph : Callgraph.t) =
+  Callgraph.reach graph
+    ~entry:(fun d -> Callgraph.dir_prefix entry_dir d.source)
+    (fun d chain ->
+      List.filter_map
         (fun (r : Callgraph.ref_site) ->
-          if List.mem r.target wall_clocks then begin
+          if List.mem r.target Taint_rules.wall_clocks then
             let message =
               Printf.sprintf "the wall clock %s; reachable as %s" r.target
-                (String.concat " -> " (List.rev chain))
+                (String.concat " -> " chain)
             in
-            findings :=
-              Finding.v ~rule:rule_id ~severity ~loc:r.ref_loc ~message ~hint
-              :: !findings
-          end;
-          if SMap.mem r.target graph.by_key && not (SSet.mem r.target !visited)
-          then begin
-            visited := SSet.add r.target !visited;
-            Queue.push (r.target, r.target :: chain) queue
-          end)
-        d.refs
-  done;
-  List.rev !findings
+            Some (Finding.v ~rule:rule_id ~severity ~loc:r.ref_loc ~message ~hint)
+          else None)
+        d.refs)

@@ -1,11 +1,10 @@
 (** Observability wall-clock ban (typed, interprocedural).
 
     No definition reachable from the observability layer (any definition
-    whose source lives under an entry directory, [lib/obs] by default) may
-    reference a wall clock ([Sys.time], [Unix.gettimeofday], [Unix.time]).
-    Trace timestamps must come from the simulated clock only — that is
-    what keeps trace files byte-identical across runs and across [--jobs]
-    settings. Findings carry the reachability chain from the observability
+    whose source lives under [lib/obs]) may reference a wall clock
+    ([Sys.time], [Unix.gettimeofday], [Unix.time]). Trace timestamps must
+    come from the simulated clock only — that is what keeps trace files
+    byte-identical across runs and across [--jobs] settings. Findings carry the reachability chain from the observability
     definition that first discovered the clock. *)
 
 val rule_id : string
@@ -14,8 +13,4 @@ val severity : Finding.severity
 
 val summary : string
 
-type config = { entry_dirs : string list }
-
-val default_config : config
-
-val check : ?config:config -> Callgraph.t -> Finding.t list
+val check : Callgraph.t -> Finding.t list

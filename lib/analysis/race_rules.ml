@@ -103,33 +103,17 @@ let check_rmw (t : Effects.t) (d : Callgraph.def) =
 
 (* A witness chain from [key] down to a definition whose *direct* events
    satisfy [direct], descending into callees whose summaries satisfy
-   [carries]. Same shape as the exception witness: when the summary
-   carries the fact, some callee chain realises it, and [seen] breaks
-   cycles. *)
+   [carries]: when the summary carries the fact, some callee chain
+   realises it. Falls back to [key] alone. *)
 let witness (t : Effects.t) key ~direct ~carries =
-  let rec go seen key =
-    match Callgraph.find t.Effects.graph key with
-    | None -> None
-    | Some d -> (
-      match List.find_opt direct (Effects.events t key) with
-      | Some (ev : Effects.event) -> Some ([ key ], ev.site)
-      | None ->
-        d.refs
-        |> List.find_map (fun (r : Callgraph.ref_site) ->
-               if
-                 SMap.mem r.target t.Effects.graph.Callgraph.by_key
-                 && (not (SSet.mem r.target seen))
-                 &&
-                 match Effects.summary t r.target with
-                 | Some s -> carries s
-                 | None -> false
-               then
-                 match go (SSet.add r.target seen) r.target with
-                 | Some (chain, loc) -> Some (key :: chain, loc)
-                 | None -> None
-               else None))
-  in
-  go (SSet.singleton key) key
+  match
+    Callgraph.witness t.graph key
+      ~direct:(fun d -> List.find_opt direct (Effects.events t d.key))
+      ~carries:(fun r ->
+        match Effects.summary t r.target with Some s -> carries s | None -> false)
+  with
+  | Some (chain, _) -> chain
+  | None -> [ key ]
 
 let chain_text chain = String.concat " -> " chain
 
@@ -148,15 +132,11 @@ let seed_findings (t : Effects.t) ~runner ~seed_loc seed =
              | None -> None
              | Some kind ->
                let chain =
-                 match
-                   witness t seed
-                     ~direct:(fun (ev : Effects.event) ->
-                       ev.op = Effects.Write && ev.via = Effects.Plain
-                       && Effects.same_target ev.target (Effects.Global g))
-                     ~carries:(fun s -> SSet.mem g s.global_writes)
-                 with
-                 | Some (chain, _) -> chain
-                 | None -> [ seed ]
+                 witness t seed
+                   ~direct:(fun (ev : Effects.event) ->
+                     ev.op = Effects.Write && ev.via = Effects.Plain
+                     && Effects.same_target ev.target (Effects.Global g))
+                   ~carries:(fun s -> SSet.mem g s.global_writes)
                in
                let message =
                  Printf.sprintf
@@ -175,15 +155,11 @@ let seed_findings (t : Effects.t) ~runner ~seed_loc seed =
              | None -> None
              | Some kind ->
                let chain =
-                 match
-                   witness t seed
-                     ~direct:(fun (ev : Effects.event) ->
-                       ev.op = Effects.Read
-                       && Effects.same_target ev.target (Effects.Global g))
-                     ~carries:(fun s -> SSet.mem g s.global_reads)
-                 with
-                 | Some (chain, _) -> chain
-                 | None -> [ seed ]
+                 witness t seed
+                   ~direct:(fun (ev : Effects.event) ->
+                     ev.op = Effects.Read
+                     && Effects.same_target ev.target (Effects.Global g))
+                   ~carries:(fun s -> SSet.mem g s.global_reads)
                in
                let message =
                  Printf.sprintf

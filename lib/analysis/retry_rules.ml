@@ -13,12 +13,8 @@
    received the budget — or references [Budget.*] / [Cancel.*] directly.
    The granularity is the definition, not the loop: a definition that
    threads a budget anywhere is assumed to have wired it into its loops
-   (the chaos tests check the wiring dynamically). Same BFS machinery as
-   the determinism taint, so findings carry the call chain from the entry
-   that reached the loop. *)
-
-module SMap = Callgraph.SMap
-module SSet = Callgraph.SSet
+   (the chaos tests check the wiring dynamically). Findings carry the call
+   chain from the entry that reached the loop. *)
 
 let rule_id = "unbounded-retry"
 
@@ -32,38 +28,6 @@ let hint =
   "poll a Lopc_robust.Budget.t (or Cancel.t) once per iteration, or bound the \
    loop with an explicit max_*/fuel counter; if the loop is provably bounded by \
    its data, suppress with [@lint.allow \"unbounded-retry\" \"why\"]"
-
-type config = {
-  entries : string list;  (* extra entry keys or key prefixes *)
-  entry_dirs : string list;
-  entry_names : string list;
-}
-
-let default_config =
-  {
-    entries = [];
-    entry_dirs = [ "lib/activemsg"; "lib/eventsim" ];
-    entry_names = [ "solve"; "solve_status" ];
-  }
-
-let dir_prefix dir path =
-  let n = String.length dir in
-  String.length path > n && String.sub path 0 n = dir && path.[n] = '/'
-
-let is_entry config (d : Callgraph.def) =
-  List.exists (fun dir -> dir_prefix dir d.Callgraph.source) config.entry_dirs
-  || List.mem d.Callgraph.def_name config.entry_names
-  || List.exists
-       (fun e ->
-         d.Callgraph.key = e
-         || (String.length d.Callgraph.key > String.length e
-            && String.sub d.Callgraph.key 0 (String.length e + 1) = e ^ "."))
-       config.entries
-
-let path_head target =
-  match String.index_opt target '.' with
-  | Some i -> String.sub target 0 i
-  | None -> target
 
 let bound_substrings = [ "fuel"; "budget"; "cancel"; "max_"; "deadline"; "remaining" ]
 
@@ -109,47 +73,22 @@ let while_locs body =
 let def_budget_aware (d : Callgraph.def) =
   List.exists
     (fun (r : Callgraph.ref_site) ->
-      let head = path_head r.target in
+      let head = Callgraph.path_head r.target in
       head = "Budget" || head = "Cancel")
     d.Callgraph.refs
 
-let check ?(config = default_config) (graph : Callgraph.t) =
-  let findings = ref [] in
-  let visited = ref SSet.empty in
-  let queue = Queue.create () in
-  let entries =
-    List.filter (is_entry config) graph.defs
-    |> List.map (fun (d : Callgraph.def) -> d.key)
-    |> List.sort_uniq String.compare
-  in
-  List.iter (fun k -> Queue.push (k, [ k ]) queue) entries;
-  List.iter (fun k -> visited := SSet.add k !visited) entries;
-  while not (Queue.is_empty queue) do
-    let key, chain = Queue.pop queue in
-    match Callgraph.find graph key with
-    | None -> ()
-    | Some d ->
-      (match d.Callgraph.body with
+let check ?(entries = []) (graph : Callgraph.t) =
+  Callgraph.reach graph ~entry:(Taint_rules.is_entry ~entries) (fun d chain ->
+      match d.body with
       | Some body when not (def_budget_aware d || mentions_bound body) ->
-        List.iter
+        List.map
           (fun loc ->
             let message =
               Printf.sprintf
                 "a while loop with no budget, cancellation, or bound in sight; \
                  reachable as %s"
-                (String.concat " -> " (List.rev chain))
+                (String.concat " -> " chain)
             in
-            findings :=
-              Finding.v ~rule:rule_id ~severity ~loc ~message ~hint :: !findings)
+            Finding.v ~rule:rule_id ~severity ~loc ~message ~hint)
           (while_locs body)
-      | Some _ | None -> ());
-      List.iter
-        (fun (r : Callgraph.ref_site) ->
-          if SMap.mem r.target graph.by_key && not (SSet.mem r.target !visited)
-          then begin
-            visited := SSet.add r.target !visited;
-            Queue.push (r.target, r.target :: chain) queue
-          end)
-        d.Callgraph.refs
-  done;
-  List.rev !findings
+      | Some _ | None -> [])

@@ -17,13 +17,6 @@ val severity : Finding.severity
 
 val summary : string
 
-type config = {
-  entries : string list;
-      (** Extra entry keys or key prefixes, as [--entry]. *)
-  entry_dirs : string list;
-  entry_names : string list;
-}
-
-val default_config : config
-
-val check : ?config:config -> Callgraph.t -> Finding.t list
+(** [entries]: extra entry keys or key prefixes, as [--entry]; the
+    entry points are {!Taint_rules.is_entry}'s. *)
+val check : ?entries:string list -> Callgraph.t -> Finding.t list

@@ -7,9 +7,6 @@
    polymorphic type. Each finding carries the reachability chain from the
    entry that first discovered the tainted definition. *)
 
-module SMap = Callgraph.SMap
-module SSet = Callgraph.SSet
-
 let rule_id = "determinism-taint"
 
 let severity = Finding.Error
@@ -23,37 +20,16 @@ let hint =
    order); if the site is provably harmless, suppress with [@lint.allow \
    \"determinism-taint\" \"why\"]"
 
-type config = {
-  entries : string list;  (* extra entry keys or key prefixes, from --entry *)
-  entry_dirs : string list;
-  entry_names : string list;
-}
+let entry_dirs = [ "lib/activemsg"; "lib/eventsim" ]
 
-let default_config =
-  {
-    entries = [];
-    entry_dirs = [ "lib/activemsg"; "lib/eventsim" ];
-    entry_names = [ "solve"; "solve_status" ];
-  }
+let entry_names = [ "solve"; "solve_status" ]
 
-let dir_prefix dir path =
-  let n = String.length dir in
-  String.length path > n && String.sub path 0 n = dir && path.[n] = '/'
-
-let is_entry config (d : Callgraph.def) =
-  List.exists (fun dir -> dir_prefix dir d.Callgraph.source) config.entry_dirs
-  || List.mem d.Callgraph.def_name config.entry_names
+let is_entry ~entries (d : Callgraph.def) =
+  List.exists (fun dir -> Callgraph.dir_prefix dir d.source) entry_dirs
+  || List.mem d.def_name entry_names
   || List.exists
-       (fun e ->
-         d.Callgraph.key = e
-         || (String.length d.Callgraph.key > String.length e
-            && String.sub d.Callgraph.key 0 (String.length e + 1) = e ^ "."))
-       config.entries
-
-let path_head target =
-  match String.index_opt target '.' with
-  | Some i -> String.sub target 0 i
-  | None -> target
+       (fun e -> d.key = e || String.starts_with ~prefix:(e ^ ".") d.key)
+       entries
 
 let wall_clocks = [ "Sys.time"; "Unix.gettimeofday"; "Unix.time" ]
 
@@ -63,7 +39,7 @@ let poly_comparators = [ "compare"; "="; "<>"; "Hashtbl.hash"; "Hashtbl.seeded_h
 
 (* Is this reference itself a nondeterminism source? *)
 let source_of graph (d : Callgraph.def) (r : Callgraph.ref_site) =
-  if path_head r.target = "Random" then
+  if Callgraph.path_head r.target = "Random" then
     Some (Printf.sprintf "the global RNG %s (replay cannot reseed it)" r.target)
   else if List.mem r.target wall_clocks then
     Some (Printf.sprintf "the wall clock %s" r.target)
@@ -79,39 +55,15 @@ let source_of graph (d : Callgraph.def) (r : Callgraph.ref_site) =
       | None -> None)
   else None
 
-let check ?(config = default_config) (graph : Callgraph.t) =
-  let findings = ref [] in
-  let visited = ref SSet.empty in
-  let queue = Queue.create () in
-  let entries =
-    List.filter (is_entry config) graph.defs
-    |> List.map (fun (d : Callgraph.def) -> d.key)
-    |> List.sort_uniq String.compare
-  in
-  List.iter (fun k -> Queue.push (k, [ k ]) queue) entries;
-  List.iter (fun k -> visited := SSet.add k !visited) entries;
-  while not (Queue.is_empty queue) do
-    let key, chain = Queue.pop queue in
-    match Callgraph.find graph key with
-    | None -> ()
-    | Some d ->
-      List.iter
+let check ?(entries = []) (graph : Callgraph.t) =
+  Callgraph.reach graph ~entry:(is_entry ~entries) (fun d chain ->
+      List.filter_map
         (fun (r : Callgraph.ref_site) ->
-          (match source_of graph d r with
+          match source_of graph d r with
           | Some desc ->
             let message =
-              Printf.sprintf "%s; reachable as %s" desc
-                (String.concat " -> " (List.rev chain))
+              Printf.sprintf "%s; reachable as %s" desc (String.concat " -> " chain)
             in
-            findings :=
-              Finding.v ~rule:rule_id ~severity ~loc:r.ref_loc ~message ~hint
-              :: !findings
-          | None -> ());
-          if SMap.mem r.target graph.by_key && not (SSet.mem r.target !visited)
-          then begin
-            visited := SSet.add r.target !visited;
-            Queue.push (r.target, r.target :: chain) queue
-          end)
-        d.refs
-  done;
-  List.rev !findings
+            Some (Finding.v ~rule:rule_id ~severity ~loc:r.ref_loc ~message ~hint)
+          | None -> None)
+        d.refs)

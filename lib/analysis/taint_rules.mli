@@ -16,12 +16,14 @@ val severity : Finding.severity
 
 val summary : string
 
-type config = {
-  entries : string list;  (** extra entry keys or key prefixes (from [--entry]) *)
-  entry_dirs : string list;
-  entry_names : string list;
-}
+(** The solver and simulator entry points, shared with {!Retry_rules}:
+    defs under [lib/activemsg] or [lib/eventsim], defs named [solve] or
+    [solve_status], and the extra [entries] (keys or key prefixes, from
+    [--entry]). *)
+val is_entry : entries:string list -> Callgraph.def -> bool
 
-val default_config : config
+(** The wall clocks a deterministic run must not read. *)
+val wall_clocks : string list
 
-val check : ?config:config -> Callgraph.t -> Finding.t list
+(** [entries]: extra entry keys or key prefixes (from [--entry]). *)
+val check : ?entries:string list -> Callgraph.t -> Finding.t list

@@ -19,16 +19,15 @@ let catalogue =
 
 let analyze_units ?(entries = []) ?(stage = `All) units =
   let graph = Callgraph.build units in
-  let taint_config = { Taint_rules.default_config with entries } in
   let findings =
     match stage with
     | `Numeric -> Numeric_rules.check graph
     | `All ->
       let effects = Effects.analyze graph in
-      Taint_rules.check ~config:taint_config graph
+      Taint_rules.check ~entries graph
       @ Exn_rules.check graph @ Stream_rules.check graph
       @ Par_rules.check graph @ Obs_rules.check graph
-      @ Retry_rules.check ~config:{ Retry_rules.default_config with entries } graph
+      @ Retry_rules.check ~entries graph
       @ Race_rules.check effects
       @ Numeric_rules.check graph
   in

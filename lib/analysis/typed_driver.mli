@@ -18,10 +18,11 @@ exception No_cmt_inputs of string list
 (** (rule id, severity, summary) of every typed rule, for [--list-rules]. *)
 val catalogue : (string * Finding.severity * string) list
 
-(** Analyse already-loaded units. [entries] adds extra taint entry points
-    (keys or key prefixes, as given to [--entry]). [stage] selects which
-    typed rules run: [`All] (default) or [`Numeric] — just the
-    interval-stage rules, as [--absint] requests. *)
+(** Analyse already-loaded units. [entries] adds extra entry points for
+    the determinism-taint and unbounded-retry rules (keys or key prefixes,
+    as given to [--entry]). [stage] selects which typed rules run: [`All]
+    (default) or [`Numeric] — just the interval-stage rules, as [--absint]
+    requests. *)
 val analyze_units :
   ?entries:string list ->
   ?stage:[ `All | `Numeric ] ->

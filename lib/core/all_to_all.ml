@@ -174,11 +174,6 @@ let solution_of_r (params : Params.t) ~w ~work_scv ~execution r =
    whose demand can outgrow capacity ([Amva], [General], [Fault_model]);
    here a structured failure can only be [Diverged] or [Exhausted]. *)
 
-(* Budget stops on the bracketed path surface inside the residual callback,
-   where Brent gives us no other exit; caught below, never escaping
-   [solve_status]. *)
-exception Budget_stop of Lopc_robust.Budget.stop_reason
-
 let solve_status ?probe ?budget ?(execution = Interrupt) ?(work_scv = 1.)
     ?(solve_method = Brent_on_residual) params ~w =
   check params ~w;
@@ -217,17 +212,14 @@ let solve_status ?probe ?budget ?(execution = Interrupt) ?(work_scv = 1.)
     | status -> (None, status))
   | Brent_on_residual | Polynomial_roots -> begin
     let evals = ref 0 in
-    (* [f] (and therefore its budget raise) sits lexically inside the
-       [try] whose handler maps the stop onto [Exhausted]: [f] is also
-       called from the bracketing guard below, outside the inner match. *)
+    (* Budget stops surface inside the residual callback, where Brent gives
+       us no other exit. [f] (and therefore its budget check) sits
+       lexically inside the [try] whose handler maps the stop onto
+       [Exhausted]: [f] is also called from the bracketing guard below,
+       outside the inner match. *)
     try
       let f r =
-        (match budget with
-        | None -> ()
-        | Some b -> (
-          match Lopc_robust.Budget.check b with
-          | None -> ()
-          | Some reason -> raise (Budget_stop reason)));
+        Lopc_robust.Budget.check_exn budget;
         incr evals;
         let fr = fixed_point_map ~execution ~work_scv params ~w r -. r in
         (match probe with
@@ -264,7 +256,7 @@ let solve_status ?probe ?budget ?(execution = Interrupt) ?(work_scv = 1.)
               residual = Float.abs (fixed_point_map ~execution ~work_scv params ~w lb -. lb);
             } )
       end
-    with Budget_stop reason ->
+    with Lopc_robust.Budget.Stop reason ->
       (None, Fixed_point.Exhausted { iters = !evals; reason })
   end
 

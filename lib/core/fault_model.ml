@@ -207,10 +207,6 @@ let check_inputs c (params : Params.t) ~w =
   if w < 0. || not (Float.is_finite w) then invalid_arg "Fault_model: invalid work value";
   ignore (check c)
 
-(* As in [All_to_all]: a budget stop inside the root-finder's residual
-   callback, caught before it can escape [solve_status]. *)
-exception Budget_stop of Lopc_robust.Budget.stop_reason
-
 let solve_status ?probe ?budget c (params : Params.t) ~w =
   check_inputs c params ~w;
   let kq = handler_load c in
@@ -221,18 +217,15 @@ let solve_status ?probe ?budget c (params : Params.t) ~w =
   let r_floor = (a +. Float.sqrt ((a *. a) +. (4. *. a *. b))) /. 2. in
   let lb = lower_bound c params ~w in
   let evals = ref 0 in
-  (* [f] is called from guard positions and failure handlers too, so the
-     budget stop is caught around the whole dispatch rather than per
-     root-finder call — and [f] is defined inside the [try] so its raise
-     is lexically within the handler (the exn-escape rule is lexical). *)
+  (* As in [All_to_all], a budget stop surfaces inside the root-finder's
+     residual callback. [f] is called from guard positions and failure
+     handlers too, so the stop is caught around the whole dispatch rather
+     than per root-finder call — and [f] is defined inside the [try] so its
+     check is lexically within the handler (the exn-escape rule is
+     lexical). *)
   try
     let f r =
-      (match budget with
-      | None -> ()
-      | Some b -> (
-        match Lopc_robust.Budget.check b with
-        | None -> ()
-        | Some reason -> raise (Budget_stop reason)));
+      Lopc_robust.Budget.check_exn budget;
       incr evals;
       let fr = fixed_point_map c params ~w r -. r in
       (match probe with
@@ -293,7 +286,7 @@ let solve_status ?probe ?budget c (params : Params.t) ~w =
       | exception (Roots.No_bracket | Roots.Not_converged _) ->
         (None, Fixed_point.Diverged { iters = !evals; residual = Float.abs (f lb) })
     end
-  with Budget_stop reason -> (None, Fixed_point.Exhausted { iters = !evals; reason })
+  with Lopc_robust.Budget.Stop reason -> (None, Fixed_point.Exhausted { iters = !evals; reason })
 
 let solve ?probe c params ~w =
   match solve_status ?probe c params ~w with

@@ -24,11 +24,6 @@ let status_to_string = function
   | Too_large { max_states } ->
     Printf.sprintf "state space exceeds %d states" max_states
 
-(* Local control-flow exception for budget stops: raised at the two loop
-   heads below and caught at the end of [solve_status], so callers only
-   ever see the [Exhausted] status. *)
-exception Budget_stop of Lopc_robust.Budget.stop_reason
-
 (* The reachable generator in compressed sparse row form. Row [i] holds the
    off-diagonal outgoing transitions of state [i], in the exact order the
    caller's [transitions] function produced them (duplicate destinations
@@ -140,16 +135,10 @@ let normalize pi =
 let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
     ?(tol = 1e-12) ?(max_iter = 200_000) ~initial ~transitions () =
   try
-    (* [check_budget] lives inside the [try] so its raise is lexically
-       within the handler below (the exn-escape rule reasons lexically). *)
-    let check_budget () =
-      match budget with
-      | None -> ()
-      | Some b -> (
-        match Lopc_robust.Budget.check b with
-        | None -> ()
-        | Some reason -> raise (Budget_stop reason))
-    in
+    (* Budget stops raise [Budget.Stop] at the loop heads below; every
+       check lives inside this [try] so it is lexically within the handler
+       that maps the stop onto [Exhausted] (the exn-escape rule reasons
+       lexically). *)
     (* Phase 1: explore the reachable state space (one unit of fuel per
        expanded state) and append each expanded state's row straight into
        the CSR arrays. Ids are assigned at discovery and states are
@@ -194,7 +183,7 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
     in
     let filled = ref 0 in
     while !filled < !count do
-      check_budget ();
+      Lopc_robust.Budget.check_exn budget;
       let i = !filled in
       let s = (!state_of_id).(i) in
       incr filled;
@@ -255,7 +244,7 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
          drifted freely and convergence was declared on the raw step). *)
       let next = Array.make n 0. in
       while (not !converged) && !iter < max_iter do
-        check_budget ();
+        Lopc_robust.Budget.check_exn budget;
         incr iter;
         Array.fill next 0 n 0.;
         for i = 0 to n - 1 do
@@ -289,7 +278,7 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
          chains the exact LoPC machine produces. Each sweep renormalizes
          and convergence is the same scaled residual as the power path. *)
       while (not !converged) && !iter < max_iter do
-        check_budget ();
+        Lopc_robust.Budget.check_exn budget;
         incr iter;
         for j = 0 to n - 1 do
           let q_j = m.out_rate.(j) in
@@ -317,7 +306,7 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
     if !converged then (Some sol, Converged { iters = !iter })
     else (Some sol, Not_converged { iters = !iter; diff = !last_diff })
   with
-  | Budget_stop reason -> (None, Exhausted { reason })
+  | Lopc_robust.Budget.Stop reason -> (None, Exhausted { reason })
   | State_space_too_large max_states -> (None, Too_large { max_states })
 
 (* Legacy entry point: raises on overflow, silently returns the last

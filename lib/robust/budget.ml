@@ -57,3 +57,9 @@ let check t =
         Some (Fuel_exhausted { fuel = t.initial })
       end
       else None)
+
+exception Stop of stop_reason
+
+let check_exn = function
+  | None -> ()
+  | Some t -> ( match check t with None -> () | Some reason -> raise (Stop reason))

@@ -37,6 +37,16 @@ val check : t -> stop_reason option
     consume fuel. Once exhausted, every later call keeps returning
     [Some (Fuel_exhausted _)]. *)
 
+exception Stop of stop_reason
+(** The budget stop a solver raises inside a callback it cannot return
+    through (a root finder's residual, a sweep loop) and catches at its own
+    [solve_status] boundary, mapping it onto an [Exhausted] status. It
+    never escapes a [solve_status]. *)
+
+val check_exn : t option -> unit
+(** [check_exn budget] is {!check} on [Some budget], raising {!Stop}
+    instead of returning [Some reason]; [None] checks nothing. *)
+
 val peek : t -> stop_reason option
 (** Like {!check} but without consuming fuel — for reporting. *)
 

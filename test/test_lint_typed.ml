@@ -118,7 +118,28 @@ let test_taint_extra_entry () =
   hits "no entry, no finding" [] (analyze src);
   hits "--entry promotes the key"
     [ ("determinism-taint", 1) ]
-    (analyze ~entries:[ "Fixture.run" ] src)
+    (analyze ~entries:[ "Fixture.run" ] src);
+  (* The same entries feed unbounded-retry. *)
+  let src = "let spin n = let r = ref n in while !r > 0 do r := !r - 1 done; !r" in
+  hits "no entry, no retry finding" [] (analyze src);
+  hits "--entry promotes the key for retry too"
+    [ ("unbounded-retry", 1) ]
+    (analyze ~entries:[ "Fixture.spin" ] src)
+
+let test_taint_through_cycle () =
+  (* [pong] sits on a cycle with [ping]; the walk reaches it once, so the
+     source gives one finding carrying the first-discovered chain. *)
+  let src =
+    "let rec ping n = if n <= 0 then 0. else pong (n - 1)\n"
+    ^ "and pong n = ping n +. Sys.time ()\n"
+    ^ "let solve_status n = ping n"
+  in
+  match analyze src with
+  | [ f ] ->
+    hits "source behind a cycle" [ ("determinism-taint", 2) ] [ f ];
+    check_contains "first-discovered chain" f
+      "reachable as Fixture.solve_status -> Fixture.ping -> Fixture.pong"
+  | fs -> Alcotest.failf "expected one taint finding, got %d" (List.length fs)
 
 (* --- exn-escape --------------------------------------------------------- *)
 
@@ -159,6 +180,21 @@ let test_exn_escape_wildcard_handler_silent () =
     ^ "let solve_status x = try step x with _ -> x"
   in
   hits "wildcard handler catches everything" [] (analyze src)
+
+let test_exn_escape_mutual_recursion () =
+  (* The escape sets of [a] and [b] feed each other; the fixpoint must
+     converge and the witness must stop at the raise, not loop. *)
+  let src =
+    "let rec a x = if x > 0 then b (x - 1) else x\n"
+    ^ "and b x = if x > 100 then raise Exit else a x\n"
+    ^ "let solve_status x = a x"
+  in
+  match analyze src with
+  | [ f ] ->
+    hits "Exit escapes through the cycle" [ ("exn-escape", 2) ] [ f ];
+    check_contains "finite witness chain" f
+      "Fixture.solve_status -> Fixture.a -> Fixture.b at raise Exit"
+  | fs -> Alcotest.failf "expected one escape finding, got %d" (List.length fs)
 
 (* --- rng-stream-discipline ---------------------------------------------- *)
 
@@ -500,6 +536,46 @@ let test_effects_footprint () =
   Alcotest.(check bool) "unknown key reported" false found;
   Alcotest.(check string) "unknown key prints nothing" "" text
 
+let test_shadowed_toplevel () =
+  (* Two toplevel bindings share the key [Fixture.touch]. Effects take the
+     direct writes of the first binding but the callees of both; absint
+     evaluates the first binding only. *)
+  let module Callgraph = Lopc_analysis.Callgraph in
+  let module Effects = Lopc_analysis.Effects in
+  let module Absint = Lopc_analysis.Absint in
+  let src =
+    "let first_cell = ref 0\n"
+    ^ "let second_cell = ref 0\n"
+    ^ "let first_callee_cell = ref 0\n"
+    ^ "let second_callee_cell = ref 0\n"
+    ^ "let first_callee () = first_callee_cell := 1\n"
+    ^ "let second_callee () = second_callee_cell := 1\n"
+    ^ "let touch () = first_cell := 1; first_callee (); 1.0\n"
+    ^ "let touch () = second_cell := 1; second_callee (); 2.0"
+  in
+  let graph = Callgraph.build [ unit_of src ] in
+  let print pp =
+    let buf = Buffer.create 128 in
+    let ppf = Format.formatter_of_buffer buf in
+    Alcotest.(check bool) "key found" true (pp ppf "Fixture.touch");
+    Format.pp_print_flush ppf ();
+    Buffer.contents buf
+  in
+  let effects = Effects.analyze graph in
+  Alcotest.(check string) "first binding's writes plus both bindings' callees"
+    ("effect footprint of Fixture.touch\n"
+   ^ "  global writes:  Fixture.first_callee_cell Fixture.first_cell \
+      Fixture.second_callee_cell\n"
+   ^ "  global reads:   (none)\n"
+   ^ "  atomic cells:   (none)\n"
+   ^ "  foreign writes: no\n"
+   ^ "  foreign reads:  no\n")
+    (print (fun ppf key -> Effects.print_footprint ppf effects key));
+  let absint = Absint.analyze graph in
+  Alcotest.(check string) "first binding's return only"
+    "interval summary of Fixture.touch\n  param _: top\n  return: [1, 1]\n"
+    (print (fun ppf key -> Absint.print_summary ppf absint key))
+
 (* --- functors and first-class modules ------------------------------------ *)
 
 let read_file path =
@@ -761,6 +837,7 @@ let suite =
     Alcotest.test_case "taint: float field by expansion" `Quick
       test_taint_record_with_float_field;
     Alcotest.test_case "taint: --entry promotes" `Quick test_taint_extra_entry;
+    Alcotest.test_case "taint: source through a cycle" `Quick test_taint_through_cycle;
     Alcotest.test_case "exn: escape fires" `Quick test_exn_escape_fires;
     Alcotest.test_case "exn: caught silent" `Quick test_exn_escape_caught_silent;
     Alcotest.test_case "exn: invalid_arg allowed" `Quick
@@ -768,6 +845,7 @@ let suite =
     Alcotest.test_case "exn: stdlib raiser" `Quick test_exn_escape_stdlib_raiser;
     Alcotest.test_case "exn: wildcard handler" `Quick
       test_exn_escape_wildcard_handler_silent;
+    Alcotest.test_case "exn: mutual recursion" `Quick test_exn_escape_mutual_recursion;
     Alcotest.test_case "stream: double use fires" `Quick test_stream_double_use_fires;
     Alcotest.test_case "stream: split per consumer" `Quick
       test_stream_one_split_per_consumer_silent;
@@ -821,6 +899,7 @@ let suite =
     Alcotest.test_case "escape: immutable silent" `Quick
       test_escape_immutable_toplevel_silent;
     Alcotest.test_case "effects: footprint dump" `Quick test_effects_footprint;
+    Alcotest.test_case "callgraph: shadowed toplevel" `Quick test_shadowed_toplevel;
     Alcotest.test_case "callgraph: functor body" `Quick test_callgraph_functor_body;
     Alcotest.test_case "callgraph: first-class module" `Quick
       test_callgraph_first_class_module;
