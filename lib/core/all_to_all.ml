@@ -87,18 +87,6 @@ let fixed_point_map ?(execution = Interrupt) ?(work_scv = 1.) (params : Params.t
   let rw, rq, ry, _, _, _ = analyze ~execution ~work_scv params ~w r in
   rw +. (2. *. params.st) +. rq +. ry
 
-(* The fixed point of F lies above the contention-free cycle time; F is
-   decreasing there, so (F r − r) changes sign exactly once. *)
-let solve_brent ?execution ?work_scv params ~w =
-  let lb = lower_bound params ~w in
-  let f r = fixed_point_map ?execution ?work_scv params ~w r -. r in
-  (* F lb > lb in all non-degenerate cases, but guard exact equality. *)
-  if f lb <= 0. then lb
-  else begin
-    let lo, hi = Roots.expand_bracket_upward ~f lb in
-    Roots.brent ~f lo hi
-  end
-
 (* Clearing denominators in r − F(r) = 0: multiplying by
    r·(r − So)·(r² − r·So − So²) yields a polynomial of degree ≤ 5. Rather
    than expanding symbolically we interpolate it exactly from 6 samples. *)
@@ -131,22 +119,23 @@ let quartic ?(execution = Interrupt) ?(work_scv = 1.) (params : Params.t) ~w =
   in
   Polynomial.of_coeffs cleaned
 
+(* The smallest real root of the cleared quartic at or above the
+   contention-free bound, or [None] when the polynomial route is unusable:
+   a singular Vandermonde system (degenerate interpolation points), a
+   failed root isolation or no candidate root. None of these means the
+   model has no solution, so the caller falls back to the bracketed
+   solver. *)
 let solve_polynomial ?execution ?work_scv params ~w =
-  (* A singular Vandermonde system (degenerate interpolation points) means
-     the polynomial route is unusable, not that the model has no solution —
-     fall back to the bracketed solver, like the no-candidate case below. *)
-  match quartic ?execution ?work_scv params ~w with
-  | exception Linear.Singular -> solve_brent ?execution ?work_scv params ~w
-  | poly -> (
+  match Polynomial.real_roots (quartic ?execution ?work_scv params ~w) with
+  | exception (Linear.Singular | Roots.No_bracket) -> None
+  | roots -> (
     let lb = lower_bound params ~w in
     let candidates =
-      Polynomial.real_roots poly
-      |> Array.to_list
-      |> List.filter (fun r -> r >= lb *. (1. -. 1e-9))
+      Array.to_list roots |> List.filter (fun r -> r >= lb *. (1. -. 1e-9))
     in
     match candidates with
-    | [] -> solve_brent ?execution ?work_scv params ~w
-    | first :: rest -> List.fold_left Float.min first rest)
+    | [] -> None
+    | first :: rest -> Some (List.fold_left Float.min first rest))
 
 let solution_of_r (params : Params.t) ~w ~work_scv ~execution r =
   let rw, rq, ry, qq, qy, s = analyze ~execution ~work_scv params ~w r in
@@ -183,82 +172,39 @@ let solve_status ?probe ?budget ?(execution = Interrupt) ?(work_scv = 1.)
   (* The one queueing resource here is the handler: utilization So/R at
      cycle time R, which is what the probe reports as [hottest]. *)
   let handler_u r = params.Params.so /. Float.max r lb in
-  match solve_method with
-  | Damped_iteration ->
-    let f r =
-      (* Clamp into the region where the closed forms are valid. *)
-      let r = Float.max r lb in
-      fixed_point_map ~execution ~work_scv params ~w r
-    in
-    let fp_probe =
-      match probe with
-      | None -> None
-      | Some p ->
-        Some
-          (fun (ev : Solver_probe.event) ->
-            p
-              {
-                ev with
-                Solver_probe.hottest = Some (0, handler_u ev.Solver_probe.iterate.(0));
-              })
-    in
-    let r, status =
-      Fixed_point.solve_scalar_status ?probe:fp_probe ?budget ~damping:0.5 ~tol:1e-12
-        ~f lb
-    in
-    (match status with
-    | Fixed_point.Converged _ ->
-      (Some (solution_of_r params ~w ~work_scv ~execution (Float.max r lb)), status)
-    | status -> (None, status))
-  | Brent_on_residual | Polynomial_roots -> begin
-    let evals = ref 0 in
-    (* Budget stops surface inside the residual callback, where Brent gives
-       us no other exit. [f] (and therefore its budget check) sits
-       lexically inside the [try] whose handler maps the stop onto
-       [Exhausted]: [f] is also called from the bracketing guard below,
-       outside the inner match. *)
-    try
+  let fp_probe =
+    Option.map
+      (fun p (ev : Solver_probe.event) ->
+        p { ev with Solver_probe.hottest = Some (0, handler_u ev.Solver_probe.iterate.(0)) })
+      probe
+  in
+  let bracketed () =
+    Fixed_point.solve_above_status ?probe:fp_probe ?budget
+      ~f:(fixed_point_map ~execution ~work_scv params ~w)
+      lb
+  in
+  let r, status =
+    match solve_method with
+    | Brent_on_residual -> bracketed ()
+    | Polynomial_roots -> (
+      match solve_polynomial ~execution ~work_scv params ~w with
+      | Some r -> (r, Fixed_point.Converged { iters = 0 })
+      | None -> bracketed ())
+    | Damped_iteration ->
       let f r =
-        Lopc_robust.Budget.check_exn budget;
-        incr evals;
-        let fr = fixed_point_map ~execution ~work_scv params ~w r -. r in
-        (match probe with
-        | None -> ()
-        | Some p ->
-          p
-            {
-              Solver_probe.iter = !evals;
-              residual = Float.abs fr;
-              damping = 1.;
-              iterate = [| r |];
-              hottest = Some (0, handler_u r);
-            });
-        fr
+        (* Clamp into the region where the closed forms are valid. *)
+        let r = Float.max r lb in
+        fixed_point_map ~execution ~work_scv params ~w r
       in
-      begin match
-        (match solve_method with
-        | Polynomial_roots -> solve_polynomial ~execution ~work_scv params ~w
-        | Brent_on_residual | Damped_iteration ->
-          if f lb <= 0. then lb
-          else begin
-            let lo, hi = Roots.expand_bracket_upward ~f lb in
-            Roots.brent ~f lo hi
-          end)
-      with
-      | r ->
-        ( Some (solution_of_r params ~w ~work_scv ~execution r),
-          Fixed_point.Converged { iters = !evals } )
-      | exception (Roots.No_bracket | Roots.Not_converged _) ->
-        ( None,
-          Fixed_point.Diverged
-            {
-              iters = !evals;
-              residual = Float.abs (fixed_point_map ~execution ~work_scv params ~w lb -. lb);
-            } )
-      end
-    with Lopc_robust.Budget.Stop reason ->
-      (None, Fixed_point.Exhausted { iters = !evals; reason })
-  end
+      let r, status =
+        Fixed_point.solve_scalar_status ?probe:fp_probe ?budget ~damping:0.5
+          ~tol:1e-12 ~f lb
+      in
+      (Float.max r lb, status)
+  in
+  match status with
+  | Fixed_point.Converged _ -> (Some (solution_of_r params ~w ~work_scv ~execution r), status)
+  | status -> (None, status)
 
 let solve ?probe ?execution ?work_scv ?solve_method params ~w =
   match solve_status ?probe ?execution ?work_scv ?solve_method params ~w with

@@ -81,10 +81,13 @@ val solve_status :
     evaluated iterate.
 
     [budget] is consulted once per iteration ([Damped_iteration]) or per
-    residual evaluation ([Brent_on_residual]); when it stops the run the
-    outcome is [(None, Exhausted _)]. [Polynomial_roots] does not consult
-    the budget: the direct root computation is a fixed amount of work and
-    cannot spin.
+    residual evaluation (the bracketing methods); when it stops the run
+    the outcome is [(None, Exhausted _)]. [Polynomial_roots] reports
+    [Converged { iters = 0 }] when the quartic yields the root: the
+    direct root computation is a fixed amount of work, cannot spin and
+    consults neither probe nor budget. When it yields no usable root it
+    falls back to the bracketed solve of [Brent_on_residual], probe and
+    budget included.
     @raise Invalid_argument if [w < 0.], [work_scv < 0.], or parameters
     are invalid. *)
 

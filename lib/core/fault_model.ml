@@ -1,5 +1,4 @@
 module Fixed_point = Lopc_numerics.Fixed_point
-module Roots = Lopc_numerics.Roots
 
 type config = {
   drop : float [@lopc.prob];
@@ -216,77 +215,54 @@ let solve_status ?probe ?budget c (params : Params.t) ~w =
      denominators are non-positive and the request station is saturated. *)
   let r_floor = (a +. Float.sqrt ((a *. a) +. (4. *. a *. b))) /. 2. in
   let lb = lower_bound c params ~w in
-  let evals = ref 0 in
-  (* As in [All_to_all], a budget stop surfaces inside the root-finder's
-     residual callback. [f] is called from guard positions and failure
-     handlers too, so the stop is caught around the whole dispatch rather
-     than per root-finder call — and [f] is defined inside the [try] so its
-     check is lexically within the handler (the exn-escape rule is
-     lexical). *)
-  try
-    let f r =
-      Lopc_robust.Budget.check_exn budget;
-      incr evals;
-      let fr = fixed_point_map c params ~w r -. r in
-      (match probe with
-      | None -> ()
-      | Some p ->
-        (* The retry-inflated request station is the one that saturates:
-           utilization a/r at cycle time r. *)
+  (* The retry-inflated request station is the one that saturates:
+     utilization a/r at cycle time r, which the probe reports as [hottest].
+     Every iterate is at or above the kernel's start, which is positive. *)
+  let probe =
+    Option.map
+      (fun p (ev : Lopc_numerics.Solver_probe.event) ->
         p
           {
-            Lopc_numerics.Solver_probe.iter = !evals;
-            residual = Float.abs fr;
-            damping = 1.;
-            iterate = [| r |];
-            (* r is always at or above the bracket start, which is positive. *)
-            hottest = Some (0, a /. r);
-          });
-      fr
-    in
-    if r_floor >= lb then begin
-      (* The saturation floor sits above the contention-free bound: check
-         that a fixed point exists strictly above the floor. *)
-      let start = r_floor *. (1. +. 1e-9) in
-      if f start <= 0. then
-        ( None,
-          Fixed_point.Saturated
-            {
-              station = 0;
-              utilization =
-                (a
-                /. start
-                [@lint.allow
-                  "division-by-vanishing"
-                    "start > r_floor >= sqrt(a*b) > 0: a and b are positive once \
-                     [validate] accepts the parameters"]);
-            } )
-      else begin
-        match
-          let lo, hi = Roots.expand_bracket_upward ~f start in
-          Roots.brent ~f lo hi
-        with
-        | r ->
-          (Some (solution_of_r c params ~w r), Fixed_point.Converged { iters = !evals })
-        | exception (Roots.No_bracket | Roots.Not_converged _) ->
-          (None, Fixed_point.Diverged { iters = !evals; residual = Float.abs (f lb) })
-      end
-    end
-    else if f lb <= 0. then
-      (* Degenerate but healthy: the fixed point is at (or below) the
-         contention-free bound, as in [All_to_all.solve_brent]. *)
-      (Some (solution_of_r c params ~w lb), Fixed_point.Converged { iters = !evals })
-    else begin
-      match
-        let lo, hi = Roots.expand_bracket_upward ~f lb in
-        Roots.brent ~f lo hi
-      with
-      | r ->
-        (Some (solution_of_r c params ~w r), Fixed_point.Converged { iters = !evals })
-      | exception (Roots.No_bracket | Roots.Not_converged _) ->
-        (None, Fixed_point.Diverged { iters = !evals; residual = Float.abs (f lb) })
-    end
-  with Lopc_robust.Budget.Stop reason -> (None, Fixed_point.Exhausted { iters = !evals; reason })
+            ev with
+            Lopc_numerics.Solver_probe.hottest =
+              Some (0, a /. ev.Lopc_numerics.Solver_probe.iterate.(0));
+          })
+      probe
+  in
+  let solve_from start =
+    Fixed_point.solve_above_status ?probe ?budget ~f:(fixed_point_map c params ~w) start
+  in
+  let solution (r, status) =
+    match status with
+    | Fixed_point.Converged _ -> (Some (solution_of_r c params ~w r), status)
+    | status -> (None, status)
+  in
+  if r_floor >= lb then begin
+    (* The saturation floor sits above the contention-free bound: a fixed
+       point must exist strictly above the floor. The kernel answers
+       [start] itself exactly when F start <= start, i.e. when there is
+       none. *)
+    let start = r_floor *. (1. +. 1e-9) in
+    match solve_from start with
+    | r, Fixed_point.Converged _ when r <= start ->
+      ( None,
+        Fixed_point.Saturated
+          {
+            station = 0;
+            utilization =
+              (a
+              /. start
+              [@lint.allow
+                "division-by-vanishing"
+                  "start > r_floor >= sqrt(a*b) > 0: a and b are positive once \
+                   [validate] accepts the parameters"]);
+          } )
+    | result -> solution result
+  end
+  else
+    (* F lb <= lb is degenerate but healthy: the fixed point is at (or
+       below) the contention-free bound, and the kernel answers [lb]. *)
+    solution (solve_from lb)
 
 let solve ?probe c params ~w =
   match solve_status ?probe c params ~w with

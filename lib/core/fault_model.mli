@@ -106,8 +106,11 @@ val solve_status :
 (** Solve the faulty fixed point. Returns [Saturated] (with the inflated
     request utilization at the saturation floor) when the retry-inflated
     handler demand admits no stable cycle time, [Diverged] if root
-    bracketing fails, [Exhausted] when [budget] (consulted once per map
-    evaluation) stops the search; [iters] counts map evaluations.
+    bracketing fails (residual [|F R − R|] at the bracket start),
+    [Exhausted] when [budget] (consulted once per map evaluation) stops
+    the search; [iters] counts map evaluations. [probe] receives one event
+    per map evaluation with [hottest] set to the inflated request
+    utilization.
     @raise Invalid_argument on invalid [config], [params] or [w]. *)
 
 val solve :

@@ -1,4 +1,5 @@
 module Roots = Lopc_numerics.Roots
+module Fixed_point = Lopc_numerics.Fixed_point
 
 type solution = {
   gap : float;
@@ -46,14 +47,14 @@ let solve ?(gap = 0.) (params : Params.t) ~w =
       penalty = 0.;
     }
   else begin
-    let lb = lower_bound ~gap params ~w in
-    let f r = fixed_point_map ~gap params ~w r -. r in
     let r =
-      if f lb <= 0. then lb
-      else begin
-        let lo, hi = Roots.expand_bracket_upward ~f lb in
-        Roots.brent ~f lo hi
-      end
+      match
+        Fixed_point.solve_above_status ~f:(fixed_point_map ~gap params ~w)
+          (lower_bound ~gap params ~w)
+      with
+      | r, Fixed_point.Converged _ -> r
+      | _, status ->
+        raise (Fixed_point.Diverged ("Gap: " ^ Fixed_point.status_to_string status))
     in
     {
       gap;
@@ -70,5 +71,4 @@ let tolerable_gap ?(penalty = 0.05) (params : Params.t) ~w =
   check params ~gap:0. ~w;
   let slowdown g = (solve ~gap:g params ~w).penalty -. penalty in
   (* The penalty is 0 at g = 0 and grows without bound; bracket upward. *)
-  let lo, hi = Roots.expand_bracket_upward ~f:slowdown 1e-9 in
-  Roots.brent ~f:slowdown lo hi
+  Roots.brent_above ~f:slowdown 1e-9

@@ -32,7 +32,9 @@ type solution = {
 val solve : ?gap:float -> Params.t -> w:float -> solution
 (** [solve ~gap params ~w] solves the gap-extended model. [gap] defaults
     to [0.] (recovering {!All_to_all.solve} exactly).
-    @raise Invalid_argument if [gap < 0.] or [w < 0.]. *)
+    @raise Invalid_argument if [gap < 0.] or [w < 0.].
+    @raise Lopc_numerics.Fixed_point.Diverged if no fixed point is
+    bracketed. *)
 
 val lower_bound : gap:float -> Params.t -> w:float -> float
 (** Contention-free cycle with NIs: [W + 2·St + 4·g + 2·So]. *)

@@ -10,8 +10,7 @@ let min_work_for_efficiency (params : Params.t) ~target =
   let gap w = efficiency params ~w -. target in
   (* Efficiency is 0 at W = 0 and approaches 1 as W grows, monotonically:
      bracket upward from a small positive W. *)
-  let lo, hi = Roots.expand_bracket_upward ~f:gap 1e-6 in
-  Roots.brent ~f:gap lo hi
+  Roots.brent_above ~f:gap 1e-6
 
 let speedup (params : Params.t) ~total_work ~requests =
   if total_work <= 0. || not (Float.is_finite total_work) then

@@ -1,5 +1,6 @@
 module Topology = Lopc_topology.Topology
 module Roots = Lopc_numerics.Roots
+module Fixed_point = Lopc_numerics.Fixed_point
 
 type solution = {
   r : float;
@@ -49,16 +50,13 @@ let solve (params : Params.t) ~topology ~w =
   (* Fixed point with the contended network: replace the 2·St term of the
      zero-St model by two traversals of the torus. *)
   let no_net = Params.create ~c2:params.c2 ~p:params.p ~st:0. ~so:params.so () in
-  let f r =
-    All_to_all.fixed_point_map no_net ~w r +. (2. *. network_time ~topology r) -. r
-  in
+  let f r = All_to_all.fixed_point_map no_net ~w r +. (2. *. network_time ~topology r) in
   let lb = w +. (2. *. st_free) +. (2. *. params.so) in
   let r =
-    if f lb <= 0. then lb
-    else begin
-      let lo, hi = Roots.expand_bracket_upward ~f lb in
-      Roots.brent ~f lo hi
-    end
+    match Fixed_point.solve_above_status ~f lb with
+    | r, Fixed_point.Converged _ -> r
+    | _, status ->
+      raise (Fixed_point.Diverged ("Torus: " ^ Fixed_point.status_to_string status))
   in
   let mean_dx, mean_dy = Topology.mean_offsets topology in
   let u =
@@ -81,5 +79,4 @@ let tolerable_link_time ?(penalty = 0.05) (params : Params.t) ~(topology : Topol
     (solve params ~topology:{ topology with Topology.link_time = lt } ~w).penalty
     -. penalty
   in
-  let lo, hi = Roots.expand_bracket_upward ~f:slowdown 1e-9 in
-  Roots.brent ~f:slowdown lo hi
+  Roots.brent_above ~f:slowdown 1e-9

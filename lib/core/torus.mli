@@ -40,7 +40,9 @@ val solve : Params.t -> topology:Topology.t -> w:float -> solution
 (** [solve params ~topology ~w] solves the torus-extended all-to-all
     model. [params.st] is ignored (the topology defines the network);
     [params.p] must equal the torus size.
-    @raise Invalid_argument on mismatched sizes or invalid [w]. *)
+    @raise Invalid_argument on mismatched sizes or invalid [w].
+    @raise Lopc_numerics.Fixed_point.Diverged if no fixed point is
+    bracketed. *)
 
 val tolerable_link_time :
   ?penalty:float -> Params.t -> topology:Topology.t -> w:float -> float

@@ -8,9 +8,9 @@ type status =
   | Diverged of { iters : int; residual : float }
   | Exhausted of { iters : int; reason : Budget.stop_reason }
 
-(* The raising entry points below predate the structured [status] type and
-   are kept unchanged; type-directed disambiguation separates the exception
-   from the [status] constructor of the same name. *)
+(* The raising [solve_vector] predates the structured [status] type;
+   type-directed disambiguation separates the exception from the [status]
+   constructor of the same name. *)
 exception Diverged of string
 
 let is_converged = function
@@ -29,82 +29,14 @@ let pp_status ppf = function
 
 let status_to_string s = Format.asprintf "%a" pp_status s
 
-(* Shared core for the scalar solvers: returns the last iterate, the
-   structured status, and a human-readable reason used by the raising
-   wrapper. *)
-let scalar_impl ?probe ?budget ~damping ~tol ~max_iter ~f ~name x0 =
-  if damping <= 0. || damping > 1. then invalid_arg (name ^ ": damping");
-  let x = ref x0 in
-  let answer : (float * status * string) option ref = ref None in
-  (try
-     for iter = 1 to max_iter do
-       (match budget with
-       | None -> ()
-       | Some b -> (
-         match Budget.check b with
-         | None -> ()
-         | Some reason ->
-           answer :=
-             Some
-               ( !x,
-                 Exhausted { iters = iter - 1; reason },
-                 "scalar iteration stopped: " ^ Budget.reason_to_string reason );
-           raise Exit));
-       let fx = f !x in
-       if not (Float.is_finite fx) then begin
-         answer :=
-           Some
-             ( !x,
-               Diverged { iters = iter; residual = Float.nan },
-               "scalar iteration left the finite domain" );
-         raise Exit
-       end;
-       let residual = Float.abs (fx -. !x) in
-       (match probe with
-       | None -> ()
-       | Some p ->
-         p
-           {
-             Solver_probe.iter;
-             residual;
-             damping;
-             iterate = [| !x |];
-             hottest = None;
-           });
-       if residual <= tol *. Float.max 1. (Float.abs !x) then begin
-         answer := Some (fx, Converged { iters = iter }, "");
-         raise Exit
-       end;
-       x := ((1. -. damping) *. !x) +. (damping *. fx)
-     done
-   with Exit -> ());
-  match !answer with
-  | Some r -> r
-  | None ->
-      let residual = Float.abs (f !x -. !x) in
-      ( !x,
-        Diverged { iters = max_iter; residual },
-        "scalar iteration budget exhausted" )
-
-let solve_scalar_status ?probe ?budget ?(damping = 1.) ?(tol = 1e-10)
-    ?(max_iter = 10_000) ~f x0 =
-  let x, status, _ =
-    scalar_impl ?probe ?budget ~damping ~tol ~max_iter ~f
-      ~name:"Fixed_point.solve_scalar_status" x0
-  in
-  (x, status)
-
-let solve_scalar ?(damping = 1.) ?(tol = 1e-10) ?(max_iter = 10_000) ~f x0 =
-  match scalar_impl ~damping ~tol ~max_iter ~f ~name:"Fixed_point.solve_scalar" x0 with
-  | x, Converged _, _ -> x
-  | _, _, reason -> raise (Diverged reason)
-
 let max_norm_diff a b =
   let m = ref 0. in
   Array.iteri (fun i ai -> m := Float.max !m (Float.abs (ai -. b.(i)))) a;
   !m
 
-(* Shared core for the vector solvers, mirroring [scalar_impl]. *)
+(* The one damped, budgeted, probed iteration loop: returns the outcome,
+   the structured status, and a human-readable reason used by the raising
+   wrapper. The scalar solver is its length-1 case. *)
 let vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f ~name x0 =
   if damping <= 0. || damping > 1. then invalid_arg (name ^ ": damping");
   let n = Array.length x0 in
@@ -189,39 +121,48 @@ let solve_vector_status ?probe ?budget ?(damping = 1.) ?(tol = 1e-10)
   in
   (outcome, status)
 
+let solve_scalar_status ?probe ?budget ?(damping = 1.) ?(tol = 1e-10)
+    ?(max_iter = 10_000) ~f x0 =
+  let outcome, status, _ =
+    vector_impl ?probe ?budget ~damping ~tol ~max_iter
+      ~f:(fun x -> [| f x.(0) |])
+      ~name:"Fixed_point.solve_scalar_status" [| x0 |]
+  in
+  (outcome.value.(0), status)
+
 let solve_vector ?(damping = 1.) ?(tol = 1e-10) ?(max_iter = 10_000) ~f x0 =
   match vector_impl ~damping ~tol ~max_iter ~f ~name:"Fixed_point.solve_vector" x0 with
   | outcome, Converged _, _ -> outcome
   | _, _, reason -> raise (Diverged reason)
 
-let solve_scalar_aitken ?(tol = 1e-12) ?(max_iter = 200) ~f x0 =
-  let x = ref x0 in
-  let answer = ref None in
-  (try
-     for _ = 1 to max_iter do
-       let x1 = f !x in
-       let x2 = f x1 in
-       if not (Float.is_finite x1 && Float.is_finite x2) then
-         raise (Diverged "Aitken iteration left the finite domain");
-       let denom = x2 -. (2. *. x1) +. !x in
-       let next =
-         if Float.equal denom 0. then x2
-         else
-           !x
-           -. (((x1 -. !x) ** 2.)
-              /. denom
-              [@lint.allow
-                "division-by-vanishing"
-                  "the Float.equal guard excludes exactly zero; carving a point out \
-                   of an interval is beyond the interval domain"])
-       in
-       if Float.abs (next -. !x) <= tol *. Float.max 1. (Float.abs next) then begin
-         answer := Some next;
-         raise Exit
-       end;
-       x := next
-     done
-   with Exit -> ());
-  match !answer with
-  | Some r -> r
-  | None -> raise (Diverged "Aitken iteration budget exhausted")
+(* Roots gives the residual callback no way out but an exception, so the
+   budget stop is raised there ([residual] is defined inside the [try], so
+   the raise is lexically within its handler) and mapped onto [Exhausted]
+   here. The guard evaluation at [lb] counts like any other. *)
+let solve_above_status ?probe ?budget ~f lb =
+  let evals = ref 0 in
+  try
+    let residual r =
+      Budget.check_exn budget;
+      incr evals;
+      let fr = f r -. r in
+      (match probe with
+      | None -> ()
+      | Some p ->
+        p
+          {
+            Solver_probe.iter = !evals;
+            residual = Float.abs fr;
+            damping = 1.;
+            iterate = [| r |];
+            hottest = None;
+          });
+      fr
+    in
+    if residual lb <= 0. then (lb, Converged { iters = !evals })
+    else
+      match Roots.brent_above ~f:residual lb with
+      | r -> (r, Converged { iters = !evals })
+      | exception Roots.No_bracket ->
+        (lb, Diverged { iters = !evals; residual = Float.abs (f lb -. lb) })
+  with Budget.Stop reason -> (lb, Exhausted { iters = !evals; reason })

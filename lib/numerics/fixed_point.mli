@@ -1,9 +1,11 @@
-(** Fixed-point iteration for scalar and vector maps.
+(** Fixed points of scalar and vector maps.
 
     The AMVA equation systems in this library are all of the form
     [x = F x] with [F] a contraction (or close to one) near the solution.
     These solvers iterate [F] with optional under-relaxation (damping),
-    which is how MVA systems are conventionally solved. *)
+    which is how MVA systems are conventionally solved. The scalar LoPC
+    cycle-time maps are instead solved by bracketing
+    ({!solve_above_status}). *)
 
 type outcome = {
   value : float array;  (** The (approximate) fixed point. *)
@@ -41,21 +43,10 @@ val status_to_string : status -> string
 (** [status_to_string s] is {!pp_status} rendered to a string. *)
 
 exception Diverged of string
-(** Raised by the legacy raising entry points when the iteration produces
-    non-finite values or exhausts its budget without meeting the
-    tolerance. New code should prefer the [_status] variants. *)
-
-val solve_scalar :
-  ?damping:float ->
-  ?tol:float ->
-  ?max_iter:int ->
-  f:(float -> float) ->
-  float ->
-  float
-(** [solve_scalar ~f x0] iterates [x <- (1−d)·x + d·f x] from [x0] until
-    [|f x − x| <= tol ·. max 1. |x|]. [damping] [d] defaults to [1.]
-    (plain iteration), [tol] to [1e-10], [max_iter] to [10_000].
-    @raise Diverged if convergence fails. *)
+(** Raised by the raising entry points ({!solve_vector} and the model
+    solvers' [solve]) when the iteration produces non-finite values or
+    exhausts its budget without meeting the tolerance. New code should
+    prefer the [_status] variants. *)
 
 val solve_scalar_status :
   ?probe:Solver_probe.t ->
@@ -66,16 +57,21 @@ val solve_scalar_status :
   f:(float -> float) ->
   float ->
   float * status
-(** Non-raising variant of {!solve_scalar}: returns the last iterate
-    together with a structured {!status} instead of raising. On
+(** [solve_scalar_status ~f x0] iterates [x <- (1−d)·x + d·f x] from
+    [x0] until [|f x − x| <= tol ·. max 1. |x|]. [damping] [d] defaults
+    to [1.] (plain iteration), [tol] to [1e-10], [max_iter] to [10_000].
+    It is the length-1 case of {!solve_vector_status}. Returns the last
+    iterate together with a structured {!status}. On
     [Diverged _] the returned float is the last finite iterate (not a
     solution). [probe], when given, receives one {!Solver_probe.event}
     per iteration (before the convergence test, so the converging step
     is included); it does not alter the iteration. [budget], when given,
     is consulted once at the top of every iteration (one unit of fuel per
     iteration); when it stops the run the result is
-    [Exhausted _] and the returned float is the last iterate. Only raises
-    [Invalid_argument] on a bad [damping]. *)
+    [Exhausted _] and the returned float is the last iterate. After
+    [max_iter] steps the status is [Diverged _] whose [residual] is
+    [|f x − x|] at the last iterate, or [nan] when [f x] is not finite.
+    Only raises [Invalid_argument] on a bad [damping]. *)
 
 val solve_vector :
   ?damping:float ->
@@ -84,8 +80,10 @@ val solve_vector :
   f:(float array -> float array) ->
   float array ->
   outcome
-(** Vector counterpart of {!solve_scalar} with the max norm. [f] must
-    return an array of the same length as its input.
+(** [solve_vector ~f x0] iterates [x <- (1−d)·x + d·f x] from [x0] until
+    the max norm of [f x − x] is at most [tol ·. max 1. ‖x‖∞], with the
+    defaults of {!solve_scalar_status}. [f] must return an array of the
+    same length as its input.
     @raise Diverged if convergence fails or lengths mismatch. *)
 
 val solve_vector_status :
@@ -103,9 +101,21 @@ val solve_vector_status :
     {!solve_scalar_status}, with the full iterate copied per event. Only
     raises [Invalid_argument] on a bad [damping]. *)
 
-val solve_scalar_aitken :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float
-(** [solve_scalar_aitken ~f x0] accelerates plain iteration with Aitken's
-    Δ² extrapolation (Steffensen's method) — typically converging in a
-    handful of steps on the smooth LoPC maps.
-    @raise Diverged if convergence fails. *)
+val solve_above_status :
+  ?probe:Solver_probe.t ->
+  ?budget:Lopc_robust.Budget.t ->
+  f:(float -> float) ->
+  float ->
+  float * status
+(** [solve_above_status ~f lb] finds the fixed point [r = F r] of a map
+    [F] at or above the lower bound [lb] — the LoPC cycle time, where [F]
+    decreases above the contention-free bound (§5.3). When [F lb <= lb]
+    the answer is [lb] itself; otherwise {!Roots.brent_above} runs on the
+    residual [F r − r] from [lb]. Every evaluation of [F] consumes one
+    unit of [budget] fuel (checked before the evaluation) and emits one
+    [probe] event (residual [|F r − r|], damping [1.], iterate [[|r|]],
+    hottest [None]); [Converged { iters }] counts the evaluations.
+    Returns [(r, Converged _)] on success, [(lb, Diverged _)] with
+    residual [|F lb − lb|] (not counted) when no bracket is found, and
+    [(lb, Exhausted _)] when the budget stops the search. Only [f] and
+    [probe] can raise. *)

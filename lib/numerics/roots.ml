@@ -7,7 +7,6 @@
 let is_zero x = Float.equal x 0.
 
 exception No_bracket
-exception Not_converged of string
 
 let same_strict_sign a b = (a > 0. && b > 0.) || (a < 0. && b < 0.)
 
@@ -111,39 +110,21 @@ let brent ?(tol = 1e-12) ?(max_iter = 200) ~f lo hi =
     !answer
   end
 
-let newton ?(tol = 1e-12) ?(max_iter = 100) ~f ~df x0 =
-  let x = ref x0 in
-  let answer = ref None in
-  (try
-     for _ = 1 to max_iter do
-       let fx = f !x in
-       let dfx = df !x in
-       if is_zero dfx then raise (Not_converged "Newton: zero derivative");
-       let step = fx /. dfx in
-       x := !x -. step;
-       if Float.abs step <= tol *. Float.max 1. (Float.abs !x) then begin
-         answer := Some !x;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  match !answer with
-  | Some r -> r
-  | None -> raise (Not_converged "Newton: iteration budget exhausted")
-
-let expand_bracket_upward ?(growth = 2.) ?(max_expansions = 100) ~f lo =
+(* Geometric expansion (step doubling, at most 100 steps) until [f] changes
+   sign between [lo] and [hi]. *)
+let expand_bracket_upward ~f lo =
   let flo = f lo in
   if is_zero flo then (lo, lo)
   else begin
     let step = ref (Float.max 1. (Float.abs lo *. 0.1)) in
     let hi = ref (lo +. !step) in
     let rec search n =
-      if n > max_expansions then raise No_bracket
+      if n > 100 then raise No_bracket
       else begin
         let fhi = f !hi in
         if is_zero fhi || not (same_strict_sign flo fhi) then (lo, !hi)
         else begin
-          step := !step *. growth;
+          step := !step *. 2.;
           hi := !hi +. !step;
           search (n + 1)
         end
@@ -151,3 +132,7 @@ let expand_bracket_upward ?(growth = 2.) ?(max_expansions = 100) ~f lo =
     in
     search 0
   end
+
+let brent_above ~f lo =
+  let lo, hi = expand_bracket_upward ~f lo in
+  brent ~f lo hi

@@ -9,10 +9,6 @@ exception No_bracket
 (** Raised when a bracketing interval does not actually bracket a sign
     change. *)
 
-exception Not_converged of string
-(** Raised when an iteration budget is exhausted before reaching the
-    requested tolerance. *)
-
 val bisect :
   ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float -> float
 (** [bisect ~f lo hi] finds a root of [f] in [\[lo, hi\]] by bisection.
@@ -26,20 +22,12 @@ val brent :
     smooth functions, never worse than bisection.
     @raise No_bracket if the interval does not bracket a sign change. *)
 
-val newton :
-  ?tol:float ->
-  ?max_iter:int ->
-  f:(float -> float) ->
-  df:(float -> float) ->
-  float ->
-  float
-(** [newton ~f ~df x0] runs Newton–Raphson from [x0].
-    @raise Not_converged on a vanishing derivative or exhausted budget. *)
-
-val expand_bracket_upward :
-  ?growth:float -> ?max_expansions:int -> f:(float -> float) -> float -> float * float
-(** [expand_bracket_upward ~f lo] finds [hi > lo] with [f lo] and [f hi] of
-    opposite sign by geometric expansion — used to bracket the LoPC fixed
-    point above its contention-free lower bound.
+val brent_above : f:(float -> float) -> float -> float
+(** [brent_above ~f lo] finds a root of [f] at or above [lo]: it expands
+    a bracket upward from [lo] geometrically (initial step
+    [max 1 (|lo|/10)], doubling, at most 100 expansions) until [f]
+    changes sign, then runs {!brent} on it. This is how both the LoPC
+    fixed point (above its contention-free lower bound) and the
+    increasing-function searches ([Scaling], [Gap], [Torus]) are found.
     @raise No_bracket if no sign change is found within the expansion
     budget. *)

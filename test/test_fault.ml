@@ -373,6 +373,34 @@ let test_model_statuses () =
     (Invalid_argument "Fault_model: drop probability must lie in [0, 1)") (fun () ->
       ignore (Lopc.Fault_model.solve (Lopc.Fault_model.config ~drop:2. ~timeout:100. ()) params ~w:0.))
 
+let test_model_saturation_floor_branch () =
+  (* Heavy loss and duplication with no work and no wire time put the
+     retry-inflated saturation floor (about 498 cycles here) above the
+     contention-free bound (about 2·So = 400): the solver brackets from
+     just above the floor, where the request station is below full
+     utilization. *)
+  let c = Lopc.Fault_model.config ~drop:0.5 ~duplicate:1. ~timeout:1. () in
+  let params = Lopc.Params.create ~c2:1. ~p:32 ~st:0. ~so:200. () in
+  let log, probe = Lopc_numerics.Solver_probe.log () in
+  (match Lopc.Fault_model.solve_status ~probe c params ~w:0. with
+  | Some s, (Fixed_point.Converged { iters } as status) ->
+    Alcotest.(check string) "outcome" "converged in 16 iterations"
+      (Fixed_point.status_to_string status);
+    Alcotest.(check int) "one probe event per evaluation" iters
+      (Lopc_numerics.Solver_probe.count log);
+    Alcotest.(check string) "cycle time" "999.01" (Printf.sprintf "%.2f" s.Lopc.Fault_model.r)
+  | _, status ->
+    Alcotest.failf "expected convergence, got %s" (Fixed_point.status_to_string status));
+  List.iter
+    (fun (ev : Lopc_numerics.Solver_probe.event) ->
+      match ev.Lopc_numerics.Solver_probe.hottest with
+      | Some (0, u) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "evaluation %d: utilization %g below 1" ev.iter u)
+          true (u < 1.)
+      | _ -> Alcotest.fail "every event reports the request station")
+    (Lopc_numerics.Solver_probe.events log)
+
 let suite =
   [
     Alcotest.test_case "fault config validation" `Quick test_validate;
@@ -390,4 +418,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_adversarial_specs;
     QCheck_alcotest.to_alcotest prop_model_reduces_to_all_to_all;
     Alcotest.test_case "fault model statuses" `Quick test_model_statuses;
+    Alcotest.test_case "fault model saturation-floor branch" `Quick
+      test_model_saturation_floor_branch;
   ]

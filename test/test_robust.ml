@@ -122,6 +122,201 @@ let test_fault_model_budget () =
   | None, FP.Exhausted { reason = Budget.Fuel_exhausted _; _ } -> ()
   | _, status -> Alcotest.failf "expected exhaustion, got %s" (FP.status_to_string status)
 
+(* --- the fuel law ----------------------------------------------------------- *)
+
+(* One budget unit buys one iteration or map evaluation, and nothing else
+   spends fuel: if the unbudgeted run converges in N steps, every fuel
+   k < N stops it with [Exhausted { iters = k }] and fuel N converges in N
+   steps with bit-identical results. The probe sees one event per step.
+   [solve] returns the result's floats (or [None]) and the status. *)
+let fuel_law (solve : ?budget:Budget.t -> Probe.t -> float array option * FP.status) =
+  let run budget =
+    let log, probe = Probe.log () in
+    let result, status = solve ?budget probe in
+    (result, status, Probe.count log)
+  in
+  let same_bits a b =
+    Array.length a = Array.length b
+    && Array.for_all2
+         (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+         a b
+  in
+  match run None with
+  | Some reference, FP.Converged { iters = n }, events ->
+    if events <> n then QCheck.Test.fail_reportf "%d probe events for %d steps" events n;
+    for k = 0 to n - 1 do
+      match run (Some (Budget.create ~fuel:k ())) with
+      | None, FP.Exhausted { iters; reason = Budget.Fuel_exhausted _ }, _ when iters = k -> ()
+      | _, status, _ ->
+        QCheck.Test.fail_reportf "fuel %d of %d: %s" k n (FP.status_to_string status)
+    done;
+    (match run (Some (Budget.create ~fuel:n ())) with
+    | Some result, FP.Converged { iters }, _ when iters = n && same_bits reference result ->
+      true
+    | _, status, _ ->
+      QCheck.Test.fail_reportf "fuel %d: %s, or results differ" n
+        (FP.status_to_string status))
+  | _, status, _ ->
+    (* The law is stated for converging runs; saturated draws are skipped. *)
+    QCheck.assume (FP.is_converged status);
+    true
+
+let fixed_rand seed =
+  (Random.State.make [| seed |]
+  [@lint.allow
+    "global-rng"
+      "a private, fixed-seed QCheck state: the global stream is untouched and \
+       the drawn inputs are the same on every run"])
+
+let params_gen =
+  QCheck.Gen.(
+    let* p = int_range 2 64 in
+    let* st = oneof [ return 0.; float_range 0. 200. ] in
+    let* so = float_range 1. 500. in
+    let* c2 = oneof [ return 0.; return 1.; float_range 0. 2. ] in
+    let* w = oneof [ return 0.; float_range 0. 5000. ] in
+    return (Params.create ~c2 ~p ~st ~so (), w))
+
+let print_params ((params : Params.t), w) =
+  Printf.sprintf "p=%d st=%h so=%h c2=%h w=%h" params.p params.st params.so params.c2 w
+
+let prop_all_to_all_fuel_law =
+  let gen =
+    QCheck.Gen.(
+      triple params_gen
+        (oneofl [ A.Interrupt; A.Polling; A.Protocol_processor ])
+        (oneofl [ A.Brent_on_residual; A.Damped_iteration ]))
+  in
+  let print (pw, execution, solve_method) =
+    Printf.sprintf "%s %s %s" (print_params pw)
+      (match execution with
+      | A.Interrupt -> "interrupt"
+      | A.Polling -> "polling"
+      | A.Protocol_processor -> "protocol-processor")
+      (match solve_method with
+      | A.Brent_on_residual -> "brent"
+      | A.Damped_iteration -> "damped"
+      | A.Polynomial_roots -> "polynomial")
+  in
+  QCheck.Test.make ~name:"fuel law: all-to-all" ~count:60 (QCheck.make ~print gen)
+    (fun ((params, w), execution, solve_method) ->
+      fuel_law (fun ?budget probe ->
+          let s, status = A.solve_status ~probe ?budget ~execution ~solve_method params ~w in
+          (Option.map (fun s -> [| s.A.r |]) s, status)))
+
+(* Half the draws sit in the regime where the retry-inflated saturation
+   floor lies above the contention-free bound (little work and wire time,
+   heavy loss and duplication, short timeouts). *)
+let fault_gen =
+  QCheck.Gen.(
+    let* (params : Params.t), w = params_gen in
+    let* floor_regime = bool in
+    let* config =
+      if floor_regime then
+        let* drop = float_range 0.3 0.6 in
+        let* duplicate = float_range 0.5 1. in
+        let* timeout = float_range 1. 20. in
+        let* max_tries = int_range 1 10 in
+        return (FM.config ~drop ~duplicate ~max_tries ~timeout ())
+      else
+        let* drop = float_range 0. 0.3 in
+        let* duplicate = float_range 0. 0.5 in
+        let* timeout = float_range 100. 20_000. in
+        let* max_tries = int_range 1 10 in
+        return (FM.config ~drop ~duplicate ~max_tries ~timeout ())
+    in
+    let params, w =
+      if floor_regime then
+        (Params.create ~c2:params.c2 ~p:params.p ~st:(0.02 *. params.st) ~so:params.so (),
+         0.05 *. w)
+      else (params, w)
+    in
+    return (config, params, w))
+
+let print_fault ((c : FM.config), params, w) =
+  Printf.sprintf "%s drop=%h dup=%h timeout=%h tries=%d" (print_params (params, w))
+    c.FM.drop c.FM.duplicate c.FM.timeout c.FM.max_tries
+
+let fault_seed = 20
+
+let prop_fault_model_fuel_law =
+  QCheck.Test.make ~name:"fuel law: fault model" ~count:60
+    (QCheck.make ~print:print_fault fault_gen)
+    (fun (c, params, w) ->
+      fuel_law (fun ?budget probe ->
+          let s, status = FM.solve_status ~probe ?budget c params ~w in
+          (Option.map (fun s -> [| s.FM.r |]) s, status)))
+
+(* The saturation floor a/r + a·b/r² = 1 (a = handler load · So, b = So)
+   against the contention-free bound, as in [Fault_model.solve_status]. *)
+let on_saturation_floor_branch c (params : Params.t) ~w =
+  let a = FM.handler_load c *. params.so in
+  let r_floor = (a +. Float.sqrt ((a *. a) +. (4. *. a *. params.so))) /. 2. in
+  r_floor
+  >= w +. FM.expected_timeout_wait c +. (2. *. FM.effective_wire c params) +. (2. *. params.so)
+
+let test_fault_fuel_law_reaches_floor () =
+  let draws = QCheck.Gen.generate ~rand:(fixed_rand fault_seed) ~n:60 fault_gen in
+  let converged_on_floor =
+    List.filter
+      (fun (c, params, w) ->
+        on_saturation_floor_branch c params ~w
+        && FP.is_converged (snd (FM.solve_status c params ~w)))
+      draws
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d converging draws take the floor branch"
+       (List.length converged_on_floor))
+    true
+    (List.length converged_on_floor >= 5)
+
+let prop_general_fuel_law =
+  let gen =
+    QCheck.Gen.(
+      let* (params : Params.t), w = params_gen in
+      let p = 2 + (params.p mod 7) in
+      let params = Params.create ~c2:params.c2 ~p ~st:params.st ~so:params.so () in
+      let* servers = int_range 0 (p - 1) in
+      return (params, w, servers))
+  in
+  let print (params, w, servers) =
+    Printf.sprintf "%s servers=%d" (print_params (params, w)) servers
+  in
+  QCheck.Test.make ~name:"fuel law: general" ~count:40 (QCheck.make ~print gen)
+    (fun (params, w, servers) ->
+      let net =
+        if servers = 0 then G.homogeneous_all_to_all params ~w
+        else G.client_server params ~w ~servers
+      in
+      fuel_law (fun ?budget probe ->
+          let s, status = G.solve_status ~probe ?budget net in
+          (Option.map (fun s -> s.G.cycle_times) s, status)))
+
+let prop_amva_fuel_law =
+  let gen =
+    QCheck.Gen.(
+      let* demands = array_size (int_range 1 4) (float_range 0.1 10.) in
+      let* delay = oneof [ return None; map Option.some (float_range 0. 20.) ] in
+      let* population = int_range 1 32 in
+      return (demands, delay, population))
+  in
+  let print (demands, delay, population) =
+    Printf.sprintf "demands=[%s] delay=%s population=%d"
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") demands)))
+      (match delay with None -> "none" | Some d -> Printf.sprintf "%h" d)
+      population
+  in
+  QCheck.Test.make ~name:"fuel law: amva" ~count:60 (QCheck.make ~print gen)
+    (fun (demands, delay, population) ->
+      let stations =
+        Array.append
+          (Array.map (fun demand -> Station.queueing ~demand ()) demands)
+          (match delay with None -> [||] | Some demand -> [| Station.delay ~demand |])
+      in
+      fuel_law (fun ?budget probe ->
+          let s, status = Amva.solve_status ~probe ?budget ~stations ~population () in
+          (Option.map (fun (s : Lopc_mva.Solution.t) -> s.residence) s, status)))
+
 let test_ctmc_budget () =
   (* Fuel is one unit per explored state / power sweep: 5 cannot finish. *)
   (match
@@ -417,6 +612,12 @@ let suite =
     Alcotest.test_case "general: budget" `Quick test_general_budget;
     Alcotest.test_case "amva: budget" `Quick test_amva_budget;
     Alcotest.test_case "fault model: budget" `Quick test_fault_model_budget;
+    QCheck_alcotest.to_alcotest ~rand:(fixed_rand 17) prop_all_to_all_fuel_law;
+    QCheck_alcotest.to_alcotest ~rand:(fixed_rand fault_seed) prop_fault_model_fuel_law;
+    Alcotest.test_case "fuel law: fault draws reach the floor branch" `Quick
+      test_fault_fuel_law_reaches_floor;
+    QCheck_alcotest.to_alcotest ~rand:(fixed_rand 18) prop_general_fuel_law;
+    QCheck_alcotest.to_alcotest ~rand:(fixed_rand 19) prop_amva_fuel_law;
     Alcotest.test_case "ctmc: budget and cancel" `Quick test_ctmc_budget;
     Alcotest.test_case "machine: budget" `Quick test_machine_budget;
     Alcotest.test_case "machine: cancellation" `Quick test_machine_cancellation;
