@@ -69,22 +69,20 @@ let lint_syntactic_tests () =
     ]
 
 (* Deterministic pseudo-random event times for the queue micros (Lehmer
-   LCG, fixed seed): every run measures the same push/pop sequence, and
-   the heap and calendar lines see identical workloads. *)
+   LCG, fixed seed): every run measures the same push/pop sequence. *)
 let queue_times n =
   let state = ref 1 in
   Array.init n (fun _ ->
       state := !state * 48271 mod 0x7FFFFFFF;
       Float.of_int !state /. 1e6)
 
-(* The two pending-event structures on the two shapes the simulator
-   produces: a drain (fault storms, end-of-run) and a steady hold at ~32
-   pending events (the all-to-all steady state), scheduling each new
-   event a pseudo-random delay after the one just popped. *)
+(* The event heap on the two shapes the simulator produces: a drain
+   (fault storms, end-of-run) and a steady hold at ~32 pending events
+   (the all-to-all steady state), scheduling each new event a
+   pseudo-random delay after the one just popped. *)
 let queue_tests () =
   let open Bechamel in
   let module H = Lopc_eventsim.Event_heap in
-  let module C = Lopc_eventsim.Calendar_queue in
   let drain_times = queue_times 64 in
   let hold_times = queue_times 1024 in
   let heap_drain () =
@@ -93,15 +91,6 @@ let queue_tests () =
       Array.iter (fun t -> H.push h ~time:t 0) drain_times;
       while not (H.is_empty h) do
         ignore (H.pop_payload h)
-      done
-    done
-  in
-  let calendar_drain () =
-    let q = C.create () in
-    for _ = 1 to 16 do
-      Array.iter (fun t -> C.push q ~time:t 0) drain_times;
-      while not (C.is_empty q) do
-        ignore (C.pop_payload q)
       done
     done
   in
@@ -116,24 +105,10 @@ let queue_tests () =
       H.push h ~time:(t +. hold_times.(i land 1023)) 0
     done
   in
-  let calendar_hold () =
-    let q = C.create () in
-    for i = 0 to 31 do
-      C.push q ~time:hold_times.(i) 0
-    done;
-    for i = 0 to 999 do
-      let t = C.peek_time_exn q in
-      ignore (C.pop_payload q);
-      C.push q ~time:(t +. hold_times.(i land 1023)) 0
-    done
-  in
   [
     Test.make ~name:"event_heap drain (64-deep x16)" (Staged.stage heap_drain);
-    Test.make ~name:"calendar_queue drain (64-deep x16)" (Staged.stage calendar_drain);
     Test.make ~name:"event_heap hold (32 pending, 1000 events)"
       (Staged.stage heap_hold);
-    Test.make ~name:"calendar_queue hold (32 pending, 1000 events)"
-      (Staged.stage calendar_hold);
   ]
 
 let micro_tests () =

@@ -700,12 +700,6 @@ let sweep_cmd =
         output_string oc (Lopc_repro.Table.to_csv table);
         close_out oc;
         Format.printf "(csv written to %s)@." path);
-      let counters = Lopc_obs.Counters.global in
-      if
-        Lopc_obs.Counters.degradations counters > 0
-        || Lopc_obs.Counters.cascade_failures counters > 0
-        || Lopc_obs.Counters.exhaustions counters > 0
-      then Format.eprintf "(robustness: %s)@." (Lopc_obs.Counters.summary counters);
       `Ok 0
   in
   Cmd.v

@@ -3,7 +3,7 @@
    polling loop with no fuel, cancellation token, or explicit iteration
    bound in sight is exactly the loop that wedges a run when the model
    leaves its convergent regime — the supervised-runtime contract says
-   every such loop polls a budget once per iteration so a supervisor can
+   every such loop polls a budget once per iteration so its caller can
    stop it. [for] loops are inherently bounded and exempt.
 
    A loop passes if its enclosing definition mentions a budget-ish
@@ -13,7 +13,7 @@
    received the budget — or references [Budget.*] / [Cancel.*] directly.
    The granularity is the definition, not the loop: a definition that
    threads a budget anywhere is assumed to have wired it into its loops
-   (the chaos tests check the wiring dynamically). Findings carry the call
+   (the robust suite's budget tests check the wiring dynamically). Findings carry the call
    chain from the entry that reached the loop. *)
 
 let rule_id = "unbounded-retry"

@@ -4,70 +4,36 @@
    value flat, making the per-event clock update a plain store.
 
    [step] dispatches without allocating: the timestamp is read unboxed
-   via [peek_time_exn] and the payload comes back as the queue's stored
+   via [peek_time_exn] and the payload comes back as the heap's stored
    [Some] cell via [pop_payload] — no [(time, event)] tuple per event. *)
 
-type queue_kind = Heap | Calendar
-
 type t = {
-  queue : queue;
+  queue : event Event_heap.t;
   now : float array;  (* one element; see above *)
   mutable executed : int;
   mutable observer : (t -> unit) option;
 }
 
-and queue =
-  | Q_heap of event Event_heap.t
-  | Q_calendar of event Calendar_queue.t
-
 and event = { action : t -> unit; mutable cancelled : bool }
 
 type handle = event
 
-let create ?(queue = Heap) () =
-  let queue =
-    match queue with
-    | Heap -> Q_heap (Event_heap.create ())
-    | Calendar -> Q_calendar (Calendar_queue.create ())
-  in
-  { queue; now = [| 0. |]; executed = 0; observer = None }
-
-let q_size = function
-  | Q_heap h -> Event_heap.size h
-  | Q_calendar c -> Calendar_queue.size c
-
-let q_push q ~time ev =
-  match q with
-  | Q_heap h -> Event_heap.push h ~time ev
-  | Q_calendar c -> Calendar_queue.push c ~time ev
-
-let q_pop_payload = function
-  | Q_heap h -> Event_heap.pop_payload h
-  | Q_calendar c -> Calendar_queue.pop_payload c
-
-let q_peek_time = function
-  | Q_heap h -> Event_heap.peek_time h
-  | Q_calendar c -> Calendar_queue.peek_time c
-
-let q_peek_time_exn = function
-  | Q_heap h -> Event_heap.peek_time_exn h
-  | Q_calendar c -> Calendar_queue.peek_time_exn c
+let create () =
+  { queue = Event_heap.create (); now = [| 0. |]; executed = 0; observer = None }
 
 let set_observer t f = t.observer <- Some f
-
-let clear_observer t = t.observer <- None
 
 let now t = t.now.(0)
 
 let events_processed t = t.executed
 
-let pending t = q_size t.queue
+let pending t = Event_heap.size t.queue
 
 let schedule_at t ~time f =
   if not (Float.is_finite time) then invalid_arg "Engine.schedule_at: non-finite time";
   if time < t.now.(0) then invalid_arg "Engine.schedule_at: scheduling into the past";
   let ev = { action = f; cancelled = false } in
-  q_push t.queue ~time ev;
+  Event_heap.push t.queue ~time ev;
   ev
 
 let schedule t ~delay f =
@@ -80,10 +46,10 @@ let cancel ev = ev.cancelled <- true
 let is_cancelled ev = ev.cancelled
 
 let rec step t =
-  if q_size t.queue = 0 then false
+  if Event_heap.is_empty t.queue then false
   else begin
-    let time = q_peek_time_exn t.queue in
-    match q_pop_payload t.queue with
+    let time = Event_heap.peek_time_exn t.queue in
+    match Event_heap.pop_payload t.queue with
     | None -> false
     | Some ev ->
       if ev.cancelled then step t
@@ -104,7 +70,7 @@ let run ?until ?max_events t =
     match until with
     | None -> true
     | Some horizon -> (
-      match q_peek_time t.queue with
+      match Event_heap.peek_time t.queue with
       | None -> false
       | Some next -> next <= horizon)
   in

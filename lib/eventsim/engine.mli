@@ -1,9 +1,11 @@
 (** Discrete-event simulation engine.
 
-    Wraps {!Event_heap} with a simulation clock, callback scheduling and
-    O(1) lazy cancellation. Time never moves backwards; scheduling into
-    the past is a programming error and raises. Handlers receive the
-    engine so they can schedule further events. *)
+    Wraps one {!Event_heap} with a simulation clock, callback scheduling
+    and O(1) lazy cancellation. Events execute in [(time, seq)] order, so
+    simultaneous events run in the order they were scheduled and a run is
+    a pure function of its inputs. Time never moves backwards;
+    scheduling into the past is a programming error and raises. Handlers
+    receive the engine so they can schedule further events. *)
 
 type t
 (** A simulation run. *)
@@ -13,18 +15,8 @@ type handle
     work-completion event that must be withdrawn when a message preempts
     the thread). *)
 
-type queue_kind =
-  | Heap      (** Binary min-heap ({!Event_heap}): O(log n), the default. *)
-  | Calendar
-      (** Calendar queue ({!Calendar_queue}): O(1) amortized at high
-          event rates. Pops in exactly the same [(time, seq)] order as
-          [Heap], so results are identical — only the constant factors
-          differ. *)
-
-val create : ?queue:queue_kind -> unit -> t
-(** A fresh engine with the clock at [0.]. [queue] selects the pending
-    event structure (default [Heap]); both orders events identically, so
-    the choice is purely a performance knob. *)
+val create : unit -> t
+(** A fresh engine with the clock at [0.]. *)
 
 val now : t -> float
 (** Current simulation time. *)
@@ -57,9 +49,6 @@ val set_observer : t -> (t -> unit) -> unit
     post-event state. At most one observer is installed; a second call
     replaces the first. Observers must not schedule or execute events;
     they exist for instrumentation (heap size / dispatch-rate probes). *)
-
-val clear_observer : t -> unit
-(** Remove the installed observer, if any. *)
 
 val step : t -> bool
 (** Execute the earliest pending event. Returns [false] when no events

@@ -775,15 +775,6 @@ let degradation_cascade_plan () =
       [ 2; 3 ]
     @ [ (4, 200., model_fuel); (4, 1000., 2) ]
   in
-  let counters = Lopc_obs.Counters.global in
-  let on_event = function
-    | Lopc_robust.Cascade.Degraded { reason; _ } ->
-      Lopc_obs.Counters.record_degradation counters;
-      if reason = "exhausted" || reason = "cancelled" then
-        Lopc_obs.Counters.record_exhaustion counters
-    | Lopc_robust.Cascade.Exhausted_all _ ->
-      Lopc_obs.Counters.record_cascade_failure counters
-  in
   {
     tasks =
       pure_tasks points (fun (p, w, model_fuel) ->
@@ -805,7 +796,7 @@ let degradation_cascade_plan () =
           in
           let bound () = Ok (A.lower_bound params ~w) in
           let outcome =
-            Lopc_robust.Cascade.run ~on_event
+            Lopc_robust.Cascade.run
               [
                 Lopc_robust.Cascade.attempt "exact" exact;
                 Lopc_robust.Cascade.attempt "amva" model;

@@ -162,8 +162,7 @@ val degradation_cascade : unit -> Table.t
     best tier whose (deterministic, fuel-based) budget allows it — exact
     CTMC, then the approximate LoPC model, then the contention-free bound
     — with a provenance column naming each row's source and a trail
-    column listing the stages that fell through and why. Degradation
-    events are counted in {!Lopc_obs.Counters.global}. Budgets are
+    column listing the stages that fell through and why. Budgets are
     per-point fuel, so the table is byte-identical at any [--jobs]. *)
 
 val fault_sweep : ?fidelity:fidelity -> ?seed:int -> unit -> Table.t

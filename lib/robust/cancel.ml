@@ -1,16 +1,13 @@
-(* Cooperative cancellation tokens. A token is a single atomic flag plus an
-   optional parent, so cancelling a batch token cancels every per-task child
-   without the batch having to know its children. Tokens are write-once
-   (never un-cancelled), which keeps the cross-domain protocol trivial: any
-   domain may flip the flag, every reader eventually observes it, and there
-   is no ABA window to reason about. *)
+(* Cooperative cancellation tokens. A token is a single atomic flag.
+   Tokens are write-once (never un-cancelled), which keeps the
+   cross-domain protocol trivial: any domain may flip the flag, every
+   reader eventually observes it, and there is no ABA window to reason
+   about. *)
 
-type t = { flag : bool Atomic.t; parent : t option }
+type t = bool Atomic.t
 
-let create ?parent () = { flag = Atomic.make false; parent }
+let create () = Atomic.make false
 
-let cancel t = Atomic.set t.flag true
+let cancel t = Atomic.set t true
 
-let rec cancelled t =
-  Atomic.get t.flag
-  || (match t.parent with Some p -> cancelled p | None -> false)
+let cancelled t = Atomic.get t

@@ -11,10 +11,6 @@
 
 type 'a attempt = { name : string; run : unit -> ('a, string) result }
 
-type event =
-  | Degraded of { from_ : string; to_ : string; reason : string }
-  | Exhausted_all of { trail : (string * string) list }
-
 type 'a outcome = {
   value : 'a option;
   provenance : string;
@@ -25,14 +21,10 @@ let attempt name run = { name; run }
 
 let failed_provenance = "failed"
 
-let run ?on_event attempts =
+let run attempts =
   if attempts = [] then invalid_arg "Cascade.run: no attempts";
-  let emit ev = match on_event with None -> () | Some f -> f ev in
   let rec go trail = function
-    | [] ->
-      let trail = List.rev trail in
-      emit (Exhausted_all { trail });
-      { value = None; provenance = failed_provenance; trail }
+    | [] -> { value = None; provenance = failed_provenance; trail = List.rev trail }
     | a :: rest -> (
       match a.run () with
       | Ok v ->
@@ -42,11 +34,6 @@ let run ?on_event attempts =
           | (_, reason) :: _ -> Printf.sprintf "approx:%s:%s" a.name reason
         in
         { value = Some v; provenance; trail = List.rev trail }
-      | Error reason ->
-        (match rest with
-        | next :: _ ->
-          emit (Degraded { from_ = a.name; to_ = next.name; reason })
-        | [] -> ());
-        go ((a.name, reason) :: trail) rest)
+      | Error reason -> go ((a.name, reason) :: trail) rest)
   in
   go [] attempts

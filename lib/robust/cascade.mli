@@ -13,12 +13,6 @@ type 'a attempt = { name : string; run : unit -> ('a, string) result }
     [saturated], [diverged], [state-space]). Both end up verbatim in
     provenance cells, so keep them free of spaces. *)
 
-type event =
-  | Degraded of { from_ : string; to_ : string; reason : string }
-      (** A stage failed and the cascade is falling back. *)
-  | Exhausted_all of { trail : (string * string) list }
-      (** Every stage failed; [trail] pairs each stage with its reason. *)
-
 type 'a outcome = {
   value : 'a option;  (** The first success, or [None] if all failed. *)
   provenance : string;
@@ -27,7 +21,8 @@ type 'a outcome = {
           [<reason>] the immediately preceding failure), or ["failed"]
           when nothing succeeded. *)
   trail : (string * string) list;
-      (** Failed stages before the success, in attempt order. *)
+      (** Failed stages before the success (every stage when nothing
+          succeeded), in attempt order, each paired with its reason. *)
 }
 
 val attempt : string -> (unit -> ('a, string) result) -> 'a attempt
@@ -35,9 +30,8 @@ val attempt : string -> (unit -> ('a, string) result) -> 'a attempt
 val failed_provenance : string
 (** The provenance string used when every stage fails (["failed"]). *)
 
-val run : ?on_event:(event -> unit) -> 'a attempt list -> 'a outcome
-(** Try each attempt in order, stopping at the first [Ok]. [on_event]
-    observes each degradation step (for obs counters); it must not
-    influence the computation. Raises [Invalid_argument] on an empty
-    attempt list; exceptions raised by an attempt are not caught — budget
-    exhaustion must arrive as [Error _], not as an exception. *)
+val run : 'a attempt list -> 'a outcome
+(** Try each attempt in order, stopping at the first [Ok]. Raises
+    [Invalid_argument] on an empty attempt list; exceptions raised by an
+    attempt are not caught — budget exhaustion must arrive as [Error _],
+    not as an exception. *)

@@ -226,8 +226,6 @@ let prop_heap_sorts =
       let popped = List.rev !out in
       popped = List.sort compare times)
 
-module Calendar = Lopc_eventsim.Calendar_queue
-
 (* Repeated drains (the push/pop-to-empty churn the retention policy is
    for) must stay correct across recycled backing arrays, ties included. *)
 let test_heap_drain_churn () =
@@ -257,44 +255,10 @@ let test_heap_drain_churn () =
   done;
   Alcotest.(check bool) "empty after churn" true (Heap.is_empty h)
 
-let test_calendar_rejects_nonfinite () =
-  let c = Calendar.create () in
-  Alcotest.check_raises "nan"
-    (Invalid_argument "Calendar_queue.push: non-finite time") (fun () ->
-      Calendar.push c ~time:Float.nan ());
-  Alcotest.check_raises "inf"
-    (Invalid_argument "Calendar_queue.push: non-finite time") (fun () ->
-      Calendar.push c ~time:Float.infinity ());
-  Alcotest.(check bool) "nothing entered" true (Calendar.is_empty c)
-
-(* Same weak-array probe as the heap: popped payloads must be collectable
-   immediately, through resizes included. *)
-let test_calendar_releases_popped_payloads () =
-  let c = Calendar.create () in
-  let n = 64 in
-  let weak = Weak.create n in
-  for i = 0 to n - 1 do
-    let payload = ref i in
-    Weak.set weak i (Some payload);
-    Calendar.push c ~time:(Float.of_int i *. 3.7) payload
-  done;
-  for _ = 1 to n / 2 do
-    ignore (Calendar.pop c)
-  done;
-  Gc.full_major ();
-  for i = 0 to (n / 2) - 1 do
-    if Weak.check weak i then
-      Alcotest.failf "popped payload %d still reachable from the calendar" i
-  done;
-  Calendar.clear c;
-  Gc.full_major ();
-  for i = 0 to n - 1 do
-    if Weak.check weak i then Alcotest.failf "payload %d survived clear" i
-  done
-
-(* Differential law: on any interleaving of pushes and pops — times drawn
-   to force ties, sub-bucket clusters and wide spans — the calendar queue
-   pops exactly the heap's (time, seq) sequence. *)
+(* Reference-model law: on any interleaving of pushes and pops — times
+   drawn to force heavy ties, sub-millisecond clusters and 1e6-wide spans —
+   the heap pops exactly what a stable sort of the pending items by time
+   (so insertion order among ties, i.e. [(time, seq)]) puts first. *)
 let arb_queue_workload =
   let open QCheck in
   let time_gen =
@@ -302,8 +266,8 @@ let arb_queue_workload =
       [
         Gen.map Float.of_int (Gen.int_range 0 20) (* heavy ties *);
         Gen.float_range 0. 1000.;
-        Gen.float_range 0. 0.001 (* clusters inside one bucket *);
-        Gen.float_range 0. 1e6 (* spans forcing empty-year scans *);
+        Gen.float_range 0. 0.001 (* sub-millisecond clusters *);
+        Gen.float_range 0. 1e6 (* wide spans *);
       ]
   in
   let op_gen =
@@ -318,61 +282,94 @@ let arb_queue_workload =
   in
   make ~print Gen.(list_size (int_range 0 400) op_gen)
 
-let prop_calendar_matches_heap =
-  QCheck.Test.make ~name:"calendar queue matches heap pop-for-pop" ~count:300
+let prop_heap_matches_model =
+  QCheck.Test.make ~name:"heap matches stable-sort model" ~count:300
     arb_queue_workload (fun ops ->
-      let h = Heap.create () and c = Calendar.create () in
+      let h = Heap.create () in
+      (* Pending [(time, id)] items; ids count up, so list order among equal
+         times is insertion order. *)
+      let model = ref [] in
       let id = ref 0 in
       let same_pop () =
-        match (Heap.pop h, Calendar.pop c) with
+        let expected =
+          match List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) !model with
+          | [] -> None
+          | first :: rest ->
+            model := rest;
+            Some first
+        in
+        (match (Heap.pop h, expected) with
         | None, None -> true
-        | Some (th, vh), Some (tc, vc) -> Float.equal th tc && vh = vc
-        | Some _, None | None, Some _ -> false
+        | Some (th, vh), Some (tm, vm) -> Float.equal th tm && vh = vm
+        | Some _, None | None, Some _ -> false)
+        && Heap.size h = List.length !model
       in
       List.for_all
         (function
           | `Push t ->
             incr id;
             Heap.push h ~time:t !id;
-            Calendar.push c ~time:t !id;
-            true
+            model := !model @ [ (t, !id) ];
+            Heap.size h = List.length !model
           | `Pop -> same_pop ())
         ops
       &&
-      (* Drain what is left, still pop-for-pop. *)
-      let rec drain () = if Heap.is_empty h then same_pop () else same_pop () && drain () in
+      (* Drain what is left, still pop-for-pop, then both are empty. *)
+      let rec drain () = if !model = [] then same_pop () else same_pop () && drain () in
       drain ())
 
-(* The engine must execute the same schedule identically on either queue:
-   cascading events, ties, cancellations and the observer hook. *)
-let test_engine_calendar_matches_heap () =
-  let run queue =
-    let e = Engine.create ~queue () in
-    let log = Buffer.create 512 in
-    let g = Rng.create 11 in
-    let observed = ref 0 in
-    Engine.set_observer e (fun _ -> incr observed);
-    for i = 0 to 49 do
-      let t = Rng.float g *. 100. in
-      let h =
-        Engine.schedule_at e ~time:t (fun e ->
-            Buffer.add_string log (Printf.sprintf "%d@%h;" i (Engine.now e));
-            if i mod 5 = 0 then
-              ignore
-                (Engine.schedule e ~delay:1. (fun e ->
-                     Buffer.add_string log
-                       (Printf.sprintf "f%d@%h;" i (Engine.now e)))))
-      in
-      if i mod 7 = 3 then Engine.cancel h
-    done;
-    Engine.run e;
-    (Buffer.contents log, !observed, Engine.events_processed e)
+(* Execution order of the schedule below: event indices, with [fN] the
+   follow-up event N schedules one time unit later. *)
+let golden_engine_log =
+  "39;21;36;0;f0;25;f25;1;29;19;30;f30;37;2;44;48;6;28;46;33;9;23;43;32;49;42;16;\
+   47;22;4;34;11;40;41;f40;14;18;7;26;8;20;f20;12;13;5;f5;27;15;f15;35;f35;"
+
+(* One schedule of cascading events and lazy cancellations ([i mod 7 = 3])
+   checked against the golden execution order: each event runs at its
+   scheduled time, the observer fires once per executed event and after
+   its action, and cancelled events neither run nor notify the observer. *)
+let test_engine_observer_and_cancellation () =
+  let e = Engine.create () in
+  let log = Buffer.create 256 in
+  let ran = ref 0 in
+  let observed = ref 0 in
+  Engine.set_observer e (fun _ ->
+      incr observed;
+      if !observed <> !ran then
+        Alcotest.failf "observer call %d after %d actions" !observed !ran);
+  let g = Rng.create 11 in
+  let record e ~time label =
+    if not (Float.equal (Engine.now e) time) then
+      Alcotest.failf "%s ran at %h, scheduled for %h" label (Engine.now e) time;
+    incr ran;
+    Buffer.add_string log (label ^ ";")
   in
-  let log_h, obs_h, n_h = run Engine.Heap in
-  let log_c, obs_c, n_c = run Engine.Calendar in
-  Alcotest.(check string) "identical execution trace" log_h log_c;
-  Alcotest.(check int) "identical observer count" obs_h obs_c;
-  Alcotest.(check int) "identical event count" n_h n_c
+  for i = 0 to 49 do
+    let t = Rng.float g *. 100. in
+    let h =
+      Engine.schedule_at e ~time:t (fun e ->
+          record e ~time:t (string_of_int i);
+          if i mod 5 = 0 then
+            ignore
+              (Engine.schedule e ~delay:1. (fun e ->
+                   record e ~time:(t +. 1.) (Printf.sprintf "f%d" i))))
+    in
+    if i mod 7 = 3 then Engine.cancel h
+  done;
+  Engine.run e;
+  Alcotest.(check string) "golden execution order" golden_engine_log
+    (Buffer.contents log);
+  (* 50 scheduled - 7 cancelled + 8 follow-ups (i mod 5 = 0, minus the
+     cancelled 10 and 45). *)
+  Alcotest.(check int) "events processed" 51 (Engine.events_processed e);
+  Alcotest.(check int) "observer count = events processed"
+    (Engine.events_processed e) !observed;
+  Alcotest.(check int) "every cancelled event reaped" 0 (Engine.pending e);
+  let entries = String.split_on_char ';' (Buffer.contents log) in
+  for i = 0 to 49 do
+    if i mod 7 = 3 && List.mem (string_of_int i) entries then
+      Alcotest.failf "cancelled event %d ran" i
+  done
 
 let suite =
   [
@@ -393,12 +390,8 @@ let suite =
     Alcotest.test_case "engine rejects past scheduling" `Quick test_engine_no_past_scheduling;
     Alcotest.test_case "M/M/1 against theory" `Slow test_mm1_against_theory;
     Alcotest.test_case "heap drain churn" `Quick test_heap_drain_churn;
-    Alcotest.test_case "calendar rejects non-finite time" `Quick
-      test_calendar_rejects_nonfinite;
-    Alcotest.test_case "calendar releases popped payloads" `Quick
-      test_calendar_releases_popped_payloads;
-    Alcotest.test_case "engine: calendar matches heap" `Quick
-      test_engine_calendar_matches_heap;
+    Alcotest.test_case "engine observer and cancellation" `Quick
+      test_engine_observer_and_cancellation;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
-    QCheck_alcotest.to_alcotest prop_calendar_matches_heap;
+    QCheck_alcotest.to_alcotest prop_heap_matches_model;
   ]
