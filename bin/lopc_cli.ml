@@ -4,7 +4,7 @@
      predict    solve the analytical model for a workload
      simulate   run the event-driven simulator on the same workload
      validate   model vs simulator across a workload grid
-     sweep      regenerate a paper artifact (same names as bench/main.exe)
+     sweep      regenerate the paper's tables and figures (all, or the named ones)
 
    Examples:
      lopc_cli predict -p 32 --st 40 --so 200 --c2 0 -w 1000
@@ -13,6 +13,7 @@
      lopc_cli simulate --pattern hotspot=0:0.3 -p 16 -w 1000 --cycles 50000
      lopc_cli validate -p 16
      lopc_cli sweep fig6.2 --csv out/
+     lopc_cli sweep --quick --jobs 4
 
    Exit codes distinguish why a run produced no answer (scripts and CI
    route on them): 0 success, 2 usage or parameter error, 3 solver
@@ -36,6 +37,9 @@ module Recorder = Lopc_obs.Recorder
 module Sim_probe = Lopc_obs.Sim_probe
 module Budget = Lopc_robust.Budget
 module Cancel = Lopc_robust.Cancel
+module Experiments = Lopc_repro.Experiments
+module Parallel = Lopc_repro.Parallel
+module Table = Lopc_repro.Table
 
 (* --- exit-code taxonomy ---------------------------------------------------- *)
 
@@ -43,6 +47,19 @@ let exit_usage = 2
 let exit_diverged = 3
 let exit_saturated = 4
 let exit_exhausted = 5
+
+let exits =
+  [
+    Cmd.Exit.info ~doc:"on success." Cmd.Exit.ok;
+    Cmd.Exit.info ~doc:"on usage or parameter errors." exit_usage;
+    Cmd.Exit.info ~doc:"when a solver diverges (no fixed point found)." exit_diverged;
+    Cmd.Exit.info ~doc:"when the model is saturated (no steady state exists)."
+      exit_saturated;
+    Cmd.Exit.info
+      ~doc:"when a budget ($(b,--fuel) or $(b,--max-seconds)) stopped the run."
+      exit_exhausted;
+    Cmd.Exit.info ~doc:"on an unexpected internal error." Cmd.Exit.internal_error;
+  ]
 
 let status_exit_code = function
   | Fixed_point.Converged _ -> 0
@@ -436,7 +453,7 @@ let predict_cmd =
           ~doc:"For client-server: use the Eq 6.8 optimal allocation.")
   in
   Cmd.v
-    (Cmd.info "predict" ~doc:"Solve the LoPC model analytically")
+    (Cmd.info "predict" ~exits ~doc:"Solve the LoPC model analytically")
     Term.(
       ret
         (const run $ p_arg $ st_arg $ so_arg $ c2_arg $ w_arg $ pp_arg $ polling_arg
@@ -538,7 +555,7 @@ let simulate_cmd =
              simulated cycles; tracing never perturbs the simulation.")
   in
   Cmd.v
-    (Cmd.info "simulate" ~doc:"Run the event-driven simulator")
+    (Cmd.info "simulate" ~exits ~doc:"Run the event-driven simulator")
     Term.(
       ret
         (const run $ p_arg $ st_arg $ so_arg $ c2_arg $ w_arg $ pp_arg $ polling_arg
@@ -579,7 +596,7 @@ let validate_cmd =
     `Ok 0
   in
   Cmd.v
-    (Cmd.info "validate" ~doc:"Check the model against the simulator on a workload grid")
+    (Cmd.info "validate" ~exits ~doc:"Check the model against the simulator on a workload grid")
     Term.(ret (const run $ p_arg $ seed_arg $ cycles_arg))
 
 (* --- trace ------------------------------------------------------------------- *)
@@ -609,7 +626,7 @@ let trace_cmd =
       with Invalid_argument msg -> `Error (false, msg))
   in
   Cmd.v
-    (Cmd.info "trace" ~doc:"Print ASCII timelines of simulated cycles")
+    (Cmd.info "trace" ~exits ~doc:"Print ASCII timelines of simulated cycles")
     Term.(
       ret
         (const run $ p_arg $ st_arg $ so_arg $ c2_arg $ w_arg $ pp_arg $ polling_arg
@@ -667,62 +684,110 @@ let calibrate_cmd =
       with Invalid_argument msg -> `Error (false, msg))
   in
   Cmd.v
-    (Cmd.info "calibrate"
+    (Cmd.info "calibrate" ~exits
        ~doc:"Fit St and So to measured all-to-all cycle times")
     Term.(ret (const run $ p_arg $ c2_arg $ points_arg $ fixed_st_arg))
 
 (* --- sweep ------------------------------------------------------------------- *)
 
 let sweep_cmd =
-  let artifact_arg =
+  let names = List.map fst (Experiments.plans ()) in
+  let artifacts_arg =
     Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"ARTIFACT" ~doc:"Artifact name, e.g. fig5.2 (see bench --list).")
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+      & info [] ~docv:"ARTIFACT"
+          ~doc:
+            (Printf.sprintf
+               "Artifacts to regenerate, in order, each %s; none means all of them."
+               (Arg.doc_alts names)))
   in
   let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Shorter simulations.") in
   let csv_arg =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc:"Write CSV here.")
+    Arg.(
+      value & opt (some string) None
+      & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as $(docv)/ARTIFACT.csv.")
   in
-  let run artifact quick csv =
-    let fidelity = if quick then Lopc_repro.Experiments.Quick else Lopc_repro.Experiments.Full in
-    let all = Lopc_repro.Experiments.all ~fidelity () in
-    match List.assoc_opt artifact all with
-    | None -> `Error (false, Printf.sprintf "unknown artifact %S" artifact)
-    | Some table ->
-      Format.printf "%a@." Lopc_repro.Table.pp table;
-      (match csv with
-      | None -> ()
-      | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        let path = Filename.concat dir (artifact ^ ".csv") in
-        let oc = open_out path in
-        output_string oc (Lopc_repro.Table.to_csv table);
-        close_out oc;
-        Format.printf "(csv written to %s)@." path);
+  let jobs_arg =
+    let positive =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
+    Arg.(
+      value
+      & opt positive (Domain.recommended_domain_count ())
+      & info [ "jobs" ] ~docv:"N"
+          ~doc:
+            "Fan each artifact's sweep points across $(docv) domains. Tables are \
+             byte-identical at any $(docv).")
+  in
+  let trace_dir_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-dir" ] ~docv:"DIR"
+          ~doc:
+            "Write one Chrome trace per simulated sweep point of fig5.2, fig6.2 \
+             and fault into $(docv), timestamped in simulated cycles.")
+  in
+  let ensure_dir = function
+    | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
+    | Some _ | None -> ()
+  in
+  let emit ~csv name table =
+    Format.printf "%a@." Table.pp table;
+    match csv with
+    | None -> ()
+    | Some dir ->
+      let path = Filename.concat dir (name ^ ".csv") in
+      let oc = open_out path in
+      output_string oc (Table.to_csv table);
+      close_out oc;
+      Format.printf "(csv written to %s)@.@." path
+  in
+  (* Tables go to stdout and timing to stderr, so stdout is
+     byte-comparable across runs and --jobs counts. Each artifact gets a
+     fresh plan: plans capture mutable PRNG streams and are single-shot. *)
+  let run selected quick csv jobs trace_dir =
+    ensure_dir csv;
+    ensure_dir trace_dir;
+    let fidelity = if quick then Experiments.Quick else Experiments.Full in
+    let selected = if selected = [] then names else selected in
+    try
+      Parallel.with_pool ~jobs (fun pool ->
+          List.iter
+            (fun name ->
+              let plan = List.assoc name (Experiments.plans ~fidelity ?trace_dir ()) in
+              let t0 = Unix.gettimeofday () in
+              let table = Experiments.run_plan ~pool plan in
+              let seconds = Unix.gettimeofday () -. t0 in
+              emit ~csv name table;
+              Printf.eprintf "[timing] %-20s %4d tasks  %8.2fs\n%!" name
+                (Experiments.task_count plan) seconds)
+            selected);
       `Ok 0
+    with Fixed_point.Diverged msg ->
+      Format.eprintf "solver outcome: %s@." msg;
+      `Ok exit_diverged
   in
   Cmd.v
-    (Cmd.info "sweep" ~doc:"Regenerate a paper table or figure")
-    Term.(ret (const run $ artifact_arg $ quick_arg $ csv_arg))
+    (Cmd.info "sweep" ~exits ~doc:"Regenerate the paper's tables and figures")
+    Term.(ret (const run $ artifacts_arg $ quick_arg $ csv_arg $ jobs_arg $ trace_dir_arg))
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
-  let exits =
-    Cmd.Exit.info ~doc:"on usage or parameter errors." exit_usage
-    :: Cmd.Exit.info ~doc:"when a solver diverges (no fixed point found)." exit_diverged
-    :: Cmd.Exit.info ~doc:"when the model is saturated (no steady state exists)."
-         exit_saturated
-    :: Cmd.Exit.info
-         ~doc:"when a budget ($(b,--fuel) or $(b,--max-seconds)) stopped the run."
-         exit_exhausted
-    :: Cmd.Exit.defaults
-  in
   let info =
     Cmd.info "lopc_cli" ~version:"1.0.0" ~exits
       ~doc:"LoPC: contention-aware cost modeling of parallel algorithms"
   in
-  exit
-    (Cmd.eval' ~term_err:exit_usage
-       (Cmd.group ~default info
-          [ predict_cmd; simulate_cmd; validate_cmd; sweep_cmd; trace_cmd; calibrate_cmd ]))
+  let code =
+    Cmd.eval' ~term_err:exit_usage
+      (Cmd.group ~default info
+         [ predict_cmd; simulate_cmd; validate_cmd; sweep_cmd; trace_cmd; calibrate_cmd ])
+  in
+  (* A malformed command line is a usage error like any other. *)
+  exit (if code = Cmd.Exit.cli_error then exit_usage else code)

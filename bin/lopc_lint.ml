@@ -27,7 +27,7 @@ let usage =
   "lopc_lint [OPTIONS] [PATH ...]\n\
    lopc_lint baseline (write|diff) [--baseline FILE] [PATH ...]\n\
    Lint .ml/.mli sources under the given files or directories\n\
-   (default: lib bin bench examples test).\n\n\
+   (default: lib bin examples test).\n\n\
    --typed additionally runs the cross-module analyses over the .cmt files\n\
    of the same roots (falling back to _build/default/<root>), so run it\n\
    after `dune build`."
@@ -49,7 +49,7 @@ let no_cmt searched =
 
 let resolve_roots paths =
   match paths with
-  | [] -> List.filter Sys.file_exists [ "lib"; "bin"; "bench"; "examples"; "test" ]
+  | [] -> List.filter Sys.file_exists [ "lib"; "bin"; "examples"; "test" ]
   | roots ->
     List.iter
       (fun r ->

@@ -248,7 +248,7 @@ let entries =
       fix =
         "Timestamp with the simulated clock: pass Engine.now (or the event's \
          arrival time) down to the emitter explicitly. Wall-clock timing \
-         belongs in the bench harness, outside lib/obs.";
+         belongs in bin/ or perfbench/, outside lib/obs.";
     };
     {
       id = "unbounded-retry";

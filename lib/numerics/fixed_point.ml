@@ -136,9 +136,15 @@ let solve_vector ?(damping = 1.) ?(tol = 1e-10) ?(max_iter = 10_000) ~f x0 =
   | _, _, reason -> raise (Diverged reason)
 
 (* Roots gives the residual callback no way out but an exception, so the
-   budget stop is raised there ([residual] is defined inside the [try], so
-   the raise is lexically within its handler) and mapped onto [Exhausted]
-   here. The guard evaluation at [lb] counts like any other. *)
+   budget stop and a non-finite residual are raised there ([residual] is
+   defined inside the [try], so each raise is lexically within its
+   handler) and mapped onto [Exhausted] and [Diverged] here. A non-finite
+   residual would otherwise reach Brent's sign tests, where every
+   comparison with [nan] is false, and come back as a [Converged] nan. A
+   non-finite [lb] needs no check of its own: [F lb − lb] is then never
+   finite. The guard evaluation at [lb] counts like any other. *)
+exception Non_finite
+
 let solve_above_status ?probe ?budget ~f lb =
   let evals = ref 0 in
   try
@@ -157,7 +163,7 @@ let solve_above_status ?probe ?budget ~f lb =
             iterate = [| r |];
             hottest = None;
           });
-      fr
+      if Float.is_finite fr then fr else raise_notrace Non_finite
     in
     if residual lb <= 0. then (lb, Converged { iters = !evals })
     else
@@ -165,4 +171,6 @@ let solve_above_status ?probe ?budget ~f lb =
       | r -> (r, Converged { iters = !evals })
       | exception Roots.No_bracket ->
         (lb, Diverged { iters = !evals; residual = Float.abs (f lb -. lb) })
-  with Budget.Stop reason -> (lb, Exhausted { iters = !evals; reason })
+  with
+  | Budget.Stop reason -> (lb, Exhausted { iters = !evals; reason })
+  | Non_finite -> (lb, Diverged { iters = !evals; residual = Float.nan })

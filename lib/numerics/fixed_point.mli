@@ -117,5 +117,7 @@ val solve_above_status :
     hottest [None]); [Converged { iters }] counts the evaluations.
     Returns [(r, Converged _)] on success, [(lb, Diverged _)] with
     residual [|F lb − lb|] (not counted) when no bracket is found, and
-    [(lb, Exhausted _)] when the budget stops the search. Only [f] and
+    [(lb, Exhausted _)] when the budget stops the search. A non-finite
+    [lb], or a non-finite [F r − r] at any evaluation, is
+    [(lb, Diverged { residual = nan })], never [Converged]. Only [f] and
     [probe] can raise. *)

@@ -102,6 +102,7 @@ let with_trace ~trace_dir ~artifact ~label ~nodes run =
 
 (* --- the artifacts -------------------------------------------------------- *)
 
+(* Table 3.1: the LoPC <-> LogP parameter correspondence. *)
 let table3_1_plan () =
   {
     tasks =
@@ -241,6 +242,8 @@ let table5_3_plan ~fidelity ~seed =
             "LogP abs err / So" ];
   }
 
+(* The server and client bound columns are the paper's two dotted LogP
+   lines. *)
 let fig6_2_plan ?trace_dir ~fidelity ~seed =
   let so = 131. and w = 1000. and c2 = 1. in
   let params = Params.create ~c2 ~p:nodes ~st:wire_latency ~so () in
@@ -517,6 +520,9 @@ let ablation_multiserver_plan () =
             "gain of 2nd thread %" ];
   }
 
+(* Polling wins at fine grain, where saturated handlers no longer churn
+   the thread with preemptions, and loses at coarse grain, where every
+   request waits out a whole work quantum. *)
 let notification_modes_plan ~fidelity ~seed =
   let so = 200. and c2 = 1. in
   let params = Params.create ~c2 ~p:nodes ~st:wire_latency ~so () in
@@ -685,7 +691,7 @@ let exact_comparison_plan ~fidelity ~seed =
   let cycles = sim_cycles fidelity * 2 in
   (* P = 5 enumerates ~246k states — cheap for the sparse Gauss–Seidel
      solver at full fidelity, but kept out of the quick tier so CI and the
-     bench artifact stay fast. Quick rows are unchanged from the seed. *)
+     quick sweep stay fast. Quick rows are unchanged from the seed. *)
   let machine_sizes = match fidelity with Quick -> [ 2; 3; 4 ] | Full -> [ 2; 3; 4; 5 ] in
   let points =
     List.concat_map
@@ -755,7 +761,9 @@ let fixed_point_reason = function
    bound — each under a deterministic fuel budget, falling back on
    failure instead of failing the row. Budgets are fuel-based and created
    per point, so the table (including every provenance cell) is
-   byte-identical at any [--jobs]. The sweep is built to exercise each
+   byte-identical at any [--jobs]. A provenance column names each row's
+   source and a trail column lists the stages that fell through and why
+   (their reason tokens below). The sweep is built to exercise each
    path in CI: small machines solve exactly, [p = 4] deterministically
    overflows the capped state space and degrades to the model, and one
    adversarial point starves the model stage too, landing on the bound. *)
@@ -932,53 +940,3 @@ let plans ?(fidelity = Full) ?(seed = 42) ?trace_dir () =
     ("cascade", degradation_cascade_plan ());
     ("fault", fault_sweep_plan ?trace_dir ~fidelity ~seed);
   ]
-
-let table3_1 () = run_plan (table3_1_plan ())
-let fig5_1 () = run_plan (fig5_1_plan ())
-let fig5_2 ?(fidelity = Full) ?(seed = 42) () =
-  run_plan (fig5_2_plan ?trace_dir:None ~fidelity ~seed)
-let fig5_3 ?(fidelity = Full) ?(seed = 42) () = run_plan (fig5_3_plan ~fidelity ~seed)
-
-let table5_3 ?(fidelity = Full) ?(seed = 42) () =
-  run_plan (table5_3_plan ~fidelity ~seed)
-
-let fig6_2 ?(fidelity = Full) ?(seed = 42) () =
-  run_plan (fig6_2_plan ?trace_dir:None ~fidelity ~seed)
-let ablation_arrival_theorem () = run_plan (ablation_arrival_theorem_plan ())
-let ablation_priority () = run_plan (ablation_priority_plan ())
-
-let ablation_scv_correction ?(fidelity = Full) ?(seed = 42) () =
-  run_plan (ablation_scv_correction_plan ~fidelity ~seed)
-
-let ablation_solvers () = run_plan (ablation_solvers_plan ())
-
-let shared_memory_comparison ?(fidelity = Full) ?(seed = 42) () =
-  run_plan (shared_memory_comparison_plan ~fidelity ~seed)
-
-let windowed_speedup ?(fidelity = Full) ?(seed = 42) () =
-  run_plan (windowed_speedup_plan ~fidelity ~seed)
-
-let ablation_multiserver () = run_plan (ablation_multiserver_plan ())
-
-let notification_modes ?(fidelity = Full) ?(seed = 42) () =
-  run_plan (notification_modes_plan ~fidelity ~seed)
-
-let gap_study ?(fidelity = Full) ?(seed = 42) () =
-  run_plan (gap_study_plan ~fidelity ~seed)
-
-let assumptions_audit ?(fidelity = Full) ?(seed = 42) () =
-  run_plan (assumptions_audit_plan ~fidelity ~seed)
-
-let network_contention ?(fidelity = Full) ?(seed = 42) () =
-  run_plan (network_contention_plan ~fidelity ~seed)
-
-let exact_comparison ?(fidelity = Full) ?(seed = 42) () =
-  run_plan (exact_comparison_plan ~fidelity ~seed)
-
-let degradation_cascade () = run_plan (degradation_cascade_plan ())
-
-let fault_sweep ?(fidelity = Full) ?(seed = 42) () =
-  run_plan (fault_sweep_plan ?trace_dir:None ~fidelity ~seed)
-
-let all ?(fidelity = Full) ?(seed = 42) ?pool () =
-  List.map (fun (name, plan) -> (name, run_plan ?pool plan)) (plans ~fidelity ~seed ())

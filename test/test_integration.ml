@@ -321,6 +321,33 @@ let test_probe_utilization_matches_amva () =
           model.A.uq (100. *. err))
     [ 1000.; 2048. ]
 
+(* Exact work counts for the two hot paths and the model: the P=4 exact
+   chain, a 16-node simulator run (1000 cycles after 200 warm-up) and the
+   Fig 5-2 model point at W=1000. Counts are deterministic, so a change in
+   any of them means the code now does different work, never that a host
+   was noisy; re-pin only for a change that means to alter that work. *)
+let test_work_counts () =
+  (match
+     Lopc_markov.Exact_machine.all_to_all_status ~p:4 ~w:1000. ~so:200. ~st:40. ()
+   with
+  | Some r, Lopc_markov.Ctmc.Converged { iters } ->
+    Alcotest.(check int) "exact P=4 states" 8865 r.Lopc_markov.Exact_machine.states;
+    Alcotest.(check int) "exact P=4 sweeps" 16 iters
+  | _, status ->
+    Alcotest.failf "exact P=4: %s" (Lopc_markov.Ctmc.status_to_string status));
+  let spec =
+    Pattern.to_spec ~nodes:16 ~work:(D.Exponential 1000.) ~handler:(D.Constant 200.)
+      ~wire:(D.Constant 40.) Pattern.All_to_all
+  in
+  Alcotest.(check int) "simulator events" 6028
+    (Machine.run ~warmup_cycles:200 ~spec ~cycles:1000 ()).Machine.events;
+  let params = Params.create ~c2:0. ~p:32 ~st:40. ~so:200. () in
+  match A.solve_status params ~w:1000. with
+  | Some _, Lopc_numerics.Fixed_point.Converged { iters } ->
+    Alcotest.(check int) "model evaluations" 11 iters
+  | _, status ->
+    Alcotest.failf "model: %s" (Lopc_numerics.Fixed_point.status_to_string status)
+
 let suite =
   [
     Alcotest.test_case "all-to-all within paper accuracy" `Slow test_all_to_all_accuracy;
@@ -342,4 +369,5 @@ let suite =
       test_probe_utilization_matches_metrics;
     Alcotest.test_case "probe utilization matches AMVA Uq" `Slow
       test_probe_utilization_matches_amva;
+    Alcotest.test_case "work counts" `Quick test_work_counts;
   ]

@@ -71,6 +71,26 @@ let test_fixed_point_diverged () =
   | _, status ->
     Alcotest.failf "expected divergence, got %s" (Fixed_point.status_to_string status)
 
+let test_fixed_point_above_non_finite () =
+  (* A map that blows up must come back as Diverged with a nan residual,
+     never as a Converged nan: at the lower bound itself, further up the
+     bracket search, and for a non-finite lower bound. *)
+  let expect_diverged name ~f lb =
+    match Fixed_point.solve_above_status ~f lb with
+    | r, Fixed_point.Diverged { residual; _ } ->
+      Alcotest.(check bool) (name ^ ": lower bound returned") true (Float.equal r lb);
+      Alcotest.(check bool) (name ^ ": nan residual") true (Float.is_nan residual)
+    | r, status ->
+      Alcotest.failf "%s: expected Diverged, got %s (r = %g)" name
+        (Fixed_point.status_to_string status) r
+  in
+  expect_diverged "nan at lb" ~f:(fun _ -> Float.nan) 1.;
+  expect_diverged "inf at lb" ~f:(fun _ -> Float.infinity) 1.;
+  expect_diverged "-inf at lb" ~f:(fun _ -> Float.neg_infinity) 1.;
+  expect_diverged "nan above lb" ~f:(fun r -> if r > 4. then Float.nan else 100.) 1.;
+  expect_diverged "infinite lb" ~f:(fun r -> r) Float.infinity;
+  expect_diverged "nan lb" ~f:(fun r -> r) Float.nan
+
 let test_poly_eval () =
   let p = Polynomial.of_coeffs [| 1.; -2.; 1. |] in
   (* (x-1)^2 *)
@@ -268,6 +288,8 @@ let suite =
     Alcotest.test_case "fixed point damped oscillation" `Quick test_fixed_point_damped;
     Alcotest.test_case "fixed point vector" `Quick test_fixed_point_vector;
     Alcotest.test_case "fixed point divergence detected" `Quick test_fixed_point_diverged;
+    Alcotest.test_case "fixed point above: non-finite is diverged" `Quick
+      test_fixed_point_above_non_finite;
     Alcotest.test_case "polynomial eval" `Quick test_poly_eval;
     Alcotest.test_case "polynomial trim" `Quick test_poly_trim;
     Alcotest.test_case "polynomial derivative" `Quick test_poly_derivative;
