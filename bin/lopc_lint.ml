@@ -40,12 +40,21 @@ let list_rules ppf =
         e.stage e.summary)
     Explain.entries
 
-let no_cmt searched =
-  Format.eprintf
-    "lopc_lint: no .cmt inputs under %s — run `dune build` first so the typed \
-     stage has trees to analyse@."
-    (String.concat " " searched);
-  exit 2
+(* Run a typed-stage loader, mapping its usage errors to exit 2. *)
+let typed_stage f =
+  match f () with
+  | v -> v
+  | exception Typed_driver.No_cmt_inputs searched ->
+    Format.eprintf
+      "lopc_lint: no .cmt inputs under %s — run `dune build` first so the typed \
+       stage has trees to analyse@."
+      (String.concat " " searched);
+    exit 2
+  | exception Lopc_analysis.Cmt_loader.Duplicate_unit { modname; first; second } ->
+    Format.eprintf
+      "lopc_lint: %s and %s both compile to unit %s; lint them in separate runs@."
+      first second modname;
+    exit 2
 
 let resolve_roots paths =
   match paths with
@@ -72,9 +81,7 @@ let syntactic_findings ~jobs roots =
     Driver.lint_paths ~map_tasks roots
 
 let typed_findings ~stage ~entries roots =
-  match Typed_driver.analyze_paths ~entries ~stage roots with
-  | exception Typed_driver.No_cmt_inputs searched -> no_cmt searched
-  | findings -> findings
+  typed_stage (fun () -> Typed_driver.analyze_paths ~entries ~stage roots)
 
 (* --------------------------------------------------------------- *)
 (* baseline subcommand                                              *)
@@ -232,34 +239,28 @@ let () =
   end;
   let roots = resolve_roots (List.rev !paths) in
   (match !effects_key with
-  | Some key -> (
-    match Typed_driver.effects_of_paths roots with
-    | exception Typed_driver.No_cmt_inputs searched -> no_cmt searched
-    | effects ->
-      if Lopc_analysis.Effects.print_footprint Format.std_formatter effects key then
-        exit 0
-      else begin
-        Format.eprintf
-          "lopc_lint: unknown definition %S (use the normalised key, e.g. \
-           Amva.solve)@."
-          key;
-        exit 2
-      end)
+  | Some key ->
+    let effects = typed_stage (fun () -> Typed_driver.effects_of_paths roots) in
+    if Lopc_analysis.Effects.print_footprint Format.std_formatter effects key then exit 0
+    else begin
+      Format.eprintf
+        "lopc_lint: unknown definition %S (use the normalised key, e.g. \
+         Amva.solve)@."
+        key;
+      exit 2
+    end
   | None -> ());
   (match !intervals_key with
-  | Some key -> (
-    match Typed_driver.absint_of_paths roots with
-    | exception Typed_driver.No_cmt_inputs searched -> no_cmt searched
-    | absint ->
-      if Lopc_analysis.Absint.print_summary Format.std_formatter absint key then
-        exit 0
-      else begin
-        Format.eprintf
-          "lopc_lint: unknown definition %S (use the normalised key, e.g. \
-           Amva.solve)@."
-          key;
-        exit 2
-      end)
+  | Some key ->
+    let absint = typed_stage (fun () -> Typed_driver.absint_of_paths roots) in
+    if Lopc_analysis.Absint.print_summary Format.std_formatter absint key then exit 0
+    else begin
+      Format.eprintf
+        "lopc_lint: unknown definition %S (use the normalised key, e.g. \
+         Amva.solve)@."
+        key;
+      exit 2
+    end
   | None -> ());
   let syntactic = syntactic_findings ~jobs:!jobs roots in
   let typed_findings =

@@ -387,7 +387,7 @@ and deliver m node msg =
   end;
   Queue.push msg node.queue;
   obs_event m (fun o ->
-      Sim_probe.queue_depth o ~node:node.id ~now:msg.arrived ~arrival:true
+      Sim_probe.queue_depth o ~node:node.id ~now:msg.arrived
         (Queue.length node.queue + if node.busy then 1 else 0));
   try_dispatch m node
 
@@ -440,7 +440,7 @@ and handler_done m node msg =
   obs_event m (fun o ->
       Sim_probe.handler_end o ~node:node.id ~now
         ~reply:(match msg.kind with Reply -> true | Request -> false);
-      Sim_probe.queue_depth o ~node:node.id ~now ~arrival:false
+      Sim_probe.queue_depth o ~node:node.id ~now
         (Queue.length node.queue));
   (match msg.kind with
   | Request -> begin
@@ -725,51 +725,3 @@ let run ?(seed = 42) ?rng ?warmup_cycles ?(max_events = 200_000_000) ?on_cycle ?
   done;
   finish_obs m;
   result_of m
-
-type confidence = {
-  relative_half_width : float;
-  batches : int;
-  converged : bool;
-}
-
-let run_until_confident ?(seed = 42) ?rng ?(warmup_cycles = 2_000)
-    ?(max_events = 500_000_000) ?(batch_cycles = 2_000) ?(max_batches = 200) ?obs
-    ?budget ~rel_precision ~spec () =
-  if rel_precision <= 0. then invalid_arg "Machine: rel_precision must be positive";
-  if batch_cycles <= 0 then invalid_arg "Machine: batch_cycles must be positive";
-  if max_batches < 3 then invalid_arg "Machine: need at least three batches";
-  let m, step_guarded =
-    prepare ?rng ?obs ?budget ~seed ~warmup:(max 0 warmup_cycles) ~max_events ~spec ()
-  in
-  let batch_means = Lopc_stats.Welford.create () in
-  let exhausted = ref false in
-  let converged = ref false in
-  while (not !converged) && (not !exhausted) && Lopc_stats.Welford.count batch_means < max_batches do
-    let target = m.completed_measured + batch_cycles in
-    let count0 = Welford.count m.metrics.Metrics.response in
-    let total0 = Welford.total m.metrics.Metrics.response in
-    while m.completed_measured < target && not !exhausted do
-      if not (step_guarded ()) then exhausted := true
-    done;
-    let dcount = Welford.count m.metrics.Metrics.response - count0 in
-    if dcount > 0 then
-      Lopc_stats.Welford.add batch_means
-        ((Welford.total m.metrics.Metrics.response -. total0) /. Float.of_int dcount);
-    if Lopc_stats.Welford.count batch_means >= 3 then begin
-      let mean = Lopc_stats.Welford.mean batch_means in
-      let half = Lopc_stats.Welford.confidence_interval batch_means in
-      if (not (Float.equal mean 0.)) && Float.abs (half /. mean) <= rel_precision then
-        converged := true
-    end
-  done;
-  finish_obs m;
-  let mean = Lopc_stats.Welford.mean batch_means in
-  let half = Lopc_stats.Welford.confidence_interval batch_means in
-  ( result_of m,
-    {
-      relative_half_width =
-        (if Float.is_nan half || Float.equal mean 0. then Float.nan
-         else Float.abs (half /. mean));
-      batches = Lopc_stats.Welford.count batch_means;
-      converged = !converged;
-    } )

@@ -82,33 +82,3 @@ val run :
     @raise Invalid_argument if the spec fails {!Spec.validate}, no node
     runs a thread, a route ever returns an empty list or an out-of-range
     node, or [cycles <= 0]. *)
-
-type confidence = {
-  relative_half_width : float;  (** Achieved ~95% CI half-width relative
-                                    to the mean response time; [nan] when
-                                    undefined. *)
-  batches : int;                (** Batches accumulated. *)
-  converged : bool;             (** Whether the precision target was met
-                                    before the batch budget ran out. *)
-}
-
-val run_until_confident :
-  ?seed:int ->
-  ?rng:Lopc_prng.Rng.t ->
-  ?warmup_cycles:int ->
-  ?max_events:int ->
-  ?batch_cycles:int ->
-  ?max_batches:int ->
-  ?obs:Lopc_obs.Sim_probe.t ->
-  ?budget:Lopc_robust.Budget.t ->
-  rel_precision:float ->
-  spec:Spec.t ->
-  unit ->
-  result * confidence
-(** [run_until_confident ~rel_precision ~spec ()] simulates in batches of
-    [batch_cycles] (default [2_000]) completed cycles, treating batch
-    means of the response time as approximately independent, until the
-    ~95% confidence half-width on the mean response falls below
-    [rel_precision ×. mean] (or [max_batches], default [200], is
-    reached). The standard batch-means stopping rule for steady-state
-    means. @raise Invalid_argument on non-positive controls. *)

@@ -84,8 +84,6 @@ let offered_load t =
 
 let mean_tries t = Welford.mean t.tries_per_cycle
 
-let mean_try_latency t = Welford.mean t.try_latency
-
 let avg_over_nodes arrays ~upto =
   let n = Array.length arrays in
   if n = 0 then Float.nan

@@ -99,9 +99,6 @@ val mean_tries : t -> float
 (** Mean tries per finished cycle ([1.] without faults; [nan] when no
     cycles finished). *)
 
-val mean_try_latency : t -> float
-(** Mean latency of the successful try (send to reply acceptance). *)
-
 val avg_request_queue : t -> float
 (** [Qq] averaged over nodes and time. *)
 

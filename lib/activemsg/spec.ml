@@ -140,26 +140,3 @@ let all_to_all ?(protocol_processor = false) ?(polling = false) ?(gap = 0.)
       topology = None;
       fault;
     }
-
-let client_server ?(protocol_processor = false) ?fault ~nodes ~servers ~work ~handler
-    ~wire () =
-  if servers <= 0 || servers >= nodes then
-    invalid_arg "Spec.client_server: need 0 < servers < nodes";
-  check
-    {
-      nodes;
-      threads =
-        Array.init nodes (fun i ->
-            if i < servers then None
-            else Some { work; route = uniform_server ~servers; window = 1 });
-      handler;
-      reply_handler = handler;
-      wire;
-      protocol_processor;
-      gap = 0.;
-      polling = false;
-      initial_delay = None;
-      barrier = None;
-      topology = None;
-      fault;
-    }

@@ -129,17 +129,3 @@ val all_to_all :
     given work distribution; [staggered] (default [false]) uses
     {!round_robin} instead of {!uniform_other}; [window] defaults to [1]
     (blocking requests). *)
-
-val client_server :
-  ?protocol_processor:bool ->
-  ?fault:Fault.t ->
-  nodes:int ->
-  servers:int ->
-  work:Distribution.t ->
-  handler:Distribution.t ->
-  wire:Distribution.t ->
-  unit ->
-  t
-(** Work-pile machine (§6): nodes [0..servers−1] are pure servers, the
-    remaining [nodes − servers] are clients.
-    @raise Invalid_argument unless [0 < servers < nodes]. *)

@@ -17,14 +17,6 @@ let collector ?(limit = 64) () =
 
 let reports t = List.rev t.collected
 
-let pp_report ppf (r : Machine.cycle_report) =
-  Format.fprintf ppf
-    "node %3d: start %.1f, sent %+.1f, done %+.1f (Rq %.1f, Ry %.1f, wire %.1f)"
-    r.Machine.origin r.Machine.started
-    (r.Machine.sent -. r.Machine.started)
-    (r.Machine.completed -. r.Machine.started)
-    r.Machine.request_residence r.Machine.reply_residence r.Machine.wire
-
 (* Render one cycle as contiguous segments: thread work (incl. preemption),
    wire (both directions pooled for display), request residence, reply
    residence. Segments are scaled by [per_char] time units per column. *)

@@ -22,9 +22,6 @@ val collector : ?limit:int -> unit -> collector * (Machine.cycle_report -> unit)
 val reports : collector -> Machine.cycle_report list
 (** Collected cycles in completion order. *)
 
-val pp_report : Format.formatter -> Machine.cycle_report -> unit
-(** One-line summary of a cycle. *)
-
 val pp_timeline : ?width:int -> Format.formatter -> Machine.cycle_report list -> unit
 (** Proportional ASCII timelines, one line per cycle, with a shared time
     scale chosen from the longest cycle. [width] is the number of

@@ -642,8 +642,6 @@ let check (t : t) =
     t.graph.defs;
   List.rev st.violations
 
-let summary (t : t) key = SMap.find_opt key t.summaries
-
 let print_summary ppf (t : t) key =
   match SMap.find_opt key t.summaries with
   | None -> false

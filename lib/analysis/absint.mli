@@ -40,9 +40,6 @@ val analyze : Callgraph.t -> t
 (** All violations, in emission order (callers sort). *)
 val check : t -> violation list
 
-(** Fixpoint return-value summary of a definition, by call-graph key. *)
-val summary : t -> string -> value option
-
 (** The stable dump behind [lopc_lint --show-intervals KEY]: one [param]
     line per declared parameter (its annotation-seeded interval, [top]
     when unannotated) and a [return] line with the fixpoint summary.

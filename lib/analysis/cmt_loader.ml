@@ -56,39 +56,32 @@ let cmt_files roots =
   List.iter visit (List.filter Sys.file_exists roots);
   List.rev !acc
 
-(* Load every distinct compilation unit under [roots]. Units are
-   deduplicated by module name (dune emits one wrapper unit per executable
-   directory, all called Dune__exe); the first occurrence in sorted scan
-   order wins, so repeated runs see the same set. *)
+exception Duplicate_unit of { modname : string; first : string; second : string }
+
+(* dune's generated alias module of an executable directory: every such
+   directory has one, all called Dune__exe, and it holds only module
+   aliases. *)
+let is_generated source = Filename.check_suffix source ".ml-gen"
+
+(* Load every distinct compilation unit under [roots], in sorted scan
+   order. A module name met again from the same source (a root listed
+   twice) or from another generated alias module is skipped; from any
+   other source it is two different units that the call graph would
+   conflate, so loading fails. *)
 let load roots =
   let seen = Hashtbl.create 64 in
   cmt_files roots
   |> List.filter_map (fun path ->
          match read_cmt path with
-         | Some u when not (Hashtbl.mem seen u.modname) ->
-           Hashtbl.add seen u.modname ();
-           Some u
-         | _ -> None)
-
-let typecheck_initialised = ref false
-
-(* Typecheck a source string against the standard library alone — the
-   harness behind the typed-rule test fixtures, which must not depend on a
-   pre-existing _build tree. *)
-let typecheck_string ~modname ~source contents =
-  if not !typecheck_initialised then begin
-    typecheck_initialised := true;
-    Compmisc.init_path ();
-    (* Fixtures are deliberately odd code; compiler warnings about them are
-       noise for whoever runs the test binary. *)
-    ignore (Warnings.parse_options false "-a")
-  end;
-  let env = Compmisc.initial_env () in
-  let lexbuf = Lexing.from_string contents in
-  Location.init lexbuf source;
-  match Parse.implementation lexbuf with
-  | exception exn -> Error ("parse error: " ^ Printexc.to_string exn)
-  | parsetree -> (
-    match Typemod.type_structure env parsetree with
-    | structure, _, _, _, _ -> Ok (of_implementation ~modname ~source structure)
-    | exception exn -> Error ("type error: " ^ Printexc.to_string exn))
+         | None -> None
+         | Some u -> (
+           match Hashtbl.find_opt seen u.modname with
+           | None ->
+             Hashtbl.add seen u.modname u.source;
+             Some u
+           | Some first
+             when String.equal first u.source || (is_generated first && is_generated u.source)
+             ->
+             None
+           | Some first ->
+             raise (Duplicate_unit { modname = u.modname; first; second = u.source })))

@@ -31,12 +31,13 @@ val read_cmt : string -> unit_info option
     sorted. *)
 val cmt_files : string list -> string list
 
-(** Load all distinct units under the given roots, deduplicated by module
-    name, first occurrence in sorted scan order winning. *)
-val load : string list -> unit_info list
+(** Two different sources compiled to the same unit name, e.g.
+    [perfbench/test_stats.ml] and [test/test_stats.ml] both to
+    [Dune__exe__Test_stats]. *)
+exception Duplicate_unit of { modname : string; first : string; second : string }
 
-(** Typecheck a source string against the standard library and wrap the
-    resulting typed tree as a unit — the harness used by the typed-rule test
-    fixtures. [Error] carries a parse- or type-error description. *)
-val typecheck_string :
-  modname:string -> source:string -> string -> (unit_info, string) result
+(** Load all distinct units under the given roots, in sorted scan order.
+    A unit name seen again from the same source, or from another
+    dune-generated alias module ([*.ml-gen]), is skipped.
+    @raise Duplicate_unit when it comes from any other source. *)
+val load : string list -> unit_info list

@@ -92,12 +92,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let lint_file ?rules path =
-  match read_file path with
-  | contents -> lint_source ?rules ~path contents
-  | exception Sys_error msg ->
-    [ Rule.finding parse_error_rule ~loc:(whole_file_loc path) msg ]
-
 let skipped_dirs = [ "_build"; ".git"; "_opam"; "node_modules" ]
 
 let is_source path =
@@ -138,7 +132,7 @@ let lint_paths ?rules ?map_tasks roots =
       (List.map
          (fun path () ->
            match read_file path with
-           | contents -> check_parsed ?rules ~path (parse ~path contents)
+           | contents -> lint_source ?rules ~path contents
            | exception Sys_error msg ->
              [ Rule.finding parse_error_rule ~loc:(whole_file_loc path) msg ])
          files)
@@ -176,11 +170,3 @@ let report ppf ~format findings =
         Format.fprintf ppf "@,  %a" Finding.pp_json f)
       findings;
     Format.fprintf ppf "@,]@]@,}@."
-
-let list_rules ppf ?(rules = default_rules) () =
-  List.iter
-    (fun (r : Rule.t) ->
-      Format.fprintf ppf "%-20s %-7s %s@." r.id
-        (Finding.severity_to_string r.severity)
-        r.summary)
-    rules

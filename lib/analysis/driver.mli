@@ -17,10 +17,6 @@ val bare_suppression_rule : Rule.t
     for parse errors. Findings are sorted and already suppression-filtered. *)
 val lint_source : ?rules:Rule.t list -> path:string -> string -> Finding.t list
 
-(** Lint one file from disk; unreadable or unparseable files yield a single
-    [parse-error] finding. *)
-val lint_file : ?rules:Rule.t list -> string -> Finding.t list
-
 (** All .ml/.mli files under the given roots (files or directories),
     skipping _build and VCS directories, sorted. *)
 val source_files : string list -> string list
@@ -41,6 +37,3 @@ type format = Human | Json | Sarif
     line when there are findings; JSON emits [{"count": n, "findings": [...]}];
     SARIF emits a single-run SARIF 2.1.0 log ({!Sarif.report}). *)
 val report : Format.formatter -> format:format -> Finding.t list -> unit
-
-(** Print the rule catalogue (id, severity, summary), one rule per line. *)
-val list_rules : Format.formatter -> ?rules:Rule.t list -> unit -> unit

@@ -352,8 +352,6 @@ let summary t key = SMap.find_opt key t.summaries
 
 let mutable_global_kind t key = SMap.find_opt key t.mutable_globals
 
-let is_atomic_cell t key = SSet.mem key t.atomic_cells
-
 let target_name = function
   | Global key -> key
   | Based (_, name) -> name

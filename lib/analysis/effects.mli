@@ -77,8 +77,6 @@ val summary : t -> string -> summary option
     type (a ref cell, hash table, mutable record, ...). *)
 val mutable_global_kind : t -> string -> string option
 
-val is_atomic_cell : t -> string -> bool
-
 val target_name : target -> string
 
 (** Same location base: equal global keys, or the same stamped ident. *)

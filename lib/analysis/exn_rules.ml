@@ -22,8 +22,6 @@ let rule_id = "exn-escape"
 
 let severity = Finding.Error
 
-let summary = "an exception can escape a solve_status (non-raising) entry point"
-
 let hint =
   "catch the exception and map it onto the status result (Converged/Saturated/\
    Diverged), validate earlier with invalid_arg, or — if the raise is provably \

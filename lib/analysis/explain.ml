@@ -450,6 +450,32 @@ let entries =
          which clears the tag), or fix whichever [@lopc.unit] annotation is \
          wrong.";
     };
+    {
+      id = "test-only-export";
+      severity = Finding.Warning;
+      stage = "typed";
+      summary = "a lib/ value that only test/, or nothing, uses";
+      rationale =
+        "Everything in lib/ is a claim that the reproduction needs it: the Eq \
+         4.1 fixed point, the exact CTMC, the simulator and what they stand \
+         on. A value that no executable or example reaches, and that no other \
+         lib/ value calls, is test harness or dead code kept alive by its own \
+         tests. The rule reaches from every definition outside lib/ and test/ \
+         (bin/ and examples/ in the CI gate) and reports each lib/ definition \
+         outside that set that no other lib/ definition references, naming a \
+         test that uses it if one does. Only the root of a dead subgraph is \
+         reported; once it is deleted, the compiler's unused-value warning \
+         catches its helpers. A lint with no definition outside lib/ and \
+         test/ reports nothing.";
+      example =
+        "(* lib/stats/extra.ml; only test/test_stats.ml calls it *)\n\
+         let trimmed_mean xs = xs";
+      fix =
+        "Delete it with the tests that only check it, move it into test/ when \
+         it is test harness or a reference implementation, or give it a real \
+         user. Suppress with [@@lint.allow \"test-only-export\" \"<file> uses \
+         it\"] only for a user outside the linted roots.";
+    };
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) entries

@@ -76,14 +76,9 @@ let widen old next =
     let hi = if nh > oh then List.find (fun th -> th >= nh) hi_thresholds else oh in
     { range = Some (lo, hi); nan }
 
-let mem x t =
-  if Float.is_nan x then t.nan
-  else match t.range with Some (lo, hi) -> lo <= x && x <= hi | None -> false
-
 let contains_zero t =
   match t.range with Some (lo, hi) -> lo <= 0. && 0. <= hi | None -> false
 
-let may_negative t = match t.range with Some (lo, _) -> lo < 0. | None -> false
 let may_nan t = t.nan
 
 let may_pos_inf t =

@@ -45,11 +45,7 @@ val meet : t -> t -> t
     widenings stabilises in a bounded number of steps. *)
 val widen : t -> t -> t
 
-(** Does the concrete value [x] belong to the abstraction? *)
-val mem : float -> t -> bool
-
 val contains_zero : t -> bool
-val may_negative : t -> bool
 val may_nan : t -> bool
 
 (** Transfer functions for float arithmetic (corner evaluation). *)

@@ -8,8 +8,6 @@ let rule_id = "obs-no-wallclock"
 
 let severity = Finding.Error
 
-let summary = "a wall clock reachable from the observability layer (lib/obs)"
-
 let hint =
   "timestamp trace events with the simulated clock (Engine.now / the machine's \
    event times) and thread it to the emitter explicitly; wall-clock time makes \

@@ -11,6 +11,4 @@ val rule_id : string
 
 val severity : Finding.severity
 
-val summary : string
-
 val check : Callgraph.t -> Finding.t list

@@ -17,9 +17,6 @@ let rule_id = "parallel-rng-capture"
 
 let severity = Finding.Error
 
-let summary =
-  "a task passed to Parallel.run/map captures a raw Rng.t from outside the task"
-
 let hint =
   "derive per-task streams serially before building the task array (let streams = \
    Rng.split_n master n) and let task i own streams.(i); drawing from or splitting a \

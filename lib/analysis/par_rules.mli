@@ -17,8 +17,6 @@ val rule_id : string
 
 val severity : Finding.severity
 
-val summary : string
-
 (** Whether a normalised key is [Parallel.run] or [Parallel.map] — of the
     real [Lopc_repro.Parallel] or of a fixture-local [Parallel] module
     (matched by suffix). Shared with the race rules ({!Race_rules}), so

@@ -49,21 +49,6 @@ let escape_hint =
    (or through the task array); if the toplevel state is provably frozen before \
    any parallel run, suppress with [@lint.allow \"mutable-toplevel-escape\" \"why\"]"
 
-let catalogue =
-  [
-    ( shared_id,
-      Finding.Error,
-      "a task passed to Parallel.run/map writes a mutable location visible outside \
-       the task" );
-    ( rmw_id,
-      Finding.Error,
-      "non-atomic check-then-act on an Atomic.t: Atomic.get then Atomic.set on the \
-       same cell" );
-    ( escape_id,
-      Finding.Warning,
-      "a task passed to Parallel.run/map reads module-level mutable state" );
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* atomic-read-modify-write                                            *)
 (* ------------------------------------------------------------------ *)

@@ -21,7 +21,4 @@ val rmw_id : string
 
 val escape_id : string
 
-(** (rule id, severity, one-line summary) for the typed-rule catalogue. *)
-val catalogue : (string * Finding.severity * string) list
-
 val check : Effects.t -> Finding.t list

@@ -20,10 +20,6 @@ let rule_id = "unbounded-retry"
 
 let severity = Finding.Error
 
-let summary =
-  "a while loop reachable from a solver or simulator entry with no budget, \
-   cancellation token, or iteration bound in sight"
-
 let hint =
   "poll a Lopc_robust.Budget.t (or Cancel.t) once per iteration, or bound the \
    loop with an explicit max_*/fuel counter; if the loop is provably bounded by \

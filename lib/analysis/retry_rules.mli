@@ -15,8 +15,6 @@ val rule_id : string
 
 val severity : Finding.severity
 
-val summary : string
-
 (** [entries]: extra entry keys or key prefixes, as [--entry]; the
     entry points are {!Taint_rules.is_entry}'s. *)
 val check : ?entries:string list -> Callgraph.t -> Finding.t list

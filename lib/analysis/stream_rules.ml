@@ -13,8 +13,6 @@ let rule_id = "rng-stream-discipline"
 
 let severity = Finding.Error
 
-let summary = "a stream produced by Rng.split is consumed more than once on some path"
-
 let hint =
   "split once per consumer (each child stream has exactly one owner); re-using or \
    aliasing a child couples draw sequences and silently breaks replay. If the reuse \

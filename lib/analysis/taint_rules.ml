@@ -11,9 +11,6 @@ let rule_id = "determinism-taint"
 
 let severity = Finding.Error
 
-let summary =
-  "a nondeterminism source reachable from the simulator or a solver entry point"
-
 let hint =
   "thread an explicit Lopc_prng.Rng.t, iterate in a deterministic order, or compare \
    with a monomorphic comparator (Float.compare, Int.equal, a hand-written total \

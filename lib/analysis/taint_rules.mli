@@ -14,8 +14,6 @@ val rule_id : string
 
 val severity : Finding.severity
 
-val summary : string
-
 (** The solver and simulator entry points, shared with {!Retry_rules}:
     defs under [lib/activemsg] or [lib/eventsim], defs named [solve] or
     [solve_status], and the extra [entries] (keys or key prefixes, from

@@ -6,17 +6,6 @@
 
 exception No_cmt_inputs of string list
 
-let catalogue =
-  [
-    (Taint_rules.rule_id, Taint_rules.severity, Taint_rules.summary);
-    (Exn_rules.rule_id, Exn_rules.severity, Exn_rules.summary);
-    (Stream_rules.rule_id, Stream_rules.severity, Stream_rules.summary);
-    (Par_rules.rule_id, Par_rules.severity, Par_rules.summary);
-    (Obs_rules.rule_id, Obs_rules.severity, Obs_rules.summary);
-    (Retry_rules.rule_id, Retry_rules.severity, Retry_rules.summary);
-  ]
-  @ Race_rules.catalogue @ Numeric_rules.catalogue
-
 let analyze_units ?(entries = []) ?(stage = `All) units =
   let graph = Callgraph.build units in
   let findings =
@@ -30,6 +19,7 @@ let analyze_units ?(entries = []) ?(stage = `All) units =
       @ Retry_rules.check ~entries graph
       @ Race_rules.check effects
       @ Numeric_rules.check graph
+      @ Export_rules.check graph
   in
   (* Suppression regions come from the sources the findings point into;
      cache per file since many findings share one. *)

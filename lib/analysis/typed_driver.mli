@@ -5,7 +5,9 @@
     runs the cross-module rules — {!Taint_rules} (determinism),
     {!Exn_rules} (exception escape), {!Stream_rules} (RNG stream
     discipline), {!Par_rules} (task RNG capture), {!Obs_rules} and
-    {!Race_rules} (shared-mutation races). Findings are filtered against
+    {!Race_rules} (shared-mutation races), the interval rules
+    ({!Numeric_rules}) and {!Export_rules} (test-only [lib/] exports).
+    Findings are filtered against
     the [[@lint.allow]] regions of the source files they point into, then
     sorted and deduplicated. *)
 
@@ -14,9 +16,6 @@
     typed stage would silently analyse nothing. Carries the roots
     searched. *)
 exception No_cmt_inputs of string list
-
-(** (rule id, severity, summary) of every typed rule, for [--list-rules]. *)
-val catalogue : (string * Finding.severity * string) list
 
 (** Analyse already-loaded units. [entries] adds extra entry points for
     the determinism-taint and unbounded-retry rules (keys or key prefixes,

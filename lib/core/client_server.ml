@@ -49,10 +49,6 @@ let throughput ?(threads_per_server = 1) (params : Params.t) ~w ~servers =
     server_residence;
   }
 
-let throughput_curve ?threads_per_server params ~w =
-  Array.init (params.Params.p - 1) (fun i ->
-      throughput ?threads_per_server params ~w ~servers:(i + 1))
-
 let server_residence_at_optimum (params : Params.t) =
   params.so *. (1. +. sqrt ((params.c2 +. 1.) /. 2.))
 
@@ -73,8 +69,3 @@ let optimal_servers params ~w =
     let xh = (throughput params ~w ~servers:hi).throughput in
     if xl >= xh then lo else hi
   end
-
-let optimum_queue_is_one params ~w =
-  let best = optimal_servers params ~w in
-  let sol = throughput params ~w ~servers:best in
-  Float.abs (sol.server_queue -. 1.) <= 0.5

@@ -38,9 +38,6 @@ val throughput : ?threads_per_server:int -> Params.t -> w:float -> servers:int -
     @raise Invalid_argument unless [0 < servers < P], [w >= 0.] and
     [threads_per_server >= 1]. *)
 
-val throughput_curve : ?threads_per_server:int -> Params.t -> w:float -> solution array
-(** All partitions [Ps = 1 .. P−1] (the x-axis of Fig 6-2). *)
-
 val server_residence_at_optimum : Params.t -> float
 (** [Rs = So·(1 + sqrt((C²+1)/2))] (Eq 6.6) — e.g. [2·So] when
     [C² = 1]. *)
@@ -52,7 +49,3 @@ val optimal_servers : Params.t -> w:float -> int
 (** The integer partition maximizing model throughput: the better of the
     floor and ceiling of {!optimal_servers_real} (clamped to
     [\[1, P−1\]]). *)
-
-val optimum_queue_is_one : Params.t -> w:float -> bool
-(** Sanity check of the §6 argument: at {!optimal_servers} the modeled
-    mean queue per server is within ±0.5 of 1. Exposed for tests. *)

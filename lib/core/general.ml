@@ -203,32 +203,3 @@ let solve ?probe ?tol ?max_iter t =
   | Some s, _ -> s
   | None, status ->
     raise (Fixed_point.Diverged ("General: " ^ Fixed_point.status_to_string status))
-
-let homogeneous_all_to_all (params : Params.t) ~w =
-  let p = params.p in
-  if p < 2 then invalid_arg "General.homogeneous_all_to_all: need P >= 2";
-  let v = 1. /. Float.of_int (p - 1) in
-  {
-    params;
-    protocol_processor = false;
-    nodes =
-      Array.init p (fun c ->
-          {
-            work = Some w;
-            visits = Array.init p (fun k -> if k = c then 0. else v);
-          });
-  }
-
-let client_server (params : Params.t) ~w ~servers =
-  let p = params.p in
-  if servers <= 0 || servers >= p then
-    invalid_arg "General.client_server: need 0 < servers < P";
-  let v = 1. /. Float.of_int servers in
-  {
-    params;
-    protocol_processor = false;
-    nodes =
-      Array.init p (fun c ->
-          if c < servers then { work = None; visits = Array.make p 0. }
-          else { work = Some w; visits = Array.init p (fun k -> if k < servers then v else 0.) });
-  }

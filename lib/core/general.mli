@@ -77,12 +77,3 @@ val solve :
     @raise Invalid_argument when {!validate} fails.
     @raise Lopc_numerics.Fixed_point.Diverged on any non-converged
     outcome (e.g. a node saturated by handler load). *)
-
-val homogeneous_all_to_all : Params.t -> w:float -> t
-(** The §5 pattern expressed in Appendix-A form: every node a thread with
-    work [w] and [Vck = 1/(P−1)] for [k ≠ c] — used to check that the
-    general model reduces to {!All_to_all}. *)
-
-val client_server : Params.t -> w:float -> servers:int -> t
-(** The §6 pattern in Appendix-A form: nodes [0..servers−1] pure servers,
-    clients visiting each server with [Vck = 1/Ps]. *)

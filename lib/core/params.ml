@@ -25,8 +25,6 @@ let create ?(c2 = 1.) ~p ~st ~so () =
   | Ok t -> t
   | Error reason -> invalid_arg ("Params: " ^ reason)
 
-let of_logp ~l ~o ~p = create ~p ~st:l ~so:o ()
-
 type algorithm = { n : int; w : float [@lopc.cost] [@lopc.unit "cycles"] }
 
 let algorithm ~n ~w =

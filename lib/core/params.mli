@@ -32,11 +32,6 @@ val create : ?c2:float -> p:int -> st:float -> so:float -> unit -> t
     @raise Invalid_argument if [p < 1], [st < 0.], [so <= 0.] or
     [c2 < 0.]. *)
 
-val of_logp : l:float -> o:float -> p:int -> t
-(** [of_logp ~l ~o ~p] imports a LogP characterization directly:
-    [St = L], [So = o], [C² = 1.]. The LogP [g] parameter is dropped —
-    LoPC assumes balanced processor/network bandwidth (§3). *)
-
 val validate : t -> (t, string) result
 (** Check the invariants listed under {!create}. *)
 

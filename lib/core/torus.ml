@@ -1,5 +1,4 @@
 module Topology = Lopc_topology.Topology
-module Roots = Lopc_numerics.Roots
 module Fixed_point = Lopc_numerics.Fixed_point
 
 type solution = {
@@ -71,12 +70,3 @@ let solve (params : Params.t) ~topology ~w =
     mean_distance = d;
     penalty = (r /. r_free) -. 1.;
   }
-
-let tolerable_link_time ?(penalty = 0.05) (params : Params.t) ~(topology : Topology.t) ~w =
-  if penalty <= 0. then invalid_arg "Torus.tolerable_link_time: penalty must be positive";
-  check params ~topology ~w;
-  let slowdown lt =
-    (solve params ~topology:{ topology with Topology.link_time = lt } ~w).penalty
-    -. penalty
-  in
-  Roots.brent_above ~f:slowdown 1e-9

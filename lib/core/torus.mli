@@ -43,9 +43,3 @@ val solve : Params.t -> topology:Topology.t -> w:float -> solution
     @raise Invalid_argument on mismatched sizes or invalid [w].
     @raise Lopc_numerics.Fixed_point.Diverged if no fixed point is
     bracketed. *)
-
-val tolerable_link_time :
-  ?penalty:float -> Params.t -> topology:Topology.t -> w:float -> float
-(** The largest [link_time] whose modeled slowdown over the contention
-    free network stays below [penalty] (default 5%), holding [per_hop]
-    fixed. @raise Invalid_argument if [penalty <= 0.]. *)

@@ -109,10 +109,3 @@ let solve ?(window = 1) (params : Params.t) ~w =
       throughput = Float.of_int params.p *. x;
       processor_util = x *. (w +. (2. *. params.so));
     }
-
-let speedup_curve ?(max_window = 8) (params : Params.t) ~w =
-  if max_window < 1 then invalid_arg "Windowed.speedup_curve: max_window < 1";
-  let base = (solve ~window:1 params ~w).node_rate in
-  Array.init max_window (fun i ->
-      let k = i + 1 in
-      (k, (solve ~window:k params ~w).node_rate /. base))

@@ -56,11 +56,6 @@ val solve : ?window:int -> Params.t -> w:float -> solution
     [window] defaults to [1].
     @raise Invalid_argument if [window < 1] or [w < 0.]. *)
 
-val speedup_curve : ?max_window:int -> Params.t -> w:float -> (int * float) array
-(** [(k, X_k / X_1)] for [k = 1..max_window] (default 8): the throughput
-    gain from overlapping communication with computation. Saturates at
-    the processor bound [1 / (W + 2·So)] over the blocking rate. *)
-
 val saturation_rate : Params.t -> w:float -> float
 (** The per-node rate ceiling [1 / (W + 2·So)]: each cycle consumes a full
     work quantum plus one request and one reply handler of the node's

@@ -12,22 +12,32 @@ type t =
 let validate t =
   let ok = Ok t in
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
+  let nonneg x = Float.is_finite x && x >= 0. in
   match t with
-  | Constant c -> if c >= 0. then ok else err "Constant: negative value %g" c
-  | Exponential m -> if m >= 0. then ok else err "Exponential: negative mean %g" m
+  | Constant c ->
+    if nonneg c then ok else err "Constant: value must be finite and >= 0, got %g" c
+  | Exponential m ->
+    if nonneg m then ok else err "Exponential: mean must be finite and >= 0, got %g" m
   | Uniform (lo, hi) ->
-    if 0. <= lo && lo <= hi then ok else err "Uniform: invalid bounds [%g, %g]" lo hi
+    if nonneg lo && nonneg hi && lo <= hi then ok
+    else err "Uniform: bounds must be finite with 0 <= lo <= hi, got [%g, %g]" lo hi
   | Erlang (k, m) ->
-    if k >= 1 && m >= 0. then ok else err "Erlang: need k >= 1 and mean >= 0, got k=%d mean=%g" k m
+    if k >= 1 && nonneg m then ok
+    else err "Erlang: need k >= 1 and a finite mean >= 0, got k=%d mean=%g" k m
   | Hyperexponential (p, m1, m2) ->
-    if 0. <= p && p <= 1. && m1 >= 0. && m2 >= 0. then ok
-    else err "Hyperexponential: invalid (p=%g, mean1=%g, mean2=%g)" p m1 m2
+    if 0. <= p && p <= 1. && nonneg m1 && nonneg m2 then ok
+    else
+      err
+        "Hyperexponential: need 0 <= p <= 1 and finite means >= 0, got (p=%g, \
+         mean1=%g, mean2=%g)"
+        p m1 m2
   | Shifted_exponential (offset, m) ->
-    if 0. <= offset && offset <= m then ok
-    else err "Shifted_exponential: need 0 <= offset <= mean, got offset=%g mean=%g" offset m
+    if nonneg offset && nonneg m && offset <= m then ok
+    else
+      err "Shifted_exponential: need finite 0 <= offset <= mean, got offset=%g mean=%g" offset m
   | Empirical samples ->
     if Array.length samples = 0 then err "Empirical: empty sample array"
-    else if Array.exists (fun x -> x < 0. || not (Float.is_finite x)) samples then
+    else if Array.exists (fun x -> not (nonneg x)) samples then
       err "Empirical: samples must be finite and non-negative"
     else ok
 
@@ -42,9 +52,6 @@ let empirical_mean samples =
    scales and take the general path. *)
 let exactly_zero x = Float.classify_float x = FP_zero
 
-(* Below this magnitude mu*.mu underflows, so scv's division is meaningless. *)
-let tiny_mean = Float.sqrt Float.min_float
-
 let mean = function
   | Constant c -> c
   | Exponential m -> m
@@ -53,32 +60,6 @@ let mean = function
   | Hyperexponential (p, m1, m2) -> (p *. m1) +. ((1. -. p) *. m2)
   | Shifted_exponential (_, m) -> m
   | Empirical samples -> empirical_mean samples
-
-let variance = function
-  | Constant _ -> 0.
-  | Exponential m -> m *. m
-  | Uniform (lo, hi) ->
-    let w = hi -. lo in
-    w *. w /. 12.
-  | Erlang (k, m) -> m *. m /. Float.of_int k
-  | Hyperexponential (p, m1, m2) ->
-    (* E[X²] of a mixture of exponentials: sum p_i · 2·m_i². *)
-    let second = (p *. 2. *. m1 *. m1) +. ((1. -. p) *. 2. *. m2 *. m2) in
-    let mu = (p *. m1) +. ((1. -. p) *. m2) in
-    second -. (mu *. mu)
-  | Shifted_exponential (offset, m) ->
-    let tail = m -. offset in
-    tail *. tail
-  | Empirical samples ->
-    let mu = empirical_mean samples in
-    Array.fold_left (fun acc x -> acc +. ((x -. mu) ** 2.)) 0. samples
-    /. Float.of_int (Array.length samples)
-
-let scv t =
-  let mu = mean t in
-  if Float.abs mu < tiny_mean then 0. else variance t /. (mu *. mu)
-
-let residual_mean t = (1. +. scv t) /. 2. *. mean t
 
 let sample t rng =
   match check t with
@@ -104,8 +85,10 @@ let sample t rng =
   | Empirical samples -> samples.(Rng.int_below rng (Array.length samples))
 
 let of_mean_scv ~mean:m ~scv:c2 =
-  if m < 0. then invalid_arg "Distribution.of_mean_scv: negative mean";
-  if c2 < 0. then invalid_arg "Distribution.of_mean_scv: negative scv";
+  if not (Float.is_finite m && m >= 0.) then
+    invalid_arg "Distribution.of_mean_scv: mean must be finite and >= 0";
+  if not (Float.is_finite c2 && c2 >= 0.) then
+    invalid_arg "Distribution.of_mean_scv: scv must be finite and >= 0";
   if exactly_zero m || exactly_zero c2 then Constant m
   else if c2 < 1. then
     (* Shifted exponential: C² = (1 − offset/mean)², so
@@ -128,14 +111,3 @@ let of_mean_scv ~mean:m ~scv:c2 =
     in
     Hyperexponential (p, m1, m2)
   end
-
-let pp ppf = function
-  | Constant c -> Format.fprintf ppf "Const(%g)" c
-  | Exponential m -> Format.fprintf ppf "Exp(mean=%g)" m
-  | Uniform (lo, hi) -> Format.fprintf ppf "Uniform[%g, %g]" lo hi
-  | Erlang (k, m) -> Format.fprintf ppf "Erlang(k=%d, mean=%g)" k m
-  | Hyperexponential (p, m1, m2) -> Format.fprintf ppf "Hyperexp(p=%g, %g, %g)" p m1 m2
-  | Shifted_exponential (offset, m) -> Format.fprintf ppf "ShiftedExp(offset=%g, mean=%g)" offset m
-  | Empirical samples -> Format.fprintf ppf "Empirical(n=%d, mean=%g)" (Array.length samples) (empirical_mean samples)
-
-let to_string t = Format.asprintf "%a" pp t

@@ -37,19 +37,8 @@ type t =
 val mean : t -> float
 (** Exact mean. *)
 
-val variance : t -> float
-(** Exact variance. *)
-
-val scv : t -> float
-(** Squared coefficient of variation, [variance /. mean²]; [0.] when the
-    mean is [0.]. *)
-
 val sample : t -> Lopc_prng.Rng.t -> float
 (** [sample t rng] draws one value. The result is always [>= 0.]. *)
-
-val residual_mean : t -> float
-(** Mean residual life observed by a random arrival while a service of this
-    distribution is in progress: [(1 + C²)/2 · mean] (paper Eq 5.8). *)
 
 val of_mean_scv : mean:float -> scv:float -> t
 (** [of_mean_scv ~mean ~scv] builds a distribution with exactly the given
@@ -58,15 +47,11 @@ val of_mean_scv : mean:float -> scv:float -> t
     - [0 < scv < 1] → {!Shifted_exponential};
     - [scv = 1.] → {!Exponential};
     - [scv > 1.] → balanced-means two-phase {!Hyperexponential}.
-    @raise Invalid_argument if [mean < 0.] or [scv < 0.]. *)
+    @raise Invalid_argument unless [mean] and [scv] are finite and
+    [>= 0.]. *)
 
 val validate : t -> (t, string) result
-(** [validate t] is [Ok t] when the parameters satisfy the invariants
-    documented on each constructor, and [Error reason] otherwise. Sampling
-    an invalid distribution raises [Invalid_argument]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering, e.g. ["Exp(mean=200)"]. *)
-
-val to_string : t -> string
-(** [to_string t] is [Format.asprintf "%a" pp t]. *)
+(** [validate t] is [Ok t] when the parameters are finite and satisfy
+    the invariants documented on each constructor, and [Error reason]
+    otherwise. Sampling an invalid distribution raises
+    [Invalid_argument]. *)

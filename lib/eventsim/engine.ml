@@ -43,8 +43,6 @@ let schedule t ~delay f =
 
 let cancel ev = ev.cancelled <- true
 
-let is_cancelled ev = ev.cancelled
-
 let rec step t =
   if Event_heap.is_empty t.queue then false
   else begin
@@ -61,26 +59,3 @@ let rec step t =
         true
       end
   end
-
-let run ?until ?max_events t =
-  let budget_left () =
-    match max_events with None -> true | Some m -> t.executed < m
-  in
-  let within_horizon () =
-    match until with
-    | None -> true
-    | Some horizon -> (
-      match Event_heap.peek_time t.queue with
-      | None -> false
-      | Some next -> next <= horizon)
-  in
-  let continue = ref true in
-  while !continue do
-    if budget_left () && within_horizon () then begin
-      if not (step t) then continue := false
-    end
-    else continue := false
-  done;
-  match until with
-  | Some horizon when t.now.(0) < horizon && budget_left () -> t.now.(0) <- horizon
-  | Some _ | None -> ()

@@ -40,9 +40,6 @@ val cancel : handle -> unit
 (** Cancel the event; a no-op if it already ran or was already
     cancelled. *)
 
-val is_cancelled : handle -> bool
-(** Whether {!cancel} was called on this handle. *)
-
 val set_observer : t -> (t -> unit) -> unit
 (** [set_observer t f] calls [f t] after every executed event — after
     the event's action ran and the clock advanced, so [f] sees the
@@ -53,8 +50,3 @@ val set_observer : t -> (t -> unit) -> unit
 val step : t -> bool
 (** Execute the earliest pending event. Returns [false] when no events
     remain (cancelled events are skipped silently). *)
-
-val run : ?until:float -> ?max_events:int -> t -> unit
-(** [run t] executes events until none remain, the clock passes [until],
-    or [max_events] have executed. When stopping on [until], the clock is
-    advanced to exactly [until] and remaining events stay pending. *)

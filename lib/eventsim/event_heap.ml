@@ -140,29 +140,6 @@ let pop_payload t =
      doubles each iteration), so it is bounded by the heap depth; no budget \
      can be threaded below the simulator's per-event granularity"]
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let time = t.times.(0) in
-    match pop_payload t with
-    | Some x -> Some (time, x)
-    | None -> assert false (* slots below [size] are always populated *)
-  end
-
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
-
 let peek_time_exn t =
   if t.size = 0 then invalid_arg "Event_heap.peek_time_exn: empty heap"
   else t.times.(0)
-
-let clear t =
-  (* Null every live payload slot (releasing the closures) but keep small
-     arrays, mirroring the drain policy above. *)
-  if Array.length t.data > retained_capacity then begin
-    t.times <- [||];
-    t.seqs <- [||];
-    t.data <- [||]
-  end
-  else Array.fill t.data 0 t.size None;
-  t.size <- 0;
-  t.next_seq <- 0

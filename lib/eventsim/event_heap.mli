@@ -1,10 +1,11 @@
 (** Binary min-heap of timestamped items with stable FIFO tie-breaking.
 
-    The core data structure of the event engine: [pop] always returns the
-    item with the smallest timestamp, and among equal timestamps the one
-    inserted first. This determinism matters — the simulator's results
-    must be a pure function of its seed, and the paper's constant-service
-    configurations produce many simultaneous events.
+    The core data structure of the event engine: {!pop_payload} always
+    removes the item with the smallest timestamp, and among equal
+    timestamps the one inserted first. This determinism matters — the
+    simulator's results must be a pure function of its seed, and the
+    paper's constant-service configurations produce many simultaneous
+    events.
 
     The entry order is the explicit monomorphic comparison
     [time ascending, then seq ascending] — a total order defined in one
@@ -32,29 +33,13 @@ val push : 'a t -> time:float -> 'a -> unit
 (** [push t ~time x] inserts [x] with the given timestamp.
     @raise Invalid_argument if [time] is not finite. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest item, or [None] when empty. The vacated
-    slot is nulled, so a popped payload — typically a closure over node
-    state — is released immediately rather than retained until the slot is
-    overwritten. A drain keeps a small backing array (repeatedly popping
-    to empty must not re-allocate per cycle) but drops anything larger, so
-    a burst does not pin its high-water mark. *)
-
 val pop_payload : 'a t -> 'a option
-(** Allocation-free variant of {!pop} for the dispatch hot path: removes
-    the earliest item and returns the payload cell as stored, without
-    building a tuple or boxing the timestamp. Read the timestamp first
-    with {!peek_time_exn} if it is needed. Same slot-nulling guarantees
-    as {!pop}. *)
-
-val peek_time : 'a t -> float option
-(** Timestamp of the earliest item without removing it. *)
+(** Removes the earliest item and returns the payload cell as stored,
+    without building a tuple or boxing the timestamp (the dispatch hot
+    path). Read the timestamp first with {!peek_time_exn} if it is
+    needed. The vacated slot is nulled, so a popped payload is
+    collectable at once. *)
 
 val peek_time_exn : 'a t -> float
 (** Unboxed {!peek_time} for the dispatch hot path.
     @raise Invalid_argument when the heap is empty. *)
-
-val clear : 'a t -> unit
-(** Remove everything, nulling every payload slot (releasing every
-    payload, not just resetting the size); large backing arrays are
-    dropped, small ones retained like after a drain. *)

@@ -16,14 +16,6 @@ type status =
 
 type iteration = Auto | Power | Gauss_seidel
 
-let status_to_string = function
-  | Converged { iters } -> Printf.sprintf "converged in %d iterations" iters
-  | Not_converged { iters; diff } ->
-    Printf.sprintf "not converged after %d iterations (l1 residual %g)" iters diff
-  | Exhausted { reason } -> Lopc_robust.Budget.reason_to_string reason
-  | Too_large { max_states } ->
-    Printf.sprintf "state space exceeds %d states" max_states
-
 (* The reachable generator in compressed sparse row form. Row [i] holds the
    off-diagonal outgoing transitions of state [i], in the exact order the
    caller's [transitions] function produced them (duplicate destinations
@@ -309,23 +301,7 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
   | Lopc_robust.Budget.Stop reason -> (None, Exhausted { reason })
   | State_space_too_large max_states -> (None, Too_large { max_states })
 
-(* Legacy entry point: raises on overflow, silently returns the last
-   iterate past [max_iter] — exactly the old contract. *)
-let solve ?iteration ?max_states ?tol ?max_iter ~initial ~transitions () =
-  match solve_status ?iteration ?max_states ?tol ?max_iter ~initial ~transitions () with
-  | Some sol, _ -> sol
-  | None, Too_large { max_states } -> raise (State_space_too_large max_states)
-  | None, _ ->
-    (* No budget was passed, so neither [Exhausted] nor any other
-       solution-less status can occur. *)
-    assert false
-
 let states t = Array.length t.pi
-
-let probability t s =
-  match Hashtbl.find_opt t.index s with Some i -> t.pi.(i) | None -> 0.
-
-let sum_pi t = Array.fold_left ( +. ) 0. t.pi
 
 (* Both aggregations iterate [state_of_id] (discovery order) rather than the
    hash table, so float accumulation order — and hence the exact result — is
@@ -334,11 +310,4 @@ let sum_pi t = Array.fold_left ( +. ) 0. t.pi
 let expectation t ~f =
   let acc = ref 0. in
   Array.iteri (fun i s -> acc := !acc +. (t.pi.(i) *. f s)) t.state_of_id;
-  !acc
-
-let rate_of t ~event ~transitions =
-  let acc = ref 0. in
-  Array.iteri
-    (fun i s -> acc := !acc +. (t.pi.(i) *. event s (transitions s)))
-    t.state_of_id;
   !acc

@@ -27,7 +27,8 @@ type iteration =
           if a sweep goes non-finite). *)
 
 exception State_space_too_large of int
-(** Raised (by {!solve} only) when exploration exceeds the state budget. *)
+(** The state budget a raising caller reports when {!solve_status}
+    returns [Too_large]. *)
 
 type status =
   | Converged of { iters : int }
@@ -41,8 +42,6 @@ type status =
   | Too_large of { max_states : int }
       (** Exploration exceeded [max_states]; no solution. *)
 
-val status_to_string : status -> string
-
 val solve_status :
   ?budget:Lopc_robust.Budget.t ->
   ?iteration:iteration ->
@@ -53,57 +52,27 @@ val solve_status :
   transitions:('state -> ('state * float) list) ->
   unit ->
   'state solution option * status
-(** Non-raising variant of {!solve}: state-space overflow comes back as
-    [Too_large] instead of an exception, a non-converged iteration is
-    reported (with its last scaled L1 residual) instead of silent, and
-    [budget] — consulted once per explored state and once per sweep,
-    whatever the [iteration] method — stops the computation with
-    [Exhausted]. Every method renormalizes the iterate each sweep, so
+(** [solve_status ~initial ~transitions ()] computes the stationary
+    distribution of the irreducible CTMC reachable from [initial].
+    [transitions s] lists [(successor, rate)] pairs with strictly positive
+    rates (duplicate successors are summed; self-loops ignored). Defaults:
+    [iteration = Auto], [max_states = 2_000_000], [tol = 1e-12],
+    [max_iter = 200_000]. States must be usable as [Hashtbl] keys
+    (structural equality). State-space overflow comes back as [Too_large],
+    a non-converged iteration is reported with its last scaled L1
+    residual, and [budget] — consulted once per explored state and once
+    per sweep, whatever the [iteration] method — stops the computation
+    with [Exhausted]. Every method renormalizes the iterate each sweep, so
     [sum pi = 1] holds to rounding error regardless of sweep count, and
     declares convergence on the residual of the current iterate (never on
     the raw successive step alone). Only raises [Invalid_argument] (on a
     non-finite or negative rate). *)
 
-val solve :
-  ?iteration:iteration ->
-  ?max_states:int ->
-  ?tol:float ->
-  ?max_iter:int ->
-  initial:'state ->
-  transitions:('state -> ('state * float) list) ->
-  unit ->
-  'state solution
-(** [solve ~initial ~transitions ()] computes the stationary distribution
-    of the irreducible CTMC reachable from [initial]. [transitions s]
-    lists [(successor, rate)] pairs with strictly positive rates
-    (duplicate successors are summed; self-loops ignored). Defaults:
-    [iteration = Auto], [max_states = 2_000_000], [tol = 1e-12],
-    [max_iter = 200_000].
-    States must be usable as [Hashtbl] keys (structural equality).
-    @raise State_space_too_large when the budget is exceeded.
-    @raise Invalid_argument on a non-positive rate. *)
-
 val states : 'state solution -> int
 (** Number of reachable states. *)
-
-val probability : 'state solution -> 'state -> float
-(** Stationary probability of one state ([0.] if unreachable). *)
-
-val sum_pi : 'state solution -> float
-(** [Σ_s π(s)], summed in discovery order. Every solver sweep renormalizes,
-    so this is [1.] to rounding error — exposed so tests can pin the
-    invariant down instead of trusting it. *)
 
 val expectation : 'state solution -> f:('state -> float) -> float
 (** [expectation sol ~f] is [Σ_s π(s)·f(s)]. Summation runs over states in
     discovery order (the order exploration first reached them), never in
     [Hashtbl] bucket order, so the floating-point result is a function of
     the model alone and is bit-for-bit reproducible. *)
-
-val rate_of : 'state solution -> event:('state -> ('state * float) list -> float) ->
-  transitions:('state -> ('state * float) list) -> float
-(** [rate_of sol ~event ~transitions] is the steady-state rate of an
-    event class: [Σ_s π(s) ·. event s (transitions s)], where [event]
-    returns the total rate of the transitions of interest out of [s]
-    (e.g. completions of a particular handler). Like {!expectation}, the
-    sum runs in deterministic discovery order. *)

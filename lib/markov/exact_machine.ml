@@ -178,7 +178,7 @@ let all_to_all_status ?budget ?(max_states = 2_000_000) ~p ~w ~so ~st () =
     | Some sol, status -> (Some (aggregate m ~mu_so:(1. /. so) sol), status)
     | None, status -> (None, status))
 
-(* Like [Ctmc.solve]: raises on overflow and returns the last iterate of a
+(* Raises on overflow and returns the last iterate of a
    non-converged sweep. *)
 let all_to_all ?max_states ~p ~w ~so ~st () =
   match all_to_all_status ?max_states ~p ~w ~so ~st () with

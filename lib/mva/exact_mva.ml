@@ -15,12 +15,14 @@ let validate ?(think_time = 0.) ~stations ~population () =
   if population > 0 && total_demand <= 0. then
     invalid_arg "Exact_mva: zero total demand with positive population"
 
-(* One pass of the exact recursion, calling [report n x residence queues]
-   after each population step. *)
-let recurse ?(think_time = 0.) ~stations ~population ~report () =
+(* The exact recursion over populations 1..N; the residences and queues
+   of the last step are the solution at N. *)
+let solve ?(think_time = 0.) ~stations ~population () =
+  validate ~think_time ~stations ~population ();
   let k = Array.length stations in
   let queues = Array.make k 0. in
   let residence = Array.make k 0. in
+  let x = ref 0. in
   for n = 1 to population do
     for i = 0 to k - 1 do
       let s = stations.(i) in
@@ -30,40 +32,16 @@ let recurse ?(think_time = 0.) ~stations ~population ~report () =
         | Station.Queueing -> s.demand *. (1. +. queues.(i)))
     done;
     let cycle = think_time +. Array.fold_left ( +. ) 0. residence in
-    let x = Float.of_int n /. cycle in
+    x := Float.of_int n /. cycle;
     for i = 0 to k - 1 do
-      queues.(i) <- x *. residence.(i)
-    done;
-    report n x residence queues
-  done
-
-let solve ?(think_time = 0.) ~stations ~population () =
-  validate ~think_time ~stations ~population ();
-  let k = Array.length stations in
-  let final_x = ref 0. in
-  let final_res = Array.make k 0. in
-  let final_q = Array.make k 0. in
-  recurse ~think_time ~stations ~population
-    ~report:(fun n x residence queues ->
-      if n = population then begin
-        final_x := x;
-        Array.blit residence 0 final_res 0 k;
-        Array.blit queues 0 final_q 0 k
-      end)
-    ();
-  let x = !final_x in
+      queues.(i) <- !x *. residence.(i)
+    done
+  done;
+  let x = !x in
   {
     Solution.throughput = x;
     cycle_time = (if Float.equal x 0. then Float.nan else Float.of_int population /. x);
-    residence = final_res;
-    queue_length = final_q;
+    residence;
+    queue_length = queues;
     utilization = Array.map (fun (s : Station.t) -> x *. s.demand) stations;
   }
-
-let throughput_curve ?(think_time = 0.) ~stations ~max_population () =
-  validate ~think_time ~stations ~population:max_population ();
-  let out = Array.make max_population 0. in
-  recurse ~think_time ~stations ~population:max_population
-    ~report:(fun n x _ _ -> out.(n - 1) <- x)
-    ();
-  out

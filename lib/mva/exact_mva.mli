@@ -19,9 +19,3 @@ val solve :
     @raise Invalid_argument if [population < 0], [think_time < 0.], or
     [stations] is empty and [think_time = 0.] with positive population
     (cycle time would be zero). *)
-
-val throughput_curve :
-  ?think_time:float -> stations:Station.t array -> max_population:int -> unit -> float array
-(** [throughput_curve ~stations ~max_population] is
-    [X(1), ..., X(max_population)] from a single pass of the recursion —
-    cheaper than repeated {!solve} calls. *)

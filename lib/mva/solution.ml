@@ -5,17 +5,3 @@ type t = {
   queue_length : float array;
   utilization : float array;
 }
-
-let little_consistent ?(tol = 1e-6) ~population t =
-  let total = Array.fold_left ( +. ) 0. t.queue_length in
-  let n = Float.of_int population in
-  Float.abs (total -. n) <= tol *. Float.max 1. n
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>X = %g, cycle = %g@," t.throughput t.cycle_time;
-  Array.iteri
-    (fun k r ->
-      Format.fprintf ppf "  station %d: R=%g Q=%g U=%g@," k r t.queue_length.(k)
-        t.utilization.(k))
-    t.residence;
-  Format.fprintf ppf "@]"

@@ -7,11 +7,3 @@ type t = {
   queue_length : float array;    (** Per-station mean customers [Q_k]. *)
   utilization : float array;     (** Per-station utilization [U_k = X·D_k]. *)
 }
-
-val little_consistent : ?tol:float -> population:int -> t -> bool
-(** [little_consistent ~population s] checks [Σ Q_k ≈ population] (Little's
-    law over the whole network), the basic sanity invariant of any MVA
-    solution. [tol] is relative (default [1e-6]). *)
-
-val pp : Format.formatter -> t -> unit
-(** Multi-line rendering. *)

@@ -26,18 +26,3 @@ let queueing ?(scv = 1.) ?(servers = 1) ~demand () =
       "negative-cost"
         "raw constructor arguments: [check] rejects any out-of-range field before \
          the record escapes"])
-
-let delay ~demand =
-  check
-    ({ kind = Delay; demand; scv = 0.; servers = 1 }
-    [@lint.allow
-      "negative-cost"
-        "raw constructor argument: [check] rejects a negative demand before the \
-         record escapes"])
-
-let pp ppf t =
-  match t.kind with
-  | Queueing ->
-    if t.servers = 1 then Format.fprintf ppf "Queueing(D=%g, C2=%g)" t.demand t.scv
-    else Format.fprintf ppf "Queueing(D=%g, C2=%g, c=%d)" t.demand t.scv t.servers
-  | Delay -> Format.fprintf ppf "Delay(D=%g)" t.demand

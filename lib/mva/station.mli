@@ -28,11 +28,5 @@ val queueing : ?scv:float -> ?servers:int -> demand:float -> unit -> t
     @raise Invalid_argument if [demand < 0.], [scv < 0.] or
     [servers < 1]. *)
 
-val delay : demand:float -> t
-(** Infinite-server station. @raise Invalid_argument if [demand < 0.]. *)
-
 val validate : t -> (t, string) result
 (** Check the invariants stated above. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering. *)

@@ -8,14 +8,10 @@ type status =
   | Diverged of { iters : int; residual : float }
   | Exhausted of { iters : int; reason : Budget.stop_reason }
 
-(* The raising [solve_vector] predates the structured [status] type;
-   type-directed disambiguation separates the exception from the [status]
-   constructor of the same name. *)
+(* The model solvers' raising [solve] wrappers predate the structured
+   [status] type; type-directed disambiguation separates the exception from
+   the [status] constructor of the same name. *)
 exception Diverged of string
-
-let is_converged = function
-  | Converged _ -> true
-  | Saturated _ | Diverged _ | Exhausted _ -> false
 
 let pp_status ppf = function
   | Converged { iters } -> Format.fprintf ppf "converged in %d iterations" iters
@@ -34,14 +30,13 @@ let max_norm_diff a b =
   Array.iteri (fun i ai -> m := Float.max !m (Float.abs (ai -. b.(i)))) a;
   !m
 
-(* The one damped, budgeted, probed iteration loop: returns the outcome,
-   the structured status, and a human-readable reason used by the raising
-   wrapper. The scalar solver is its length-1 case. *)
+(* The one damped, budgeted, probed iteration loop: returns the outcome
+   and the structured status. The scalar solver is its length-1 case. *)
 let vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f ~name x0 =
   if damping <= 0. || damping > 1. then invalid_arg (name ^ ": damping");
   let n = Array.length x0 in
   let x = ref (Array.copy x0) in
-  let result : (outcome * status * string) option ref = ref None in
+  let result : (outcome * status) option ref = ref None in
   (try
      for iter = 1 to max_iter do
        (match budget with
@@ -53,24 +48,21 @@ let vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f ~name x0 =
            result :=
              Some
                ( { value = !x; iterations = iter - 1; residual = Float.nan },
-                 Exhausted { iters = iter - 1; reason },
-                 "vector iteration stopped: " ^ Budget.reason_to_string reason );
+                 Exhausted { iters = iter - 1; reason } );
            raise Exit));
        let fx = f !x in
        if Array.length fx <> n then begin
          result :=
            Some
              ( { value = !x; iterations = iter; residual = Float.nan },
-               Diverged { iters = iter; residual = Float.nan },
-               "vector map changed dimension" );
+               Diverged { iters = iter; residual = Float.nan } );
          raise Exit
        end;
        if not (Array.for_all Float.is_finite fx) then begin
          result :=
            Some
              ( { value = !x; iterations = iter; residual = Float.nan },
-               Diverged { iters = iter; residual = Float.nan },
-               "vector iteration left the finite domain" );
+               Diverged { iters = iter; residual = Float.nan } );
          raise Exit
        end;
        let residual = max_norm_diff fx !x in
@@ -89,9 +81,7 @@ let vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f ~name x0 =
        if residual <= tol *. scale then begin
          result :=
            Some
-             ( { value = fx; iterations = iter; residual },
-               Converged { iters = iter },
-               "" );
+             ({ value = fx; iterations = iter; residual }, Converged { iters = iter });
          raise Exit
        end;
        let next =
@@ -109,31 +99,21 @@ let vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f ~name x0 =
           max_norm_diff fx !x
         else Float.nan
       in
-      ( { value = !x; iterations = max_iter; residual },
-        Diverged { iters = max_iter; residual },
-        "vector iteration budget exhausted" )
+      ({ value = !x; iterations = max_iter; residual }, Diverged { iters = max_iter; residual })
 
 let solve_vector_status ?probe ?budget ?(damping = 1.) ?(tol = 1e-10)
     ?(max_iter = 10_000) ~f x0 =
-  let outcome, status, _ =
-    vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f
-      ~name:"Fixed_point.solve_vector_status" x0
-  in
-  (outcome, status)
+  vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f
+    ~name:"Fixed_point.solve_vector_status" x0
 
 let solve_scalar_status ?probe ?budget ?(damping = 1.) ?(tol = 1e-10)
     ?(max_iter = 10_000) ~f x0 =
-  let outcome, status, _ =
+  let outcome, status =
     vector_impl ?probe ?budget ~damping ~tol ~max_iter
       ~f:(fun x -> [| f x.(0) |])
       ~name:"Fixed_point.solve_scalar_status" [| x0 |]
   in
   (outcome.value.(0), status)
-
-let solve_vector ?(damping = 1.) ?(tol = 1e-10) ?(max_iter = 10_000) ~f x0 =
-  match vector_impl ~damping ~tol ~max_iter ~f ~name:"Fixed_point.solve_vector" x0 with
-  | outcome, Converged _, _ -> outcome
-  | _, _, reason -> raise (Diverged reason)
 
 (* Roots gives the residual callback no way out but an exception, so the
    budget stop and a non-finite residual are raised there ([residual] is

@@ -33,9 +33,6 @@ type status =
 (** Structured solver outcome shared by every fixed-point solver in the
     repository — no solve entry point returns silently after [max_iter]. *)
 
-val is_converged : status -> bool
-(** [true] only for [Converged _]. *)
-
 val pp_status : Format.formatter -> status -> unit
 (** Human-readable rendering, e.g. ["converged in 14 iterations"]. *)
 
@@ -43,10 +40,10 @@ val status_to_string : status -> string
 (** [status_to_string s] is {!pp_status} rendered to a string. *)
 
 exception Diverged of string
-(** Raised by the raising entry points ({!solve_vector} and the model
-    solvers' [solve]) when the iteration produces non-finite values or
-    exhausts its budget without meeting the tolerance. New code should
-    prefer the [_status] variants. *)
+(** Raised by the model solvers' raising [solve] entry points when the
+    iteration produces non-finite values or exhausts its budget without
+    meeting the tolerance. New code should prefer the [_status]
+    variants. *)
 
 val solve_scalar_status :
   ?probe:Solver_probe.t ->
@@ -73,19 +70,6 @@ val solve_scalar_status :
     [|f x − x|] at the last iterate, or [nan] when [f x] is not finite.
     Only raises [Invalid_argument] on a bad [damping]. *)
 
-val solve_vector :
-  ?damping:float ->
-  ?tol:float ->
-  ?max_iter:int ->
-  f:(float array -> float array) ->
-  float array ->
-  outcome
-(** [solve_vector ~f x0] iterates [x <- (1−d)·x + d·f x] from [x0] until
-    the max norm of [f x − x] is at most [tol ·. max 1. ‖x‖∞], with the
-    defaults of {!solve_scalar_status}. [f] must return an array of the
-    same length as its input.
-    @raise Diverged if convergence fails or lengths mismatch. *)
-
 val solve_vector_status :
   ?probe:Solver_probe.t ->
   ?budget:Lopc_robust.Budget.t ->
@@ -95,7 +79,11 @@ val solve_vector_status :
   f:(float array -> float array) ->
   float array ->
   outcome * status
-(** Non-raising variant of {!solve_vector}. On [Diverged _] the returned
+(** [solve_vector_status ~f x0] iterates [x <- (1−d)·x + d·f x] from
+    [x0] until the max norm of [f x − x] is at most [tol ·. max 1. ‖x‖∞],
+    with the defaults of {!solve_scalar_status}. [f] must return an array
+    of the same length as its input; a map that changes the length is
+    [Diverged _] with a [nan] residual. On [Diverged _] the returned
     [outcome.value] is the last finite iterate, which model-level callers
     use to diagnose saturation. [probe] and [budget] are as in
     {!solve_scalar_status}, with the full iterate copied per event. Only

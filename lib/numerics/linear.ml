@@ -37,45 +37,3 @@ let solve a b =
     x.(row) <- !acc /. m.(row).(row)
   done;
   x
-
-let mat_vec a x =
-  let n = Array.length x in
-  Array.map
-    (fun row ->
-      if Array.length row <> n then invalid_arg "Linear.mat_vec: dimension mismatch";
-      let acc = ref 0. in
-      Array.iteri (fun j v -> acc := !acc +. (v *. x.(j))) row;
-      !acc)
-    a
-
-let stationary_distribution ?(tol = 1e-12) p =
-  let n = Array.length p in
-  if n = 0 then invalid_arg "Linear.stationary_distribution: empty matrix";
-  Array.iter
-    (fun row ->
-      if Array.length row <> n then
-        invalid_arg "Linear.stationary_distribution: not square";
-      let sum = Array.fold_left ( +. ) 0. row in
-      Array.iter
-        (fun v ->
-          if v < 0. then invalid_arg "Linear.stationary_distribution: negative entry")
-        row;
-      if Float.abs (sum -. 1.) > 1e-6 then
-        invalid_arg "Linear.stationary_distribution: row does not sum to 1")
-    p;
-  let pi = ref (Array.make n (1. /. Float.of_int n)) in
-  let next = Array.make n 0. in
-  let converged = ref false in
-  let iter = ref 0 in
-  while (not !converged) && !iter < 100_000 do
-    incr iter;
-    Array.fill next 0 n 0.;
-    Array.iteri
-      (fun i v -> Array.iteri (fun j pij -> next.(j) <- next.(j) +. (v *. pij)) p.(i))
-      !pi;
-    let diff = ref 0. in
-    Array.iteri (fun j v -> diff := Float.max !diff (Float.abs (v -. !pi.(j)))) next;
-    Array.blit next 0 !pi 0 n;
-    if !diff <= tol then converged := true
-  done;
-  !pi

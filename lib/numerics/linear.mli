@@ -12,14 +12,3 @@ val solve : float array array -> float array -> float array
 (** [solve a b] returns [x] with [a ·. x = b]. [a] is row-major and left
     unmodified. @raise Invalid_argument on dimension mismatch.
     @raise Singular when no unique solution exists. *)
-
-val mat_vec : float array array -> float array -> float array
-(** [mat_vec a x] is the matrix–vector product.
-    @raise Invalid_argument on dimension mismatch. *)
-
-val stationary_distribution : ?tol:float -> float array array -> float array
-(** [stationary_distribution p] returns the stationary row vector [π] of
-    the irreducible row-stochastic matrix [p] ([π ·. p = π], [Σπ = 1]) by
-    power iteration. Used to turn a message routing matrix into per-node
-    visit fractions. @raise Invalid_argument if [p] is not square, has a
-    negative entry, or a row does not sum to 1 within [tol]-ish slack. *)

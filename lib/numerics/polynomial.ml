@@ -29,10 +29,6 @@ let of_coeffs a =
     a;
   trim a
 
-let coeffs t = Array.copy t
-
-let degree t = Array.length t - 1
-
 let eval t x =
   let acc = ref 0. in
   for i = Array.length t - 1 downto 0 do
@@ -43,24 +39,6 @@ let eval t x =
 let derivative t =
   if Array.length t = 1 then [| 0. |]
   else trim (Array.init (Array.length t - 1) (fun i -> Float.of_int (i + 1) *. t.(i + 1)))
-
-let add a b =
-  let n = Stdlib.max (Array.length a) (Array.length b) in
-  let get p i = if i < Array.length p then p.(i) else 0. in
-  trim (Array.init n (fun i -> get a i +. get b i))
-
-let mul a b =
-  let n = Array.length a + Array.length b - 1 in
-  let out = Array.make n 0. in
-  Array.iteri
-    (fun i ai -> Array.iteri (fun j bj -> out.(i + j) <- out.(i + j) +. (ai *. bj)) b)
-    a;
-  trim out
-
-let scale k t = trim (Array.map (fun c -> k *. c) t)
-
-let of_roots roots =
-  Array.fold_left (fun acc r -> mul acc [| -.r; 1. |]) [| 1. |] roots
 
 let is_zero t = Array.length t = 1 && Float.equal t.(0) 0.
 
@@ -215,19 +193,3 @@ let real_roots t =
       | _ -> out := r :: !out)
     polished;
   Array.of_list (List.rev !out)
-
-let pp ppf t =
-  let started = ref false in
-  for i = Array.length t - 1 downto 0 do
-    let c = t.(i) in
-    if (not (Float.equal c 0.)) || (Array.length t = 1 && i = 0) then begin
-      if !started then Format.fprintf ppf (if c >= 0. then " + " else " - ")
-      else if c < 0. then Format.fprintf ppf "-";
-      started := true;
-      let a = Float.abs c in
-      if i = 0 then Format.fprintf ppf "%g" a
-      else if i = 1 then Format.fprintf ppf "%g x" a
-      else Format.fprintf ppf "%g x^%d" a i
-    end
-  done;
-  if not !started then Format.fprintf ppf "0"

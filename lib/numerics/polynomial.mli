@@ -6,8 +6,9 @@
     the model can be solved either symbolically or via the generic
     iterations in {!Fixed_point}. *)
 
-type t
-(** A polynomial with real coefficients. *)
+type t = private float array
+(** A polynomial with real coefficients, lowest order first; the leading
+    coefficient is non-zero except for the zero polynomial [\[|0.|\]]. *)
 
 val of_coeffs : float array -> t
 (** [of_coeffs [|c0; c1; ...; cn|]] represents [c0 + c1·x + ... + cn·xⁿ].
@@ -15,30 +16,11 @@ val of_coeffs : float array -> t
     @raise Invalid_argument on an empty array or non-finite
     coefficients. *)
 
-val coeffs : t -> float array
-(** Coefficient array, lowest order first; the leading coefficient is
-    non-zero except for the zero polynomial [\[|0.|\]]. *)
-
-val degree : t -> int
-(** Degree; the zero polynomial has degree 0 by convention here. *)
-
 val eval : t -> float -> float
 (** Horner evaluation. *)
 
 val derivative : t -> t
 (** Formal derivative. *)
-
-val add : t -> t -> t
-(** Polynomial sum. *)
-
-val mul : t -> t -> t
-(** Polynomial product. *)
-
-val scale : float -> t -> t
-(** Multiply every coefficient. *)
-
-val of_roots : float array -> t
-(** Monic polynomial with exactly the given real roots. *)
 
 val real_roots : t -> float array
 (** All real roots (with multiplicity collapsed to distinct values),
@@ -47,6 +29,3 @@ val real_roots : t -> float array
     of the derivative. Roots are Newton-polished.
     @raise Invalid_argument on the zero polynomial (every point is a
     root). *)
-
-val pp : Format.formatter -> t -> unit
-(** Render e.g. ["3 x^2 - 1 x + 2"]. *)

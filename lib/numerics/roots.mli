@@ -28,6 +28,6 @@ val brent_above : f:(float -> float) -> float -> float
     [max 1 (|lo|/10)], doubling, at most 100 expansions) until [f]
     changes sign, then runs {!brent} on it. This is how both the LoPC
     fixed point (above its contention-free lower bound) and the
-    increasing-function searches ([Scaling], [Gap], [Torus]) are found.
+    increasing-function search of [Gap] are found.
     @raise No_bracket if no sign change is found within the expansion
     budget. *)

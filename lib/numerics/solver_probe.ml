@@ -7,65 +7,3 @@ type event = {
 }
 
 type t = event -> unit
-
-type log = {
-  limit : int;
-  mutable rev : event list;  (* newest first *)
-  mutable kept : int;
-  mutable offered : int;
-}
-
-let log ?(limit = 100_000) () =
-  if limit < 1 then invalid_arg "Solver_probe.log: limit must be positive";
-  let l = { limit; rev = []; kept = 0; offered = 0 } in
-  let probe ev =
-    l.offered <- l.offered + 1;
-    if l.kept < l.limit then begin
-      l.rev <- ev :: l.rev;
-      l.kept <- l.kept + 1
-    end
-  in
-  (l, probe)
-
-let events l = List.rev l.rev
-
-let count l = l.offered
-
-let residuals l =
-  let arr = Array.make l.kept 0. in
-  let i = ref (l.kept - 1) in
-  List.iter
-    (fun ev ->
-      arr.(!i) <- ev.residual;
-      decr i)
-    l.rev;
-  arr
-
-let last l = match l.rev with [] -> None | ev :: _ -> Some ev
-
-let strictly_decreasing ?(from = 0) l =
-  let r = residuals l in
-  let from = max 0 from in
-  let ok = ref true in
-  for i = from to Array.length r - 1 do
-    if not (Float.is_finite r.(i)) then ok := false;
-    if i > from && r.(i) >= r.(i - 1) then ok := false
-  done;
-  !ok
-
-let hottest l =
-  let rec find = function
-    | [] -> None
-    | ev :: rest -> ( match ev.hottest with Some _ as h -> h | None -> find rest)
-  in
-  find l.rev
-
-let pp_event ppf ev =
-  Format.fprintf ppf "iter %4d  residual %.6e  damping %.3f" ev.iter ev.residual
-    ev.damping;
-  match ev.hottest with
-  | None -> ()
-  | Some (station, u) -> Format.fprintf ppf "  hottest station %d (u=%.4f)" station u
-
-let pp ppf l =
-  List.iter (fun ev -> Format.fprintf ppf "%a@." pp_event ev) (events l)

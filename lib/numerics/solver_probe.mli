@@ -27,35 +27,3 @@ type t = event -> unit
 (** Probes must not raise: an exception thrown from a probe escapes the
     [solve_status] entry points ([exn-escape] holds only for the
     solvers' own code). *)
-
-type log
-(** An accumulating probe for tests and post-mortems. *)
-
-val log : ?limit:int -> unit -> log * t
-(** A fresh collector and the probe that feeds it; events beyond
-    [limit] (default [100_000]) are counted but discarded. *)
-
-val events : log -> event list
-(** Collected events, oldest first. *)
-
-val count : log -> int
-(** Events offered, including any discarded beyond the limit. *)
-
-val residuals : log -> float array
-(** The residual sequence, oldest first. *)
-
-val last : log -> event option
-
-val strictly_decreasing : ?from:int -> log -> bool
-(** Whether the residual sequence is finite and strictly decreasing
-    from index [from] (default [0]) on. [true] when fewer than two
-    events qualify. *)
-
-val hottest : log -> (int * float) option
-(** The [hottest] field of the last event that carried one. *)
-
-val pp_event : Format.formatter -> event -> unit
-(** One line: [iter residual damping [hottest station/utilization]]. *)
-
-val pp : Format.formatter -> log -> unit
-(** All collected events, one {!pp_event} line each. *)

@@ -1,26 +1,8 @@
-module Histogram = Lopc_stats.Histogram
-module P2_quantile = Lopc_stats.P2_quantile
-
 type handler_state = H_idle | H_request | H_reply
 
-type node_state = {
-  queue : Series.t;
-  thread : Series.t;
-  busy_request : Series.t;
-  busy_reply : Series.t;
-  mutable thread_open : bool;
-  mutable handler : handler_state;
-}
+type node_state = { mutable thread_open : bool; mutable handler : handler_state }
 
-type t = {
-  nodes : int;
-  recorder : Recorder.t option;
-  states : node_state array;
-  depth_hist : Histogram.t;
-  depth_p99 : P2_quantile.t;
-  depth_samples : Reservoir.t;
-  mutable cycles : int;
-}
+type t = { nodes : int; recorder : Recorder.t; states : node_state array }
 
 let span_w = "W"
 let span_rq = "Rq"
@@ -33,45 +15,23 @@ let thread_track node = 2 * node
 let handler_track node = (2 * node) + 1
 let engine_track t = 2 * t.nodes
 
-let create ?recorder ?(window = 1000.) ~nodes () =
+let create ~recorder ~nodes () =
   if nodes < 1 then invalid_arg "Sim_probe.create: nodes must be positive";
-  let state _ =
-    {
-      queue = Series.create ~window ();
-      thread = Series.create ~window ();
-      busy_request = Series.create ~window ();
-      busy_reply = Series.create ~window ();
-      thread_open = false;
-      handler = H_idle;
-    }
-  in
   {
     nodes;
     recorder;
-    states = Array.init nodes state;
-    depth_hist = Histogram.create ~lo:0. ~hi:64. ~bins:64;
-    depth_p99 = P2_quantile.create ~q:0.99;
-    depth_samples = Reservoir.create ~capacity:1024 ();
-    cycles = 0;
+    states = Array.init nodes (fun _ -> { thread_open = false; handler = H_idle });
   }
-
-let nodes t = t.nodes
-
-let recorder t = t.recorder
-
-let on_recorder t f = match t.recorder with None -> () | Some r -> f r
 
 let thread_running t ~node ~now running =
   let st = t.states.(node) in
   if running && not st.thread_open then begin
     st.thread_open <- true;
-    Series.update st.thread ~now 1.;
-    on_recorder t (fun r -> Recorder.begin_span r ~ts:now ~track:(thread_track node) span_w)
+    Recorder.begin_span t.recorder ~ts:now ~track:(thread_track node) span_w
   end
   else if (not running) && st.thread_open then begin
     st.thread_open <- false;
-    Series.update st.thread ~now 0.;
-    on_recorder t (fun r -> Recorder.end_span r ~ts:now ~track:(thread_track node) span_w)
+    Recorder.end_span t.recorder ~ts:now ~track:(thread_track node) span_w
   end
 
 let handler_begin t ~node ~now ~reply =
@@ -81,15 +41,11 @@ let handler_begin t ~node ~now ~reply =
   | H_idle ->
     if reply then begin
       st.handler <- H_reply;
-      Series.update st.busy_reply ~now 1.;
-      on_recorder t (fun r ->
-          Recorder.begin_span r ~ts:now ~track:(handler_track node) span_ry)
+      Recorder.begin_span t.recorder ~ts:now ~track:(handler_track node) span_ry
     end
     else begin
       st.handler <- H_request;
-      Series.update st.busy_request ~now 1.;
-      on_recorder t (fun r ->
-          Recorder.begin_span r ~ts:now ~track:(handler_track node) span_rq)
+      Recorder.begin_span t.recorder ~ts:now ~track:(handler_track node) span_rq
     end
 
 let handler_end t ~node ~now ~reply =
@@ -97,49 +53,35 @@ let handler_end t ~node ~now ~reply =
   match (st.handler, reply) with
   | H_reply, true ->
     st.handler <- H_idle;
-    Series.update st.busy_reply ~now 0.;
-    on_recorder t (fun r -> Recorder.end_span r ~ts:now ~track:(handler_track node) span_ry)
+    Recorder.end_span t.recorder ~ts:now ~track:(handler_track node) span_ry
   | H_request, false ->
     st.handler <- H_idle;
-    Series.update st.busy_request ~now 0.;
-    on_recorder t (fun r -> Recorder.end_span r ~ts:now ~track:(handler_track node) span_rq)
+    Recorder.end_span t.recorder ~ts:now ~track:(handler_track node) span_rq
   | (H_idle | H_request | H_reply), _ -> ()
 
-let queue_depth t ~node ~now ~arrival depth =
-  let st = t.states.(node) in
-  let d = Float.of_int depth in
-  Series.update st.queue ~now d;
-  if arrival then begin
-    Histogram.add t.depth_hist d;
-    P2_quantile.add t.depth_p99 d;
-    Reservoir.add t.depth_samples ~ts:now d
-  end;
-  on_recorder t (fun r -> Recorder.counter r ~ts:now ~track:(handler_track node) "queue" d)
+let queue_depth t ~node ~now depth =
+  Recorder.counter t.recorder ~ts:now ~track:(handler_track node) "queue"
+    (Float.of_int depth)
 
 let cycle_completed t ~node ~now ~rw ~wire ~rq ~ry ~total =
-  t.cycles <- t.cycles + 1;
-  on_recorder t (fun r ->
-      Recorder.instant r ~ts:now ~track:(thread_track node) "cycle"
-        ~args:
-          [
-            ("rw", Recorder.Num rw);
-            ("wire", Recorder.Num wire);
-            ("rq", Recorder.Num rq);
-            ("ry", Recorder.Num ry);
-            ("r", Recorder.Num total);
-          ])
+  Recorder.instant t.recorder ~ts:now ~track:(thread_track node) "cycle"
+    ~args:
+      [
+        ("rw", Recorder.Num rw);
+        ("wire", Recorder.Num wire);
+        ("rq", Recorder.Num rq);
+        ("ry", Recorder.Num ry);
+        ("r", Recorder.Num total);
+      ]
 
 let fault_event ?value t ~node ~now name =
-  on_recorder t (fun r ->
-      let args =
-        match value with None -> [] | Some v -> [ ("value", Recorder.Num v) ]
-      in
-      Recorder.instant r ~ts:now ~track:(thread_track node) name ~args)
+  let args = match value with None -> [] | Some v -> [ ("value", Recorder.Num v) ] in
+  Recorder.instant t.recorder ~ts:now ~track:(thread_track node) name ~args
 
 let engine_sample t ~now ~heap ~executed =
-  on_recorder t (fun r ->
-      Recorder.counter r ~ts:now ~track:(engine_track t) "heap" (Float.of_int heap);
-      Recorder.counter r ~ts:now ~track:(engine_track t) "events" (Float.of_int executed))
+  let track = engine_track t in
+  Recorder.counter t.recorder ~ts:now ~track "heap" (Float.of_int heap);
+  Recorder.counter t.recorder ~ts:now ~track "events" (Float.of_int executed)
 
 let finish t ~now =
   Array.iteri
@@ -148,39 +90,12 @@ let finish t ~now =
       | H_idle -> ()
       | H_request ->
         st.handler <- H_idle;
-        on_recorder t (fun r ->
-            Recorder.end_span r ~ts:now ~track:(handler_track node) span_rq)
+        Recorder.end_span t.recorder ~ts:now ~track:(handler_track node) span_rq
       | H_reply ->
         st.handler <- H_idle;
-        on_recorder t (fun r ->
-            Recorder.end_span r ~ts:now ~track:(handler_track node) span_ry));
+        Recorder.end_span t.recorder ~ts:now ~track:(handler_track node) span_ry);
       if st.thread_open then begin
         st.thread_open <- false;
-        on_recorder t (fun r ->
-            Recorder.end_span r ~ts:now ~track:(thread_track node) span_w)
+        Recorder.end_span t.recorder ~ts:now ~track:(thread_track node) span_w
       end)
     t.states
-
-let cycles t = t.cycles
-
-let queue_series t ~node = t.states.(node).queue
-
-let thread_series t ~node = t.states.(node).thread
-
-let request_busy_series t ~node = t.states.(node).busy_request
-
-let reply_busy_series t ~node = t.states.(node).busy_reply
-
-let thread_utilization t ~node ~now = Series.average t.states.(node).thread ~now
-
-let request_utilization t ~node ~now = Series.average t.states.(node).busy_request ~now
-
-let reply_utilization t ~node ~now = Series.average t.states.(node).busy_reply ~now
-
-let mean_queue t ~node ~now = Series.average t.states.(node).queue ~now
-
-let arrival_depth_quantile t = P2_quantile.estimate t.depth_p99
-
-let arrival_depth_histogram t = t.depth_hist
-
-let depth_samples t = t.depth_samples

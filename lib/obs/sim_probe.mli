@@ -2,10 +2,8 @@
 
     One [Sim_probe.t] rides along a [Machine.run]: the simulator calls
     the transition functions below at its event hooks, and the probe
-    fans each transition into (a) span/instant/counter records on an
-    optional {!Recorder}, and (b) per-node fixed-window {!Series} so
-    queue length and utilization *trajectories* survive the run, not
-    just the end-of-run means.
+    turns each transition into span/instant/counter records on a
+    {!Recorder}.
 
     Track layout: node [i] owns track [2i] (thread work spans [W],
     cycle and fault instants) and track [2i+1] (handler service spans
@@ -19,15 +17,9 @@
 
 type t
 
-val create : ?recorder:Recorder.t -> ?window:float -> nodes:int -> unit -> t
-(** A probe for a machine of [nodes] nodes. Transitions are recorded on
-    [recorder] when given; trajectories use windows of [window]
-    simulated cycles (default [1000.]).
-    @raise Invalid_argument if [nodes < 1] or [window] is invalid. *)
-
-val nodes : t -> int
-
-val recorder : t -> Recorder.t option
+val create : recorder:Recorder.t -> nodes:int -> unit -> t
+(** A probe for a machine of [nodes] nodes, recording on [recorder].
+    @raise Invalid_argument if [nodes < 1]. *)
 
 (** {1 Simulator-facing transitions}
 
@@ -45,12 +37,9 @@ val handler_begin : t -> node:int -> now:float -> reply:bool -> unit
 val handler_end : t -> node:int -> now:float -> reply:bool -> unit
 (** The handler finished; closes the matching span. *)
 
-val queue_depth : t -> node:int -> now:float -> arrival:bool -> int -> unit
+val queue_depth : t -> node:int -> now:float -> int -> unit
 (** The node's handler backlog (queued messages plus the one in
-    service) changed to [depth]. [arrival] marks changes caused by a
-    message arriving — only those samples feed the arrival-depth
-    histogram/quantile, the quantity Bard's approximation speaks
-    about. *)
+    service) changed to [depth]. *)
 
 val cycle_completed :
   t -> node:int -> now:float ->
@@ -73,40 +62,3 @@ val engine_sample : t -> now:float -> heap:int -> executed:int -> unit
 val finish : t -> now:float -> unit
 (** Close any spans still open (in-flight work or handler service at
     termination). Call once, after the run. Idempotent. *)
-
-(** {1 Readouts} *)
-
-val cycles : t -> int
-(** Completed cycles observed. *)
-
-val queue_series : t -> node:int -> Series.t
-(** Per-node backlog trajectory (queued + in service). *)
-
-val thread_series : t -> node:int -> Series.t
-(** Per-node thread-running indicator trajectory. *)
-
-val request_busy_series : t -> node:int -> Series.t
-(** Per-node request-handler-busy indicator trajectory. *)
-
-val reply_busy_series : t -> node:int -> Series.t
-(** Per-node reply-handler-busy indicator trajectory. *)
-
-val thread_utilization : t -> node:int -> now:float -> float
-(** Time-average of the thread-running indicator over [\[0, now\]] —
-    the probe-integrated counterpart of [Metrics.avg_thread_util]. *)
-
-val request_utilization : t -> node:int -> now:float -> float
-
-val reply_utilization : t -> node:int -> now:float -> float
-
-val mean_queue : t -> node:int -> now:float -> float
-
-val arrival_depth_quantile : t -> float
-(** P² estimate of the 0.99 quantile of backlog seen by arriving
-    messages; [nan] before any arrival. *)
-
-val arrival_depth_histogram : t -> Lopc_stats.Histogram.t
-(** Histogram of backlog seen by arriving messages. *)
-
-val depth_samples : t -> Reservoir.t
-(** Decimated [(time, depth)] samples of arrival backlog. *)

@@ -35,12 +35,6 @@ let int_below t bound =
   in
   draw ()
 
-let int_range t lo hi =
-  if lo > hi then invalid_arg "Rng.int_range: empty range";
-  lo + int_below t (hi - lo + 1)
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let bernoulli t p =
   if not (p >= 0. && p <= 1.) then invalid_arg "Rng.bernoulli: p outside [0,1]";
   float t < p
@@ -49,52 +43,3 @@ let exponential t mean =
   if mean <= 0. then invalid_arg "Rng.exponential: mean must be positive";
   (* 1 - float t is in (0,1], so log never sees 0. *)
   -.mean *. log (1. -. float t)
-
-let gaussian t =
-  let rec polar () =
-    let u = float_range t (-1.) 1. and v = float_range t (-1.) 1. in
-    let s = (u *. u) +. (v *. v) in
-    if s >= 1. || Float.equal s 0. then polar ()
-    else
-      u
-      *. sqrt
-           (-2. *. log s
-           /. s
-           [@lint.allow
-             "division-by-vanishing"
-               "the Float.equal rejection loop excludes s = 0; carving a point out \
-                of an interval is beyond the interval domain"])
-  in
-  polar ()
-
-let shuffle_in_place t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int_below t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int_below t (Array.length a))
-
-let choose_weighted t weights =
-  let total =
-    Array.fold_left
-      (fun acc w ->
-        if w < 0. || not (Float.is_finite w) then
-          invalid_arg "Rng.choose_weighted: negative or non-finite weight";
-        acc +. w)
-      0. weights
-  in
-  if total <= 0. then invalid_arg "Rng.choose_weighted: weights sum to zero";
-  let target = float t *. total in
-  let n = Array.length weights in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if target < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.

@@ -36,13 +36,6 @@ val int_below : t -> int -> int
 (** [int_below t bound] is uniform on [\[0, bound)], free of modulo bias.
     @raise Invalid_argument if [bound <= 0]. *)
 
-val int_range : t -> int -> int -> int
-(** [int_range t lo hi] is uniform on [\[lo, hi\]] inclusive.
-    @raise Invalid_argument if [lo > hi]. *)
-
-val bool : t -> bool
-(** [bool t] is a fair coin flip. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p].
     @raise Invalid_argument if [p] is outside [\[0, 1\]]. *)
@@ -50,18 +43,3 @@ val bernoulli : t -> float -> bool
 val exponential : t -> float -> float
 (** [exponential t mean] draws from the exponential distribution with the
     given mean (not rate). @raise Invalid_argument if [mean <= 0]. *)
-
-val gaussian : t -> float
-(** [gaussian t] is a standard normal deviate (Marsaglia polar method). *)
-
-val shuffle_in_place : t -> 'a array -> unit
-(** [shuffle_in_place t a] applies a uniform Fisher–Yates shuffle to [a]. *)
-
-val choose : t -> 'a array -> 'a
-(** [choose t a] is a uniformly random element of [a].
-    @raise Invalid_argument if [a] is empty. *)
-
-val choose_weighted : t -> float array -> int
-(** [choose_weighted t weights] returns index [i] with probability
-    proportional to [weights.(i)]. Weights must be non-negative and sum to
-    a positive value. @raise Invalid_argument otherwise. *)

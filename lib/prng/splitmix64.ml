@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 (* Finalization mix of Stafford's "Mix13" variant, as used in the reference
    SplitMix64 implementation. *)
 let mix z =
@@ -16,21 +14,3 @@ let mix z =
 let next t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
-
-let next_float t =
-  (* Use the top 53 bits: floats in [0,1) with full mantissa resolution. *)
-  let bits = Int64.shift_right_logical (next t) 11 in
-  Int64.to_float bits *. 0x1.0p-53
-
-let next_below t bound =
-  if bound <= 0 then invalid_arg "Splitmix64.next_below: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let bound64 = Int64.of_int bound in
-  let rec draw () =
-    let raw = Int64.shift_right_logical (next t) 1 in
-    let v = Int64.rem raw bound64 in
-    (* Reject the final partial block of the range of [raw]. *)
-    if Int64.sub (Int64.add raw (Int64.sub bound64 1L)) v < 0L then draw ()
-    else Int64.to_int v
-  in
-  draw ()

@@ -1,11 +1,8 @@
 (** SplitMix64 pseudo-random number generator.
 
     A small, fast, well-mixed 64-bit generator (Steele, Lea & Flood, 2014).
-    Its primary roles in this library are (a) seeding larger-state
-    generators such as {!Xoshiro256} from a single 64-bit seed and (b)
-    deterministic stream splitting: each [next] output is a function of a
-    simple additive counter, so independent child seeds can be produced
-    cheaply.
+    Its role in this library is seeding the larger-state {!Xoshiro256}
+    from a single 64-bit seed.
 
     The generator is deterministic: the same seed always yields the same
     sequence on every platform. *)
@@ -17,17 +14,5 @@ val create : int64 -> t
 (** [create seed] returns a fresh generator initialised with [seed]. Any
     seed value is acceptable, including [0L]. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator that will produce the same future
-    sequence as [t]. *)
-
 val next : t -> int64
 (** [next t] advances the state and returns the next 64-bit output. *)
-
-val next_float : t -> float
-(** [next_float t] is a float uniformly distributed in [\[0, 1)], using the
-    top 53 bits of {!next}. *)
-
-val next_below : t -> int -> int
-(** [next_below t bound] is an integer uniformly distributed in
-    [\[0, bound)]. @raise Invalid_argument if [bound <= 0]. *)

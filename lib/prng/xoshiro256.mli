@@ -12,11 +12,6 @@ val create : int64 -> t
 (** [create seed] initialises the 256-bit state from [seed] by running a
     {!Splitmix64} generator, as recommended by the xoshiro authors. *)
 
-val of_state : int64 * int64 * int64 * int64 -> t
-(** [of_state (s0, s1, s2, s3)] builds a generator from an explicit state.
-    @raise Invalid_argument if all four words are zero (the one forbidden
-    state). *)
-
 val copy : t -> t
 (** [copy t] is an independent generator with the same future sequence. *)
 

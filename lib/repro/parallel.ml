@@ -33,8 +33,6 @@ type t = {
   mutable domains : unit Domain.t list;
 }
 
-let jobs t = t.n_jobs
-
 (* --- per-batch work loop ------------------------------------------------- *)
 
 let pop_own (r : range) =
@@ -248,5 +246,3 @@ let run t tasks =
     end;
     collect results
   end
-
-let map t f xs = run t (Array.map (fun x () -> f x) xs)

@@ -29,9 +29,6 @@ val create : ?jobs:int -> unit -> t
     domains plus the caller). Default {!Domain.recommended_domain_count}.
     @raise Invalid_argument if [jobs < 1]. *)
 
-val jobs : t -> int
-(** Number of workers (including the submitting domain). *)
-
 val run : t -> (unit -> 'a) array -> 'a array
 (** [run pool tasks] executes every task and returns their results in task
     order: [(run pool tasks).(i)] is the value of [tasks.(i) ()], whatever
@@ -42,9 +39,6 @@ val run : t -> (unit -> 'a) array -> 'a array
     fresh one from the merge point. Batches are serialised per pool: concurrent
     [run] calls on one pool from several domains are not supported.
     @raise Invalid_argument when called on a shut-down pool. *)
-
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map pool f xs] is [run pool] over [fun () -> f xs.(i)]. *)
 
 val shutdown : t -> unit
 (** Terminate and join the worker domains. Idempotent. After shutdown the

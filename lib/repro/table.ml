@@ -56,18 +56,3 @@ let to_csv t =
       Buffer.add_string buf (String.concat "," (List.map cell_to_string row) ^ "\n"))
     t.rows;
   Buffer.contents buf
-
-let column t name =
-  let index =
-    match List.find_index (String.equal name) t.columns with
-    | Some i -> i
-    | None -> raise Not_found
-  in
-  t.rows
-  |> List.map (fun row ->
-         match List.nth row index with
-         | Float f -> f
-         | Int i -> Float.of_int i
-         | Missing -> Float.nan
-         | Text s -> invalid_arg ("Table.column: text cell '" ^ s ^ "' in " ^ name))
-  |> Array.of_list

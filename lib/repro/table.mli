@@ -32,9 +32,3 @@ val pp : Format.formatter -> t -> unit
 
 val to_csv : t -> string
 (** Comma-separated rendering (caption as a [#] comment line). *)
-
-val column : t -> string -> float array
-(** [column t name] extracts a numeric column (Float and Int cells;
-    Missing becomes [nan]).
-    @raise Not_found if no column has that name.
-    @raise Invalid_argument if the column contains text. *)

@@ -27,9 +27,6 @@ val create : ?fuel:int -> ?cancel:Cancel.t -> unit -> t
     [Invalid_argument] on negative fuel; [~fuel:0] exhausts on the first
     check. *)
 
-val unlimited : unit -> t
-(** A budget that never stops anything: no fuel bound, no token. *)
-
 val check : t -> stop_reason option
 (** Consume one unit of fuel. [None] means keep going; [Some reason] means
     stop now and surface [reason] (as an [Exhausted] solver status or an
@@ -47,12 +44,5 @@ val check_exn : t option -> unit
 (** [check_exn budget] is {!check} on [Some budget], raising {!Stop}
     instead of returning [Some reason]; [None] checks nothing. *)
 
-val peek : t -> stop_reason option
-(** Like {!check} but without consuming fuel — for reporting. *)
-
 val remaining : t -> int option
 (** Fuel left, or [None] for unlimited. Never negative. *)
-
-val exhausted : t -> bool
-(** [true] once the fuel counter has reached zero ([false] for unlimited
-    budgets, whatever the cancellation state). *)

@@ -18,8 +18,6 @@ let create ~q =
     n = 0;
   }
 
-let count t = t.n
-
 (* Piecewise-parabolic (P²) height adjustment for marker i moved by d. *)
 let parabolic t i d =
   let h = t.heights and p = t.positions in

@@ -17,9 +17,6 @@ val create : q:float -> t
 val add : t -> float -> unit
 (** Fold one observation. @raise Invalid_argument on non-finite input. *)
 
-val count : t -> int
-(** Observations folded so far. *)
-
 val estimate : t -> float
 (** Current quantile estimate. Exact while fewer than five observations
     have been seen (computed from the sorted sample); [nan] when empty. *)

@@ -1,4 +1,4 @@
-type t = { data : float array; mean : float; variance : float }
+type t = { data : float array }
 
 let of_array a =
   if Array.length a = 0 then invalid_arg "Sample.of_array: empty sample";
@@ -10,25 +10,12 @@ let of_array a =
   (* Monomorphic sort: IEEE total order on finite values (of_array rejects
      non-finite input above), identical on every platform. *)
   Array.sort Float.compare data;
-  let n = Float.of_int (Array.length data) in
-  let mean = Array.fold_left ( +. ) 0. data /. n in
-  let variance =
-    if Array.length data < 2 then 0.
-    else
-      Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.)) 0. data
-      /. Float.of_int (Array.length data - 1)
-  in
-  { data; mean; variance }
+  { data }
 
 let of_list l = of_array (Array.of_list l)
-
-let size t = Array.length t.data
-
-let mean t = t.mean
-
-let variance t = t.variance
-
-let stddev t = sqrt t.variance
+[@@lint.allow
+  "test-only-export"
+    "perfbench/stats.ml uses it; perfbench/ is linted apart until ROADMAP item 1"]
 
 let quantile t q =
   if not (q >= 0. && q <= 1.) then invalid_arg "Sample.quantile: q outside [0,1]";
@@ -43,9 +30,21 @@ let quantile t q =
   end
 
 let median t = quantile t 0.5
+[@@lint.allow
+  "test-only-export"
+    "perfbench/stats.ml uses it; perfbench/ is linted apart until ROADMAP item 1"]
 
 let min t = t.data.(0)
+[@@lint.allow
+  "test-only-export"
+    "perfbench/stats.ml uses it; perfbench/ is linted apart until ROADMAP item 1"]
 
 let max t = t.data.(Array.length t.data - 1)
+[@@lint.allow
+  "test-only-export"
+    "perfbench/stats.ml uses it; perfbench/ is linted apart until ROADMAP item 1"]
 
 let iqr t = quantile t 0.75 -. quantile t 0.25
+[@@lint.allow
+  "test-only-export"
+    "perfbench/stats.ml uses it; perfbench/ is linted apart until ROADMAP item 1"]

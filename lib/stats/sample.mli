@@ -16,18 +16,6 @@ val of_array : float array -> t
 val of_list : float list -> t
 (** List counterpart of {!of_array}. *)
 
-val size : t -> int
-(** Number of observations. *)
-
-val mean : t -> float
-(** Arithmetic mean. *)
-
-val variance : t -> float
-(** Unbiased sample variance; [0.] for singleton samples. *)
-
-val stddev : t -> float
-(** [sqrt variance]. *)
-
 val quantile : t -> float -> float
 (** [quantile t q] is the [q]-th quantile, [0. <= q <= 1.], by linear
     interpolation between order statistics (type-7, the R default).

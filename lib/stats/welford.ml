@@ -1,5 +1,5 @@
 (* All-float record on purpose: OCaml stores a record whose fields are all
-   floats flat (no per-field box), so every [add] is five plain stores. A
+   floats flat (no per-field box), so every [add] is three plain stores. A
    mixed record (int count + float moments) boxes each float field and
    every mutable store allocates — measurable on the simulator's per-event
    accumulation path. The count therefore lives in a float; it is an exact
@@ -8,30 +8,16 @@ type t = {
   mutable n : float;
   mutable mean : float;
   mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
 }
 
-let create () = { n = 0.; mean = 0.; m2 = 0.; min = Float.nan; max = Float.nan }
-
-let copy t = { t with n = t.n }
+let create () = { n = 0.; mean = 0.; m2 = 0. }
 
 let add t x =
   if not (Float.is_finite x) then invalid_arg "Welford.add: non-finite observation";
   t.n <- t.n +. 1.;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if Float.equal t.n 1. then begin
-    t.min <- x;
-    t.max <- x
-  end
-  else begin
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
-  end
-
-let count t = Float.to_int t.n
+  t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
 let mean t = if Float.equal t.n 0. then Float.nan else t.mean
 
@@ -44,40 +30,7 @@ let variance t =
         "the count is an exact float integer and this branch holds only for \
          n >= 2, so the denominator is at least 1"])
 
-let population_variance t = if Float.equal t.n 0. then 0. else t.m2 /. t.n
-
 let stddev t = sqrt (variance t)
-
-(* Below this magnitude mean*.mean underflows and scv's division is
-   meaningless; exact zeros are also caught by the same test. *)
-let tiny_mean = Float.sqrt Float.min_float
-
-let scv t =
-  if Float.equal t.n 0. || Float.abs t.mean < tiny_mean then 0.
-  else population_variance t /. (t.mean *. t.mean)
-
-let min t = t.min
-
-let max t = t.max
-
-let total t = t.mean *. t.n
-
-let merge a b =
-  if Float.equal a.n 0. then copy b
-  else if Float.equal b.n 0. then copy a
-  else begin
-    let n = a.n +. b.n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. b.n /. n) in
-    let m2 = a.m2 +. b.m2 +. (delta *. delta *. a.n *. b.n /. n) in
-    {
-      n;
-      mean;
-      m2;
-      min = Float.min a.min b.min;
-      max = Float.max a.max b.max;
-    }
-  end
 
 let confidence_interval t =
   if t.n < 2. then Float.nan else 1.96 *. stddev t /. sqrt t.n

@@ -1,6 +1,6 @@
 (** Numerically stable streaming moments (Welford's algorithm).
 
-    Accumulates count, mean, variance, min and max of a stream of
+    Accumulates count, mean and variance of a stream of
     observations in O(1) space without catastrophic cancellation. Used by
     the simulator for per-cycle response-time statistics. *)
 
@@ -10,16 +10,10 @@ type t
 val create : unit -> t
 (** An empty accumulator. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
 val add : t -> float -> unit
 (** [add t x] folds the observation [x] into [t]. Non-finite observations
     raise [Invalid_argument] — they always indicate an instrumentation
     bug. *)
-
-val count : t -> int
-(** Number of observations so far. *)
 
 val mean : t -> float
 (** Sample mean; [nan] when empty. *)
@@ -28,28 +22,8 @@ val variance : t -> float
 (** Unbiased sample variance (divisor n−1); [0.] with fewer than two
     observations. *)
 
-val population_variance : t -> float
-(** Variance with divisor n; [0.] when empty. *)
-
 val stddev : t -> float
 (** [sqrt (variance t)]. *)
-
-val scv : t -> float
-(** Squared coefficient of variation, [population_variance / mean²];
-    [0.] when the mean is zero or the accumulator empty. *)
-
-val min : t -> float
-(** Smallest observation; [nan] when empty. *)
-
-val max : t -> float
-(** Largest observation; [nan] when empty. *)
-
-val total : t -> float
-(** Sum of all observations ([mean ×. count]). *)
-
-val merge : t -> t -> t
-(** [merge a b] is a fresh accumulator equivalent to having folded both
-    streams (Chan et al. parallel combination). *)
 
 val confidence_interval : t -> float
 (** Half-width of the ~95% confidence interval on the mean assuming

@@ -88,7 +88,3 @@ let mean_distance t =
   Float.of_int !total /. Float.of_int (nodes - 1)
 
 let direction_index = function X_plus -> 0 | X_minus -> 1 | Y_plus -> 2 | Y_minus -> 3
-
-let pp ppf t =
-  Format.fprintf ppf "torus %dx%d (per_hop=%g, link=%g)" t.rows t.cols t.per_hop
-    t.link_time

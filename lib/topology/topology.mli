@@ -53,6 +53,3 @@ val mean_offsets : t -> float * float
 
 val direction_index : direction -> int
 (** Stable index in [0..3] for per-link bookkeeping arrays. *)
-
-val pp : Format.formatter -> t -> unit
-(** Render e.g. ["torus 4x8 (per_hop=2, link=5)"]. *)

@@ -12,8 +12,6 @@ let rows_per_node t = t.matrix_dim / t.p
 
 let messages_per_node t = rows_per_node t * (t.p - 1)
 
-let madds_per_node t = rows_per_node t * t.matrix_dim
-
 let work_between_requests t =
   Float.of_int t.matrix_dim /. Float.of_int (t.p - 1) *. t.madd_cost
 

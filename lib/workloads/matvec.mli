@@ -24,9 +24,6 @@ val create : matrix_dim:int -> p:int -> madd_cost:float -> t
 val messages_per_node : t -> int
 (** [n = (N/P)·(P−1)]. *)
 
-val madds_per_node : t -> int
-(** [m = (N/P)·N]. *)
-
 val work_between_requests : t -> float
 (** [W = N/(P−1) ·. madd_cost]. *)
 

@@ -1,3 +1,10 @@
+(* Error metrics for model-versus-measurement validation.
+
+   The paper's accuracy claims are phrased as signed relative errors
+   ("LoPC overestimates total runtime by 6% in the worst case", "the
+   contention-free model under predicts total run time by 37%"). These
+   helpers compute exactly those quantities for single points and sweeps. *)
+
 (* A zero measured value yields ±infinity (or nan at 0/0), following IEEE
    division, so one degenerate measurement flags itself instead of tearing
    down a whole validation table with an exception. *)

@@ -1,3 +1,11 @@
+(* Fixed-width bucket histograms.
+
+   Used to inspect simulated service-time and response-time distributions
+   (e.g. to confirm the simulator's handler-time [C²] matches the
+   distribution the model was given). Values below the range go to an
+   underflow bucket, values at or above the top go to an overflow
+   bucket. *)
+
 type t = {
   lo : float;
   hi : float;

@@ -1,3 +1,13 @@
+(* Bounded, deterministic sample decimation.
+
+   Keeps a bounded set of [(timestamp, value)] samples from an
+   unbounded stream without randomness: samples are kept every
+   [stride]-th arrival, and when the buffer fills, every other kept
+   sample is discarded and the stride doubles. The survivors are a
+   systematic (stride) sample spread over the whole stream, and the
+   result depends only on the input sequence, never on an RNG, so
+   traces stay replayable ([determinism-taint] safe). *)
+
 type t = {
   capacity : int;
   mutable kept_rev : (float * float) list;  (* newest first *)

@@ -1,3 +1,11 @@
+(* Fixed-window trajectory of a piecewise-constant signal: the signal's
+   time average over each consecutive window of [window] simulated
+   cycles, built on Lopc_stats.Time_average. Closing a window advances the
+   accumulator to the window boundary and restarts it there, so
+   [integral] equals what one Time_average over the whole run would report
+   (up to float summation order). The probe tests integrate recorded
+   spans with it. *)
+
 module Time_average = Lopc_stats.Time_average
 
 type t = {
@@ -39,12 +47,7 @@ let update t ~now v =
   close_until t now;
   Time_average.update t.acc ~now v
 
-let value t = Time_average.value t.acc
-
 let points t = Array.of_list (List.rev t.closed_rev)
-
-let current t ~now =
-  (t.window_start, Time_average.average t.acc ~now)
 
 let integral t ~now = t.closed_area +. Time_average.integral t.acc ~now
 

@@ -111,7 +111,8 @@ let test_handler_service_scv_observed () =
       ~handler:(D.of_mean_scv ~mean:100. ~scv:0.5) ~wire:(D.Constant 5.) ()
   in
   let r = Machine.run ~spec ~cycles:40_000 () in
-  let observed = Welford.scv r.Machine.metrics.Metrics.handler_service in
+  let service = r.Machine.metrics.Metrics.handler_service in
+  let observed = Welford.variance service /. (Welford.mean service ** 2.) in
   Alcotest.(check bool) "observed C2 ~ 0.5" true (Float.abs (observed -. 0.5) < 0.05);
   feq 2. "observed mean ~ 100" 100.
     (Float.round (Welford.mean r.Machine.metrics.Metrics.handler_service /. 2.) *. 2.)
@@ -275,8 +276,8 @@ let test_route_out_of_range_rejected () =
 
 let test_client_server_roles () =
   let spec =
-    Spec.client_server ~nodes:8 ~servers:3 ~work:(D.Constant 10.) ~handler:(D.Constant 2.)
-      ~wire:(D.Constant 1.) ()
+    Lopc_workloads.Pattern.to_spec ~nodes:8 ~work:(D.Constant 10.) ~handler:(D.Constant 2.)
+      ~wire:(D.Constant 1.) (Lopc_workloads.Pattern.Client_server { servers = 3 })
   in
   for i = 0 to 2 do
     Alcotest.(check bool) (Printf.sprintf "node %d is server" i) true
@@ -411,9 +412,20 @@ let test_polling_never_preempts () =
     Spec.all_to_all ~polling:true ~nodes:8 ~work:(D.Constant 300.)
       ~handler:(D.Constant 50.) ~wire:(D.Constant 5.) ()
   in
-  let r = Machine.run ~spec ~cycles:10_000 () in
-  (* The minimum observed Rw must be exactly W (a cycle with no waiting). *)
-  feq 1e-9 "min Rw = W" 300. (Welford.min r.Machine.metrics.Metrics.rw)
+  let recorder = Lopc_obs.Recorder.create ~limit:2_000_000 () in
+  let obs = Lopc_obs.Sim_probe.create ~recorder ~nodes:8 () in
+  ignore (Machine.run ~obs ~spec ~cycles:10_000 ());
+  (* The minimum traced Rw must be exactly W (a cycle with no waiting). *)
+  let min_rw =
+    List.fold_left
+      (fun acc (e : Lopc_obs.Recorder.event) ->
+        match List.assoc_opt "rw" e.args with
+        | Some (Lopc_obs.Recorder.Num rw) when e.name = "cycle" -> Float.min acc rw
+        | _ -> acc)
+      Float.infinity
+      (Lopc_obs.Recorder.events recorder)
+  in
+  feq 1e-9 "min Rw = W" 300. min_rw
 
 let test_polling_pp_mutually_exclusive () =
   let spec =
@@ -678,34 +690,6 @@ let test_barrier_validation () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "barrier + windowed accepted"
 
-let test_run_until_confident () =
-  let spec =
-    Spec.all_to_all ~nodes:8 ~work:(D.Exponential 500.) ~handler:(D.Exponential 100.)
-      ~wire:(D.Constant 20.) ()
-  in
-  let result, confidence =
-    Machine.run_until_confident ~rel_precision:0.01 ~batch_cycles:1_000 ~spec ()
-  in
-  Alcotest.(check bool) "converged" true confidence.Machine.converged;
-  Alcotest.(check bool) "precision met" true
-    (confidence.Machine.relative_half_width <= 0.01);
-  (* The converged mean must agree with a long fixed-length run. *)
-  let long = Machine.run ~spec ~cycles:60_000 () in
-  let a = Metrics.mean_response result.Machine.metrics in
-  let b = Metrics.mean_response long.Machine.metrics in
-  Alcotest.(check bool) "agrees with long run" true (Float.abs (a -. b) /. b < 0.03)
-
-let test_run_until_confident_validation () =
-  let spec =
-    Spec.all_to_all ~nodes:4 ~work:(D.Constant 10.) ~handler:(D.Constant 1.)
-      ~wire:(D.Constant 1.) ()
-  in
-  Alcotest.(check bool) "bad precision rejected" true
-    (try
-       ignore (Machine.run_until_confident ~rel_precision:0. ~spec ());
-       false
-     with Invalid_argument _ -> true)
-
 let test_staggered_constant_contention_free () =
   (* Synchronized permutation traffic: every cycle all nodes send at the
      same instant, each to a distinct destination which is itself blocked
@@ -804,13 +788,11 @@ let suite =
     Alcotest.test_case "gap serializes the NI" `Quick test_gap_serializes_ni;
     Alcotest.test_case "gap contention-free exactness" `Quick test_gap_contention_free_exact;
     Alcotest.test_case "gap zero unchanged" `Quick test_gap_zero_unchanged;
-    Alcotest.test_case "run_until_confident" `Slow test_run_until_confident;
-    Alcotest.test_case "run_until_confident validation" `Quick test_run_until_confident_validation;
     Alcotest.test_case "polling defers handlers" `Quick test_polling_defers_handlers;
     Alcotest.test_case "polling never preempts" `Quick test_polling_never_preempts;
     Alcotest.test_case "polling + PP rejected" `Quick test_polling_pp_mutually_exclusive;
-    Alcotest.test_case "windowed pipeline exactness" `Quick test_window_pipeline_exact;
-    Alcotest.test_case "window 1 is blocking" `Quick test_window_one_has_blocking_semantics;
     Alcotest.test_case "window validation" `Quick test_window_validation;
     Alcotest.test_case "window increases throughput" `Slow test_window_increases_throughput;
+    Alcotest.test_case "windowed pipeline exactness" `Quick test_window_pipeline_exact;
+    Alcotest.test_case "window 1 is blocking" `Quick test_window_one_has_blocking_semantics;
   ]

@@ -381,13 +381,13 @@ let test_model_saturation_floor_branch () =
      utilization. *)
   let c = Lopc.Fault_model.config ~drop:0.5 ~duplicate:1. ~timeout:1. () in
   let params = Lopc.Params.create ~c2:1. ~p:32 ~st:0. ~so:200. () in
-  let log, probe = Lopc_numerics.Solver_probe.log () in
+  let log, probe = Probe_log.log () in
   (match Lopc.Fault_model.solve_status ~probe c params ~w:0. with
   | Some s, (Fixed_point.Converged { iters } as status) ->
     Alcotest.(check string) "outcome" "converged in 16 iterations"
       (Fixed_point.status_to_string status);
     Alcotest.(check int) "one probe event per evaluation" iters
-      (Lopc_numerics.Solver_probe.count log);
+      (Probe_log.count log);
     Alcotest.(check string) "cycle time" "999.01" (Printf.sprintf "%.2f" s.Lopc.Fault_model.r)
   | _, status ->
     Alcotest.failf "expected convergence, got %s" (Fixed_point.status_to_string status));
@@ -399,7 +399,7 @@ let test_model_saturation_floor_branch () =
           (Printf.sprintf "evaluation %d: utilization %g below 1" ev.iter u)
           true (u < 1.)
       | _ -> Alcotest.fail "every event reports the request station")
-    (Lopc_numerics.Solver_probe.events log)
+    (Probe_log.events log)
 
 let suite =
   [

