@@ -541,7 +541,7 @@ let simulate_cmd =
           Format.eprintf "simulation interrupted: %s@."
             (Budget.reason_to_string reason);
           `Ok exit_exhausted)
-      with Invalid_argument msg -> `Error (false, msg)))
+      with Invalid_argument msg | Sys_error msg -> `Error (false, msg)))
   in
   let trace_arg =
     Arg.(
@@ -577,23 +577,30 @@ let validate_cmd =
         ("multi-hop 2", Pattern.Multi_hop { hops = 2 }, 1000., 1.);
       ]
     in
-    Format.printf "model vs simulator, P=%d, So=200, St=40, %d cycles/case@.@." p cycles;
-    Format.printf "%-28s %12s %12s %8s@." "case" "model X" "sim X" "error";
-    List.iter
-      (fun (name, pat, w, c2) ->
-        let params = Lopc.Params.create ~c2 ~p ~st:40. ~so:200. () in
-        let model = (G.solve (Pattern.to_general params ~w pat)).G.system_throughput in
-        let spec =
-          Pattern.to_spec ~nodes:p ~work:(D.of_mean_scv ~mean:w ~scv:1.)
-            ~handler:(D.of_mean_scv ~mean:200. ~scv:c2) ~wire:(D.Constant 40.) pat
-        in
-        let sim =
-          Metrics.throughput (Machine.run ~seed ~spec ~cycles ()).Machine.metrics
-        in
-        Format.printf "%-28s %12.6f %12.6f %+7.2f%%@." name model sim
-          (100. *. (model -. sim) /. sim))
-      cases;
-    `Ok 0
+    (* Every case runs before anything is printed, so a rejected parameter
+       is a one-line usage error rather than a half-printed table. *)
+    match
+      List.map
+        (fun (name, pat, w, c2) ->
+          let params = Lopc.Params.create ~c2 ~p ~st:40. ~so:200. () in
+          let model = (G.solve (Pattern.to_general params ~w pat)).G.system_throughput in
+          let spec =
+            Pattern.to_spec ~nodes:p ~work:(D.of_mean_scv ~mean:w ~scv:1.)
+              ~handler:(D.of_mean_scv ~mean:200. ~scv:c2) ~wire:(D.Constant 40.) pat
+          in
+          (name, model, Metrics.throughput (Machine.run ~seed ~spec ~cycles ()).Machine.metrics))
+        cases
+    with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | rows ->
+      Format.printf "model vs simulator, P=%d, So=200, St=40, %d cycles/case@.@." p cycles;
+      Format.printf "%-28s %12s %12s %8s@." "case" "model X" "sim X" "error";
+      List.iter
+        (fun (name, model, sim) ->
+          Format.printf "%-28s %12.6f %12.6f %+7.2f%%@." name model sim
+            (100. *. (model -. sim) /. sim))
+        rows;
+      `Ok 0
   in
   Cmd.v
     (Cmd.info "validate" ~exits ~doc:"Check the model against the simulator on a workload grid")
@@ -753,11 +760,11 @@ let sweep_cmd =
      byte-comparable across runs and --jobs counts. Each artifact gets a
      fresh plan: plans capture mutable PRNG streams and are single-shot. *)
   let run selected quick csv jobs trace_dir =
-    ensure_dir csv;
-    ensure_dir trace_dir;
     let fidelity = if quick then Experiments.Quick else Experiments.Full in
     let selected = if selected = [] then names else selected in
     try
+      ensure_dir csv;
+      ensure_dir trace_dir;
       Parallel.with_pool ~jobs (fun pool ->
           List.iter
             (fun name ->
@@ -770,9 +777,11 @@ let sweep_cmd =
                 (Experiments.task_count plan) seconds)
             selected);
       `Ok 0
-    with Fixed_point.Diverged msg ->
+    with
+    | Fixed_point.Diverged msg ->
       Format.eprintf "solver outcome: %s@." msg;
       `Ok exit_diverged
+    | Invalid_argument msg | Sys_error msg -> `Error (false, msg)
   in
   Cmd.v
     (Cmd.info "sweep" ~exits ~doc:"Regenerate the paper's tables and figures")

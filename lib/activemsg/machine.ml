@@ -653,18 +653,14 @@ let prepare ?on_cycle ?rng ?obs ?budget ~seed ~warmup ~max_events ~spec () =
         if Engine.events_processed e land 255 = 0 then
           Sim_probe.engine_sample o ~now:(Engine.now e) ~heap:(Engine.pending e)
             ~executed:(Engine.events_processed e)));
-  (* Kick off every thread's first cycle (optionally staggered). *)
+  (* Kick off every thread's first cycle at time 0. *)
   Array.iter
     (fun node ->
       match node.thread with
       | None -> ()
       | Some _ ->
-        let delay =
-          match spec.Spec.initial_delay with None -> 0. | Some f -> f node.id
-        in
-        if delay < 0. then invalid_arg "Machine: negative initial delay";
         ignore
-          (Engine.schedule engine ~delay (fun _ ->
+          (Engine.schedule engine ~delay:0. (fun _ ->
                begin_cycle m node;
                resume_thread_if_possible m node)))
     nodes;
@@ -715,7 +711,8 @@ let finish_obs m =
 
 let run ?(seed = 42) ?rng ?warmup_cycles ?(max_events = 200_000_000) ?on_cycle ?obs
     ?budget ~spec ~cycles () =
-  if cycles <= 0 then invalid_arg "Machine: cycles must be positive";
+  if cycles <= 0 then
+    invalid_arg (Printf.sprintf "Machine: cycles must be positive, got %d" cycles);
   let warmup = match warmup_cycles with Some w -> max 0 w | None -> max 1000 (cycles / 10) in
   let m, step_guarded =
     prepare ?on_cycle ?rng ?obs ?budget ~seed ~warmup ~max_events ~spec ()

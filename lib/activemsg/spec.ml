@@ -16,7 +16,6 @@ type t = {
   protocol_processor : bool;
   gap : float;
   polling : bool;
-  initial_delay : (int -> float) option;
   barrier : barrier option;
   topology : Topology.t option;
   fault : Fault.t option;
@@ -135,7 +134,6 @@ let all_to_all ?(protocol_processor = false) ?(polling = false) ?(gap = 0.)
       protocol_processor;
       gap;
       polling;
-      initial_delay = None;
       barrier = None;
       topology = None;
       fault;

@@ -54,9 +54,6 @@ type t = {
                                          while the thread is blocked.
                                          Mutually exclusive with
                                          [protocol_processor]. *)
-  initial_delay : (int -> float) option;
-      (** Optional per-node start offset for the first cycle, e.g. to
-          stagger an otherwise lock-step pattern. *)
   barrier : barrier option;
       (** Optional global barrier: every thread waits after each
           [interval] completed cycles until all threads arrive, then all

@@ -88,8 +88,6 @@ let float_equality =
   let rec rule =
     lazy
       (Rule.v ~id:"float-equality" ~severity:Finding.Warning
-         ~summary:
-           "structural =/<>/compare applied to float literals or float-returning calls"
          ~hint:
            "compare with a tolerance (Float.abs (a -. b) < eps), use a classified-zero \
             test (Float.classify_float x = FP_zero), or Float.equal if exact equality \
@@ -148,9 +146,6 @@ let unguarded_division =
   let rec rule =
     lazy
       (Rule.v ~id:"unguarded-division" ~severity:Finding.Warning
-         ~summary:
-           "/. by a `1. -. u`-shaped denominator with no dominating guard in the same \
-            function"
          ~hint:
            "test the utilization before dividing (if u >= limit then ... else ...), \
             clamp the denominator (Float.max eps (1. -. u)), or [@lint.allow \
@@ -259,7 +254,6 @@ let global_rng =
   let rec rule =
     lazy
       (Rule.v ~id:"global-rng" ~severity:Finding.Error
-         ~summary:"use of the global Stdlib.Random outside lib/prng"
          ~hint:
            "thread an explicit Lopc_prng.Rng.t; global Random state breaks deterministic \
             replay of experiments"
@@ -308,7 +302,6 @@ let physical_equality =
   let rec rule =
     lazy
       (Rule.v ~id:"physical-equality" ~severity:Finding.Warning
-         ~summary:"==/!= on non-unit values"
          ~hint:
            "use structural =/<> (or Float.equal / String.equal); physical equality on \
             immutable values is representation-dependent"
@@ -343,7 +336,6 @@ let banned_constructs =
   let rec rule =
     lazy
       (Rule.v ~id:"banned-constructs" ~severity:Finding.Error
-         ~summary:"Obj.magic anywhere; exit or Printf.printf inside lib/"
          ~hint:
            "library code must return results or report through Format sinks; only \
             executables own the process and its stdout"
@@ -380,7 +372,6 @@ let bare_failwith =
   let rec rule =
     lazy
       (Rule.v ~id:"bare-failwith" ~severity:Finding.Warning
-         ~summary:"failwith or raise (Failure _) inside lib/"
          ~hint:
            "Failure carries no structure a caller can match on; raise Invalid_argument \
             for precondition violations, declare a dedicated exception, or return a \

@@ -1,7 +1,7 @@
 let default_rules = Ast_rules.rules @ Project_rules.rules
 
 let parse_error_rule =
-  Rule.v ~id:"parse-error" ~severity:Finding.Error ~summary:"file does not parse"
+  Rule.v ~id:"parse-error" ~severity:Finding.Error
     ~hint:"fix the syntax error; unparseable files cannot be analysed"
     ~check:(fun ~path:_ _ -> [])
 
@@ -10,7 +10,6 @@ let parse_error_rule =
    evidence is the attribute, not the code it governs. *)
 let bare_suppression_rule =
   Rule.v ~id:"bare-suppression" ~severity:Finding.Warning
-    ~summary:"[@lint.allow] without a justification string"
     ~hint:
       "say why the finding is safe to ignore: [@lint.allow \"rule-id\" \"reason it is \
        safe here\"]; unjustified suppressions rot into unauditable exemptions"
@@ -40,7 +39,7 @@ type parsed =
 (* compiler-libs' lexer keeps global mutable state (its string buffer and
    comment stack), so parsing is not domain-safe. Serialise the parse
    itself; the rule checks, suppression filtering and sorting — the bulk
-   of a task under [--jobs N] — still run in parallel. *)
+   of a task under a pool-backed [map_tasks] — still run in parallel. *)
 let parse_lock = Mutex.create ()
 
 let parse ~path contents =
@@ -112,8 +111,8 @@ let source_files roots =
   List.iter visit roots;
   List.rev !acc
 
-(* [map_tasks] is the parallelism seam: the CLI injects a pool-backed
-   mapper ([Lopc_repro.Parallel.run]) for [--jobs N] without this library
+(* [map_tasks] is the parallelism seam: perfbench's jobs-2 probe injects
+   a pool-backed mapper ([Lopc_repro.Parallel.run]) without this library
    depending on the runtime. Any mapper must return results in task
    order; findings are then concatenated in file order and sorted, so the
    output is byte-identical whatever the worker count.
@@ -123,8 +122,8 @@ let source_files roots =
    (compiler-libs' lexer state, see above), but it now overlaps with
    other files' reads and rule checks instead of completing for every
    file before the first check starts: the old layout parsed everything
-   up front as a serial prefix, which made [--jobs N] strictly slower
-   than [--jobs 1] (pool overhead with no overlap to pay for it). *)
+   up front as a serial prefix, which made N workers strictly slower
+   than one (pool overhead with no overlap to pay for it). *)
 let lint_paths ?rules ?map_tasks roots =
   let files = source_files roots in
   let tasks =

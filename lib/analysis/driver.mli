@@ -22,8 +22,8 @@ val lint_source : ?rules:Rule.t list -> path:string -> string -> Finding.t list
 val source_files : string list -> string list
 
 (** Lint every source under the given roots. [map_tasks] runs the per-file
-    tasks (the [--jobs] seam — the CLI passes a {!Lopc_repro.Parallel}
-    pool's [run]); it must preserve task order. Output is byte-identical
+    tasks (the parallelism seam — perfbench's jobs-2 probe passes a
+    {!Lopc_repro.Parallel} pool's [run]); it must preserve task order. Output is byte-identical
     for any mapper because findings are re-sorted globally. *)
 val lint_paths :
   ?rules:Rule.t list ->

@@ -145,15 +145,19 @@ let entries =
       severity = Finding.Error;
       stage = "typed";
       summary =
-        "a nondeterminism source reachable from the simulator or a solver entry \
-         point";
+        "a nondeterminism source reachable from the simulator, the observability \
+         layer (lib/obs) or a solver entry point";
       rationale =
         "The contention model is validated by comparing solver output against \
          simulation bit-for-bit across runs; any path from a simulator or solver \
          entry point to the global RNG, a wall clock, Hashtbl iteration order, or \
          polymorphic compare at a float-bearing or abstract type makes that \
-         comparison flaky in ways unit tests rarely catch. The finding prints the \
-         call chain from the entry point to the source.";
+         comparison flaky in ways unit tests rarely catch. Every lib/obs \
+         definition is an entry too: trace timestamps are simulated cycles, which \
+         is what keeps trace files byte-identical across runs and --jobs \
+         settings, so a wall clock reachable from the recorder, probes or \
+         emitters is flagged like one reachable from the simulator. The finding \
+         prints the call chain from the entry point to the source.";
       example =
         "let cost () = Sys.time ()\n\
          let solve_status model = if cost () > 0. then `Converged else `Diverged";
@@ -228,42 +232,19 @@ let entries =
          -> Rng.float streams.(i))).";
     };
     {
-      id = "obs-no-wallclock";
-      severity = Finding.Error;
-      stage = "typed";
-      summary = "a wall clock reachable from the observability layer (lib/obs)";
-      rationale =
-        "The observability layer records spans and probe samples whose \
-         timestamps are simulated cycles — that is what makes trace files \
-         byte-identical across runs and across --jobs settings, and what lets \
-         tests compare traces exactly. Any definition reachable from lib/obs \
-         that reads a wall clock (Sys.time, Unix.gettimeofday, Unix.time) \
-         reintroduces real time into that path, so two identical simulations \
-         could emit different traces. The analysis walks the call graph from \
-         every lib/obs definition and reports each clock reference with its \
-         reachability chain.";
-      example =
-        "let emit recorder ~track ~name =\n\
-        \  Recorder.instant recorder ~ts:(Unix.gettimeofday ()) ~track ~name";
-      fix =
-        "Timestamp with the simulated clock: pass Engine.now (or the event's \
-         arrival time) down to the emitter explicitly. Wall-clock timing \
-         belongs in bin/ or perfbench/, outside lib/obs.";
-    };
-    {
       id = "unbounded-retry";
       severity = Finding.Error;
       stage = "typed";
       summary =
-        "a while loop reachable from a solver or simulator entry with no budget, \
-         cancellation token, or iteration bound in sight";
+        "a while loop reachable from a solver, simulator or lib/obs entry with no \
+         budget, cancellation token, or iteration bound in sight";
       rationale =
         "The supervised runtime can only stop work that polls a budget: fuel and \
          cancellation are checked once per iteration, so a retry or polling loop \
          that never consults a budget, token, or explicit bound is precisely the \
          loop that wedges the process when the model leaves its convergent \
          regime. The analysis walks the call graph from every solve/solve_status \
-         entry and the simulator, and flags each while loop whose enclosing \
+         entry, the simulator and lib/obs, and flags each while loop whose enclosing \
          definition mentions no budget-ish identifier (fuel, budget, cancel, \
          max_, deadline, remaining) and no direct Budget.* / Cancel.* \
          reference. for loops are inherently bounded and exempt; the finding \

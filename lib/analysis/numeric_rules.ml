@@ -1,6 +1,6 @@
 (* Findings adapter for the interval stage: Absint emits raw violations
-   tagged with a rule id; this module owns the rule metadata (severity,
-   summary, hint) and produces Finding.t values the typed driver can
+   tagged with a rule id; this module owns the rule severity and hint
+   (the catalogue text lives in Explain) and produces Finding.t values the typed driver can
    merge, suppress and sort like any other rule's. *)
 
 let probability_range = "probability-range"
@@ -10,21 +10,10 @@ let unit_mismatch = "unit-mismatch"
 
 let catalogue =
   [
-    ( probability_range,
-      Finding.Error,
-      "a value flowing into a [@lopc.prob]-annotated parameter, field or \
-       binding may lie outside [0, 1]" );
-    ( negative_cost,
-      Finding.Error,
-      "a value flowing into a [@lopc.cost]-annotated parameter, field or \
-       binding may be negative (or NaN)" );
-    ( division_by_vanishing,
-      Finding.Warning,
-      "a subtraction-shaped denominator (the 1 - u family) whose interval \
-       contains 0, with no dominating guard on this path" );
-    ( unit_mismatch,
-      Finding.Error,
-      "two quantities with different [@lopc.unit] tags are mixed additively" );
+    (probability_range, Finding.Error);
+    (negative_cost, Finding.Error);
+    (division_by_vanishing, Finding.Warning);
+    (unit_mismatch, Finding.Error);
   ]
 
 let hint_of = function
@@ -47,8 +36,8 @@ let hint_of = function
      dimensionless rates), or fix the [@lopc.unit] annotation"
 
 let severity_of rule =
-  match List.find_opt (fun (id, _, _) -> String.equal id rule) catalogue with
-  | Some (_, sev, _) -> sev
+  match List.find_opt (fun (id, _) -> String.equal id rule) catalogue with
+  | Some (_, sev) -> sev
   | None -> Finding.Warning
 
 let check_absint absint =

@@ -10,7 +10,6 @@ let missing_mli =
   let rec rule =
     lazy
       (Rule.v ~id:"missing-mli" ~severity:Finding.Warning
-         ~summary:"a library .ml with no sibling .mli"
          ~hint:
            "write an interface: unconstrained library modules leak internals and make \
             refactoring a breaking change"

@@ -1,5 +1,5 @@
 (* Unbounded-retry detection: any [while] loop in a definition reachable
-   from a solver or simulator entry point must be budget-aware. A retry or
+   from a solver, simulator or lib/obs entry point must be budget-aware. A retry or
    polling loop with no fuel, cancellation token, or explicit iteration
    bound in sight is exactly the loop that wedges a run when the model
    leaves its convergent regime — the supervised-runtime contract says
@@ -73,8 +73,8 @@ let def_budget_aware (d : Callgraph.def) =
       head = "Budget" || head = "Cancel")
     d.Callgraph.refs
 
-let check ?(entries = []) (graph : Callgraph.t) =
-  Callgraph.reach graph ~entry:(Taint_rules.is_entry ~entries) (fun d chain ->
+let check (graph : Callgraph.t) =
+  Callgraph.reach graph ~entry:Taint_rules.is_entry (fun d chain ->
       match d.body with
       | Some body when not (def_budget_aware d || mentions_bound body) ->
         List.map

@@ -15,6 +15,5 @@ val rule_id : string
 
 val severity : Finding.severity
 
-(** [entries]: extra entry keys or key prefixes, as [--entry]; the
-    entry points are {!Taint_rules.is_entry}'s. *)
-val check : ?entries:string list -> Callgraph.t -> Finding.t list
+(** The entry points are {!Taint_rules.is_entry}'s. *)
+val check : Callgraph.t -> Finding.t list

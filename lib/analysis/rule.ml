@@ -1,12 +1,11 @@
 type t = {
   id : string;
   severity : Finding.severity;
-  summary : string;
   hint : string;
   check : path:string -> Parsetree.structure -> Finding.t list;
 }
 
-let v ~id ~severity ~summary ~hint ~check = { id; severity; summary; hint; check }
+let v ~id ~severity ~hint ~check = { id; severity; hint; check }
 
 let finding rule ~loc message =
   Finding.v ~rule:rule.id ~severity:rule.severity ~loc ~message ~hint:rule.hint

@@ -1,12 +1,11 @@
-(** A lint rule: identity, default severity, catalogue documentation and the
-    check itself. Rules are plain values; the registry is the list assembled
-    in {!Driver.default_rules} — adding a rule means writing a [t] and
-    consing it there. *)
+(** A lint rule: identity, default severity, fix hint and the check
+    itself; catalogue documentation lives in {!Explain}. Rules are plain
+    values; the registry is the list assembled in {!Driver.default_rules} —
+    adding a rule means writing a [t] and consing it there. *)
 
 type t = {
   id : string;  (** stable identifier used in reports and [@lint.allow] *)
   severity : Finding.severity;
-  summary : string;  (** one-line description for [--list-rules] *)
   hint : string;  (** short fix hint attached to every finding *)
   check : path:string -> Parsetree.structure -> Finding.t list;
 }
@@ -14,7 +13,6 @@ type t = {
 val v :
   id:string ->
   severity:Finding.severity ->
-  summary:string ->
   hint:string ->
   check:(path:string -> Parsetree.structure -> Finding.t list) ->
   t

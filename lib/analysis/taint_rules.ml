@@ -1,6 +1,6 @@
-(* Determinism taint: no function reachable from the simulator (anything
-   under an entry directory) or from a solver entry point (any function
-   named solve/solve_status, plus explicit --entry keys) may reach a
+(* Determinism taint: no function reachable from the simulator or the
+   observability layer (anything under an entry directory) or from a
+   solver entry point (any function named solve/solve_status) may reach a
    nondeterminism source. Sources are wall clocks, the global Stdlib.Random
    stream, Hashtbl iteration (unspecified hash order), and polymorphic
    compare/equality/hash instantiated at a float-bearing, abstract or
@@ -17,16 +17,13 @@ let hint =
    order); if the site is provably harmless, suppress with [@lint.allow \
    \"determinism-taint\" \"why\"]"
 
-let entry_dirs = [ "lib/activemsg"; "lib/eventsim" ]
+let entry_dirs = [ "lib/activemsg"; "lib/eventsim"; "lib/obs" ]
 
 let entry_names = [ "solve"; "solve_status" ]
 
-let is_entry ~entries (d : Callgraph.def) =
+let is_entry (d : Callgraph.def) =
   List.exists (fun dir -> Callgraph.dir_prefix dir d.source) entry_dirs
   || List.mem d.def_name entry_names
-  || List.exists
-       (fun e -> d.key = e || String.starts_with ~prefix:(e ^ ".") d.key)
-       entries
 
 let wall_clocks = [ "Sys.time"; "Unix.gettimeofday"; "Unix.time" ]
 
@@ -52,8 +49,8 @@ let source_of graph (d : Callgraph.def) (r : Callgraph.ref_site) =
       | None -> None)
   else None
 
-let check ?(entries = []) (graph : Callgraph.t) =
-  Callgraph.reach graph ~entry:(is_entry ~entries) (fun d chain ->
+let check (graph : Callgraph.t) =
+  Callgraph.reach graph ~entry:is_entry (fun d chain ->
       List.filter_map
         (fun (r : Callgraph.ref_site) ->
           match source_of graph d r with

@@ -6,20 +6,13 @@
 
 exception No_cmt_inputs of string list
 
-let analyze_units ?(entries = []) ?(stage = `All) units =
+let analyze_units units =
   let graph = Callgraph.build units in
   let findings =
-    match stage with
-    | `Numeric -> Numeric_rules.check graph
-    | `All ->
-      let effects = Effects.analyze graph in
-      Taint_rules.check ~entries graph
-      @ Exn_rules.check graph @ Stream_rules.check graph
-      @ Par_rules.check graph @ Obs_rules.check graph
-      @ Retry_rules.check ~entries graph
-      @ Race_rules.check effects
-      @ Numeric_rules.check graph
-      @ Export_rules.check graph
+    Taint_rules.check graph @ Exn_rules.check graph @ Stream_rules.check graph
+    @ Par_rules.check graph @ Retry_rules.check graph
+    @ Race_rules.check (Effects.analyze graph)
+    @ Numeric_rules.check graph @ Export_rules.check graph
   in
   (* Suppression regions come from the sources the findings point into;
      cache per file since many findings share one. *)
@@ -50,8 +43,7 @@ let units_of_paths roots =
   if Cmt_loader.cmt_files roots = [] then raise (No_cmt_inputs roots);
   Cmt_loader.load roots
 
-let analyze_paths ?entries ?stage roots =
-  analyze_units ?entries ?stage (units_of_paths roots)
+let analyze_paths roots = analyze_units (units_of_paths roots)
 
 let effects_of_paths roots =
   Effects.analyze (Callgraph.build (units_of_paths roots))

@@ -9,8 +9,8 @@
     tests.
 
     Timestamps are simulated cycles, never wall clock, so recordings are
-    byte-identical across runs and machines ([obs-no-wallclock] lint
-    rule). *)
+    byte-identical across runs and machines (the [determinism-taint]
+    lint rule treats every [lib/obs] definition as an entry). *)
 
 type arg =
   | Str of string  (** Rendered as a JSON string. *)

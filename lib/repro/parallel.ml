@@ -144,6 +144,20 @@ let rec worker_loop t w last_id =
     worker_batch t w b;
     worker_loop t w b.id
 
+let shutdown t =
+  Mutex.lock t.m;
+  if not t.stop then begin
+    t.stop <- true;
+    Condition.broadcast t.work
+  end;
+  let ds = t.domains in
+  t.domains <- [];
+  Mutex.unlock t.m;
+  List.iter Domain.join ds
+
+(* The runtime caps live domains (128 on OCaml 5.1) and [Domain.spawn]
+   fails past it; the workers already spawned are stopped and joined
+   before the failure is reported, so a refused pool leaks nothing. *)
 let create ?jobs:(n = Domain.recommended_domain_count ()) () =
   if n < 1 then invalid_arg "Parallel.create: jobs must be at least 1";
   let t =
@@ -158,20 +172,19 @@ let create ?jobs:(n = Domain.recommended_domain_count ()) () =
       domains = [];
     }
   in
-  t.domains <-
-    List.init (n - 1) (fun k -> Domain.spawn (fun () -> worker_loop t (k + 1) 0));
+  let rec spawn k acc =
+    if k = n then t.domains <- List.rev acc
+    else
+      match Domain.spawn (fun () -> worker_loop t k 0) with
+      | d -> spawn (k + 1) (d :: acc)
+      | exception Failure msg ->
+        t.domains <- acc;
+        shutdown t;
+        invalid_arg
+          (Printf.sprintf "Parallel.create: cannot start %d jobs, only %d (%s)" n k msg)
+  in
+  spawn 1 [];
   t
-
-let shutdown t =
-  Mutex.lock t.m;
-  if not t.stop then begin
-    t.stop <- true;
-    Condition.broadcast t.work
-  end;
-  let ds = t.domains in
-  t.domains <- [];
-  Mutex.unlock t.m;
-  List.iter Domain.join ds
 
 let with_pool ?jobs f =
   let t = create ?jobs () in

@@ -27,7 +27,9 @@ type t
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] starts a pool of [jobs] workers ([jobs - 1] spawned
     domains plus the caller). Default {!Domain.recommended_domain_count}.
-    @raise Invalid_argument if [jobs < 1]. *)
+    @raise Invalid_argument if [jobs < 1], or if the runtime refuses to
+    spawn that many domains (OCaml 5.1 allows 128); the workers already
+    spawned are stopped and joined first. *)
 
 val run : t -> (unit -> 'a) array -> 'a array
 (** [run pool tasks] executes every task and returns their results in task

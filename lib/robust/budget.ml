@@ -3,7 +3,8 @@
    time — so exhausting it is a pure function of the inputs and the result
    of a budgeted run is byte-identical at any --jobs setting. Wall-clock
    supervision belongs in bin/ (a watchdog flipping a Cancel.t), never
-   here: the obs-no-wallclock lint fences lib/ for exactly this reason.
+   here: the determinism-taint lint keeps clocks off every path from the
+   simulator, the solvers and lib/obs for exactly this reason.
 
    The fuel counter is an Atomic.t so one budget may be shared by tasks on
    different domains (a global event budget for a whole sweep); determinism

@@ -5,8 +5,8 @@
     budgeted computation exhausts is a pure function of its inputs and
     results stay byte-identical at any [--jobs] setting. A wall-clock
     watchdog, where wanted, lives in [bin/] and acts by flipping the
-    attached {!Cancel.t}; the [obs-no-wallclock] lint keeps clocks out of
-    [lib/]. *)
+    attached {!Cancel.t}; the [determinism-taint] lint keeps clocks off
+    every path from the simulator, the solvers and [lib/obs]. *)
 
 type stop_reason =
   | Cancelled  (** The attached {!Cancel.t} (or an ancestor) was cancelled. *)

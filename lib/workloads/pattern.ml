@@ -85,7 +85,6 @@ let to_spec ?(protocol_processor = false) ?(polling = false) ?fault ~nodes ~work
     protocol_processor;
     gap = 0.;
     polling;
-    initial_delay = None;
     barrier = None;
     topology = None;
     fault;

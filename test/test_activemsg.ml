@@ -20,7 +20,6 @@ let single_client_spec ?(protocol_processor = false) ~work ~handler ~wire () =
     protocol_processor;
     gap = 0.;
     polling = false;
-    initial_delay = None;
     barrier = None;
     topology = None;
     fault = None;
@@ -130,7 +129,6 @@ let test_multi_hop_wire_count () =
       protocol_processor = false;
       gap = 0.;
       polling = false;
-      initial_delay = None;
       barrier = None;
       topology = None;
       fault = None;
@@ -154,7 +152,6 @@ let test_self_request_allowed () =
       protocol_processor = false;
       gap = 0.;
       polling = false;
-      initial_delay = None;
       barrier = None;
       topology = None;
       fault = None;
@@ -207,7 +204,6 @@ let test_spec_validation () =
          protocol_processor = false;
          gap = 0.;
          polling = false;
-         initial_delay = None;
          barrier = None;
          topology = None;
          fault = None;
@@ -226,7 +222,6 @@ let test_spec_validation () =
         protocol_processor = false;
         gap = 0.;
         polling = false;
-        initial_delay = None;
         barrier = None;
         topology = None;
         fault = None;
@@ -262,7 +257,6 @@ let test_route_out_of_range_rejected () =
       protocol_processor = false;
       gap = 0.;
       polling = false;
-      initial_delay = None;
       barrier = None;
       topology = None;
       fault = None;
@@ -305,7 +299,6 @@ let test_window_pipeline_exact () =
       protocol_processor = false;
       gap = 0.;
       polling = false;
-      initial_delay = None;
       barrier = None;
       topology = None;
       fault = None;
@@ -331,7 +324,6 @@ let test_window_one_has_blocking_semantics () =
       protocol_processor = false;
       gap = 0.;
       polling = false;
-      initial_delay = None;
       barrier = None;
       topology = None;
       fault = None;
@@ -353,7 +345,6 @@ let test_window_validation () =
       protocol_processor = false;
       gap = 0.;
       polling = false;
-      initial_delay = None;
       barrier = None;
       topology = None;
       fault = None;
@@ -392,7 +383,6 @@ let test_polling_defers_handlers () =
       protocol_processor = false;
       gap = 0.;
       polling;
-      initial_delay = None;
       barrier = None;
       topology = None;
       fault = None;
@@ -461,7 +451,6 @@ let test_gap_serializes_ni () =
       protocol_processor = false;
       gap = 8.;
       polling = false;
-      initial_delay = None;
       barrier = None;
       topology = None;
       fault = None;
@@ -482,7 +471,6 @@ let test_gap_contention_free_exact () =
       protocol_processor = false;
       gap = 3.;
       polling = false;
-      initial_delay = None;
       barrier = None;
       topology = None;
       fault = None;

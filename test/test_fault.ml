@@ -26,7 +26,6 @@ let client_server_spec ?fault ~work ~handler ~wire () =
     protocol_processor = false;
     gap = 0.;
     polling = false;
-    initial_delay = None;
     barrier = None;
     topology = None;
     fault;
@@ -99,7 +98,6 @@ let test_spec_restrictions () =
       protocol_processor = false;
       gap = 0.;
       polling = false;
-      initial_delay = None;
       barrier = None;
       topology = Some t;
       fault = Some (Fault.create ~timeout:100. ());
@@ -332,7 +330,6 @@ let prop_adversarial_specs =
           protocol_processor = false;
           gap = 0.;
           polling = false;
-          initial_delay = None;
           barrier = None;
           topology = None;
           fault = Some fault;

@@ -315,9 +315,10 @@ let test_parallel_merge_identical () =
       in
       Alcotest.(check string) "reverse-order execution is byte-identical"
         (render_json sequential) (render_json reversed);
-      (* And the real worker pool, as wired by [lopc_lint --jobs 8] —
-         repeated, because a racy parallel parse (compiler-libs' lexer
-         state is global) fails intermittently, not every run. *)
+      (* And the real worker pool, wired as perfbench's jobs-2 probe wires
+         it but with 8 domains — repeated, because a racy parallel parse
+         (compiler-libs' lexer state is global) fails intermittently, not
+         every run. *)
       for round = 1 to 5 do
         let pooled =
           Driver.lint_paths
@@ -333,8 +334,8 @@ let test_parallel_merge_identical () =
 
 (* Regression for the serial-prefix fix: [lint_paths] used to read and
    parse every file before the first rule check ran, so extra workers
-   only ever added pool overhead and [--jobs 4] benchmarked slower than
-   [--jobs 1]. With the parse inside each task, worker domains overlap
+   only ever added pool overhead and 4 workers benchmarked slower than
+   1. With the parse inside each task, worker domains overlap
    parsing with checking and 4 workers must not lose to 1. Wall-clock
    comparison is only meaningful with real parallelism, so single-core
    machines skip the assertion (the byte-identity test above still

@@ -15,8 +15,8 @@ let unit_of ?(modname = "Fixture") ?(source = "lib/fixture/fixture.ml") src =
   | Ok u -> u
   | Error msg -> Alcotest.failf "fixture does not typecheck: %s" msg
 
-let analyze ?entries ?modname ?source src =
-  Typed_driver.analyze_units ?entries [ unit_of ?modname ?source src ]
+let analyze ?modname ?source src =
+  Typed_driver.analyze_units [ unit_of ?modname ?source src ]
 
 let hits name expected findings =
   Alcotest.(check (list (pair string int)))
@@ -111,20 +111,6 @@ let test_taint_record_with_float_field () =
   match analyze src with
   | [ f ] -> hits "float field found by expansion" [ ("determinism-taint", 2) ] [ f ]
   | fs -> Alcotest.failf "expected one taint finding, got %d" (List.length fs)
-
-let test_taint_extra_entry () =
-  (* `run` is no entry by name; --entry promotes it. *)
-  let src = "let run () = Sys.time ()" in
-  hits "no entry, no finding" [] (analyze src);
-  hits "--entry promotes the key"
-    [ ("determinism-taint", 1) ]
-    (analyze ~entries:[ "Fixture.run" ] src);
-  (* The same entries feed unbounded-retry. *)
-  let src = "let spin n = let r = ref n in while !r > 0 do r := !r - 1 done; !r" in
-  hits "no entry, no retry finding" [] (analyze src);
-  hits "--entry promotes the key for retry too"
-    [ ("unbounded-retry", 1) ]
-    (analyze ~entries:[ "Fixture.spin" ] src)
 
 let test_taint_through_cycle () =
   (* [pong] sits on a cycle with [ping]; the walk reaches it once, so the
@@ -636,7 +622,11 @@ let test_no_cmt_inputs_raises () =
     (Typed_driver.No_cmt_inputs [ "fixtures" ])
     (fun () -> ignore (Typed_driver.analyze_paths [ "fixtures" ]))
 
-(* --- obs-no-wallclock ---------------------------------------------------- *)
+(* --- determinism-taint over lib/obs ----------------------------------------- *)
+
+(* Every lib/obs definition is a taint entry: trace timestamps must be
+   simulated cycles, so a wall clock reachable from the recorder, probes or
+   emitters is a determinism finding. *)
 
 let test_obs_wall_clock_fires () =
   let src =
@@ -645,15 +635,15 @@ let test_obs_wall_clock_fires () =
   in
   match analyze ~source:"lib/obs/fixture.ml" src with
   | [ f ] ->
-    hits "wall clock reachable from an obs emitter" [ ("obs-no-wallclock", 1) ] [ f ];
+    hits "wall clock reachable from an obs emitter" [ ("determinism-taint", 1) ] [ f ];
     check_contains "chain names the emitter" f "Fixture.stamp";
     check_contains "clock is named" f "Unix.gettimeofday"
-  | fs -> Alcotest.failf "expected one obs finding, got %d" (List.length fs)
+  | fs -> Alcotest.failf "expected one taint finding, got %d" (List.length fs)
 
 let test_obs_sys_time_fires () =
   let src = "let emit () = Sys.time ()" in
   hits "Sys.time directly in lib/obs"
-    [ ("obs-no-wallclock", 1) ]
+    [ ("determinism-taint", 1) ]
     (analyze ~source:"lib/obs/fixture.ml" src)
 
 let test_obs_simulated_clock_silent () =
@@ -666,8 +656,8 @@ let test_obs_simulated_clock_silent () =
     (analyze ~source:"lib/obs/fixture.ml" src)
 
 let test_obs_outside_dir_silent () =
-  (* The same clock call outside lib/obs is the taint rule's business (and
-     only when reachable from its entries), not this rule's. *)
+  (* The same clock call outside lib/obs, reachable from no entry, is
+     silent. *)
   let src = "let stamp () = Unix.gettimeofday ()" in
   hits "wall clock outside lib/obs is out of scope" []
     (analyze ~source:"lib/fixture/fixture.ml" src)
@@ -885,10 +875,10 @@ let test_json_stable_with_race_findings () =
 
 let test_typed_catalogue () =
   Alcotest.(check (list string))
-    "the fourteen typed rules, in catalogue order"
+    "the thirteen typed rules, in catalogue order"
     [
       "determinism-taint"; "exn-escape"; "rng-stream-discipline";
-      "parallel-rng-capture"; "obs-no-wallclock"; "unbounded-retry";
+      "parallel-rng-capture"; "unbounded-retry";
       "domain-shared-mutation"; "atomic-read-modify-write";
       "mutable-toplevel-escape"; "probability-range"; "division-by-vanishing";
       "negative-cost"; "unit-mismatch"; "test-only-export";
@@ -896,6 +886,33 @@ let test_typed_catalogue () =
     (List.filter_map
        (fun (e : Explain.entry) -> if e.stage = "typed" then Some e.id else None)
        Explain.entries)
+
+(* Rule metadata lives once: a rule module's severity must equal the one
+   its Explain entry (and so --list-rules, RULES.md and SARIF) reports. *)
+let test_severities_match_explain () =
+  let module A = Lopc_analysis in
+  let rules =
+    List.map (fun (r : A.Rule.t) -> (r.id, r.severity))
+      (Driver.bare_suppression_rule :: Driver.default_rules)
+    @ [
+        (A.Taint_rules.rule_id, A.Taint_rules.severity);
+        (A.Exn_rules.rule_id, A.Exn_rules.severity);
+        (A.Stream_rules.rule_id, A.Stream_rules.severity);
+        (A.Par_rules.rule_id, A.Par_rules.severity);
+        (A.Retry_rules.rule_id, A.Retry_rules.severity);
+        (A.Export_rules.rule_id, A.Export_rules.severity);
+      ]
+    @ List.map (fun (id, _) -> (id, A.Numeric_rules.severity_of id)) A.Numeric_rules.catalogue
+  in
+  List.iter
+    (fun (id, severity) ->
+      match Explain.find id with
+      | None -> Alcotest.failf "%s has no Explain entry" id
+      | Some e ->
+        Alcotest.(check string) id
+          (Finding.severity_to_string e.severity)
+          (Finding.severity_to_string severity))
+    rules
 
 let suite =
   [
@@ -911,7 +928,6 @@ let suite =
     Alcotest.test_case "taint: global Random" `Quick test_taint_global_random;
     Alcotest.test_case "taint: float field by expansion" `Quick
       test_taint_record_with_float_field;
-    Alcotest.test_case "taint: --entry promotes" `Quick test_taint_extra_entry;
     Alcotest.test_case "taint: source through a cycle" `Quick test_taint_through_cycle;
     Alcotest.test_case "exn: escape fires" `Quick test_exn_escape_fires;
     Alcotest.test_case "exn: caught silent" `Quick test_exn_escape_caught_silent;
@@ -986,6 +1002,8 @@ let suite =
     Alcotest.test_case "json stable with race findings" `Quick
       test_json_stable_with_race_findings;
     Alcotest.test_case "typed catalogue" `Quick test_typed_catalogue;
+    Alcotest.test_case "rule severities match Explain" `Quick
+      test_severities_match_explain;
     Alcotest.test_case "export: test-only use fires" `Quick test_export_test_only_fires;
     Alcotest.test_case "export: bin/ user silent" `Quick test_export_bin_user_silent;
     Alcotest.test_case "export: no production unit silent" `Quick

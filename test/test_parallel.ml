@@ -13,6 +13,19 @@ let test_create_rejects_bad_jobs () =
     (Invalid_argument "Parallel.create: jobs must be at least 1") (fun () ->
       ignore (Parallel.create ~jobs:0 ()))
 
+(* OCaml 5.1 caps live domains at 128: a pool past the cap is refused with
+   Invalid_argument, and the workers spawned before the refusal are joined,
+   so the next pool still gets its domains. *)
+let test_create_past_domain_cap () =
+  (match Parallel.create ~jobs:200 () with
+  | exception Invalid_argument _ -> ()
+  | pool ->
+    Parallel.shutdown pool;
+    Alcotest.fail "create ~jobs:200 did not raise Invalid_argument");
+  Parallel.with_pool ~jobs:2 (fun pool ->
+      Alcotest.(check (array int)) "a 2-job pool still runs a batch" [| 0; 1; 4; 9 |]
+        (Parallel.run pool (Array.init 4 (fun i () -> i * i))))
+
 let test_empty_batch () =
   Parallel.with_pool ~jobs:4 (fun pool ->
       Alcotest.(check int) "empty batch" 0 (Array.length (Parallel.run pool [||])))
@@ -103,4 +116,5 @@ let suite =
     QCheck_alcotest.to_alcotest (prop_jobs_invariant "fig5.2" 3);
     QCheck_alcotest.to_alcotest (prop_jobs_invariant "fig6.2" 2);
     QCheck_alcotest.to_alcotest (prop_jobs_invariant "fault" 3);
+    Alcotest.test_case "create past the domain cap" `Quick test_create_past_domain_cap;
   ]

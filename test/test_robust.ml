@@ -346,7 +346,6 @@ let client_spec () =
     protocol_processor = false;
     gap = 0.;
     polling = false;
-    initial_delay = None;
     barrier = None;
     topology = None;
     fault = None;

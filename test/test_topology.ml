@@ -133,7 +133,6 @@ let test_sim_single_message_latency () =
       protocol_processor = false;
       gap = 0.;
       polling = false;
-      initial_delay = None;
       barrier = None;
       topology = Some t;
       fault = None;
