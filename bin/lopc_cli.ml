@@ -93,11 +93,37 @@ let solver_failure ~what status =
   Format.eprintf "%s: %s@.  %s@." what (Fixed_point.status_to_string status) hint;
   `Ok (status_exit_code status)
 
+(* --- range-checked flag values ---------------------------------------------- *)
+
+(* A converter that accepts only the values [ok] admits: an out-of-range
+   flag is a parse error naming the flag, which exits 2 like any other
+   usage error. *)
+let checked parse print ~expected ok =
+  let parse s =
+    match parse s with
+    | Some v when ok v -> Ok v
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+  in
+  Arg.conv (parse, print)
+
+let positive_int =
+  checked int_of_string_opt Format.pp_print_int ~expected:"a positive integer" (fun n ->
+      n >= 1)
+
+let non_negative_int =
+  checked int_of_string_opt Format.pp_print_int ~expected:"a non-negative integer"
+    (fun n -> n >= 0)
+
+let positive_seconds =
+  checked float_of_string_opt Format.pp_print_float
+    ~expected:"a positive, finite number of seconds" (fun t ->
+      Float.is_finite t && t > 0.)
+
 (* --- budgets and the wall-clock watchdog ----------------------------------- *)
 
 let fuel_arg =
   Arg.(
-    value & opt (some int) None
+    value & opt (some non_negative_int) None
     & info [ "fuel" ] ~docv:"N"
         ~doc:
           "Deterministic computation budget: solver iterations (predict) or \
@@ -107,7 +133,7 @@ let fuel_arg =
 
 let max_seconds_arg =
   Arg.(
-    value & opt (some float) None
+    value & opt (some positive_seconds) None
     & info [ "max-seconds" ] ~docv:"T"
         ~doc:
           "Wall-clock watchdog: cancel the run after $(docv) seconds (exit \
@@ -285,7 +311,9 @@ let parse_backoff s =
   | _ -> Error (Printf.sprintf "unknown --backoff %S (want fixed, exp:F:C or jitter:S)" s)
 
 (* [Ok None] when every fault flag is at its no-fault default: the fault layer
-   engages when any probability is positive or --timeout is given explicitly. *)
+   engages when any probability is positive or --timeout is given explicitly.
+   The config is validated here, so predict and simulate reject the same
+   flags. *)
 let fault_of ~st ~so ~w ~drop ~duplicate ~delay_epsilon ~spike_mean ~timeout ~backoff
     ~retries =
   if drop <= 0. && duplicate <= 0. && delay_epsilon <= 0. && timeout = None then Ok None
@@ -299,11 +327,10 @@ let fault_of ~st ~so ~w ~drop ~duplicate ~delay_epsilon ~spike_mean ~timeout ~ba
         | None -> 8. *. (w +. (2. *. st) +. (4. *. so))
       in
       let spike_mean = Option.value spike_mean ~default:(10. *. st) in
-      Ok
-        (Some
-           (Fault.create ~drop ~duplicate ~delay_epsilon
-              ~delay_spike:(D.Exponential spike_mean) ~backoff ~max_tries:retries
-              ~timeout ()))
+      Fault.validate
+        (Fault.create ~drop ~duplicate ~delay_epsilon
+           ~delay_spike:(D.Exponential spike_mean) ~backoff ~max_tries:retries ~timeout ())
+      |> Result.map Option.some
 
 (* --- predict --------------------------------------------------------------- *)
 
@@ -377,19 +404,22 @@ let print_client_server params ~w ~servers =
     (Lopc.Logp.server_bound params ~servers)
     (Lopc.Logp.client_bound params ~w ~clients:(params.Lopc.Params.p - servers))
 
-let print_general params ~w ~protocol_processor pattern =
+let print_general ?budget params ~w ~protocol_processor pattern =
   let net = Pattern.to_general ~protocol_processor params ~w pattern in
-  let s = G.solve net in
-  Format.printf "LoPC general (Appendix A) prediction: %s@." (Pattern.description pattern);
-  Format.printf "  system throughput   = %.6f requests/cycle@." s.G.system_throughput;
-  Array.iteri
-    (fun k (ns : G.node_solution) ->
-      let cycle = s.G.cycle_times.(k) in
-      if Float.is_nan cycle then
-        Format.printf "  node %2d (server): Qq=%.3f Uq=%.3f@." k ns.G.qq ns.G.uq
-      else
-        Format.printf "  node %2d: R=%.1f Qq=%.3f Uq=%.3f@." k cycle ns.G.qq ns.G.uq)
-    s.G.node_solutions
+  match G.solve_status ?budget net with
+  | None, status -> solver_failure ~what:"general solver" status
+  | Some s, _ ->
+    Format.printf "LoPC general (Appendix A) prediction: %s@." (Pattern.description pattern);
+    Format.printf "  system throughput   = %.6f requests/cycle@." s.G.system_throughput;
+    Array.iteri
+      (fun k (ns : G.node_solution) ->
+        let cycle = s.G.cycle_times.(k) in
+        if Float.is_nan cycle then
+          Format.printf "  node %2d (server): Qq=%.3f Uq=%.3f@." k ns.G.qq ns.G.uq
+        else
+          Format.printf "  node %2d: R=%.1f Qq=%.3f Uq=%.3f@." k cycle ns.G.qq ns.G.uq)
+      s.G.node_solutions;
+    `Ok 0
 
 let polling_arg =
   Arg.(
@@ -438,8 +468,7 @@ let predict_cmd =
                   print_client_server params ~w ~servers;
                   `Ok 0
                 | None, (Pattern.Hotspot _ | Pattern.Multi_hop _) ->
-                  print_general params ~w ~protocol_processor:pp pat;
-                  `Ok 0)
+                  print_general ?budget params ~w ~protocol_processor:pp pat)
           with
           | Invalid_argument msg -> `Error (false, msg)
           | Fixed_point.Diverged msg ->
@@ -496,6 +525,15 @@ let simulate_cmd =
               Machine.run ~seed ~spec ~cycles ?obs ?budget ())
         in
         let m = r.Machine.metrics in
+        if
+          Option.is_none r.Machine.interrupted
+          && not (Float.is_finite (Metrics.mean_response m))
+        then
+          invalid_arg
+            (Printf.sprintf
+               "no cycle both started and finished inside the measurement window \
+                (P=%d, --cycles %d): raise --cycles well above P"
+               p cycles);
         (match (trace, recorder) with
         | Some path, Some recorder ->
           Recorder.write_file recorder path;
@@ -716,17 +754,9 @@ let sweep_cmd =
       & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as $(docv)/ARTIFACT.csv.")
   in
   let jobs_arg =
-    let positive =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Ok n
-        | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
     Arg.(
       value
-      & opt positive (Domain.recommended_domain_count ())
+      & opt positive_int (Domain.recommended_domain_count ())
       & info [ "jobs" ] ~docv:"N"
           ~doc:
             "Fan each artifact's sweep points across $(docv) domains. Tables are \

@@ -6,10 +6,6 @@ type backoff =
   | Exponential of { factor : float; cap : float }
   | Jittered of { spread : float }
 
-type outage_kind = Slowdown of float | Crash
-
-type outage = { node : int; starts : float; duration : float; kind : outage_kind }
-
 type t = {
   drop : float;
   duplicate : float;
@@ -18,15 +14,14 @@ type t = {
   timeout : float;
   backoff : backoff;
   max_tries : int;
-  outages : outage list;
 }
 
 let create ?(drop = 0.) ?(duplicate = 0.) ?(delay_epsilon = 0.)
-    ?(delay_spike = Distribution.Constant 0.) ?(backoff = Fixed) ?(max_tries = 8)
-    ?(outages = []) ~timeout () =
-  { drop; duplicate; delay_epsilon; delay_spike; timeout; backoff; max_tries; outages }
+    ?(delay_spike = Distribution.Constant 0.) ?(backoff = Fixed) ?(max_tries = 8) ~timeout
+    () =
+  { drop; duplicate; delay_epsilon; delay_spike; timeout; backoff; max_tries }
 
-let validate ~nodes t =
+let validate t =
   let problem =
     if not (Float.is_finite t.drop) || t.drop < 0. || t.drop >= 1. then
       Some "drop probability must lie in [0, 1)"
@@ -55,21 +50,7 @@ let validate ~nodes t =
     | None -> (
         match Distribution.validate t.delay_spike with
         | Error reason -> Some ("delay spike: " ^ reason)
-        | Ok _ ->
-            List.find_map
-              (fun o ->
-                if o.node < 0 || o.node >= nodes then
-                  Some "outage names a node outside the machine"
-                else if not (Float.is_finite o.starts) || o.starts < 0. then
-                  Some "outage start time must be non-negative"
-                else if not (Float.is_finite o.duration) || o.duration <= 0. then
-                  Some "outage duration must be positive"
-                else
-                  match o.kind with
-                  | Slowdown f when not (Float.is_finite f) || f < 1. ->
-                      Some "slowdown factor must be >= 1"
-                  | Slowdown _ | Crash -> None)
-              t.outages)
+        | Ok _ -> None)
   in
   match problem with Some reason -> Error ("fault: " ^ reason) | None -> Ok t
 
@@ -91,18 +72,3 @@ let timeout_for t ~try_ rng =
   | Jittered { spread } ->
       (* Uniform in [1 − spread, 1 + spread] × base: mean stays [base]. *)
       base *. Rng.float_range rng (1. -. spread) (1. +. spread)
-
-let active_outage t ~node ~now =
-  List.find_opt
-    (fun o -> o.node = node && now >= o.starts && now < o.starts +. o.duration)
-    t.outages
-
-let is_crashed t ~node ~now =
-  match active_outage t ~node ~now with
-  | Some { kind = Crash; _ } -> true
-  | Some { kind = Slowdown _; _ } | None -> false
-
-let slowdown_at t ~node ~now =
-  match active_outage t ~node ~now with
-  | Some { kind = Slowdown f; _ } -> f
-  | Some { kind = Crash; _ } | None -> 1.

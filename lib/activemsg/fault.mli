@@ -26,22 +26,6 @@ type backoff =
       (** Try [n] waits [timeout] scaled by a uniform draw from
           [[1 − spread, 1 + spread]] (mean multiplier 1). *)
 
-type outage_kind =
-  | Slowdown of float
-      (** Handler service at the node is multiplied by this factor (≥ 1)
-          while the window is active. *)
-  | Crash
-      (** Every message arriving at the node during the window is lost;
-          retransmission recovers the traffic after the restart. *)
-
-type outage = {
-  node : int;          (** Affected node id. *)
-  starts : float;      (** Absolute simulation time the window opens. *)
-  duration : float;    (** Window length (> 0). *)
-  kind : outage_kind;
-}
-(** A transient per-node slowdown or crash-restart window. *)
-
 type t = {
   drop : float;
       (** Per-traversal loss probability in [0, 1), applied independently
@@ -60,7 +44,6 @@ type t = {
   max_tries : int;
       (** Retry budget (≥ 1): after this many unanswered tries the cycle
           is abandoned and counted in [Metrics.failed_cycles]. *)
-  outages : outage list;
 }
 
 val create :
@@ -70,17 +53,16 @@ val create :
   ?delay_spike:Distribution.t ->
   ?backoff:backoff ->
   ?max_tries:int ->
-  ?outages:outage list ->
   timeout:float ->
   unit ->
   t
 (** Fault config with all injection turned off by default: [drop],
     [duplicate] and [delay_epsilon] default to [0.], [backoff] to
-    {!Fixed}, [max_tries] to [8], [outages] to [[]]. *)
+    {!Fixed}, [max_tries] to [8]. *)
 
-val validate : nodes:int -> t -> (t, string) result
-(** Checks every field against the ranges documented above ([nodes] bounds
-    the outage node ids). Called from {!Spec.validate}. *)
+val validate : t -> (t, string) result
+(** Checks every field against the ranges documented above. Called from
+    {!Spec.validate}. *)
 
 val timeout_multiplier : t -> try_:int -> float
 (** Deterministic timeout multiplier of the [try_]-th attempt (1-based):
@@ -94,13 +76,3 @@ val mean_timeout : t -> try_:int -> float
 val timeout_for : t -> try_:int -> Rng.t -> float
 (** Actual timeout for an attempt; samples the jitter factor from [rng]
     (a fault stream, never a node stream) for {!Jittered}. *)
-
-val active_outage : t -> node:int -> now:float -> outage option
-(** The outage window covering [node] at time [now], if any. *)
-
-val is_crashed : t -> node:int -> now:float -> bool
-(** Whether [node] is inside a {!Crash} window at [now]. *)
-
-val slowdown_at : t -> node:int -> now:float -> float
-(** Handler service multiplier for [node] at [now] ([1.] outside
-    {!Slowdown} windows). *)

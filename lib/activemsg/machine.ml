@@ -328,51 +328,43 @@ and wire_arrival m node msg =
       (Engine.schedule_at m.engine ~time:(start +. gap) (fun _ -> arrival m node msg))
   end
 
-(* Fault-layer admission control: crash windows lose the message, request
-   deliveries are checked against the dedup table (but still handled at
-   full cost — the handler demand inflation the model predicts), and only
-   the first reply of the pending sequence number is accepted; every other
-   reply is discarded at zero cost. *)
+(* Fault-layer admission control: request deliveries are checked against
+   the dedup table (but still handled at full cost — the handler demand
+   inflation the model predicts), and only the first reply of the pending
+   sequence number is accepted; every other reply is discarded at zero
+   cost. *)
 and arrival m node msg =
   match m.spec.Spec.fault with
   | None -> deliver m node msg
-  | Some f ->
+  | Some _ -> (
     let now = Engine.now m.engine in
-    if Fault.is_crashed f ~node:node.id ~now then begin
-      if m.measuring then
-        m.metrics.Metrics.dropped_messages <- m.metrics.Metrics.dropped_messages + 1;
-      obs_event m (fun o -> Sim_probe.fault_event o ~node:node.id ~now "drop")
-    end
-    else begin
-      match msg.kind with
-      | Request ->
-        let origin = Float.to_int msg.cycle.origin in
-        (match Hashtbl.find_opt node.seen origin with
-        | Some last when msg.seq <= last ->
-          if m.measuring then
-            m.metrics.Metrics.duplicate_deliveries <-
-              m.metrics.Metrics.duplicate_deliveries + 1;
-          obs_event m (fun o -> Sim_probe.fault_event o ~node:node.id ~now "duplicate")
-        | Some _ | None -> Hashtbl.replace node.seen origin msg.seq);
+    match msg.kind with
+    | Request ->
+      let origin = Float.to_int msg.cycle.origin in
+      (match Hashtbl.find_opt node.seen origin with
+      | Some last when msg.seq <= last ->
+        if m.measuring then
+          m.metrics.Metrics.duplicate_deliveries <-
+            m.metrics.Metrics.duplicate_deliveries + 1;
+        obs_event m (fun o -> Sim_probe.fault_event o ~node:node.id ~now "duplicate")
+      | Some _ | None -> Hashtbl.replace node.seen origin msg.seq);
+      deliver m node msg
+    | Reply -> (
+      match node.pending with
+      | Some p when p.pseq = msg.seq && not p.reply_accepted ->
+        p.reply_accepted <- true;
+        (match p.timer with
+        | Some h ->
+          Engine.cancel h;
+          p.timer <- None
+        | None -> ());
+        if m.measuring then
+          Welford.add m.metrics.Metrics.try_latency (now -. p.last_sent);
         deliver m node msg
-      | Reply -> begin
-        match node.pending with
-        | Some p when p.pseq = msg.seq && not p.reply_accepted ->
-          p.reply_accepted <- true;
-          (match p.timer with
-          | Some h ->
-            Engine.cancel h;
-            p.timer <- None
-          | None -> ());
-          if m.measuring then
-            Welford.add m.metrics.Metrics.try_latency (now -. p.last_sent);
-          deliver m node msg
-        | Some _ | None ->
-          if m.measuring then
-            m.metrics.Metrics.stale_replies <- m.metrics.Metrics.stale_replies + 1;
-          obs_event m (fun o -> Sim_probe.fault_event o ~node:node.id ~now "stale")
-      end
-    end
+      | Some _ | None ->
+        if m.measuring then
+          m.metrics.Metrics.stale_replies <- m.metrics.Metrics.stale_replies + 1;
+        obs_event m (fun o -> Sim_probe.fault_event o ~node:node.id ~now "stale")))
 
 and deliver m node msg =
   msg.arrived <- Engine.now m.engine;
@@ -423,11 +415,6 @@ and try_dispatch m node =
       | Reply -> m.spec.Spec.reply_handler
     in
     let cost = Distribution.sample dist node.rng in
-    let cost =
-      match m.spec.Spec.fault with
-      | None -> cost
-      | Some f -> cost *. Fault.slowdown_at f ~node:node.id ~now
-    in
     if m.measuring then Welford.add m.metrics.Metrics.handler_service cost;
     ignore (Engine.schedule m.engine ~delay:cost (fun _ -> handler_done m node msg))
   end
@@ -593,9 +580,13 @@ and finish_cycle m node =
 
 (* --- driver -------------------------------------------------------------- *)
 
+(* Hard runaway guard: a run that executes more events than this raises
+   instead of spinning (the graceful stop is a [budget]). *)
+let max_events = 200_000_000
+
 (* Build the machine, schedule the initial cycles and run the warm-up
    phase; returns the machine plus a guarded single-step function. *)
-let prepare ?on_cycle ?rng ?obs ?budget ~seed ~warmup ~max_events ~spec () =
+let prepare ?on_cycle ?rng ?obs ?budget ~seed ~warmup ~spec () =
   (match Spec.validate spec with
   | Ok _ -> ()
   | Error reason -> invalid_arg ("Machine: " ^ reason));
@@ -709,13 +700,12 @@ let finish_obs m =
   | None -> ()
   | Some o -> Sim_probe.finish o ~now:(Engine.now m.engine)
 
-let run ?(seed = 42) ?rng ?warmup_cycles ?(max_events = 200_000_000) ?on_cycle ?obs
-    ?budget ~spec ~cycles () =
+let run ?(seed = 42) ?rng ?warmup_cycles ?on_cycle ?obs ?budget ~spec ~cycles () =
   if cycles <= 0 then
     invalid_arg (Printf.sprintf "Machine: cycles must be positive, got %d" cycles);
   let warmup = match warmup_cycles with Some w -> max 0 w | None -> max 1000 (cycles / 10) in
   let m, step_guarded =
-    prepare ?on_cycle ?rng ?obs ?budget ~seed ~warmup ~max_events ~spec ()
+    prepare ?on_cycle ?rng ?obs ?budget ~seed ~warmup ~spec ()
   in
   while m.completed_measured < cycles && step_guarded () do
     ()

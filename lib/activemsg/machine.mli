@@ -48,7 +48,6 @@ val run :
   ?seed:int ->
   ?rng:Lopc_prng.Rng.t ->
   ?warmup_cycles:int ->
-  ?max_events:int ->
   ?on_cycle:(cycle_report -> unit) ->
   ?obs:Lopc_obs.Sim_probe.t ->
   ?budget:Lopc_robust.Budget.t ->
@@ -62,8 +61,8 @@ val run :
     discarded first. [seed] defaults to [42]; when [rng] is given it is
     used as the master stream instead (the caller typically passes a
     {!Lopc_prng.Rng.split} child keyed on its replication index, so
-    parallel replications stay deterministic). [max_events] (default
-    [200_000_000]) is a runaway guard.
+    parallel replications stay deterministic). A run that executes more
+    than 200M events raises: that is the runaway guard.
 
     When [obs] is given, the machine feeds it every observable
     transition — thread start/stop, handler begin/end, queue-depth
@@ -76,7 +75,7 @@ val run :
     [budget] is consulted once per event (warm-up included, one unit of
     fuel each); when it stops the run, the result comes back gracefully
     with [interrupted = Some reason] and whatever metrics accumulated —
-    in contrast to the hard [max_events] guard, which raises. A
+    in contrast to the hard 200M-event guard, which raises. A
     cancellation is observed within one event of the token flip. Fuel is
     simulation progress, so budgeted runs remain deterministic.
     @raise Invalid_argument if the spec fails {!Spec.validate}, no node

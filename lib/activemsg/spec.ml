@@ -49,7 +49,7 @@ let validate t =
       match t.fault with
       | None -> None
       | Some f -> (
-          match Fault.validate ~nodes:t.nodes f with
+          match Fault.validate f with
           | Error reason -> Some reason
           | Ok _ ->
               if

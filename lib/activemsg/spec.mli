@@ -64,9 +64,9 @@ type t = {
       (** See the note above the type. *)
   fault : Fault.t option;
       (** Optional fault-injection and recovery layer ({!Fault}): message
-          loss/duplication/delay spikes, per-node outage windows, and a
-          timeout–retransmit protocol with sequence-number duplicate
-          suppression. Requires blocking threads ([window = 1]),
+          loss/duplication/delay spikes and a timeout–retransmit
+          protocol with sequence-number duplicate suppression. Requires
+          blocking threads ([window = 1]),
           single-hop routes and [topology = None]. [None] keeps the
           paper's perfectly reliable interconnect. *)
 }

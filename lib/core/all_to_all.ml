@@ -1,6 +1,5 @@
 module Roots = Lopc_numerics.Roots
 module Fixed_point = Lopc_numerics.Fixed_point
-module Solver_probe = Lopc_numerics.Solver_probe
 module Polynomial = Lopc_numerics.Polynomial
 module Linear = Lopc_numerics.Linear
 
@@ -56,16 +55,16 @@ let queues ?(extra = 0.) (params : Params.t) s =
 
 (* In polling mode a handler arriving while the thread computes waits for
    the residual work quantum: probability Uw = W/R, mean residual
-   (1 + C²w)/2 · W. *)
-let polling_wait ~work_scv ~w r =
+   (1 + C²w)/2 · W = W, since work quanta are exponential (C²w = 1). *)
+let polling_wait ~w r =
   let uw = w /. r in
-  uw *. ((1. +. work_scv) /. 2.) *. w
+  uw *. w
 
-let analyze ~execution ~work_scv (params : Params.t) ~w r =
+let analyze ~execution (params : Params.t) ~w r =
   let s = params.so /. r in
   let extra =
     match execution with
-    | Polling -> polling_wait ~work_scv ~w r /. r
+    | Polling -> polling_wait ~w r /. r
     | Interrupt | Protocol_processor -> 0.
   in
   let qq, qy = queues ~extra params s in
@@ -83,20 +82,20 @@ let analyze ~execution ~work_scv (params : Params.t) ~w r =
   in
   (rw, rq, ry, qq, qy, s)
 
-let fixed_point_map ?(execution = Interrupt) ?(work_scv = 1.) (params : Params.t) ~w r =
-  let rw, rq, ry, _, _, _ = analyze ~execution ~work_scv params ~w r in
+let fixed_point_map ?(execution = Interrupt) (params : Params.t) ~w r =
+  let rw, rq, ry, _, _, _ = analyze ~execution params ~w r in
   rw +. (2. *. params.st) +. rq +. ry
 
 (* Clearing denominators in r − F(r) = 0: multiplying by
    r·(r − So)·(r² − r·So − So²) yields a polynomial of degree ≤ 5. Rather
    than expanding symbolically we interpolate it exactly from 6 samples. *)
-let quartic ?(execution = Interrupt) ?(work_scv = 1.) (params : Params.t) ~w =
+let quartic ?(execution = Interrupt) (params : Params.t) ~w =
   check params ~w;
   let so = params.so in
   let cleared r =
     let d1 = r -. so in
     let d2 = (r *. r) -. (r *. so) -. (so *. so) in
-    (r -. fixed_point_map ~execution ~work_scv params ~w r) *. r *. d1 *. d2
+    (r -. fixed_point_map ~execution params ~w r) *. r *. d1 *. d2
   in
   let lb = lower_bound params ~w in
   (* Interpolate in the normalized variable u = r / lb so the Vandermonde
@@ -125,8 +124,8 @@ let quartic ?(execution = Interrupt) ?(work_scv = 1.) (params : Params.t) ~w =
    failed root isolation or no candidate root. None of these means the
    model has no solution, so the caller falls back to the bracketed
    solver. *)
-let solve_polynomial ?execution ?work_scv params ~w =
-  match Polynomial.real_roots (quartic ?execution ?work_scv params ~w) with
+let solve_polynomial ?execution params ~w =
+  match Polynomial.real_roots (quartic ?execution params ~w) with
   | exception (Linear.Singular | Roots.No_bracket) -> None
   | roots -> (
     let lb = lower_bound params ~w in
@@ -137,8 +136,8 @@ let solve_polynomial ?execution ?work_scv params ~w =
     | [] -> None
     | first :: rest -> Some (List.fold_left Float.min first rest))
 
-let solution_of_r (params : Params.t) ~w ~work_scv ~execution r =
-  let rw, rq, ry, qq, qy, s = analyze ~execution ~work_scv params ~w r in
+let solution_of_r (params : Params.t) ~w ~execution r =
+  let rw, rq, ry, qq, qy, s = analyze ~execution params ~w r in
   ({
      r;
      rw;
@@ -163,51 +162,36 @@ let solution_of_r (params : Params.t) ~w ~work_scv ~execution r =
    whose demand can outgrow capacity ([Amva], [General], [Fault_model]);
    here a structured failure can only be [Diverged] or [Exhausted]. *)
 
-let solve_status ?probe ?budget ?(execution = Interrupt) ?(work_scv = 1.)
-    ?(solve_method = Brent_on_residual) params ~w =
-  check params ~w;
-  if work_scv < 0. || not (Float.is_finite work_scv) then
-    invalid_arg "All_to_all: invalid work_scv";
+let solve_status ?budget ?(execution = Interrupt) ?(solve_method = Brent_on_residual)
+    params ~w =
   let lb = lower_bound params ~w in
-  (* The one queueing resource here is the handler: utilization So/R at
-     cycle time R, which is what the probe reports as [hottest]. *)
-  let handler_u r = params.Params.so /. Float.max r lb in
-  let fp_probe =
-    Option.map
-      (fun p (ev : Solver_probe.event) ->
-        p { ev with Solver_probe.hottest = Some (0, handler_u ev.Solver_probe.iterate.(0)) })
-      probe
-  in
   let bracketed () =
-    Fixed_point.solve_above_status ?probe:fp_probe ?budget
-      ~f:(fixed_point_map ~execution ~work_scv params ~w)
-      lb
+    Fixed_point.solve_above_status ?budget ~f:(fixed_point_map ~execution params ~w) lb
   in
   let r, status =
     match solve_method with
     | Brent_on_residual -> bracketed ()
     | Polynomial_roots -> (
-      match solve_polynomial ~execution ~work_scv params ~w with
+      match solve_polynomial ~execution params ~w with
       | Some r -> (r, Fixed_point.Converged { iters = 0 })
       | None -> bracketed ())
     | Damped_iteration ->
       let f r =
         (* Clamp into the region where the closed forms are valid. *)
         let r = Float.max r lb in
-        fixed_point_map ~execution ~work_scv params ~w r
+        fixed_point_map ~execution params ~w r
       in
       let r, status =
-        Fixed_point.solve_scalar_status ?probe:fp_probe ?budget ~damping:0.5
-          ~tol:1e-12 ~f lb
+        Fixed_point.solve_scalar_status ?budget ~damping:0.5 ~tol:1e-12 ~f lb
       in
       (Float.max r lb, status)
   in
   match status with
-  | Fixed_point.Converged _ -> (Some (solution_of_r params ~w ~work_scv ~execution r), status)
+  | Fixed_point.Converged _ -> (Some (solution_of_r params ~w ~execution r), status)
   | status -> (None, status)
 
-let solve ?probe ?execution ?work_scv ?solve_method params ~w =
-  match solve_status ?probe ?execution ?work_scv ?solve_method params ~w with
+let solve ?execution ?solve_method params ~w =
+  match solve_status ?execution ?solve_method params ~w with
   | Some s, _ -> s
   | None, status ->
     raise (Fixed_point.Diverged ("All_to_all: " ^ Fixed_point.status_to_string status))

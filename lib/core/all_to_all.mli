@@ -41,8 +41,9 @@ type execution =
       (** LogP's CM-5-style assumption (§3): handlers run only when the
           thread yields — at request-issue points and while blocked. The
           thread is never preempted ([Rw = W]) but every handler first
-          waits out the residual work quantum of a busy thread, adding
-          [Uw ·. (1 + C²w)/2 ·. W] to [Rq] and [Ry]. *)
+          waits out the residual work quantum of a busy thread. Work is
+          exponential ([C²w = 1]), so the mean residual quantum is [W]
+          and the wait adds [Uw ·. W] to [Rq] and [Ry]. *)
   | Protocol_processor
       (** Shared-memory machines (§5.1): handlers execute on a dedicated
           per-node protocol processor; [Rw = W] and handlers queue only
@@ -55,46 +56,31 @@ type solve_method =
                            polynomial of §5.3. *)
 
 val solve_status :
-  ?probe:Lopc_numerics.Solver_probe.t ->
   ?budget:Lopc_robust.Budget.t ->
   ?execution:execution ->
-  ?work_scv:float ->
   ?solve_method:solve_method ->
   Params.t ->
   w:float ->
   solution option * Lopc_numerics.Fixed_point.status
 (** [solve_status params ~w] solves the homogeneous model and reports a
-    structured outcome. [execution] defaults to [Interrupt]; [work_scv]
-    (squared coefficient of variation of the work quanta, default [1.])
-    only affects [Polling], whose handler waiting time includes the
-    thread's residual quantum. For [Brent_on_residual] the [Converged]
+    structured outcome. [execution] defaults to [Interrupt]. For
+    [Brent_on_residual] the [Converged]
     iteration count is the number of residual evaluations. The reliable
     model never reports [Saturated] — its saturation floor lies strictly
     below the contention-free cycle time (see {!Fault_model} for a model
     that can).
-
-    [probe] receives one event per iteration ([Damped_iteration]: the
-    damped fixed-point steps, residuals strictly decreasing on a
-    contraction) or per residual evaluation (the bracketing methods:
-    residuals follow the bracket search, not a monotone schedule), with
-    [hottest] set to the handler station's utilization [So/R] at the
-    evaluated iterate.
 
     [budget] is consulted once per iteration ([Damped_iteration]) or per
     residual evaluation (the bracketing methods); when it stops the run
     the outcome is [(None, Exhausted _)]. [Polynomial_roots] reports
     [Converged { iters = 0 }] when the quartic yields the root: the
     direct root computation is a fixed amount of work, cannot spin and
-    consults neither probe nor budget. When it yields no usable root it
-    falls back to the bracketed solve of [Brent_on_residual], probe and
-    budget included.
-    @raise Invalid_argument if [w < 0.], [work_scv < 0.], or parameters
-    are invalid. *)
+    consults no budget. When it yields no usable root it falls back to
+    the bracketed solve of [Brent_on_residual], budget included.
+    @raise Invalid_argument if [w < 0.] or parameters are invalid. *)
 
 val solve :
-  ?probe:Lopc_numerics.Solver_probe.t ->
   ?execution:execution ->
-  ?work_scv:float ->
   ?solve_method:solve_method ->
   Params.t ->
   w:float ->
@@ -104,14 +90,12 @@ val solve :
     @raise Lopc_numerics.Fixed_point.Diverged on any non-converged
     outcome. *)
 
-val fixed_point_map :
-  ?execution:execution -> ?work_scv:float -> Params.t -> w:float -> float -> float
+val fixed_point_map : ?execution:execution -> Params.t -> w:float -> float -> float
 (** [fixed_point_map params ~w r] is the map [F] whose fixed point is the
     cycle time — exposed for the bound proofs and property tests ([F] is
     continuous and decreasing above the contention-free cycle time). *)
 
-val quartic :
-  ?execution:execution -> ?work_scv:float -> Params.t -> w:float -> Lopc_numerics.Polynomial.t
+val quartic : ?execution:execution -> Params.t -> w:float -> Lopc_numerics.Polynomial.t
 (** The cleared-denominator polynomial whose relevant real root is the
     cycle time (degree ≤ 5 before trimming; degree 4 in the paper's
     [C² = 0] message-passing case after cancellation). *)

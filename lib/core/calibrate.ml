@@ -16,7 +16,7 @@ let model_r ~c2 ~p ~st ~so ~w =
   let params = Params.create ~c2 ~p ~st ~so () in
   (All_to_all.solve params ~w).All_to_all.r
 
-let fit ?(c2 = 1.) ?(initial = (10., 100.)) ?fixed_st ~p ~observations () =
+let fit ?(c2 = 1.) ?fixed_st ~p ~observations () =
   check_observations observations;
   if p < 2 then invalid_arg "Calibrate: need at least two processors";
   let sse ~st ~so =
@@ -26,8 +26,6 @@ let fit ?(c2 = 1.) ?(initial = (10., 100.)) ?fixed_st ~p ~observations () =
         acc +. ((predicted -. measured) ** 2.))
       0. observations
   in
-  let st0, so0 = initial in
-  if st0 <= 0. || so0 <= 0. then invalid_arg "Calibrate: initial guesses must be positive";
   let st, so, value =
     match fixed_st with
     | Some st ->
@@ -46,7 +44,7 @@ let fit ?(c2 = 1.) ?(initial = (10., 100.)) ?fixed_st ~p ~observations () =
       in
       let { Minimize.minimizer; value; _ } =
         Minimize.nelder_mead ~tol:1e-14 ~initial_step:0.5 ~f:objective
-          [| log st0; log so0 |]
+          [| log 10.; log 100. |]
       in
       (exp minimizer.(0), exp minimizer.(1), value)
   in

@@ -26,7 +26,6 @@ type fit = {
 
 val fit :
   ?c2:float ->
-  ?initial:float * float ->
   ?fixed_st:float ->
   p:int ->
   observations:(float * float) list ->
@@ -34,8 +33,8 @@ val fit :
   fit
 (** [fit ~p ~observations ()] estimates [(St, So)] from
     [(work, measured cycle time)] pairs. [c2] (default [1.]) is the
-    assumed handler variability; [initial] (default [(10., 100.)]) seeds
-    the search; [fixed_st] pins the wire latency and fits only [So] (see
+    assumed handler variability; the search starts at
+    [(St, So) = (10, 100)]; [fixed_st] pins the wire latency and fits only [So] (see
     the identifiability note above).
     @raise Invalid_argument with fewer than two observations, a
     non-positive measured time, or negative work. *)

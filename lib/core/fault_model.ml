@@ -206,7 +206,7 @@ let check_inputs c (params : Params.t) ~w =
   if w < 0. || not (Float.is_finite w) then invalid_arg "Fault_model: invalid work value";
   ignore (check c)
 
-let solve_status ?probe ?budget c (params : Params.t) ~w =
+let solve_status ?budget c (params : Params.t) ~w =
   check_inputs c params ~w;
   let kq = handler_load c in
   let a = kq *. params.so in
@@ -215,22 +215,8 @@ let solve_status ?probe ?budget c (params : Params.t) ~w =
      denominators are non-positive and the request station is saturated. *)
   let r_floor = (a +. Float.sqrt ((a *. a) +. (4. *. a *. b))) /. 2. in
   let lb = lower_bound c params ~w in
-  (* The retry-inflated request station is the one that saturates:
-     utilization a/r at cycle time r, which the probe reports as [hottest].
-     Every iterate is at or above the kernel's start, which is positive. *)
-  let probe =
-    Option.map
-      (fun p (ev : Lopc_numerics.Solver_probe.event) ->
-        p
-          {
-            ev with
-            Lopc_numerics.Solver_probe.hottest =
-              Some (0, a /. ev.Lopc_numerics.Solver_probe.iterate.(0));
-          })
-      probe
-  in
   let solve_from start =
-    Fixed_point.solve_above_status ?probe ?budget ~f:(fixed_point_map c params ~w) start
+    Fixed_point.solve_above_status ?budget ~f:(fixed_point_map c params ~w) start
   in
   let solution (r, status) =
     match status with
@@ -264,8 +250,8 @@ let solve_status ?probe ?budget c (params : Params.t) ~w =
        below) the contention-free bound, and the kernel answers [lb]. *)
     solution (solve_from lb)
 
-let solve ?probe c params ~w =
-  match solve_status ?probe c params ~w with
+let solve c params ~w =
+  match solve_status c params ~w with
   | Some s, _ -> s
   | None, status ->
     raise (Fixed_point.Diverged ("Fault_model: " ^ Fixed_point.status_to_string status))

@@ -24,8 +24,7 @@
     {!Lopc_activemsg.Spec.validate} enforces on faulty specs), and a
     timeout comfortably above the typical round trip — the model charges
     every failed try its full backoff and assumes no spurious
-    retransmissions. Per-node outage windows are transient scenario
-    features and are not modeled. *)
+    retransmissions. *)
 
 type config = {
   drop : float [@lopc.prob];
@@ -100,7 +99,6 @@ type solution = {
 }
 
 val solve_status :
-  ?probe:Lopc_numerics.Solver_probe.t ->
   ?budget:Lopc_robust.Budget.t ->
   config -> Params.t -> w:float -> solution option * Lopc_numerics.Fixed_point.status
 (** Solve the faulty fixed point. Returns [Saturated] (with the inflated
@@ -108,12 +106,9 @@ val solve_status :
     handler demand admits no stable cycle time, [Diverged] if root
     bracketing fails (residual [|F R − R|] at the bracket start),
     [Exhausted] when [budget] (consulted once per map evaluation) stops
-    the search; [iters] counts map evaluations. [probe] receives one event
-    per map evaluation with [hottest] set to the inflated request
-    utilization.
+    the search; [iters] counts map evaluations.
     @raise Invalid_argument on invalid [config], [params] or [w]. *)
 
-val solve :
-  ?probe:Lopc_numerics.Solver_probe.t -> config -> Params.t -> w:float -> solution
+val solve : config -> Params.t -> w:float -> solution
 (** Like {!solve_status}.
     @raise Lopc_numerics.Fixed_point.Diverged when no solution exists. *)

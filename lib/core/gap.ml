@@ -66,9 +66,8 @@ let solve ?(gap = 0.) (params : Params.t) ~w =
     }
   end
 
-let tolerable_gap ?(penalty = 0.05) (params : Params.t) ~w =
-  if penalty <= 0. then invalid_arg "Gap.tolerable_gap: penalty must be positive";
+let tolerable_gap (params : Params.t) ~w =
   check params ~gap:0. ~w;
-  let slowdown g = (solve ~gap:g params ~w).penalty -. penalty in
+  let slowdown g = (solve ~gap:g params ~w).penalty -. 0.05 in
   (* The penalty is 0 at g = 0 and grows without bound; bracket upward. *)
   Roots.brent_above ~f:slowdown 1e-9

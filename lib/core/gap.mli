@@ -39,9 +39,8 @@ val solve : ?gap:float -> Params.t -> w:float -> solution
 val lower_bound : gap:float -> Params.t -> w:float -> float
 (** Contention-free cycle with NIs: [W + 2·St + 4·g + 2·So]. *)
 
-val tolerable_gap : ?penalty:float -> Params.t -> w:float -> float
+val tolerable_gap : Params.t -> w:float -> float
 (** [tolerable_gap params ~w] is the largest [g] whose modeled slowdown
-    stays below [penalty] (default [0.05], i.e. 5%) — a concrete answer
-    to "when is LoPC's no-gap assumption safe?". Grows with [W] and
-    [So]: the busier the processor, the more NI spacing it can hide.
-    @raise Invalid_argument if [penalty <= 0.]. *)
+    stays below 5% — a concrete answer to "when is LoPC's no-gap
+    assumption safe?". Grows with [W] and [So]: the busier the
+    processor, the more NI spacing it can hide. *)

@@ -1,5 +1,4 @@
 module Fixed_point = Lopc_numerics.Fixed_point
-module Solver_probe = Lopc_numerics.Solver_probe
 
 type node_spec = { work : float option; visits : float array }
 
@@ -81,7 +80,7 @@ let node_queues ~beta ~max_queue a b =
     (qq, qy)
   end
 
-let solve_status ?probe ?budget ?(tol = 1e-12) ?(max_iter = 200_000) t =
+let solve_status ?budget ?(tol = 1e-12) ?(max_iter = 200_000) t =
   (match validate t with
   | Ok _ -> ()
   | Error reason -> invalid_arg ("General: " ^ reason));
@@ -148,8 +147,8 @@ let solve_status ?probe ?budget ?(tol = 1e-12) ?(max_iter = 200_000) t =
           (* Contention-free starting point. *)
           1. /. (w +. (hops.(c) *. (st +. so)) +. st +. so))
   in
-  (* The node with the most loaded request handlers at an iterate — the
-     probe's [hottest] and the saturation diagnosis below agree on it. *)
+  (* The node with the most loaded request handlers at an iterate: the
+     saturation diagnosis below names it. *)
   let hottest per_node =
     let best = ref None in
     Array.iteri
@@ -160,17 +159,8 @@ let solve_status ?probe ?budget ?(tol = 1e-12) ?(max_iter = 200_000) t =
       per_node;
     !best
   in
-  let fp_probe =
-    match probe with
-    | None -> None
-    | Some pr ->
-      Some
-        (fun (ev : Solver_probe.event) ->
-          pr { ev with Solver_probe.hottest = hottest (analyze ev.Solver_probe.iterate) })
-  in
   let outcome, status =
-    Fixed_point.solve_vector_status ?probe:fp_probe ?budget ~damping:0.1 ~tol ~max_iter
-      ~f:step x0
+    Fixed_point.solve_vector_status ?budget ~damping:0.1 ~tol ~max_iter ~f:step x0
   in
   let x = outcome.Fixed_point.value in
   match status with
@@ -198,8 +188,8 @@ let solve_status ?probe ?budget ?(tol = 1e-12) ?(max_iter = 200_000) t =
       (None, Fixed_point.Saturated { station; utilization })
     | Some _ | None -> (None, status))
 
-let solve ?probe ?tol ?max_iter t =
-  match solve_status ?probe ?tol ?max_iter t with
+let solve ?tol ?max_iter t =
+  match solve_status ?tol ?max_iter t with
   | Some s, _ -> s
   | None, status ->
     raise (Fixed_point.Diverged ("General: " ^ Fixed_point.status_to_string status))

@@ -59,7 +59,6 @@ val validate : t -> (t, string) result
     sums, at least one node runs a thread. *)
 
 val solve_status :
-  ?probe:Lopc_numerics.Solver_probe.t ->
   ?budget:Lopc_robust.Budget.t ->
   ?tol:float -> ?max_iter:int -> t -> solution option * Lopc_numerics.Fixed_point.status
 (** Solve the system A.1–A.10 and report a structured outcome. When the
@@ -71,8 +70,7 @@ val solve_status :
     Non-converged outcomes return no solution.
     @raise Invalid_argument when {!validate} fails. *)
 
-val solve :
-  ?probe:Lopc_numerics.Solver_probe.t -> ?tol:float -> ?max_iter:int -> t -> solution
+val solve : ?tol:float -> ?max_iter:int -> t -> solution
 (** Raising variant of {!solve_status}.
     @raise Invalid_argument when {!validate} fails.
     @raise Lopc_numerics.Fixed_point.Diverged on any non-converged

@@ -1,5 +1,4 @@
 module Fixed_point = Lopc_numerics.Fixed_point
-module Solver_probe = Lopc_numerics.Solver_probe
 
 type approximation = Bard | Schweitzer
 
@@ -8,7 +7,7 @@ type approximation = Bard | Schweitzer
    utilization U_k = x·D_k/c). Multi-server stations use the Seidmann
    transformation: a queueing stage of demand D/c plus a fixed delay
    D·(c−1)/c — exact for c = 1. *)
-let residence_of ~stations ~arrival_factor ~use_scv queues x =
+let residence_of ~stations ~arrival_factor queues x =
   Array.mapi
     (fun i (s : Station.t) ->
       match s.kind with
@@ -18,28 +17,24 @@ let residence_of ~stations ~arrival_factor ~use_scv queues x =
         let queue_demand = s.demand /. c in
         let fixed_delay = s.demand *. (c -. 1.) /. c in
         let arrival_queue = arrival_factor *. queues.(i) in
-        let correction =
-          if use_scv then (s.scv -. 1.) /. 2. *. (x *. queue_demand) else 0.
-        in
+        let correction = (s.scv -. 1.) /. 2. *. (x *. queue_demand) in
         fixed_delay +. (queue_demand *. (1. +. arrival_queue +. correction)))
     stations
 
 (* Little's law X = n / (Z + Σ R_k(X)) with R linear in X:
    Σ R = a + X·b, so X solves X²·b + X·a − n = 0. *)
-let consistent_throughput ~stations ~arrival_factor ~use_scv ~think_time ~n queues =
-  let base = residence_of ~stations ~arrival_factor ~use_scv queues 0. in
+let consistent_throughput ~stations ~arrival_factor ~think_time ~n queues =
+  let base = residence_of ~stations ~arrival_factor queues 0. in
   let a = think_time +. Array.fold_left ( +. ) 0. base in
   let b =
-    if not use_scv then 0.
-    else
-      Array.fold_left
-        (fun acc (s : Station.t) ->
-          match s.kind with
-          | Station.Delay -> acc
-          | Station.Queueing ->
-            let d = s.demand /. Float.of_int s.servers in
-            acc +. ((s.scv -. 1.) /. 2. *. d *. d))
-        0. stations
+    Array.fold_left
+      (fun acc (s : Station.t) ->
+        match s.kind with
+        | Station.Delay -> acc
+        | Station.Queueing ->
+          let d = s.demand /. Float.of_int s.servers in
+          acc +. ((s.scv -. 1.) /. 2. *. d *. d))
+      0. stations
   in
   if Float.equal b 0. then n /. a
   else begin
@@ -70,7 +65,7 @@ let validate_inputs ~think_time ~stations ~population =
   | problems -> invalid_arg ("Amva: " ^ String.concat "; " problems)
 
 (* The most utilized queueing station at the throughput implied by a
-   queue-length iterate — what the probe reports as [hottest]. *)
+   queue-length iterate: the station a [Saturated] diagnosis names. *)
 let hottest_station ~stations x =
   let best = ref None in
   Array.iteri
@@ -83,8 +78,7 @@ let hottest_station ~stations x =
     stations;
   !best
 
-let solve_status ?probe ?budget ?(approximation = Bard) ?(use_scv = true)
-    ?(think_time = 0.) ?(tol = 1e-12) ?(max_iter = 100_000) ~stations ~population () =
+let solve_status ?budget ?(approximation = Bard) ?(think_time = 0.) ?(tol = 1e-12) ?(max_iter = 100_000) ~stations ~population () =
   validate_inputs ~think_time ~stations ~population;
   let k = Array.length stations in
   let n = Float.of_int population in
@@ -108,8 +102,8 @@ let solve_status ?probe ?budget ?(approximation = Bard) ?(use_scv = true)
     if think_time +. total_demand <= 0. then
       invalid_arg "Amva: zero total demand with positive population";
     let step queues =
-      let x = consistent_throughput ~stations ~arrival_factor ~use_scv ~think_time ~n queues in
-      let residence = residence_of ~stations ~arrival_factor ~use_scv queues x in
+      let x = consistent_throughput ~stations ~arrival_factor ~think_time ~n queues in
+      let residence = residence_of ~stations ~arrival_factor queues x in
       Array.map (fun r -> x *. r) residence
     in
     let q0 =
@@ -117,29 +111,14 @@ let solve_status ?probe ?budget ?(approximation = Bard) ?(use_scv = true)
         (fun (s : Station.t) -> n *. s.demand /. (think_time +. total_demand))
         stations
     in
-    (* Enrich the raw fixed-point events with station semantics: the
-       hottest queueing station at each iterate's implied throughput. *)
-    let fp_probe =
-      match probe with
-      | None -> None
-      | Some p ->
-        Some
-          (fun (ev : Solver_probe.event) ->
-            let x =
-              consistent_throughput ~stations ~arrival_factor ~use_scv ~think_time
-                ~n ev.Solver_probe.iterate
-            in
-            p { ev with Solver_probe.hottest = hottest_station ~stations x })
-    in
     let outcome, status =
-      Fixed_point.solve_vector_status ?probe:fp_probe ?budget ~damping:0.5 ~tol
-        ~max_iter ~f:step q0
+      Fixed_point.solve_vector_status ?budget ~damping:0.5 ~tol ~max_iter ~f:step q0
     in
     let queues = outcome.Fixed_point.value in
-    let x = consistent_throughput ~stations ~arrival_factor ~use_scv ~think_time ~n queues in
+    let x = consistent_throughput ~stations ~arrival_factor ~think_time ~n queues in
     match status with
     | Fixed_point.Converged _ ->
-      let residence = residence_of ~stations ~arrival_factor ~use_scv queues x in
+      let residence = residence_of ~stations ~arrival_factor queues x in
       let cycle = think_time +. Array.fold_left ( +. ) 0. residence in
       ( Some
           {
@@ -168,12 +147,8 @@ let solve_status ?probe ?budget ?(approximation = Bard) ?(use_scv = true)
       | Some _ | None -> (None, status))
   end
 
-let solve ?probe ?approximation ?use_scv ?think_time ?tol ?max_iter ~stations
-    ~population () =
-  match
-    solve_status ?probe ?approximation ?use_scv ?think_time ?tol ?max_iter ~stations
-      ~population ()
-  with
+let solve ?approximation ?think_time ?tol ?max_iter ~stations ~population () =
+  match solve_status ?approximation ?think_time ?tol ?max_iter ~stations ~population () with
   | Some s, _ -> s
   | None, status ->
     raise (Fixed_point.Diverged ("Amva: " ^ Fixed_point.status_to_string status))

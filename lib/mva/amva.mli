@@ -20,10 +20,8 @@ type approximation =
   | Schweitzer  (** Arrival queue = (N−1)/N × steady-state queue. *)
 
 val solve_status :
-  ?probe:Lopc_numerics.Solver_probe.t ->
   ?budget:Lopc_robust.Budget.t ->
   ?approximation:approximation ->
-  ?use_scv:bool ->
   ?think_time:float ->
   ?tol:float ->
   ?max_iter:int ->
@@ -33,19 +31,13 @@ val solve_status :
   Solution.t option * Lopc_numerics.Fixed_point.status
 (** [solve_status ~stations ~population ()] iterates the AMVA equations to
     a fixed point and reports a structured outcome. [approximation]
-    defaults to [Bard] (the paper's), [use_scv] to [true], [think_time]
-    to [0.].
+    defaults to [Bard] (the paper's), [think_time] to [0.].
 
     [Converged] carries the solution; when the iteration stalls the last
     iterate is inspected and a queueing station at (or past) full
     per-server utilization is reported as [Saturated] (station index and
     utilization), anything else as [Diverged]. Non-converged outcomes
     return no solution.
-
-    [probe] receives one event per fixed-point iteration, with [hottest]
-    set to the most utilized queueing station at that iterate's implied
-    throughput — on a [Saturated] outcome the probe's last [hottest]
-    names the same station the status reports.
 
     [budget] is consulted once per fixed-point iteration; a budget stop
     is reported as [Exhausted] verbatim, never re-diagnosed as
@@ -56,9 +48,7 @@ val solve_status :
     ["Amva: station 0: non-positive demand; station 2: negative scv"]. *)
 
 val solve :
-  ?probe:Lopc_numerics.Solver_probe.t ->
   ?approximation:approximation ->
-  ?use_scv:bool ->
   ?think_time:float ->
   ?tol:float ->
   ?max_iter:int ->

@@ -30,9 +30,9 @@ let max_norm_diff a b =
   Array.iteri (fun i ai -> m := Float.max !m (Float.abs (ai -. b.(i)))) a;
   !m
 
-(* The one damped, budgeted, probed iteration loop: returns the outcome
+(* The one damped, budgeted iteration loop: returns the outcome
    and the structured status. The scalar solver is its length-1 case. *)
-let vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f ~name x0 =
+let vector_impl ?budget ~damping ~tol ~max_iter ~f ~name x0 =
   if damping <= 0. || damping > 1. then invalid_arg (name ^ ": damping");
   let n = Array.length x0 in
   let x = ref (Array.copy x0) in
@@ -66,17 +66,6 @@ let vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f ~name x0 =
          raise Exit
        end;
        let residual = max_norm_diff fx !x in
-       (match probe with
-       | None -> ()
-       | Some p ->
-         p
-           {
-             Solver_probe.iter;
-             residual;
-             damping;
-             iterate = Array.copy !x;
-             hottest = None;
-           });
        let scale = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 1. !x in
        if residual <= tol *. scale then begin
          result :=
@@ -101,15 +90,15 @@ let vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f ~name x0 =
       in
       ({ value = !x; iterations = max_iter; residual }, Diverged { iters = max_iter; residual })
 
-let solve_vector_status ?probe ?budget ?(damping = 1.) ?(tol = 1e-10)
+let solve_vector_status ?budget ?(damping = 1.) ?(tol = 1e-10)
     ?(max_iter = 10_000) ~f x0 =
-  vector_impl ?probe ?budget ~damping ~tol ~max_iter ~f
+  vector_impl ?budget ~damping ~tol ~max_iter ~f
     ~name:"Fixed_point.solve_vector_status" x0
 
-let solve_scalar_status ?probe ?budget ?(damping = 1.) ?(tol = 1e-10)
+let solve_scalar_status ?budget ?(damping = 1.) ?(tol = 1e-10)
     ?(max_iter = 10_000) ~f x0 =
   let outcome, status =
-    vector_impl ?probe ?budget ~damping ~tol ~max_iter
+    vector_impl ?budget ~damping ~tol ~max_iter
       ~f:(fun x -> [| f x.(0) |])
       ~name:"Fixed_point.solve_scalar_status" [| x0 |]
   in
@@ -125,24 +114,13 @@ let solve_scalar_status ?probe ?budget ?(damping = 1.) ?(tol = 1e-10)
    finite. The guard evaluation at [lb] counts like any other. *)
 exception Non_finite
 
-let solve_above_status ?probe ?budget ~f lb =
+let solve_above_status ?budget ~f lb =
   let evals = ref 0 in
   try
     let residual r =
       Budget.check_exn budget;
       incr evals;
       let fr = f r -. r in
-      (match probe with
-      | None -> ()
-      | Some p ->
-        p
-          {
-            Solver_probe.iter = !evals;
-            residual = Float.abs fr;
-            damping = 1.;
-            iterate = [| r |];
-            hottest = None;
-          });
       if Float.is_finite fr then fr else raise_notrace Non_finite
     in
     if residual lb <= 0. then (lb, Converged { iters = !evals })

@@ -46,7 +46,6 @@ exception Diverged of string
     variants. *)
 
 val solve_scalar_status :
-  ?probe:Solver_probe.t ->
   ?budget:Lopc_robust.Budget.t ->
   ?damping:float ->
   ?tol:float ->
@@ -60,9 +59,7 @@ val solve_scalar_status :
     It is the length-1 case of {!solve_vector_status}. Returns the last
     iterate together with a structured {!status}. On
     [Diverged _] the returned float is the last finite iterate (not a
-    solution). [probe], when given, receives one {!Solver_probe.event}
-    per iteration (before the convergence test, so the converging step
-    is included); it does not alter the iteration. [budget], when given,
+    solution). [budget], when given,
     is consulted once at the top of every iteration (one unit of fuel per
     iteration); when it stops the run the result is
     [Exhausted _] and the returned float is the last iterate. After
@@ -71,7 +68,6 @@ val solve_scalar_status :
     Only raises [Invalid_argument] on a bad [damping]. *)
 
 val solve_vector_status :
-  ?probe:Solver_probe.t ->
   ?budget:Lopc_robust.Budget.t ->
   ?damping:float ->
   ?tol:float ->
@@ -85,12 +81,11 @@ val solve_vector_status :
     of the same length as its input; a map that changes the length is
     [Diverged _] with a [nan] residual. On [Diverged _] the returned
     [outcome.value] is the last finite iterate, which model-level callers
-    use to diagnose saturation. [probe] and [budget] are as in
-    {!solve_scalar_status}, with the full iterate copied per event. Only
+    use to diagnose saturation. [budget] is as in
+    {!solve_scalar_status}. Only
     raises [Invalid_argument] on a bad [damping]. *)
 
 val solve_above_status :
-  ?probe:Solver_probe.t ->
   ?budget:Lopc_robust.Budget.t ->
   f:(float -> float) ->
   float ->
@@ -100,12 +95,11 @@ val solve_above_status :
     decreases above the contention-free bound (§5.3). When [F lb <= lb]
     the answer is [lb] itself; otherwise {!Roots.brent_above} runs on the
     residual [F r − r] from [lb]. Every evaluation of [F] consumes one
-    unit of [budget] fuel (checked before the evaluation) and emits one
-    [probe] event (residual [|F r − r|], damping [1.], iterate [[|r|]],
-    hottest [None]); [Converged { iters }] counts the evaluations.
+    unit of [budget] fuel (checked before the evaluation);
+    [Converged { iters }] counts the evaluations.
     Returns [(r, Converged _)] on success, [(lb, Diverged _)] with
     residual [|F lb − lb|] (not counted) when no bracket is found, and
     [(lb, Exhausted _)] when the budget stops the search. A non-finite
     [lb], or a non-finite [F r − r] at any evaluation, is
-    [(lb, Diverged { residual = nan })], never [Converged]. Only [f] and
-    [probe] can raise. *)
+    [(lb, Diverged { residual = nan })], never [Converged]. Only [f] can
+    raise. *)

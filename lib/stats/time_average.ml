@@ -5,8 +5,7 @@ type t = {
   mutable area : float;
 }
 
-let create ?(start_time = 0.) ?(value = 0.) () =
-  { start_time; last_time = start_time; value; area = 0. }
+let create ?(value = 0.) () = { start_time = 0.; last_time = 0.; value; area = 0. }
 
 let advance t now =
   if now < t.last_time then invalid_arg "Time_average: time went backwards";

@@ -9,9 +9,9 @@
 type t
 (** Mutable accumulator. *)
 
-val create : ?start_time:float -> ?value:float -> unit -> t
-(** [create ~start_time ~value ()] begins integrating a signal that holds
-    [value] (default [0.]) from [start_time] (default [0.]). *)
+val create : ?value:float -> unit -> t
+(** [create ~value ()] begins integrating a signal that holds [value]
+    (default [0.]) from time [0.]. *)
 
 val update : t -> now:float -> float -> unit
 (** [update t ~now v] records that the signal changed to [v] at time [now].
@@ -22,11 +22,11 @@ val value : t -> float
 (** Current signal value. *)
 
 val average : t -> now:float -> float
-(** Time average of the signal over [\[start_time, now\]]; [nan] when no
-    time has elapsed. *)
+(** Time average of the signal since creation or the last {!reset};
+    [nan] when no time has elapsed. *)
 
 val integral : t -> now:float -> float
-(** [∫ signal dt] over [\[start_time, now\]]. *)
+(** [∫ signal dt] since creation or the last {!reset}, up to [now]. *)
 
 val reset : t -> now:float -> unit
 (** [reset t ~now] discards history and restarts integration at [now] with

@@ -6,15 +6,13 @@ let default_rows nodes =
   let rec search d best = if d * d > nodes then best else search (d + 1) (if nodes mod d = 0 then d else best) in
   search 1 1
 
-let create ?rows ~nodes ~per_hop ~link_time () =
+let create ~nodes ~per_hop ~link_time () =
   if nodes < 2 then invalid_arg "Topology.create: need at least two nodes";
   if per_hop < 0. || not (Float.is_finite per_hop) then
     invalid_arg "Topology.create: invalid per-hop time";
   if link_time < 0. || not (Float.is_finite link_time) then
     invalid_arg "Topology.create: invalid link time";
-  let rows = match rows with Some r -> r | None -> default_rows nodes in
-  if rows < 1 || nodes mod rows <> 0 then
-    invalid_arg "Topology.create: rows must divide the node count";
+  let rows = default_rows nodes in
   { rows; cols = nodes / rows; per_hop; link_time }
 
 let coords t node =

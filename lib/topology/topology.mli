@@ -20,12 +20,13 @@ type t = {
                          resource. [0.] makes links contention free. *)
 }
 
-val create : ?rows:int -> nodes:int -> per_hop:float -> link_time:float -> unit -> t
+val create : nodes:int -> per_hop:float -> link_time:float -> unit -> t
 (** [create ~nodes ~per_hop ~link_time ()] builds a torus for [nodes]
-    processors. [rows] defaults to the largest divisor of [nodes] not
-    exceeding its square root (the most nearly square torus).
-    @raise Invalid_argument if [nodes < 2], [rows] does not divide
-    [nodes], or a time parameter is negative. *)
+    processors. [rows] is the largest divisor of [nodes] not exceeding
+    its square root (the most nearly square torus; a ring when [nodes]
+    is prime).
+    @raise Invalid_argument if [nodes < 2] or a time parameter is
+    negative. *)
 
 val coords : t -> int -> int * int
 (** [coords t node] is the [(row, col)] of [node].

@@ -10,21 +10,19 @@ module Time_average = Lopc_stats.Time_average
 
 type t = {
   window : float;
-  start : float;
   mutable window_start : float;
   acc : Time_average.t;  (* integrates the open window only *)
   mutable closed_rev : (float * float) list;  (* (start, mean), newest first *)
   mutable closed_area : float;
 }
 
-let create ?(start = 0.) ~window () =
+let create ~window () =
   if not (Float.is_finite window) || window <= 0. then
     invalid_arg "Series.create: window must be positive and finite";
   {
     window;
-    start;
-    window_start = start;
-    acc = Time_average.create ~start_time:start ();
+    window_start = 0.;
+    acc = Time_average.create ();
     closed_rev = [];
     closed_area = 0.;
   }
@@ -52,5 +50,4 @@ let points t = Array.of_list (List.rev t.closed_rev)
 let integral t ~now = t.closed_area +. Time_average.integral t.acc ~now
 
 let average t ~now =
-  let elapsed = now -. t.start in
-  if elapsed <= 0. then Float.nan else integral t ~now /. elapsed
+  if now <= 0. then Float.nan else integral t ~now /. now

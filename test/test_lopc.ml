@@ -311,21 +311,6 @@ let test_pp_dominates_both () =
         (pp <= (A.solve ~execution:A.Polling p ~w).A.r +. 1e-9))
     [ 0.; 200.; 1000.; 4000. ]
 
-let test_polling_work_scv_matters () =
-  (* Higher work variability lengthens the residual quantum handlers wait
-     for, so the polling cycle grows with work_scv. *)
-  let p = params ~c2:1. () in
-  let r scv = (A.solve ~execution:A.Polling ~work_scv:scv p ~w:1000.).A.r in
-  Alcotest.(check bool) "monotone in work scv" true (r 0. < r 1. && r 1. < r 2.)
-
-let test_work_scv_validation () =
-  let p = params () in
-  Alcotest.(check bool) "negative work_scv rejected" true
-    (try
-       ignore (A.solve ~work_scv:(-1.) p ~w:1.);
-       false
-     with Invalid_argument _ -> true)
-
 (* --- calibration ------------------------------------------------------------ *)
 
 module Cal = Lopc.Calibrate
@@ -687,8 +672,6 @@ let suite =
     Alcotest.test_case "polling: Rw = W" `Quick test_polling_rw_is_w;
     Alcotest.test_case "polling: crossover vs interrupts" `Quick test_polling_crossover;
     Alcotest.test_case "protocol processor dominates" `Quick test_pp_dominates_both;
-    Alcotest.test_case "polling: work variability" `Quick test_polling_work_scv_matters;
-    Alcotest.test_case "work_scv validation" `Quick test_work_scv_validation;
     Alcotest.test_case "calibrate: recovers curve" `Quick test_calibrate_recovers_curve;
     Alcotest.test_case "calibrate: pinned St identifies So" `Quick test_calibrate_pinned_st_identifies_so;
     Alcotest.test_case "calibrate: validation" `Quick test_calibrate_validation;

@@ -66,9 +66,7 @@ let test_exact_invalid () =
 let amva_vs_exact approximation ~n ~expect_within =
   let stations = [| Station.queueing ~demand:1. (); Station.queueing ~demand:0.7 () |] in
   let exact = Exact.solve ~think_time:5. ~stations ~population:n () in
-  let approx =
-    Amva.solve ~approximation ~use_scv:false ~think_time:5. ~stations ~population:n ()
-  in
+  let approx = Amva.solve ~approximation ~think_time:5. ~stations ~population:n () in
   let err =
     Float.abs (approx.Solution.throughput -. exact.Solution.throughput)
     /. exact.Solution.throughput
@@ -87,7 +85,7 @@ let test_schweitzer_beats_bard () =
   let stations = [| Station.queueing ~demand:1. (); Station.queueing ~demand:0.7 () |] in
   let exact = Exact.solve ~think_time:5. ~stations ~population:10 () in
   let err approximation =
-    let s = Amva.solve ~approximation ~use_scv:false ~think_time:5. ~stations ~population:10 () in
+    let s = Amva.solve ~approximation ~think_time:5. ~stations ~population:10 () in
     Float.abs (s.Solution.throughput -. exact.Solution.throughput)
   in
   Alcotest.(check bool) "schweitzer at least as accurate" true
@@ -98,7 +96,7 @@ let test_bard_pessimistic () =
      lengths => under-predicts throughput. *)
   let stations = [| Station.queueing ~demand:1. () |] in
   let exact = Exact.solve ~think_time:2. ~stations ~population:5 () in
-  let bard = Amva.solve ~approximation:Amva.Bard ~use_scv:false ~think_time:2. ~stations ~population:5 () in
+  let bard = Amva.solve ~approximation:Amva.Bard ~think_time:2. ~stations ~population:5 () in
   Alcotest.(check bool) "bard underestimates X" true
     (bard.Solution.throughput <= exact.Solution.throughput +. 1e-9)
 
@@ -197,7 +195,7 @@ let prop_bard_below_exact =
     (fun (n, d, z) ->
       let stations = [| Station.queueing ~demand:d () |] in
       let exact = Exact.solve ~think_time:z ~stations ~population:n () in
-      let bard = Amva.solve ~approximation:Amva.Bard ~use_scv:false ~think_time:z ~stations ~population:n () in
+      let bard = Amva.solve ~approximation:Amva.Bard ~think_time:z ~stations ~population:n () in
       bard.Solution.throughput <= exact.Solution.throughput +. 1e-6)
 
 let suite =

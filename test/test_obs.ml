@@ -1,9 +1,9 @@
 (* Observability layer tests: golden files for the two trace emitters
    (byte-exact against committed fixtures), span well-nesting and
    begin/end balance over arbitrary simulator configurations, trace
-   identity across --jobs settings, the probe's span counts, and the solver
-   convergence telemetry (strictly decreasing residuals on a contraction;
-   saturating-station identification).
+   identity across --jobs settings, the probe's span counts, and what the
+   solvers report (strictly decreasing residuals on a contraction;
+   saturating-station identification in the returned status).
 
    Regenerate the goldens after an intentional format change with
      OBS_GOLDEN_WRITE=$PWD/test/fixtures dune exec test/test_main.exe -- test obs
@@ -11,7 +11,6 @@
 
 module Recorder = Lopc_obs.Recorder
 module Sim_probe = Lopc_obs.Sim_probe
-module Solver_probe = Lopc_numerics.Solver_probe
 module Fixed_point = Lopc_numerics.Fixed_point
 module Machine = Lopc_activemsg.Machine
 module Metrics = Lopc_activemsg.Metrics
@@ -293,59 +292,60 @@ let test_reservoir_decimates () =
   Alcotest.(check (list (pair (float 0.) (float 0.))))
     "samples stay time-ordered" sorted samples
 
-(* --- solver telemetry ----------------------------------------------------- *)
+(* --- solver readouts ------------------------------------------------------ *)
 
-
-let test_probe_residuals_strictly_decrease () =
+let test_solver_residuals_strictly_decrease () =
   (* A converging fig5.2 operating point; damped fixed-point iteration on
-     a contraction must show monotonically shrinking residuals. *)
+     a contraction must show monotonically shrinking residuals. The map
+     is All_to_all's, clamped at the contention-free bound as its
+     [Damped_iteration] method does, and records [|F r − r|] per call. *)
   let params = Params.create ~c2:0. ~p:32 ~st:40. ~so:200. () in
-  let log, probe = Probe_log.log () in
-  match A.solve_status ~probe ~solve_method:A.Damped_iteration params ~w:1000. with
-  | Some s, Fixed_point.Converged _ ->
-    Alcotest.(check bool) "at least two iterations" true (Probe_log.count log >= 2);
-    Alcotest.(check bool)
-      "max residual strictly decreasing" true
-      (Probe_log.strictly_decreasing log);
-    (match Probe_log.last log with
-    | Some ev ->
-      feq 1e-6 "last iterate is the solution" s.A.r ev.Solver_probe.iterate.(0);
-      (match ev.Solver_probe.hottest with
-      | Some (0, u) -> feq 1e-6 "hottest reports So/R" (200. /. s.A.r) u
-      | _ -> Alcotest.fail "scalar all-to-all has exactly station 0")
-    | None -> Alcotest.fail "log is non-empty")
-  | _ -> Alcotest.fail "fig5.2 point must converge"
+  let w = 1000. in
+  let lb = A.lower_bound params ~w in
+  let residuals = ref [] in
+  let f r =
+    let fr = A.fixed_point_map params ~w (Float.max r lb) in
+    residuals := Float.abs (fr -. r) :: !residuals;
+    fr
+  in
+  match Fixed_point.solve_scalar_status ~damping:0.5 ~tol:1e-12 ~f lb with
+  | r, Fixed_point.Converged { iters } ->
+    let residuals = List.rev !residuals in
+    Alcotest.(check int) "one map call per iteration" iters (List.length residuals);
+    Alcotest.(check bool) "at least two iterations" true (iters >= 2);
+    let rec strictly_decreasing = function
+      | a :: (b :: _ as rest) -> b < a && strictly_decreasing rest
+      | [ _ ] | [] -> true
+    in
+    Alcotest.(check bool) "residual strictly decreasing" true
+      (strictly_decreasing residuals);
+    feq 1e-6 "the fixed point is the solution"
+      (A.solve ~solve_method:A.Damped_iteration params ~w).A.r r
+  | _, status ->
+    Alcotest.failf "fig5.2 point must converge, got %s" (Fixed_point.status_to_string status)
 
-let test_probe_identifies_saturated_station () =
+let test_saturated_station_identified () =
   (* One station with dominating demand at a large population: the AMVA
      iteration stalls against a tiny budget with that station's implied
-     utilization past 1, and the probe's last [hottest] must name the
-     same station the Saturated status reports. *)
+     utilization past 1, and the Saturated status names it. *)
   let stations =
     [|
       Station.queueing ~demand:5. (); Station.queueing ~demand:120. ();
       Station.queueing ~demand:10. ();
     |]
   in
-  let log, probe = Probe_log.log () in
-  match Amva.solve_status ~probe ~think_time:50. ~stations ~population:5000 ~max_iter:3 () with
+  match Amva.solve_status ~think_time:50. ~stations ~population:5000 ~max_iter:3 () with
   | None, Fixed_point.Saturated { station; utilization } ->
     Alcotest.(check int) "the dominant-demand station saturates" 1 station;
-    Alcotest.(check bool) "reported at or past full utilization" true (utilization >= 1.);
-    (match Probe_log.hottest log with
-    | Some (probe_station, probe_u) ->
-      Alcotest.(check int) "probe's last hottest is the same station" station
-        probe_station;
-      Alcotest.(check bool) "probe saw it past full utilization" true (probe_u >= 1.)
-    | None -> Alcotest.fail "probe carried station semantics")
+    Alcotest.(check bool) "reported at or past full utilization" true (utilization >= 1.)
   | _, status ->
     Alcotest.failf "expected Saturated, got %s" (Fixed_point.status_to_string status)
 
-let test_probe_general_saturation () =
+let test_general_saturation () =
   (* The Appendix-A solver: a server node everyone hammers. The
      contention-free starting throughputs imply server utilization past 1,
-     so stalling the iteration early yields a Saturated diagnosis — and
-     probe and status must agree on which node. *)
+     so stalling the iteration early yields a Saturated diagnosis naming
+     that node. *)
   let params = Params.create ~c2:1. ~p:4 ~st:40. ~so:400. () in
   let net =
     {
@@ -361,24 +361,12 @@ let test_probe_general_saturation () =
               });
     }
   in
-  let log, probe = Probe_log.log () in
-  match G.solve_status ~probe ~max_iter:5 net with
-  | None, Fixed_point.Saturated { station; _ } ->
+  match G.solve_status ~max_iter:5 net with
+  | None, Fixed_point.Saturated { station; utilization } ->
     Alcotest.(check int) "the hotspot node saturates" 2 station;
-    (match Probe_log.hottest log with
-    | Some (probe_station, _) ->
-      Alcotest.(check int) "probe agrees on the culprit" station probe_station
-    | None -> Alcotest.fail "probe carried node semantics")
+    Alcotest.(check bool) "reported at or past full utilization" true (utilization >= 1.)
   | _, status ->
     Alcotest.failf "expected Saturated, got %s" (Fixed_point.status_to_string status)
-
-let test_probe_is_passive () =
-  (* Same outcome with and without a probe attached, bit for bit. *)
-  let params = Params.create ~c2:1. ~p:32 ~st:40. ~so:200. () in
-  let plain = A.solve params ~w:500. in
-  let _, probe = Probe_log.log () in
-  let probed = A.solve ~probe params ~w:500. in
-  Alcotest.(check (float 0.)) "identical solution with a probe" plain.A.r probed.A.r
 
 let suite =
   [
@@ -396,10 +384,9 @@ let suite =
     Alcotest.test_case "series rejects bad window" `Quick test_series_rejects_bad_window;
     Alcotest.test_case "reservoir decimates" `Quick test_reservoir_decimates;
     Alcotest.test_case "solver residuals strictly decrease" `Quick
-      test_probe_residuals_strictly_decrease;
+      test_solver_residuals_strictly_decrease;
     Alcotest.test_case "saturated station identified (AMVA)" `Quick
-      test_probe_identifies_saturated_station;
+      test_saturated_station_identified;
     Alcotest.test_case "saturated node identified (general)" `Quick
-      test_probe_general_saturation;
-    Alcotest.test_case "probe is passive" `Quick test_probe_is_passive;
+      test_general_saturation;
   ]

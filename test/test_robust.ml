@@ -11,7 +11,6 @@ module Parallel = Lopc_repro.Parallel
 module Experiments = Lopc_repro.Experiments
 module Table = Lopc_repro.Table
 module FP = Lopc_numerics.Fixed_point
-module Probe = Lopc_numerics.Solver_probe
 module A = Lopc.All_to_all
 module G = Lopc.General
 module FM = Lopc.Fault_model
@@ -71,8 +70,13 @@ let test_fixed_point_budget () =
 let test_cancelled_solver_stops_within_one_iteration () =
   let cancel = Cancel.create () in
   let b = Budget.create ~cancel () in
-  let probe (ev : Probe.event) = if ev.Probe.iter = 5 then Cancel.cancel cancel in
-  match FP.solve_scalar_status ~probe ~budget:b ~tol:1e-15 ~f:slow_map 0. with
+  let calls = ref 0 in
+  let f x =
+    incr calls;
+    if !calls = 5 then Cancel.cancel cancel;
+    slow_map x
+  in
+  match FP.solve_scalar_status ~budget:b ~tol:1e-15 ~f 0. with
   | _, FP.Exhausted { iters; reason = Budget.Cancelled } ->
     Alcotest.(check bool)
       (Printf.sprintf "stopped within one iteration of the flip (iters = %d)" iters)
@@ -124,36 +128,30 @@ let test_fault_model_budget () =
 (* One budget unit buys one iteration or map evaluation, and nothing else
    spends fuel: if the unbudgeted run converges in N steps, every fuel
    k < N stops it with [Exhausted { iters = k }] and fuel N converges in N
-   steps with bit-identical results. The probe sees one event per step.
-   [solve] returns the result's floats (or [None]) and the status. *)
-let fuel_law (solve : ?budget:Budget.t -> Probe.t -> float array option * FP.status) =
-  let run budget =
-    let log, probe = Probe_log.log () in
-    let result, status = solve ?budget probe in
-    (result, status, Probe_log.count log)
-  in
+   steps with bit-identical results. [solve] returns the result's floats
+   (or [None]) and the status. *)
+let fuel_law (solve : Budget.t option -> float array option * FP.status) =
   let same_bits a b =
     Array.length a = Array.length b
     && Array.for_all2
          (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
          a b
   in
-  match run None with
-  | Some reference, FP.Converged { iters = n }, events ->
-    if events <> n then QCheck.Test.fail_reportf "%d probe events for %d steps" events n;
+  match solve None with
+  | Some reference, FP.Converged { iters = n } ->
     for k = 0 to n - 1 do
-      match run (Some (Budget.create ~fuel:k ())) with
-      | None, FP.Exhausted { iters; reason = Budget.Fuel_exhausted _ }, _ when iters = k -> ()
-      | _, status, _ ->
+      match solve (Some (Budget.create ~fuel:k ())) with
+      | None, FP.Exhausted { iters; reason = Budget.Fuel_exhausted _ } when iters = k -> ()
+      | _, status ->
         QCheck.Test.fail_reportf "fuel %d of %d: %s" k n (FP.status_to_string status)
     done;
-    (match run (Some (Budget.create ~fuel:n ())) with
-    | Some result, FP.Converged { iters }, _ when iters = n && same_bits reference result ->
+    (match solve (Some (Budget.create ~fuel:n ())) with
+    | Some result, FP.Converged { iters } when iters = n && same_bits reference result ->
       true
-    | _, status, _ ->
+    | _, status ->
       QCheck.Test.fail_reportf "fuel %d: %s, or results differ" n
         (FP.status_to_string status))
-  | _, status, _ ->
+  | _, status ->
     (* The law is stated for converging runs; saturated draws are skipped. *)
     QCheck.assume (match status with FP.Converged _ -> true | _ -> false);
     true
@@ -197,8 +195,8 @@ let prop_all_to_all_fuel_law =
   in
   QCheck.Test.make ~name:"fuel law: all-to-all" ~count:60 (QCheck.make ~print gen)
     (fun ((params, w), execution, solve_method) ->
-      fuel_law (fun ?budget probe ->
-          let s, status = A.solve_status ~probe ?budget ~execution ~solve_method params ~w in
+      fuel_law (fun budget ->
+          let s, status = A.solve_status ?budget ~execution ~solve_method params ~w in
           (Option.map (fun s -> [| s.A.r |]) s, status)))
 
 (* Half the draws sit in the regime where the retry-inflated saturation
@@ -240,8 +238,8 @@ let prop_fault_model_fuel_law =
   QCheck.Test.make ~name:"fuel law: fault model" ~count:60
     (QCheck.make ~print:print_fault fault_gen)
     (fun (c, params, w) ->
-      fuel_law (fun ?budget probe ->
-          let s, status = FM.solve_status ~probe ?budget c params ~w in
+      fuel_law (fun budget ->
+          let s, status = FM.solve_status ?budget c params ~w in
           (Option.map (fun s -> [| s.FM.r |]) s, status)))
 
 (* The saturation floor a/r + a·b/r² = 1 (a = handler load · So, b = So)
@@ -285,8 +283,8 @@ let prop_general_fuel_law =
         if servers = 0 then Harness.general_all_to_all params ~w
         else Harness.general_client_server params ~w ~servers
       in
-      fuel_law (fun ?budget probe ->
-          let s, status = G.solve_status ~probe ?budget net in
+      fuel_law (fun budget ->
+          let s, status = G.solve_status ?budget net in
           (Option.map (fun s -> s.G.cycle_times) s, status)))
 
 let prop_amva_fuel_law =
@@ -310,8 +308,8 @@ let prop_amva_fuel_law =
           (Array.map (fun demand -> Station.queueing ~demand ()) demands)
           (match delay with None -> [||] | Some demand -> [| Harness.delay_station ~demand |])
       in
-      fuel_law (fun ?budget probe ->
-          let s, status = Amva.solve_status ~probe ?budget ~stations ~population () in
+      fuel_law (fun budget ->
+          let s, status = Amva.solve_status ?budget ~stations ~population () in
           (Option.map (fun (s : Lopc_mva.Solution.t) -> s.residence) s, status)))
 
 let test_ctmc_budget () =

@@ -9,8 +9,7 @@ module Torus = Lopc.Torus
 
 let feq tol = Alcotest.(check (float tol))
 
-let topo ?(per_hop = 5.) ?(link_time = 0.) ?rows nodes =
-  T.create ?rows ~nodes ~per_hop ~link_time ()
+let topo ?(per_hop = 5.) ?(link_time = 0.) nodes = T.create ~nodes ~per_hop ~link_time ()
 
 let test_factorization () =
   let t = topo 32 in
@@ -21,19 +20,19 @@ let test_factorization () =
   Alcotest.(check (pair int int)) "6 = 2x3" (2, 3) (t6.T.rows, t6.T.cols)
 
 let test_coords_roundtrip () =
-  let t = topo ~rows:4 32 in
+  let t = topo 32 in
   for node = 0 to 31 do
     let row, col = T.coords t node in
     Alcotest.(check int) "roundtrip" node (T.node_of t ~row ~col)
   done
 
 let test_wraparound () =
-  let t = topo ~rows:4 32 in
+  let t = topo 32 in
   Alcotest.(check int) "negative wraps" (T.node_of t ~row:3 ~col:7)
     (T.node_of t ~row:(-1) ~col:(-1))
 
 let test_distance_symmetric () =
-  let t = topo ~rows:4 32 in
+  let t = topo 32 in
   for src = 0 to 31 do
     for dst = 0 to 31 do
       Alcotest.(check int) "symmetric"
@@ -44,12 +43,12 @@ let test_distance_symmetric () =
 
 let test_distance_wraps_minimally () =
   (* On an 8-ring, column 0 to column 7 is one hop backwards. *)
-  let t = topo ~rows:4 32 in
+  let t = topo 32 in
   Alcotest.(check int) "wrap distance" 1
     (T.distance t ~src:(T.node_of t ~row:0 ~col:0) ~dst:(T.node_of t ~row:0 ~col:7))
 
 let test_route_length_equals_distance () =
-  let t = topo ~rows:4 32 in
+  let t = topo 32 in
   for src = 0 to 31 do
     for dst = 0 to 31 do
       Alcotest.(check int) "route length"
@@ -60,7 +59,7 @@ let test_route_length_equals_distance () =
 
 let test_route_reaches_destination () =
   (* Follow the links and verify we land on dst. *)
-  let t = topo ~rows:4 32 in
+  let t = topo 32 in
   let step node = function
     | T.X_plus ->
       let r, c = T.coords t node in
@@ -90,15 +89,16 @@ let test_route_reaches_destination () =
   done
 
 let test_mean_distance_matches_offsets () =
-  let t = topo ~rows:4 32 in
+  let t = topo 32 in
   let dx, dy = T.mean_offsets t in
   feq 1e-9 "offsets sum to distance" (T.mean_distance t) (dx +. dy)
 
 let test_mean_distance_ring () =
-  (* A 1xN torus is a ring; for N=8 the mean distance to another node is
-     (1+2+3+4+3+2+1)/7 = 16/7. *)
-  let t = topo ~rows:1 8 in
-  feq 1e-9 "ring mean" (16. /. 7.) (T.mean_distance t)
+  (* A prime node count factors only as 1xN, a ring; for N=7 the mean
+     distance to another node is (1+2+3+3+2+1)/6 = 2. *)
+  let t = topo 7 in
+  Alcotest.(check (pair int int)) "7 = 1x7" (1, 7) (t.T.rows, t.T.cols);
+  feq 1e-9 "ring mean" 2. (T.mean_distance t)
 
 let test_validation () =
   List.iter
@@ -110,7 +110,6 @@ let test_validation () =
          with Invalid_argument _ -> true))
     [
       (fun () -> T.create ~nodes:1 ~per_hop:1. ~link_time:0. ());
-      (fun () -> T.create ~rows:5 ~nodes:32 ~per_hop:1. ~link_time:0. ());
       (fun () -> T.create ~nodes:8 ~per_hop:(-1.) ~link_time:0. ());
     ]
 
@@ -119,7 +118,7 @@ let test_validation () =
 let test_sim_single_message_latency () =
   (* One client on an uncontended torus: wire time is exactly
      distance · (per_hop + link_time) each way. *)
-  let t = T.create ~rows:2 ~nodes:4 ~per_hop:7. ~link_time:3. () in
+  let t = T.create ~nodes:4 ~per_hop:7. ~link_time:3. () in
   (* Node 3 is at (1,1): distance from 0 is 2. *)
   let base =
     {
