@@ -311,6 +311,33 @@ let test_pp_dominates_both () =
         (pp <= (A.solve ~execution:A.Polling p ~w).A.r +. 1e-9))
     [ 0.; 200.; 1000.; 4000. ]
 
+let test_polling_residual_wait () =
+  (* A request handler first waits out the thread's residual work quantum:
+     probability Uw = W/R, mean W for exponential work, so Rq gains
+     Uw·W over the interrupt-mode queueing equation; a reply handler finds
+     its thread blocked and never waits. *)
+  let p = params ~c2:0. () in
+  let w = 1000. in
+  let s = A.solve ~execution:A.Polling p ~w in
+  let so = p.Params.so in
+  let beta = (p.Params.c2 -. 1.) /. 2. in
+  let sq = so /. s.A.r in
+  feq 1e-6 "Rq = So(1 + Qq + Qy + 2βs) + Uw·W"
+    ((so *. (1. +. s.A.qq +. s.A.qy +. (2. *. beta *. sq))) +. (w /. s.A.r *. w))
+    s.A.rq;
+  feq 1e-6 "Ry = So(1 + Qq + βs)" (so *. (1. +. s.A.qq +. (beta *. sq))) s.A.ry;
+  feq 1e-6 "F(R) = R" s.A.r (A.fixed_point_map ~execution:A.Polling p ~w s.A.r)
+
+let test_polling_methods_agree () =
+  let p = params ~c2:1. () in
+  List.iter
+    (fun w ->
+      let r solve_method = (A.solve ~execution:A.Polling ~solve_method p ~w).A.r in
+      let b = r A.Brent_on_residual in
+      feq 1e-4 "brent vs iteration" b (r A.Damped_iteration);
+      feq 1e-4 "brent vs polynomial" b (r A.Polynomial_roots))
+    [ 0.; 100.; 1000. ]
+
 (* --- calibration ------------------------------------------------------------ *)
 
 module Cal = Lopc.Calibrate
@@ -672,6 +699,8 @@ let suite =
     Alcotest.test_case "polling: Rw = W" `Quick test_polling_rw_is_w;
     Alcotest.test_case "polling: crossover vs interrupts" `Quick test_polling_crossover;
     Alcotest.test_case "protocol processor dominates" `Quick test_pp_dominates_both;
+    Alcotest.test_case "polling: residual quantum wait" `Quick test_polling_residual_wait;
+    Alcotest.test_case "polling: methods agree" `Quick test_polling_methods_agree;
     Alcotest.test_case "calibrate: recovers curve" `Quick test_calibrate_recovers_curve;
     Alcotest.test_case "calibrate: pinned St identifies So" `Quick test_calibrate_pinned_st_identifies_so;
     Alcotest.test_case "calibrate: validation" `Quick test_calibrate_validation;
