@@ -379,14 +379,15 @@ let print_fault_model ?budget fault params ~w =
       fault.Fault.timeout fault.Fault.max_tries;
     Format.printf "  solver outcome      = %s@." (Fixed_point.status_to_string status);
     Format.printf "  cycle time R        = %.2f cycles@." s.FM.r;
-    Format.printf "    thread Rw         = %.2f@." s.FM.rw;
+    Format.printf "    thread Rw         = %.2f@." s.FM.terms.rw;
     Format.printf "    timeout wait      = %.2f@." s.FM.timeout_wait;
-    Format.printf "    request Rq        = %.2f@." s.FM.rq;
-    Format.printf "    reply Ry          = %.2f@." s.FM.ry;
+    Format.printf "    request Rq        = %.2f@." s.FM.terms.rq;
+    Format.printf "    reply Ry          = %.2f@." s.FM.terms.ry;
     Format.printf "  tries per cycle     = %.4f (handler load %.4f)@." s.FM.tries s.FM.load;
     Format.printf "  failure rate q^B    = %.3e@." s.FM.failure_rate;
     Format.printf "  goodput X           = %.6f requests/cycle@." s.FM.throughput;
-    Format.printf "  Qq=%.4f Qy=%.4f Uq=%.4f Uy=%.4f@." s.FM.qq s.FM.qy s.FM.uq s.FM.uy;
+    Format.printf "  Qq=%.4f Qy=%.4f Uq=%.4f Uy=%.4f@." s.FM.terms.qq s.FM.terms.qy
+      s.FM.terms.uq s.FM.terms.uy;
     `Ok 0
 
 let print_client_server params ~w ~servers =
@@ -495,9 +496,9 @@ let predict_cmd =
 let simulate_cmd =
   let run p st so c2 w pp polling pattern seed cycles trace drop duplicate
       delay_epsilon spike_mean timeout backoff retries fuel max_seconds =
-    match parse_pattern ~nodes:p pattern with
-    | `Error _ as e -> e
-    | `Ok pat -> (
+    match (params_of ~p ~st ~so ~c2, parse_pattern ~nodes:p pattern) with
+    | (`Error _ as e), _ | _, (`Error _ as e) -> e
+    | `Ok _, `Ok pat -> (
       match
         fault_of ~st ~so ~w ~drop ~duplicate ~delay_epsilon ~spike_mean ~timeout
           ~backoff ~retries
@@ -651,9 +652,9 @@ let trace_cmd =
     Arg.(value & opt int 16 & info [ "count" ] ~doc:"Cycles to trace.")
   in
   let run p st so c2 w pp polling pattern seed count =
-    match parse_pattern ~nodes:p pattern with
-    | `Error _ as e -> e
-    | `Ok pat -> (
+    match (params_of ~p ~st ~so ~c2, parse_pattern ~nodes:p pattern) with
+    | (`Error _ as e), _ | _, (`Error _ as e) -> e
+    | `Ok _, `Ok pat -> (
       try
         let spec =
           Pattern.to_spec ~protocol_processor:pp ~polling ~nodes:p
@@ -723,8 +724,8 @@ let calibrate_cmd =
         | Some _ -> ()
         | None ->
           Format.printf
-            "  note: St and So are nearly degenerate from R(W) alone; pass
-            \  --fixed-st with a ping-pong-measured latency to identify So.@.");
+            "  note: St and So are nearly degenerate from R(W) alone; pass\n\
+            \        --fixed-st with a ping-pong-measured latency to identify So.@.");
         `Ok 0
       with Invalid_argument msg -> `Error (false, msg))
   in

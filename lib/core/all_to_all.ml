@@ -20,71 +20,52 @@ type execution = Interrupt | Polling | Protocol_processor
 
 type solve_method = Brent_on_residual | Damped_iteration | Polynomial_roots
 
-let check (params : Params.t) ~w =
-  (match Params.validate params with
-  | Ok _ -> ()
-  | Error reason -> invalid_arg ("All_to_all: " ^ reason));
-  if w < 0. || not (Float.is_finite w) then invalid_arg "All_to_all: invalid work value"
+type terms = {
+  rw : float;
+  rq : float;
+  ry : float;
+  qq : float;
+  qy : float;
+  uq : float [@lopc.prob];
+  uy : float [@lopc.prob];
+}
+
+let check = Params.check ~who:"All_to_all"
 
 let lower_bound (params : Params.t) ~w =
   check params ~w;
   w +. (2. *. params.st) +. (2. *. params.so)
 
-(* Queue lengths in closed form given s = So/R (see the .mli header).
-   Requires 1 − s − s² > 0, i.e. R above the golden-ratio multiple of So,
-   which holds whenever R exceeds the contention-free cycle time.
-
-   [extra] is an additional normalized waiting term e = E/R added to the
-   request-handler residency before service (zero except in polling mode,
-   where E is the destination thread's residual work quantum). Reply
-   handlers never pay it: with blocking requests the home thread is
-   already blocked when its reply arrives.
-     Qq = s·(1 + Qq + Qy + 2βs) + e
-     Qy = s·(1 + Qq + βs) *)
-let queues ?(extra = 0.) (params : Params.t) s =
-  let beta = (params.c2 -. 1.) /. 2. in
-  let denom = 1. -. s -. (s *. s) in
-  let gq = (1. +. ((1. +. (2. *. beta)) *. s) +. (beta *. s *. s)) /. denom in
-  let qq = (s *. gq) +. (extra /. denom) in
-  let qy = s *. (1. +. qq +. (beta *. s)) in
-  (qq, qy)
-[@@lint.allow
-  "unguarded-division division-by-vanishing"
-    "every solver keeps r above the golden-ratio multiple of So (see the header \
-     comment), so 1 - s - s^2 stays strictly positive"]
-
 (* In polling mode a handler arriving while the thread computes waits for
    the residual work quantum: probability Uw = W/R, mean residual
-   (1 + C²w)/2 · W = W, since work quanta are exponential (C²w = 1). *)
-let polling_wait ~w r =
-  let uw = w /. r in
-  uw *. w
-
-let analyze ~execution (params : Params.t) ~w r =
-  let s = params.so /. r in
+   (1 + C²w)/2 · W = W, since work quanta are exponential (C²w = 1). Reply
+   handlers never pay it: with blocking requests the home thread is
+   already blocked when its reply arrives. The queue kernel takes the wait
+   normalized by R. *)
+let terms ~execution ~load (params : Params.t) ~w r =
+  let uy = params.so /. r in
+  let uq = load *. params.so /. r in
   let extra =
     match execution with
-    | Polling -> polling_wait ~w r /. r
+    | Polling -> w /. r *. w /. r
     | Interrupt | Protocol_processor -> 0.
   in
-  let qq, qy = queues ~extra params s in
-  let rq = qq *. r in
-  let ry = qy *. r in
+  let qq, qy = Contention.queues ~beta:(Contention.beta params) ~extra uq uy in
   let rw =
     match execution with
-    | Interrupt ->
-      ((w +. (params.so *. qq)) /. (1. -. s)
-      [@lint.allow
-        "unguarded-division division-by-vanishing"
-          "safe for the same reason as [queues]: s = So/r < 1 whenever r is in the \
-           solvers' bracket, which starts at the contention-free bound"])
+    | Interrupt -> Contention.thread_residence ~w ~so:params.so ~queue:qq ~util:uq
     | Polling | Protocol_processor -> w
   in
-  (rw, rq, ry, qq, qy, s)
+  ({ rw; rq = qq *. r /. load; ry = qy *. r; qq; qy; uq; uy }
+  [@lint.allow
+    "probability-range"
+      "uq and uy are below 1 for any r above the saturation floor, where every \
+       solver's bracket starts (the contention-free bound W + 2 St + 2 So > So \
+       when load = 1)"])
 
 let fixed_point_map ?(execution = Interrupt) (params : Params.t) ~w r =
-  let rw, rq, ry, _, _, _ = analyze ~execution params ~w r in
-  rw +. (2. *. params.st) +. rq +. ry
+  let t = terms ~execution ~load:1. params ~w r in
+  t.rw +. (2. *. params.st) +. t.rq +. t.ry
 
 (* Clearing denominators in r − F(r) = 0: multiplying by
    r·(r − So)·(r² − r·So − So²) yields a polynomial of degree ≤ 5. Rather
@@ -137,23 +118,19 @@ let solve_polynomial ?execution params ~w =
     | first :: rest -> Some (List.fold_left Float.min first rest))
 
 let solution_of_r (params : Params.t) ~w ~execution r =
-  let rw, rq, ry, qq, qy, s = analyze ~execution params ~w r in
-  ({
-     r;
-     rw;
-     rq;
-     ry;
-     qq;
-     qy;
-     uq = s;
-     uy = s;
-     throughput = Float.of_int params.p /. r;
-     contention = r -. lower_bound params ~w;
-   }
-  [@lint.allow
-    "probability-range"
-      "s = So/r < 1 whenever r is in the solvers' bracket, which starts at the \
-       contention-free bound W + 2 St + 2 So > So"])
+  let t = terms ~execution ~load:1. params ~w r in
+  {
+    r;
+    rw = t.rw;
+    rq = t.rq;
+    ry = t.ry;
+    qq = t.qq;
+    qy = t.qy;
+    uq = t.uq;
+    uy = t.uy;
+    throughput = Float.of_int params.p /. r;
+    contention = r -. lower_bound params ~w;
+  }
 
 (* The reliable all-to-all model cannot saturate: the queue denominator's
    positive root is the golden-ratio multiple of So, strictly below the

@@ -2,8 +2,8 @@
 
     Every one of the [P] nodes runs a thread that alternates [W] cycles of
     local work with a blocking request to a uniformly random peer. By
-    homogeneity the per-node equations collapse to one scalar fixed point
-    in the cycle time [R] (Eqs 4.1, 5.1–5.10):
+    homogeneity the per-node equations ({!Contention}) collapse to one
+    scalar fixed point in the cycle time [R] (Eqs 4.1, 5.1–5.10):
 
     {v
     s  = So / R                          (per-node handler throughput × So)
@@ -48,6 +48,24 @@ type execution =
       (** Shared-memory machines (§5.1): handlers execute on a dedicated
           per-node protocol processor; [Rw = W] and handlers queue only
           against each other. *)
+
+type terms = {
+  rw : float;
+  rq : float;
+  ry : float;
+  qq : float;
+  qy : float;
+  uq : float [@lopc.prob];
+  uy : float [@lopc.prob];
+}
+(** The per-node terms of Eq 4.1 at one candidate cycle time. *)
+
+val terms : execution:execution -> load:float -> Params.t -> w:float -> float -> terms
+(** [terms ~execution ~load params ~w r] evaluates the {!Contention}
+    equations at cycle time [r] when a node serves [load] request handlers
+    per cycle ([1.] here; {!Fault_model} passes its retry-inflated load):
+    [Uq = load·So/R], [Uy = So/R] and the per-visit [Rq = Qq·R/load]
+    (Little). Requires [r] above the saturation floor. *)
 
 type solve_method =
   | Brent_on_residual  (** Root of [F R −. R] by Brent's method (default). *)

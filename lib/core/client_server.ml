@@ -13,10 +13,7 @@ type solution = {
 }
 
 let check (params : Params.t) ~w ~servers =
-  (match Params.validate params with
-  | Ok _ -> ()
-  | Error reason -> invalid_arg ("Client_server: " ^ reason));
-  if w < 0. || not (Float.is_finite w) then invalid_arg "Client_server: invalid work value";
+  Params.check ~who:"Client_server" params ~w;
   if servers <= 0 || servers >= params.p then
     invalid_arg "Client_server: need 0 < servers < P"
 

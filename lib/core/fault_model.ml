@@ -15,8 +15,8 @@ let config ?(drop = 0.) ?(duplicate = 0.) ?(delay_epsilon = 0.) ?(spike_mean = 0
   ({ drop; duplicate; delay_epsilon; spike_mean; timeout; backoff; max_tries }
   [@lint.allow
     "probability-range negative-cost"
-      "raw constructor arguments: every solver entry point runs [validate] (via \
-       [check] or [check_inputs]) before using the record"])
+      "raw constructor arguments: every solver entry point runs [validate] before \
+       using the record"])
 
 let validate c =
   if not (Float.is_finite c.drop) || c.drop < 0. || c.drop >= 1. then
@@ -33,9 +33,6 @@ let validate c =
     Error "Fault_model: timeout must be positive and finite"
   else if c.max_tries < 1 then Error "Fault_model: retry budget must be >= 1"
   else Ok c
-
-let check c =
-  match validate c with Ok c -> c | Error reason -> invalid_arg reason
 
 (* P(at least one copy of a message is delivered): the primary copy
    survives with 1 − ℓ; with probability d the network emits a second copy
@@ -101,13 +98,7 @@ let expected_timeout_wait c =
 
 type solution = {
   r : float;
-  rw : float;
-  rq : float;
-  ry : float;
-  qq : float;
-  qy : float;
-  uq : float [@lopc.prob];
-  uy : float [@lopc.prob];
+  terms : All_to_all.terms;
   throughput : float;
   tries : float;
   timeout_wait : float;
@@ -115,106 +106,36 @@ type solution = {
   failure_rate : float;
 }
 
-(* Asymmetric generalization of [All_to_all.queues]: request and reply
-   handlers now have different utilizations sq = kq·So/R and sy = So/R.
-   From Qq = sq·(1 + Qq + Qy + β(sq+sy)) and Qy = sy·(1 + Qq + β·sq):
-     Qq·(1 − sq − sq·sy) = sq·(1 + sy + β(sq+sy) + β·sq·sy)
-   which reduces exactly to the paper's closed form at sq = sy. *)
-let queues ~beta sq sy =
-  let denom = 1. -. sq -. (sq *. sy) in
-  let qq =
-    (sq *. (1. +. sy +. (beta *. (sq +. sy)) +. (beta *. sq *. sy)) /. denom
-    [@lint.allow
-      "unguarded-division division-by-vanishing"
-        "the solver keeps r strictly above the positive root of denom(r) = 0 (the \
-         saturation floor)"])
-  in
-  let qy = sy *. (1. +. qq +. (beta *. sq)) in
-  (qq, qy)
+(* The per-node terms are the all-to-all ones at request load kq =
+   handler_load; the map is R = Rw + E_wait + 2·St_eff + Rq + Ry. *)
+let terms c params ~w r =
+  All_to_all.terms ~execution:Interrupt ~load:(handler_load c) params ~w r
 
-let lower_bound c (params : Params.t) ~w =
-  w +. expected_timeout_wait c +. (2. *. effective_wire c params)
-  +. (2. *. params.so)
-
-(* The cycle-time map under faults. With kq = handler_load:
-     R = Rw + E_wait + 2·St_eff + Rq + Ry,
-   where Rq is the per-visit request residence recovered from Little's law
-   at the inflated visit rate kq/R (Rq = Qq·R/kq), and Ry = Qy·R. *)
 let fixed_point_map c (params : Params.t) ~w r =
-  let beta = (params.c2 -. 1.) /. 2. in
-  let kq = handler_load c in
-  let sq = kq *. params.so /. r in
-  let sy = params.so /. r in
-  let qq, qy = queues ~beta sq sy in
-  let rw =
-    ((w +. (params.so *. qq)) /. (1. -. sq)
-    [@lint.allow
-      "unguarded-division division-by-vanishing"
-        "r > saturation floor implies sq < 1 (see [solve_status])"])
-  in
-  rw +. expected_timeout_wait c +. (2. *. effective_wire c params)
-  +. (qq *. r
-     /. kq
-     [@lint.allow
-       "division-by-vanishing"
-         "kq = E[tries] * (1 - drop)(1 + dup) >= 1 - drop > 0 because [validate] \
-          rejects drop >= 1"])
-  +. (qy *. r)
+  let t = terms c params ~w r in
+  t.rw +. expected_timeout_wait c +. (2. *. effective_wire c params) +. t.rq +. t.ry
 
 let solution_of_r c (params : Params.t) ~w r =
-  let beta = (params.c2 -. 1.) /. 2. in
-  let kq = handler_load c in
-  let sq = kq *. params.so /. r in
-  let sy = params.so /. r in
-  let qq, qy = queues ~beta sq sy in
-  let rw =
-    ((w +. (params.so *. qq)) /. (1. -. sq)
-    [@lint.allow
-      "unguarded-division division-by-vanishing"
-        "r > saturation floor implies sq < 1 (see [solve_status])"])
-  in
-  ({
-     r;
-     rw;
-     rq =
-       (qq *. r
-       /. kq
-       [@lint.allow
-         "division-by-vanishing"
-           "kq = E[tries] * (1 - drop)(1 + dup) >= 1 - drop > 0 because [validate] \
-            rejects drop >= 1"]);
-     ry = qy *. r;
-     qq;
-     qy;
-     uq = sq;
-     uy = sy;
-     throughput = Float.of_int params.p /. r;
-     tries = expected_tries c;
-     timeout_wait = expected_timeout_wait c;
-     load = kq;
-     failure_rate = failure_probability c;
-   }
-  [@lint.allow
-    "probability-range"
-      "sq and sy are utilizations below 1 for any r above the saturation floor, \
-       the only regime in which [solve_status] builds a solution"])
-
-let check_inputs c (params : Params.t) ~w =
-  (match Params.validate params with
-  | Ok _ -> ()
-  | Error reason -> invalid_arg ("Fault_model: " ^ reason));
-  if w < 0. || not (Float.is_finite w) then invalid_arg "Fault_model: invalid work value";
-  ignore (check c)
+  {
+    r;
+    terms = terms c params ~w r;
+    throughput = Float.of_int params.p /. r;
+    tries = expected_tries c;
+    timeout_wait = expected_timeout_wait c;
+    load = handler_load c;
+    failure_rate = failure_probability c;
+  }
 
 let solve_status ?budget c (params : Params.t) ~w =
-  check_inputs c params ~w;
+  Params.check ~who:"Fault_model" params ~w;
+  Result.iter_error invalid_arg (validate c);
   let kq = handler_load c in
   let a = kq *. params.so in
   let b = params.so in
-  (* Positive root of 1 − a/r − a·b/r² = 0: below it the asymmetric queue
-     denominators are non-positive and the request station is saturated. *)
+  (* Positive root of 1 − a/r − a·b/r² = 0: below it the queue kernel's
+     denominator is non-positive and the request station is saturated. *)
   let r_floor = (a +. Float.sqrt ((a *. a) +. (4. *. a *. b))) /. 2. in
-  let lb = lower_bound c params ~w in
+  let lb = w +. expected_timeout_wait c +. (2. *. effective_wire c params) +. (2. *. b) in
   let solve_from start =
     Fixed_point.solve_above_status ?budget ~f:(fixed_point_map c params ~w) start
   in

@@ -14,11 +14,11 @@
     {[ R = Rw + E_wait + 2·St_eff + Rq + Ry ]}
 
     where [E_wait] is the expected timeout waiting of the failed tries,
-    [St_eff] the ε-mixture wire mean, and the queue terms come from an
-    asymmetric generalization of the paper's closed forms (request and
-    reply handler utilizations now differ by the factor [handler_load]).
-    At zero fault probabilities every quantity reduces exactly to
-    {!All_to_all.solve}.
+    [St_eff] the ε-mixture wire mean, and [Rw], [Rq], [Ry] are
+    {!All_to_all.terms} at request load [kq = handler_load]: the shared
+    {!Contention} kernel with request-handler utilization [kq·So/R] and
+    reply-handler utilization [So/R]. At zero fault probabilities every
+    quantity reduces exactly to {!All_to_all.solve}.
 
     Validity: interrupt-notification blocking threads (the restrictions
     {!Lopc_activemsg.Spec.validate} enforces on faulty specs), and a
@@ -84,13 +84,9 @@ val expected_timeout_wait : config -> float
 
 type solution = {
   r : float;             (** Cycle time of answered cycles. *)
-  rw : float;            (** Thread residence (work + preemption). *)
-  rq : float;            (** Request residence of the successful try. *)
-  ry : float;            (** Reply residence. *)
-  qq : float;            (** Request-handler queue length. *)
-  qy : float;            (** Reply-handler queue length. *)
-  uq : float [@lopc.prob];  (** Request-handler utilization (inflated). *)
-  uy : float [@lopc.prob];  (** Reply-handler utilization. *)
+  terms : All_to_all.terms;
+      (** Rw, Rq (of the successful try), Ry, the queues and the
+          utilizations, with [Uq] inflated by {!handler_load}. *)
   throughput : float;    (** Goodput [P/R] (failure rate assumed small). *)
   tries : float;         (** {!expected_tries}. *)
   timeout_wait : float;  (** {!expected_timeout_wait}. *)

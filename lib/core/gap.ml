@@ -11,25 +11,14 @@ type solution = {
 }
 
 let check (params : Params.t) ~gap ~w =
-  (match Params.validate params with
-  | Ok _ -> ()
-  | Error reason -> invalid_arg ("Gap: " ^ reason));
-  if w < 0. || not (Float.is_finite w) then invalid_arg "Gap: invalid work value";
+  Params.check ~who:"Gap" params ~w;
   if gap < 0. || not (Float.is_finite gap) then invalid_arg "Gap: invalid gap value"
 
 let lower_bound ~gap (params : Params.t) ~w =
   check params ~gap ~w;
   w +. (2. *. params.st) +. (4. *. gap) +. (2. *. params.so)
 
-(* Bard residence of one passage through an NI with constant service g and
-   arrival rate 2/R. Valid while the NI is stable (2g < R). *)
-let ni_residence_at ~gap r =
-  if Float.equal gap 0. then 0.
-  else begin
-    let lambda = 2. /. r in
-    let u = lambda *. gap in
-    if u >= 0.999 then infinity else gap *. (1. -. (u /. 2.)) /. (1. -. u)
-  end
+let ni_residence_at ~gap r = Contention.deterministic_residence ~service:gap ~lambda:(2. /. r)
 
 let fixed_point_map ~gap (params : Params.t) ~w r =
   All_to_all.fixed_point_map params ~w r +. (4. *. ni_residence_at ~gap r)

@@ -60,10 +60,7 @@ let validate t =
     end
 
 (* Per-node queue lengths given request-handler utilization [a = So·Λk]
-   and reply-handler utilization [b = So·Xk] (Bard + Eq 5.8 correction):
-     Qq = a·(1 + Qq + Qy + β(a+b))
-     Qy = b·(1 + Qq + β·a)
-   solved exactly as a 2×2 system.
+   and reply-handler utilization [b = So·Xk], from the shared kernel.
 
    In a closed network a node can never hold more messages than there are
    threads (each thread has at most one request in flight), so queue
@@ -71,13 +68,12 @@ let validate t =
    fixed-point iteration stable when an intermediate iterate saturates a
    node. *)
 let node_queues ~beta ~max_queue a b =
-  let denom = 1. -. a -. (a *. b) in
-  if denom <= 1e-9 then (max_queue, Float.min max_queue (b *. (1. +. max_queue +. (beta *. a))))
+  if 1. -. a -. (a *. b) <= 1e-9 then
+    (max_queue, Float.min max_queue (Contention.reply_queue ~beta a b max_queue))
   else begin
-    let qq = a *. (1. +. b +. (beta *. (a +. b)) +. (beta *. a *. b)) /. denom in
+    let qq, _ = Contention.queues ~beta ~extra:0. a b in
     let qq = Float.max 0. (Float.min qq max_queue) in
-    let qy = Float.max 0. (Float.min (b *. (1. +. qq +. (beta *. a))) max_queue) in
-    (qq, qy)
+    (qq, Float.max 0. (Float.min (Contention.reply_queue ~beta a b qq) max_queue))
   end
 
 let solve_status ?budget ?(tol = 1e-12) ?(max_iter = 200_000) t =
@@ -85,8 +81,8 @@ let solve_status ?budget ?(tol = 1e-12) ?(max_iter = 200_000) t =
   | Ok _ -> ()
   | Error reason -> invalid_arg ("General: " ^ reason));
   let p = Array.length t.nodes in
-  let { Params.st; so; c2; _ } = t.params in
-  let beta = (c2 -. 1.) /. 2. in
+  let { Params.st; so; _ } = t.params in
+  let beta = Contention.beta t.params in
   let thread_count =
     Array.fold_left
       (fun acc spec -> if Option.is_none spec.work then acc else acc + 1)

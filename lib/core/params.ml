@@ -13,6 +13,10 @@ let validate t =
   else if t.c2 < 0. || not (Float.is_finite t.c2) then err "C2 must be finite and >= 0, got %g" t.c2
   else Ok t
 
+let check ~who t ~w =
+  (match validate t with Ok _ -> () | Error reason -> invalid_arg (who ^ ": " ^ reason));
+  if w < 0. || not (Float.is_finite w) then invalid_arg (who ^ ": invalid work value")
+
 let create ?(c2 = 1.) ~p ~st ~so () =
   match
     validate

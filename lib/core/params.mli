@@ -35,6 +35,12 @@ val create : ?c2:float -> p:int -> st:float -> so:float -> unit -> t
 val validate : t -> (t, string) result
 (** Check the invariants listed under {!create}. *)
 
+val check : who:string -> t -> w:float -> unit
+(** The input check of every model entry point taking [params] and a work
+    value [w].
+    @raise Invalid_argument with a message prefixed ["<who>: "] when
+    {!validate} fails or [w] is negative or non-finite. *)
+
 type algorithm = {
   n : int;  (** Total blocking requests issued per thread. *)
   w : float [@lopc.cost] [@lopc.unit "cycles"];

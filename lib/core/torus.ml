@@ -10,36 +10,22 @@ type solution = {
   penalty : float;
 }
 
-let check (params : Params.t) ~(topology : Topology.t) ~w =
-  (match Params.validate params with
-  | Ok _ -> ()
-  | Error reason -> invalid_arg ("Torus: " ^ reason));
-  if w < 0. || not (Float.is_finite w) then invalid_arg "Torus: invalid work value";
-  if topology.Topology.rows * topology.Topology.cols <> params.p then
-    invalid_arg "Torus: topology size does not match P"
-
-(* Bard residence of one crossing of a link with constant occupancy
-   [link_time] and arrival rate [lambda]; the hop propagation follows. *)
-let crossing ~(topology : Topology.t) ~lambda =
-  let lt = topology.Topology.link_time in
-  if Float.equal lt 0. then topology.Topology.per_hop
-  else begin
-    let u = lambda *. lt in
-    if u >= 0.999 then infinity
-    else topology.Topology.per_hop +. (lt *. (1. -. (u /. 2.)) /. (1. -. u))
-  end
-
 (* Effective one-way network time given the cycle time r: per-dimension
    link rates (by symmetry every X link carries mean_dx/R, every Y link
    mean_dy/R). *)
 let network_time ~topology r =
   let mean_dx, mean_dy = Topology.mean_offsets topology in
-  let cx = crossing ~topology ~lambda:(mean_dx /. r) in
-  let cy = crossing ~topology ~lambda:(mean_dy /. r) in
-  (mean_dx *. cx) +. (mean_dy *. cy)
+  let crossing d =
+    topology.Topology.per_hop
+    +. Contention.deterministic_residence ~service:topology.Topology.link_time
+         ~lambda:(d /. r)
+  in
+  (mean_dx *. crossing mean_dx) +. (mean_dy *. crossing mean_dy)
 
-let solve (params : Params.t) ~topology ~w =
-  check params ~topology ~w;
+let solve (params : Params.t) ~(topology : Topology.t) ~w =
+  Params.check ~who:"Torus" params ~w;
+  if topology.Topology.rows * topology.Topology.cols <> params.p then
+    invalid_arg "Torus: topology size does not match P";
   let d = Topology.mean_distance topology in
   let st_free =
     d *. (topology.Topology.per_hop +. topology.Topology.link_time)

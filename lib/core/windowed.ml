@@ -14,23 +14,8 @@ type solution = {
 }
 
 let saturation_rate (params : Params.t) ~w =
-  if w < 0. || not (Float.is_finite w) then invalid_arg "Windowed: invalid work value";
+  Params.check ~who:"Windowed" params ~w;
   1. /. (w +. (2. *. params.so))
-
-(* Queue lengths at handler utilization u — the §5 closed forms. The
-   1 - u - u² denominator is safe because the only caller, [residencies],
-   rejects u at or above the golden-ratio bound before calling in. *)
-let queues (params : Params.t) u =
-  let beta = (params.c2 -. 1.) /. 2. in
-  let denom = 1. -. u -. (u *. u) in
-  let gq = (1. +. ((1. +. (2. *. beta)) *. u) +. (beta *. u *. u)) /. denom in
-  let qq = u *. gq in
-  let qy = u *. (1. +. qq +. (beta *. u)) in
-  (qq, qy)
-[@@lint.allow
-  "unguarded-division division-by-vanishing"
-    "the only caller, [residencies], rejects u at or above the golden-ratio bound \
-     before calling in, so 1 - u - u^2 stays strictly positive"]
 
 (* Golden-ratio bound: the closed forms need 1 − u − u² > 0. *)
 let u_limit = (sqrt 5. -. 1.) /. 2.
@@ -41,7 +26,7 @@ let residencies (params : Params.t) ~w ~window x =
   let u = params.so *. x in
   if u >= u_limit *. 0.999 then None
   else begin
-    let qq, qy = queues params u in
+    let qq, qy = Contention.queues ~beta:(Contention.beta params) ~extra:0. u u in
     let rq = qq /. x in
     let ry = qy /. x in
     (* Window 1: the thread is blocked whenever its reply handler runs, so
@@ -50,11 +35,11 @@ let residencies (params : Params.t) ~w ~window x =
        preempt it — this is also what caps the rate at the physical
        saturation 1/(W + 2 So). *)
     let quantum =
-      if window = 1 then (w +. (params.so *. qq)) /. (1. -. u)
+      if window = 1 then Contention.thread_residence ~w ~so:params.so ~queue:qq ~util:u
       else begin
         let busy = 2. *. u in
         if busy >= 0.999 then infinity
-        else (w +. (params.so *. (qq +. qy))) /. (1. -. busy)
+        else Contention.thread_residence ~w ~so:params.so ~queue:(qq +. qy) ~util:busy
       end
     in
     let kf = Float.of_int window in
@@ -67,11 +52,8 @@ let residencies (params : Params.t) ~w ~window x =
   end
 
 let solve ?(window = 1) (params : Params.t) ~w =
-  (match Params.validate params with
-  | Ok _ -> ()
-  | Error reason -> invalid_arg ("Windowed: " ^ reason));
+  Params.check ~who:"Windowed" params ~w;
   if window < 1 then invalid_arg "Windowed: window must be at least 1";
-  if w < 0. || not (Float.is_finite w) then invalid_arg "Windowed: invalid work value";
   let kf = Float.of_int window in
   (* h x = window / R(x) − x changes sign exactly once in (0, x_max). *)
   let h x =

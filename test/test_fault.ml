@@ -313,7 +313,7 @@ let test_model_saturation_floor_branch () =
       (Fixed_point.status_to_string status);
     Alcotest.(check string) "cycle time" "999.01" (Printf.sprintf "%.2f" s.Lopc.Fault_model.r);
     Alcotest.(check bool) "request station below full utilization" true
-      (s.Lopc.Fault_model.uq < 1.)
+      (s.Lopc.Fault_model.terms.uq < 1.)
   | _, status ->
     Alcotest.failf "expected convergence, got %s" (Fixed_point.status_to_string status)
 

@@ -664,6 +664,73 @@ let prop_general_homogeneous_matches =
       let general = (G.solve (Harness.general_all_to_all params ~w)).G.cycle_times.(0) in
       Float.abs (direct -. general) < 1e-4 *. direct)
 
+(* --- shared node equations and input check --------------------------------- *)
+
+module Contention = Lopc.Contention
+
+(* |x - y| within [tol] of the larger magnitude. *)
+let rel_close tol x y =
+  Float.equal x y
+  || Float.abs (x -. y) <= tol *. Float.max (Float.abs x) (Float.abs y)
+
+(* a is drawn as a fraction t of its ceiling 0.95 / (1 + b), so the kernel's
+   denominator 1 - a - a*b stays at or above 0.05. *)
+let prop_queues_solve_bard =
+  QCheck.Test.make ~name:"Contention.queues solves the Bard equations" ~count:500
+    QCheck.(
+      quad (float_range 0. 1.) (float_range 0. 2.) (float_range (-0.5) 1.)
+        (float_range 0. 5.))
+    (fun (t, b, beta, e) ->
+      let a = t *. 0.95 /. (1. +. b) in
+      let qq, qy = Contention.queues ~beta ~extra:e a b in
+      rel_close 1e-9 qq ((a *. (1. +. qq +. qy +. (beta *. (a +. b)))) +. e)
+      && rel_close 1e-9 qy (b *. (1. +. qq +. (beta *. a))))
+
+(* At a = b = s the kernel is the symmetric closed form of all_to_all.mli. *)
+let prop_queues_symmetric =
+  QCheck.Test.make ~name:"Contention.queues at a = b is the section 5 closed form"
+    ~count:500
+    QCheck.(pair (float_range 0. 0.59) (float_range (-0.5) 1.))
+    (fun (s, beta) ->
+      let qq, qy = Contention.queues ~beta ~extra:0. s s in
+      let denom = 1. -. s -. (s *. s) in
+      if denom <= 0. then false
+      else begin
+        let closed = s *. (1. +. ((1. +. (2. *. beta)) *. s) +. (beta *. s *. s)) /. denom in
+        rel_close 1e-12 qq closed && rel_close 1e-12 qy (s *. (1. +. closed +. (beta *. s)))
+      end)
+
+(* Every entry point that runs [Params.check] keeps its own message. *)
+let test_params_check_messages () =
+  let good = Params.create ~c2:1. ~p:16 ~st:40. ~so:200. () in
+  let zero_so = { good with Params.so = 0. } in
+  let topology = Lopc_topology.Topology.create ~nodes:16 ~per_hop:1. ~link_time:1. () in
+  let fault = Lopc.Fault_model.config ~drop:0.01 ~timeout:20000. () in
+  let entry_points =
+    [
+      ("All_to_all", fun params ~w -> ignore (A.solve params ~w));
+      ("Fault_model", fun params ~w -> ignore (Lopc.Fault_model.solve fault params ~w));
+      ("Gap", fun params ~w -> ignore (Gp.solve ~gap:1. params ~w));
+      ("Torus", fun params ~w -> ignore (Lopc.Torus.solve params ~topology ~w));
+      ("Windowed", fun params ~w -> ignore (W.solve ~window:2 params ~w));
+      ("Windowed", fun params ~w -> ignore (W.saturation_rate params ~w));
+      ("Client_server", fun params ~w -> ignore (CS.throughput params ~w ~servers:4));
+    ]
+  in
+  List.iter
+    (fun (who, run) ->
+      List.iter
+        (fun w ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s w=%g" who w)
+            (Invalid_argument (who ^ ": invalid work value"))
+            (fun () -> run good ~w))
+        [ -1.; Float.nan; Float.infinity ];
+      Alcotest.check_raises (who ^ " So=0")
+        (Invalid_argument (who ^ ": So must be finite and > 0, got 0"))
+        (fun () -> run zero_so ~w:1000.))
+    entry_points
+
 let suite =
   [
     Alcotest.test_case "params validation" `Quick test_params_validation;
@@ -729,4 +796,7 @@ let suite =
     Alcotest.test_case "general: validation" `Quick test_general_validation;
     Alcotest.test_case "general: pure servers" `Quick test_general_servers_have_nan_cycles;
     QCheck_alcotest.to_alcotest prop_general_homogeneous_matches;
+    QCheck_alcotest.to_alcotest prop_queues_solve_bard;
+    QCheck_alcotest.to_alcotest prop_queues_symmetric;
+    Alcotest.test_case "params: one input check, own messages" `Quick test_params_check_messages;
   ]
