@@ -226,28 +226,38 @@ let parse_pattern ~nodes s =
       (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
     | None -> (s, None)
   in
-  match split_eq s with
-  | "all-to-all", None -> `Ok Pattern.All_to_all
-  | "staggered", None -> `Ok Pattern.All_to_all_staggered
-  | "client-server", Some k -> (
-    match int_of_string_opt k with
-    | Some servers -> `Ok (Pattern.Client_server { servers })
-    | None -> fail "client-server=K needs an integer K")
-  | "client-server", None ->
-    (* A placeholder; callers that support --optimal-servers replace it. *)
-    `Ok (Pattern.Client_server { servers = max 1 (nodes / 4) })
-  | "hotspot", Some spec -> (
-    match String.split_on_char ':' spec with
-    | [ node; fraction ] -> (
-      match (int_of_string_opt node, float_of_string_opt fraction) with
-      | Some hot, Some fraction -> `Ok (Pattern.Hotspot { hot; fraction })
-      | _ -> fail "hotspot=NODE:FRACTION needs an int and a float")
-    | _ -> fail "hotspot=NODE:FRACTION needs both fields")
-  | "multi-hop", Some h -> (
-    match int_of_string_opt h with
-    | Some hops -> `Ok (Pattern.Multi_hop { hops })
-    | None -> fail "multi-hop=H needs an integer H")
-  | other, _ -> fail (Printf.sprintf "unknown pattern %S" other)
+  let parsed =
+    match split_eq s with
+    | "all-to-all", None -> `Ok Pattern.All_to_all
+    | "staggered", None -> `Ok Pattern.All_to_all_staggered
+    | "client-server", Some k -> (
+      match int_of_string_opt k with
+      | Some servers -> `Ok (Pattern.Client_server { servers })
+      | None -> fail "client-server=K needs an integer K")
+    | "client-server", None ->
+      (* A placeholder; callers that support --optimal-servers replace it. *)
+      `Ok (Pattern.Client_server { servers = max 1 (nodes / 4) })
+    | "hotspot", Some spec -> (
+      match String.split_on_char ':' spec with
+      | [ node; fraction ] -> (
+        match (int_of_string_opt node, float_of_string_opt fraction) with
+        | Some hot, Some fraction -> `Ok (Pattern.Hotspot { hot; fraction })
+        | _ -> fail "hotspot=NODE:FRACTION needs an int and a float")
+      | _ -> fail "hotspot=NODE:FRACTION needs both fields")
+    | "multi-hop", Some h -> (
+      match int_of_string_opt h with
+      | Some hops -> `Ok (Pattern.Multi_hop { hops })
+      | None -> fail "multi-hop=H needs an integer H")
+    | other, _ -> fail (Printf.sprintf "unknown pattern %S" other)
+  in
+  (* The same check [Pattern.to_spec] makes, so predict rejects every
+     pattern that simulate and trace reject, with the same message. *)
+  match parsed with
+  | `Error _ as e -> e
+  | `Ok pat -> (
+    match Pattern.validate ~nodes pat with
+    | Ok pat -> `Ok pat
+    | Error reason -> fail ("Pattern: " ^ reason))
 
 let params_of ~p ~st ~so ~c2 =
   try `Ok (Lopc.Params.create ~c2 ~p ~st ~so ())

@@ -215,7 +215,7 @@ let entries =
         "a task passed to Parallel.run/map captures a raw Rng.t from outside the \
          task";
       rationale =
-        "Tasks handed to Parallel.run execute on whichever domain steals them, in \
+        "Tasks handed to Parallel.run execute on whichever domain claims them, in \
          whatever order workers reach them. Parallel.run is order-insensitive \
          exactly when every task draws only from its own pre-split stream, \
          derived serially and keyed on the task index; a task that draws from or \
@@ -269,7 +269,7 @@ let entries =
         "a task passed to Parallel.run/map writes a mutable location visible \
          outside the task";
       rationale =
-        "Tasks run concurrently on work-stealing domains, so a plain \
+        "Tasks run concurrently on the pool's domains, so a plain \
          (non-Atomic) write to anything visible outside the task — a ref or \
          array captured from the enclosing scope, a module-level mutable, or a \
          captured mutable value handed to a function that writes through its \

@@ -1,5 +1,5 @@
 (* Parallel task RNG capture: closures handed to Parallel.run/Parallel.map
-   execute on whichever domain steals them, in whatever order the workers
+   execute on whichever domain claims them, in whatever order the workers
    reach them. A task that draws from — or splits — a generator captured
    from the enclosing scope therefore produces values that depend on
    scheduling, even though every individual stream operation is

@@ -1,7 +1,7 @@
 (** Parallel task RNG capture (typed, intraprocedural).
 
     Tasks handed to [Parallel.run]/[Parallel.map] execute on whichever
-    domain steals them; a task that draws from (or splits) a raw [Rng.t]
+    domain claims them; a task that draws from (or splits) a raw [Rng.t]
     captured from the enclosing scope produces values that depend on
     worker scheduling, because the shared generator's state advances in
     completion order. [Parallel.run] is order-insensitive exactly when

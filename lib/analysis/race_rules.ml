@@ -5,7 +5,7 @@
    visible outside the task: a capture from the enclosing scope, a
    module-level mutable definition, or a captured mutable value passed to
    a function that writes through its parameters. Tasks execute
-   concurrently on stealing domains, so such writes race and the result
+   concurrently on the pool's domains, so such writes race and the result
    depends on scheduling — exactly what the deterministic-replay contract
    of the replication engine rules out. Atomic.* accesses are the
    sanctioned escape hatch and are not flagged here.

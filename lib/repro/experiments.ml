@@ -35,13 +35,7 @@ type plan = {
 
 let task_count plan = Array.length plan.tasks
 
-let run_plan ?pool plan =
-  let groups =
-    match pool with
-    | Some pool -> Parallel.run pool plan.tasks
-    | None -> Array.map (fun task -> task ()) plan.tasks
-  in
-  plan.assemble groups
+let run_plan ~pool plan = plan.assemble (Parallel.run pool plan.tasks)
 
 (* Per-point stream derivation, keyed on (artifact, point) and never on
    scheduling order: the artifact name is folded into the experiment seed

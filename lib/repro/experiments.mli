@@ -37,10 +37,9 @@ type plan = {
 
 val task_count : plan -> int
 
-val run_plan : ?pool:Parallel.t -> plan -> Table.t
-(** Runs the plan's tasks — serially in index order without [pool], on
-    the pool's domains otherwise — and assembles the table. Both paths
-    return byte-identical tables. *)
+val run_plan : pool:Parallel.t -> plan -> Table.t
+(** Runs the plan's tasks on [pool] and assembles the table, which is
+    byte-identical at any job count (a jobs-1 pool is the serial run). *)
 
 val plans :
   ?fidelity:fidelity -> ?seed:int -> ?trace_dir:string -> unit -> (string * plan) list

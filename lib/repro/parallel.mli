@@ -1,4 +1,4 @@
-(** Work-stealing replication pool on OCaml 5 domains.
+(** Replication pool on OCaml 5 domains.
 
     The reproduction driver's workload is embarrassingly parallel: every
     figure point is an independent simulator replication whose PRNG stream
@@ -7,12 +7,10 @@
     [jobs] domains and merges the results back {e by task index}, so the
     output of a parallel run is byte-identical to the serial run.
 
-    Scheduling: the task index space is partitioned into one contiguous
-    range per worker; a worker drains its own range from the front and,
-    when empty, steals the upper half of the largest remaining range of
-    another worker. Stolen ranges land in the thief's own deque and can be
-    stolen again, so imbalance (e.g. one slow simulated point) cascades
-    across the pool instead of serialising it.
+    Scheduling: every batch carries one shared atomic cursor, and each
+    worker, the caller included, claims the next task index with a
+    fetch-and-add until the cursor passes the end. A slow task holds only
+    its own worker; the others keep claiming the rest.
 
     Determinism contract: the pool guarantees result order, not execution
     order. Tasks must therefore be independent — in particular they must
@@ -21,8 +19,8 @@
 
 type t
 (** A pool of worker domains. The creating domain participates in every
-    batch as worker 0, so [jobs = 1] spawns no domains at all and runs
-    tasks inline, in index order — the serial reference path. *)
+    batch, so [jobs = 1] spawns no domains at all and the caller claims
+    every task itself, in index order — the serial reference path. *)
 
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] starts a pool of [jobs] workers ([jobs - 1] spawned

@@ -1,7 +1,8 @@
-(* The work-stealing replication pool and the determinism contract it
-   carries: results land by task index whatever the stealing order, pools
-   are reusable across batches, the lowest-indexed exception wins, and —
-   the property the whole PR hangs on — reproduction tables are
+(* The replication pool and the determinism contract it carries: every
+   task runs exactly once and its result lands by task index whatever the
+   claim order, pools are reusable across batches, the lowest-indexed
+   exception wins, a shut-down pool refuses every batch, and — the
+   property the whole pool hangs on — reproduction tables are
    byte-identical between --jobs 1 and --jobs 8. *)
 
 module Parallel = Lopc_repro.Parallel
@@ -65,13 +66,23 @@ let test_map_preserves_order () =
         (Array.map (fun i -> i * i) input)
         (Parallel.run pool (Array.map (fun i () -> i * i) input)))
 
+(* Index-ordered results cannot reveal a task that ran twice, so each task
+   also counts its own runs: exactly-once is the invariant the shared
+   cursor carries. *)
 let prop_run_is_index_ordered =
   QCheck.Test.make ~name:"run returns results by task index" ~count:50
     QCheck.(pair (int_range 0 96) (int_range 1 8))
     (fun (n, jobs) ->
       Parallel.with_pool ~jobs (fun pool ->
-          let got = Parallel.run pool (Array.init n (fun i () -> (i * 31) lxor n)) in
-          got = Array.init n (fun i -> (i * 31) lxor n)))
+          let runs = Array.init n (fun _ -> Atomic.make 0) in
+          let got =
+            Parallel.run pool
+              (Array.init n (fun i () ->
+                   Atomic.incr runs.(i);
+                   (i * 31) lxor n))
+          in
+          got = Array.init n (fun i -> (i * 31) lxor n)
+          && Array.for_all (fun r -> Atomic.get r = 1) runs))
 
 (* --- the reproduction determinism contract ------------------------------- *)
 
@@ -89,19 +100,30 @@ let prop_jobs_invariant name count =
     (fun seed ->
       String.equal (csv_of ~name ~seed ~jobs:1) (csv_of ~name ~seed ~jobs:8))
 
+(* A jobs-1 pool spawns no domain, so it is the serial reference path;
+   compare it with 8 domains. *)
 let test_serial_equals_pooled () =
-  (* No pool at all (the pure serial path in run_plan) against 8 domains. *)
-  let table ~pool =
+  let table ~jobs =
     let plan =
       List.assoc "fault" (Experiments.plans ~fidelity:Experiments.Quick ~seed:42 ())
     in
-    Table.to_csv (Experiments.run_plan ?pool plan)
+    Parallel.with_pool ~jobs (fun pool -> Table.to_csv (Experiments.run_plan ~pool plan))
   in
-  let serial = table ~pool:None in
-  Parallel.with_pool ~jobs:8 (fun pool ->
-      Alcotest.(check string)
-        "serial run_plan = pooled run_plan" serial
-        (table ~pool:(Some pool)))
+  Alcotest.(check string) "serial run_plan = pooled run_plan" (table ~jobs:1)
+    (table ~jobs:8)
+
+(* After shutdown every batch is refused, whatever the job count or the
+   batch size: the stop check comes before any task is claimed. *)
+let test_shut_down_pool_refuses () =
+  List.iter
+    (fun (jobs, tasks) ->
+      let pool = Parallel.create ~jobs () in
+      Parallel.shutdown pool;
+      Alcotest.check_raises
+        (Printf.sprintf "jobs %d, %d task(s)" jobs (Array.length tasks))
+        (Invalid_argument "Parallel.run: pool is shut down") (fun () ->
+          ignore (Parallel.run pool tasks)))
+    [ (1, [||]); (1, [| (fun () -> 1) |]); (2, [||]); (2, [| (fun () -> 1) |]) ]
 
 let suite =
   [
@@ -117,4 +139,6 @@ let suite =
     QCheck_alcotest.to_alcotest (prop_jobs_invariant "fig6.2" 2);
     QCheck_alcotest.to_alcotest (prop_jobs_invariant "fault" 3);
     Alcotest.test_case "create past the domain cap" `Quick test_create_past_domain_cap;
+    Alcotest.test_case "shut-down pool refuses every batch" `Quick
+      test_shut_down_pool_refuses;
   ]
