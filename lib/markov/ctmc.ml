@@ -1,8 +1,7 @@
 type 'state solution = {
-  index : ('state, int) Hashtbl.t;
   state_of_id : 'state array;
-      (* inverse of [index], in discovery order: aggregation iterates this
-         array so results never depend on Hashtbl bucket order *)
+      (* states in discovery order: [fold] iterates this array so results
+         never depend on Hashtbl bucket order *)
   pi : float array;
 }
 
@@ -294,20 +293,14 @@ let solve_status ?budget ?(iteration = Auto) ?(max_states = 2_000_000)
           power ()
         end
       done);
-    let sol = { index; state_of_id; pi } in
+    let sol = { state_of_id; pi } in
     if !converged then (Some sol, Converged { iters = !iter })
     else (Some sol, Not_converged { iters = !iter; diff = !last_diff })
   with
   | Lopc_robust.Budget.Stop reason -> (None, Exhausted { reason })
   | State_space_too_large max_states -> (None, Too_large { max_states })
 
-let states t = Array.length t.pi
-
-(* Both aggregations iterate [state_of_id] (discovery order) rather than the
-   hash table, so float accumulation order — and hence the exact result — is
-   a function of the model alone. *)
-
-let expectation t ~f =
-  let acc = ref 0. in
-  Array.iteri (fun i s -> acc := !acc +. (t.pi.(i) *. f s)) t.state_of_id;
+let fold t ~init ~f =
+  let acc = ref init in
+  Array.iteri (fun i s -> acc := f !acc s t.pi.(i)) t.state_of_id;
   !acc

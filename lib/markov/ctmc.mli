@@ -28,7 +28,8 @@ type iteration =
 
 exception State_space_too_large of int
 (** The state budget a raising caller reports when {!solve_status}
-    returns [Too_large]. *)
+    returns [Too_large]. A [transitions] function may raise it to impose
+    its own cap; {!solve_status} maps it to [Too_large] as well. *)
 
 type status =
   | Converged of { iters : int }
@@ -68,11 +69,9 @@ val solve_status :
     the raw successive step alone). Only raises [Invalid_argument] (on a
     non-finite or negative rate). *)
 
-val states : 'state solution -> int
-(** Number of reachable states. *)
-
-val expectation : 'state solution -> f:('state -> float) -> float
-(** [expectation sol ~f] is [Σ_s π(s)·f(s)]. Summation runs over states in
-    discovery order (the order exploration first reached them), never in
-    [Hashtbl] bucket order, so the floating-point result is a function of
-    the model alone and is bit-for-bit reproducible. *)
+val fold : 'state solution -> init:'acc -> f:('acc -> 'state -> float -> 'acc) -> 'acc
+(** [fold sol ~init ~f] folds [f] over every reachable state [s] and its
+    stationary probability [π(s)]. States come in discovery order (the
+    order exploration first reached them), never in [Hashtbl] bucket
+    order, so a floating-point sum built by [f] is a function of the model
+    alone and is bit-for-bit reproducible. *)

@@ -22,7 +22,14 @@ type result = {
    positions of the items in it. Node [i]'s digit is [code * p + pos],
    with [pos] its item's place in that FIFO (0 when it has none), and the
    state is the base [(2p + 3) p] number with node 0 as the least
-   significant digit. *)
+   significant digit.
+
+   Lumping. Every node sends to a uniformly random peer, so relabelling
+   the nodes by a permutation [s] maps the chain onto itself: node [i]'s
+   digit moves to place [s i], a destination [d] inside codes [1 + d] and
+   [1 + p + d] becomes [s d], and positions are unchanged. The orbits of
+   that action are therefore an exact (ordinary) lumping, and the chain
+   is explored over orbits only, each named by its smallest key. *)
 
 let radix p = ((2 * p) + 3) * p
 
@@ -38,6 +45,19 @@ let max_nodes =
   let rec go p = if packable (p + 1) then go (p + 1) else p in
   go 2
 
+(* Every permutation of [0 .. p - 1], flat: [(perms.(k * p + i))] is where
+   the [k]-th relabelling sends node [i]. *)
+let permutations p =
+  let rec perms = function
+    | [] -> [ [] ]
+    | nodes ->
+      List.concat_map
+        (fun i ->
+          List.map (List.cons i) (perms (List.filter (fun j -> not (Int.equal i j)) nodes)))
+        nodes
+  in
+  Array.of_list (List.concat (perms (List.init p Fun.id)))
+
 type machine = {
   p : int;
   base : int;                 (* radix p *)
@@ -45,11 +65,18 @@ type machine = {
   rep_wire : int;             (* phase code 2p + 1 *)
   rep_home : int;             (* phase code 2p + 2 *)
   code_of : int array;        (* code_of.(digit) = digit / p *)
+  perms : int array;          (* all p! relabellings, see [permutations] *)
+  node_at : int array;        (* their inverses, laid out the same way *)
+  n_perms : int;              (* p! *)
   (* Scratch filled by [decode]. *)
   code : int array;           (* phase code per node *)
   qlen : int array;           (* items per FIFO *)
   qweight : int array;        (* sum of the weights of the items' owners *)
   head : int array;           (* owner of the item at position 0 *)
+  (* Scratch filled by [canonical]. *)
+  dest : int array;           (* node named by the phase code, or -1 *)
+  low : int array;            (* digit with that node renamed to 0 *)
+  prefix : int array;         (* prefix.(place) = best key / base^place *)
 }
 
 let machine p =
@@ -58,6 +85,9 @@ let machine p =
   for i = 1 to p - 1 do
     weight.(i) <- weight.(i - 1) * base
   done;
+  let perms = permutations p in
+  let node_at = Array.make (Array.length perms) 0 in
+  Array.iteri (fun j place -> node_at.(j - (j mod p) + place) <- j mod p) perms;
   {
     p;
     base;
@@ -65,10 +95,16 @@ let machine p =
     rep_wire = (2 * p) + 1;
     rep_home = (2 * p) + 2;
     code_of = Array.init base (fun digit -> digit / p);
+    perms;
+    node_at;
+    n_perms = Array.length perms / p;
     code = Array.make p 0;
     qlen = Array.make p 0;
     qweight = Array.make p 0;
     head = Array.make p 0;
+    dest = Array.make p 0;
+    low = Array.make p 0;
+    prefix = Array.make p 0;
   }
 
 (* One integer division per node: the hot loops of both exploration and
@@ -94,9 +130,60 @@ let decode m key =
     end
   done
 
-(* Validated machine: the chain's initial state and transition function,
-   or [None] when its states do not pack into an [int]. *)
-let model ~p ~w ~so ~st =
+(* [(min, ties)]: the smallest key over all [p!] relabellings of [key],
+   and how many relabellings reach it. For a canonical key [ties] is the
+   size of its stabiliser, so its orbit holds [p! / ties] states. Each
+   relabelled key is built from its most significant place down and
+   dropped as soon as its prefix exceeds the best key's, so most
+   relabellings cost a digit or two. *)
+let canonical m key =
+  let p = m.p in
+  let rest = ref key in
+  for i = 0 to p - 1 do
+    let higher = !rest / m.base in
+    let digit = !rest - (higher * m.base) in
+    rest := higher;
+    let c = m.code_of.(digit) in
+    let d = if c = 0 || c > 2 * p then -1 else if c <= p then c - 1 else c - 1 - p in
+    m.dest.(i) <- d;
+    m.low.(i) <- (if d < 0 then digit else digit - (d * p))
+  done;
+  let best = ref 0 and ties = ref 0 in
+  let set_best key =
+    best := key;
+    for place = 0 to p - 1 do
+      m.prefix.(place) <- key / m.weight.(place)
+    done
+  in
+  (* Relabelling [s] from [place] down, with [acc] the digits above it;
+     [below] once that prefix is under the best key's. *)
+  let rec scan s place acc below =
+    if place < 0 then begin
+      if below then begin
+        set_best acc;
+        ties := 1
+      end
+      else incr ties
+    end
+    else begin
+      let i = m.node_at.(s + place) in
+      let d = m.dest.(i) in
+      let acc = (acc * m.base) + m.low.(i) + if d < 0 then 0 else m.perms.(s + d) * p in
+      if below || acc < m.prefix.(place) then scan s (place - 1) acc true
+      else if acc = m.prefix.(place) then scan s (place - 1) acc false
+    end
+  in
+  set_best max_int;
+  for k = 0 to m.n_perms - 1 do
+    scan (k * p) (p - 1) 0 false
+  done;
+  (!best, !ties)
+
+(* Validated machine: the lumped chain's initial state and transition
+   function, or [None] when its states do not pack into an [int]. The
+   transition function raises [Ctmc.State_space_too_large] once the
+   orbits it has expanded hold more than [max_states] states. *)
+let model ~max_states ~p ~w ~so ~st =
   if p < 2 then invalid_arg "Exact_machine: need at least two nodes";
   List.iter
     (fun (name, v) ->
@@ -107,13 +194,18 @@ let model ~p ~w ~so ~st =
   else begin
     let m = machine p in
     let mu_req = 1. /. w /. Float.of_int (p - 1) and mu_so = 1. /. so and mu_st = 1. /. st in
+    let expanded = ref 0 in
     (* Successors are consed in generation order, so the list comes out
        reversed; exploration order, and hence every solved float, depends
-       on this order. *)
+       on this order. Each successor is named by its orbit, so rates into
+       one orbit become duplicate entries that [Ctmc] sums. *)
     let transitions key =
+      let _, ties = canonical m key in
+      expanded := !expanded + (m.n_perms / ties);
+      if !expanded > max_states then raise (Ctmc.State_space_too_large max_states);
       decode m key;
       let moves = ref [] in
-      let add delta rate = moves := (key + delta, rate) :: !moves in
+      let add delta rate = moves := (fst (canonical m (key + delta)), rate) :: !moves in
       for i = 0 to p - 1 do
         let c = m.code.(i) and wi = m.weight.(i) in
         if c = 0 then begin
@@ -151,27 +243,44 @@ let model ~p ~w ~so ~st =
     Some (m, 0, transitions)
   end
 
-(* Steady-state aggregates of a solved chain, read off node 0's FIFO. *)
+(* Steady-state aggregates of the lumped chain, in one pass over its
+   orbits. Every quantity is a per-node average over all [p] nodes, a
+   symmetric function of the state, so an orbit's representative stands
+   for all of its states. *)
 let aggregate m ~mu_so sol =
-  let expect f = Ctmc.expectation sol ~f:(fun key -> decode m key; f ()) in
-  let indicator b = if b then 1. else 0. in
-  let rep_head () = indicator (m.qlen.(0) > 0 && m.head.(0) = 0) in
-  let reps () = if m.code.(0) = m.rep_home then 1 else 0 in
-  (* Per-node completion rate: head of node 0's FIFO is a reply. *)
-  let uy = expect rep_head in
+  let states, qq, qy, uq, uy =
+    Ctmc.fold sol ~init:(0, 0., 0., 0., 0.) ~f:(fun (states, qq, qy, uq, uy) key pi ->
+        let _, ties = canonical m key in
+        decode m key;
+        let items = ref 0 and replies = ref 0 and busy_q = ref 0 and busy_y = ref 0 in
+        for k = 0 to m.p - 1 do
+          items := !items + m.qlen.(k);
+          if m.code.(k) = m.rep_home then incr replies;
+          if m.qlen.(k) > 0 then if m.head.(k) = k then incr busy_y else incr busy_q
+        done;
+        let add acc n = acc +. (pi *. Float.of_int n) in
+        ( states + (m.n_perms / ties),
+          add qq (!items - !replies),
+          add qy !replies,
+          add uq !busy_q,
+          add uy !busy_y ))
+  in
+  let per_node x = x /. Float.of_int m.p in
+  (* Per-node completion rate: a reply heads its home FIFO. *)
+  let uy = per_node uy in
   let throughput = mu_so *. uy in
   {
-    states = Ctmc.states sol;
+    states;
     cycle_time = 1. /. throughput;
     throughput;
-    qq = expect (fun () -> Float.of_int (m.qlen.(0) - reps ()));
-    qy = expect (fun () -> Float.of_int (reps ()));
-    uq = expect (fun () -> indicator (m.qlen.(0) > 0 && m.head.(0) <> 0));
+    qq = per_node qq;
+    qy = per_node qy;
+    uq = per_node uq;
     uy;
   }
 
 let all_to_all_status ?budget ?(max_states = 2_000_000) ~p ~w ~so ~st () =
-  match model ~p ~w ~so ~st with
+  match model ~max_states ~p ~w ~so ~st with
   | None -> (None, Ctmc.Too_large { max_states })
   | Some (m, initial, transitions) -> (
     match Ctmc.solve_status ?budget ~max_states ~initial ~transitions () with

@@ -1,9 +1,10 @@
 (** Exact steady-state analysis of a small LoPC machine.
 
-    Enumerates the full continuous-time Markov chain of the paper's §2
+    Enumerates the continuous-time Markov chain of the paper's §2
     machine running homogeneous blocking all-to-all traffic with
     exponential work, handler and wire times (the model's default
-    [C² = 1] setting), and solves it with {!Ctmc}. The chain captures
+    [C² = 1] setting), over its node-permutation orbits (below), and
+    solves it with {!Ctmc}. The chain captures
     exactly what the event-driven simulator executes — FIFO handler
     queues, preempt-resume threads (free under memoryless work), blocking
     requests — so it provides a Monte-Carlo-free third pillar next to the
@@ -20,12 +21,20 @@
     state packs exactly into one immediate [int]: node [i] contributes the
     digit [code_i·p + pos_i] (its [2p + 3]-valued phase code and its
     item's position, [< p]) in base [(2p + 3)·p]. Successors are computed
-    by digit arithmetic on scratch arrays, with no allocation beyond the
-    successor list. The state space grows quickly: [p = 2] has 27
-    states, [p = 3] 412, [p = 4] 8 865 and [p = 5] 246 096. *)
+    by digit arithmetic on scratch arrays.
+
+    Orbits. Destinations are uniform, so relabelling the nodes maps the
+    chain onto itself, and its node-permutation orbits are an exact
+    lumping. The solver explores orbits only, each named by its smallest
+    key over all [p!] relabellings, and every reported quantity is a
+    per-node average over all [p] nodes. The state space grows quickly:
+    [p = 2] has 27 states in 16 orbits, [p = 3] 412 in 80, [p = 4] 8 865
+    in 438 and [p = 5] 246 096 in 2 422. *)
 
 type result = {
-  states : int;           (** Reachable CTMC states. *)
+  states : int;
+      (** Reachable CTMC states of the unlumped chain: the sum of the
+          explored orbits' sizes. *)
   cycle_time : float;     (** Exact mean compute/request cycle time [R]. *)
   throughput : float;     (** Exact per-node cycle completion rate. *)
   qq : float;             (** Exact mean request handlers per node. *)
@@ -44,10 +53,11 @@ val all_to_all :
   ?max_states:int -> p:int -> w:float -> so:float -> st:float -> unit -> result
 (** [all_to_all ~p ~w ~so ~st ()] solves the [p]-node machine exactly.
     All times must be strictly positive (exponential rates); [p >= 2].
-    [max_states] defaults to [2_000_000].
+    [max_states] bounds the unlumped state count and defaults to
+    [2_000_000].
     @raise Invalid_argument on non-positive parameters.
-    @raise Ctmc.State_space_too_large if the chain exceeds [max_states]
-    or [p > max_nodes]. *)
+    @raise Ctmc.State_space_too_large if the chain has more than
+    [max_states] states or [p > max_nodes]. *)
 
 val all_to_all_status :
   ?budget:Lopc_robust.Budget.t ->
@@ -57,7 +67,10 @@ val all_to_all_status :
 (** Non-raising variant of {!all_to_all} for supervised callers (the
     degradation cascade): state-space overflow, a non-converged power
     iteration, and budget stops come back as a {!Ctmc.status} instead of
-    an exception or a silent wrong answer. [budget] is consulted once per
-    explored CTMC state and once per sweep. [p > max_nodes] returns
-    [(None, Too_large { max_states })] at once. Only raises
-    [Invalid_argument] on invalid machine parameters. *)
+    an exception or a silent wrong answer. [max_states] bounds the
+    unlumped state count: exploration stops with [Too_large] once the
+    orbits expanded so far hold more than [max_states] states, so a chain
+    too large for the cap is refused although its orbits would fit.
+    [budget] is consulted once per explored orbit and once per sweep.
+    [p > max_nodes] returns [(None, Too_large { max_states })] at once.
+    Only raises [Invalid_argument] on invalid machine parameters. *)

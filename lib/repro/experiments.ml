@@ -683,9 +683,9 @@ let network_contention_plan ~fidelity ~seed =
 let exact_comparison_plan ~fidelity ~seed =
   let so = 200. and st = 40. in
   let cycles = sim_cycles fidelity * 2 in
-  (* P = 5 enumerates ~246k states — cheap for the sparse Gauss–Seidel
-     solver at full fidelity, but kept out of the quick tier so CI and the
-     quick sweep stay fast. Quick rows are unchanged from the seed. *)
+  (* P = 5's 246,096 states lump into 2,422 orbits, a solve of tens of
+     milliseconds; the full-fidelity simulator runs dominate its rows.
+     Quick rows stay P <= 4, unchanged from the seed. *)
   let machine_sizes = match fidelity with Quick -> [ 2; 3; 4 ] | Full -> [ 2; 3; 4; 5 ] in
   let points =
     List.concat_map

@@ -81,12 +81,17 @@ let ctmc_solve ?iteration ?max_states ~initial ~transitions () =
   | Some sol, _ -> sol
   | None, status -> failwith ("ctmc: " ^ ctmc_status_to_string status)
 
-(* Stationary probability of one state ([0.] if unreachable) and the total
-   mass, through the one production aggregation. Adding exact zeros keeps
-   both bit-identical to a direct lookup and sum. *)
-let probability sol s = Ctmc.expectation sol ~f:(fun s' -> if s' = s then 1. else 0.)
+(* Reachable states, [Σ π(s)·f(s)], the stationary probability of one
+   state ([0.] if unreachable) and the total mass, all through the one
+   production accessor. Adding exact zeros keeps [probability]
+   bit-identical to a direct lookup. *)
+let ctmc_states sol = Ctmc.fold sol ~init:0 ~f:(fun n _ _ -> n + 1)
 
-let sum_pi sol = Ctmc.expectation sol ~f:(fun _ -> 1.)
+let expectation sol ~f = Ctmc.fold sol ~init:0. ~f:(fun acc s pi -> acc +. (pi *. f s))
+
+let probability sol s = expectation sol ~f:(fun s' -> if s' = s then 1. else 0.)
+
+let sum_pi sol = expectation sol ~f:(fun _ -> 1.)
 
 module Params = Lopc.Params
 module G = Lopc.General

@@ -338,14 +338,20 @@ let test_probe_utilization_matches_amva () =
    chain, a 16-node simulator run (1000 cycles after 200 warm-up) and the
    Fig 5-2 model point at W=1000. Counts are deterministic, so a change in
    any of them means the code now does different work, never that a host
-   was noisy; re-pin only for a change that means to alter that work. *)
+   was noisy; re-pin only for a change that means to alter that work. The
+   exact solve spends one unit of fuel per explored orbit and one per
+   sweep, so fuel spent minus sweeps counts the orbits. *)
 let test_work_counts () =
+  let fuel = 1 lsl 40 in
+  let budget = Lopc_robust.Budget.create ~fuel () in
   (match
-     Lopc_markov.Exact_machine.all_to_all_status ~p:4 ~w:1000. ~so:200. ~st:40. ()
+     Lopc_markov.Exact_machine.all_to_all_status ~budget ~p:4 ~w:1000. ~so:200. ~st:40. ()
    with
   | Some r, Lopc_markov.Ctmc.Converged { iters } ->
     Alcotest.(check int) "exact P=4 states" 8865 r.Lopc_markov.Exact_machine.states;
-    Alcotest.(check int) "exact P=4 sweeps" 16 iters
+    Alcotest.(check int) "exact P=4 sweeps" 16 iters;
+    let spent = fuel - Option.value (Lopc_robust.Budget.remaining budget) ~default:fuel in
+    Alcotest.(check int) "exact P=4 orbits" 438 (spent - iters)
   | _, status ->
     Alcotest.failf "exact P=4: %s" (Harness.ctmc_status_to_string status));
   let spec =
@@ -360,6 +366,26 @@ let test_work_counts () =
     Alcotest.(check int) "model evaluations" 11 iters
   | _, status ->
     Alcotest.failf "model: %s" (Lopc_numerics.Fixed_point.status_to_string status)
+
+(* The P = 5 chain the full-fidelity [exact] artifact solves at W = 1:
+   246,096 states over its orbits, and the R committed in
+   results/exact.csv. *)
+let test_exact_p5 () =
+  let r = Lopc_markov.Exact_machine.all_to_all ~p:5 ~w:1. ~so:200. ~st:40. () in
+  Alcotest.(check int) "exact P=5 states" 246_096 r.Lopc_markov.Exact_machine.states;
+  Alcotest.(check string) "exact P=5 R" "766.715"
+    (Printf.sprintf "%.6g" r.Lopc_markov.Exact_machine.cycle_time)
+
+(* The degradation cascade caps the exact tier at 2,000 states, which
+   P = 4's 8,865 states exceed although its 438 orbits do not: the cap
+   counts states, so P = 4 still degrades. *)
+let test_exact_cascade_cap () =
+  match
+    Lopc_markov.Exact_machine.all_to_all_status ~max_states:2000 ~p:4 ~w:1000. ~so:200.
+      ~st:40. ()
+  with
+  | None, Lopc_markov.Ctmc.Too_large { max_states = 2000 } -> ()
+  | _, status -> Alcotest.failf "exact P=4 capped: %s" (Harness.ctmc_status_to_string status)
 
 let suite =
   [
@@ -383,4 +409,6 @@ let suite =
     Alcotest.test_case "probe utilization matches AMVA Uq" `Slow
       test_probe_utilization_matches_amva;
     Alcotest.test_case "work counts" `Quick test_work_counts;
+    Alcotest.test_case "exact P=5 matches results/exact.csv" `Quick test_exact_p5;
+    Alcotest.test_case "cascade cap degrades P=4" `Quick test_exact_cascade_cap;
   ]
