@@ -14,6 +14,15 @@
     approximation), including the [C²] residual-life correction of §5.2
     applied per node.
 
+    The solve runs over classes of interchangeable nodes: the coarsest
+    partition in which all members of a class run the same work and have
+    bit-equal visit sums into, and from, every class. Members of a class
+    share one throughput, so one iteration costs O(classes²), not O(P²):
+    a hotspot has two classes at any P, all-to-all and multi-hop one,
+    client-server two, and a net with no symmetry P. Finding the classes
+    costs O(P²) per refinement round, and the results are expanded to
+    one entry per node once, at the end.
+
     Setting [protocol_processor] models shared-memory machines: handlers
     execute on a dedicated protocol processor, so [Rwk = Wk] (no BKT
     inflation), while handlers still queue against each other. *)
@@ -56,7 +65,9 @@ type solution = {
 val validate : t -> (t, string) result
 (** Shape/sign checks: [params.p] equals the node count, visit vectors
     have length [P] with non-negative entries, thread rows have positive
-    sums, at least one node runs a thread. *)
+    sums, at least one node runs a thread. The error names the first
+    defect in node order (within a node, in the order listed); "no node
+    runs a thread" is reported only when every node passes. *)
 
 val solve_status :
   ?budget:Lopc_robust.Budget.t ->
@@ -64,7 +75,8 @@ val solve_status :
 (** Solve the system A.1–A.10 and report a structured outcome. When the
     iteration stalls, the last iterate is inspected: a node whose
     request-handler utilization reached (or passed) 1 is reported as
-    [Saturated] with the node index, anything else as [Diverged].
+    [Saturated] with the node index (the smallest one at the top
+    utilization), anything else as [Diverged].
     [budget] is consulted once per fixed-point iteration; a budget stop
     is reported as [Exhausted] verbatim (no saturation re-diagnosis).
     Non-converged outcomes return no solution.

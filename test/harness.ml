@@ -3,6 +3,19 @@
 
 module Rng = Lopc_prng.Rng
 
+(* A private, fixed-seed QCheck state, so property tests draw the same
+   inputs on every run. *)
+let fixed_rand seed =
+  (Random.State.make [| seed |]
+  [@lint.allow
+    "global-rng"
+      "a private, fixed-seed QCheck state: the global stream is untouched and \
+       the drawn inputs are the same on every run"])
+
+(* |x - y| within [tol] of the larger magnitude; nan matches nan. *)
+let rel_close tol x y =
+  Float.equal x y || Float.abs (x -. y) <= tol *. Float.max (Float.abs x) (Float.abs y)
+
 (* Standard normal deviate (Marsaglia polar method), for sample inputs
    with a known shape. *)
 let gaussian t =
@@ -120,6 +133,111 @@ let general_client_server (params : Params.t) ~w ~servers =
           if c < servers then { G.work = None; visits = Array.make p 0. }
           else { G.work = Some w; visits = Array.init p (fun k -> if k < servers then v else 0.) });
   }
+
+module Fixed_point = Lopc_numerics.Fixed_point
+module Contention = Lopc.Contention
+
+(* The unlumped Appendix A solve: one throughput per node, with a dense
+   [Vᵀx] and a dense cycle-time sum every iteration. [General.solve_status]
+   iterates the same equations over classes of interchangeable nodes; this
+   is the reference it is checked against. *)
+let dense_general_solve_status ?(tol = 1e-12) ?(max_iter = 200_000) (t : G.t) =
+  (match G.validate t with
+  | Ok _ -> ()
+  | Error reason -> invalid_arg ("General: " ^ reason));
+  let p = Array.length t.nodes in
+  let { Params.st; so; _ } = t.params in
+  let beta = Contention.beta t.params in
+  let max_queue =
+    Float.of_int
+      (Array.fold_left
+         (fun acc (spec : G.node_spec) -> if Option.is_none spec.work then acc else acc + 1)
+         0 t.nodes)
+  in
+  let node_queues a b =
+    if 1. -. a -. (a *. b) <= 1e-9 then
+      (max_queue, Float.min max_queue (Contention.reply_queue ~beta a b max_queue))
+    else begin
+      let qq, _ = Contention.queues ~beta ~extra:0. a b in
+      let qq = Float.max 0. (Float.min qq max_queue) in
+      (qq, Float.max 0. (Float.min (Contention.reply_queue ~beta a b qq) max_queue))
+    end
+  in
+  let analyze x =
+    let lambda =
+      Array.init p (fun k ->
+          let acc = ref 0. in
+          Array.iteri (fun c (spec : G.node_spec) -> acc := !acc +. (spec.visits.(k) *. x.(c))) t.nodes;
+          !acc)
+    in
+    Array.init p (fun k ->
+        let a = so *. lambda.(k) in
+        let b = so *. x.(k) in
+        let qq, qy = node_queues a b in
+        let rq = so *. (1. +. qq +. qy +. (beta *. (a +. b))) in
+        let ry = so *. (1. +. qq +. (beta *. a)) in
+        let rw =
+          match t.nodes.(k).work with
+          | None -> Float.nan
+          | Some w ->
+            if t.protocol_processor then w
+            else (w +. (so *. qq)) /. Float.max 1e-6 (1. -. a)
+        in
+        { G.rq; ry; rw; qq; qy; uq = a; uy = b })
+  in
+  let cycle_time (per_node : G.node_solution array) c =
+    match t.nodes.(c).work with
+    | None -> Float.nan
+    | Some _ ->
+      let acc = ref 0. in
+      Array.iteri
+        (fun k v -> if v > 0. then acc := !acc +. (v *. (st +. per_node.(k).rq)))
+        t.nodes.(c).visits;
+      per_node.(c).rw +. !acc +. st +. per_node.(c).ry
+  in
+  let step x =
+    let per_node = analyze x in
+    Array.init p (fun c ->
+        match t.nodes.(c).work with None -> 0. | Some _ -> 1. /. cycle_time per_node c)
+  in
+  let x0 =
+    Array.map
+      (fun (spec : G.node_spec) ->
+        match spec.work with
+        | None -> 0.
+        | Some w ->
+          let hops = Array.fold_left ( +. ) 0. spec.visits in
+          1. /. (w +. (hops *. (st +. so)) +. st +. so))
+      t.nodes
+  in
+  let outcome, status =
+    Fixed_point.solve_vector_status ~damping:0.1 ~tol ~max_iter ~f:step x0
+  in
+  let x = outcome.Fixed_point.value in
+  let per_node = analyze x in
+  match status with
+  | Fixed_point.Converged _ ->
+    ( Some
+        {
+          G.cycle_times = Array.init p (cycle_time per_node);
+          throughputs = x;
+          node_solutions = per_node;
+          system_throughput = Array.fold_left ( +. ) 0. x;
+        },
+      status )
+  | _ -> (
+    (* The first node at the top request-handler utilization. *)
+    let best = ref None in
+    Array.iteri
+      (fun k (ns : G.node_solution) ->
+        match !best with
+        | Some (_, u) when u >= ns.uq -> ()
+        | _ -> best := Some (k, ns.uq))
+      per_node;
+    match !best with
+    | Some (station, utilization) when utilization >= 1. -. 1e-9 ->
+      (None, Fixed_point.Saturated { station; utilization })
+    | Some _ | None -> (None, status))
 
 module D = Lopc_dist.Distribution
 

@@ -668,10 +668,7 @@ let prop_general_homogeneous_matches =
 
 module Contention = Lopc.Contention
 
-(* |x - y| within [tol] of the larger magnitude. *)
-let rel_close tol x y =
-  Float.equal x y
-  || Float.abs (x -. y) <= tol *. Float.max (Float.abs x) (Float.abs y)
+let rel_close = Harness.rel_close
 
 (* a is drawn as a fraction t of its ceiling 0.95 / (1 + b), so the kernel's
    denominator 1 - a - a*b stays at or above 0.05. *)

@@ -14,6 +14,7 @@ let () =
       ("activemsg", Test_activemsg.suite);
       ("fault", Test_fault.suite);
       ("lopc", Test_lopc.suite);
+      ("general", Test_general.suite);
       ("workloads", Test_workloads.suite);
       ("integration", Test_integration.suite);
       ("parallel", Test_parallel.suite);

@@ -552,11 +552,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sparse_matches_seed;
     QCheck_alcotest.to_alcotest prop_gs_matches_power;
     QCheck_alcotest.to_alcotest
-      ~rand:
-        (Random.State.make [| 12 |]
-        [@lint.allow
-          "global-rng"
-            "a private, fixed-seed QCheck state: the global stream is untouched and \
-             the drawn machines are the same on every run"])
-      prop_packed_matches_lists;
+      ~rand:(Harness.fixed_rand 12) prop_packed_matches_lists;
   ]

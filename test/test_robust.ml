@@ -156,12 +156,7 @@ let fuel_law (solve : Budget.t option -> float array option * FP.status) =
     QCheck.assume (match status with FP.Converged _ -> true | _ -> false);
     true
 
-let fixed_rand seed =
-  (Random.State.make [| seed |]
-  [@lint.allow
-    "global-rng"
-      "a private, fixed-seed QCheck state: the global stream is untouched and \
-       the drawn inputs are the same on every run"])
+let fixed_rand = Harness.fixed_rand
 
 let params_gen =
   QCheck.Gen.(
