@@ -81,8 +81,10 @@ type node = {
   mutable outstanding : int;  (* requests in flight (windowed sends) *)
   mutable cycles_done : int;   (* completed cycles (for barrier pacing) *)
   mutable parked : bool;       (* waiting at a barrier *)
+  (* Requests issued so far in this run: the route's request index, and
+     under faults the next request's sequence number for dedup. *)
+  mutable issued : int;
   (* Fault-layer state (untouched when the spec injects no faults): *)
-  mutable next_seq : int;              (* sequence numbers for dedup *)
   mutable pending : pending option;    (* in-flight request being retried *)
   seen : (int, int) Hashtbl.t;         (* origin -> highest seq delivered *)
 }
@@ -119,9 +121,6 @@ type machine = {
   mutable interrupted : Lopc_robust.Budget.stop_reason option;
 }
 
-(* Run [f] on the probe, when one is attached. *)
-let obs_event m f = match m.obs with None -> () | Some o -> f o
-
 let check_hop m hop =
   if hop < 0 || hop >= m.spec.Spec.nodes then
     invalid_arg
@@ -133,7 +132,9 @@ let check_hop m hop =
 let set_thread_running m node v =
   let now = Engine.now m.engine in
   Time_average.update m.metrics.Metrics.busy_thread.(node.id) ~now v;
-  obs_event m (fun o -> Sim_probe.thread_running o ~node:node.id ~now (v > 0.5))
+  match m.obs with
+  | None -> ()
+  | Some o -> Sim_probe.thread_running o ~node:node.id ~now (v > 0.5)
 
 let queue_signal m node kind delta =
   let arr =
@@ -204,8 +205,10 @@ and thread_done m node =
      full; a blocking thread (window 1) always waits here. *)
   if node.outstanding < thread.Spec.window then begin_cycle m node
   else node.tstate <- Blocked;
+  let issued = node.issued in
+  node.issued <- issued + 1;
   let hops =
-    match thread.Spec.route node.rng with
+    match thread.Spec.route node.rng issued with
     | [] -> invalid_arg "Machine: route returned an empty hop list"
     | hops -> hops
   in
@@ -216,10 +219,8 @@ and thread_done m node =
   | Some f ->
     if rest <> [] then
       invalid_arg "Machine: faults require single-hop routes";
-    let seq = node.next_seq in
-    node.next_seq <- seq + 1;
     let p =
-      { pseq = seq; pcycle = cycle; pdest = first; tries = 1; timer = None;
+      { pseq = issued; pcycle = cycle; pdest = first; tries = 1; timer = None;
         reply_accepted = false; last_sent = now }
     in
     node.pending <- Some p;
@@ -227,7 +228,7 @@ and thread_done m node =
       m.metrics.Metrics.request_sends <- m.metrics.Metrics.request_sends + 1;
     let delay = Fault.timeout_for f ~try_:1 m.fault_rngs.(node.id) in
     p.timer <- Some (Engine.schedule m.engine ~delay (fun _ -> request_timeout m node p));
-    send m ~src:node ~cycle ~kind:Request ~remaining:[] ~dest:first ~seq);
+    send m ~src:node ~cycle ~kind:Request ~remaining:[] ~dest:first ~seq:issued);
   (* Request-issue is a poll point: in polling mode any handlers that
      queued up during the work quantum run now, before the thread may
      continue with its next quantum. *)
@@ -249,8 +250,9 @@ and send m ~src ~cycle ~kind ~remaining ~dest ~seq =
         if m.measuring then
           m.metrics.Metrics.dropped_messages <-
             m.metrics.Metrics.dropped_messages + 1;
-        obs_event m (fun o ->
-            Sim_probe.fault_event o ~node:src.id ~now:(Engine.now m.engine) "drop")
+        match m.obs with
+        | None -> ()
+        | Some o -> Sim_probe.fault_event o ~node:src.id ~now:(Engine.now m.engine) "drop"
       end
       else begin
         let spiked =
@@ -346,7 +348,9 @@ and arrival m node msg =
         if m.measuring then
           m.metrics.Metrics.duplicate_deliveries <-
             m.metrics.Metrics.duplicate_deliveries + 1;
-        obs_event m (fun o -> Sim_probe.fault_event o ~node:node.id ~now "duplicate")
+        (match m.obs with
+        | None -> ()
+        | Some o -> Sim_probe.fault_event o ~node:node.id ~now "duplicate")
       | Some _ | None -> Hashtbl.replace node.seen origin msg.seq);
       deliver m node msg
     | Reply -> (
@@ -364,7 +368,9 @@ and arrival m node msg =
       | Some _ | None ->
         if m.measuring then
           m.metrics.Metrics.stale_replies <- m.metrics.Metrics.stale_replies + 1;
-        obs_event m (fun o -> Sim_probe.fault_event o ~node:node.id ~now "stale")))
+        match m.obs with
+        | None -> ()
+        | Some o -> Sim_probe.fault_event o ~node:node.id ~now "stale"))
 
 and deliver m node msg =
   msg.arrived <- Engine.now m.engine;
@@ -378,9 +384,11 @@ and deliver m node msg =
       m.metrics.Metrics.max_backlog <- depth
   end;
   Queue.push msg node.queue;
-  obs_event m (fun o ->
-      Sim_probe.queue_depth o ~node:node.id ~now:msg.arrived
-        (Queue.length node.queue + if node.busy then 1 else 0));
+  (match m.obs with
+  | None -> ()
+  | Some o ->
+    Sim_probe.queue_depth o ~node:node.id ~now:msg.arrived
+      (Queue.length node.queue + if node.busy then 1 else 0));
   try_dispatch m node
 
 (* Start the next queued handler if the handler resource is idle,
@@ -406,9 +414,11 @@ and try_dispatch m node =
     let msg = Queue.pop node.queue in
     node.busy <- true;
     busy_signal m node msg.kind 1.;
-    obs_event m (fun o ->
-        Sim_probe.handler_begin o ~node:node.id ~now
-          ~reply:(match msg.kind with Reply -> true | Request -> false));
+    (match m.obs with
+    | None -> ()
+    | Some o ->
+      Sim_probe.handler_begin o ~node:node.id ~now
+        ~reply:(match msg.kind with Reply -> true | Request -> false));
     let dist =
       match msg.kind with
       | Request -> m.spec.Spec.handler
@@ -424,11 +434,12 @@ and handler_done m node msg =
   node.busy <- false;
   busy_signal m node msg.kind 0.;
   queue_signal m node msg.kind (-1.);
-  obs_event m (fun o ->
-      Sim_probe.handler_end o ~node:node.id ~now
-        ~reply:(match msg.kind with Reply -> true | Request -> false);
-      Sim_probe.queue_depth o ~node:node.id ~now
-        (Queue.length node.queue));
+  (match m.obs with
+  | None -> ()
+  | Some o ->
+    Sim_probe.handler_end o ~node:node.id ~now
+      ~reply:(match msg.kind with Reply -> true | Request -> false);
+    Sim_probe.queue_depth o ~node:node.id ~now (Queue.length node.queue));
   (match msg.kind with
   | Request -> begin
     msg.cycle.rq_total <- msg.cycle.rq_total +. (now -. msg.arrived);
@@ -463,9 +474,11 @@ and request_timeout m node p =
           m.metrics.Metrics.retransmits <- m.metrics.Metrics.retransmits + 1;
           m.metrics.Metrics.request_sends <- m.metrics.Metrics.request_sends + 1
         end;
-        obs_event m (fun o ->
-            Sim_probe.fault_event o ~node:node.id ~now:p.last_sent
-              ~value:(Float.of_int p.tries) "retransmit");
+        (match m.obs with
+        | None -> ()
+        | Some o ->
+          Sim_probe.fault_event o ~node:node.id ~now:p.last_sent
+            ~value:(Float.of_int p.tries) "retransmit");
         let delay = Fault.timeout_for f ~try_:p.tries m.fault_rngs.(node.id) in
         p.timer <-
           Some (Engine.schedule m.engine ~delay (fun _ -> request_timeout m node p));
@@ -481,9 +494,11 @@ and request_timeout m node p =
 and give_up m node p =
   node.pending <- None;
   node.outstanding <- node.outstanding - 1;
-  obs_event m (fun o ->
-      Sim_probe.fault_event o ~node:node.id ~now:(Engine.now m.engine)
-        ~value:(Float.of_int p.tries) "giveup");
+  (match m.obs with
+  | None -> ()
+  | Some o ->
+    Sim_probe.fault_event o ~node:node.id ~now:(Engine.now m.engine)
+      ~value:(Float.of_int p.tries) "giveup");
   if m.measuring then begin
     m.metrics.Metrics.measure_end <- Engine.now m.engine;
     m.metrics.Metrics.failed_cycles <- m.metrics.Metrics.failed_cycles + 1;
@@ -511,10 +526,12 @@ and complete_cycle m node msg =
       if m.measuring then
         Welford.add m.metrics.Metrics.tries_per_cycle (Float.of_int p.tries)
     | Some _ | None -> ()));
-  obs_event m (fun o ->
-      Sim_probe.cycle_completed o ~node:node.id ~now
-        ~rw:(cycle.t_sent -. cycle.t_start) ~wire:cycle.wire_total
-        ~rq:cycle.rq_total ~ry:(now -. msg.arrived) ~total:(now -. cycle.t_start));
+  (match m.obs with
+  | None -> ()
+  | Some o ->
+    Sim_probe.cycle_completed o ~node:node.id ~now
+      ~rw:(cycle.t_sent -. cycle.t_start) ~wire:cycle.wire_total
+      ~rq:cycle.rq_total ~ry:(now -. msg.arrived) ~total:(now -. cycle.t_start));
   (match m.on_cycle with
   | None -> ()
   | Some observer ->
@@ -610,7 +627,7 @@ let prepare ?on_cycle ?rng ?obs ?budget ~seed ~warmup ~spec () =
           outstanding = 0;
           cycles_done = 0;
           parked = false;
-          next_seq = 0;
+          issued = 0;
           pending = None;
           seen = Hashtbl.create 8;
         })

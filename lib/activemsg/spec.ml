@@ -3,7 +3,7 @@ module Topology = Lopc_topology.Topology
 module Distribution = Lopc_dist.Distribution
 module Rng = Lopc_prng.Rng
 
-type route = Rng.t -> int list
+type route = Rng.t -> int -> int list
 
 type thread = { work : Distribution.t; route : route; window : int }
 
@@ -88,33 +88,30 @@ let validate t =
 
 let uniform_other ~nodes ~origin =
   if nodes < 2 then invalid_arg "Spec.uniform_other: need at least two nodes";
-  fun rng ->
+  fun rng _ ->
     let raw = Rng.int_below rng (nodes - 1) in
     [ (if raw >= origin then raw + 1 else raw) ]
 
 let round_robin ~nodes ~origin =
   if nodes < 2 then invalid_arg "Spec.round_robin: need at least two nodes";
-  let offset = ref 0 in
-  fun _rng ->
-    offset := (!offset mod (nodes - 1)) + 1;
-    [ (origin + !offset) mod nodes ]
+  fun _ issued -> [ (origin + (issued mod (nodes - 1)) + 1) mod nodes ]
 
 let uniform_server ~servers =
   if servers <= 0 then invalid_arg "Spec.uniform_server: need at least one server";
-  fun rng -> [ Rng.int_below rng servers ]
+  fun rng _ -> [ Rng.int_below rng servers ]
 
 let hotspot ~nodes ~origin ~hot ~fraction =
   if hot < 0 || hot >= nodes then invalid_arg "Spec.hotspot: hot node out of range";
   if not (fraction >= 0. && fraction <= 1.) then
     invalid_arg "Spec.hotspot: fraction outside [0,1]";
   let fallback = uniform_other ~nodes ~origin in
-  fun rng -> if Rng.bernoulli rng fraction then [ hot ] else fallback rng
+  fun rng issued -> if Rng.bernoulli rng fraction then [ hot ] else fallback rng issued
 
 let multi_hop ~nodes ~origin ~hops =
   if hops < 1 then invalid_arg "Spec.multi_hop: need at least one hop";
   if nodes < 2 then invalid_arg "Spec.multi_hop: need at least two nodes";
   let pick = uniform_other ~nodes ~origin in
-  fun rng -> List.concat_map (fun _ -> pick rng) (List.init hops Fun.id)
+  fun rng issued -> List.concat_map (fun _ -> pick rng issued) (List.init hops Fun.id)
 
 let check spec =
   match validate spec with Ok s -> s | Error reason -> invalid_arg ("Spec: " ^ reason)

@@ -11,11 +11,14 @@ module Topology = Lopc_topology.Topology
 
 module Distribution = Lopc_dist.Distribution
 
-type route = Lopc_prng.Rng.t -> int list
-(** [route rng] samples the chain of nodes a request visits, in order.
-    A one-element list is the ordinary single-hop request; longer lists
-    model the "multi-hop" requests of Appendix A. The reply returns
-    directly from the last hop to the originating node. *)
+type route = Lopc_prng.Rng.t -> int -> int list
+(** [route rng issued] samples the chain of nodes a request visits, in
+    order; [issued] counts the requests the thread issued before this one
+    in the current run. A one-element list is the ordinary single-hop
+    request; longer lists model the "multi-hop" requests of Appendix A.
+    The reply returns directly from the last hop to the originating node.
+    A route keeps no state of its own, so one spec may run any number of
+    times, on any domain, with the same result for the same seed. *)
 
 type thread = {
   work : Distribution.t;  (** Local work [W] between blocking requests. *)
@@ -93,7 +96,8 @@ val uniform_other : nodes:int -> origin:int -> route
 val round_robin : nodes:int -> origin:int -> route
 (** Deterministic single-hop route cycling through [origin+1, origin+2,
     ...] (mod [nodes]) — the "carefully staggered" all-to-all pattern
-    discussed in the introduction. The returned closure is stateful. *)
+    discussed in the introduction: request [issued] goes to
+    [origin + 1 + issued mod (nodes - 1)]. *)
 
 val uniform_server : servers:int -> route
 (** Single-hop route to a uniformly random node in [\[0, servers)] — the

@@ -9,37 +9,40 @@ type t =
   | Shifted_exponential of float * float
   | Empirical of float array
 
+let nonneg x = Float.is_finite x && x >= 0.
+
+(* The parameter conditions, as a predicate that allocates nothing:
+   [sample] tests it on every draw. *)
+let valid = function
+  | Constant c | Exponential c -> nonneg c
+  | Uniform (lo, hi) -> nonneg lo && nonneg hi && lo <= hi
+  | Erlang (k, m) -> k >= 1 && nonneg m
+  | Hyperexponential (p, m1, m2) -> 0. <= p && p <= 1. && nonneg m1 && nonneg m2
+  | Shifted_exponential (offset, m) -> nonneg offset && nonneg m && offset <= m
+  | Empirical samples -> Array.length samples > 0 && Array.for_all nonneg samples
+
 let validate t =
-  let ok = Ok t in
-  let err fmt = Format.kasprintf (fun s -> Error s) fmt in
-  let nonneg x = Float.is_finite x && x >= 0. in
-  match t with
-  | Constant c ->
-    if nonneg c then ok else err "Constant: value must be finite and >= 0, got %g" c
-  | Exponential m ->
-    if nonneg m then ok else err "Exponential: mean must be finite and >= 0, got %g" m
-  | Uniform (lo, hi) ->
-    if nonneg lo && nonneg hi && lo <= hi then ok
-    else err "Uniform: bounds must be finite with 0 <= lo <= hi, got [%g, %g]" lo hi
-  | Erlang (k, m) ->
-    if k >= 1 && nonneg m then ok
-    else err "Erlang: need k >= 1 and a finite mean >= 0, got k=%d mean=%g" k m
-  | Hyperexponential (p, m1, m2) ->
-    if 0. <= p && p <= 1. && nonneg m1 && nonneg m2 then ok
-    else
+  if valid t then Ok t
+  else begin
+    let err fmt = Format.kasprintf (fun s -> Error s) fmt in
+    match t with
+    | Constant c -> err "Constant: value must be finite and >= 0, got %g" c
+    | Exponential m -> err "Exponential: mean must be finite and >= 0, got %g" m
+    | Uniform (lo, hi) ->
+      err "Uniform: bounds must be finite with 0 <= lo <= hi, got [%g, %g]" lo hi
+    | Erlang (k, m) ->
+      err "Erlang: need k >= 1 and a finite mean >= 0, got k=%d mean=%g" k m
+    | Hyperexponential (p, m1, m2) ->
       err
         "Hyperexponential: need 0 <= p <= 1 and finite means >= 0, got (p=%g, \
          mean1=%g, mean2=%g)"
         p m1 m2
-  | Shifted_exponential (offset, m) ->
-    if nonneg offset && nonneg m && offset <= m then ok
-    else
+    | Shifted_exponential (offset, m) ->
       err "Shifted_exponential: need finite 0 <= offset <= mean, got offset=%g mean=%g" offset m
-  | Empirical samples ->
-    if Array.length samples = 0 then err "Empirical: empty sample array"
-    else if Array.exists (fun x -> not (nonneg x)) samples then
-      err "Empirical: samples must be finite and non-negative"
-    else ok
+    | Empirical samples ->
+      if Array.length samples = 0 then err "Empirical: empty sample array"
+      else err "Empirical: samples must be finite and non-negative"
+  end
 
 let check t =
   match validate t with Ok t -> t | Error reason -> invalid_arg ("Distribution: " ^ reason)
@@ -62,7 +65,7 @@ let mean = function
   | Empirical samples -> empirical_mean samples
 
 let sample t rng =
-  match check t with
+  match if valid t then t else check t with
   | Constant c -> c
   | Exponential m -> if exactly_zero m then 0. else Rng.exponential rng m
   | Uniform (lo, hi) -> if Float.equal lo hi then lo else Rng.float_range rng lo hi

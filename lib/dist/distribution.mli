@@ -53,5 +53,6 @@ val of_mean_scv : mean:float -> scv:float -> t
 val validate : t -> (t, string) result
 (** [validate t] is [Ok t] when the parameters are finite and satisfy
     the invariants documented on each constructor, and [Error reason]
-    otherwise. Sampling an invalid distribution raises
-    [Invalid_argument]. *)
+    otherwise. {!sample} checks its argument on every draw, without
+    allocating, and raises [Invalid_argument ("Distribution: " ^ reason)]
+    on an invalid one. *)

@@ -1,18 +1,27 @@
-(* Struct-of-arrays binary min-heap: timestamps and sequence numbers live
-   in flat unboxed arrays ([float array] / [int array]), payloads in a
-   parallel ['a option array]. Sift compares never chase a pointer and
-   neither [push] nor [pop_payload] allocates beyond the payload's own
-   [Some] cell (which is handed back verbatim by [pop_payload]).
+(* Struct-of-arrays binary min-heap. Heap position [i] holds the entry's
+   timestamp in [times.(i)], its sequence number in [seqs.(i)] and the
+   index of its payload slot in [slots.(i)]: flat unboxed arrays, so a
+   sift compares and moves plain floats and ints, never chases a pointer
+   and never runs the write barrier. A payload is written once, into
+   [data.(slot)], when it is pushed, and read back once when it is popped.
 
-   Slots at or above [size] hold [None]: a popped entry must not linger in
-   the backing array, because event payloads are closures over node state
-   and long simulations would otherwise retain one dead closure per pop
-   (the vacated slot aliases live entries only transitively, so the leak
-   shows up as popped-but-reachable payloads, not as a monotonic
-   counter). *)
+   [slots] is always a permutation of [0, capacity): positions below
+   [size] name the slots of live entries and positions from [size] up name
+   the free slots, so the next push takes [slots.(size)] and a pop hands
+   its slot back at the position the heap just vacated. There is no
+   separate free list.
+
+   Sifts are hole-based: the moving entry stays in registers while the
+   entries it passes shift by one level, and it is written once where the
+   hole stops.
+
+   A free slot holds [None]: a popped entry must not linger in [data],
+   because event payloads are closures over node state and long
+   simulations would otherwise retain one dead closure per pop. *)
 type 'a t = {
   mutable times : float array;
   mutable seqs : int array;
+  mutable slots : int array;
   mutable data : 'a option array;
   mutable size : int;
   mutable next_seq : int;
@@ -24,7 +33,8 @@ type 'a t = {
    the arrays are dropped so a burst does not pin its high-water mark. *)
 let retained_capacity = 64
 
-let create () = { times = [||]; seqs = [||]; data = [||]; size = 0; next_seq = 0 }
+let create () =
+  { times = [||]; seqs = [||]; slots = [||]; data = [||]; size = 0; next_seq = 0 }
 
 let size t = t.size
 
@@ -34,56 +44,53 @@ let is_empty t = t.size = 0
    as an explicit monomorphic comparison — Float time then int seq — so
    the total order (including NaN placement, which push rejects anyway)
    is defined here and not by the polymorphic compare runtime. Sequence
-   numbers are unique, so the order is total and strict. *)
-let before t i j =
-  let ti = t.times.(i) and tj = t.times.(j) in
-  if ti < tj then true
-  else if ti > tj then false
-  else t.seqs.(i) < t.seqs.(j)
+   numbers are unique, so the order is total and strict. Inlined, so the
+   float arguments are never boxed. *)
+let before ti si tj sj = ti < tj || (Float.equal ti tj && si < sj) [@@inline]
 
-let swap t i j =
-  let tm = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- tm;
-  let sq = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- sq;
-  let d = t.data.(i) in
-  t.data.(i) <- t.data.(j);
-  t.data.(j) <- d
-
+(* Only a full heap grows, so every slot below the old capacity is live
+   and the new positions take the new slots in order. *)
 let grow t =
   let cap = Array.length t.data in
   let new_cap = if cap = 0 then 16 else cap * 2 in
   let times = Array.make new_cap 0. in
   let seqs = Array.make new_cap 0 in
+  let slots = Array.init new_cap Fun.id in
   let data = Array.make new_cap None in
-  Array.blit t.times 0 times 0 t.size;
-  Array.blit t.seqs 0 seqs 0 t.size;
-  Array.blit t.data 0 data 0 t.size;
+  Array.blit t.times 0 times 0 cap;
+  Array.blit t.seqs 0 seqs 0 cap;
+  Array.blit t.slots 0 slots 0 cap;
+  Array.blit t.data 0 data 0 cap;
   t.times <- times;
   t.seqs <- seqs;
+  t.slots <- slots;
   t.data <- data
 
 let push t ~time x =
   if not (Float.is_finite time) then invalid_arg "Event_heap.push: non-finite time";
   if t.size = Array.length t.data then grow t;
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   let i = ref t.size in
+  let slot = slots.(!i) in
+  t.data.(slot) <- Some x;
   t.size <- t.size + 1;
-  t.times.(!i) <- time;
-  t.seqs.(!i) <- t.next_seq;
-  t.data.(!i) <- Some x;
-  t.next_seq <- t.next_seq + 1;
-  (* Sift up. *)
+  (* Sift the hole up. *)
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if before t !i parent then begin
-      swap t !i parent;
+    if before time seq times.(parent) seqs.(parent) then begin
+      times.(!i) <- times.(parent);
+      seqs.(!i) <- seqs.(parent);
+      slots.(!i) <- slots.(parent);
       i := parent
     end
     else continue := false
-  done
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  slots.(!i) <- slot
 [@@lint.allow
   "unbounded-retry"
     "the sift-up loop strictly decreases the index toward the root each \
@@ -96,41 +103,49 @@ let push t ~time x =
 let pop_payload t =
   if t.size = 0 then None
   else begin
-    let top = t.data.(0) in
+    let times = t.times and seqs = t.seqs and slots = t.slots in
+    let top_slot = slots.(0) in
+    let top = t.data.(top_slot) in
+    t.data.(top_slot) <- None;
     t.size <- t.size - 1;
-    if t.size = 0 then begin
-      (* Heap drained: null the vacated root but keep a small backing
-         array so drain-per-event workloads do not re-allocate on every
-         push; anything larger is dropped wholesale. *)
+    let size = t.size in
+    if size = 0 then begin
+      (* Heap drained: keep a small backing array so drain-per-event
+         workloads do not re-allocate on every push; anything larger is
+         dropped wholesale. *)
       if Array.length t.data > retained_capacity then begin
         t.times <- [||];
         t.seqs <- [||];
+        t.slots <- [||];
         t.data <- [||]
       end
-      else t.data.(0) <- None
     end
     else begin
-      let last = t.size in
-      t.times.(0) <- t.times.(last);
-      t.seqs.(0) <- t.seqs.(last);
-      t.data.(0) <- t.data.(last);
-      (* Null the vacated slot so the entry moved to the root is the only
-         reference the array keeps. *)
-      t.data.(last) <- None;
-      (* Sift down. *)
+      (* The last entry fills the root's hole; the root's slot becomes the
+         free slot at the position the last entry left. *)
+      let time = times.(size) and seq = seqs.(size) and slot = slots.(size) in
+      slots.(size) <- top_slot;
+      (* Sift the hole down. *)
       let i = ref 0 in
       let continue = ref true in
       while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.size && before t l !smallest then smallest := l;
-        if r < t.size && before t r !smallest then smallest := r;
-        if !smallest <> !i then begin
-          swap t !i !smallest;
-          i := !smallest
+        let l = (2 * !i) + 1 in
+        if l >= size then continue := false
+        else begin
+          let r = l + 1 in
+          let c = if r < size && before times.(r) seqs.(r) times.(l) seqs.(l) then r else l in
+          if before times.(c) seqs.(c) time seq then begin
+            times.(!i) <- times.(c);
+            seqs.(!i) <- seqs.(c);
+            slots.(!i) <- slots.(c);
+            i := c
+          end
+          else continue := false
         end
-        else continue := false
-      done
+      done;
+      times.(!i) <- time;
+      seqs.(!i) <- seq;
+      slots.(!i) <- slot
     end;
     top
   end

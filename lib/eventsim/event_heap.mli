@@ -12,10 +12,13 @@
     place, with no dependence on the polymorphic compare runtime. [push]
     rejects non-finite timestamps, so NaN never enters the order.
 
-    Internally the heap is struct-of-arrays: timestamps and sequence
-    numbers live in flat unboxed arrays, so sift comparisons touch no
-    heap blocks, and {!pop_payload} returns the stored payload cell
-    without allocating. *)
+    Internally the heap is struct-of-arrays: each heap position holds a
+    timestamp, a sequence number and the index of a payload slot, all in
+    flat unboxed arrays, and each payload is written once into its slot.
+    A hole-based sift therefore moves only floats and ints, touches no
+    heap block and never runs the write barrier. {!push} allocates only
+    the payload's [Some] cell, which {!pop_payload} hands back as stored,
+    and the slot it vacates is nulled. *)
 
 type 'a t
 (** Mutable heap of items of type ['a]. *)

@@ -18,7 +18,9 @@ let create ~q =
     n = 0;
   }
 
-(* Piecewise-parabolic (P²) height adjustment for marker i moved by d. *)
+(* Piecewise-parabolic (P²) height adjustment for marker i moved by d.
+   This and [linear] are inlined into [add], so [d] and the height are
+   never boxed. *)
 let parabolic t i d =
   let h = t.heights and p = t.positions in
   h.(i)
@@ -26,6 +28,7 @@ let parabolic t i d =
       /. (p.(i + 1) -. p.(i - 1))
       *. (((p.(i) -. p.(i - 1) +. d) *. (h.(i + 1) -. h.(i)) /. (p.(i + 1) -. p.(i)))
          +. ((p.(i + 1) -. p.(i) -. d) *. (h.(i) -. h.(i - 1)) /. (p.(i) -. p.(i - 1)))))
+[@@inline]
 [@@lint.allow
   "division-by-vanishing"
     "[add] only adjusts marker i when both neighbour gaps exceed 1 (the P^2 \
@@ -35,6 +38,7 @@ let linear t i d =
   let h = t.heights and p = t.positions in
   let j = i + int_of_float d in
   h.(i) +. (d *. (h.(j) -. h.(i)) /. (p.(j) -. p.(i)))
+[@@inline]
 [@@lint.allow
   "division-by-vanishing"
     "positions are strictly increasing integers stored as floats, so adjacent \
@@ -61,8 +65,13 @@ let add t x =
         3
       end
       else begin
-        let rec locate i = if x < h.(i + 1) then i else locate (i + 1) in
-        locate 0
+        (* h.(0) <= x < h.(4): the first cell whose upper marker exceeds
+           x, scanned down over the markers so no closure captures x. *)
+        let k = ref 3 in
+        for i = 2 downto 0 do
+          if x < h.(i + 1) then k := i
+        done;
+        !k
       end
     in
     for i = k + 1 to 4 do

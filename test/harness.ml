@@ -35,6 +35,14 @@ let gaussian t =
   in
   polar ()
 
+(* Minor-heap words per iteration of [f ()], which runs [n] iterations.
+   Counts are deterministic for a fixed compiler (CI pins OCaml 5.1), so
+   allocation budgets can be asserted exactly like any other result. *)
+let minor_words_per ~n f =
+  let before = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. before) /. Float.of_int n
+
 (* Matrix-vector product, to check [Linear.solve] by substitution. *)
 let mat_vec a x =
   Array.map

@@ -178,6 +178,22 @@ let prop_residual_consistent =
       Float.abs (Harness.residual_mean d -. expected) <= 1e-9 *. Float.max 1. expected)
 
 
+let hostile_values = [ Float.nan; Float.infinity; Float.neg_infinity; -1. ]
+
+let hostile_distributions x =
+  [
+    D.Constant x;
+    D.Exponential x;
+    D.Uniform (x, 1.);
+    D.Uniform (0., x);
+    D.Erlang (2, x);
+    D.Hyperexponential (0.5, x, 1.);
+    D.Hyperexponential (0.5, 1., x);
+    D.Shifted_exponential (x, 1.);
+    D.Shifted_exponential (0., x);
+    D.Empirical [| 1.; x |];
+  ]
+
 (* Every constructor and of_mean_scv refuse each hostile parameter with a
    message that says "finite", at construction time rather than when the
    simulator schedules a non-finite delay. *)
@@ -197,18 +213,7 @@ let test_hostile_parameters () =
           | Error msg ->
             if not (contains msg "finite") then
               Alcotest.failf "%a: %S does not say finite" Harness.pp_dist d msg)
-        [
-          D.Constant x;
-          D.Exponential x;
-          D.Uniform (x, 1.);
-          D.Uniform (0., x);
-          D.Erlang (2, x);
-          D.Hyperexponential (0.5, x, 1.);
-          D.Hyperexponential (0.5, 1., x);
-          D.Shifted_exponential (x, 1.);
-          D.Shifted_exponential (0., x);
-          D.Empirical [| 1.; x |];
-        ];
+        (hostile_distributions x);
       List.iter
         (fun (what, f) ->
           match f () with
@@ -220,7 +225,27 @@ let test_hostile_parameters () =
           ("mean", fun () -> D.of_mean_scv ~mean:x ~scv:1.);
           ("scv", fun () -> D.of_mean_scv ~mean:1. ~scv:x);
         ])
-    [ Float.nan; Float.infinity; Float.neg_infinity; -1. ]
+    hostile_values
+
+(* [sample] checks its distribution on every draw, through a predicate
+   that allocates nothing, and raises the message [validate] gives. *)
+let test_hostile_sample_raises () =
+  let g = Rng.create 3 in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun d ->
+          let expected =
+            match D.validate d with
+            | Ok _ -> Alcotest.failf "validate accepted %a" Harness.pp_dist d
+            | Error reason -> "Distribution: " ^ reason
+          in
+          match D.sample d g with
+          | v -> Alcotest.failf "%a sampled %g" Harness.pp_dist d v
+          | exception Invalid_argument msg ->
+            Alcotest.(check string) (Format.asprintf "%a" Harness.pp_dist d) expected msg)
+        (hostile_distributions x))
+    hostile_values
 
 let suite =
   [
@@ -242,4 +267,5 @@ let suite =
     Alcotest.test_case "empirical validation" `Quick test_empirical_invalid;
     QCheck_alcotest.to_alcotest prop_of_mean_scv_roundtrip;
     QCheck_alcotest.to_alcotest prop_residual_consistent;
+    Alcotest.test_case "sample raises what validate reports" `Quick test_hostile_sample_raises;
   ]

@@ -120,6 +120,28 @@ let test_heap_releases_popped_payloads () =
       Alcotest.failf "payload %d survived a full drain" i
   done
 
+(* At a steady depth of 32, a pop and a push allocate at most the pushed
+   payload's [Some] cell (two words): sifts move only unboxed times, seqs
+   and slot indices. The times are boxed list elements, so handing one to
+   [push] allocates nothing in the test loop itself. *)
+let test_heap_push_pop_allocation () =
+  let h = Heap.create () in
+  let times = List.init 61 (fun i -> Float.of_int ((i * 37) mod 61)) in
+  let rec churn n = function
+    | _ when n = 0 -> ()
+    | [] -> churn n times
+    | time :: rest ->
+      if Heap.size h >= 32 then ignore (Sys.opaque_identity (Heap.pop_payload h));
+      Heap.push h ~time n;
+      churn (n - 1) rest
+  in
+  churn 1_000 times;
+  Alcotest.(check int) "depth" 32 (Heap.size h);
+  let n = 10_000 in
+  let words = Harness.minor_words_per ~n (fun () -> churn n times) in
+  if words > 2. then
+    Alcotest.failf "push+pop allocates %g words (budget: the 2-word Some cell)" words
+
 let test_engine_order_and_clock () =
   let e = Engine.create () in
   let log = ref [] in
@@ -401,4 +423,5 @@ let suite =
       test_engine_observer_and_cancellation;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_heap_matches_model;
+    Alcotest.test_case "heap push+pop allocation budget" `Quick test_heap_push_pop_allocation;
   ]

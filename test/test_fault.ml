@@ -19,7 +19,7 @@ let is_error = function Error _ -> true | Ok _ -> false
 let client_server_spec ?fault ~work ~handler ~wire () =
   {
     Spec.nodes = 2;
-    threads = [| None; Some { Spec.work; route = (fun _ -> [ 0 ]); window = 1 } |];
+    threads = [| None; Some { Spec.work; route = (fun _ _ -> [ 0 ]); window = 1 } |];
     handler;
     reply_handler = handler;
     wire;
@@ -68,7 +68,7 @@ let test_spec_restrictions () =
          ~work:(D.Constant 100.) ~handler:(D.Constant 10.) ~wire:(D.Constant 5.) ())
       with
       Spec.threads =
-        [| None; Some { Spec.work = D.Constant 100.; route = (fun _ -> [ 0 ]); window = 2 } |];
+        [| None; Some { Spec.work = D.Constant 100.; route = (fun _ _ -> [ 0 ]); window = 2 } |];
     }
   in
   Alcotest.(check bool) "window > 1 rejected" true (is_error (Spec.validate windowed));
@@ -78,7 +78,7 @@ let test_spec_restrictions () =
     {
       Spec.nodes = 4;
       threads =
-        [| Some { Spec.work = D.Constant 100.; route = (fun _ -> [ 3 ]); window = 1 };
+        [| Some { Spec.work = D.Constant 100.; route = (fun _ _ -> [ 3 ]); window = 1 };
            None; None; None |];
       handler = D.Constant 10.;
       reply_handler = D.Constant 10.;
@@ -251,7 +251,7 @@ let prop_adversarial_specs =
           threads =
             Array.init nodes (fun i ->
                 if i = nodes - 1 then
-                  Some { Spec.work = D.Exponential 50.; route = (fun _ -> [ 0 ]); window }
+                  Some { Spec.work = D.Exponential 50.; route = (fun _ _ -> [ 0 ]); window }
                 else None);
           handler = D.Exponential 20.;
           reply_handler = D.Exponential 20.;

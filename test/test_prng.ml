@@ -136,6 +136,34 @@ let test_xoshiro_jump_golden () =
       -5919133867660004278L ]
     (child @ draws parent)
 
+(* The unjumped streams, pinned: [create] seeds s3 from the first
+   SplitMix64 output and s0 from the fourth, and a changed seeding order
+   moves every stream of every simulation. *)
+let test_stream_golden () =
+  let t = Xoshiro256.create 42L in
+  Alcotest.(check (list int64)) "create 42L"
+    [ 7691019137490214302L; -7923975057069671508L; -4092245038992204357L;
+      -3447296960835827653L ]
+    (List.init 4 (fun _ -> Xoshiro256.next t));
+  Alcotest.(check (float 0.)) "first Rng.float of Rng.create 7" 0x1.fcd91c61c5d54p-3
+    (Rng.float (Rng.create 7));
+  Alcotest.(check (float 0.)) "first Rng.exponential of Rng.create 7" 0x1.247cc1184e4bdp-2
+    (Rng.exponential (Rng.create 7) 1.)
+
+(* A draw boxes at most its result: the generator state is stepped in
+   place, unboxed. *)
+let test_rng_float_allocation () =
+  let g = Rng.create 13 and n = 10_000 in
+  let words =
+    Harness.minor_words_per ~n (fun () ->
+        let acc = ref 0. in
+        for _ = 1 to n do
+          acc := !acc +. Rng.float g
+        done;
+        ignore (Sys.opaque_identity !acc))
+  in
+  if words > 4. then Alcotest.failf "Rng.float allocates %g words per draw (budget 4)" words
+
 let test_rng_mean_variance () =
   let g = Rng.create 7 in
   let n = 100_000 in
@@ -301,4 +329,6 @@ let suite =
     Alcotest.test_case "rng shuffle is a permutation" `Quick test_rng_shuffle_permutation;
     QCheck_alcotest.to_alcotest prop_int_below_in_range;
     QCheck_alcotest.to_alcotest prop_float_range;
+    Alcotest.test_case "xoshiro and rng golden streams" `Quick test_stream_golden;
+    Alcotest.test_case "rng float allocation budget" `Quick test_rng_float_allocation;
   ]

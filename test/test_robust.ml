@@ -331,7 +331,7 @@ let client_spec () =
     threads =
       [|
         None;
-        Some { Spec.work = D.Constant 100.; route = (fun _ -> [ 0 ]); window = 1 };
+        Some { Spec.work = D.Constant 100.; route = (fun _ _ -> [ 0 ]); window = 1 };
       |];
     handler = D.Constant 20.;
     reply_handler = D.Constant 20.;

@@ -124,7 +124,7 @@ let test_sim_single_message_latency () =
     {
       Spec.nodes = 4;
       threads =
-        [| Some { Spec.work = D.Constant 100.; route = (fun _ -> [ 3 ]); window = 1 };
+        [| Some { Spec.work = D.Constant 100.; route = (fun _ _ -> [ 3 ]); window = 1 };
            None; None; None |];
       handler = D.Constant 10.;
       reply_handler = D.Constant 10.;

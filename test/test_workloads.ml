@@ -123,8 +123,8 @@ let test_pattern_spec_and_general_consistent () =
   let g = Lopc_prng.Rng.create 123 in
   let counts = Array.make 8 0 in
   let n = 40_000 in
-  for _ = 1 to n do
-    List.iter (fun d -> counts.(d) <- counts.(d) + 1) (thread.Spec.route g)
+  for issued = 0 to n - 1 do
+    List.iter (fun d -> counts.(d) <- counts.(d) + 1) (thread.Spec.route g issued)
   done;
   Array.iteri
     (fun k c ->
