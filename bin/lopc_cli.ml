@@ -626,21 +626,31 @@ let validate_cmd =
         ("multi-hop 2", Pattern.Multi_hop { hops = 2 }, 1000., 1.);
       ]
     in
-    (* Every case runs before anything is printed, so a rejected parameter
-       is a one-line usage error rather than a half-printed table. *)
+    let exception Solver_failed of string * Fixed_point.status in
+    let model (name, pat, w, c2) =
+      let params = Lopc.Params.create ~c2 ~p ~st:40. ~so:200. () in
+      match G.solve_status (Pattern.to_general params ~w pat) with
+      | Some s, _ -> s.G.system_throughput
+      | None, status -> raise (Solver_failed (name, status))
+    in
+    let simulate (name, pat, w, c2) model =
+      let spec =
+        Pattern.to_spec ~nodes:p ~work:(D.of_mean_scv ~mean:w ~scv:1.)
+          ~handler:(D.of_mean_scv ~mean:200. ~scv:c2) ~wire:(D.Constant 40.) pat
+      in
+      (name, model, Metrics.throughput (Machine.run ~seed ~spec ~cycles ()).Machine.metrics)
+    in
+    (* Every model is solved before any simulation runs, and every case
+       runs before anything is printed, so a solver failure exits through
+       the taxonomy as in predict, and a rejected parameter is a one-line
+       usage error rather than a half-printed table. *)
     match
-      List.map
-        (fun (name, pat, w, c2) ->
-          let params = Lopc.Params.create ~c2 ~p ~st:40. ~so:200. () in
-          let model = (G.solve (Pattern.to_general params ~w pat)).G.system_throughput in
-          let spec =
-            Pattern.to_spec ~nodes:p ~work:(D.of_mean_scv ~mean:w ~scv:1.)
-              ~handler:(D.of_mean_scv ~mean:200. ~scv:c2) ~wire:(D.Constant 40.) pat
-          in
-          (name, model, Metrics.throughput (Machine.run ~seed ~spec ~cycles ()).Machine.metrics))
-        cases
+      let models = List.map model cases in
+      List.map2 simulate cases models
     with
     | exception Invalid_argument msg -> `Error (false, msg)
+    | exception Solver_failed (name, status) ->
+      solver_failure ~what:("general solver, case " ^ name) status
     | rows ->
       Format.printf "model vs simulator, P=%d, So=200, St=40, %d cycles/case@.@." p cycles;
       Format.printf "%-28s %12s %12s %8s@." "case" "model X" "sim X" "error";

@@ -1,7 +1,8 @@
 (** The active-message machine simulator.
 
-    Executes a {!Spec.t} on the discrete-event engine and returns
-    {!Metrics.t}. The simulation follows paper §2 exactly:
+    Executes a {!Spec.t} as a discrete-event simulation over one
+    {!Lopc_eventsim.Event_heap} and returns {!Metrics.t}. The simulation
+    follows paper §2 exactly:
 
     - the interconnect is contention free — every hop takes an
       independent draw from the wire distribution, regardless of load;

@@ -1,11 +1,16 @@
-(** Discrete-event simulation engine.
+(** Discrete-event simulation engine with closure events.
 
     Wraps one {!Event_heap} with a simulation clock, callback scheduling
-    and O(1) lazy cancellation. Events execute in [(time, seq)] order, so
+    and eager cancellation. Events execute in [(time, seq)] order, so
     simultaneous events run in the order they were scheduled and a run is
     a pure function of its inputs. Time never moves backwards;
     scheduling into the past is a programming error and raises. Handlers
-    receive the engine so they can schedule further events. *)
+    receive the engine so they can schedule further events.
+
+    Each {!schedule} allocates its closure and a handle. The
+    active-message simulator does not use this module: it pushes
+    int-coded events on an {!Event_heap} of its own and dispatches them
+    with one [match], which allocates neither. *)
 
 type t
 (** A simulation run. *)
@@ -21,13 +26,6 @@ val create : unit -> t
 val now : t -> float
 (** Current simulation time. *)
 
-val events_processed : t -> int
-(** Number of events executed so far. *)
-
-val pending : t -> int
-(** Events scheduled but not yet executed (including cancelled ones not
-    yet reaped). *)
-
 val schedule : t -> delay:float -> (t -> unit) -> handle
 (** [schedule t ~delay f] runs [f] at [now t +. delay].
     @raise Invalid_argument if [delay < 0.] or not finite. *)
@@ -37,16 +35,9 @@ val schedule_at : t -> time:float -> (t -> unit) -> handle
     @raise Invalid_argument if [time] precedes [now t]. *)
 
 val cancel : handle -> unit
-(** Cancel the event; a no-op if it already ran or was already
-    cancelled. *)
-
-val set_observer : t -> (t -> unit) -> unit
-(** [set_observer t f] calls [f t] after every executed event — after
-    the event's action ran and the clock advanced, so [f] sees the
-    post-event state. At most one observer is installed; a second call
-    replaces the first. Observers must not schedule or execute events;
-    they exist for instrumentation (heap size / dispatch-rate probes). *)
+(** Cancel the event, removing it from the queue; a no-op if it already
+    ran or was already cancelled. *)
 
 val step : t -> bool
 (** Execute the earliest pending event. Returns [false] when no events
-    remain (cancelled events are skipped silently). *)
+    remain. *)

@@ -1,48 +1,74 @@
-(** Binary min-heap of timestamped items with stable FIFO tie-breaking.
+(** Binary min-heap of timestamped events with stable FIFO tie-breaking
+    and O(log n) cancellation.
 
-    The core data structure of the event engine: {!pop_payload} always
-    removes the item with the smallest timestamp, and among equal
-    timestamps the one inserted first. This determinism matters — the
-    simulator's results must be a pure function of its seed, and the
-    paper's constant-service configurations produce many simultaneous
-    events.
+    The event queue of the simulator: {!pop_exn} always removes the entry
+    with the smallest timestamp, and among equal timestamps the one pushed
+    first. This determinism matters — the simulator's results must be a
+    pure function of its seed, and the paper's constant-service
+    configurations produce many simultaneous events.
 
     The entry order is the explicit monomorphic comparison
     [time ascending, then seq ascending] — a total order defined in one
     place, with no dependence on the polymorphic compare runtime. [push]
     rejects non-finite timestamps, so NaN never enters the order.
 
+    An entry is a timestamp, an int [kind] and a payload. The kind lets a
+    caller encode what the event does (and for whom) in an immediate, so a
+    dispatcher can [match] on it instead of storing a closure per event.
+
+    Cancellation is eager: {!cancel} removes the entry at once, so
+    {!size} counts live entries only and a cancelled timer costs no heap
+    depth while it would otherwise wait to expire.
+
     Internally the heap is struct-of-arrays: each heap position holds a
     timestamp, a sequence number and the index of a payload slot, all in
-    flat unboxed arrays, and each payload is written once into its slot.
-    A hole-based sift therefore moves only floats and ints, touches no
-    heap block and never runs the write barrier. {!push} allocates only
-    the payload's [Some] cell, which {!pop_payload} hands back as stored,
-    and the slot it vacates is nulled. *)
+    flat unboxed arrays, and each kind and payload is written once into
+    its slot. A hole-based sift therefore moves only floats and ints,
+    touches no heap block and never runs the write barrier. {!push} and
+    {!pop_exn} allocate nothing, and a vacated slot is reset to the
+    heap's [dummy], so a removed payload is collectable at once. *)
 
 type 'a t
-(** Mutable heap of items of type ['a]. *)
+(** Mutable heap of entries with payloads of type ['a]. *)
 
-val create : unit -> 'a t
-(** An empty heap. *)
+type handle = private int
+(** Names one pushed entry: its slot and a generation taken from the
+    entry's sequence number, so a handle whose entry already left the
+    heap never matches the slot's later occupants (the generation repeats
+    only after 2{^32} further pushes). An immediate: storing one never
+    allocates. *)
+
+val no_handle : handle
+(** A handle that names no entry; cancelling it is a no-op. *)
+
+val create : dummy:'a -> 'a t
+(** An empty heap. [dummy] fills free payload slots; it is never
+    returned. *)
 
 val size : 'a t -> int
-(** Number of items currently stored. *)
+(** Number of live entries. *)
 
 val is_empty : 'a t -> bool
 (** [size t = 0]. *)
 
-val push : 'a t -> time:float -> 'a -> unit
-(** [push t ~time x] inserts [x] with the given timestamp.
+val push : 'a t -> time:float -> kind:int -> 'a -> handle
+(** [push t ~time ~kind x] inserts [x] with the given timestamp and kind.
     @raise Invalid_argument if [time] is not finite. *)
 
-val pop_payload : 'a t -> 'a option
-(** Removes the earliest item and returns the payload cell as stored,
-    without building a tuple or boxing the timestamp (the dispatch hot
-    path). Read the timestamp first with {!peek_time_exn} if it is
-    needed. The vacated slot is nulled, so a popped payload is
-    collectable at once. *)
+val cancel : 'a t -> handle -> unit
+(** Removes the entry [handle] names, with one sift. A no-op if that
+    entry was already popped or cancelled, even after its slot was
+    reused. *)
 
 val peek_time_exn : 'a t -> float
-(** Unboxed {!peek_time} for the dispatch hot path.
+(** Timestamp of the earliest entry (read it before {!pop_exn} when it is
+    needed).
     @raise Invalid_argument when the heap is empty. *)
+
+val pop_exn : 'a t -> 'a
+(** Removes the earliest entry and returns its payload; its kind is then
+    {!popped_kind}. No tuple is built and no timestamp is boxed.
+    @raise Invalid_argument when the heap is empty. *)
+
+val popped_kind : 'a t -> int
+(** Kind of the entry the last {!pop_exn} removed ([0] before any pop). *)

@@ -709,21 +709,97 @@ let test_staggered_rerun_identical () =
   in
   Alcotest.(check (list (float 0.))) "second run repeats the first" (readouts a) (readouts b)
 
+(* Minor words the whole run allocates, per executed event (seed 1). *)
+let words_per_event ~spec ~cycles =
+  let before = Gc.minor_words () in
+  let r = Machine.run ~seed:1 ~spec ~cycles () in
+  (Gc.minor_words () -. before) /. Float.of_int r.Machine.events
+
 (* Allocation budget of the per-event path on the fig 5.2 machine (P = 32,
-   exponential W = 200, constant So = 200, St = 40). Measured at 46.7
-   minor words per event under OCaml 5.1, down from 71.3 before the
-   generator state, the heap sift and the probe calls stopped allocating;
-   one more closure per probe call would break the ceiling. *)
+   exponential W = 200, constant So = 200, St = 40). Measured at 20.4
+   minor words per event under OCaml 5.1, down from 46.7 before events
+   became int codes on the heap (no closure, event record or handle per
+   event) and the thread states, arrival times and clock stopped boxing
+   floats; one more boxed float per event would break the ceiling. *)
 let test_event_allocation_budget () =
   let spec =
     Spec.all_to_all ~nodes:32 ~work:(D.Exponential 200.) ~handler:(D.Constant 200.)
       ~wire:(D.Constant 40.) ()
   in
-  let before = Gc.minor_words () in
-  let r = Machine.run ~seed:1 ~spec ~cycles:20_000 () in
-  let words = (Gc.minor_words () -. before) /. Float.of_int r.Machine.events in
-  if words > 48. then
-    Alcotest.failf "%g minor words per event (ceiling 48)" words
+  let words = words_per_event ~spec ~cycles:20_000 in
+  if words > 22. then Alcotest.failf "%g minor words per event (ceiling 22)" words
+
+(* The same budget on the fault artifact's machine at 2% drop, 1%
+   duplication and 1% delay spikes (P = 16, exponential W = 1000 and
+   So = 200, St = 40, timeout 20000, 10 tries): 25.8 words per event,
+   down from 64.5 when every request allocated its retry record, timer
+   closure and handle and every send its [emit] closure. *)
+let test_fault_allocation_budget () =
+  let fault =
+    Lopc_activemsg.Fault.create ~drop:0.02 ~duplicate:0.01 ~delay_epsilon:0.01
+      ~delay_spike:(D.Exponential 400.) ~max_tries:10 ~timeout:20_000. ()
+  in
+  let spec =
+    Lopc_workloads.Pattern.to_spec ~fault ~nodes:16 ~work:(D.of_mean_scv ~mean:1000. ~scv:1.)
+      ~handler:(D.of_mean_scv ~mean:200. ~scv:1.) ~wire:(D.Constant 40.)
+      Lopc_workloads.Pattern.All_to_all
+  in
+  let words = words_per_event ~spec ~cycles:10_000 in
+  if words > 28. then Alcotest.failf "%g minor words per event (ceiling 28)" words
+
+(* Time-scaling law (ROADMAP item 4): scaling every time parameter — W,
+   So, St, the delay-spike mean and the retransmission timeout — by a
+   power of two k rescales every sampled duration and every sum of them
+   exactly, so each comparison of times, each tie and each RNG draw comes
+   out the same. The run executes the same events; its R and final time
+   are exactly k times the unscaled run's, and its X exactly 1/k of it. *)
+let test_time_scaling_law () =
+  let module Pattern = Lopc_workloads.Pattern in
+  let module Fault = Lopc_activemsg.Fault in
+  let machine ?fault ~c2 pattern k =
+    Pattern.to_spec ?fault ~nodes:8 ~work:(D.of_mean_scv ~mean:(1000. *. k) ~scv:1.)
+      ~handler:(D.of_mean_scv ~mean:(200. *. k) ~scv:c2) ~wire:(D.Constant (40. *. k))
+      pattern
+  in
+  let faulty k =
+    let fault =
+      Fault.create ~drop:0.05 ~duplicate:0.02 ~delay_epsilon:0.05
+        ~delay_spike:(D.Exponential (400. *. k)) ~max_tries:4 ~timeout:(5000. *. k) ()
+    in
+    machine ~fault ~c2:1. Pattern.All_to_all k
+  in
+  let configs =
+    [
+      ("all-to-all C2=0", machine ~c2:0. Pattern.All_to_all);
+      ("all-to-all C2=0.5", machine ~c2:0.5 Pattern.All_to_all);
+      ("all-to-all C2=2", machine ~c2:2. Pattern.All_to_all);
+      ("faulty", faulty);
+      ("hotspot", machine ~c2:1. (Pattern.Hotspot { hot = 0; fraction = 0.3 }));
+      ("client-server", machine ~c2:1. (Pattern.Client_server { servers = 2 }));
+    ]
+  in
+  List.iter
+    (fun (name, spec_of) ->
+      let run k = Machine.run ~seed:5 ~spec:(spec_of k) ~cycles:2_000 () in
+      let base = run 1. in
+      List.iter
+        (fun k ->
+          let r = run k in
+          let label what = Printf.sprintf "%s, k=%g: %s" name k what in
+          let exact what expected actual =
+            if not (Float.equal expected actual) then
+              Alcotest.failf "%s: expected %h, got %h" (label what) expected actual
+          in
+          Alcotest.(check int) (label "events") base.Machine.events r.Machine.events;
+          exact "final time" (k *. base.Machine.final_time) r.Machine.final_time;
+          exact "R"
+            (k *. Metrics.mean_response base.Machine.metrics)
+            (Metrics.mean_response r.Machine.metrics);
+          exact "X"
+            (Metrics.throughput base.Machine.metrics /. k)
+            (Metrics.throughput r.Machine.metrics))
+        [ 2.; 4.; 0.5 ])
+    configs
 
 (* Simulator conservation laws across random configurations. *)
 let prop_littles_law_all_to_all =
@@ -818,4 +894,7 @@ let suite =
     Alcotest.test_case "window 1 is blocking" `Quick test_window_one_has_blocking_semantics;
     Alcotest.test_case "staggered spec reruns identically" `Quick test_staggered_rerun_identical;
     Alcotest.test_case "per-event allocation budget" `Quick test_event_allocation_budget;
+    Alcotest.test_case "time-scaling law" `Quick test_time_scaling_law;
+    Alcotest.test_case "fault machine per-event allocation budget" `Quick
+      test_fault_allocation_budget;
   ]

@@ -4,18 +4,25 @@
 module Engine = Lopc_eventsim.Engine
 module Rng = Lopc_prng.Rng
 
-module Heap = struct
-  include Lopc_eventsim.Event_heap
+module Event_heap = Lopc_eventsim.Event_heap
 
-  (* The next (time, payload), as the engine reads them. *)
+(* Heaps of [Some] payloads of any type (one [None] dummy serves them
+   all), pushed with kind 0 and popped as the next (time, payload), the
+   way the engine reads them. *)
+module Heap = struct
+  include Event_heap
+
+  let create () = create ~dummy:None
+  let push h ~time x = ignore (push h ~time ~kind:0 (Some x))
+
   let pop h =
     if is_empty h then None
     else
       let time = peek_time_exn h in
-      Option.map (fun x -> (time, x)) (pop_payload h)
+      Option.map (fun x -> (time, x)) (pop_exn h)
 end
 
-(* Step the engine until no event is left, until it has executed
+(* Step the engine until no event is left, until this call has executed
    [max_events] events, or, with [until], through the events due by the
    horizon: a sentinel scheduled there stops the loop, so the clock ends
    on the horizon. *)
@@ -24,11 +31,10 @@ let run ?until ?max_events e =
   Option.iter
     (fun horizon -> ignore (Engine.schedule_at e ~time:horizon (fun _ -> stop := true)))
     until;
-  let budget_left () =
-    match max_events with None -> true | Some m -> Engine.events_processed e < m
-  in
+  let executed = ref 0 in
+  let budget_left () = match max_events with None -> true | Some m -> !executed < m in
   while (not !stop) && budget_left () && Engine.step e do
-    ()
+    incr executed
   done
 
 let test_heap_ordering () =
@@ -120,27 +126,28 @@ let test_heap_releases_popped_payloads () =
       Alcotest.failf "payload %d survived a full drain" i
   done
 
-(* At a steady depth of 32, a pop and a push allocate at most the pushed
-   payload's [Some] cell (two words): sifts move only unboxed times, seqs
-   and slot indices. The times are boxed list elements, so handing one to
-   [push] allocates nothing in the test loop itself. *)
+(* At a steady depth of 32, a pop and a push allocate nothing: sifts move
+   only unboxed times, seqs and slot indices, the payload is an immediate
+   and the handle an int. The times are boxed list elements, so handing
+   one to [push] allocates nothing in the test loop itself. The budget
+   leaves room for the measurement's own boxed counter, 2 words over
+   [n] rounds. *)
 let test_heap_push_pop_allocation () =
-  let h = Heap.create () in
+  let h = Event_heap.create ~dummy:0 in
   let times = List.init 61 (fun i -> Float.of_int ((i * 37) mod 61)) in
   let rec churn n = function
     | _ when n = 0 -> ()
     | [] -> churn n times
     | time :: rest ->
-      if Heap.size h >= 32 then ignore (Sys.opaque_identity (Heap.pop_payload h));
-      Heap.push h ~time n;
+      if Event_heap.size h >= 32 then ignore (Sys.opaque_identity (Event_heap.pop_exn h));
+      ignore (Sys.opaque_identity (Event_heap.push h ~time ~kind:1 n));
       churn (n - 1) rest
   in
   churn 1_000 times;
-  Alcotest.(check int) "depth" 32 (Heap.size h);
+  Alcotest.(check int) "depth" 32 (Event_heap.size h);
   let n = 10_000 in
   let words = Harness.minor_words_per ~n (fun () -> churn n times) in
-  if words > 2. then
-    Alcotest.failf "push+pop allocates %g words (budget: the 2-word Some cell)" words
+  if words > 0.01 then Alcotest.failf "push+pop allocates %g words (budget: none)" words
 
 let test_engine_order_and_clock () =
   let e = Engine.create () in
@@ -187,7 +194,8 @@ let test_engine_max_events () =
   let rec reschedule e = ignore (Engine.schedule e ~delay:1. reschedule) in
   reschedule e;
   run ~max_events:100 e;
-  Alcotest.(check int) "stopped at budget" 100 (Engine.events_processed e)
+  (* The k-th event runs at time k. *)
+  Alcotest.(check (float 0.)) "stopped at budget" 100. (Engine.now e)
 
 let test_engine_no_past_scheduling () =
   let e = Engine.create () in
@@ -290,17 +298,17 @@ let test_heap_drain_churn () =
    drawn to force heavy ties, sub-millisecond clusters and 1e6-wide spans —
    the heap pops exactly what a stable sort of the pending items by time
    (so insertion order among ties, i.e. [(time, seq)]) puts first. *)
+let time_gen =
+  QCheck.Gen.oneof
+    [
+      QCheck.Gen.map Float.of_int (QCheck.Gen.int_range 0 20) (* heavy ties *);
+      QCheck.Gen.float_range 0. 1000.;
+      QCheck.Gen.float_range 0. 0.001 (* sub-millisecond clusters *);
+      QCheck.Gen.float_range 0. 1e6 (* wide spans *);
+    ]
+
 let arb_queue_workload =
   let open QCheck in
-  let time_gen =
-    Gen.oneof
-      [
-        Gen.map Float.of_int (Gen.int_range 0 20) (* heavy ties *);
-        Gen.float_range 0. 1000.;
-        Gen.float_range 0. 0.001 (* sub-millisecond clusters *);
-        Gen.float_range 0. 1e6 (* wide spans *);
-      ]
-  in
   let op_gen =
     Gen.frequency
       [ (3, Gen.map (fun t -> `Push t) time_gen); (2, Gen.return `Pop) ]
@@ -349,25 +357,157 @@ let prop_heap_matches_model =
       let rec drain () = if !model = [] then same_pop () else same_pop () && drain () in
       drain ())
 
+(* Pushes, pops and cancels, where a cancel names the [k mod n]-th of the
+   [n] handles issued so far, newest first: live, already popped, already
+   cancelled, or with its slot since reused by a later push. *)
+let arb_cancel_workload =
+  let open QCheck in
+  let op_gen =
+    Gen.frequency
+      [
+        (4, Gen.map (fun t -> `Push t) time_gen);
+        (2, Gen.return `Pop);
+        (2, Gen.map (fun k -> `Cancel k) Gen.nat);
+      ]
+  in
+  let print ops =
+    String.concat ";"
+      (List.map
+         (function
+           | `Push t -> Printf.sprintf "push %h" t
+           | `Pop -> "pop"
+           | `Cancel k -> Printf.sprintf "cancel %d" k)
+         ops)
+  in
+  make ~print Gen.(list_size (int_range 0 400) op_gen)
+
+(* The handle a cancel names, and the model without its entry. Removing an
+   entry the model no longer holds changes nothing: a dead handle must
+   leave the heap alone. *)
+let cancel_in_model handles model k =
+  match handles with
+  | [] -> None
+  | _ ->
+    let handle, id = List.nth handles (k mod List.length handles) in
+    Some (handle, List.filter (fun (_, j) -> j <> id) model)
+
+let stable_first model =
+  match List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) model with
+  | [] -> None
+  | (t, id) :: _ -> Some (t, id, List.filter (fun (_, j) -> j <> id) model)
+
+(* Reference-model law with eager cancellation: after every step the heap
+   holds exactly the model's live entries. Each pop is the stable-sort
+   first of them, with the kind it was pushed with; [size] counts live
+   entries only; and cancelling a handle whose entry already ran or was
+   cancelled, even after its slot was reused, is a no-op. *)
+let prop_heap_cancel_matches_model =
+  QCheck.Test.make ~name:"heap with cancellation matches live-entry model" ~count:300
+    arb_cancel_workload (fun ops ->
+      let h = Event_heap.create ~dummy:(-1) in
+      let kind_of id = id mod 5 in
+      let model = ref [] and handles = ref [] and next = ref 0 in
+      let pop_matches () =
+        match stable_first !model with
+        | None -> Event_heap.is_empty h
+        | Some (t, id, rest) ->
+          model := rest;
+          Float.equal (Event_heap.peek_time_exn h) t
+          && Event_heap.pop_exn h = id
+          && Event_heap.popped_kind h = kind_of id
+      in
+      let step = function
+        | `Push t ->
+          incr next;
+          let id = !next in
+          handles := (Event_heap.push h ~time:t ~kind:(kind_of id) id, id) :: !handles;
+          model := !model @ [ (t, id) ];
+          true
+        | `Pop -> pop_matches ()
+        | `Cancel k ->
+          (match cancel_in_model !handles !model k with
+          | None -> ()
+          | Some (handle, rest) ->
+            Event_heap.cancel h handle;
+            model := rest);
+          true
+      in
+      List.for_all (fun op -> step op && Event_heap.size h = List.length !model) ops
+      &&
+      let rec drain () = !model = [] || (pop_matches () && drain ()) in
+      drain () && Event_heap.is_empty h)
+
+(* The same law through the closure engine: [step] runs the stable-sort
+   first live event at its time, a cancelled event never runs, and [step]
+   reports [false] exactly when the model is empty. Delays come from
+   [time_gen], so zero delays and ties are common. *)
+let prop_engine_cancel_matches_model =
+  QCheck.Test.make ~name:"engine with cancellation matches live-event model" ~count:300
+    arb_cancel_workload (fun ops ->
+      let e = Engine.create () in
+      let ran = ref (-1) in
+      let model = ref [] and handles = ref [] and next = ref 0 in
+      let step_matches () =
+        match stable_first !model with
+        | None -> not (Engine.step e)
+        | Some (t, id, rest) ->
+          model := rest;
+          Engine.step e && !ran = id && Float.equal (Engine.now e) t
+      in
+      let step = function
+        | `Push delay ->
+          incr next;
+          let id = !next in
+          let time = Engine.now e +. delay in
+          handles := (Engine.schedule e ~delay (fun _ -> ran := id), id) :: !handles;
+          model := !model @ [ (time, id) ];
+          true
+        | `Pop -> step_matches ()
+        | `Cancel k ->
+          (match cancel_in_model !handles !model k with
+          | None -> ()
+          | Some (handle, rest) ->
+            Engine.cancel handle;
+            model := rest);
+          true
+      in
+      List.for_all step ops
+      &&
+      let rec drain () = if !model = [] then step_matches () else step_matches () && drain () in
+      drain ())
+
+(* A handle outlives its entry: once the entry ran or was cancelled, the
+   handle names nothing, even when a later push reuses its slot. *)
+let test_heap_stale_handles () =
+  let h = Event_heap.create ~dummy:"" in
+  let a = Event_heap.push h ~time:1. ~kind:0 "a" in
+  Alcotest.(check string) "a runs" "a" (Event_heap.pop_exn h);
+  let b = Event_heap.push h ~time:2. ~kind:0 "b" in
+  Event_heap.cancel h a;
+  Alcotest.(check int) "a's stale handle spares b in a's slot" 1 (Event_heap.size h);
+  Event_heap.cancel h b;
+  Event_heap.cancel h b;
+  Alcotest.(check int) "b cancelled once" 0 (Event_heap.size h);
+  ignore (Event_heap.push h ~time:3. ~kind:0 "c");
+  Event_heap.cancel h b;
+  Event_heap.cancel h Event_heap.no_handle;
+  Alcotest.(check string) "c survives both" "c" (Event_heap.pop_exn h)
+
 (* Execution order of the schedule below: event indices, with [fN] the
    follow-up event N schedules one time unit later. *)
 let golden_engine_log =
   "39;21;36;0;f0;25;f25;1;29;19;30;f30;37;2;44;48;6;28;46;33;9;23;43;32;49;42;16;\
    47;22;4;34;11;40;41;f40;14;18;7;26;8;20;f20;12;13;5;f5;27;15;f15;35;f35;"
 
-(* One schedule of cascading events and lazy cancellations ([i mod 7 = 3])
+(* One schedule of cascading events and cancellations ([i mod 7 = 3])
    checked against the golden execution order: each event runs at its
-   scheduled time, the observer fires once per executed event and after
-   its action, and cancelled events neither run nor notify the observer. *)
+   scheduled time, every [step] that returns [true] ran exactly one
+   action, and cancelled events never run. *)
 let test_engine_observer_and_cancellation () =
   let e = Engine.create () in
   let log = Buffer.create 256 in
   let ran = ref 0 in
   let observed = ref 0 in
-  Engine.set_observer e (fun _ ->
-      incr observed;
-      if !observed <> !ran then
-        Alcotest.failf "observer call %d after %d actions" !observed !ran);
   let g = Rng.create 11 in
   let record e ~time label =
     if not (Float.equal (Engine.now e) time) then
@@ -387,15 +527,16 @@ let test_engine_observer_and_cancellation () =
     in
     if i mod 7 = 3 then Engine.cancel h
   done;
-  run e;
+  while Engine.step e do
+    incr observed;
+    if !observed <> !ran then
+      Alcotest.failf "step %d returned after %d actions" !observed !ran
+  done;
   Alcotest.(check string) "golden execution order" golden_engine_log
     (Buffer.contents log);
   (* 50 scheduled - 7 cancelled + 8 follow-ups (i mod 5 = 0, minus the
      cancelled 10 and 45). *)
-  Alcotest.(check int) "events processed" 51 (Engine.events_processed e);
-  Alcotest.(check int) "observer count = events processed"
-    (Engine.events_processed e) !observed;
-  Alcotest.(check int) "every cancelled event reaped" 0 (Engine.pending e);
+  Alcotest.(check int) "events processed" 51 !observed;
   let entries = String.split_on_char ';' (Buffer.contents log) in
   for i = 0 to 49 do
     if i mod 7 = 3 && List.mem (string_of_int i) entries then
@@ -424,4 +565,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_heap_matches_model;
     Alcotest.test_case "heap push+pop allocation budget" `Quick test_heap_push_pop_allocation;
+    QCheck_alcotest.to_alcotest prop_heap_cancel_matches_model;
+    QCheck_alcotest.to_alcotest prop_engine_cancel_matches_model;
+    Alcotest.test_case "heap stale handles" `Quick test_heap_stale_handles;
   ]
