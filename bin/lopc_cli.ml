@@ -422,13 +422,19 @@ let print_general ?budget params ~w ~protocol_processor pattern =
   | Some s, _ ->
     Format.printf "LoPC general (Appendix A) prediction: %s@." (Pattern.description pattern);
     Format.printf "  system throughput   = %.6f requests/cycle@." s.G.system_throughput;
+    (* One line per class of interchangeable nodes, named by its smallest
+       member; a one-node class prints as that node. *)
     Array.iteri
-      (fun k (ns : G.node_solution) ->
-        let cycle = s.G.cycle_times.(k) in
+      (fun i (ns : G.node_solution) ->
+        let { G.members; first; _ } = net.G.classes.(i) in
+        let nodes =
+          if members = 1 then Printf.sprintf "node %2d" first
+          else Printf.sprintf "node %2d and %d like it" first (members - 1)
+        in
+        let cycle = s.G.cycle_times.(i) in
         if Float.is_nan cycle then
-          Format.printf "  node %2d (server): Qq=%.3f Uq=%.3f@." k ns.G.qq ns.G.uq
-        else
-          Format.printf "  node %2d: R=%.1f Qq=%.3f Uq=%.3f@." k cycle ns.G.qq ns.G.uq)
+          Format.printf "  %s (server): Qq=%.3f Uq=%.3f@." nodes ns.G.qq ns.G.uq
+        else Format.printf "  %s: R=%.1f Qq=%.3f Uq=%.3f@." nodes cycle ns.G.qq ns.G.uq)
       s.G.node_solutions;
     `Ok 0
 

@@ -14,33 +14,43 @@
     approximation), including the [C²] residual-life correction of §5.2
     applied per node.
 
-    The solve runs over classes of interchangeable nodes: the coarsest
-    partition in which all members of a class run the same work and have
-    bit-equal visit sums into, and from, every class. Members of a class
-    share one throughput, so one iteration costs O(classes²), not O(P²):
-    a hotspot has two classes at any P, all-to-all and multi-hop one,
-    client-server two, and a net with no symmetry P. Finding the classes
-    costs O(P²) per refinement round, and the results are expanded to
-    one entry per node once, at the end.
+    A net is given as classes of interchangeable nodes: all members of a
+    class run the same work and have the same visit sums into, and from,
+    every class (an equitable partition, DESIGN.md §12). Members of a
+    class share one throughput, so the input and one iteration are
+    O(classes²), not O(P²), and every result is one entry per class.
+    [Pattern.to_general] (in [lopc_workloads]) writes each pattern's
+    classes in closed form: a hotspot has two classes at any P,
+    all-to-all and multi-hop one, client-server two. A per-node net is
+    the P-class case, one member per class.
 
     Setting [protocol_processor] models shared-memory machines: handlers
     execute on a dedicated protocol processor, so [Rwk = Wk] (no BKT
     inflation), while handlers still queue against each other. *)
 
-type node_spec = {
-  work : float option;   (** [Some w]: this node runs a thread with mean
-                             work [w] per cycle; [None]: pure server. *)
-  visits : float array;  (** [visits.(k) = Vck]: mean request-handler
-                             executions at node [k] per cycle of this
-                             node's thread. Ignored when [work = None].
-                             All entries [>= 0.]; the row sum is the mean
+type node_class = {
+  members : int;         (** Nodes in the class, [>= 1]. *)
+  first : int;           (** Its smallest member, the node a result or
+                             a saturation diagnosis names. *)
+  work : float option;   (** [Some w]: every member runs a thread with
+                             mean work [w] per cycle; [None]: pure
+                             servers. *)
+  row : float array;     (** [row.(j)]: request-handler executions one
+                             member's thread places on all of class [j]
+                             together per cycle. The row sum is the mean
                              hop count and must be positive for thread
-                             nodes. *)
+                             classes. *)
+  col : float array;     (** [col.(j)]: request-handler executions all
+                             members' threads together place on one node
+                             of class [j] per cycle, so
+                             [members ·. row.(j) = members_j ·. col.(j)].
+                             Both arrays are ignored for servers; all
+                             entries are [>= 0.]. *)
 }
 
 type t = {
-  params : Params.t;          (** [P] must equal the node count. *)
-  nodes : node_spec array;
+  params : Params.t;          (** [P] must equal the total member count. *)
+  classes : node_class array; (** Numbered by smallest member. *)
   protocol_processor : bool;
 }
 
@@ -54,20 +64,25 @@ type node_solution = {
   uy : float;  (** Utilization by reply handlers, [Uyk]. *)
 }
 
+(** Every array holds one entry per class: the value at each of its
+    members. *)
 type solution = {
-  cycle_times : float array;   (** [Rc] per node ([nan] for servers). *)
-  throughputs : float array;   (** [Xc = 1 / Rc] per node ([0.] for
-                                   servers). *)
+  cycle_times : float array;   (** [Rc] ([nan] for servers). *)
+  throughputs : float array;   (** [Xc = 1 / Rc] ([0.] for servers). *)
   node_solutions : node_solution array;
-  system_throughput : float;   (** [Σ_c Xc]. *)
+  system_throughput : float;   (** [Σ_c Xc] over every node. *)
 }
 
 val validate : t -> (t, string) result
-(** Shape/sign checks: [params.p] equals the node count, visit vectors
-    have length [P] with non-negative entries, thread rows have positive
-    sums, at least one node runs a thread. The error names the first
-    defect in node order (within a node, in the order listed); "no node
-    runs a thread" is reported only when every node passes. *)
+(** Shape/sign checks. Each class, in class order, must have: at least
+    one member; a smallest member below [P] and above the previous
+    class's (class 0's is node 0); one [row] and one [col] entry per
+    class, each non-negative and finite; valid work; and a positive row
+    sum if it runs a thread. The error names the first defect, checked
+    in that order. Then the members must add up to [params.p], a thread
+    class's [row] and [col] must agree within 1e-9 relative on its
+    visits to every class, and some class must run a thread. A server
+    class's [row] and [col] are checked for shape and sign only. *)
 
 val solve_status :
   ?budget:Lopc_robust.Budget.t ->

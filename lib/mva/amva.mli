@@ -13,7 +13,15 @@
     When a station has non-exponential service ([scv ≠ 1]) the residual
     life correction of paper Eq 5.8 replaces the full first-in-service
     time by [(1 + C²)/2] of it:
-    [R_k = D_k ·. (1 + Q_k^arr + (C²−1)/2 ·. U_k)]. *)
+    [R_k = D_k ·. (1 + Q_k^arr + (C²−1)/2 ·. U_k)].
+
+    Stations whose fields are equal bit for bit (so [-0.] and [0.] differ)
+    form a class, and the iteration keeps one queue per class: the
+    Fig 6-2 curve's [Ps] identical servers are one queue at any [Ps]. The
+    result is bit-identical to iterating one queue per station: every sum
+    over stations is still taken in station order, from the class values,
+    and the stopping rule's max-norms are unchanged when entries repeat
+    (DESIGN.md §12). The results have one entry per station. *)
 
 type approximation =
   | Bard        (** Arrival queue = steady-state queue. *)
@@ -43,9 +51,11 @@ val solve_status :
     is reported as [Exhausted] verbatim, never re-diagnosed as
     saturation.
 
-    @raise Invalid_argument on invalid inputs. Unlike {!Exact_mva.solve},
-    every invalid station is reported at once, with its index — e.g.
-    ["Amva: station 0: non-positive demand; station 2: negative scv"]. *)
+    @raise Invalid_argument on invalid inputs: a negative population, a
+    negative or non-finite [think_time], or an invalid station. Unlike
+    {!Exact_mva.solve}, every problem is reported at once, stations with
+    their index — e.g. ["Amva: think time must be finite and >= 0, got
+    nan; station 2: station scv must be finite and >= 0, got -1"]. *)
 
 val solve :
   ?approximation:approximation ->

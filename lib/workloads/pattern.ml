@@ -31,37 +31,82 @@ let check ~nodes t =
   | Ok t -> t
   | Error reason -> invalid_arg ("Pattern: " ^ reason)
 
-(* Visit matrix row for a thread at [c] under each pattern. *)
-let visit_row ~nodes c = function
-  | All_to_all | All_to_all_staggered ->
-    let v = 1. /. Float.of_int (nodes - 1) in
-    Array.init nodes (fun k -> if k = c then 0. else v)
-  | Client_server { servers } ->
-    let v = 1. /. Float.of_int servers in
-    Array.init nodes (fun k -> if k < servers then v else 0.)
-  | Hotspot { hot; fraction } ->
-    let spread = (1. -. fraction) /. Float.of_int (nodes - 1) in
-    Array.init nodes (fun k ->
-        let base = if k = c then 0. else spread in
-        if k = hot then base +. fraction else base)
-  | Multi_hop { hops } ->
-    let v = Float.of_int hops /. Float.of_int (nodes - 1) in
-    Array.init nodes (fun k -> if k = c then 0. else v)
-
 let is_server t c =
   match t with Client_server { servers } -> c < servers | _ -> false
 
+(* [v] added [n] times, left to right from [0.]. *)
+let repeated n v =
+  let acc = ref 0. in
+  for _ = 1 to n do
+    acc := !acc +. v
+  done;
+  !acc
+
+(* Each pattern's classes of interchangeable nodes in closed form,
+   numbered by smallest member, with the quotient of its visit matrix. A
+   thread at node c visits:
+   - all-to-all, staggered: each other node 1/(P−1) times per cycle;
+   - multi-hop: each other node hops/(P−1) times;
+   - client-server: each of the low [servers] nodes 1/servers times;
+   - hotspot: each other node spread = (1−f)/(P−1) times, plus f more
+     visits to the hot node (its own thread included).
+   [row.(j)] sums one thread's visits over class j, [col.(j)] all of a
+   class's threads' visits to one node of class j. A sum of n equal
+   ratios is added up term by term ([repeated]), as a per-node row sums
+   them, not multiplied out: the entries then equal the node-order sums
+   bit for bit, so the class solve answers exactly as a per-node one
+   would. Near saturation that matters: whether a stalled solve ends
+   Saturated or Diverged turns on the last bit of its iterate (ROADMAP
+   item 9). The loops are O(P) additions and allocate nothing. *)
 let to_general ?(protocol_processor = false) (params : Lopc.Params.t) ~w t =
   let nodes = params.p in
   let t = check ~nodes t in
-  {
-    General.params;
-    protocol_processor;
-    nodes =
-      Array.init nodes (fun c ->
-          if is_server t c then { General.work = None; visits = Array.make nodes 0. }
-          else { General.work = Some w; visits = visit_row ~nodes c t });
-  }
+  let uniform v =
+    let hops = repeated (nodes - 1) v in
+    [| { General.members = nodes; first = 0; work = Some w; row = [| hops |]; col = [| hops |] } |]
+  in
+  let classes =
+    match t with
+    | All_to_all | All_to_all_staggered -> uniform (1. /. Float.of_int (nodes - 1))
+    | Multi_hop { hops } -> uniform (Float.of_int hops /. Float.of_int (nodes - 1))
+    (* No extra visits: the hot node is like every other node. *)
+    | Hotspot { fraction; _ } when Float.equal fraction 0. -> uniform (1. /. Float.of_int (nodes - 1))
+    | Client_server { servers } ->
+      let v = 1. /. Float.of_int servers in
+      [|
+        { General.members = servers; first = 0; work = None; row = [| 0.; 0. |]; col = [| 0.; 0. |] };
+        {
+          General.members = nodes - servers;
+          first = servers;
+          work = Some w;
+          row = [| repeated servers v; 0. |];
+          col = [| repeated (nodes - servers) v; 0. |];
+        };
+      |]
+    | Hotspot { hot; fraction } ->
+      let spread = (1. -. fraction) /. Float.of_int (nodes - 1) in
+      let to_cold = repeated (nodes - 2) spread in
+      (* The hot node's class comes first only when it is node 0. *)
+      let pair ~hot:h ~cold = if hot = 0 then [| h; cold |] else [| cold; h |] in
+      pair
+        ~hot:
+          {
+            General.members = 1;
+            first = hot;
+            work = Some w;
+            row = pair ~hot:fraction ~cold:(repeated (nodes - 1) spread);
+            col = pair ~hot:fraction ~cold:spread;
+          }
+        ~cold:
+          {
+            General.members = nodes - 1;
+            first = (if hot = 0 then 1 else 0);
+            work = Some w;
+            row = pair ~hot:(spread +. fraction) ~cold:to_cold;
+            col = pair ~hot:(repeated (nodes - 1) (spread +. fraction)) ~cold:to_cold;
+          }
+  in
+  { General.params; protocol_processor; classes }
 
 let route_for ~nodes c = function
   | All_to_all -> Spec.uniform_other ~nodes ~origin:c

@@ -2,8 +2,8 @@
     simulator.
 
     A pattern is an abstract description of who talks to whom; it can be
-    lowered either to an Appendix-A visit matrix ({!to_general}) for the
-    LoPC model or to a simulator machine ({!to_spec}). Keeping the two
+    lowered either to the Appendix-A model's classes of interchangeable
+    nodes ({!to_general}) or to a simulator machine ({!to_spec}). Keeping the two
     lowerings in one place guarantees model and simulation are validated
     against the {e same} workload. *)
 
@@ -16,7 +16,7 @@ type t =
   | All_to_all_staggered
       (** Deterministic round-robin destinations (the CM-5 style
           "carefully scheduled" pattern of the introduction). Lowers to
-          the same visit matrix as {!All_to_all} for the model. *)
+          the same classes as {!All_to_all} for the model. *)
   | Client_server of { servers : int }
       (** Work-pile (§6): the low [servers] node ids serve, the rest are
           clients picking servers uniformly. *)
@@ -33,7 +33,10 @@ val validate : nodes:int -> t -> (t, string) result
 
 val to_general :
   ?protocol_processor:bool -> Lopc.Params.t -> w:float -> t -> Lopc.General.t
-(** Lower to the Appendix-A model instance.
+(** Lower to the Appendix-A model instance: the pattern's classes and
+    their quotient visits in closed form, so the net has one class
+    (all-to-all, staggered, multi-hop, a hotspot with fraction 0) or two
+    (client-server, any other hotspot) at any [P].
     @raise Invalid_argument when {!validate} fails against
     [params.p]. *)
 

@@ -87,6 +87,110 @@ let little_consistent ?(tol = 1e-6) ~population (s : Solution.t) =
   let n = Float.of_int population in
   Float.abs (total -. n) <= tol *. Float.max 1. n
 
+module Amva = Lopc_mva.Amva
+module FP = Lopc_numerics.Fixed_point
+
+(* The per-station AMVA loop: one queue per station, every sum a fold
+   over the station array. [Amva.solve_status] iterates one queue per
+   class of equal stations and must match this bit for bit, status and
+   iteration count included. Inputs must be valid. *)
+let amva_reference_solve_status ?budget ?(approximation = Amva.Bard) ?(think_time = 0.)
+    ?(tol = 1e-12) ?(max_iter = 100_000) ~(stations : Station.t array) ~population () =
+  let k = Array.length stations in
+  let n = Float.of_int population in
+  let residence_of ~arrival_factor queues x =
+    Array.mapi
+      (fun i (s : Station.t) ->
+        match s.kind with
+        | Station.Delay -> s.demand
+        | Station.Queueing ->
+          let c = Float.of_int s.servers in
+          let queue_demand = s.demand /. c in
+          let fixed_delay = s.demand *. (c -. 1.) /. c in
+          let arrival_queue = arrival_factor *. queues.(i) in
+          let correction = (s.scv -. 1.) /. 2. *. (x *. queue_demand) in
+          fixed_delay +. (queue_demand *. (1. +. arrival_queue +. correction)))
+      stations
+  in
+  let consistent_throughput ~arrival_factor queues =
+    let base = residence_of ~arrival_factor queues 0. in
+    let a = think_time +. Array.fold_left ( +. ) 0. base in
+    let b =
+      Array.fold_left
+        (fun acc (s : Station.t) ->
+          match s.kind with
+          | Station.Delay -> acc
+          | Station.Queueing ->
+            let d = s.demand /. Float.of_int s.servers in
+            acc +. ((s.scv -. 1.) /. 2. *. d *. d))
+        0. stations
+    in
+    if Float.equal b 0. then n /. a
+    else begin
+      let disc = (a *. a) +. (4. *. n *. b) in
+      if disc < 0. then n /. a
+      else begin
+        let x = ((-.a) +. sqrt disc) /. (2. *. b) in
+        if x > 0. then x else n /. a
+      end
+    end
+  in
+  if population = 0 then
+    ( Some
+        {
+          Solution.throughput = 0.;
+          cycle_time = Float.nan;
+          residence = Array.map (fun (s : Station.t) -> s.demand) stations;
+          queue_length = Array.make k 0.;
+          utilization = Array.make k 0.;
+        },
+      FP.Converged { iters = 0 } )
+  else begin
+    let arrival_factor =
+      match approximation with Amva.Bard -> 1. | Schweitzer -> (n -. 1.) /. n
+    in
+    let total_demand = Array.fold_left (fun acc (s : Station.t) -> acc +. s.demand) 0. stations in
+    let step queues =
+      let x = consistent_throughput ~arrival_factor queues in
+      Array.map (fun r -> x *. r) (residence_of ~arrival_factor queues x)
+    in
+    let q0 =
+      Array.map (fun (s : Station.t) -> n *. s.demand /. (think_time +. total_demand)) stations
+    in
+    let outcome, status = FP.solve_vector_status ?budget ~damping:0.5 ~tol ~max_iter ~f:step q0 in
+    let queues = outcome.FP.value in
+    let x = consistent_throughput ~arrival_factor queues in
+    match status with
+    | FP.Converged _ ->
+      let residence = residence_of ~arrival_factor queues x in
+      ( Some
+          {
+            Solution.throughput = x;
+            cycle_time = think_time +. Array.fold_left ( +. ) 0. residence;
+            residence;
+            queue_length = Array.map (fun r -> x *. r) residence;
+            utilization =
+              Array.map (fun (s : Station.t) -> x *. s.demand /. Float.of_int s.servers) stations;
+          },
+        status )
+    | FP.Exhausted _ -> (None, status)
+    | _ -> (
+      (* The first queueing station at the top per-server utilization. *)
+      let best = ref None in
+      Array.iteri
+        (fun i (s : Station.t) ->
+          match s.kind with
+          | Station.Delay -> ()
+          | Station.Queueing -> (
+            let u = x *. s.demand /. Float.of_int s.servers in
+            match !best with Some (_, u') when u' >= u -> () | _ -> best := Some (i, u)))
+        stations;
+      match !best with
+      | Some (station, utilization) when utilization >= 1. -. 1e-9 ->
+        (None, FP.Saturated { station; utilization })
+      | Some _ | None -> (None, status))
+  end
+
 module Ctmc = Lopc_markov.Ctmc
 
 let ctmc_status_to_string = function
@@ -116,31 +220,147 @@ let sum_pi sol = expectation sol ~f:(fun _ -> 1.)
 
 module Params = Lopc.Params
 module G = Lopc.General
+module Pattern = Lopc_workloads.Pattern
 
-(* The general model's inputs for the two special patterns, so its
-   solutions can be checked against All_to_all and Client_server. *)
-let general_all_to_all (params : Params.t) ~w =
-  let p = params.p in
-  let v = 1. /. Float.of_int (p - 1) in
+(* The dense per-node form of an Appendix A net: [visits.(k)] is a thread
+   at this node's request-handler executions at node [k] per cycle, and a
+   pure server ([work = None]) has no row the model reads. [General.t]
+   holds classes of interchangeable nodes; [lump] folds a dense net into
+   them, and [dense_general_solve_status] solves it node by node. *)
+type node_spec = { work : float option; visits : float array }
+
+type dense = { params : Params.t; nodes : node_spec array; protocol_processor : bool }
+
+(* A pattern's dense net, row by row: what [Pattern.to_general]'s closed
+   forms are the quotient of. *)
+let dense_of_pattern ?(protocol_processor = false) (params : Params.t) ~w pattern =
+  let nodes = params.p in
+  let row c =
+    match (pattern : Pattern.t) with
+    | All_to_all | All_to_all_staggered ->
+      let v = 1. /. Float.of_int (nodes - 1) in
+      Array.init nodes (fun k -> if k = c then 0. else v)
+    | Client_server { servers } ->
+      let v = 1. /. Float.of_int servers in
+      Array.init nodes (fun k -> if k < servers then v else 0.)
+    | Hotspot { hot; fraction } ->
+      let spread = (1. -. fraction) /. Float.of_int (nodes - 1) in
+      Array.init nodes (fun k ->
+          let base = if k = c then 0. else spread in
+          if k = hot then base +. fraction else base)
+    | Multi_hop { hops } ->
+      let v = Float.of_int hops /. Float.of_int (nodes - 1) in
+      Array.init nodes (fun k -> if k = c then 0. else v)
+  in
+  let server c = match pattern with Client_server { servers } -> c < servers | _ -> false in
   {
-    G.params;
-    protocol_processor = false;
+    params;
+    protocol_processor;
     nodes =
-      Array.init p (fun c ->
-          { G.work = Some w; visits = Array.init p (fun k -> if k = c then 0. else v) });
+      Array.init nodes (fun c ->
+          if server c then { work = None; visits = Array.make nodes 0. }
+          else { work = Some w; visits = row c });
   }
 
-let general_client_server (params : Params.t) ~w ~servers =
-  let p = params.p in
-  let v = 1. /. Float.of_int servers in
+(* Classes of equal keys, numbered in order of first occurrence. *)
+let number keys =
+  let ids = Hashtbl.create 16 in
+  let class_of =
+    Array.init (Array.length keys) (fun k ->
+        match Hashtbl.find_opt ids keys.(k) with
+        | Some i -> i
+        | None ->
+          let i = Hashtbl.length ids in
+          Hashtbl.add ids keys.(k) i;
+          i)
+  in
+  (class_of, Hashtbl.length ids)
+
+(* [into.(c).(j)]: node c's visits to all of class j; [from.(i).(k)]: all
+   class-i nodes' visits to node k. Each sum adds its terms in sorted
+   order, so it depends only on the multiset of terms: nodes that are
+   symmetric in exact arithmetic get bit-equal sums. Node order would
+   not do: in a hotspot row the hot node's large entry falls before or
+   after a cold node's own zero, and the rounding then splits the cold
+   nodes into those below and above the hot node. A pure server's row is
+   ignored by the model, so it adds nothing. *)
+let class_sums t (class_of, classes) =
+  let p = Array.length class_of in
+  let sum terms = List.fold_left ( +. ) 0. (List.sort Float.compare terms) in
+  let threads = List.filter (fun c -> Option.is_some t.nodes.(c).work) (List.init p Fun.id) in
+  let members j = List.filter (fun k -> class_of.(k) = j) (List.init p Fun.id) in
+  let into =
+    Array.init p (fun c ->
+        Array.init classes (fun j ->
+            if Option.is_none t.nodes.(c).work then 0.
+            else sum (List.map (fun k -> t.nodes.(c).visits.(k)) (members j))))
+  in
+  let from =
+    Array.init classes (fun i ->
+        let senders = List.filter (fun c -> class_of.(c) = i) threads in
+        Array.init p (fun k -> sum (List.map (fun c -> t.nodes.(c).visits.(k)) senders)))
+  in
+  (into, from)
+
+(* The coarsest equitable partition, by colour refinement from the work
+   each node runs: a round splits a class whose members differ, bit for
+   bit, in a row sum into some class or a column sum from some class.
+   Every round but the last adds a class, so P rounds always suffice.
+   Returns the quotient net, classes numbered by smallest member, and
+   each node's class. *)
+let lump t =
+  let p = Array.length t.nodes in
+  let bits = Array.map Int64.bits_of_float in
+  let rec refine round ((class_of, classes) as partition) =
+    let into, from = class_sums t partition in
+    let column k = Array.map (fun from_i -> from_i.(k)) from in
+    let finer = number (Array.init p (fun k -> (class_of.(k), bits into.(k), bits (column k)))) in
+    if snd finer = classes || round >= p then (partition, into, from)
+    else refine (round + 1) finer
+  in
+  let (class_of, classes), into, from =
+    refine 1 (number (Array.map (fun spec -> Option.map Int64.bits_of_float spec.work) t.nodes))
+  in
+  let first = Array.make classes 0 and members = Array.make classes 0 in
+  for c = p - 1 downto 0 do
+    first.(class_of.(c)) <- c;
+    members.(class_of.(c)) <- members.(class_of.(c)) + 1
+  done;
+  ( {
+      G.params = t.params;
+      protocol_processor = t.protocol_processor;
+      classes =
+        Array.mapi
+          (fun i c ->
+            {
+              G.members = members.(i);
+              first = c;
+              work = t.nodes.(c).work;
+              row = into.(c);
+              col = Array.map (fun k -> from.(i).(k)) first;
+            })
+          first;
+    },
+    class_of )
+
+(* A class solution expanded to one entry per node. *)
+let per_node class_of (s : G.solution) =
+  let expand a = Array.map (fun i -> a.(i)) class_of in
   {
-    G.params;
-    protocol_processor = false;
-    nodes =
-      Array.init p (fun c ->
-          if c < servers then { G.work = None; visits = Array.make p 0. }
-          else { G.work = Some w; visits = Array.init p (fun k -> if k < servers then v else 0.) });
+    s with
+    G.cycle_times = expand s.G.cycle_times;
+    throughputs = expand s.G.throughputs;
+    node_solutions = expand s.G.node_solutions;
   }
+
+(* The general model's inputs for the two special patterns, lumped from
+   their dense nets, so its solutions can be checked against All_to_all
+   and Client_server independently of [Pattern.to_general]'s closed
+   forms. *)
+let general_all_to_all params ~w = fst (lump (dense_of_pattern params ~w Pattern.All_to_all))
+
+let general_client_server params ~w ~servers =
+  fst (lump (dense_of_pattern params ~w (Pattern.Client_server { servers })))
 
 module Fixed_point = Lopc_numerics.Fixed_point
 module Contention = Lopc.Contention
@@ -149,8 +369,8 @@ module Contention = Lopc.Contention
    [Vᵀx] and a dense cycle-time sum every iteration. [General.solve_status]
    iterates the same equations over classes of interchangeable nodes; this
    is the reference it is checked against. *)
-let dense_general_solve_status ?(tol = 1e-12) ?(max_iter = 200_000) (t : G.t) =
-  (match G.validate t with
+let dense_general_solve_status ?(tol = 1e-12) ?(max_iter = 200_000) t =
+  (match G.validate (fst (lump t)) with
   | Ok _ -> ()
   | Error reason -> invalid_arg ("General: " ^ reason));
   let p = Array.length t.nodes in
@@ -159,7 +379,7 @@ let dense_general_solve_status ?(tol = 1e-12) ?(max_iter = 200_000) (t : G.t) =
   let max_queue =
     Float.of_int
       (Array.fold_left
-         (fun acc (spec : G.node_spec) -> if Option.is_none spec.work then acc else acc + 1)
+         (fun acc spec -> if Option.is_none spec.work then acc else acc + 1)
          0 t.nodes)
   in
   let node_queues a b =
@@ -175,7 +395,7 @@ let dense_general_solve_status ?(tol = 1e-12) ?(max_iter = 200_000) (t : G.t) =
     let lambda =
       Array.init p (fun k ->
           let acc = ref 0. in
-          Array.iteri (fun c (spec : G.node_spec) -> acc := !acc +. (spec.visits.(k) *. x.(c))) t.nodes;
+          Array.iteri (fun c spec -> acc := !acc +. (spec.visits.(k) *. x.(c))) t.nodes;
           !acc)
     in
     Array.init p (fun k ->
@@ -210,7 +430,7 @@ let dense_general_solve_status ?(tol = 1e-12) ?(max_iter = 200_000) (t : G.t) =
   in
   let x0 =
     Array.map
-      (fun (spec : G.node_spec) ->
+      (fun spec ->
         match spec.work with
         | None -> 0.
         | Some w ->

@@ -1,12 +1,95 @@
-(* The lumped general model (Appendix A over classes of interchangeable
-   nodes) against the unlumped reference in Harness, its input check, its
-   saturation diagnosis at large P and its algebraic laws. *)
+(* The general model (Appendix A over classes of interchangeable nodes):
+   the patterns' closed-form classes against colour refinement of their
+   dense nets, the class solve against the unlumped reference in Harness,
+   its input check, its saturation diagnosis at large P and its algebraic
+   laws. *)
 
 module Params = Lopc.Params
 module G = Lopc.General
 module FP = Lopc_numerics.Fixed_point
 module Pattern = Lopc_workloads.Pattern
 module Rng = Lopc_prng.Rng
+
+(* --- pattern quotients ---------------------------------------------------------- *)
+
+(* [Pattern.to_general] writes each pattern's classes in closed form; they
+   must be the classes colour refinement finds in the pattern's dense net,
+   with the same member counts and smallest members, and bit-equal work
+   and quotient visits. Bit-equal, not merely close: the closed forms add
+   equal terms one by one, as the refinement's sorted sums do (its extra
+   terms are exact zeros), and a stalled solve's Saturated or Diverged
+   verdict turns on the last bit of the visits. *)
+let same_quotient (closed : G.t) (lumped : G.t) =
+  let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let same (a : G.node_class) (b : G.node_class) =
+    a.members = b.members && a.first = b.first
+    && Option.equal bits_equal a.work b.work
+    && Array.length a.row = Array.length b.row
+    && Array.length a.col = Array.length b.col
+    && Array.for_all2 bits_equal a.row b.row
+    && Array.for_all2 bits_equal a.col b.col
+  in
+  Array.length closed.classes = Array.length lumped.classes
+  && Array.for_all2 same closed.classes lumped.classes
+
+let print_classes (t : G.t) =
+  String.concat "; "
+    (Array.to_list
+       (Array.map
+          (fun (c : G.node_class) ->
+            let floats a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+            Printf.sprintf "{%d from %d row [%s] col [%s]}" c.members c.first (floats c.row)
+              (floats c.col))
+          t.classes))
+
+let quotient_mismatch params ~w pat =
+  let closed = Pattern.to_general params ~w pat in
+  let lumped = fst (Harness.lump (Harness.dense_of_pattern params ~w pat)) in
+  if same_quotient closed lumped then None
+  else
+    Some
+      (Printf.sprintf "closed form %s, refinement %s" (print_classes closed)
+         (print_classes lumped))
+
+let quotient_gen =
+  QCheck.Gen.(
+    let* p = int_range 2 200 in
+    let* w = float_range 0. 5000. in
+    let* pat =
+      frequency
+        [
+          (1, return Pattern.All_to_all);
+          (1, map (fun hops -> Pattern.Multi_hop { hops }) (int_range 1 3));
+          ( 3,
+            let* hot = int_range 0 (p - 1) in
+            let* fraction = frequency [ (1, return 0.); (1, return 1.); (4, float_range 0. 1.) ] in
+            return (Pattern.Hotspot { hot; fraction }) );
+          (2, map (fun servers -> Pattern.Client_server { servers }) (int_range 1 (p - 1)));
+        ]
+    in
+    return (Params.create ~p ~st:40. ~so:200. (), w, pat))
+
+let prop_quotient_matches_refinement =
+  QCheck.Test.make ~name:"general: pattern quotients match colour refinement" ~count:200
+    (QCheck.make
+       ~print:(fun ((params : Params.t), w, pat) ->
+         Printf.sprintf "p=%d w=%h %s" params.p w (Pattern.description pat))
+       quotient_gen)
+    (fun (params, w, pat) ->
+      match quotient_mismatch params ~w pat with
+      | None -> true
+      | Some report -> QCheck.Test.fail_report report)
+
+(* Every server count, at every P up to 24. *)
+let test_client_server_quotients () =
+  for p = 2 to 24 do
+    let params = Params.create ~p ~st:40. ~so:200. () in
+    for servers = 1 to p - 1 do
+      match quotient_mismatch params ~w:1000. (Pattern.Client_server { servers }) with
+      | None -> ()
+      | Some report -> Alcotest.failf "P = %d, %d servers: %s" p servers report
+    done
+  done
 
 (* --- lumped vs dense ----------------------------------------------------------- *)
 
@@ -26,15 +109,15 @@ let asymmetric_net (params : Params.t) ~w ~protocol_processor ~seed =
   let p = params.p in
   let draw () = if Rng.bernoulli rng 0.5 then Rng.float_range rng 0. 2. else 0. in
   {
-    G.params;
+    Harness.params;
     protocol_processor;
     nodes =
       Array.init p (fun c ->
-          if c > 0 && Rng.int_below rng 4 = 0 then { G.work = None; visits = Array.make p 0. }
+          if c > 0 && Rng.int_below rng 4 = 0 then { Harness.work = None; visits = Array.make p 0. }
           else
             let visits = Array.init p (fun _ -> draw ()) in
             if Array.for_all (fun v -> v <= 0.) visits then visits.(0) <- 1.;
-            { G.work = Some (w *. Rng.float_range rng 0.5 1.5); visits });
+            { Harness.work = Some (w *. Rng.float_range rng 0.5 1.5); visits });
   }
 
 let shape_gen p =
@@ -70,7 +153,7 @@ let print_case ((params : Params.t), w, protocol_processor, shape) =
 
 let net_of_case ((params : Params.t), w, protocol_processor, shape) =
   match shape with
-  | Pattern pat -> Pattern.to_general ~protocol_processor params ~w pat
+  | Pattern pat -> Harness.dense_of_pattern ~protocol_processor params ~w pat
   | Asymmetric { seed } -> asymmetric_net params ~w ~protocol_processor ~seed
 
 (* Every converged draw takes a few hundred iterations; the cap keeps the
@@ -93,7 +176,9 @@ let prop_lumped_matches_dense =
   QCheck.Test.make ~name:"general: lumped solve matches the dense reference" ~count:120
     (QCheck.make ~print:print_case case_gen) (fun case ->
       let net = net_of_case case in
-      let lumped = G.solve_status ~max_iter:lumped_max_iter net in
+      let quotient, class_of = Harness.lump net in
+      let lumped = G.solve_status ~max_iter:lumped_max_iter quotient in
+      let lumped = (Option.map (Harness.per_node class_of) (fst lumped), snd lumped) in
       let dense = Harness.dense_general_solve_status ~max_iter:lumped_max_iter net in
       match (lumped, dense) with
       | (Some l, FP.Converged { iters = li }), (Some d, FP.Converged { iters = di }) ->
@@ -143,32 +228,60 @@ let test_saturated_hotspot_p128 () =
 
 let test_validate_first_problem () =
   let p = Params.create ~p:3 ~st:1. ~so:1. () in
-  let check_error name expected nodes =
-    match G.validate { G.params = p; protocol_processor = false; nodes } with
+  let check_error name expected classes =
+    match G.validate { G.params = p; protocol_processor = false; classes } with
     | Error reason -> Alcotest.(check string) name expected reason
     | Ok _ -> Alcotest.failf "%s: accepted" name
   in
-  (* Node 0's short row comes before node 2's bad work. *)
-  check_error "first node's defect" "node 0 visit vector has length 2, expected 3"
+  let node ?(members = 1) ~first work row col = { G.members; first; work; row; col } in
+  (* Class 0's short row comes before class 2's bad work. *)
+  check_error "first class's defect" "class 0 visit vectors have lengths 2 and 3, expected 3"
     [|
-      { G.work = Some 1.; visits = [| 1.; 1. |] };
-      { G.work = Some 1.; visits = [| 1.; 0.; 0. |] };
-      { G.work = Some (-1.); visits = [| 1.; 0.; 0. |] };
+      node ~first:0 (Some 1.) [| 1.; 1. |] [| 0.; 1.; 1. |];
+      node ~first:1 (Some 1.) [| 1.; 0.; 0. |] [| 0.; 0.; 0. |];
+      node ~first:2 (Some (-1.)) [| 1.; 0.; 0. |] [| 0.; 0.; 0. |];
     |];
   (* A bad visit row is reported even when no node runs a thread. *)
-  check_error "bad row before threadless" "negative or non-finite visit ratio"
+  check_error "bad row before threadless" "class 1 has a negative or non-finite visit ratio"
     [|
-      { G.work = None; visits = [| 0.; 0.; 0. |] };
-      { G.work = None; visits = [| 0.; Float.nan; 0. |] };
-      { G.work = None; visits = [| 0.; 0.; 0. |] };
+      node ~first:0 None [| 0.; 0.; 0. |] [| 0.; 0.; 0. |];
+      node ~first:1 None [| 0.; Float.nan; 0. |] [| 0.; 0.; 0. |];
+      node ~first:2 None [| 0.; 0.; 0. |] [| 0.; 0.; 0. |];
     |];
-  (* Within a node, the checks run in the order the messages are listed. *)
-  check_error "invalid work before silence" "node 1 has invalid work"
+  (* Within a class, the checks run in the order the messages are listed. *)
+  check_error "invalid work before silence" "class 1 has invalid work"
     [|
-      { G.work = Some 1.; visits = [| 0.; 1.; 0. |] };
-      { G.work = Some Float.infinity; visits = [| 0.; 0.; 0. |] };
-      { G.work = None; visits = [| 0.; 0.; -1. |] };
-    |]
+      node ~first:0 (Some 1.) [| 0.; 1.; 0. |] [| 0.; 1.; 0. |];
+      node ~first:1 (Some Float.infinity) [| 0.; 0.; 0. |] [| 0.; 0.; 0. |];
+      node ~first:2 None [| 0.; 0.; -1. |] [| 0.; 0.; 0. |];
+    |];
+  check_error "order before shape" "class 1's smallest member 0 is out of order"
+    [| node ~first:0 (Some 1.) [| 1.; 0. |] [| 1.; 0. |]; node ~first:0 (Some 1.) [||] [||] |];
+  (* Class 0's thread visits class 1 once, but the column says twice. *)
+  check_error "row and column agree" "class 0's row and column visits to class 1 disagree"
+    [|
+      node ~members:2 ~first:0 (Some 1.) [| 0.; 1. |] [| 0.; 4. |];
+      node ~first:2 None [| 0.; 0. |] [| 0.; 0. |];
+    |];
+  check_error "members add up to P" "params.p = 3 but the classes hold 4 nodes"
+    [| node ~members:3 ~first:0 (Some 1.) [| 1.; 0. |] [| 1.; 0. |]; node ~first:1 None [| 0.; 0. |] [| 0.; 0. |] |];
+  check_error "threadless" "no node runs a thread" [| node ~members:3 ~first:0 None [| 0. |] [| 0. |] |];
+  (* The model never reads a server's row or column, so they need not
+     agree. *)
+  match
+    G.validate
+      {
+        G.params = p;
+        protocol_processor = false;
+        classes =
+          [|
+            node ~members:2 ~first:0 (Some 1.) [| 1.; 1. |] [| 1.; 2. |];
+            node ~first:2 None [| 5.; 0. |] [| 0.; 0. |];
+          |];
+      }
+  with
+  | Ok _ -> ()
+  | Error reason -> Alcotest.failf "server row rejected: %s" reason
 
 (* --- laws ---------------------------------------------------------------------- *)
 
@@ -234,10 +347,9 @@ let prop_time_scaling =
    falls as W grows (the other threads' requests thin out), and a cold
    node's R falls as the fraction grows (its own handlers idle more). The
    bound [1e-9] is the solver's convergence error. *)
-let mean_cycle (s : G.solution) =
-  Float.of_int (Array.length s.G.throughputs) /. s.G.system_throughput
-
-let non_decreasing what lo hi =
+let non_decreasing what (params : Params.t) lo hi =
+  (* Every node of a hotspot net runs a thread. *)
+  let mean_cycle (s : G.solution) = Float.of_int params.p /. s.G.system_throughput in
   match (lo, hi) with
   | Some lo, Some hi ->
     mean_cycle hi >= mean_cycle lo *. (1. -. 1e-9)
@@ -249,7 +361,7 @@ let prop_monotone_in_w =
   QCheck.Test.make ~name:"general: mean R non-decreasing in W" ~count:60
     (QCheck.make ~print:print_law law_gen)
     (fun (params, w, protocol_processor, hot, fraction) ->
-      non_decreasing "W"
+      non_decreasing "W" params
         (hotspot_solve params ~w ~protocol_processor ~hot ~fraction)
         (hotspot_solve params ~w:(w *. 1.5) ~protocol_processor ~hot ~fraction))
 
@@ -257,7 +369,7 @@ let prop_monotone_in_fraction =
   QCheck.Test.make ~name:"general: mean R non-decreasing in the hotspot fraction" ~count:60
     (QCheck.make ~print:print_law law_gen)
     (fun (params, w, protocol_processor, hot, fraction) ->
-      non_decreasing "the fraction"
+      non_decreasing "the fraction" params
         (hotspot_solve params ~w ~protocol_processor ~hot ~fraction:(fraction *. 0.8))
         (hotspot_solve params ~w ~protocol_processor ~hot ~fraction))
 
@@ -271,4 +383,7 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 25) prop_time_scaling;
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 26) prop_monotone_in_w;
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 27) prop_monotone_in_fraction;
+    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 28) prop_quotient_matches_refinement;
+    Alcotest.test_case "general: client-server quotients at every server count" `Quick
+      test_client_server_quotients;
   ]

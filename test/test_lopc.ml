@@ -559,6 +559,54 @@ let test_cs_threaded_servers () =
   Alcotest.(check bool) "irrelevant at Ps=16" true (x 2 16 < x 1 16 *. 1.02);
   Alcotest.(check bool) "monotone" true (x 4 2 >= x 2 2 && x 2 2 >= x 1 2)
 
+let cs_law_gen =
+  QCheck.Gen.(
+    let* p = int_range 2 64 in
+    let* servers = int_range 1 (p - 1) in
+    let* st = float_range 0. 200. in
+    let* so = float_range 1. 500. in
+    let* c2 = oneofl [ 0.; 0.5; 1.; 2. ] in
+    let* w = float_range 0. 5000. in
+    return (Params.create ~c2 ~p ~st ~so (), w, servers))
+
+let print_cs_law ((params : Params.t), w, servers) =
+  Printf.sprintf "p=%d servers=%d st=%h so=%h c2=%g w=%h" params.p servers params.st params.so
+    params.c2 w
+
+(* Scaling W, So and St by a power of two k scales every time by k and
+   every rate by 1/k, exactly: the AMVA iterates dimensionless queue
+   lengths, and a power-of-two factor passes through every product,
+   quotient and square root without rounding. *)
+let prop_cs_time_scaling =
+  QCheck.Test.make ~name:"client-server: scaling W, So and St by k scales R by k exactly"
+    ~count:100 (QCheck.make ~print:print_cs_law cs_law_gen)
+    (fun ((params : Params.t), w, servers) ->
+      let base = CS.throughput params ~w ~servers in
+      let best = CS.optimal_servers params ~w in
+      List.for_all
+        (fun k ->
+          let scaled =
+            Params.create ~c2:params.c2 ~p:params.p ~st:(k *. params.st) ~so:(k *. params.so) ()
+          in
+          let s = CS.throughput scaled ~w:(k *. w) ~servers in
+          let fail what = QCheck.Test.fail_reportf "k = %g: %s" k what in
+          (CS.optimal_servers scaled ~w:(k *. w) = best || fail "optimal_servers moved")
+          && (Float.equal s.CS.server_queue base.CS.server_queue || fail "server_queue moved")
+          && (Float.equal s.CS.server_util base.CS.server_util || fail "server_util moved")
+          && (Float.equal s.CS.cycle_time (k *. base.CS.cycle_time) || fail "cycle_time")
+          && (Float.equal s.CS.server_residence (k *. base.CS.server_residence)
+             || fail "server_residence")
+          && (Float.equal s.CS.throughput (base.CS.throughput /. k) || fail "throughput"))
+        [ 2.; 4.; 0.5 ])
+
+let prop_cs_monotone_in_w =
+  QCheck.Test.make ~name:"client-server: throughput non-increasing in W" ~count:100
+    (QCheck.make ~print:print_cs_law cs_law_gen)
+    (fun (params, w, servers) ->
+      let x w = (CS.throughput params ~w ~servers).CS.throughput in
+      x (w *. 1.5 +. 1.) <= x w
+      || QCheck.Test.fail_reportf "X rose from %g to %g" (x w) (x (w *. 1.5 +. 1.)))
+
 (* --- general (Appendix A) ------------------------------------------------ *)
 
 let test_general_reduces_to_all_to_all () =
@@ -577,18 +625,20 @@ let test_general_reduces_to_client_server () =
 let test_general_multi_hop_slower () =
   let p = params ~c2:1. () in
   let mk hops =
-    {
-      G.params = p;
-      protocol_processor = false;
-      nodes =
-        Array.init 32 (fun c ->
-            {
-              G.work = Some 1000.;
-              visits =
-                Array.init 32 (fun k ->
-                    if k = c then 0. else Float.of_int hops /. 31.);
-            });
-    }
+    fst
+      (Harness.lump
+         {
+           Harness.params = p;
+           protocol_processor = false;
+           nodes =
+             Array.init 32 (fun c ->
+                 {
+                   Harness.work = Some 1000.;
+                   visits =
+                     Array.init 32 (fun k ->
+                         if k = c then 0. else Float.of_int hops /. 31.);
+                 });
+         })
   in
   let r1 = (G.solve (mk 1)).G.cycle_times.(0) in
   let r2 = (G.solve (mk 2)).G.cycle_times.(0) in
@@ -602,19 +652,20 @@ let test_general_asymmetric_work () =
   (* Node 0 does double work: its cycle must be the longest. *)
   let p = params ~c2:1. ~p:8 () in
   let v = 1. /. 7. in
-  let net =
-    {
-      G.params = p;
-      protocol_processor = false;
-      nodes =
-        Array.init 8 (fun c ->
-            {
-              G.work = Some (if c = 0 then 2000. else 1000.);
-              visits = Array.init 8 (fun k -> if k = c then 0. else v);
-            });
-    }
+  let net, class_of =
+    Harness.lump
+      {
+        Harness.params = p;
+        protocol_processor = false;
+        nodes =
+          Array.init 8 (fun c ->
+              {
+                Harness.work = Some (if c = 0 then 2000. else 1000.);
+                visits = Array.init 8 (fun k -> if k = c then 0. else v);
+              });
+      }
   in
-  let s = G.solve net in
+  let s = Harness.per_node class_of (G.solve net) in
   for c = 1 to 7 do
     Alcotest.(check bool) "node 0 slowest" true (s.G.cycle_times.(0) > s.G.cycle_times.(c))
   done
@@ -624,25 +675,24 @@ let test_general_hotspot_contended () =
   let p = params ~c2:1. ~p:8 () in
   let net = Lopc_workloads.Pattern.to_general p ~w:500. (Lopc_workloads.Pattern.Hotspot { hot = 0; fraction = 0.5 }) in
   let s = G.solve net in
-  for k = 1 to 7 do
-    Alcotest.(check bool) "hot node has longest queue" true
-      (s.G.node_solutions.(0).G.qq > s.G.node_solutions.(k).G.qq)
-  done
+  (* Class 0 is the hot node, class 1 the seven others. *)
+  Alcotest.(check int) "two classes" 2 (Array.length s.G.node_solutions);
+  Alcotest.(check bool) "hot node has longest queue" true
+    (s.G.node_solutions.(0).G.qq > s.G.node_solutions.(1).G.qq)
 
 let test_general_validation () =
   let p = params ~p:2 () in
   let bad =
     { G.params = p; protocol_processor = false;
-      nodes = [| { G.work = None; visits = [| 0.; 0. |] };
-                 { G.work = None; visits = [| 0.; 0. |] } |] }
+      classes = [| { G.members = 2; first = 0; work = None; row = [| 0. |]; col = [| 0. |] } |] }
   in
   (match G.validate bad with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "threadless network accepted");
   let mismatched =
     { G.params = p; protocol_processor = false;
-      nodes = [| { G.work = Some 1.; visits = [| 0.; 1.; 0. |] };
-                 { G.work = None; visits = [| 0.; 0. |] } |] }
+      classes = [| { G.members = 1; first = 0; work = Some 1.; row = [| 0.; 1.; 0. |]; col = [| 0.; 1. |] };
+                   { G.members = 1; first = 1; work = None; row = [| 0.; 0. |]; col = [| 0.; 0. |] } |] }
   in
   match G.validate mismatched with
   | Error _ -> ()
@@ -796,4 +846,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_queues_solve_bard;
     QCheck_alcotest.to_alcotest prop_queues_symmetric;
     Alcotest.test_case "params: one input check, own messages" `Quick test_params_check_messages;
+    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 30) prop_cs_time_scaling;
+    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 31) prop_cs_monotone_in_w;
   ]

@@ -6,6 +6,7 @@ module Solution = Lopc_mva.Solution
 module Exact = Lopc_mva.Exact_mva
 module Amva = Lopc_mva.Amva
 module Priority = Lopc_mva.Priority
+module FP = Lopc_numerics.Fixed_point
 
 let feq tol = Alcotest.(check (float tol))
 
@@ -198,6 +199,134 @@ let prop_bard_below_exact =
       let bard = Amva.solve ~approximation:Amva.Bard ~think_time:z ~stations ~population:n () in
       bard.Solution.throughput <= exact.Solution.throughput +. 1e-6)
 
+(* --- non-finite think time ------------------------------------------------- *)
+
+let test_amva_non_finite_think_time () =
+  let stations = [| Station.queueing ~demand:1. () |] in
+  let rejects think_time expected stations =
+    match Amva.solve_status ~think_time ~stations ~population:3 () with
+    | exception Invalid_argument msg -> Alcotest.(check string) "message" expected msg
+    | _, status ->
+      Alcotest.failf "think time %g accepted: %s" think_time (FP.status_to_string status)
+  in
+  rejects Float.nan "Amva: think time must be finite and >= 0, got nan" stations;
+  rejects Float.infinity "Amva: think time must be finite and >= 0, got inf" stations;
+  rejects (-1.) "Amva: think time must be finite and >= 0, got -1" stations;
+  (* Collected with the station problems, in input order. *)
+  rejects Float.nan
+    "Amva: think time must be finite and >= 0, got nan; station 1: station demand must be \
+     finite and >= 0, got inf"
+    [|
+      Station.queueing ~demand:1. ();
+      ({ Station.kind = Delay; demand = Float.infinity; scv = 1.; servers = 1 }
+      [@lint.allow
+        "negative-cost" "a deliberately invalid station: the test checks that Amva rejects it"]);
+    |]
+
+(* --- classes of equal stations ------------------------------------------- *)
+
+(* A few station templates, repeated and interleaved: Queueing with 1–3
+   servers and scv 0–3, and Delay stations, with zero and negative-zero
+   demands among them. The first template has a positive demand and is
+   always used, so the total demand is never zero. *)
+let stations_gen =
+  QCheck.Gen.(
+    let demand = frequency [ (1, return 0.); (1, return (-0.)); (6, float_range 0.01 50.) ] in
+    let template ~demand =
+      let* delay = frequencyl [ (1, true); (3, false) ] in
+      if delay then return (Harness.delay_station ~demand)
+      else
+        let* servers = int_range 1 3 in
+        let* scv = oneof [ oneofl [ 0.; 1.; 3. ]; float_range 0. 3. ] in
+        return (Station.queueing ~scv ~servers ~demand ())
+    in
+    let* first = float_range 0.01 50. >>= fun demand -> template ~demand in
+    let* others = list_size (int_range 0 3) (demand >>= fun demand -> template ~demand) in
+    (* Often a zero and a negative-zero Delay station: equal but for the
+       sign bit, so merging them would show in their residences. *)
+    let* zeros = bool in
+    let signed_zeros =
+      if zeros then [ Harness.delay_station ~demand:0.; Harness.delay_station ~demand:(-0.) ] else []
+    in
+    let pool = Array.of_list ((first :: signed_zeros) @ others) in
+    let* picks = list_size (int_range 0 11) (int_range 0 (Array.length pool - 1)) in
+    (* The first template goes in at a random place. *)
+    let* at = int_range 0 (List.length picks) in
+    let picks = List.filteri (fun i _ -> i < at) picks @ (0 :: List.filteri (fun i _ -> i >= at) picks) in
+    return (Array.of_list (List.map (fun i -> pool.(i)) picks)))
+
+let amva_case_gen =
+  QCheck.Gen.(
+    let* stations = stations_gen in
+    let* approximation = oneofl [ Amva.Bard; Amva.Schweitzer ] in
+    let* think_time = frequency [ (1, return 0.); (3, float_range 0.1 100.) ] in
+    let* population = int_range 0 200 in
+    let* max_iter = frequencyl [ (1, 3); (5, 100_000) ] in
+    return (stations, approximation, think_time, population, max_iter))
+
+let print_amva_case (stations, approximation, think_time, population, max_iter) =
+  Printf.sprintf "%s think=%h N=%d max_iter=%d [%s]"
+    (match approximation with Amva.Bard -> "bard" | Schweitzer -> "schweitzer")
+    think_time population max_iter
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (s : Station.t) ->
+               Printf.sprintf "%s d=%h scv=%h c=%d"
+                 (match s.kind with Station.Delay -> "delay" | Queueing -> "queue")
+                 s.demand s.scv s.servers)
+             stations)))
+
+let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_status (a : FP.status) (b : FP.status) =
+  match (a, b) with
+  | Converged { iters = i }, Converged { iters = j } -> i = j
+  | Saturated { station = s; utilization = u }, Saturated { station = t; utilization = v } ->
+    s = t && bits_equal u v
+  | Diverged { iters = i; residual = r }, Diverged { iters = j; residual = q } ->
+    i = j && bits_equal r q
+  | Exhausted { iters = i; reason = r }, Exhausted { iters = j; reason = q } -> i = j && r = q
+  | _ -> false
+
+let same_solution (a : Solution.t) (b : Solution.t) =
+  let arrays x y = Array.length x = Array.length y && Array.for_all2 bits_equal x y in
+  bits_equal a.throughput b.throughput && bits_equal a.cycle_time b.cycle_time
+  && arrays a.residence b.residence && arrays a.queue_length b.queue_length
+  && arrays a.utilization b.utilization
+
+let same_outcome (sa, ta) (sb, tb) =
+  same_status ta tb
+  && match (sa, sb) with Some a, Some b -> same_solution a b | None, None -> true | _ -> false
+
+let prop_amva_classes_bit_identical =
+  QCheck.Test.make ~name:"amva: class solve equals the per-station loop bit for bit" ~count:500
+    (QCheck.make ~print:print_amva_case amva_case_gen)
+    (fun (stations, approximation, think_time, population, max_iter) ->
+      let classes =
+        Amva.solve_status ~approximation ~think_time ~max_iter ~stations ~population ()
+      and reference =
+        Harness.amva_reference_solve_status ~approximation ~think_time ~max_iter ~stations
+          ~population ()
+      in
+      same_outcome classes reference
+      || QCheck.Test.fail_reportf "class solve %s, per-station loop %s"
+           (FP.status_to_string (snd classes)) (FP.status_to_string (snd reference)))
+
+let test_amva_classes_budget () =
+  let stations =
+    [| Station.queueing ~demand:2. (); Harness.delay_station ~demand:1.; Station.queueing ~demand:2. () |]
+  in
+  let budget () = Lopc_robust.Budget.create ~fuel:3 () in
+  let classes = Amva.solve_status ~budget:(budget ()) ~stations ~population:40 () in
+  let reference =
+    Harness.amva_reference_solve_status ~budget:(budget ()) ~stations ~population:40 ()
+  in
+  (match snd classes with
+  | FP.Exhausted { iters = 3; _ } -> ()
+  | status -> Alcotest.failf "expected exhaustion after 3, got %s" (FP.status_to_string status));
+  Alcotest.(check bool) "same outcome" true (same_outcome classes reference)
+
 let suite =
   [
     Alcotest.test_case "exact: single customer" `Quick test_exact_single_customer;
@@ -222,4 +351,8 @@ let suite =
     Alcotest.test_case "solution little consistency" `Quick test_solution_little_consistent;
     QCheck_alcotest.to_alcotest prop_exact_mva_bounds;
     QCheck_alcotest.to_alcotest prop_bard_below_exact;
+    Alcotest.test_case "amva: non-finite think time rejected" `Quick
+      test_amva_non_finite_think_time;
+    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 29) prop_amva_classes_bit_identical;
+    Alcotest.test_case "amva: class solve under a budget" `Quick test_amva_classes_budget;
   ]

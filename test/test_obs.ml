@@ -348,18 +348,20 @@ let test_general_saturation () =
      that node. *)
   let params = Params.create ~c2:1. ~p:4 ~st:40. ~so:400. () in
   let net =
-    {
-      G.params;
-      protocol_processor = false;
-      G.nodes =
-        Array.init 4 (fun c ->
-            if c = 2 then { G.work = None; visits = Array.make 4 0. }
-            else
-              {
-                G.work = Some 10.;
-                visits = Array.init 4 (fun k -> if k = 2 then 1. else 0.);
-              });
-    }
+    fst
+      (Harness.lump
+         {
+           Harness.params;
+           protocol_processor = false;
+           nodes =
+             Array.init 4 (fun c ->
+                 if c = 2 then { Harness.work = None; visits = Array.make 4 0. }
+                 else
+                   {
+                     Harness.work = Some 10.;
+                     visits = Array.init 4 (fun k -> if k = 2 then 1. else 0.);
+                   });
+         })
   in
   match G.solve_status ~max_iter:5 net with
   | None, Fixed_point.Saturated { station; utilization } ->

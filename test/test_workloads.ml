@@ -61,24 +61,21 @@ let test_matvec_p_mismatch () =
        false
      with Invalid_argument _ -> true)
 
-let visit_row_sum (net : G.t) c =
-  Array.fold_left ( +. ) 0. net.G.nodes.(c).G.visits
-
 let test_pattern_visit_rows_stochastic () =
   let params = Lopc.Params.create ~p:16 ~st:1. ~so:1. () in
   List.iter
     (fun (pat, hops) ->
       let net = Pattern.to_general params ~w:100. pat in
       Array.iteri
-        (fun c spec ->
-          match spec.G.work with
+        (fun i (c : G.node_class) ->
+          match c.work with
           | None -> ()
           | Some _ ->
-            let sum = visit_row_sum net c in
+            let sum = Array.fold_left ( +. ) 0. c.row in
             if Float.abs (sum -. hops) > 1e-9 then
-              Alcotest.failf "%s: row %d sums to %g, expected %g"
-                (Pattern.description pat) c sum hops)
-        net.G.nodes)
+              Alcotest.failf "%s: class %d's row sums to %g, expected %g"
+                (Pattern.description pat) i sum hops)
+        net.G.classes)
     [
       (Pattern.All_to_all, 1.);
       (Pattern.All_to_all_staggered, 1.);
@@ -90,27 +87,33 @@ let test_pattern_visit_rows_stochastic () =
 let test_pattern_hotspot_row () =
   let params = Lopc.Params.create ~p:4 ~st:1. ~so:1. () in
   let net = Pattern.to_general params ~w:10. (Pattern.Hotspot { hot = 0; fraction = 0.4 }) in
-  (* Thread 1: hot gets 0.4 + 0.6/3, others 0.6/3, self 0. *)
-  let row = net.G.nodes.(1).G.visits in
-  feq 1e-9 "hot node" (0.4 +. 0.2) row.(0);
-  feq 1e-9 "self" 0. row.(1);
-  feq 1e-9 "other" 0.2 row.(2)
+  (* Class 0 is the hot node, class 1 the other three. A cold thread sends
+     0.4 + 0.6/3 to the hot node and 0.6/3 to each of the other two. *)
+  let hot = net.G.classes.(0) and cold = net.G.classes.(1) in
+  Alcotest.(check (pair int int)) "hot node" (1, 0) (hot.G.members, hot.G.first);
+  Alcotest.(check (pair int int)) "cold nodes" (3, 1) (cold.G.members, cold.G.first);
+  feq 1e-9 "to the hot node" (0.4 +. 0.2) cold.G.row.(0);
+  feq 1e-9 "to the other cold nodes" 0.4 cold.G.row.(1);
+  feq 1e-9 "all cold threads to the hot node" 1.8 cold.G.col.(0);
+  feq 1e-9 "the hot thread to itself" 0.4 hot.G.row.(0)
 
 let test_pattern_client_server_roles () =
   let params = Lopc.Params.create ~p:8 ~st:1. ~so:1. () in
   let net = Pattern.to_general params ~w:10. (Pattern.Client_server { servers = 3 }) in
-  for c = 0 to 2 do
-    Alcotest.(check bool) "server idle" true (net.G.nodes.(c).G.work = None)
-  done;
-  for c = 3 to 7 do
-    Alcotest.(check bool) "client works" true (net.G.nodes.(c).G.work <> None)
-  done
+  match net.G.classes with
+  | [| servers; clients |] ->
+    Alcotest.(check (pair int int)) "servers are nodes 0-2" (3, 0) (servers.G.members, servers.G.first);
+    Alcotest.(check bool) "server idle" true (servers.G.work = None);
+    Alcotest.(check (pair int int)) "clients are nodes 3-7" (5, 3) (clients.G.members, clients.G.first);
+    Alcotest.(check bool) "client works" true (clients.G.work <> None)
+  | classes -> Alcotest.failf "%d classes, expected 2" (Array.length classes)
 
 let test_pattern_spec_and_general_consistent () =
-  (* Routes sampled from the spec must match the visit matrix given to the
+  (* Routes sampled from the spec must match the class visits given to the
      model, in the long run. *)
   let params = Lopc.Params.create ~p:8 ~st:1. ~so:1. () in
-  let pat = Pattern.Hotspot { hot = 2; fraction = 0.25 } in
+  let hot = 2 in
+  let pat = Pattern.Hotspot { hot; fraction = 0.25 } in
   let net = Pattern.to_general params ~w:100. pat in
   let spec =
     Pattern.to_spec ~nodes:8 ~work:(D.Constant 100.) ~handler:(D.Constant 1.)
@@ -124,12 +127,27 @@ let test_pattern_spec_and_general_consistent () =
   let counts = Array.make 8 0 in
   let n = 40_000 in
   for issued = 0 to n - 1 do
-    List.iter (fun d -> counts.(d) <- counts.(d) + 1) (thread.Spec.route g issued)
+    List.iter
+      (fun d ->
+        if d = origin then Alcotest.fail "a thread sent to itself";
+        counts.(d) <- counts.(d) + 1)
+      (thread.Spec.route g issued)
   done;
+  (* The origin is cold. Its class row holds its visits to the hot node
+     (the only member of its class) and to all other cold nodes together,
+     which a fair route spreads evenly over them. *)
+  let class_of node = if node = hot then 1 else 0 in
+  let cold = net.G.classes.(0) in
+  Alcotest.(check (pair int int)) "hot class" (1, hot)
+    (net.G.classes.(1).G.members, net.G.classes.(1).G.first);
   Array.iteri
     (fun k c ->
       let observed = Float.of_int c /. Float.of_int n in
-      let expected = net.G.nodes.(origin).G.visits.(k) in
+      let expected =
+        if k = origin then 0.
+        else if k = hot then cold.G.row.(class_of k)
+        else cold.G.row.(class_of k) /. Float.of_int (cold.G.members - 1)
+      in
       if Float.abs (observed -. expected) > 0.01 then
         Alcotest.failf "node %d: observed %g vs visit ratio %g" k observed expected)
     counts
