@@ -38,8 +38,8 @@ type parsed =
 
 (* compiler-libs' lexer keeps global mutable state (its string buffer and
    comment stack), so parsing is not domain-safe. Serialise the parse
-   itself; the rule checks, suppression filtering and sorting — the bulk
-   of a task under a pool-backed [map_tasks] — still run in parallel. *)
+   itself; the rule checks, suppression filtering and sorting of a task
+   under a pool-backed [map_tasks] still run in parallel. *)
 let parse_lock = Mutex.create ()
 
 let parse ~path contents =
@@ -118,12 +118,12 @@ let source_files roots =
    output is byte-identical whatever the worker count.
 
    Each task is the whole per-file job — read, parse, check — and only
-   the parse itself runs under [parse_lock]. Parsing stays serialised
-   (compiler-libs' lexer state, see above), but it now overlaps with
-   other files' reads and rule checks instead of completing for every
-   file before the first check starts: the old layout parsed everything
-   up front as a serial prefix, which made N workers strictly slower
-   than one (pool overhead with no overlap to pay for it). *)
+   the parse itself runs under [parse_lock], so one file's parse can
+   overlap other files' reads and rule checks. The parse stays
+   serialised (compiler-libs' lexer state, see above) and is most of a
+   pass, so N workers do not beat one on a parse-bound tree and gain at
+   most about 1.3x on the repo tree (perfbench/README.md, "Lint
+   `--jobs`"). *)
 let lint_paths ?rules ?map_tasks roots =
   let files = source_files roots in
   let tasks =
