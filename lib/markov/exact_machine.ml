@@ -45,18 +45,9 @@ let max_nodes =
   let rec go p = if packable (p + 1) then go (p + 1) else p in
   go 2
 
-(* Every permutation of [0 .. p - 1], flat: [(perms.(k * p + i))] is where
-   the [k]-th relabelling sends node [i]. *)
-let permutations p =
-  let rec perms = function
-    | [] -> [ [] ]
-    | nodes ->
-      List.concat_map
-        (fun i ->
-          List.map (List.cons i) (perms (List.filter (fun j -> not (Int.equal i j)) nodes)))
-        nodes
-  in
-  Array.of_list (List.concat (perms (List.init p Fun.id)))
+let factorial p =
+  let rec go acc k = if k <= 1 then acc else go (acc * k) (k - 1) in
+  go 1 p
 
 type machine = {
   p : int;
@@ -65,9 +56,8 @@ type machine = {
   rep_wire : int;             (* phase code 2p + 1 *)
   rep_home : int;             (* phase code 2p + 2 *)
   code_of : int array;        (* code_of.(digit) = digit / p *)
-  perms : int array;          (* all p! relabellings, see [permutations] *)
-  node_at : int array;        (* their inverses, laid out the same way *)
   n_perms : int;              (* p! *)
+  orbit_size : (int, int) Hashtbl.t;  (* canonical key -> states in its orbit *)
   (* Scratch filled by [decode]. *)
   code : int array;           (* phase code per node *)
   qlen : int array;           (* items per FIFO *)
@@ -76,7 +66,12 @@ type machine = {
   (* Scratch filled by [canonical]. *)
   dest : int array;           (* node named by the phase code, or -1 *)
   low : int array;            (* digit with that node renamed to 0 *)
+  free : bool array;          (* no destination, and no node's destination *)
+  place_of : int array;       (* place given to each node so far, or -1 *)
+  pinned : int array;         (* pinned.(place) = node forced there, below lo *)
   prefix : int array;         (* prefix.(place) = best key / base^place *)
+  mutable best : int;
+  mutable ties : int;
 }
 
 let machine p =
@@ -85,9 +80,6 @@ let machine p =
   for i = 1 to p - 1 do
     weight.(i) <- weight.(i - 1) * base
   done;
-  let perms = permutations p in
-  let node_at = Array.make (Array.length perms) 0 in
-  Array.iteri (fun j place -> node_at.(j - (j mod p) + place) <- j mod p) perms;
   {
     p;
     base;
@@ -95,16 +87,20 @@ let machine p =
     rep_wire = (2 * p) + 1;
     rep_home = (2 * p) + 2;
     code_of = Array.init base (fun digit -> digit / p);
-    perms;
-    node_at;
-    n_perms = Array.length perms / p;
+    n_perms = factorial p;
+    orbit_size = Hashtbl.create 1024;
     code = Array.make p 0;
     qlen = Array.make p 0;
     qweight = Array.make p 0;
     head = Array.make p 0;
     dest = Array.make p 0;
     low = Array.make p 0;
+    free = Array.make p true;
+    place_of = Array.make p (-1);
+    pinned = Array.make p 0;
     prefix = Array.make p 0;
+    best = max_int;
+    ties = 0;
   }
 
 (* One integer division per node: the hot loops of both exploration and
@@ -130,14 +126,100 @@ let decode m key =
     end
   done
 
+let set_best m key =
+  m.best <- key;
+  for place = 0 to m.p - 1 do
+    m.prefix.(place) <- key / m.weight.(place)
+  done
+
+(* Unplaced node [i]'s digit at [place], with [lo] the smallest free
+   place: its destination keeps its place if it has one, and is otherwise
+   sent to [lo], the cheapest place still open to it. *)
+let digit_at m i place lo =
+  let d = m.dest.(i) in
+  if d < 0 then m.low.(i)
+  else
+    let q = m.place_of.(d) in
+    m.low.(i) + (m.p * if q >= 0 then q else if d = i then place else lo)
+
+(* Relabellings that can still reach the best key, built from the most
+   significant [place] down with [acc] the digits above it. Places above
+   [place] and below [lo] are taken; those below [lo] were pinned to the
+   destinations that placed nodes named. *)
+let rec search m place lo acc =
+  if place < 0 then begin
+    if acc < m.best then begin
+      set_best m acc;
+      m.ties <- 1
+    end
+    else m.ties <- m.ties + 1
+  end
+  else if place < lo then begin
+    (* Every node is placed: the rest of the key is fixed. *)
+    let i = m.pinned.(place) in
+    let d = m.dest.(i) in
+    let acc = (acc * m.base) + m.low.(i) + if d < 0 then 0 else m.place_of.(d) * m.p in
+    if acc <= m.prefix.(place) then search m (place - 1) lo acc
+  end
+  else begin
+    let least = ref max_int in
+    for i = 0 to m.p - 1 do
+      if m.place_of.(i) < 0 then least := Int.min !least (digit_at m i place lo)
+    done;
+    let acc = (acc * m.base) + !least in
+    if acc <= m.prefix.(place) then begin
+      (* The first free node with the least digit stands in for all of
+         them (see [canonical]). *)
+      let stand_in = ref (-1) and twins = ref 0 in
+      for i = 0 to m.p - 1 do
+        if m.place_of.(i) < 0 && digit_at m i place lo = !least then
+          if m.free.(i) then begin
+            if !twins = 0 then stand_in := i;
+            incr twins
+          end
+          else branch m place lo acc i
+      done;
+      if !twins > 0 then begin
+        let best = m.best and ties = m.ties in
+        branch m place lo acc !stand_in;
+        let found = if m.best < best then m.ties else m.ties - ties in
+        m.ties <- m.ties + ((!twins - 1) * found)
+      end
+    end
+  end
+
+(* Node [i] at [place], and its destination pinned to [lo] if it has no
+   place yet. *)
+and branch m place lo acc i =
+  m.place_of.(i) <- place;
+  let d = m.dest.(i) in
+  if d >= 0 && m.place_of.(d) < 0 then begin
+    m.place_of.(d) <- lo;
+    m.pinned.(lo) <- d;
+    search m (place - 1) (lo + 1) acc;
+    m.place_of.(d) <- -1
+  end
+  else search m (place - 1) lo acc;
+  m.place_of.(i) <- -1
+
 (* [(min, ties)]: the smallest key over all [p!] relabellings of [key],
-   and how many relabellings reach it. For a canonical key [ties] is the
-   size of its stabiliser, so its orbit holds [p! / ties] states. Each
-   relabelled key is built from its most significant place down and
-   dropped as soon as its prefix exceeds the best key's, so most
-   relabellings cost a digit or two. *)
+   and how many relabellings reach it: the size of [key]'s stabiliser, so
+   its orbit holds [p! / ties] states.
+
+   Branch and bound over places, most significant first. A relabelling
+   that reaches the minimum puts at each place a node whose digit is the
+   least any unplaced node can have there, so only those nodes are tried.
+   A node whose destination is still unplaced needs that destination at
+   the smallest free place: any other place gives a larger digit here, so
+   the destination is pinned there at once. Prefixes above the best key's
+   are dropped, and the leaves that reach the best key are its
+   stabiliser. A free node (no destination, and nobody's destination)
+   can trade places with any free node of the same digit without changing
+   [key], so of several such candidates at one place only the first is
+   searched and its leaves are counted once for each. *)
 let canonical m key =
   let p = m.p in
+  Array.fill m.free 0 p true;
   let rest = ref key in
   for i = 0 to p - 1 do
     let higher = !rest / m.base in
@@ -146,38 +228,24 @@ let canonical m key =
     let c = m.code_of.(digit) in
     let d = if c = 0 || c > 2 * p then -1 else if c <= p then c - 1 else c - 1 - p in
     m.dest.(i) <- d;
-    m.low.(i) <- (if d < 0 then digit else digit - (d * p))
-  done;
-  let best = ref 0 and ties = ref 0 in
-  let set_best key =
-    best := key;
-    for place = 0 to p - 1 do
-      m.prefix.(place) <- key / m.weight.(place)
-    done
-  in
-  (* Relabelling [s] from [place] down, with [acc] the digits above it;
-     [below] once that prefix is under the best key's. *)
-  let rec scan s place acc below =
-    if place < 0 then begin
-      if below then begin
-        set_best acc;
-        ties := 1
-      end
-      else incr ties
+    m.low.(i) <- (if d < 0 then digit else digit - (d * p));
+    if d >= 0 then begin
+      m.free.(i) <- false;
+      m.free.(d) <- false
     end
-    else begin
-      let i = m.node_at.(s + place) in
-      let d = m.dest.(i) in
-      let acc = (acc * m.base) + m.low.(i) + if d < 0 then 0 else m.perms.(s + d) * p in
-      if below || acc < m.prefix.(place) then scan s (place - 1) acc true
-      else if acc = m.prefix.(place) then scan s (place - 1) acc false
-    end
-  in
-  set_best max_int;
-  for k = 0 to m.n_perms - 1 do
-    scan (k * p) (p - 1) 0 false
   done;
-  (!best, !ties)
+  set_best m max_int;
+  m.ties <- 0;
+  search m (p - 1) 0 0;
+  (m.best, m.ties)
+
+(* The canonical key of [key]'s orbit, recording the orbit's size the
+   first time the orbit is named, so no representative is canonicalised
+   twice. *)
+let name m key =
+  let rep, ties = canonical m key in
+  Hashtbl.replace m.orbit_size rep (m.n_perms / ties);
+  rep
 
 (* Validated machine: the lumped chain's initial state and transition
    function, or [None] when its states do not pack into an [int]. The
@@ -200,12 +268,11 @@ let model ~max_states ~p ~w ~so ~st =
        on this order. Each successor is named by its orbit, so rates into
        one orbit become duplicate entries that [Ctmc] sums. *)
     let transitions key =
-      let _, ties = canonical m key in
-      expanded := !expanded + (m.n_perms / ties);
+      expanded := !expanded + Hashtbl.find m.orbit_size key;
       if !expanded > max_states then raise (Ctmc.State_space_too_large max_states);
       decode m key;
       let moves = ref [] in
-      let add delta rate = moves := (fst (canonical m (key + delta)), rate) :: !moves in
+      let add delta rate = moves := (name m (key + delta), rate) :: !moves in
       for i = 0 to p - 1 do
         let c = m.code.(i) and wi = m.weight.(i) in
         if c = 0 then begin
@@ -240,7 +307,7 @@ let model ~max_states ~p ~w ~so ~st =
       done;
       !moves
     in
-    Some (m, 0, transitions)
+    Some (m, name m 0, transitions)
   end
 
 (* Steady-state aggregates of the lumped chain, in one pass over its
@@ -250,7 +317,6 @@ let model ~max_states ~p ~w ~so ~st =
 let aggregate m ~mu_so sol =
   let states, qq, qy, uq, uy =
     Ctmc.fold sol ~init:(0, 0., 0., 0., 0.) ~f:(fun (states, qq, qy, uq, uy) key pi ->
-        let _, ties = canonical m key in
         decode m key;
         let items = ref 0 and replies = ref 0 and busy_q = ref 0 and busy_y = ref 0 in
         for k = 0 to m.p - 1 do
@@ -259,7 +325,7 @@ let aggregate m ~mu_so sol =
           if m.qlen.(k) > 0 then if m.head.(k) = k then incr busy_y else incr busy_q
         done;
         let add acc n = acc +. (pi *. Float.of_int n) in
-        ( states + (m.n_perms / ties),
+        ( states + Hashtbl.find m.orbit_size key,
           add qq (!items - !replies),
           add qy !replies,
           add uq !busy_q,

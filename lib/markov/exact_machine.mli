@@ -26,8 +26,9 @@
     Orbits. Destinations are uniform, so relabelling the nodes maps the
     chain onto itself, and its node-permutation orbits are an exact
     lumping. The solver explores orbits only, each named by its smallest
-    key over all [p!] relabellings, and every reported quantity is a
-    per-node average over all [p] nodes. The state space grows quickly:
+    key over all [p!] relabellings ({!canonical}, found by branch and
+    bound over places), and every reported quantity is a per-node
+    average over all [p] nodes. The state space grows quickly:
     [p = 2] has 27 states in 16 orbits, [p = 3] 412 in 80, [p = 4] 8 865
     in 438 and [p = 5] 246 096 in 2 422. *)
 
@@ -48,6 +49,22 @@ val max_nodes : int
     encoding: 8 on 64-bit platforms, far past any chain that can be
     enumerated. Beyond it {!all_to_all_status} reports [Too_large]
     without exploring. *)
+
+type machine
+(** Scratch space for one [p]-node chain, and the sizes of the orbits
+    named so far. *)
+
+val machine : int -> machine
+(** [machine p], for [2 <= p <= max_nodes]. *)
+
+val canonical : machine -> int -> int * int
+(** [canonical m key] is [(min, ties)]: the smallest key over all [p!]
+    relabellings of the packed digits [key], and how many relabellings
+    reach it. A relabelling [s] moves node [i]'s digit to place [s i] and
+    renames the destination inside codes [1 + d] and [1 + p + d] to
+    [s d]. [ties] is the size of [key]'s stabiliser, so its orbit holds
+    [p! / ties] keys. Any [key] whose [p] digits are below [(2p + 3)·p]
+    is accepted, reachable or not. *)
 
 val all_to_all :
   ?max_states:int -> p:int -> w:float -> so:float -> st:float -> unit -> result

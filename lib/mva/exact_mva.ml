@@ -1,6 +1,7 @@
 let validate ?(think_time = 0.) ~stations ~population () =
   if population < 0 then invalid_arg "Exact_mva: negative population";
-  if think_time < 0. then invalid_arg "Exact_mva: negative think time";
+  if think_time < 0. || not (Float.is_finite think_time) then
+    invalid_arg "Exact_mva: think time must be finite and >= 0";
   Array.iter
     (fun s ->
       (match Station.validate s with

@@ -16,6 +16,7 @@ val solve :
   ?think_time:float -> stations:Station.t array -> population:int -> unit -> Solution.t
 (** [solve ~think_time ~stations ~population ()] runs the exact recursion.
     [think_time] [Z] defaults to [0.].
-    @raise Invalid_argument if [population < 0], [think_time < 0.], or
+    @raise Invalid_argument if [population < 0], [think_time] is negative
+    or not finite, or
     [stations] is empty and [think_time = 0.] with positive population
     (cycle time would be zero). *)

@@ -218,6 +218,51 @@ let probability sol s = expectation sol ~f:(fun s' -> if s' = s then 1. else 0.)
 
 let sum_pi sol = expectation sol ~f:(fun _ -> 1.)
 
+(* [Exact_machine.canonical] by exhaustive scan: every one of the [p!]
+   relabellings of [key] is built in full, and the smallest key is kept
+   with the number of relabellings that reach it. Relabelling [s] moves
+   node [i]'s digit to place [s i] and renames the destination [d] inside
+   codes [1 + d] and [1 + p + d] to [s d]. *)
+let flat_canonical ~p key =
+  let base = ((2 * p) + 3) * p in
+  let dest = Array.make p (-1) and low = Array.make p 0 in
+  let rest = ref key in
+  for i = 0 to p - 1 do
+    let digit = !rest mod base in
+    rest := !rest / base;
+    let c = digit / p in
+    let d = if c = 0 || c > 2 * p then -1 else if c <= p then c - 1 else c - 1 - p in
+    dest.(i) <- d;
+    low.(i) <- (if d < 0 then digit else digit - (d * p))
+  done;
+  let s = Array.make p 0 and used = Array.make p false and at = Array.make p 0 in
+  let best = ref max_int and ties = ref 0 in
+  let rec relabel i =
+    if i = p then begin
+      for j = 0 to p - 1 do
+        let d = dest.(j) in
+        at.(s.(j)) <- (low.(j) + if d < 0 then 0 else s.(d) * p)
+      done;
+      let k = Array.fold_right (fun digit acc -> (acc * base) + digit) at 0 in
+      if k < !best then begin
+        best := k;
+        ties := 1
+      end
+      else if k = !best then incr ties
+    end
+    else
+      for place = 0 to p - 1 do
+        if not used.(place) then begin
+          used.(place) <- true;
+          s.(i) <- place;
+          relabel (i + 1);
+          used.(place) <- false
+        end
+      done
+  in
+  relabel 0;
+  (!best, !ties)
+
 module Params = Lopc.Params
 module G = Lopc.General
 module Pattern = Lopc_workloads.Pattern

@@ -533,6 +533,57 @@ let test_exact_machine_hostile_p () =
   | None, Ctmc.Too_large { max_states = 1000 } -> ()
   | _, st -> Alcotest.failf "p=max_nodes: got %s" (Harness.ctmc_status_to_string st)
 
+(* Canonical-form law: the branch and bound over places finds the flat
+   scan's smallest key and stabiliser size. Digits lean on working nodes
+   and requests at position 0, so that stabilisers larger than one and
+   pinned destinations are common; P = 7 and 8 are rare, because the scan
+   builds all 40 320 relabellings per key at P = 8. *)
+let arb_key =
+  let open QCheck in
+  make
+    ~print:(fun (p, key) -> Printf.sprintf "p=%d key=%d" p key)
+    Gen.(
+      let* p = frequency [ (9, int_range 2 6); (1, int_range 7 EM.max_nodes) ] in
+      let base = ((2 * p) + 3) * p in
+      let digit =
+        frequency
+          [
+            (2, return 0);
+            (2, map (fun c -> c * p) (int_range 1 (2 * p)));
+            (3, int_bound (base - 1));
+          ]
+      in
+      let+ digits = list_repeat p digit in
+      (p, List.fold_right (fun digit acc -> (acc * base) + digit) digits 0))
+
+let prop_canonical_matches_flat_scan =
+  QCheck.Test.make ~name:"exact machine: branch and bound matches the flat scan" ~count:600
+    arb_key
+    (fun (p, key) -> EM.canonical (EM.machine p) key = Harness.flat_canonical ~p key)
+
+(* Time scaling. Multiplying W, So and St by a power of two divides every
+   rate by it exactly, so the stationary distribution is bit-equal: the
+   state count, Qq, Qy, Uq and Uy do not move, R scales by exactly k and
+   X by exactly 1/k. *)
+let prop_exact_time_scaling =
+  QCheck.Test.make ~name:"exact machine: scaling W, So and St by k scales R by k" ~count:40
+    QCheck.(pair arb_machine (make ~print:string_of_float Gen.(oneofl [ 2.; 4.; 0.5 ])))
+    (fun ((p, w, so, st), k) ->
+      let a = EM.all_to_all ~p ~w ~so ~st ()
+      and b = EM.all_to_all ~p ~w:(k *. w) ~so:(k *. so) ~st:(k *. st) () in
+      a.EM.states = b.EM.states
+      && Float.equal a.qq b.qq && Float.equal a.qy b.qy
+      && Float.equal a.uq b.uq && Float.equal a.uy b.uy
+      && Float.equal (k *. a.cycle_time) b.cycle_time
+      && Float.equal (a.throughput /. k) b.throughput)
+
+let prop_exact_monotone_in_w =
+  QCheck.Test.make ~name:"exact machine: R non-decreasing in W" ~count:40
+    QCheck.(pair arb_machine (float_range 1. 4.))
+    (fun ((p, w, so, st), g) ->
+      (EM.all_to_all ~p ~w ~so ~st ()).EM.cycle_time
+      <= (EM.all_to_all ~p ~w:(g *. w) ~so ~st ()).EM.cycle_time)
+
 let suite =
   [
     Alcotest.test_case "ctmc: two-state chain" `Quick test_ctmc_two_state;
@@ -553,4 +604,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_gs_matches_power;
     QCheck_alcotest.to_alcotest
       ~rand:(Harness.fixed_rand 12) prop_packed_matches_lists;
+    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 32) prop_canonical_matches_flat_scan;
+    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 33) prop_exact_time_scaling;
+    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 34) prop_exact_monotone_in_w;
   ]

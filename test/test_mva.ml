@@ -223,6 +223,18 @@ let test_amva_non_finite_think_time () =
         "negative-cost" "a deliberately invalid station: the test checks that Amva rejects it"]);
     |]
 
+let test_exact_non_finite_think_time () =
+  let stations = [| Station.queueing ~demand:1. () |] in
+  List.iter
+    (fun think_time ->
+      match Exact.solve ~think_time ~stations ~population:3 () with
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) "message" "Exact_mva: think time must be finite and >= 0" msg
+      | s ->
+        Alcotest.failf "think time %g accepted: X = %g, R = %g" think_time s.Solution.throughput
+          s.Solution.cycle_time)
+    [ Float.nan; Float.infinity; Float.neg_infinity; -1. ]
+
 (* --- classes of equal stations ------------------------------------------- *)
 
 (* A few station templates, repeated and interleaved: Queueing with 1–3
@@ -355,4 +367,6 @@ let suite =
       test_amva_non_finite_think_time;
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 29) prop_amva_classes_bit_identical;
     Alcotest.test_case "amva: class solve under a budget" `Quick test_amva_classes_budget;
+    Alcotest.test_case "exact: non-finite think time rejected" `Quick
+      test_exact_non_finite_think_time;
   ]
