@@ -3,8 +3,10 @@
    Hash tables, indirect array accesses and coherence home nodes all skew
    traffic toward particular nodes (paper §1). The Appendix-A model
    handles arbitrary visit matrices; this example sweeps the skew of a
-   hotspot pattern and shows where the hot node saturates — with the
-   simulator confirming the prediction.
+   hotspot pattern and shows the hot node's utilization climbing toward
+   1 while its queue grows, with the simulator confirming the
+   prediction. The model converges at every skew: each thread slows
+   down as the hot node fills, so no node passes full utilization.
 
    Run with:  dune exec examples/hotspot_analysis.exe *)
 

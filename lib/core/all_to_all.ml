@@ -136,8 +136,8 @@ let solution_of_r (params : Params.t) ~w ~execution r =
    positive root is the golden-ratio multiple of So, strictly below the
    contention-free bound W + 2·St + 2·So where every bracket starts, so the
    residual always crosses zero. [Saturated] is produced by the solvers
-   whose demand can outgrow capacity ([Amva], [General], [Fault_model]);
-   here a structured failure can only be [Diverged] or [Exhausted]. *)
+   whose demand can outgrow capacity ([Amva], [Fault_model]); here a
+   structured failure can only be [Diverged] or [Exhausted]. *)
 
 let solve_status ?budget ?(execution = Interrupt) ?(solve_method = Brent_on_residual)
     params ~w =

@@ -1,7 +1,3 @@
-module Amva = Lopc_mva.Amva
-module Station = Lopc_mva.Station
-module Solution = Lopc_mva.Solution
-
 type solution = {
   servers : int;
   clients : int;
@@ -17,33 +13,40 @@ let check (params : Params.t) ~w ~servers =
   if servers <= 0 || servers >= params.p then
     invalid_arg "Client_server: need 0 < servers < P"
 
-(* Closed network: Pc customers; think stage W + 2·St + So (work, both wire
-   trips and the contention-free reply handler at the client); Ps identical
-   FCFS servers visited uniformly, so per-cycle demand So/Ps each. *)
-let throughput ?(threads_per_server = 1) (params : Params.t) ~w ~servers =
+(* Two classes: the low [servers] nodes run no thread; each client visits
+   each server 1/servers times per cycle. *)
+let net (params : Params.t) ~w ~servers =
   check params ~w ~servers;
-  if threads_per_server < 1 then
-    invalid_arg "Client_server: threads_per_server must be at least 1";
   let clients = params.p - servers in
-  let think = w +. (2. *. params.st) +. params.so in
-  let stations =
-    Array.init servers (fun _ ->
-        Station.queueing ~scv:params.c2 ~servers:threads_per_server
-          ~demand:(params.so /. Float.of_int servers) ())
-  in
-  let sol = Amva.solve ~approximation:Amva.Bard ~think_time:think ~stations ~population:clients () in
-  let x = sol.Solution.throughput in
-  (* Per-visit numbers at one server: residence R_k is per cycle; each
-     cycle makes one visit spread uniformly over the Ps stations. *)
-  let server_residence = sol.Solution.residence.(0) *. Float.of_int servers in
+  let v = 1. /. Float.of_int servers in
+  {
+    General.params;
+    protocol_processor = false;
+    classes =
+      [|
+        { General.members = servers; first = 0; work = None;
+          row = [| 0.; 0. |]; col = [| 0.; 0. |] };
+        {
+          General.members = clients;
+          first = servers;
+          work = Some w;
+          row = [| General.repeated servers v; 0. |];
+          col = [| General.repeated clients v; 0. |];
+        };
+      |];
+  }
+
+let throughput params ~w ~servers =
+  let s = General.solve (net params ~w ~servers) in
+  let server = s.General.node_solutions.(0) in
   {
     servers;
-    clients;
-    throughput = x;
-    cycle_time = sol.Solution.cycle_time;
-    server_queue = sol.Solution.queue_length.(0);
-    server_util = sol.Solution.utilization.(0);
-    server_residence;
+    clients = params.p - servers;
+    throughput = s.General.system_throughput;
+    cycle_time = s.General.cycle_times.(1);
+    server_residence = server.General.rq;
+    server_queue = server.General.qq;
+    server_util = server.General.uq;
   }
 
 let server_residence_at_optimum (params : Params.t) =

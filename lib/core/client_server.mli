@@ -5,9 +5,9 @@
     and requests the next chunk from a uniformly chosen server; servers
     run no compute thread of their own. The model answers two questions:
 
-    - the full throughput curve [X(Ps)] (Fig 6-2), from a Bard-style AMVA
-      on the closed network of [Pc] customers cycling through a think
-      stage [W + 2·St + So] and one of [Ps] identical queueing servers;
+    - the full throughput curve [X(Ps)] (Fig 6-2), from the general
+      model on [Pc] client threads and [Ps] thread-less servers: Bard's
+      AMVA on [Pc] customers, think stage [W + 2·St + So], [Ps] servers;
     - the optimal allocation (Eq 6.8): at maximum throughput the mean
       number of requests at each server is exactly 1, which collapses the
       model to closed form:
@@ -29,14 +29,15 @@ type solution = {
   server_util : float;  (** Server utilization [Us]. *)
 }
 
-val throughput : ?threads_per_server:int -> Params.t -> w:float -> servers:int -> solution
-(** [throughput params ~w ~servers] evaluates the model at one partition.
-    [threads_per_server] (default [1]) models server nodes able to run
-    that many handlers concurrently (e.g. multiple protocol threads) via
-    the multi-server station approximation — an extension beyond the
-    paper's single-threaded servers.
-    @raise Invalid_argument unless [0 < servers < P], [w >= 0.] and
-    [threads_per_server >= 1]. *)
+val net : Params.t -> w:float -> servers:int -> General.t
+(** Servers (nodes [0 .. Ps−1], no thread) and clients (work [w], each
+    visiting every server [1/Ps] times per cycle) as two classes.
+    @raise Invalid_argument unless [0 < servers < P] and [w >= 0.]. *)
+
+val throughput : Params.t -> w:float -> servers:int -> solution
+(** [throughput params ~w ~servers] solves {!net}.
+    @raise Invalid_argument as {!net}.
+    @raise Lopc_numerics.Fixed_point.Diverged on a non-finite time. *)
 
 val server_residence_at_optimum : Params.t -> float
 (** [Rs = So·(1 + sqrt((C²+1)/2))] (Eq 6.6) — e.g. [2·So] when

@@ -86,14 +86,21 @@ let validate t =
           if Array.exists (fun c -> Option.is_some c.work) t.classes then Ok t
           else Error "no node runs a thread"))
 
+let repeated n v =
+  let acc = ref 0. in
+  for _ = 1 to n do
+    acc := !acc +. v
+  done;
+  !acc
+
 (* Per-node queue lengths given request-handler utilization [a = So·Λk]
    and reply-handler utilization [b = So·Xk], from the shared kernel.
 
    In a closed network a node can never hold more messages than there are
    threads (each thread has at most one request in flight), so queue
-   lengths are clamped to that physical bound; this keeps the outer
-   fixed-point iteration stable when an intermediate iterate saturates a
-   node. *)
+   lengths are clamped to that physical bound; this keeps a class's
+   cycle-time map finite where the root search tries a cycle time that
+   saturates a node. *)
 let node_queues ~beta ~max_queue a b =
   if 1. -. a -. (a *. b) <= 1e-9 then
     (max_queue, Float.min max_queue (Contention.reply_queue ~beta a b max_queue))
@@ -103,7 +110,14 @@ let node_queues ~beta ~max_queue a b =
     (qq, Float.max 0. (Float.min (Contention.reply_queue ~beta a b qq) max_queue))
   end
 
-let solve_status ?budget ?(tol = 1e-12) ?(max_iter = 200_000) t =
+(* A solve settles once every thread class in a row moved its throughput
+   by at most [tol] relative, and gives up after [max_sweeps] sweeps; the
+   tests' hotspot grids settle within 15. *)
+let tol = 1e-12
+
+let max_sweeps = 1_000
+
+let solve_status ?budget t =
   (match validate t with
   | Ok _ -> ()
   | Error reason -> invalid_arg ("General: " ^ reason));
@@ -111,108 +125,115 @@ let solve_status ?budget ?(tol = 1e-12) ?(max_iter = 200_000) t =
   let beta = Contention.beta t.params in
   let classes = t.classes in
   let n = Array.length classes in
-  let thread_count =
-    Array.fold_left
-      (fun acc c -> if Option.is_none c.work then acc else acc + c.members)
-      0 classes
+  let threads = List.filter (fun i -> Option.is_some classes.(i).work) (List.init n Fun.id) in
+  let max_queue =
+    Float.of_int (List.fold_left (fun acc i -> acc + classes.(i).members) 0 threads)
   in
-  let max_queue = Float.of_int thread_count in
-  (* Every vector below holds one entry per class. The sums run in
-     [for] loops: a float ref captured by a closure is boxed on every
-     update. *)
-  let analyze x =
-    Array.init n (fun j ->
-        let lambda = ref 0. in
-        for i = 0 to n - 1 do
-          lambda := !lambda +. (classes.(i).col.(j) *. x.(i))
-        done;
-        let a = so *. !lambda in
-        let b = so *. x.(j) in
-        let qq, qy = node_queues ~beta ~max_queue a b in
-        let rq = so *. (1. +. qq +. qy +. (beta *. (a +. b))) in
-        let ry = so *. (1. +. qq +. (beta *. a)) in
-        let rw =
-          match classes.(j).work with
-          | None -> Float.nan
-          | Some w ->
-            if t.protocol_processor then w
-            else (w +. (so *. qq)) /. Float.max 1e-6 (1. -. a)
-        in
-        { rq; ry; rw; qq; qy; uq = a; uy = b })
+  (* A node of class [j] at request rate [lambda], its own thread at
+     throughput [x]. *)
+  let node j ~lambda ~x =
+    let a = so *. lambda and b = so *. x in
+    let qq, qy = node_queues ~beta ~max_queue a b in
+    let rq = so *. (1. +. qq +. qy +. (beta *. (a +. b))) in
+    let ry = so *. (1. +. qq +. (beta *. a)) in
+    let rw =
+      match classes.(j).work with
+      | None -> Float.nan
+      | Some w -> if t.protocol_processor then w else (w +. (so *. qq)) /. Float.max 1e-6 (1. -. a)
+    in
+    { rq; ry; rw; qq; qy; uq = a; uy = b }
   in
-  let cycle_time per_class i =
-    match classes.(i).work with
-    | None -> Float.nan
-    | Some _ ->
-      let row = classes.(i).row and acc = ref 0. in
-      for j = 0 to n - 1 do
-        let v = row.(j) in
-        if v > 0. then acc := !acc +. (v *. (st +. per_class.(j).rq))
-      done;
-      per_class.(i).rw +. !acc +. st +. per_class.(i).ry
+  (* Class [c]'s cycle time from its own node and the request residence
+     [rq j] at each class it visits: [nan] for a server, as its [rw]. *)
+  let cycle_time c ~own ~rq =
+    let row = classes.(c).row and acc = ref 0. in
+    for j = 0 to n - 1 do
+      if row.(j) > 0. then acc := !acc +. (row.(j) *. (st +. rq j))
+    done;
+    own.rw +. !acc +. st +. own.ry
   in
-  let step x =
-    let per_class = analyze x in
-    Array.init n (fun i ->
-        match classes.(i).work with None -> 0. | Some _ -> 1. /. cycle_time per_class i)
+  (* Contention-free cycle time: the work, a handler and a wire trip per
+     hop, and the reply. [x.(i)] is class i's throughput ([0.] for
+     servers). *)
+  let bound c =
+    let hops = Array.fold_left ( +. ) 0. classes.(c).row in
+    Option.fold ~none:Float.nan
+      ~some:(fun w -> w +. (hops *. (st +. so)) +. st +. so)
+      classes.(c).work
   in
-  let x0 =
-    Array.map
-      (fun c ->
-        match c.work with
-        | None -> 0.
-        | Some w ->
-          (* Contention-free starting point. *)
-          let hops = Array.fold_left ( +. ) 0. c.row in
-          1. /. (w +. (hops *. (st +. so)) +. st +. so))
-      classes
+  let x = Array.make n 0. in
+  List.iter (fun c -> x.(c) <- 1. /. bound c) threads;
+  (* The request rate [Σ_i col_i(j)·x_i] at one node of class [j] from
+     every class but [skip]. *)
+  let rate_without skip j =
+    let acc = ref 0. in
+    for i = 0 to n - 1 do
+      if i <> skip then acc := !acc +. (classes.(i).col.(j) *. x.(i))
+    done;
+    !acc
   in
-  (* The node with the most loaded request handlers at an iterate: the
-     saturation diagnosis below names it. Classes are numbered by smallest
-     member, so the first class at the top names the node a per-node scan
-     would. *)
-  let hottest per_class =
-    let best = ref None in
-    Array.iteri
-      (fun i (ns : node_solution) ->
-        match !best with
-        | Some (_, u) when u >= ns.uq -> ()
-        | _ -> best := Some (classes.(i).first, ns.uq))
-      per_class;
-    !best
+  (* Class [c]'s cycle time R = F(R), the others held; [x.(c)] then holds
+     the answer. Returns the kernel's status and how far [x.(c)] moved,
+     relative. An evaluation adds only c's share to the other classes'
+     rates, O(classes). The search runs in units of lb·2⁻⁴⁰: the
+     kernel's absolute tolerance then sits below rounding at any time
+     scale, and scaling every time by a power of two leaves the search
+     bit for bit the same. *)
+  let solve_class c =
+    let col = classes.(c).col and lb = bound c in
+    let base = Array.init n (rate_without c) in
+    let unit = Float.ldexp lb (-40) in
+    let f v =
+      let xc = 1. /. (v *. unit) in
+      let at j = node j ~lambda:(base.(j) +. (col.(j) *. xc)) ~x:(if j = c then xc else x.(j)) in
+      cycle_time c ~own:(at c) ~rq:(fun j -> (at j).rq) /. unit
+    in
+    let v, status = Fixed_point.solve_above_status ?budget ~f (lb /. unit) in
+    let xc = 1. /. (v *. unit) in
+    let moved = Float.abs (xc -. x.(c)) /. xc in
+    x.(c) <- xc;
+    (status, moved)
   in
-  let outcome, status =
-    Fixed_point.solve_vector_status ?budget ~damping:0.1 ~tol ~max_iter ~f:step x0
+  (* Gauss-Seidel over the thread classes, each solved against the
+     others' latest throughputs. Settling takes a whole row of quiet
+     solves, so the first of them still sees the others where they
+     ended; a lone thread class settles after its first solve. [evals]
+     counts cycle-time evaluations. *)
+  let threads = Array.of_list threads in
+  let m = Array.length threads in
+  let rec sweep ~solves ~evals ~settled ~moved =
+    if settled = m then Fixed_point.Converged { iters = evals }
+    else if solves = max_sweeps * m then Fixed_point.Diverged { iters = evals; residual = moved }
+    else begin
+      match solve_class threads.(solves mod m) with
+      | Fixed_point.Converged { iters }, moved ->
+        let settled = if moved <= tol || m = 1 then settled + 1 else 0 in
+        sweep ~solves:(solves + 1) ~evals:(evals + iters) ~settled ~moved
+      | Fixed_point.Diverged { iters; residual }, _ ->
+        Fixed_point.Diverged { iters = evals + iters; residual }
+      | Fixed_point.Exhausted { iters; reason }, _ ->
+        Fixed_point.Exhausted { iters = evals + iters; reason }
+      | (Fixed_point.Saturated _ as status), _ -> status
+    end
   in
-  let x = outcome.Fixed_point.value in
-  match status with
-  | Fixed_point.Converged _ ->
-    let per_class = analyze x in
-    let total = ref 0. in
-    Array.iteri (fun i c -> total := !total +. (Float.of_int c.members *. x.(i))) classes;
+  match sweep ~solves:0 ~evals:0 ~settled:0 ~moved:Float.nan with
+  | Fixed_point.Converged _ as status ->
+    let per_class = Array.init n (fun j -> node j ~lambda:(rate_without (-1) j) ~x:x.(j)) in
+    let rq j = per_class.(j).rq in
     ( Some
         {
-          cycle_times = Array.init n (cycle_time per_class);
+          cycle_times = Array.init n (fun c -> cycle_time c ~own:per_class.(c) ~rq);
           throughputs = x;
           node_solutions = per_class;
-          system_throughput = !total;
+          system_throughput =
+            Array.fold_left ( +. ) 0.
+              (Array.mapi (fun i c -> Float.of_int c.members *. x.(i)) classes);
         },
       status )
-  (* A budget stop is the caller's allowance ending, not a property of the
-     iterate — report it as-is rather than re-diagnosing saturation. *)
-  | Fixed_point.Exhausted _ -> (None, status)
-  | _ ->
-    (* Diagnose the stall from the last iterate: a node whose request
-       handlers are driven to (or past) full utilization has no finite
-       fixed point — report it as saturation with the culprit node. *)
-    let per_class = analyze x in
-    (match hottest per_class with
-    | Some (station, utilization) when utilization >= 1. -. 1e-9 ->
-      (None, Fixed_point.Saturated { station; utilization })
-    | Some _ | None -> (None, status))
+  | status -> (None, status)
 
-let solve ?tol ?max_iter t =
-  match solve_status ?tol ?max_iter t with
+let solve t =
+  match solve_status t with
   | Some s, _ -> s
   | None, status ->
     raise (Fixed_point.Diverged ("General: " ^ Fixed_point.status_to_string status))

@@ -8,11 +8,12 @@
     per cycle). Reply handlers always run at the thread's home node, once
     per cycle.
 
-    The equation system (A.1–A.10) is solved by damped fixed-point
-    iteration on the per-thread throughputs [Xc]; given [Xc] the
-    per-node quantities have closed forms (Little's law plus Bard's
-    approximation), including the [C²] residual-life correction of §5.2
-    applied per node.
+    Given the per-thread throughputs [Xc], the per-node quantities of
+    A.1–A.10 have closed forms (Little's law plus Bard's approximation),
+    with the [C²] residual-life correction of §5.2 per node. Each thread
+    class's cycle time [Rc = Fc(Rc)] is bracketed in turn, the other
+    classes held, by {!Lopc_numerics.Fixed_point.solve_above_status} (as
+    in the all-to-all model), sweeping until no throughput moves.
 
     A net is given as classes of interchangeable nodes: all members of a
     class run the same work and have the same visit sums into, and from,
@@ -30,8 +31,8 @@
 
 type node_class = {
   members : int;         (** Nodes in the class, [>= 1]. *)
-  first : int;           (** Its smallest member, the node a result or
-                             a saturation diagnosis names. *)
+  first : int;           (** Its smallest member, the node a result
+                             names. *)
   work : float option;   (** [Some w]: every member runs a thread with
                              mean work [w] per cycle; [None]: pure
                              servers. *)
@@ -84,21 +85,26 @@ val validate : t -> (t, string) result
     visits to every class, and some class must run a thread. A server
     class's [row] and [col] are checked for shape and sign only. *)
 
+val repeated : int -> float -> float
+(** [repeated n v] is [v] added [n] times from [0.], as a per-node row
+    sums [n] equal visits: class nets written with it hold the per-node
+    net's sums bit for bit. *)
+
 val solve_status :
-  ?budget:Lopc_robust.Budget.t ->
-  ?tol:float -> ?max_iter:int -> t -> solution option * Lopc_numerics.Fixed_point.status
-(** Solve the system A.1–A.10 and report a structured outcome. When the
-    iteration stalls, the last iterate is inspected: a node whose
-    request-handler utilization reached (or passed) 1 is reported as
-    [Saturated] with the node index (the smallest one at the top
-    utilization), anything else as [Diverged].
-    [budget] is consulted once per fixed-point iteration; a budget stop
-    is reported as [Exhausted] verbatim (no saturation re-diagnosis).
-    Non-converged outcomes return no solution.
+  ?budget:Lopc_robust.Budget.t -> t -> solution option * Lopc_numerics.Fixed_point.status
+(** Solve the system A.1–A.10. [Converged] once every thread class in a
+    row moved its throughput by at most 1e-12 relative; [iters] counts
+    evaluations of a class's cycle-time map, and [budget] is consulted
+    once per evaluation ([Exhausted] counts all sweeps). A non-finite
+    time, or 1,000 sweeps without settling, is [Diverged]. There is no
+    [Saturated]: each thread's cycle includes the request residence of
+    every node it loads, so threads slow down as nodes fill and the
+    fixed point has every utilization below 1. Non-converged outcomes
+    return no solution.
     @raise Invalid_argument when {!validate} fails. *)
 
-val solve : ?tol:float -> ?max_iter:int -> t -> solution
+val solve : t -> solution
 (** Raising variant of {!solve_status}.
     @raise Invalid_argument when {!validate} fails.
     @raise Lopc_numerics.Fixed_point.Diverged on any non-converged
-    outcome (e.g. a node saturated by handler load). *)
+    outcome. *)

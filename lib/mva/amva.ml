@@ -148,10 +148,9 @@ let solve_status ?budget ?(approximation = Bard) ?(think_time = 0.) ?(tol = 1e-1
         (fun (s : Station.t) -> n *. s.demand /. (think_time +. total_demand))
         reps
     in
-    let outcome, status =
+    let queues, status =
       Fixed_point.solve_vector_status ?budget ~damping:0.5 ~tol ~max_iter ~f:step q0
     in
-    let queues = outcome.Fixed_point.value in
     let x = throughput queues in
     match status with
     | Fixed_point.Converged _ ->

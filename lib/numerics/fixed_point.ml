@@ -1,7 +1,5 @@
 module Budget = Lopc_robust.Budget
 
-type outcome = { value : float array; iterations : int; residual : float }
-
 type status =
   | Converged of { iters : int }
   | Saturated of { station : int; utilization : float }
@@ -30,53 +28,30 @@ let max_norm_diff a b =
   Array.iteri (fun i ai -> m := Float.max !m (Float.abs (ai -. b.(i)))) a;
   !m
 
-(* The one damped, budgeted iteration loop: returns the outcome
-   and the structured status. The scalar solver is its length-1 case. *)
+(* The one damped, budgeted iteration loop: returns the last iterate (on
+   convergence, F of it) and the structured status. The scalar solver is
+   its length-1 case. *)
 let vector_impl ?budget ~damping ~tol ~max_iter ~f ~name x0 =
   if damping <= 0. || damping > 1. then invalid_arg (name ^ ": damping");
   let n = Array.length x0 in
   let x = ref (Array.copy x0) in
-  let result : (outcome * status) option ref = ref None in
+  let result : (float array * status) option ref = ref None in
   (try
+     let stop value status =
+       result := Some (value, status);
+       raise Exit
+     in
      for iter = 1 to max_iter do
-       (match budget with
+       (match Option.bind budget Budget.check with
        | None -> ()
-       | Some b -> (
-         match Budget.check b with
-         | None -> ()
-         | Some reason ->
-           result :=
-             Some
-               ( { value = !x; iterations = iter - 1; residual = Float.nan },
-                 Exhausted { iters = iter - 1; reason } );
-           raise Exit));
+       | Some reason -> stop !x (Exhausted { iters = iter - 1; reason }));
        let fx = f !x in
-       if Array.length fx <> n then begin
-         result :=
-           Some
-             ( { value = !x; iterations = iter; residual = Float.nan },
-               Diverged { iters = iter; residual = Float.nan } );
-         raise Exit
-       end;
-       if not (Array.for_all Float.is_finite fx) then begin
-         result :=
-           Some
-             ( { value = !x; iterations = iter; residual = Float.nan },
-               Diverged { iters = iter; residual = Float.nan } );
-         raise Exit
-       end;
+       if Array.length fx <> n || not (Array.for_all Float.is_finite fx) then
+         stop !x (Diverged { iters = iter; residual = Float.nan });
        let residual = max_norm_diff fx !x in
        let scale = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 1. !x in
-       if residual <= tol *. scale then begin
-         result :=
-           Some
-             ({ value = fx; iterations = iter; residual }, Converged { iters = iter });
-         raise Exit
-       end;
-       let next =
-         Array.mapi (fun i xi -> ((1. -. damping) *. xi) +. (damping *. fx.(i))) !x
-       in
-       x := next
+       if residual <= tol *. scale then stop fx (Converged { iters = iter });
+       x := Array.mapi (fun i xi -> ((1. -. damping) *. xi) +. (damping *. fx.(i))) !x
      done
    with Exit -> ());
   match !result with
@@ -88,7 +63,7 @@ let vector_impl ?budget ~damping ~tol ~max_iter ~f ~name x0 =
           max_norm_diff fx !x
         else Float.nan
       in
-      ({ value = !x; iterations = max_iter; residual }, Diverged { iters = max_iter; residual })
+      (!x, Diverged { iters = max_iter; residual })
 
 let solve_vector_status ?budget ?(damping = 1.) ?(tol = 1e-10)
     ?(max_iter = 10_000) ~f x0 =
@@ -97,12 +72,12 @@ let solve_vector_status ?budget ?(damping = 1.) ?(tol = 1e-10)
 
 let solve_scalar_status ?budget ?(damping = 1.) ?(tol = 1e-10)
     ?(max_iter = 10_000) ~f x0 =
-  let outcome, status =
+  let value, status =
     vector_impl ?budget ~damping ~tol ~max_iter
       ~f:(fun x -> [| f x.(0) |])
       ~name:"Fixed_point.solve_scalar_status" [| x0 |]
   in
-  (outcome.value.(0), status)
+  (value.(0), status)
 
 (* Roots gives the residual callback no way out but an exception, so the
    budget stop and a non-finite residual are raised there ([residual] is

@@ -7,20 +7,14 @@
     cycle-time maps are instead solved by bracketing
     ({!solve_above_status}). *)
 
-type outcome = {
-  value : float array;  (** The (approximate) fixed point. *)
-  iterations : int;     (** Iterations actually performed. *)
-  residual : float;     (** Max-norm of [F x − x] at the final iterate. *)
-}
-
 type status =
   | Converged of { iters : int }
       (** The iteration met its tolerance after [iters] steps. *)
   | Saturated of { station : int; utilization : float }
       (** A queueing station was driven to (or past) full utilization, so
           no finite fixed point exists. Produced by the model-level solvers
-          ([Amva], [All_to_all], [General], [Fault_model]) which know which
-          station saturated; the raw iteration itself never reports it. *)
+          that know which station saturated ([Amva], [Fault_model]); the
+          raw iteration itself never reports it. *)
   | Diverged of { iters : int; residual : float }
       (** The iteration left the finite domain or used up [max_iter];
           [residual] is the last max-norm of [F x − x] ([nan] when the map
@@ -74,13 +68,13 @@ val solve_vector_status :
   ?max_iter:int ->
   f:(float array -> float array) ->
   float array ->
-  outcome * status
+  float array * status
 (** [solve_vector_status ~f x0] iterates [x <- (1−d)·x + d·f x] from
     [x0] until the max norm of [f x − x] is at most [tol ·. max 1. ‖x‖∞],
     with the defaults of {!solve_scalar_status}. [f] must return an array
     of the same length as its input; a map that changes the length is
-    [Diverged _] with a [nan] residual. On [Diverged _] the returned
-    [outcome.value] is the last finite iterate, which model-level callers
+    [Diverged _] with a [nan] residual. Returns the fixed point (on
+    [Converged _]) or the last finite iterate, which model-level callers
     use to diagnose saturation. [budget] is as in
     {!solve_scalar_status}. Only
     raises [Invalid_argument] on a bad [damping]. *)

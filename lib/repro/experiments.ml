@@ -486,14 +486,22 @@ let windowed_speedup_plan ~fidelity ~seed =
         ~columns:[ "window"; "model X/node"; "sim X/node"; "err %"; "speedup"; "proc util" ];
   }
 
+(* Fig 6-2's work pile with multithreaded servers: Bard's AMVA with
+   multi-server stations, which the general model does not have. *)
 let ablation_multiserver_plan () =
   let so = 131. and w = 1000. in
-  let params = Params.create ~c2:1. ~p:nodes ~st:wire_latency ~so () in
+  let think = w +. (2. *. wire_latency) +. so in
   {
     tasks =
       pure_tasks [ 1; 2; 3; 4; 5; 8; 12; 16 ] (fun servers ->
           let x threads =
-            (CS.throughput ~threads_per_server:threads params ~w ~servers).CS.throughput
+            let demand = so /. Float.of_int servers in
+            let stations =
+              Array.init servers (fun _ -> Station.queueing ~scv:1. ~servers:threads ~demand ())
+            in
+            let population = nodes - servers in
+            (Amva.solve ~approximation:Amva.Bard ~think_time:think ~stations ~population ())
+              .Solution.throughput
           in
           [
             [

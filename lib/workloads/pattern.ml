@@ -34,14 +34,6 @@ let check ~nodes t =
 let is_server t c =
   match t with Client_server { servers } -> c < servers | _ -> false
 
-(* [v] added [n] times, left to right from [0.]. *)
-let repeated n v =
-  let acc = ref 0. in
-  for _ = 1 to n do
-    acc := !acc +. v
-  done;
-  !acc
-
 (* Each pattern's classes of interchangeable nodes in closed form,
    numbered by smallest member, with the quotient of its visit matrix. A
    thread at node c visits:
@@ -52,17 +44,17 @@ let repeated n v =
      visits to the hot node (its own thread included).
    [row.(j)] sums one thread's visits over class j, [col.(j)] all of a
    class's threads' visits to one node of class j. A sum of n equal
-   ratios is added up term by term ([repeated]), as a per-node row sums
-   them, not multiplied out: the entries then equal the node-order sums
-   bit for bit, so the class solve answers exactly as a per-node one
-   would. Near saturation that matters: whether a stalled solve ends
-   Saturated or Diverged turns on the last bit of its iterate (ROADMAP
-   item 9). The loops are O(P) additions and allocate nothing. *)
+   ratios is added up term by term ([General.repeated]), as a per-node
+   row sums them, not multiplied out: the entries then equal the
+   node-order sums bit for bit, so the lumped net is the per-node net's
+   quotient exactly and its solve answers to the last bit as that
+   quotient's does. The loops are O(P) additions and allocate nothing.
+   [Client_server] writes its own net. *)
 let to_general ?(protocol_processor = false) (params : Lopc.Params.t) ~w t =
   let nodes = params.p in
   let t = check ~nodes t in
   let uniform v =
-    let hops = repeated (nodes - 1) v in
+    let hops = General.repeated (nodes - 1) v in
     [| { General.members = nodes; first = 0; work = Some w; row = [| hops |]; col = [| hops |] } |]
   in
   let classes =
@@ -71,21 +63,10 @@ let to_general ?(protocol_processor = false) (params : Lopc.Params.t) ~w t =
     | Multi_hop { hops } -> uniform (Float.of_int hops /. Float.of_int (nodes - 1))
     (* No extra visits: the hot node is like every other node. *)
     | Hotspot { fraction; _ } when Float.equal fraction 0. -> uniform (1. /. Float.of_int (nodes - 1))
-    | Client_server { servers } ->
-      let v = 1. /. Float.of_int servers in
-      [|
-        { General.members = servers; first = 0; work = None; row = [| 0.; 0. |]; col = [| 0.; 0. |] };
-        {
-          General.members = nodes - servers;
-          first = servers;
-          work = Some w;
-          row = [| repeated servers v; 0. |];
-          col = [| repeated (nodes - servers) v; 0. |];
-        };
-      |]
+    | Client_server { servers } -> (Lopc.Client_server.net params ~w ~servers).classes
     | Hotspot { hot; fraction } ->
       let spread = (1. -. fraction) /. Float.of_int (nodes - 1) in
-      let to_cold = repeated (nodes - 2) spread in
+      let to_cold = General.repeated (nodes - 2) spread in
       (* The hot node's class comes first only when it is node 0. *)
       let pair ~hot:h ~cold = if hot = 0 then [| h; cold |] else [| cold; h |] in
       pair
@@ -94,7 +75,7 @@ let to_general ?(protocol_processor = false) (params : Lopc.Params.t) ~w t =
             General.members = 1;
             first = hot;
             work = Some w;
-            row = pair ~hot:fraction ~cold:(repeated (nodes - 1) spread);
+            row = pair ~hot:fraction ~cold:(General.repeated (nodes - 1) spread);
             col = pair ~hot:fraction ~cold:spread;
           }
         ~cold:
@@ -103,7 +84,7 @@ let to_general ?(protocol_processor = false) (params : Lopc.Params.t) ~w t =
             first = (if hot = 0 then 1 else 0);
             work = Some w;
             row = pair ~hot:(spread +. fraction) ~cold:to_cold;
-            col = pair ~hot:(repeated (nodes - 1) (spread +. fraction)) ~cold:to_cold;
+            col = pair ~hot:(General.repeated (nodes - 1) (spread +. fraction)) ~cold:to_cold;
           }
   in
   { General.params; protocol_processor; classes }

@@ -157,8 +157,7 @@ let amva_reference_solve_status ?budget ?(approximation = Amva.Bard) ?(think_tim
     let q0 =
       Array.map (fun (s : Station.t) -> n *. s.demand /. (think_time +. total_demand)) stations
     in
-    let outcome, status = FP.solve_vector_status ?budget ~damping:0.5 ~tol ~max_iter ~f:step q0 in
-    let queues = outcome.FP.value in
+    let queues, status = FP.solve_vector_status ?budget ~damping:0.5 ~tol ~max_iter ~f:step q0 in
     let x = consistent_throughput ~arrival_factor queues in
     match status with
     | FP.Converged _ ->
@@ -407,26 +406,41 @@ let general_all_to_all params ~w = fst (lump (dense_of_pattern params ~w Pattern
 let general_client_server params ~w ~servers =
   fst (lump (dense_of_pattern params ~w (Pattern.Client_server { servers })))
 
+(* Bard's AMVA on the work-pile network: P − Ps customers, think time
+   W + 2·St + So, and Ps queueing stations of demand So/Ps, each running
+   [threads] handlers at once. [Client_server] is the general model's
+   solve of the same network, and the [ablate.multiserver] artifact
+   solves it with several threads. *)
+let workpile_amva ?(threads = 1) (params : Params.t) ~w ~servers =
+  let stations =
+    Array.init servers (fun _ ->
+        Station.queueing ~scv:params.c2 ~servers:threads
+          ~demand:(params.so /. Float.of_int servers) ())
+  in
+  Amva.solve ~approximation:Amva.Bard ~think_time:(w +. (2. *. params.st) +. params.so) ~stations
+    ~population:(params.p - servers) ()
+
 module Fixed_point = Lopc_numerics.Fixed_point
 module Contention = Lopc.Contention
 
-(* The unlumped Appendix A solve: one throughput per node, with a dense
-   [Vᵀx] and a dense cycle-time sum every iteration. [General.solve_status]
-   iterates the same equations over classes of interchangeable nodes; this
-   is the reference it is checked against. *)
-let dense_general_solve_status ?(tol = 1e-12) ?(max_iter = 200_000) t =
+(* The unlumped Appendix A solve: one throughput per node, solved node by
+   node. With the other nodes' throughputs held, node c's cycle time is
+   bracketed above its contention-free bound, from the dense [Vᵀx] at
+   every node c visits. [General.solve_status] runs the same sweeps over
+   classes of interchangeable nodes; this is the reference it is checked
+   against, settling on the same 1e-12 relative moves. [start] replaces
+   the contention-free throughputs as the first iterate, and
+   [max_sweeps] caps the sweeps over the thread nodes. *)
+let dense_general_solve_status ?(max_sweeps = 1_000) ?start t =
+  let tol = 1e-12 in
   (match G.validate (fst (lump t)) with
   | Ok _ -> ()
   | Error reason -> invalid_arg ("General: " ^ reason));
   let p = Array.length t.nodes in
   let { Params.st; so; _ } = t.params in
   let beta = Contention.beta t.params in
-  let max_queue =
-    Float.of_int
-      (Array.fold_left
-         (fun acc spec -> if Option.is_none spec.work then acc else acc + 1)
-         0 t.nodes)
-  in
+  let threads = List.filter (fun c -> Option.is_some t.nodes.(c).work) (List.init p Fun.id) in
+  let max_queue = Float.of_int (List.length threads) in
   let node_queues a b =
     if 1. -. a -. (a *. b) <= 1e-9 then
       (max_queue, Float.min max_queue (Contention.reply_queue ~beta a b max_queue))
@@ -436,81 +450,94 @@ let dense_general_solve_status ?(tol = 1e-12) ?(max_iter = 200_000) t =
       (qq, Float.max 0. (Float.min (Contention.reply_queue ~beta a b qq) max_queue))
     end
   in
-  let analyze x =
-    let lambda =
-      Array.init p (fun k ->
-          let acc = ref 0. in
-          Array.iteri (fun c spec -> acc := !acc +. (spec.visits.(k) *. x.(c))) t.nodes;
-          !acc)
+  (* Node k at request rate [lambda] with its own throughput [x]. *)
+  let node k ~lambda ~x =
+    let a = so *. lambda in
+    let b = so *. x in
+    let qq, qy = node_queues a b in
+    let rq = so *. (1. +. qq +. qy +. (beta *. (a +. b))) in
+    let ry = so *. (1. +. qq +. (beta *. a)) in
+    let rw =
+      match t.nodes.(k).work with
+      | None -> Float.nan
+      | Some w ->
+        if t.protocol_processor then w
+        else (w +. (so *. qq)) /. Float.max 1e-6 (1. -. a)
     in
-    Array.init p (fun k ->
-        let a = so *. lambda.(k) in
-        let b = so *. x.(k) in
-        let qq, qy = node_queues a b in
-        let rq = so *. (1. +. qq +. qy +. (beta *. (a +. b))) in
-        let ry = so *. (1. +. qq +. (beta *. a)) in
-        let rw =
-          match t.nodes.(k).work with
-          | None -> Float.nan
-          | Some w ->
-            if t.protocol_processor then w
-            else (w +. (so *. qq)) /. Float.max 1e-6 (1. -. a)
-        in
-        { G.rq; ry; rw; qq; qy; uq = a; uy = b })
+    { G.rq; ry; rw; qq; qy; uq = a; uy = b }
   in
-  let cycle_time (per_node : G.node_solution array) c =
-    match t.nodes.(c).work with
-    | None -> Float.nan
-    | Some _ ->
-      let acc = ref 0. in
-      Array.iteri
-        (fun k v -> if v > 0. then acc := !acc +. (v *. (st +. per_node.(k).rq)))
-        t.nodes.(c).visits;
-      per_node.(c).rw +. !acc +. st +. per_node.(c).ry
+  (* The rate at node k from every thread but [skip]'s. *)
+  let rate_without x skip k =
+    let acc = ref 0. in
+    Array.iteri
+      (fun c spec -> if c <> skip then acc := !acc +. (spec.visits.(k) *. x.(c)))
+      t.nodes;
+    !acc
   in
-  let step x =
-    let per_node = analyze x in
-    Array.init p (fun c ->
-        match t.nodes.(c).work with None -> 0. | Some _ -> 1. /. cycle_time per_node c)
+  let cycle_time c ~at =
+    let acc = ref 0. in
+    Array.iteri
+      (fun k v -> if v > 0. then acc := !acc +. (v *. (st +. (at k).G.rq)))
+      t.nodes.(c).visits;
+    let own = at c in
+    own.G.rw +. !acc +. st +. own.G.ry
   in
-  let x0 =
-    Array.map
-      (fun spec ->
-        match spec.work with
-        | None -> 0.
-        | Some w ->
-          let hops = Array.fold_left ( +. ) 0. spec.visits in
-          1. /. (w +. (hops *. (st +. so)) +. st +. so))
-      t.nodes
+  let lower_bound c =
+    let spec = t.nodes.(c) in
+    let hops = Array.fold_left ( +. ) 0. spec.visits in
+    Option.value ~default:Float.nan spec.work +. (hops *. (st +. so)) +. st +. so
   in
-  let outcome, status =
-    Fixed_point.solve_vector_status ~damping:0.1 ~tol ~max_iter ~f:step x0
+  let x =
+    match start with
+    | Some x -> Array.copy x
+    | None -> Array.init p (fun c -> if List.mem c threads then 1. /. lower_bound c else 0.)
   in
-  let x = outcome.Fixed_point.value in
-  let per_node = analyze x in
-  match status with
-  | Fixed_point.Converged _ ->
+  (* Node c's cycle time in units of lb·2⁻⁴⁰, as the class solve takes it. *)
+  let solve_node c =
+    let base = Array.init p (rate_without x c) in
+    let lb = lower_bound c in
+    let unit = Float.ldexp lb (-40) in
+    let f v =
+      let xc = 1. /. (v *. unit) in
+      let at k =
+        node k ~lambda:(base.(k) +. (t.nodes.(c).visits.(k) *. xc)) ~x:(if k = c then xc else x.(k))
+      in
+      cycle_time c ~at /. unit
+    in
+    let v, status = Fixed_point.solve_above_status ~f (lb /. unit) in
+    (1. /. (v *. unit), status)
+  in
+  let order = Array.of_list threads in
+  let m = Array.length order in
+  let rec sweep ~solves ~evals ~settled ~moved =
+    if settled = m then Fixed_point.Converged { iters = evals }
+    else if solves = max_sweeps * m then Fixed_point.Diverged { iters = evals; residual = moved }
+    else
+      let c = order.(solves mod m) in
+      match solve_node c with
+      | xc, Fixed_point.Converged { iters } ->
+        let moved = Float.abs (xc -. x.(c)) /. xc in
+        x.(c) <- xc;
+        sweep ~solves:(solves + 1) ~evals:(evals + iters)
+          ~settled:(if moved <= tol || m = 1 then settled + 1 else 0)
+          ~moved
+      | _, status -> status
+  in
+  match sweep ~solves:0 ~evals:0 ~settled:0 ~moved:Float.nan with
+  | (Fixed_point.Diverged _ | Fixed_point.Exhausted _ | Fixed_point.Saturated _) as status ->
+    (None, status)
+  | Fixed_point.Converged _ as status ->
+    let per_node = Array.init p (fun k -> node k ~lambda:(rate_without x (-1) k) ~x:x.(k)) in
     ( Some
         {
-          G.cycle_times = Array.init p (cycle_time per_node);
+          G.cycle_times =
+            Array.init p (fun c ->
+                if List.mem c threads then cycle_time c ~at:(fun k -> per_node.(k)) else Float.nan);
           throughputs = x;
           node_solutions = per_node;
           system_throughput = Array.fold_left ( +. ) 0. x;
         },
       status )
-  | _ -> (
-    (* The first node at the top request-handler utilization. *)
-    let best = ref None in
-    Array.iteri
-      (fun k (ns : G.node_solution) ->
-        match !best with
-        | Some (_, u) when u >= ns.uq -> ()
-        | _ -> best := Some (k, ns.uq))
-      per_node;
-    match !best with
-    | Some (station, utilization) when utilization >= 1. -. 1e-9 ->
-      (None, Fixed_point.Saturated { station; utilization })
-    | Some _ | None -> (None, status))
 
 module D = Lopc_dist.Distribution
 

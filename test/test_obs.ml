@@ -341,34 +341,34 @@ let test_saturated_station_identified () =
   | _, status ->
     Alcotest.failf "expected Saturated, got %s" (Fixed_point.status_to_string status)
 
-let test_general_saturation () =
+let test_general_hammered_server () =
   (* The Appendix-A solver: a server node everyone hammers. The
-     contention-free starting throughputs imply server utilization past 1,
-     so stalling the iteration early yields a Saturated diagnosis naming
-     that node. *)
+     contention-free throughputs would load it past utilization 1, but
+     each thread slows down as the server fills up, so the solve
+     converges with the server below full utilization. *)
   let params = Params.create ~c2:1. ~p:4 ~st:40. ~so:400. () in
-  let net =
-    fst
-      (Harness.lump
-         {
-           Harness.params;
-           protocol_processor = false;
-           nodes =
-             Array.init 4 (fun c ->
-                 if c = 2 then { Harness.work = None; visits = Array.make 4 0. }
-                 else
-                   {
-                     Harness.work = Some 10.;
-                     visits = Array.init 4 (fun k -> if k = 2 then 1. else 0.);
-                   });
-         })
+  let net, class_of =
+    Harness.lump
+      {
+        Harness.params;
+        protocol_processor = false;
+        nodes =
+          Array.init 4 (fun c ->
+              if c = 2 then { Harness.work = None; visits = Array.make 4 0. }
+              else
+                {
+                  Harness.work = Some 10.;
+                  visits = Array.init 4 (fun k -> if k = 2 then 1. else 0.);
+                });
+      }
   in
-  match G.solve_status ~max_iter:5 net with
-  | None, Fixed_point.Saturated { station; utilization } ->
-    Alcotest.(check int) "the hotspot node saturates" 2 station;
-    Alcotest.(check bool) "reported at or past full utilization" true (utilization >= 1.)
+  match G.solve_status net with
+  | Some s, Fixed_point.Converged _ ->
+    let u = s.G.node_solutions.(class_of.(2)).G.uq in
+    Alcotest.(check bool) (Printf.sprintf "node 2 below full utilization (%g)" u) true
+      (u > 0. && u < 1.)
   | _, status ->
-    Alcotest.failf "expected Saturated, got %s" (Fixed_point.status_to_string status)
+    Alcotest.failf "expected convergence, got %s" (Fixed_point.status_to_string status)
 
 let suite =
   [
@@ -389,6 +389,6 @@ let suite =
       test_solver_residuals_strictly_decrease;
     Alcotest.test_case "saturated station identified (AMVA)" `Quick
       test_saturated_station_identified;
-    Alcotest.test_case "saturated node identified (general)" `Quick
-      test_general_saturation;
+    Alcotest.test_case "hammered server converges (general)" `Quick
+      test_general_hammered_server;
   ]
