@@ -110,12 +110,19 @@ let node_queues ~beta ~max_queue a b =
     (qq, Float.max 0. (Float.min (Contention.reply_queue ~beta a b qq) max_queue))
   end
 
-(* A solve settles once every thread class in a row moved its throughput
-   by at most [tol] relative, and gives up after [max_sweeps] sweeps; the
-   tests' hotspot grids settle within 15. *)
+(* A solve with two or more thread classes stops once every class's
+   cycle time is its own map's value, |Fc(R) − Rc| ≤ [tol]·Rc. At the
+   hot node of a P = 128 hotspot rounding holds that residual at about
+   2e-14, so 1e-14 is never met there. [max_sweeps] caps the outer steps,
+   bracketed sweeps and Newton steps together. *)
 let tol = 1e-12
 
 let max_sweeps = 1_000
+
+(* Newton halves a step that leaves some class below its bound, or does
+   not lower the residual, at most this many times before it falls back
+   to a bracketed sweep. *)
+let max_halvings = 4
 
 let solve_status ?budget t =
   (match validate t with
@@ -163,25 +170,24 @@ let solve_status ?budget t =
   in
   let x = Array.make n 0. in
   List.iter (fun c -> x.(c) <- 1. /. bound c) threads;
-  (* The request rate [Σ_i col_i(j)·x_i] at one node of class [j] from
-     every class but [skip]. *)
-  let rate_without skip j =
+  (* The request rate [Σ_i col_i(j)·xs.(i)] at one node of class [j]
+     from every class but [skip]. *)
+  let rate_without xs skip j =
     let acc = ref 0. in
     for i = 0 to n - 1 do
-      if i <> skip then acc := !acc +. (classes.(i).col.(j) *. x.(i))
+      if i <> skip then acc := !acc +. (classes.(i).col.(j) *. xs.(i))
     done;
     !acc
   in
   (* Class [c]'s cycle time R = F(R), the others held; [x.(c)] then holds
-     the answer. Returns the kernel's status and how far [x.(c)] moved,
-     relative. An evaluation adds only c's share to the other classes'
+     the answer. An evaluation adds only c's share to the other classes'
      rates, O(classes). The search runs in units of lb·2⁻⁴⁰: the
      kernel's absolute tolerance then sits below rounding at any time
      scale, and scaling every time by a power of two leaves the search
      bit for bit the same. *)
   let solve_class c =
     let col = classes.(c).col and lb = bound c in
-    let base = Array.init n (rate_without c) in
+    let base = Array.init n (rate_without x c) in
     let unit = Float.ldexp lb (-40) in
     let f v =
       let xc = 1. /. (v *. unit) in
@@ -189,36 +195,125 @@ let solve_status ?budget t =
       cycle_time c ~own:(at c) ~rq:(fun j -> (at j).rq) /. unit
     in
     let v, status = Fixed_point.solve_above_status ?budget ~f (lb /. unit) in
-    let xc = 1. /. (v *. unit) in
-    let moved = Float.abs (xc -. x.(c)) /. xc in
-    x.(c) <- xc;
-    (status, moved)
+    x.(c) <- 1. /. (v *. unit);
+    status
   in
-  (* Gauss-Seidel over the thread classes, each solved against the
-     others' latest throughputs. Settling takes a whole row of quiet
-     solves, so the first of them still sees the others where they
-     ended; a lone thread class settles after its first solve. [evals]
-     counts cycle-time evaluations. *)
   let threads = Array.of_list threads in
   let m = Array.length threads in
-  let rec sweep ~solves ~evals ~settled ~moved =
-    if settled = m then Fixed_point.Converged { iters = evals }
-    else if solves = max_sweeps * m then Fixed_point.Diverged { iters = evals; residual = moved }
-    else begin
-      match solve_class threads.(solves mod m) with
-      | Fixed_point.Converged { iters }, moved ->
-        let settled = if moved <= tol || m = 1 then settled + 1 else 0 in
-        sweep ~solves:(solves + 1) ~evals:(evals + iters) ~settled ~moved
-      | Fixed_point.Diverged { iters; residual }, _ ->
-        Fixed_point.Diverged { iters = evals + iters; residual }
-      | Fixed_point.Exhausted { iters; reason }, _ ->
-        Fixed_point.Exhausted { iters = evals + iters; reason }
-      | (Fixed_point.Saturated _ as status), _ -> status
-    end
+  (* [evals] counts cycle-time evaluations, one unit of fuel each. *)
+  let evals = ref 0 in
+  (* One bracketed solve per thread class in turn, each against the
+     others' latest throughputs: [None], or the first solve's status
+     that did not converge, its evaluations counted. *)
+  let sweep () =
+    Array.fold_left
+      (fun (stop : Fixed_point.status option) c ->
+        match stop with
+        | Some _ -> stop
+        | None -> (
+          match solve_class c with
+          | Fixed_point.Converged { iters } ->
+            evals := !evals + iters;
+            None
+          | Fixed_point.Diverged { iters; residual } ->
+            Some (Fixed_point.Diverged { iters = !evals + iters; residual })
+          | Fixed_point.Exhausted { iters; reason } ->
+            Some (Fixed_point.Exhausted { iters = !evals + iters; reason })
+          | Fixed_point.Saturated _ as status -> Some status))
+      None threads
   in
-  match sweep ~solves:0 ~evals:0 ~settled:0 ~moved:Float.nan with
-  | Fixed_point.Converged _ as status ->
-    let per_class = Array.init n (fun j -> node j ~lambda:(rate_without (-1) j) ~x:x.(j)) in
+  (* The per-node equations' residual, max_c |Fc(R) − Rc| / Rc, at
+     cycle times [r] (one entry per thread class) with [f] = F(r): [nan]
+     when some F is not finite, as [Float.max] keeps a [nan]. *)
+  let residual r f =
+    let worst = ref 0. in
+    Array.iteri
+      (fun k rk ->
+        worst := Float.max !worst (Float.abs (f.(k) -. rk) /. rk))
+      r;
+    !worst
+  in
+  let bounds = Array.map bound threads in
+  let cycle_times () = Array.map (fun c -> 1. /. x.(c)) threads in
+  let set_cycle_times r = Array.iteri (fun k c -> x.(c) <- 1. /. r.(k)) threads in
+  (* Newton steps on G(R) = F(R) − R from where one sweep left the
+     throughputs, each safeguarded by a sweep. The budget's stop is
+     caught here, where every evaluation that consumes it is made. *)
+  let solve_jointly () =
+    try
+      (* Every thread class's map at once: one pass over the request
+         rates, O(classes²), then one evaluation and one unit of fuel
+         per class. *)
+      let joint r =
+        let xs = Array.make n 0. in
+        Array.iteri (fun k c -> xs.(c) <- 1. /. r.(k)) threads;
+        let at = Array.init n (fun j -> node j ~lambda:(rate_without xs (-1) j) ~x:xs.(j)) in
+        Array.map
+          (fun c ->
+            Lopc_robust.Budget.check_exn budget;
+            incr evals;
+            cycle_time c ~own:at.(c) ~rq:(fun j -> at.(j).rq))
+          threads
+      in
+      (* One Newton step from [r]: the Jacobian by forward differences
+         (one joint evaluation per class), then the step halved until
+         every Rc stays at or above its bound and the residual falls.
+         [None] when no such step is found. *)
+      let newton r f ~now =
+        let jacobian = Array.make_matrix m m 0. in
+        for k = 0 to m - 1 do
+          let h = Float.ldexp r.(k) (-26) in
+          let fh = joint (Array.mapi (fun i ri -> if i = k then ri +. h else ri) r) in
+          for c = 0 to m - 1 do
+            jacobian.(c).(k) <- ((fh.(c) -. f.(c)) /. h) -. if c = k then 1. else 0.
+          done
+        done;
+        match Lopc_numerics.Linear.solve jacobian (Array.mapi (fun k fk -> r.(k) -. fk) f) with
+        | exception Lopc_numerics.Linear.Singular -> None
+        | step ->
+          let rec halve halvings scale =
+            let next = Array.mapi (fun k rk -> rk +. (scale *. step.(k))) r in
+            let again () =
+              if halvings = max_halvings then None else halve (halvings + 1) (scale /. 2.)
+            in
+            if not (Array.for_all2 ( <= ) bounds next) then again ()
+            else
+              let fn = joint next in
+              if residual next fn < now then Some (next, fn) else again ()
+          in
+          halve 0 1.
+      in
+      let rec steps ~taken r f =
+        let now = residual r f in
+        if now <= tol then begin
+          set_cycle_times r;
+          Fixed_point.Converged { iters = !evals }
+        end
+        else if taken = max_sweeps then Fixed_point.Diverged { iters = !evals; residual = now }
+        else
+          match newton r f ~now with
+          | Some (r, f) -> steps ~taken:(taken + 1) r f
+          | None -> (
+            set_cycle_times r;
+            match sweep () with
+            | Some status -> status
+            | None ->
+              let r = cycle_times () in
+              steps ~taken:(taken + 1) r (joint r))
+      in
+      let r = cycle_times () in
+      steps ~taken:1 r (joint r)
+    with Lopc_robust.Budget.Stop reason -> Fixed_point.Exhausted { iters = !evals; reason }
+  in
+  let status =
+    match sweep () with
+    | Some status -> status
+    | None when m = 1 -> Fixed_point.Converged { iters = !evals }
+    | None -> solve_jointly ()
+  in
+  match status with
+  | Fixed_point.Converged _ ->
+    let per_class = Array.init n (fun j -> node j ~lambda:(rate_without x (-1) j) ~x:x.(j)) in
     let rq j = per_class.(j).rq in
     ( Some
         {

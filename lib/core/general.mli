@@ -10,10 +10,15 @@
 
     Given the per-thread throughputs [Xc], the per-node quantities of
     A.1–A.10 have closed forms (Little's law plus Bard's approximation),
-    with the [C²] residual-life correction of §5.2 per node. Each thread
-    class's cycle time [Rc = Fc(Rc)] is bracketed in turn, the other
-    classes held, by {!Lopc_numerics.Fixed_point.solve_above_status} (as
-    in the all-to-all model), sweeping until no throughput moves.
+    with the [C²] residual-life correction of §5.2 per node. A thread
+    class's cycle time [Rc = Fc(Rc)], the other classes held, is
+    bracketed by {!Lopc_numerics.Fixed_point.solve_above_status} (as in
+    the all-to-all model); a net with one thread class is that one
+    solve. With more, one sweep brackets each class in turn, then Newton
+    steps on the vector of class cycle times solve [F(R) − R = 0], each
+    from a forward-difference Jacobian and halved until every [Rc] stays
+    above its contention-free bound and the residual falls; where no
+    step does, a sweep takes its place (DESIGN.md §12).
 
     A net is given as classes of interchangeable nodes: all members of a
     class run the same work and have the same visit sums into, and from,
@@ -92,11 +97,14 @@ val repeated : int -> float -> float
 
 val solve_status :
   ?budget:Lopc_robust.Budget.t -> t -> solution option * Lopc_numerics.Fixed_point.status
-(** Solve the system A.1–A.10. [Converged] once every thread class in a
-    row moved its throughput by at most 1e-12 relative; [iters] counts
-    evaluations of a class's cycle-time map, and [budget] is consulted
-    once per evaluation ([Exhausted] counts all sweeps). A non-finite
-    time, or 1,000 sweeps without settling, is [Diverged]. There is no
+(** Solve the system A.1–A.10. [Converged] once every thread class's
+    cycle time [Rc] satisfies [|Fc(R) − Rc| <= 1e-12 ·. Rc] (one thread
+    class: once its bracketed solve converges); [iters] counts
+    evaluations of a class's cycle-time map, a joint evaluation of all
+    [m] thread classes counting [m], and [budget] is consulted once per
+    evaluation ([Exhausted] counts every evaluation so far). A
+    non-finite time, or 1,000 sweeps and Newton steps without meeting
+    the tolerance, is [Diverged]. There is no
     [Saturated]: each thread's cycle includes the request residence of
     every node it loads, so threads slow down as nodes fill and the
     fixed point has every utilization below 1. Non-converged outcomes

@@ -397,6 +397,20 @@ let per_node class_of (s : G.solution) =
     node_solutions = expand s.G.node_solutions;
   }
 
+(* A dense net written node by node through the public record: every
+   node its own class, as any caller of [General] may build it. One
+   member makes a class's row and column the node's own visits. *)
+let unlumped t =
+  {
+    G.params = t.params;
+    protocol_processor = t.protocol_processor;
+    classes =
+      Array.mapi
+        (fun c spec ->
+          { G.members = 1; first = c; work = spec.work; row = spec.visits; col = spec.visits })
+        t.nodes;
+  }
+
 (* The general model's inputs for the two special patterns, lumped from
    their dense nets, so its solutions can be checked against All_to_all
    and Client_server independently of [Pattern.to_general]'s closed

@@ -169,6 +169,25 @@ let same_solution (a : G.solution) (b : G.solution) =
   && Array.for_all2 node a.node_solutions b.node_solutions
   && close a.system_throughput b.system_throughput
 
+(* The first thread class whose R·X is not 1 within 1e-9, if any: a
+   solve that stopped at a fixed point of its own map has none. *)
+let rx_problem (s : G.solution) =
+  Seq.find_map
+    (fun (c, r) ->
+      let rx = r *. s.G.throughputs.(c) in
+      if Float.is_nan r || Float.abs (rx -. 1.) <= 1e-9 then None
+      else Some (Printf.sprintf "class %d: R·X = %.17g" c rx))
+    (Array.to_seqi s.G.cycle_times)
+
+(* The lumped solve is checked twice over on the per-node net: by
+   [G.solve_status] on the net written node by node, from the
+   contention-free start like any other solve, and by the independent
+   reference in Harness, which writes the per-node equations out again.
+   The reference sweeps node by node and crawls where one node is the
+   bottleneck of many others (each cold node of a hot spot answers the
+   rest through it), so it may reach its cap. Restarted from the lumped
+   answer, it must then settle where it starts, which holds the lumped
+   answer to the per-node equations. *)
 let prop_lumped_matches_dense =
   QCheck.Test.make ~name:"general: lumped solve matches the dense reference" ~count:120
     (QCheck.make ~print:print_case case_gen) (fun case ->
@@ -176,26 +195,22 @@ let prop_lumped_matches_dense =
       let quotient, class_of = Harness.lump net in
       let lumped = G.solve_status quotient in
       let lumped = (Option.map (Harness.per_node class_of) (fst lumped), snd lumped) in
-      (* Node-by-node sweeps crawl where one node is the bottleneck of
-         many others (each cold node of a hot spot answers the rest
-         through it), and may reach their cap. Restarted from the
-         lumped answer, the dense solve must then settle where it
-         starts, which holds the lumped answer to the per-node
-         equations. The two sweep in different orders, so they take
-         different numbers of evaluations. *)
       let dense =
         match (lumped, Harness.dense_general_solve_status ~max_sweeps:100 net) with
         | (Some l, FP.Converged _), (None, FP.Diverged _) ->
           Harness.dense_general_solve_status ~start:l.G.throughputs net
         | _, dense -> dense
       in
-      match (lumped, dense) with
-      | (Some l, FP.Converged _), (Some d, FP.Converged _) ->
-        same_solution l d || QCheck.Test.fail_report "solutions differ"
-      | (None, FP.Diverged _), (None, FP.Diverged _) -> true
-      | (_, ls), (_, ds) ->
-        QCheck.Test.fail_reportf "lumped %s, dense %s" (FP.status_to_string ls)
-          (FP.status_to_string ds))
+      let agree what other =
+        match (lumped, other) with
+        | (Some l, FP.Converged _), (Some d, FP.Converged _) ->
+          same_solution l d || QCheck.Test.fail_reportf "%s: solutions differ" what
+        | (None, FP.Diverged _), (None, FP.Diverged _) -> true
+        | (_, ls), (_, ds) ->
+          QCheck.Test.fail_reportf "lumped %s, %s %s" (FP.status_to_string ls) what
+            (FP.status_to_string ds)
+      in
+      agree "per-node" (G.solve_status (Harness.unlumped net)) && agree "dense" dense)
 
 (* --- near saturation at large P ------------------------------------------------ *)
 
@@ -435,6 +450,72 @@ let test_hotspot_grid () =
            0. (List.init 201 Fun.id)))
     [ 8; 32; 128 ]
 
+(* --- nets written node by node -------------------------------------------------- *)
+
+(* A hot spot written node by node through the public record, every node
+   its own class, solved from the contention-free start: it converges,
+   every class has R·X = 1, and each node's answer is its class's in the
+   lumped solve within 1e-9 relative. Many one-member thread classes
+   share one bottleneck here, the case a class-by-class sweep crawls
+   on. *)
+let per_node_hotspot (params : Params.t) ~hot ~fraction =
+  let dense = Harness.dense_of_pattern params ~w:1000. (Pattern.Hotspot { hot; fraction }) in
+  let quotient, class_of = Harness.lump dense in
+  match (G.solve_status quotient, G.solve_status (Harness.unlumped dense)) with
+  | (Some l, FP.Converged _), (Some d, FP.Converged _) -> (
+    match rx_problem d with
+    | Some _ as problem -> problem
+    | None when same_solution (Harness.per_node class_of l) d -> None
+    | None -> Some "per-node and lumped solutions differ")
+  | (_, ls), (_, ds) ->
+    Some
+      (Printf.sprintf "lumped %s, per-node %s" (FP.status_to_string ls) (FP.status_to_string ds))
+
+let prop_per_node_hotspot =
+  QCheck.Test.make ~name:"general: per-node hotspot nets converge to the lumped answer"
+    ~count:40
+    (QCheck.make
+       ~print:(fun ((params : Params.t), hot, fraction) ->
+         Printf.sprintf "p=%d c2=%g hot=%d fraction=%h" params.p params.c2 hot fraction)
+       QCheck.Gen.(
+         let* p = int_range 8 64 in
+         let* c2 = oneofl [ 0.; 1.; 2. ] in
+         let* hot = int_range 0 (p - 1) in
+         let* fraction = frequency [ (1, return 0.); (1, return 1.); (6, float_range 0. 1.) ] in
+         return (Params.create ~c2 ~p ~st:40. ~so:200. (), hot, fraction)))
+    (fun (params, hot, fraction) ->
+      Option.fold ~none:true ~some:QCheck.Test.fail_report (per_node_hotspot params ~hot ~fraction))
+
+let test_per_node_p128 () =
+  let params = Params.create ~c2:1. ~p:128 ~st:40. ~so:200. () in
+  Option.iter Alcotest.fail (per_node_hotspot params ~hot:0 ~fraction:0.3)
+
+(* Random asymmetric nets written node by node, some nodes pure servers:
+   every solve converges within the sweep cap and stops at a fixed
+   point. *)
+let prop_asymmetric_converges =
+  QCheck.Test.make ~name:"general: random asymmetric per-node nets converge" ~count:500
+    (QCheck.make
+       ~print:(fun ((params : Params.t), w, pp, seed) ->
+         Printf.sprintf "p=%d st=%h so=%h c2=%g w=%h pp=%b seed=%d" params.p params.st params.so
+           params.c2 w pp seed)
+       QCheck.Gen.(
+         let* p = int_range 2 12 in
+         let* st = float_range 0. 200. in
+         let* so = float_range 1. 500. in
+         let* c2 = oneofl [ 0.; 0.5; 1.; 2. ] in
+         let* w = float_range 0. 5000. in
+         let* protocol_processor = bool in
+         let* seed = int_range 0 1_000_000 in
+         return (Params.create ~c2 ~p ~st ~so (), w, protocol_processor, seed)))
+    (fun (params, w, protocol_processor, seed) ->
+      match
+        G.solve_status (Harness.unlumped (asymmetric_net params ~w ~protocol_processor ~seed))
+      with
+      | Some s, FP.Converged _ ->
+        Option.fold ~none:true ~some:QCheck.Test.fail_report (rx_problem s)
+      | _, status -> QCheck.Test.fail_report (FP.status_to_string status))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 24) prop_lumped_matches_dense;
@@ -452,4 +533,7 @@ let suite =
       test_client_server_grid;
     Alcotest.test_case "general: hotspot grid converges, hot U non-decreasing" `Quick
       test_hotspot_grid;
+    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 37) prop_per_node_hotspot;
+    Alcotest.test_case "general: per-node P = 128 hotspot converges" `Quick test_per_node_p128;
+    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 38) prop_asymmetric_converges;
   ]

@@ -340,7 +340,8 @@ let test_probe_utilization_matches_amva () =
    any of them means the code now does different work, never that a host
    was noisy; re-pin only for a change that means to alter that work. The
    exact solve spends one unit of fuel per explored orbit and one per
-   sweep, so fuel spent minus sweeps counts the orbits. *)
+   sweep, so fuel spent minus sweeps counts the orbits. The P = 32
+   hotspot solve counts evaluations of a class's cycle-time map. *)
 let test_work_counts () =
   let fuel = 1 lsl 40 in
   let budget = Lopc_robust.Budget.create ~fuel () in
@@ -361,11 +362,24 @@ let test_work_counts () =
   Alcotest.(check int) "simulator events" 6028
     (Machine.run ~warmup_cycles:200 ~spec ~cycles:1000 ()).Machine.events;
   let params = Params.create ~c2:0. ~p:32 ~st:40. ~so:200. () in
-  match A.solve_status params ~w:1000. with
+  (match A.solve_status params ~w:1000. with
   | Some _, Lopc_numerics.Fixed_point.Converged { iters } ->
     Alcotest.(check int) "model evaluations" 11 iters
   | _, status ->
-    Alcotest.failf "model: %s" (Lopc_numerics.Fixed_point.status_to_string status)
+    Alcotest.failf "model: %s" (Lopc_numerics.Fixed_point.status_to_string status));
+  (* A two-class hot spot: one bracketed sweep over both classes, then
+     Newton steps, each two joint evaluations for the Jacobian and one
+     per step length tried; a joint evaluation evaluates both classes'
+     cycle times. *)
+  let params = Params.create ~c2:1. ~p:32 ~st:40. ~so:200. () in
+  match
+    G.solve_status
+      (Pattern.to_general params ~w:1000. (Pattern.Hotspot { hot = 0; fraction = 0.3 }))
+  with
+  | Some _, Lopc_numerics.Fixed_point.Converged { iters } ->
+    Alcotest.(check int) "two-class hotspot evaluations" 80 iters
+  | _, status ->
+    Alcotest.failf "hotspot: %s" (Lopc_numerics.Fixed_point.status_to_string status)
 
 (* The P = 5 chain the full-fidelity [exact] artifact solves at W = 1:
    246,096 states over its orbits, and the R committed in
