@@ -537,9 +537,13 @@ let simulate_cmd =
             let recorder = Recorder.create () in
             (Some recorder, Some (Sim_probe.create ~recorder ~nodes:p ()))
         in
+        let percentiles = [ ("p50", 0.5); ("p90", 0.9); ("p95", 0.95); ("p99", 0.99) ] in
+        let estimates, on_cycle =
+          Lopc_activemsg.Trace.response_percentiles (List.map snd percentiles)
+        in
         let r =
           with_watchdog ?max_seconds cancel (fun () ->
-              Machine.run ~seed ~spec ~cycles ?obs ?budget ())
+              Machine.run ~seed ~spec ~cycles ~on_cycle ?obs ?budget ())
         in
         let m = r.Machine.metrics in
         if
@@ -573,11 +577,11 @@ let simulate_cmd =
           (Metrics.avg_request_queue m) (Metrics.avg_reply_queue m)
           (Metrics.avg_request_util m) (Metrics.avg_reply_util m)
           (Metrics.avg_thread_util m);
-        Format.printf "  R percentiles       = p50 %.1f, p90 %.1f, p95 %.1f, p99 %.1f@."
-          (Metrics.response_percentile m 0.5)
-          (Metrics.response_percentile m 0.9)
-          (Metrics.response_percentile m 0.95)
-          (Metrics.response_percentile m 0.99);
+        Format.printf "  R percentiles       = %s@."
+          (String.concat ", "
+             (List.map2
+                (fun (name, _) v -> Printf.sprintf "%s %.1f" name v)
+                percentiles (estimates ())));
         (match fault with
         | None -> ()
         | Some _ ->

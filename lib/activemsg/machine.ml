@@ -23,6 +23,7 @@ type cycle_report = {
   reply_residence : float;
   wire : float;
   measured : bool;
+  counted : bool;
 }
 
 (* One compute/request cycle of a thread, from the instant the thread
@@ -100,6 +101,12 @@ type machine = {
      [dispatch]), with the message they concern as payload, or [no_msg]. *)
   heap : msg Event_heap.t;
   no_msg : msg;
+  (* The heap's FIFO lanes for events a constant delay after the clock:
+     wire arrivals, request-handler and reply-handler completions, each
+     [None] when its delay is not a constant (see [prepare]). *)
+  wire_lane : Event_heap.lane option;
+  request_lane : Event_heap.lane option;
+  reply_lane : Event_heap.lane option;
   (* The clock: the boxed time [Event_heap.peek_time_exn] returned for the
      current event, kept as is so that every call that takes [~now]
      passes the same box instead of boxing the float again. *)
@@ -158,11 +165,23 @@ let schedule m ~time kind node msg =
   if not (time >= m.now) then invalid_arg "Machine: event scheduled into the past";
   Event_heap.push m.heap ~time ~kind:(kind lor (node lsl kind_bits)) msg
 
-let check_hop m hop =
-  if hop < 0 || hop >= m.spec.Spec.nodes then
-    invalid_arg
-      (Printf.sprintf "Machine: route returned node %d outside [0, %d)" hop
-         m.spec.Spec.nodes)
+(* Push an event a constant delay after the clock: into that delay's
+   lane, whose last entry it cannot precede, or into the heap when
+   [lane] is [None]. *)
+let schedule_after m lane ~time kind node msg =
+  match lane with
+  | Some lane ->
+    Event_heap.push_lane m.heap lane ~time ~kind:(kind lor (node lsl kind_bits)) msg
+  | None -> ignore (schedule m ~time kind node msg)
+
+let rec check_hops m = function
+  | [] -> ()
+  | hop :: rest ->
+    if hop < 0 || hop >= m.spec.Spec.nodes then
+      invalid_arg
+        (Printf.sprintf "Machine: route returned node %d outside [0, %d)" hop
+           m.spec.Spec.nodes);
+    check_hops m rest
 
 (* --- signal helpers ----------------------------------------------------- *)
 
@@ -278,7 +297,7 @@ and thread_done m node =
     | [] -> invalid_arg "Machine: route returned an empty hop list"
     | hops -> hops
   in
-  List.iter (check_hop m) hops;
+  check_hops m hops;
   let first, rest = (List.hd hops, List.tl hops) in
   (match m.spec.Spec.fault with
   | None -> send m ~src:node ~cycle ~kind:Request ~remaining:rest ~dest:first ~seq:(-1)
@@ -355,7 +374,8 @@ and send_copy m ~src ~cycle ~kind ~remaining ~dest ~seq ~spiked =
       else Distribution.sample m.spec.Spec.wire (m.nodes.(dest)).rng
     in
     cycle.wire_total <- cycle.wire_total +. st;
-    ignore (schedule m ~time:(injected +. st) ev_wire_arrival dest msg)
+    let lane = if spiked then None else m.wire_lane in
+    schedule_after m lane ~time:(injected +. st) ev_wire_arrival dest msg
   | Some topo ->
     msg.path <- Topology.route topo ~src:src.id ~dst:dest;
     traverse m topo ~dest msg ~depart:injected
@@ -481,7 +501,12 @@ and try_dispatch m node =
     in
     let cost = Distribution.sample dist node.rng in
     if m.measuring then Welford.add m.metrics.Metrics.handler_service cost;
-    ignore (schedule m ~time:(m.now +. cost) ev_handler_done node.id msg)
+    let lane =
+      match msg.kind with
+      | Request -> m.request_lane
+      | Reply -> m.reply_lane
+    in
+    schedule_after m lane ~time:(m.now +. cost) ev_handler_done node.id msg
   end
 
 and handler_done m node msg =
@@ -574,6 +599,9 @@ and complete_cycle m node msg =
   let cycle = msg.cycle in
   let arrived = m.in_service_at.(node.id) in
   assert (Float.to_int cycle.origin = node.id);
+  (* Whether the cycle enters the response statistics: it finished while
+     measuring and started no earlier than the measurement. *)
+  let counted = m.measuring && cycle.t_start >= m.metrics.Metrics.measure_start in
   node.outstanding <- node.outstanding - 1;
   (match m.spec.Spec.fault with
   | None -> ()
@@ -602,29 +630,21 @@ and complete_cycle m node msg =
         reply_residence = now -. arrived;
         wire = cycle.wire_total;
         measured = m.measuring;
+        counted;
       });
   if m.measuring then begin
     m.metrics.Metrics.measure_end <- now;
     m.metrics.Metrics.cycles <- m.metrics.Metrics.cycles + 1;
-    if cycle.t_start >= m.metrics.Metrics.measure_start then begin
-      let response = now -. cycle.t_start in
-      Welford.add m.metrics.Metrics.response response;
+    if counted then begin
+      Welford.add m.metrics.Metrics.response (now -. cycle.t_start);
       Welford.add m.metrics.Metrics.rw (cycle.t_sent -. cycle.t_start);
       Welford.add m.metrics.Metrics.rq cycle.rq_total;
       Welford.add m.metrics.Metrics.ry (now -. arrived);
       Welford.add m.metrics.Metrics.wire_time cycle.wire_total;
-      Welford.add m.metrics.Metrics.latency (now -. cycle.t_sent);
-      add_quantiles m.metrics.Metrics.response_quantiles response
+      Welford.add m.metrics.Metrics.latency (now -. cycle.t_sent)
     end
   end;
   finish_cycle m node
-
-and add_quantiles estimators x =
-  match estimators with
-  | [] -> ()
-  | (_, est) :: rest ->
-    Lopc_stats.P2_quantile.add est x;
-    add_quantiles rest x
 
 (* Shared tail of answered and abandoned cycles: advance the counters that
    pace the run loop, the barrier, and the thread's next cycle. *)
@@ -757,8 +777,33 @@ let prepare ?on_cycle ?rng ?obs ?budget ~seed ~warmup ~spec () =
       remaining_hops = []; seq = -1; path = []; injected = 0. }
   in
   let per_node () = Array.make spec.Spec.nodes 0. in
+  (* A constant delay gets a lane, shared by every event kind with that
+     delay: each such event is pushed at the clock plus the constant, and
+     the clock never goes back. A wire arrival takes the wire lane only
+     when it leaves at the clock: no NI gap and no torus in between. *)
+  let heap = Event_heap.create ~dummy:no_msg in
+  let lanes = ref [] in
+  let lane_of (d : Distribution.t) =
+    match d with
+    | Constant c -> (
+      match List.find_opt (fun (delay, _) -> Float.equal delay c) !lanes with
+      | Some (_, lane) -> Some lane
+      | None ->
+        let lane = Event_heap.new_lane heap in
+        lanes := (c, lane) :: !lanes;
+        Some lane)
+    | Exponential _ | Uniform _ | Erlang _ | Hyperexponential _
+    | Shifted_exponential _ | Empirical _ -> None
+  in
+  let wire_lane =
+    if Option.is_none spec.Spec.topology && Float.equal spec.Spec.gap 0. then
+      lane_of spec.Spec.wire
+    else None
+  in
+  let request_lane = lane_of spec.Spec.handler in
+  let reply_lane = lane_of spec.Spec.reply_handler in
   let m =
-    { spec; heap = Event_heap.create ~dummy:no_msg; no_msg; now = 0.; executed = 0;
+    { spec; heap; no_msg; wire_lane; request_lane; reply_lane; now = 0.; executed = 0;
       nodes; metrics; measuring = false; completed_total = 0;
       completed_measured = 0; thread_count; parked_count = 0; on_cycle;
       links = Array.init spec.Spec.nodes (fun _ -> Array.make 4 0.);

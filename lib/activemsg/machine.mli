@@ -15,6 +15,16 @@
       {e and} the handler queue has drained (queued handlers have
       priority, §5.1).
 
+    The events a constant delay after the clock ride FIFO lanes of the
+    event heap instead of its sift ({!Lopc_eventsim.Event_heap.push_lane}):
+    wire arrivals when [wire] is a [Constant], there is no [topology],
+    [gap = 0] and the copy is not delay-spiked, and handler completions
+    when [handler] or [reply_handler] is a [Constant]. Each distinct
+    constant has one lane. Every other event (thread starts and work
+    quanta, NI and torus-link steps, retransmission timers, barrier
+    releases) goes through the heap. Lanes change no event's place in the
+    order, so a run's results are the same bit for bit either way.
+
     Runs are deterministic functions of [seed] (or of the supplied [rng]
     stream). The entry points are re-entrant: all simulation state lives in
     the machine value built per call, so independent replications may run
@@ -39,8 +49,14 @@ type cycle_report = {
   request_residence : float;  (** [Rq], summed over hops. *)
   reply_residence : float;    (** [Ry]. *)
   wire : float;           (** Total interconnect time. *)
-  measured : bool;        (** Whether the cycle fell inside the
+  measured : bool;        (** Whether the cycle completed inside the
                               measurement window. *)
+  counted : bool;         (** Whether the cycle enters the response
+                              statistics of {!Metrics.t}: it completed
+                              inside the measurement window and started
+                              no earlier than its start. A counted cycle's
+                              [completed -. started] is the sample
+                              [Metrics.response] took. *)
 }
 (** One completed compute/request cycle, as delivered to [on_cycle]
     observers — the raw material for traces and custom statistics. *)

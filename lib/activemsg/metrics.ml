@@ -1,8 +1,5 @@
 module Welford = Lopc_stats.Welford
 module Time_average = Lopc_stats.Time_average
-module P2_quantile = Lopc_stats.P2_quantile
-
-let tracked_quantiles = [ 0.5; 0.9; 0.95; 0.99 ]
 
 type t = {
   mutable response : Welford.t;
@@ -12,7 +9,6 @@ type t = {
   mutable wire_time : Welford.t;
   mutable latency : Welford.t;
   mutable handler_service : Welford.t;
-  mutable response_quantiles : (float * P2_quantile.t) list;
   mutable max_backlog : int;
   mutable backlog_at_arrival : Welford.t;
   mutable cycles : int;
@@ -43,8 +39,6 @@ let create ~nodes =
     wire_time = Welford.create ();
     latency = Welford.create ();
     handler_service = Welford.create ();
-    response_quantiles =
-      List.map (fun q -> (q, P2_quantile.create ~q)) tracked_quantiles;
     max_backlog = 0;
     backlog_at_arrival = Welford.create ();
     cycles = 0;
@@ -107,13 +101,6 @@ let max_handler_backlog t = t.max_backlog
 
 let arrival_backlog t = t.backlog_at_arrival
 
-let response_percentile t q =
-  match List.assoc_opt q t.response_quantiles with
-  | Some est -> P2_quantile.estimate est
-  | None ->
-    invalid_arg
-      "Metrics.response_percentile: only 0.5, 0.9, 0.95 and 0.99 are tracked"
-
 let reset_at t ~now =
   t.response <- Welford.create ();
   t.rw <- Welford.create ();
@@ -122,8 +109,6 @@ let reset_at t ~now =
   t.wire_time <- Welford.create ();
   t.latency <- Welford.create ();
   t.handler_service <- Welford.create ();
-  t.response_quantiles <-
-    List.map (fun q -> (q, P2_quantile.create ~q)) tracked_quantiles;
   t.max_backlog <- 0;
   t.backlog_at_arrival <- Welford.create ();
   t.cycles <- 0;

@@ -7,7 +7,12 @@
     over hops: queueing plus service), reply-handler residence [Ry], and
     the full cycle time [R]. Node-level signals (utilizations and handler
     queue lengths) are time-averaged, matching the steady-state averages
-    Little's law relates. *)
+    Little's law relates.
+
+    Percentiles of [R] are not kept here, so a run that does not print
+    them pays nothing for them per cycle: [Trace.response_percentiles]
+    estimates them from the cycle reports a run delivers to its
+    [on_cycle] observer. *)
 
 module Welford = Lopc_stats.Welford
 
@@ -24,9 +29,6 @@ type t = {
                                     (non-blocking) threads. *)
   mutable handler_service : Welford.t; (** Observed handler service samples (to
                                    cross-check mean and C²). *)
-  mutable response_quantiles : (float * Lopc_stats.P2_quantile.t) list;
-      (** Streaming percentile estimators for the cycle time, keyed by
-          quantile; read through {!response_percentile}. *)
   mutable max_backlog : int;
       (** Read through {!max_handler_backlog}. *)
   mutable backlog_at_arrival : Welford.t;
@@ -125,12 +127,6 @@ val arrival_backlog : t -> Welford.t
     the quantity Bard's approximation equates with the steady-state
     queue length. Compare with {!avg_request_queue} [+]
     {!avg_reply_queue} to measure the approximation's error directly. *)
-
-val response_percentile : t -> float -> float
-(** [response_percentile t q] is a streaming P² estimate of the [q]-th
-    percentile of the cycle time, for [q ∈ {0.5, 0.9, 0.95, 0.99}];
-    @raise Invalid_argument for other [q] (estimators are maintained only
-    for those four). [nan] when no cycles completed. *)
 
 val reset_at : t -> now:float -> unit
 (** Drop all accumulated statistics and restart measurement at [now] —

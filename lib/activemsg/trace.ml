@@ -17,6 +17,16 @@ let collector ?(limit = 64) () =
 
 let reports t = List.rev t.collected
 
+let response_percentiles qs =
+  let estimators = List.map (fun q -> Lopc_stats.P2_quantile.create ~q) qs in
+  let observe (report : Machine.cycle_report) =
+    if report.Machine.counted then begin
+      let response = report.Machine.completed -. report.Machine.started in
+      List.iter (fun est -> Lopc_stats.P2_quantile.add est response) estimators
+    end
+  in
+  ((fun () -> List.map Lopc_stats.P2_quantile.estimate estimators), observe)
+
 (* Render one cycle as contiguous segments: thread work (incl. preemption),
    wire (both directions pooled for display), request residence, reply
    residence. Segments are scaled by [per_char] time units per column. *)

@@ -1,4 +1,4 @@
-(** Cycle-level tracing and ASCII timelines.
+(** Cycle-level tracing, ASCII timelines and response-time percentiles.
 
     Built on {!Machine.run}'s [on_cycle] observer: a bounded collector
     gathers the first completed cycles of a run, and the renderer prints
@@ -21,6 +21,17 @@ val collector : ?limit:int -> unit -> collector * (Machine.cycle_report -> unit)
 
 val reports : collector -> Machine.cycle_report list
 (** Collected cycles in completion order. *)
+
+val response_percentiles :
+  float list -> (unit -> float list) * (Machine.cycle_report -> unit)
+(** [response_percentiles qs] returns a reader and the observer to pass
+    as [Machine.run ~on_cycle]. The observer feeds one streaming P²
+    estimator per quantile of [qs] with the cycle time
+    [completed -. started] of each counted report, the samples and the
+    order {!Metrics.t}'s [response] sees. The reader returns the
+    estimates in the order of [qs], each [nan] before the first counted
+    cycle.
+    @raise Invalid_argument if a quantile is outside (0, 1). *)
 
 val pp_timeline : ?width:int -> Format.formatter -> Machine.cycle_report list -> unit
 (** Proportional ASCII timelines, one line per cycle, with a shared time

@@ -1,9 +1,10 @@
-(** Binary min-heap of timestamped events with stable FIFO tie-breaking
-    and O(log n) cancellation.
+(** Event queue of timestamped entries: a binary min-heap with O(log n)
+    cancellation, plus FIFO lanes for entries that arrive in time order,
+    with stable FIFO tie-breaking across both.
 
     The event queue of the simulator: {!pop_exn} always removes the entry
     with the smallest timestamp, and among equal timestamps the one pushed
-    first. This determinism matters — the simulator's results must be a
+    first, whether it sits in the heap or in a lane. This determinism matters — the simulator's results must be a
     pure function of its seed, and the paper's constant-service
     configurations produce many simultaneous events.
 
@@ -26,7 +27,17 @@
     its slot. A hole-based sift therefore moves only floats and ints,
     touches no heap block and never runs the write barrier. {!push} and
     {!pop_exn} allocate nothing, and a vacated slot is reset to the
-    heap's [dummy], so a removed payload is collectable at once. *)
+    heap's [dummy], so a removed payload is collectable at once.
+
+    A lane ({!new_lane}, {!push_lane}) is a FIFO ring beside the heap for
+    a stream of entries whose timestamps never decrease, such as events
+    scheduled a constant delay after a nondecreasing clock. A lane push
+    and a lane pop are O(1) and never sift. Lane entries take their
+    sequence numbers from the same counter as heap entries, so
+    {!pop_exn} and {!peek_time_exn}, which compare the heap root with
+    each lane's head, give exactly the order a heap holding every entry
+    would give. Lane entries cannot be cancelled. {!size} and
+    {!is_empty} count them. *)
 
 type 'a t
 (** Mutable heap of entries with payloads of type ['a]. *)
@@ -46,7 +57,7 @@ val create : dummy:'a -> 'a t
     returned. *)
 
 val size : 'a t -> int
-(** Number of live entries. *)
+(** Number of live entries, lane entries included. *)
 
 val is_empty : 'a t -> bool
 (** [size t = 0]. *)
@@ -59,6 +70,20 @@ val cancel : 'a t -> handle -> unit
 (** Removes the entry [handle] names, with one sift. A no-op if that
     entry was already popped or cancelled, even after its slot was
     reused. *)
+
+type lane = private int
+(** Names one lane of the heap that made it. *)
+
+val new_lane : 'a t -> lane
+(** Adds an empty lane. A caller makes a handful, once, before it runs:
+    each pop compares the head of every lane. *)
+
+val push_lane : 'a t -> lane -> time:float -> kind:int -> 'a -> unit
+(** [push_lane t lane ~time ~kind x] appends [x] to [lane]; it pops in
+    the same place among all entries as {!push} with the same arguments
+    would put it. There is no handle: a lane entry cannot be cancelled.
+    @raise Invalid_argument if [time] is not finite, or is earlier than
+    the timestamp of the lane's last entry still pending. *)
 
 val peek_time_exn : 'a t -> float
 (** Timestamp of the earliest entry (read it before {!pop_exn} when it is

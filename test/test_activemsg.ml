@@ -544,6 +544,7 @@ let test_timeline_edge_cases () =
       reply_residence = 5.;
       wire = 5.;
       measured = true;
+      counted = true;
     }
   in
   Alcotest.(check string) "empty list" "(no cycles collected)\n" (render ~width:40 []);
@@ -570,6 +571,7 @@ let test_timeline_edge_cases () =
           reply_residence = 0.;
           wire = 0.;
           measured = true;
+          counted = true;
         };
       ]
   in
@@ -849,6 +851,54 @@ let prop_sim_response_decomposes =
       let whole = Metrics.mean_response m in
       Float.abs (parts -. whole) /. whole < 1e-9)
 
+(* [lopc_cli simulate]'s percentiles, pinned bit for bit at the values
+   [Metrics] computed on the per-cycle path before the estimators moved to
+   [Trace.response_percentiles]; the specs are the ones [simulate] builds
+   (all-to-all, St = 40, So = 200, exponential W). The counted reports are
+   exactly [Metrics]' response samples: folding them in report order
+   gives the mean R it reports, bit for bit. *)
+let test_simulate_percentiles_pinned () =
+  let module Pattern = Lopc_workloads.Pattern in
+  let module Fault = Lopc_activemsg.Fault in
+  let check name ?fault ~nodes ~c2 ~w ~cycles ~seed expected =
+    let spec =
+      Pattern.to_spec ?fault ~nodes ~work:(D.of_mean_scv ~mean:w ~scv:1.)
+        ~handler:(D.of_mean_scv ~mean:200. ~scv:c2) ~wire:(D.Constant 40.)
+        Pattern.All_to_all
+    in
+    let estimates, percentiles =
+      Lopc_activemsg.Trace.response_percentiles [ 0.5; 0.9; 0.95; 0.99 ]
+    in
+    let response = Welford.create () in
+    let on_cycle (r : Machine.cycle_report) =
+      percentiles r;
+      if r.Machine.counted then Welford.add response (r.Machine.completed -. r.Machine.started)
+    in
+    let m = (Machine.run ~seed ~on_cycle ~spec ~cycles ()).Machine.metrics in
+    Alcotest.(check (list string))
+      (name ^ ": percentiles") expected
+      (List.map (Printf.sprintf "%h") (estimates ()));
+    Alcotest.(check string)
+      (name ^ ": counted reports are the response samples")
+      (Printf.sprintf "%h" (Metrics.mean_response m))
+      (Printf.sprintf "%h" (Welford.mean response))
+  in
+  check "c2 0, W 64" ~nodes:32 ~c2:0. ~w:64. ~cycles:20_000 ~seed:1
+    [ "0x1.622e6decda722p+9"; "0x1.1134d6e4cf06ep+10"; "0x1.3681be821e81p+10";
+      "0x1.9df594a0663bcp+10" ];
+  check "c2 1, W 1000" ~nodes:32 ~c2:1. ~w:1000. ~cycles:20_000 ~seed:2
+    [ "0x1.5a742b0c8d57ap+10"; "0x1.a1947553613fap+11"; "0x1.04ab4b3e7ed89p+12";
+      "0x1.755943aa12d34p+12" ];
+  (* [simulate]'s fault defaults: spike mean 10 St, timeout
+     8 (W + 2 St + 4 So), fixed backoff, 8 tries. *)
+  let fault =
+    Fault.create ~drop:0.02 ~duplicate:0.01 ~delay_epsilon:0.01
+      ~delay_spike:(D.Exponential 400.) ~timeout:(8. *. (1000. +. 80. +. 800.)) ()
+  in
+  check "faulty, P 16" ~fault ~nodes:16 ~c2:1. ~w:1000. ~cycles:10_000 ~seed:3
+    [ "0x1.59670581888bp+10"; "0x1.c6451cc70b08bp+11"; "0x1.537e3806fb437p+12";
+      "0x1.0d6819c78628ap+14" ]
+
 let suite =
   [
     Alcotest.test_case "contention-free exactness" `Quick test_contention_free_exact;
@@ -897,4 +947,5 @@ let suite =
     Alcotest.test_case "time-scaling law" `Quick test_time_scaling_law;
     Alcotest.test_case "fault machine per-event allocation budget" `Quick
       test_fault_allocation_budget;
+    Alcotest.test_case "simulate percentiles pinned" `Quick test_simulate_percentiles_pinned;
   ]

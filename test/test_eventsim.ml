@@ -543,6 +543,121 @@ let test_engine_observer_and_cancellation () =
       Alcotest.failf "cancelled event %d ran" i
   done
 
+(* Pushes to the heap and to three lanes, pops and cancels. A lane push
+   names its lane and the step from that lane's last time, so each lane's
+   times never decrease; zero steps and integer times make ties within a
+   lane, across lanes and with heap entries common. *)
+let arb_lane_workload =
+  let open QCheck in
+  let step_gen =
+    Gen.oneof
+      [
+        Gen.return 0.;
+        Gen.map Float.of_int (Gen.int_range 0 3);
+        Gen.float_range 0. 50.;
+      ]
+  in
+  let op_gen =
+    Gen.frequency
+      [
+        (3, Gen.map (fun t -> `Push t) time_gen);
+        (4, Gen.map2 (fun k dt -> `Lane (k, dt)) (Gen.int_range 0 2) step_gen);
+        (3, Gen.return `Pop);
+        (1, Gen.map (fun k -> `Cancel k) Gen.nat);
+      ]
+  in
+  let print ops =
+    String.concat ";"
+      (List.map
+         (function
+           | `Push t -> Printf.sprintf "push %h" t
+           | `Lane (k, dt) -> Printf.sprintf "lane %d +%h" k dt
+           | `Pop -> "pop"
+           | `Cancel k -> Printf.sprintf "cancel %d" k)
+         ops)
+  in
+  make ~print Gen.(list_size (int_range 0 400) op_gen)
+
+(* Lanes change no pop: on any interleaving of heap pushes, lane pushes,
+   cancels and pops, a heap with three lanes pops the same (time, kind,
+   payload) sequence as a heap-only replay that pushes every entry, lane
+   entries included, with [push]. Cancels name heap entries only, the
+   [k mod n]-th handle of both heaps alike; [size] agrees after every
+   step, so it counts lane entries. *)
+let prop_heap_lanes_match_heap_replay =
+  QCheck.Test.make ~name:"heap lanes pop as a heap-only replay" ~count:300
+    arb_lane_workload (fun ops ->
+      let h = Event_heap.create ~dummy:(-1) and replay = Event_heap.create ~dummy:(-1) in
+      let lanes = Array.init 3 (fun _ -> Event_heap.new_lane h) in
+      let tails = Array.make 3 0. in
+      let handles = ref [] and n = ref 0 and next = ref 0 in
+      let kind_of id = id mod 5 in
+      let pop_matches () =
+        if Event_heap.is_empty replay then Event_heap.is_empty h
+        else
+          (not (Event_heap.is_empty h))
+          && Float.equal (Event_heap.peek_time_exn h) (Event_heap.peek_time_exn replay)
+          && Event_heap.pop_exn h = Event_heap.pop_exn replay
+          && Event_heap.popped_kind h = Event_heap.popped_kind replay
+      in
+      let step = function
+        | `Push t ->
+          incr next;
+          let id = !next in
+          let a = Event_heap.push h ~time:t ~kind:(kind_of id) id in
+          let b = Event_heap.push replay ~time:t ~kind:(kind_of id) id in
+          handles := (a, b) :: !handles;
+          incr n;
+          true
+        | `Lane (k, dt) ->
+          incr next;
+          let id = !next in
+          let time = tails.(k) +. dt in
+          tails.(k) <- time;
+          Event_heap.push_lane h lanes.(k) ~time ~kind:(kind_of id) id;
+          ignore (Event_heap.push replay ~time ~kind:(kind_of id) id);
+          true
+        | `Pop -> pop_matches ()
+        | `Cancel k ->
+          if !n > 0 then begin
+            let a, b = List.nth !handles (k mod !n) in
+            Event_heap.cancel h a;
+            Event_heap.cancel replay b
+          end;
+          true
+      in
+      List.for_all (fun op -> step op && Event_heap.size h = Event_heap.size replay) ops
+      &&
+      let rec drain () =
+        Event_heap.is_empty replay || (pop_matches () && drain ())
+      in
+      drain () && Event_heap.is_empty h)
+
+(* A lane refuses an entry earlier than its last pending one, and a
+   non-finite time; ties are accepted, and so is any time once the lane
+   has drained. [size] counts lane entries. *)
+let test_heap_lane_rules () =
+  let h = Event_heap.create ~dummy:"" in
+  let lane = Event_heap.new_lane h in
+  ignore (Event_heap.push h ~time:4. ~kind:0 "heap");
+  Event_heap.push_lane h lane ~time:2. ~kind:1 "a";
+  Event_heap.push_lane h lane ~time:2. ~kind:1 "b";
+  Event_heap.push_lane h lane ~time:3. ~kind:1 "c";
+  Alcotest.(check int) "size counts lane entries" 4 (Event_heap.size h);
+  Alcotest.check_raises "below the tail"
+    (Invalid_argument "Event_heap.push_lane: time below the lane's last entry")
+    (fun () -> Event_heap.push_lane h lane ~time:2.5 ~kind:1 "late");
+  Alcotest.check_raises "non-finite"
+    (Invalid_argument "Event_heap.push_lane: non-finite time")
+    (fun () -> Event_heap.push_lane h lane ~time:Float.nan ~kind:1 "nan");
+  Alcotest.(check int) "rejected pushes leave no entry" 4 (Event_heap.size h);
+  let order = List.init 4 (fun _ -> Event_heap.pop_exn h) in
+  Alcotest.(check (list string)) "merged order" [ "a"; "b"; "c"; "heap" ] order;
+  Alcotest.(check bool) "drained" true (Event_heap.is_empty h);
+  Event_heap.push_lane h lane ~time:1. ~kind:1 "after drain";
+  Alcotest.(check int) "a drained lane takes any time" 1 (Event_heap.size h);
+  Alcotest.(check string) "and pops it" "after drain" (Event_heap.pop_exn h)
+
 let suite =
   [
     Alcotest.test_case "heap ordering" `Quick test_heap_ordering;
@@ -568,4 +683,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_heap_cancel_matches_model;
     QCheck_alcotest.to_alcotest prop_engine_cancel_matches_model;
     Alcotest.test_case "heap stale handles" `Quick test_heap_stale_handles;
+    QCheck_alcotest.to_alcotest prop_heap_lanes_match_heap_replay;
+    Alcotest.test_case "heap lane rules" `Quick test_heap_lane_rules;
   ]

@@ -630,6 +630,28 @@ let prop_all_to_all_time_scaling =
           || QCheck.Test.fail_reportf "k = %g: R = %.17g, k·R = %.17g" k (r k) (k *. base))
         [ 0.5; 3.; 1000. ])
 
+(* Monotonicity (ROADMAP item 4): more work between requests, a longer
+   handler or more nodes never shortens the all-to-all cycle. Brent stops
+   on an absolute tolerance, so R may come out a rounding below where the
+   exact root would; the slack is 1e-12 relative. 2,000 random points of
+   this generator measured no violation at that slack. *)
+let prop_all_to_all_monotone =
+  QCheck.Test.make ~name:"all-to-all: R non-decreasing in W, So and P" ~count:200
+    QCheck.(
+      pair
+        (quad (int_range 2 201) (float_range 0. 3.) (float_range 0. 100.) (float_range 1. 501.))
+        (quad (float_range 0. 5000.) (float_range 1. 2.) (float_range 1. 2.) (int_range 1 64)))
+    (fun ((p, c2, st, so), (w, gw, gso, dp)) ->
+      let r ~p ~so ~w = (A.solve (Params.create ~c2 ~p ~st ~so ()) ~w).A.r in
+      let base = r ~p ~so ~w in
+      let no_lower what grown =
+        base <= grown *. (1. +. 1e-12)
+        || QCheck.Test.fail_reportf "%s: R fell from %.17g to %.17g" what base grown
+      in
+      no_lower "W" (r ~p ~so ~w:(gw *. w))
+      && no_lower "So" (r ~p ~so:(gso *. so) ~w)
+      && no_lower "P" (r ~p:(p + dp) ~so ~w))
+
 (* --- general (Appendix A) ------------------------------------------------ *)
 
 let test_general_reduces_to_all_to_all () =
@@ -874,4 +896,5 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 30) prop_cs_time_scaling;
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 31) prop_cs_monotone_in_w;
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 35) prop_all_to_all_time_scaling;
+    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 38) prop_all_to_all_monotone;
   ]

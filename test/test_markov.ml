@@ -584,6 +584,32 @@ let prop_exact_monotone_in_w =
       (EM.all_to_all ~p ~w ~so ~st ()).EM.cycle_time
       <= (EM.all_to_all ~p ~w:(g *. w) ~so ~st ()).EM.cycle_time)
 
+(* Monotonicity in So (ROADMAP item 4): a longer handler cannot shorten
+   the cycle. The chain is solved to a tolerance, so a step that barely
+   moves R is allowed a relative 1e-9 below. *)
+let prop_exact_monotone_in_so =
+  QCheck.Test.make ~name:"exact machine: R non-decreasing in So" ~count:20
+    QCheck.(pair arb_machine (float_range 1. 4.))
+    (fun ((p, w, so, st), g) ->
+      let r so = (EM.all_to_all ~p ~w ~so ~st ()).EM.cycle_time in
+      let before = r so and after = r (g *. so) in
+      before <= after *. (1. +. 1e-9)
+      || QCheck.Test.fail_reportf "R fell from %.17g to %.17g" before after)
+
+(* R is not monotone in P. Under heavy load (W well below So) one more
+   node shortens the cycle: at W = 10, So = 400, St = 1 the chain gives
+   R = 1583.0, 1467.3 and 1453.1 at P = 2, 3 and 4. The simulator agrees
+   (exponential W, So and St, five seeds of 400,000 cycles each: 1582 to
+   1586, 1465 to 1469, 1452 to 1454), so this is the machine's behaviour
+   and not a solver error. 131 of 400 random points of [arb_machine] fall
+   from P = 3 to P = 4, by up to 1 %; the LoPC model, in contrast, is
+   non-decreasing in P (the [lopc] suite's monotonicity law). *)
+let test_exact_falls_in_p_under_heavy_load () =
+  let r p = (EM.all_to_all ~p ~w:10. ~so:400. ~st:1. ()).EM.cycle_time in
+  let r2 = r 2 and r3 = r 3 and r4 = r 4 in
+  if not (r2 > r3 && r3 > r4 *. 1.005) then
+    Alcotest.failf "expected R to fall with P: %.4f, %.4f, %.4f at P = 2, 3, 4" r2 r3 r4
+
 let suite =
   [
     Alcotest.test_case "ctmc: two-state chain" `Quick test_ctmc_two_state;
@@ -607,4 +633,7 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 32) prop_canonical_matches_flat_scan;
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 33) prop_exact_time_scaling;
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 34) prop_exact_monotone_in_w;
+    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 36) prop_exact_monotone_in_so;
+    Alcotest.test_case "exact machine: R falls from P = 3 to P = 4 under heavy load" `Quick
+      test_exact_falls_in_p_under_heavy_load;
   ]
