@@ -45,15 +45,32 @@ type cycle = {
 
 type msg_kind = Request | Reply
 
-(* A message carries no float that changes: its arrival time at a node
-   rides in that node's inbox, beside it. *)
-type msg = {
-  kind : msg_kind;
-  cycle : cycle;
-  mutable remaining_hops : int list;  (* hops still to visit after the current one *)
-  seq : int;  (* per-origin sequence number under faults; -1 otherwise *)
-  mutable path : (int * Topology.direction) list;  (* torus links still to cross *)
-  injected : float;  (* when the message entered the interconnect *)
+(* The messages in flight, in a pool of arrays indexed by an int message
+   id. [send_copy] takes an id off the [free] stack; it goes back when its
+   handler finishes ([handler_done]) or when [arrival] discards it as a
+   stale reply. A dropped copy never takes one. The heap entries and the
+   node inboxes that concern a message hold its id, an immediate, so
+   storing one runs no write barrier and a send allocates no record.
+
+   Ids are bookkeeping only: which id a message gets depends on which
+   were freed before it, but no result, trace or event order reads an id
+   (the heap orders entries by time and push order, never by payload), so
+   the reuse order cannot change an output.
+
+   A freed id keeps its [cycles], [hops] and [paths] pointers until the
+   id is reused: the pool holds at most its high-water mark of dead
+   messages' cycles, and resetting them would cost a barrier per message.
+   The arrival time of a message at a node rides in that node's inbox,
+   beside its id. *)
+type pool = {
+  mutable kinds : msg_kind array;
+  mutable seqs : int array;  (* per-origin sequence number under faults; -1 otherwise *)
+  mutable injected : float array;  (* when the message entered the interconnect *)
+  mutable cycles : cycle array;
+  mutable hops : int list array;  (* hops still to visit after the current one *)
+  mutable paths : (int * Topology.direction) list array;  (* torus links still to cross *)
+  mutable free : int array;  (* free ids, [free_count] of them *)
+  mutable free_count : int;
 }
 
 (* What a node's thread is doing. The float each state needs lives in the
@@ -68,11 +85,11 @@ type node = {
   mutable tstate : thread_state;
   mutable work_event : Event_heap.handle;  (* end of the Running quantum *)
   mutable current_cycle : cycle option;
-  (* Handler queue: a FIFO ring of [inbox_len] messages from [inbox_head],
-     each message's arrival time beside it in the flat [inbox_at], so a
-     delivery stores no float box and allocates no queue cell. The
-     capacity is a power of two. *)
-  mutable inbox : msg array;
+  (* Handler queue: a FIFO ring of [inbox_len] message ids from
+     [inbox_head], each message's arrival time beside it in the flat
+     [inbox_at], so a delivery stores no float box, allocates no queue
+     cell and runs no write barrier. The capacity is a power of two. *)
+  mutable inbox : int array;
   mutable inbox_at : float array;
   mutable inbox_head : int;
   mutable inbox_len : int;
@@ -98,18 +115,20 @@ type node = {
 type machine = {
   spec : Spec.t;
   (* Events are int codes, [kind lor (node lsl kind_bits)] (see
-     [dispatch]), with the message they concern as payload, or [no_msg]. *)
-  heap : msg Event_heap.t;
-  no_msg : msg;
+     [dispatch]), with the id of the message they concern as payload, or
+     [no_msg]. *)
+  heap : Event_heap.t;
+  msgs : pool;
   (* The heap's FIFO lanes for events a constant delay after the clock:
      wire arrivals, request-handler and reply-handler completions, each
      [None] when its delay is not a constant (see [prepare]). *)
   wire_lane : Event_heap.lane option;
   request_lane : Event_heap.lane option;
   reply_lane : Event_heap.lane option;
-  (* The clock: the boxed time [Event_heap.peek_time_exn] returned for the
-     current event, kept as is so that every call that takes [~now]
-     passes the same box instead of boxing the float again. *)
+  (* The clock: the time of the current event, the boxed float
+     [Event_heap.popped_time] returned, kept as is so that every call
+     that takes [~now] passes the same box instead of boxing the float
+     again. *)
   mutable now : float;
   mutable executed : int;
   nodes : node array;
@@ -159,6 +178,46 @@ let ev_handler_done = 4  (* node, msg: the handler finished *)
 let ev_timeout = 5       (* node: the retransmission timer fired *)
 let ev_barrier = 6       (* the barrier released *)
 let ev_link_done = 7     (* node, msg: the message crossed a torus link *)
+
+(* The payload of an event that concerns no message. *)
+let no_msg = -1
+
+(* --- message pool ------------------------------------------------------- *)
+
+let no_cycle = { origin = 0.; t_start = 0.; t_sent = 0.; rq_total = 0.; wire_total = 0. }
+
+let create_pool () =
+  { kinds = [||]; seqs = [||]; injected = [||]; cycles = [||]; hops = [||]; paths = [||];
+    free = [||]; free_count = 0 }
+
+(* Double the pool. Ids are taken only from an empty stack, so every id
+   below the old capacity is in flight and the new ids are the free
+   ones. *)
+let grow_pool p =
+  let cap = Array.length p.kinds in
+  let new_cap = if cap = 0 then 16 else 2 * cap in
+  let extend a fill =
+    let b = Array.make new_cap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  p.kinds <- extend p.kinds Request;
+  p.seqs <- extend p.seqs 0;
+  p.injected <- extend p.injected 0.;
+  p.cycles <- extend p.cycles no_cycle;
+  p.hops <- extend p.hops [];
+  p.paths <- extend p.paths [];
+  p.free <- Array.init new_cap (fun k -> new_cap - 1 - k);
+  p.free_count <- new_cap - cap
+
+let take_msg p =
+  if p.free_count = 0 then grow_pool p;
+  p.free_count <- p.free_count - 1;
+  p.free.(p.free_count)
+
+let free_msg p id =
+  p.free.(p.free_count) <- id;
+  p.free_count <- p.free_count + 1
 
 (* Push an event at absolute [time], no earlier than the clock. *)
 let schedule m ~time kind node msg =
@@ -214,7 +273,7 @@ let inbox_push m node msg =
   let cap = Array.length node.inbox in
   if node.inbox_len = cap then begin
     let new_cap = max 4 (2 * cap) in
-    let inbox = Array.make new_cap m.no_msg and inbox_at = Array.make new_cap 0. in
+    let inbox = Array.make new_cap no_msg and inbox_at = Array.make new_cap 0. in
     for k = 0 to cap - 1 do
       let j = (node.inbox_head + k) land (cap - 1) in
       inbox.(k) <- node.inbox.(j);
@@ -233,7 +292,6 @@ let inbox_push m node msg =
 let inbox_pop m node =
   let j = node.inbox_head in
   let msg = node.inbox.(j) in
-  node.inbox.(j) <- m.no_msg;
   m.in_service_at.(node.id) <- node.inbox_at.(j);
   node.inbox_head <- (j + 1) land (Array.length node.inbox - 1);
   node.inbox_len <- node.inbox_len - 1;
@@ -243,7 +301,7 @@ let inbox_pop m node =
 
 let rec start_thread_work m node =
   let finish = m.now +. m.remaining.(node.id) in
-  node.work_event <- schedule m ~time:finish ev_work_done node.id m.no_msg;
+  node.work_event <- schedule m ~time:finish ev_work_done node.id no_msg;
   m.finish.(node.id) <- finish;
   node.tstate <- Running;
   set_thread_running m node 1.
@@ -312,7 +370,7 @@ and thread_done m node =
     if m.measuring then
       m.metrics.Metrics.request_sends <- m.metrics.Metrics.request_sends + 1;
     let delay = Fault.timeout_for f ~try_:1 m.fault_rngs.(node.id) in
-    node.timer <- schedule m ~time:(now +. delay) ev_timeout node.id m.no_msg;
+    node.timer <- schedule m ~time:(now +. delay) ev_timeout node.id no_msg;
     send m ~src:node ~cycle ~kind:Request ~remaining:[] ~dest:first ~seq:issued);
   (* Request-issue is a poll point: in polling mode any handlers that
      queued up during the work quantum run now, before the thread may
@@ -362,7 +420,13 @@ and send_copy m ~src ~cycle ~kind ~remaining ~dest ~seq ~spiked =
       start +. gap
     end
   in
-  let msg = { kind; cycle; remaining_hops = remaining; seq; path = []; injected } in
+  let p = m.msgs in
+  let msg = take_msg p in
+  p.kinds.(msg) <- kind;
+  p.seqs.(msg) <- seq;
+  p.injected.(msg) <- injected;
+  p.cycles.(msg) <- cycle;
+  p.hops.(msg) <- remaining;
   match m.spec.Spec.topology with
   | None ->
     let st =
@@ -377,15 +441,17 @@ and send_copy m ~src ~cycle ~kind ~remaining ~dest ~seq ~spiked =
     let lane = if spiked then None else m.wire_lane in
     schedule_after m lane ~time:(injected +. st) ev_wire_arrival dest msg
   | Some topo ->
-    msg.path <- Topology.route topo ~src:src.id ~dst:dest;
+    p.paths.(msg) <- Topology.route topo ~src:src.id ~dst:dest;
     traverse m topo ~dest msg ~depart:injected
 
 (* Hop-by-hop torus traversal: each link is held for [link_time] (waiting
    if busy), each hop then adds [per_hop] propagation. *)
 and traverse m topo ~dest msg ~depart =
-  match msg.path with
+  let p = m.msgs in
+  match p.paths.(msg) with
   | [] ->
-    msg.cycle.wire_total <- msg.cycle.wire_total +. (depart -. msg.injected);
+    let cycle = p.cycles.(msg) in
+    cycle.wire_total <- cycle.wire_total +. (depart -. p.injected.(msg));
     ignore (schedule m ~time:depart ev_wire_arrival dest msg)
   | (node, direction) :: rest ->
     let free = m.links.(node) in
@@ -393,7 +459,7 @@ and traverse m topo ~dest msg ~depart =
     let start = Float.max depart free.(slot) in
     free.(slot) <- start +. topo.Topology.link_time;
     let next = start +. topo.Topology.link_time +. topo.Topology.per_hop in
-    msg.path <- rest;
+    p.paths.(msg) <- rest;
     if rest = [] then traverse m topo ~dest msg ~depart:next
     else ignore (schedule m ~time:next ev_link_done dest msg)
 
@@ -417,23 +483,25 @@ and arrival m node msg =
   match m.spec.Spec.fault with
   | None -> deliver m node msg
   | Some _ -> (
-    match msg.kind with
+    let p = m.msgs in
+    let seq = p.seqs.(msg) in
+    match p.kinds.(msg) with
     | Request ->
-      let origin = Float.to_int msg.cycle.origin in
+      let origin = Float.to_int p.cycles.(msg).origin in
       (* [find], not [find_opt]: a hit allocates no [Some]. *)
       (match Hashtbl.find node.seen origin with
-      | last when msg.seq <= last ->
+      | last when seq <= last ->
         if m.measuring then
           m.metrics.Metrics.duplicate_deliveries <-
             m.metrics.Metrics.duplicate_deliveries + 1;
         (match m.obs with
         | None -> ()
         | Some o -> Sim_probe.fault_event o ~node:node.id ~now:m.now "duplicate")
-      | _ -> Hashtbl.replace node.seen origin msg.seq
-      | exception Not_found -> Hashtbl.replace node.seen origin msg.seq);
+      | _ -> Hashtbl.replace node.seen origin seq
+      | exception Not_found -> Hashtbl.replace node.seen origin seq);
       deliver m node msg
     | Reply ->
-      if node.pending_seq = msg.seq && not node.reply_accepted then begin
+      if node.pending_seq = seq && not node.reply_accepted then begin
         node.reply_accepted <- true;
         Event_heap.cancel m.heap node.timer;
         if m.measuring then
@@ -441,6 +509,7 @@ and arrival m node msg =
         deliver m node msg
       end
       else begin
+        free_msg p msg;
         if m.measuring then
           m.metrics.Metrics.stale_replies <- m.metrics.Metrics.stale_replies + 1;
         match m.obs with
@@ -449,7 +518,7 @@ and arrival m node msg =
       end)
 
 and deliver m node msg =
-  queue_signal m node msg.kind 1.;
+  queue_signal m node m.msgs.kinds.(msg) 1.;
   if m.measuring then begin
     (* Backlog this message finds: waiting messages plus any in service. *)
     let found = node.inbox_len + if node.busy then 1 else 0 in
@@ -487,51 +556,57 @@ and try_dispatch m node =
       | Unstarted | Suspended | Blocked -> ()
     end;
     let msg = inbox_pop m node in
+    let kind = m.msgs.kinds.(msg) in
     node.busy <- true;
-    busy_signal m node msg.kind 1.;
+    busy_signal m node kind 1.;
     (match m.obs with
     | None -> ()
     | Some o ->
       Sim_probe.handler_begin o ~node:node.id ~now:m.now
-        ~reply:(match msg.kind with Reply -> true | Request -> false));
+        ~reply:(match kind with Reply -> true | Request -> false));
     let dist =
-      match msg.kind with
+      match kind with
       | Request -> m.spec.Spec.handler
       | Reply -> m.spec.Spec.reply_handler
     in
     let cost = Distribution.sample dist node.rng in
     if m.measuring then Welford.add m.metrics.Metrics.handler_service cost;
     let lane =
-      match msg.kind with
+      match kind with
       | Request -> m.request_lane
       | Reply -> m.reply_lane
     in
     schedule_after m lane ~time:(m.now +. cost) ev_handler_done node.id msg
   end
 
+(* The message ends here: its fields are read first, so its id can go
+   back to the pool before the next send takes one. *)
 and handler_done m node msg =
   let now = m.now in
+  let p = m.msgs in
+  let kind = p.kinds.(msg) and cycle = p.cycles.(msg) and seq = p.seqs.(msg) in
+  let remaining = p.hops.(msg) in
+  free_msg p msg;
   node.busy <- false;
-  busy_signal m node msg.kind 0.;
-  queue_signal m node msg.kind (-1.);
+  busy_signal m node kind 0.;
+  queue_signal m node kind (-1.);
   (match m.obs with
   | None -> ()
   | Some o ->
     Sim_probe.handler_end o ~node:node.id ~now
-      ~reply:(match msg.kind with Reply -> true | Request -> false);
+      ~reply:(match kind with Reply -> true | Request -> false);
     Sim_probe.queue_depth o ~node:node.id ~now node.inbox_len);
-  (match msg.kind with
+  (match kind with
   | Request -> begin
-    msg.cycle.rq_total <- msg.cycle.rq_total +. (now -. m.in_service_at.(node.id));
-    match msg.remaining_hops with
+    cycle.rq_total <- cycle.rq_total +. (now -. m.in_service_at.(node.id));
+    match remaining with
     | next :: rest ->
-      send m ~src:node ~cycle:msg.cycle ~kind:Request ~remaining:rest ~dest:next
-        ~seq:msg.seq
+      send m ~src:node ~cycle ~kind:Request ~remaining:rest ~dest:next ~seq
     | [] ->
-      send m ~src:node ~cycle:msg.cycle ~kind:Reply ~remaining:[]
-        ~dest:(Float.to_int msg.cycle.origin) ~seq:msg.seq
+      send m ~src:node ~cycle ~kind:Reply ~remaining:[]
+        ~dest:(Float.to_int cycle.origin) ~seq
   end
-  | Reply -> complete_cycle m node msg);
+  | Reply -> complete_cycle m node cycle ~seq);
   try_dispatch m node;
   (* With a protocol processor the thread runs regardless of handler
      activity; on a shared CPU it may only resume once the queue drained. *)
@@ -560,7 +635,7 @@ and request_timeout m node =
         Sim_probe.fault_event o ~node:node.id ~now:m.now
           ~value:(Float.of_int node.tries) "retransmit");
       let delay = Fault.timeout_for f ~try_:node.tries m.fault_rngs.(node.id) in
-      node.timer <- schedule m ~time:(m.now +. delay) ev_timeout node.id m.no_msg;
+      node.timer <- schedule m ~time:(m.now +. delay) ev_timeout node.id no_msg;
       let cycle =
         match node.current_cycle with
         | Some c -> c
@@ -594,9 +669,8 @@ and give_up m node =
 
 (* Reply handler finished at the origin: close the books on this cycle and
    start the next one. *)
-and complete_cycle m node msg =
+and complete_cycle m node cycle ~seq =
   let now = m.now in
-  let cycle = msg.cycle in
   let arrived = m.in_service_at.(node.id) in
   assert (Float.to_int cycle.origin = node.id);
   (* Whether the cycle enters the response statistics: it finished while
@@ -606,7 +680,7 @@ and complete_cycle m node msg =
   (match m.spec.Spec.fault with
   | None -> ()
   | Some _ ->
-    if node.pending_seq = msg.seq then begin
+    if node.pending_seq = seq then begin
       node.pending_seq <- -1;
       if m.measuring then
         Welford.add m.metrics.Metrics.tries_per_cycle (Float.of_int node.tries)
@@ -663,7 +737,7 @@ and finish_cycle m node =
       m.parked_count <- m.parked_count + 1;
       if m.parked_count = m.thread_count then
         (* Last thread arrived: release everyone after the barrier cost. *)
-        ignore (schedule m ~time:(m.now +. cost) ev_barrier 0 m.no_msg)
+        ignore (schedule m ~time:(m.now +. cost) ev_barrier 0 no_msg)
     | Some _ | None -> begin_cycle m node
   end
   | Unstarted | Running | Suspended -> ()
@@ -702,8 +776,8 @@ let dispatch m code msg =
 let step m =
   if Event_heap.is_empty m.heap then false
   else begin
-    m.now <- Event_heap.peek_time_exn m.heap;
     let msg = Event_heap.pop_exn m.heap in
+    m.now <- Event_heap.popped_time m.heap;
     m.executed <- m.executed + 1;
     dispatch m (Event_heap.popped_kind m.heap) msg;
     (* Engine health is sampled every 256 executed events; the probe's
@@ -771,17 +845,12 @@ let prepare ?on_cycle ?rng ?obs ?budget ~seed ~warmup ~spec () =
   let thread_count =
     Array.fold_left (fun acc n -> if Option.is_none n.thread then acc else acc + 1) 0 nodes
   in
-  let no_msg =
-    { kind = Request;
-      cycle = { origin = 0.; t_start = 0.; t_sent = 0.; rq_total = 0.; wire_total = 0. };
-      remaining_hops = []; seq = -1; path = []; injected = 0. }
-  in
   let per_node () = Array.make spec.Spec.nodes 0. in
   (* A constant delay gets a lane, shared by every event kind with that
      delay: each such event is pushed at the clock plus the constant, and
      the clock never goes back. A wire arrival takes the wire lane only
      when it leaves at the clock: no NI gap and no torus in between. *)
-  let heap = Event_heap.create ~dummy:no_msg in
+  let heap = Event_heap.create () in
   let lanes = ref [] in
   let lane_of (d : Distribution.t) =
     match d with
@@ -803,7 +872,7 @@ let prepare ?on_cycle ?rng ?obs ?budget ~seed ~warmup ~spec () =
   let request_lane = lane_of spec.Spec.handler in
   let reply_lane = lane_of spec.Spec.reply_handler in
   let m =
-    { spec; heap; no_msg; wire_lane; request_lane; reply_lane; now = 0.; executed = 0;
+    { spec; heap; msgs = create_pool (); wire_lane; request_lane; reply_lane; now = 0.; executed = 0;
       nodes; metrics; measuring = false; completed_total = 0;
       completed_measured = 0; thread_count; parked_count = 0; on_cycle;
       links = Array.init spec.Spec.nodes (fun _ -> Array.make 4 0.);

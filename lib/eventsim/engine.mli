@@ -7,10 +7,12 @@
     scheduling into the past is a programming error and raises. Handlers
     receive the engine so they can schedule further events.
 
-    Each {!schedule} allocates its closure and a handle. The
-    active-message simulator does not use this module: it pushes
-    int-coded events on an {!Event_heap} of its own and dispatches them
-    with one [match], which allocates neither. *)
+    Each {!schedule} allocates its closure and a handle. The heap carries
+    ints, so the engine keeps each pending closure in a slot table of its
+    own and pushes the slot; the slot is freed when the event runs or is
+    cancelled. The active-message simulator does not use this module: it
+    pushes int-coded events on an {!Event_heap} of its own and dispatches
+    them with one [match], which allocates neither. *)
 
 type t
 (** A simulation run. *)

@@ -20,9 +20,9 @@
    hole stops. The sifts take only int arguments (the entry to move is
    read from its position), so no float crosses a call.
 
-   A free slot holds [dummy]: a removed entry must not linger in [data],
-   because event payloads may be closures over simulation state and long
-   runs would otherwise retain one dead payload per pop.
+   Payloads are ints, so [data] is an int array: its stores are plain
+   writes, and a vacated slot needs no reset, because an int keeps
+   nothing alive.
 
    A lane is a FIFO ring of entries pushed in nondecreasing time order,
    struct-of-arrays like the heap, with [len] entries from [head]; its
@@ -30,27 +30,27 @@
    from the heap's counter, so a lane's head is its (time, seq)-least
    entry and the earliest entry overall is the least of the heap root and
    the lane heads. *)
-type 'a lane_ring = {
+type lane_ring = {
   mutable ring_times : float array;
   mutable ring_seqs : int array;
   mutable ring_kinds : int array;
-  mutable ring_data : 'a array;
+  mutable ring_data : int array;
   mutable head : int;
   mutable len : int;
 }
 
-type 'a t = {
-  dummy : 'a;
+type t = {
   mutable times : float array;
   mutable seqs : int array;
   mutable slots : int array;
   mutable positions : int array;
   mutable kinds : int array;
-  mutable data : 'a array;
+  mutable data : int array;
   mutable size : int;  (* heap entries; lane entries are counted in [in_lanes] *)
   mutable next_seq : int;
   mutable popped_kind : int;
-  mutable lanes : 'a lane_ring array;
+  popped_time : float array;  (* one element, so the store never boxes *)
+  mutable lanes : lane_ring array;
   mutable in_lanes : int;
 }
 
@@ -68,13 +68,14 @@ let no_handle = -1
 
 (* Capacity kept through a drain: ping-pong workloads pop the heap to
    empty once per event, and re-allocating a fresh backing array per pop
-   costs more than the handful of dummy slots retained here. Above this
+   costs more than the handful of slots retained here. Above this
    the arrays are dropped so a burst does not pin its high-water mark. *)
 let retained_capacity = 64
 
-let create ~dummy =
-  { dummy; times = [||]; seqs = [||]; slots = [||]; positions = [||]; kinds = [||];
-    data = [||]; size = 0; next_seq = 0; popped_kind = 0; lanes = [||]; in_lanes = 0 }
+let create () =
+  { times = [||]; seqs = [||]; slots = [||]; positions = [||]; kinds = [||];
+    data = [||]; size = 0; next_seq = 0; popped_kind = 0; popped_time = [| 0. |];
+    lanes = [||]; in_lanes = 0 }
 
 type lane = int
 
@@ -101,7 +102,7 @@ let grow t =
   let slots = Array.init new_cap Fun.id in
   let positions = Array.init new_cap Fun.id in
   let kinds = Array.make new_cap 0 in
-  let data = Array.make new_cap t.dummy in
+  let data = Array.make new_cap 0 in
   Array.blit t.times 0 times 0 cap;
   Array.blit t.seqs 0 seqs 0 cap;
   Array.blit t.slots 0 slots 0 cap;
@@ -199,7 +200,6 @@ let push t ~time ~kind x =
    becomes the free slot at the position the last entry left. *)
 let remove_at t i =
   let slot = t.slots.(i) in
-  t.data.(slot) <- t.dummy;
   let last = t.size - 1 in
   t.size <- last;
   if last = 0 then begin
@@ -255,13 +255,12 @@ let earliest_lane t =
 
 let pop_lane t r =
   let h = r.head in
-  let x = r.ring_data.(h) in
-  r.ring_data.(h) <- t.dummy;
+  t.popped_time.(0) <- r.ring_times.(h);
   t.popped_kind <- r.ring_kinds.(h);
   r.head <- (h + 1) land (Array.length r.ring_data - 1);
   r.len <- r.len - 1;
   t.in_lanes <- t.in_lanes - 1;
-  x
+  r.ring_data.(h)
 
 let pop_exn t =
   let k = if Array.length t.lanes = 0 then -1 else earliest_lane t in
@@ -269,13 +268,16 @@ let pop_exn t =
   else begin
     if t.size = 0 then invalid_arg "Event_heap.pop_exn: empty heap";
     let slot = t.slots.(0) in
-    let x = t.data.(slot) in
+    t.popped_time.(0) <- t.times.(0);
     t.popped_kind <- t.kinds.(slot);
+    let x = t.data.(slot) in
     remove_at t 0;
     x
   end
 
 let popped_kind t = t.popped_kind
+
+let popped_time t = t.popped_time.(0)
 
 let cancel t h =
   let slot = h land slot_mask in
@@ -283,15 +285,6 @@ let cancel t h =
     let i = t.positions.(slot) in
     if i < t.size && t.seqs.(i) land generation_mask = h lsr slot_bits then remove_at t i
   end
-
-let peek_time_exn t =
-  let k = if Array.length t.lanes = 0 then -1 else earliest_lane t in
-  if k >= 0 then begin
-    let r = t.lanes.(k) in
-    r.ring_times.(r.head)
-  end
-  else if t.size = 0 then invalid_arg "Event_heap.peek_time_exn: empty heap"
-  else t.times.(0)
 
 (* Lanes never shrink: a lane holds at most the entries in flight at
    once, which the caller bounds. *)
@@ -304,11 +297,11 @@ let new_lane t =
   Array.length t.lanes - 1
 
 (* Double a full ring, unrolled so that its oldest entry lands at 0. *)
-let grow_ring t r =
+let grow_ring r =
   let cap = Array.length r.ring_data in
   let new_cap = if cap = 0 then 16 else 2 * cap in
   let times = Array.make new_cap 0. and seqs = Array.make new_cap 0 in
-  let kinds = Array.make new_cap 0 and data = Array.make new_cap t.dummy in
+  let kinds = Array.make new_cap 0 and data = Array.make new_cap 0 in
   for k = 0 to r.len - 1 do
     let j = (r.head + k) land (cap - 1) in
     times.(k) <- r.ring_times.(j);
@@ -328,7 +321,7 @@ let push_lane t lane ~time ~kind x =
   let mask = Array.length r.ring_data - 1 in
   if r.len > 0 && time < r.ring_times.((r.head + r.len - 1) land mask) then
     invalid_arg "Event_heap.push_lane: time below the lane's last entry";
-  if r.len = Array.length r.ring_data then grow_ring t r;
+  if r.len = Array.length r.ring_data then grow_ring r;
   let j = (r.head + r.len) land (Array.length r.ring_data - 1) in
   r.ring_times.(j) <- time;
   r.ring_seqs.(j) <- t.next_seq;

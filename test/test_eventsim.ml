@@ -6,20 +6,18 @@ module Rng = Lopc_prng.Rng
 
 module Event_heap = Lopc_eventsim.Event_heap
 
-(* Heaps of [Some] payloads of any type (one [None] dummy serves them
-   all), pushed with kind 0 and popped as the next (time, payload), the
-   way the engine reads them. *)
+(* Heaps pushed with kind 0 and popped as the next (time, payload), the
+   way the engine reads them: the time is [popped_time] after the pop. *)
 module Heap = struct
   include Event_heap
 
-  let create () = create ~dummy:None
-  let push h ~time x = ignore (push h ~time ~kind:0 (Some x))
+  let push h ~time x = ignore (push h ~time ~kind:0 x)
 
   let pop h =
     if is_empty h then None
     else
-      let time = peek_time_exn h in
-      Option.map (fun x -> (time, x)) (pop_exn h)
+      let x = pop_exn h in
+      Some (popped_time h, x)
 end
 
 (* Step the engine until no event is left, until this call has executed
@@ -39,11 +37,11 @@ let run ?until ?max_events e =
 
 let test_heap_ordering () =
   let h = Heap.create () in
-  List.iter (fun (t, v) -> Heap.push h ~time:t v) [ (3., "c"); (1., "a"); (2., "b") ];
+  List.iter (fun (t, v) -> Heap.push h ~time:t v) [ (3., 30); (1., 10); (2., 20) ];
   let pop () = match Heap.pop h with Some (_, v) -> v | None -> Alcotest.fail "empty" in
-  Alcotest.(check string) "first" "a" (pop ());
-  Alcotest.(check string) "second" "b" (pop ());
-  Alcotest.(check string) "third" "c" (pop ());
+  Alcotest.(check int) "first" 10 (pop ());
+  Alcotest.(check int) "second" 20 (pop ());
+  Alcotest.(check int) "third" 30 (pop ());
   Alcotest.(check bool) "empty" true (Heap.is_empty h)
 
 let test_heap_fifo_ties () =
@@ -76,7 +74,7 @@ let test_heap_many_random () =
   let h = Heap.create () in
   let g = Rng.create 5 in
   let times = Array.init 1000 (fun _ -> Rng.float g) in
-  Array.iter (fun t -> Heap.push h ~time:t t) times;
+  Array.iteri (fun i t -> Heap.push h ~time:t i) times;
   let last = ref neg_infinity in
   for _ = 1 to 1000 do
     match Heap.pop h with
@@ -89,24 +87,28 @@ let test_heap_many_random () =
 let test_heap_rejects_nan () =
   let h = Heap.create () in
   Alcotest.check_raises "nan" (Invalid_argument "Event_heap.push: non-finite time")
-    (fun () -> Heap.push h ~time:Float.nan ())
+    (fun () -> Heap.push h ~time:Float.nan 0)
 
 (* Regression: a popped entry must be collectable immediately. Before the
    fix, a pop left entries reachable through vacated slots above [size], so
-   long simulations retained dead payload closures. Probed through a weak array so the test sees exactly
-   what the GC sees. *)
+   long simulations retained dead payload closures. The heap now carries
+   int payloads, which keep nothing alive; a closure payload lives in the
+   engine's slot table, which must let it go once its event ran. Probed
+   through a weak array so the test sees exactly what the GC sees. *)
 let test_heap_releases_popped_payloads () =
-  let h = Heap.create () in
+  let e = Engine.create () in
   let n = 64 in
   let weak = Weak.create n in
   for i = 0 to n - 1 do
     let payload = ref i in
     Weak.set weak i (Some payload);
-    Heap.push h ~time:(Float.of_int i) payload
+    ignore
+      (Engine.schedule_at e ~time:(Float.of_int i) (fun _ ->
+           ignore (Sys.opaque_identity payload)))
   done;
   (* Pop half: those payloads must die while the rest stay reachable. *)
   for _ = 1 to n / 2 do
-    ignore (Heap.pop h)
+    ignore (Engine.step e)
   done;
   Gc.full_major ();
   for i = 0 to (n / 2) - 1 do
@@ -118,7 +120,7 @@ let test_heap_releases_popped_payloads () =
   done;
   (* Pop the rest: the backing array must not keep anything alive. *)
   for _ = 1 to n / 2 do
-    ignore (Heap.pop h)
+    ignore (Engine.step e)
   done;
   Gc.full_major ();
   for i = 0 to n - 1 do
@@ -133,7 +135,7 @@ let test_heap_releases_popped_payloads () =
    leaves room for the measurement's own boxed counter, 2 words over
    [n] rounds. *)
 let test_heap_push_pop_allocation () =
-  let h = Event_heap.create ~dummy:0 in
+  let h = Event_heap.create () in
   let times = List.init 61 (fun i -> Float.of_int ((i * 37) mod 61)) in
   let rec churn n = function
     | _ when n = 0 -> ()
@@ -252,11 +254,11 @@ let prop_heap_sorts =
     QCheck.(list (float_range 0. 1000.))
     (fun times ->
       let h = Heap.create () in
-      List.iter (fun t -> Heap.push h ~time:t ()) times;
+      List.iter (fun t -> Heap.push h ~time:t 0) times;
       let out = ref [] in
       let rec drain () =
         match Heap.pop h with
-        | Some (t, ()) ->
+        | Some (t, _) ->
           out := t :: !out;
           drain ()
         | None -> ()
@@ -404,7 +406,7 @@ let stable_first model =
 let prop_heap_cancel_matches_model =
   QCheck.Test.make ~name:"heap with cancellation matches live-entry model" ~count:300
     arb_cancel_workload (fun ops ->
-      let h = Event_heap.create ~dummy:(-1) in
+      let h = Event_heap.create () in
       let kind_of id = id mod 5 in
       let model = ref [] and handles = ref [] and next = ref 0 in
       let pop_matches () =
@@ -412,8 +414,8 @@ let prop_heap_cancel_matches_model =
         | None -> Event_heap.is_empty h
         | Some (t, id, rest) ->
           model := rest;
-          Float.equal (Event_heap.peek_time_exn h) t
-          && Event_heap.pop_exn h = id
+          Event_heap.pop_exn h = id
+          && Float.equal (Event_heap.popped_time h) t
           && Event_heap.popped_kind h = kind_of id
       in
       let step = function
@@ -479,19 +481,19 @@ let prop_engine_cancel_matches_model =
 (* A handle outlives its entry: once the entry ran or was cancelled, the
    handle names nothing, even when a later push reuses its slot. *)
 let test_heap_stale_handles () =
-  let h = Event_heap.create ~dummy:"" in
-  let a = Event_heap.push h ~time:1. ~kind:0 "a" in
-  Alcotest.(check string) "a runs" "a" (Event_heap.pop_exn h);
-  let b = Event_heap.push h ~time:2. ~kind:0 "b" in
+  let h = Event_heap.create () in
+  let a = Event_heap.push h ~time:1. ~kind:0 1 in
+  Alcotest.(check int) "a runs" 1 (Event_heap.pop_exn h);
+  let b = Event_heap.push h ~time:2. ~kind:0 2 in
   Event_heap.cancel h a;
   Alcotest.(check int) "a's stale handle spares b in a's slot" 1 (Event_heap.size h);
   Event_heap.cancel h b;
   Event_heap.cancel h b;
   Alcotest.(check int) "b cancelled once" 0 (Event_heap.size h);
-  ignore (Event_heap.push h ~time:3. ~kind:0 "c");
+  ignore (Event_heap.push h ~time:3. ~kind:0 3);
   Event_heap.cancel h b;
   Event_heap.cancel h Event_heap.no_handle;
-  Alcotest.(check string) "c survives both" "c" (Event_heap.pop_exn h)
+  Alcotest.(check int) "c survives both" 3 (Event_heap.pop_exn h)
 
 (* Execution order of the schedule below: event indices, with [fN] the
    follow-up event N schedules one time unit later. *)
@@ -581,29 +583,36 @@ let arb_lane_workload =
 (* Lanes change no pop: on any interleaving of heap pushes, lane pushes,
    cancels and pops, a heap with three lanes pops the same (time, kind,
    payload) sequence as a heap-only replay that pushes every entry, lane
-   entries included, with [push]. Cancels name heap entries only, the
-   [k mod n]-th handle of both heaps alike; [size] agrees after every
-   step, so it counts lane entries. *)
+   entries included, with [push]. The time is [popped_time], and it is
+   the time the popped payload was pushed with, whether it sat in the
+   heap or in a lane. Cancels name heap entries only, the [k mod n]-th
+   handle of both heaps alike; [size] agrees after every step, so it
+   counts lane entries. *)
 let prop_heap_lanes_match_heap_replay =
   QCheck.Test.make ~name:"heap lanes pop as a heap-only replay" ~count:300
     arb_lane_workload (fun ops ->
-      let h = Event_heap.create ~dummy:(-1) and replay = Event_heap.create ~dummy:(-1) in
+      let h = Event_heap.create () and replay = Event_heap.create () in
       let lanes = Array.init 3 (fun _ -> Event_heap.new_lane h) in
       let tails = Array.make 3 0. in
       let handles = ref [] and n = ref 0 and next = ref 0 in
+      let pushed_at = Hashtbl.create 64 in
       let kind_of id = id mod 5 in
       let pop_matches () =
         if Event_heap.is_empty replay then Event_heap.is_empty h
         else
           (not (Event_heap.is_empty h))
-          && Float.equal (Event_heap.peek_time_exn h) (Event_heap.peek_time_exn replay)
-          && Event_heap.pop_exn h = Event_heap.pop_exn replay
+          &&
+          let x = Event_heap.pop_exn h in
+          x = Event_heap.pop_exn replay
+          && Float.equal (Event_heap.popped_time h) (Hashtbl.find pushed_at x)
+          && Float.equal (Event_heap.popped_time h) (Event_heap.popped_time replay)
           && Event_heap.popped_kind h = Event_heap.popped_kind replay
       in
       let step = function
         | `Push t ->
           incr next;
           let id = !next in
+          Hashtbl.replace pushed_at id t;
           let a = Event_heap.push h ~time:t ~kind:(kind_of id) id in
           let b = Event_heap.push replay ~time:t ~kind:(kind_of id) id in
           handles := (a, b) :: !handles;
@@ -614,6 +623,7 @@ let prop_heap_lanes_match_heap_replay =
           let id = !next in
           let time = tails.(k) +. dt in
           tails.(k) <- time;
+          Hashtbl.replace pushed_at id time;
           Event_heap.push_lane h lanes.(k) ~time ~kind:(kind_of id) id;
           ignore (Event_heap.push replay ~time ~kind:(kind_of id) id);
           true
@@ -637,26 +647,59 @@ let prop_heap_lanes_match_heap_replay =
    non-finite time; ties are accepted, and so is any time once the lane
    has drained. [size] counts lane entries. *)
 let test_heap_lane_rules () =
-  let h = Event_heap.create ~dummy:"" in
+  let h = Event_heap.create () in
   let lane = Event_heap.new_lane h in
-  ignore (Event_heap.push h ~time:4. ~kind:0 "heap");
-  Event_heap.push_lane h lane ~time:2. ~kind:1 "a";
-  Event_heap.push_lane h lane ~time:2. ~kind:1 "b";
-  Event_heap.push_lane h lane ~time:3. ~kind:1 "c";
+  ignore (Event_heap.push h ~time:4. ~kind:0 4);
+  Event_heap.push_lane h lane ~time:2. ~kind:1 1;
+  Event_heap.push_lane h lane ~time:2. ~kind:1 2;
+  Event_heap.push_lane h lane ~time:3. ~kind:1 3;
   Alcotest.(check int) "size counts lane entries" 4 (Event_heap.size h);
   Alcotest.check_raises "below the tail"
     (Invalid_argument "Event_heap.push_lane: time below the lane's last entry")
-    (fun () -> Event_heap.push_lane h lane ~time:2.5 ~kind:1 "late");
+    (fun () -> Event_heap.push_lane h lane ~time:2.5 ~kind:1 9);
   Alcotest.check_raises "non-finite"
     (Invalid_argument "Event_heap.push_lane: non-finite time")
-    (fun () -> Event_heap.push_lane h lane ~time:Float.nan ~kind:1 "nan");
+    (fun () -> Event_heap.push_lane h lane ~time:Float.nan ~kind:1 9);
   Alcotest.(check int) "rejected pushes leave no entry" 4 (Event_heap.size h);
   let order = List.init 4 (fun _ -> Event_heap.pop_exn h) in
-  Alcotest.(check (list string)) "merged order" [ "a"; "b"; "c"; "heap" ] order;
+  Alcotest.(check (list int)) "merged order" [ 1; 2; 3; 4 ] order;
   Alcotest.(check bool) "drained" true (Event_heap.is_empty h);
-  Event_heap.push_lane h lane ~time:1. ~kind:1 "after drain";
+  Event_heap.push_lane h lane ~time:1. ~kind:1 5;
   Alcotest.(check int) "a drained lane takes any time" 1 (Event_heap.size h);
-  Alcotest.(check string) "and pops it" "after drain" (Event_heap.pop_exn h)
+  Alcotest.(check int) "and pops it" 5 (Event_heap.pop_exn h)
+
+(* The engine's slot table: an event's slot is freed when it runs or when
+   a cancel removes it, and only then. Schedule/cancel rounds beside one
+   pending event leave the engine's reachable size where it was, so no
+   slot leaks; and cancelling a handle whose event already ran, after a
+   later event took its slot, neither drops that event nor frees its slot
+   for a third one to overwrite. *)
+let test_engine_slot_table () =
+  let e = Engine.create () in
+  ignore (Engine.schedule e ~delay:1e9 ignore);
+  let rounds k =
+    for _ = 1 to k do
+      Engine.cancel (Engine.schedule e ~delay:1. ignore)
+    done;
+    Obj.reachable_words (Obj.repr e)
+  in
+  let before = rounds 10 in
+  let after = rounds 100_000 in
+  if after > before then
+    Alcotest.failf "100,000 schedule/cancel rounds grew the engine from %d to %d words"
+      before after;
+  let e = Engine.create () in
+  let log = ref [] in
+  let event name = Engine.schedule e ~delay:1. (fun _ -> log := name :: !log) in
+  let a = event "a" in
+  Alcotest.(check bool) "a runs" true (Engine.step e);
+  ignore (event "b");
+  Engine.cancel a;
+  Engine.cancel a;
+  ignore (event "c");
+  run e;
+  Alcotest.(check (list string)) "b and c run after a's stale cancels" [ "a"; "b"; "c" ]
+    (List.rev !log)
 
 let suite =
   [
@@ -685,4 +728,5 @@ let suite =
     Alcotest.test_case "heap stale handles" `Quick test_heap_stale_handles;
     QCheck_alcotest.to_alcotest prop_heap_lanes_match_heap_replay;
     Alcotest.test_case "heap lane rules" `Quick test_heap_lane_rules;
+    Alcotest.test_case "engine slot table" `Quick test_engine_slot_table;
   ]
