@@ -49,6 +49,11 @@ let factorial p =
   let rec go acc k = if k <= 1 then acc else go (acc * k) (k - 1) in
   go 1 p
 
+(* What sets a move's rate: a thread issuing its request toward one peer
+   (1 / (W (p - 1))), a message landing off the wire (1 / St), or a
+   handler completing (1 / So). *)
+type kind = Issue | Wire | Handler
+
 type machine = {
   p : int;
   base : int;                 (* radix p *)
@@ -57,7 +62,6 @@ type machine = {
   rep_home : int;             (* phase code 2p + 2 *)
   code_of : int array;        (* code_of.(digit) = digit / p *)
   n_perms : int;              (* p! *)
-  orbit_size : (int, int) Hashtbl.t;  (* canonical key -> states in its orbit *)
   (* Scratch filled by [decode]. *)
   code : int array;           (* phase code per node *)
   qlen : int array;           (* items per FIFO *)
@@ -72,6 +76,9 @@ type machine = {
   prefix : int array;         (* prefix.(place) = best key / base^place *)
   mutable best : int;
   mutable ties : int;
+  (* Scratch filled by [expand], from the last slot down. *)
+  succ_buf : int array;       (* successor orbits *)
+  kind_buf : kind array;      (* what sets each one's rate *)
 }
 
 let machine p =
@@ -88,7 +95,6 @@ let machine p =
     rep_home = (2 * p) + 2;
     code_of = Array.init base (fun digit -> digit / p);
     n_perms = factorial p;
-    orbit_size = Hashtbl.create 1024;
     code = Array.make p 0;
     qlen = Array.make p 0;
     qweight = Array.make p 0;
@@ -101,6 +107,10 @@ let machine p =
     prefix = Array.make p 0;
     best = max_int;
     ties = 0;
+    (* At most p - 1 issues from each of p nodes, p wire landings and p
+       handler completions. *)
+    succ_buf = Array.make (p * (p + 1)) 0;
+    kind_buf = Array.make (p * (p + 1)) Issue;
   }
 
 (* One integer division per node: the hot loops of both exploration and
@@ -239,17 +249,111 @@ let canonical m key =
   search m (p - 1) 0 0;
   (m.best, m.ties)
 
+(* The moves out of one orbit: successor orbits, and what sets each
+   one's rate. *)
+type row = { succ : int array; kind : kind array }
+
+(* The lumped chain of one [p]: the size of every orbit named so far, and
+   the labelled moves out of every orbit expanded so far. It depends on
+   [p] alone, never on W, So or St. Filled by one exploration, and never
+   written again once published. *)
+type chain = {
+  size : (int, int) Hashtbl.t;  (* canonical key -> states in its orbit *)
+  row : (int, row) Hashtbl.t;   (* canonical key -> its labelled moves *)
+}
+
 (* The canonical key of [key]'s orbit, recording the orbit's size the
    first time the orbit is named, so no representative is canonicalised
    twice. *)
-let name m key =
+let name m chain key =
   let rep, ties = canonical m key in
-  Hashtbl.replace m.orbit_size rep (m.n_perms / ties);
+  Hashtbl.replace chain.size rep (m.n_perms / ties);
   rep
 
-(* Validated machine: the lumped chain's initial state and transition
-   function, or [None] when its states do not pack into an [int]. The
-   transition function raises [Ctmc.State_space_too_large] once the
+(* The labelled moves out of orbit [key], recorded in [chain]. Moves are
+   written from the last scratch slot down, so the row lists them in
+   reverse generation order; exploration order, and hence every solved
+   float and the committed tables, depends on that order. Each successor
+   is named by its orbit, so moves into one orbit become duplicate
+   entries whose rates [Ctmc] sums. *)
+let expand m chain key =
+  let p = m.p in
+  decode m key;
+  let slots = Array.length m.succ_buf in
+  let free = ref (slots - 1) in
+  let add delta kind =
+    m.succ_buf.(!free) <- name m chain (key + delta);
+    m.kind_buf.(!free) <- kind;
+    decr free
+  in
+  for i = 0 to p - 1 do
+    let c = m.code.(i) and wi = m.weight.(i) in
+    if c = 0 then begin
+      (* The thread runs only while its own FIFO is empty (preempt-resume
+         is free under memoryless work). On completion it sends to a
+         uniformly random peer. *)
+      if m.qlen.(i) = 0 then
+        for d = 0 to p - 1 do
+          if d <> i then add ((1 + d) * p * wi) Issue
+        done
+    end
+    else if c <= p then begin
+      (* Request lands at the tail of its destination's FIFO. *)
+      let d = c - 1 in
+      add ((((1 + p + d) * p) + m.qlen.(d) - (c * p)) * wi) Wire
+    end
+    else if c = m.rep_wire then add ((((m.rep_home - m.rep_wire) * p) + m.qlen.(i)) * wi) Wire
+    (* Queued requests and replies progress via their FIFO's head. *)
+  done;
+  (* Handler completions: the head of each non-empty FIFO finishes, and
+     every item behind it moves up one place. *)
+  for k = 0 to p - 1 do
+    if m.qlen.(k) > 0 then begin
+      let h = m.head.(k) in
+      let shift = m.weight.(h) - m.qweight.(k) in
+      if h = k then
+        (* Node k's own reply completes: its thread starts a new cycle. *)
+        add (shift - (m.rep_home * p * m.weight.(k))) Handler
+      else add (shift + ((m.rep_wire - m.code.(h)) * p * m.weight.(h))) Handler
+    end
+  done;
+  let first = !free + 1 in
+  let row =
+    {
+      succ = Array.sub m.succ_buf first (slots - first);
+      kind = Array.sub m.kind_buf first (slots - first);
+    }
+  in
+  Hashtbl.replace chain.row key row;
+  row
+
+(* [row]'s moves with their rates, in the row's order. *)
+let priced row rate =
+  let moves = ref [] in
+  for k = Array.length row.succ - 1 downto 0 do
+    moves := (row.succ.(k), rate row.kind.(k)) :: !moves
+  done;
+  !moves
+
+(* One cell per [p]: the chain of the first solve whose exploration
+   closed, or [None]. *)
+let published = Array.init (max_nodes + 1) (fun _ -> Atomic.make None)
+
+(* Publishes [chain] once its exploration has closed, that is once every
+   orbit it named has been expanded. A budget stop or a refusal leaves
+   orbits named but not expanded, so it publishes nothing. Of two chains
+   for one [p], explored at once on two domains, the first stays; they
+   are equal. *)
+let publish p chain =
+  if Hashtbl.length chain.row = Hashtbl.length chain.size then
+    ignore (Atomic.compare_and_set published.(p) None (Some chain))
+
+(* Validated machine: the lumped chain and its transition function, or
+   [None] when its states do not pack into an [int]. The chain is [p]'s
+   published one when there is one, and is otherwise explored as the
+   transition function is called. The start state, every node working
+   and every FIFO empty, is key 0: the smallest key, alone in its orbit.
+   The transition function raises [Ctmc.State_space_too_large] once the
    orbits it has expanded hold more than [max_states] states. *)
 let model ~max_states ~p ~w ~so ~st =
   if p < 2 then invalid_arg "Exact_machine: need at least two nodes";
@@ -262,59 +366,29 @@ let model ~max_states ~p ~w ~so ~st =
   else begin
     let m = machine p in
     let mu_req = 1. /. w /. Float.of_int (p - 1) and mu_so = 1. /. so and mu_st = 1. /. st in
-    let expanded = ref 0 in
-    (* Successors are consed in generation order, so the list comes out
-       reversed; exploration order, and hence every solved float, depends
-       on this order. Each successor is named by its orbit, so rates into
-       one orbit become duplicate entries that [Ctmc] sums. *)
-    let transitions key =
-      expanded := !expanded + Hashtbl.find m.orbit_size key;
-      if !expanded > max_states then raise (Ctmc.State_space_too_large max_states);
-      decode m key;
-      let moves = ref [] in
-      let add delta rate = moves := (name m (key + delta), rate) :: !moves in
-      for i = 0 to p - 1 do
-        let c = m.code.(i) and wi = m.weight.(i) in
-        if c = 0 then begin
-          (* The thread runs only while its own FIFO is empty
-             (preempt-resume is free under memoryless work). On completion
-             it sends to a uniformly random peer. *)
-          if m.qlen.(i) = 0 then
-            for d = 0 to p - 1 do
-              if d <> i then add ((1 + d) * p * wi) mu_req
-            done
-        end
-        else if c <= p then begin
-          (* Request lands at the tail of its destination's FIFO. *)
-          let d = c - 1 in
-          add ((((1 + p + d) * p) + m.qlen.(d) - (c * p)) * wi) mu_st
-        end
-        else if c = m.rep_wire then
-          add ((((m.rep_home - m.rep_wire) * p) + m.qlen.(i)) * wi) mu_st
-        (* Queued requests and replies progress via their FIFO's head. *)
-      done;
-      (* Handler completions: the head of each non-empty FIFO finishes at
-         rate mu_so, and every item behind it moves up one place. *)
-      for k = 0 to p - 1 do
-        if m.qlen.(k) > 0 then begin
-          let h = m.head.(k) in
-          let shift = m.weight.(h) - m.qweight.(k) in
-          if h = k then
-            (* Node k's own reply completes: its thread starts a new cycle. *)
-            add (shift - (m.rep_home * p * m.weight.(k))) mu_so
-          else add (shift + ((m.rep_wire - m.code.(h)) * p * m.weight.(h))) mu_so
-        end
-      done;
-      !moves
+    let rate = function Issue -> mu_req | Wire -> mu_st | Handler -> mu_so in
+    let chain, row_of =
+      match Atomic.get published.(p) with
+      | Some chain -> (chain, Hashtbl.find chain.row)
+      | None ->
+        let chain = { size = Hashtbl.create 1024; row = Hashtbl.create 1024 } in
+        Hashtbl.replace chain.size 0 1;
+        (chain, expand m chain)
     in
-    Some (m, name m 0, transitions)
+    let expanded = ref 0 in
+    let transitions key =
+      expanded := !expanded + Hashtbl.find chain.size key;
+      if !expanded > max_states then raise (Ctmc.State_space_too_large max_states);
+      priced (row_of key) rate
+    in
+    Some (m, chain, transitions)
   end
 
 (* Steady-state aggregates of the lumped chain, in one pass over its
    orbits. Every quantity is a per-node average over all [p] nodes, a
    symmetric function of the state, so an orbit's representative stands
    for all of its states. *)
-let aggregate m ~mu_so sol =
+let aggregate m chain ~mu_so sol =
   let states, qq, qy, uq, uy =
     Ctmc.fold sol ~init:(0, 0., 0., 0., 0.) ~f:(fun (states, qq, qy, uq, uy) key pi ->
         decode m key;
@@ -325,7 +399,7 @@ let aggregate m ~mu_so sol =
           if m.qlen.(k) > 0 then if m.head.(k) = k then incr busy_y else incr busy_q
         done;
         let add acc n = acc +. (pi *. Float.of_int n) in
-        ( states + Hashtbl.find m.orbit_size key,
+        ( states + Hashtbl.find chain.size key,
           add qq (!items - !replies),
           add qy !replies,
           add uq !busy_q,
@@ -348,9 +422,11 @@ let aggregate m ~mu_so sol =
 let all_to_all_status ?budget ?(max_states = 2_000_000) ~p ~w ~so ~st () =
   match model ~max_states ~p ~w ~so ~st with
   | None -> (None, Ctmc.Too_large { max_states })
-  | Some (m, initial, transitions) -> (
-    match Ctmc.solve_status ?budget ~max_states ~initial ~transitions () with
-    | Some sol, status -> (Some (aggregate m ~mu_so:(1. /. so) sol), status)
+  | Some (m, chain, transitions) -> (
+    let solved = Ctmc.solve_status ?budget ~max_states ~initial:0 ~transitions () in
+    publish p chain;
+    match solved with
+    | Some sol, status -> (Some (aggregate m chain ~mu_so:(1. /. so) sol), status)
     | None, status -> (None, status))
 
 (* Raises on overflow and returns the last iterate of a

@@ -30,7 +30,20 @@
     bound over places), and every reported quantity is a per-node
     average over all [p] nodes. The state space grows quickly:
     [p = 2] has 27 states in 16 orbits, [p = 3] 412 in 80, [p = 4] 8 865
-    in 438 and [p = 5] 246 096 in 2 422. *)
+    in 438 and [p = 5] 246 096 in 2 422.
+
+    One exploration per [p]. The orbit graph depends on [p] alone: each
+    move is labelled with what sets its rate (a request issued, a message
+    off the wire, a handler completing), never with W, So or St. The
+    first solve of a [p] whose exploration completes publishes that graph
+    and its orbit sizes for the rest of the process (about 0.5 MB at
+    [p = 5]); later solves of the same [p], on any domain, reuse it and
+    only fill in the three rates. A refused or budget-stopped exploration
+    publishes nothing. Cold or warm, [Ctmc] receives the same transition
+    lists in the same order, the budget is consulted once per orbit and
+    the [max_states] cap counts orbit sizes in the same order, so every
+    status, fuel count and float is the same. A [p = 5] solve takes about
+    11 ms cold and 4 ms warm (2-core x86-64 host). *)
 
 type result = {
   states : int;
@@ -51,8 +64,8 @@ val max_nodes : int
     without exploring. *)
 
 type machine
-(** Scratch space for one [p]-node chain, and the sizes of the orbits
-    named so far. *)
+(** Scratch space for decoding the states of one [p]-node chain and
+    naming their orbits. *)
 
 val machine : int -> machine
 (** [machine p], for [2 <= p <= max_nodes]. *)

@@ -610,6 +610,174 @@ let test_exact_falls_in_p_under_heavy_load () =
   if not (r2 > r3 && r3 > r4 *. 1.005) then
     Alcotest.failf "expected R to fall with P: %.4f, %.4f, %.4f at P = 2, 3, 4" r2 r3 r4
 
+(* --- one exploration per P: cold and warm solves -------------------------- *)
+
+(* A point's solve, and what it reports: printed with [%h], so two
+   outcomes print the same only when every float is bit-equal. *)
+type outcome = {
+  status : string;
+  spent : int option;  (* fuel spent, when the solve had a budget *)
+  bits : (int * float list) option;  (* states and R, Qq, Qy, Uq, Uy *)
+}
+
+let solve_point ?fuel ?max_states (p, w, so, st) =
+  let budget = Option.map (fun fuel -> Lopc_robust.Budget.create ~fuel ()) fuel in
+  let res, status = EM.all_to_all_status ?budget ?max_states ~p ~w ~so ~st () in
+  {
+    status = Harness.ctmc_status_to_string status;
+    spent =
+      Option.map
+        (fun b -> Option.get fuel - Option.get (Lopc_robust.Budget.remaining b))
+        budget;
+    bits =
+      Option.map
+        (fun (r : EM.result) -> (r.states, [ r.cycle_time; r.qq; r.qy; r.uq; r.uy ]))
+        res;
+  }
+
+let show_outcome o =
+  Printf.sprintf "%s, spent %s, %s" o.status
+    (match o.spent with Some n -> string_of_int n | None -> "-")
+    (match o.bits with
+    | Some (states, xs) ->
+      Printf.sprintf "%d states [%s]" states
+        (String.concat "; " (List.map (Printf.sprintf "%h") xs))
+    | None -> "no result")
+
+let check_outcome label expected got =
+  Alcotest.(check string) label (show_outcome expected) (show_outcome got)
+
+let solved states iters xs =
+  {
+    status = Harness.ctmc_status_to_string (Ctmc.Converged { iters });
+    spent = None;
+    bits = Some (states, xs);
+  }
+
+(* Recorded with [%h] from the solver as it was before a P's orbit graph
+   was kept across solves, when every solve explored its chain afresh. *)
+let pinned =
+  [
+    ( (2, 1., 200., 40.),
+      solved 27 29
+        [ 0x1.77a50595ea2bap+9; 0x1.9d822cfa50aa8p-2; 0x1.667b08866c566p-2;
+          0x1.10991b9078cd2p-2; 0x1.10991b8f186a8p-2 ] );
+    ( (2, 200., 50., 7.5),
+      solved 27 9
+        [ 0x1.7448fbffe5c8ap+8; 0x1.4469634f6bffep-3; 0x1.1d6122082e026p-3;
+          0x1.130eda318bfcap-3; 0x1.130eda31a2032p-3 ] );
+    ( (2, 1000., 300., 90.),
+      solved 27 12
+        [ 0x1.08018accd744ap+11; 0x1.5955ddd0e2ab7p-3; 0x1.36ca5ae9a77eap-3;
+          0x1.22e707267e663p-3; 0x1.22e7072676928p-3 ] );
+    ( (3, 1., 200., 40.),
+      solved 412 20
+        [ 0x1.7e35195407066p+9; 0x1.bf9d1f061b687p-2; 0x1.4ddfd5f1741c8p-2;
+          0x1.0bead7b4c4f8p-2; 0x1.0bead7b496353p-2 ] );
+    ( (3, 200., 50., 7.5),
+      solved 412 12
+        [ 0x1.75b88c1eabf7ap+8; 0x1.5704ee1ef649cp-3; 0x1.246f35e846abdp-3;
+          0x1.12005396e0969p-3; 0x1.12005396eea3fp-3 ] );
+    ( (3, 1000., 300., 90.),
+      solved 412 13
+        [ 0x1.099451d24a8fp+11; 0x1.6e9bd827b76bp-3; 0x1.3b4209fcd61a7p-3;
+          0x1.212dd875a850bp-3; 0x1.212dd875ab9eap-3 ] );
+    ( (4, 1., 200., 40.),
+      solved 8865 23
+        [ 0x1.7f07b8ef164p+9; 0x1.c98a1ad659f06p-2; 0x1.4a0283a0be358p-2;
+          0x1.0b5784ab7cf7ep-2; 0x1.0b5784aa4d913p-2 ] );
+    ( (4, 200., 50., 7.5),
+      solved 8865 16
+        [ 0x1.762a50dd144b4p+8; 0x1.5d1cdf804b85p-3; 0x1.26a7df5bf853fp-3;
+          0x1.11ad0389a3a51p-3; 0x1.11ad038996c55p-3 ] );
+    ( (4, 1000., 300., 90.),
+      solved 8865 19
+        [ 0x1.0a086f58d7fb2p+11; 0x1.75919b88c91d9p-3; 0x1.3ccac95036ffcp-3;
+          0x1.20afa0abf4e4ep-3; 0x1.20afa0abecc85p-3 ] );
+    ( (5, 1., 200., 40.),
+      solved 246_096 31
+        [ 0x1.7f5b81160e044p+9; 0x1.ce363113b4ccdp-2; 0x1.48a1e286536a3p-2;
+          0x1.0b1d175e269aep-2; 0x1.0b1d175f98796p-2 ] );
+    ( (5, 200., 50., 7.5),
+      solved 246_096 20
+        [ 0x1.76621bff5c659p+8; 0x1.6020e7803384cp-3; 0x1.27bc89a1d0a9bp-3;
+          0x1.11843a8082cbp-3; 0x1.11843a80908d9p-3 ] );
+    ( (5, 1000., 300., 90.),
+      solved 246_096 23
+        [ 0x1.0a4018dccfd07p+11; 0x1.7901a6e0e6c8p-3; 0x1.3d8ebbd77f69bp-3;
+          0x1.2073466a9421ap-3; 0x1.2073466a9f4cap-3 ] );
+  ]
+
+(* Budgeted points, as (fuel, max_states, point) and the outcome pinned
+   from the same build. P = 5's 2 422 orbits overrun 1 000 units of fuel
+   in exploration; the cascade's cap of 2 000 states refuses P = 4's
+   8 865; and 2 500 units cover P = 5's exploration and its 20 sweeps.
+   No earlier test in this suite solves P = 5, so the first point stops
+   P = 5's first exploration in this process, and the P = 5 solves after
+   it fail if a stopped exploration left a partial chain behind. *)
+let budgeted =
+  [
+    ( (1000, 2_000_000, (5, 200., 50., 7.5)),
+      { status = "fuel exhausted (budget 1000)"; spent = Some 1000; bits = None } );
+    ( (400_000, 2000, (4, 200., 50., 7.5)),
+      { status = "state space exceeds 2000 states"; spent = Some 104; bits = None } );
+    ( (2500, 2_000_000, (5, 200., 50., 7.5)),
+      { (List.assoc (5, 200., 50., 7.5) pinned) with spent = Some 2442 } );
+  ]
+
+(* Every point solved twice: the first solve of a P may explore its
+   chain, the second finds it published, and both report the same bits,
+   status and fuel. *)
+let test_exact_cold_and_warm_pinned () =
+  List.iter
+    (fun ((fuel, max_states, ((p, w, _, _) as point)), expected) ->
+      for solve = 1 to 2 do
+        check_outcome
+          (Printf.sprintf "P=%d W=%g fuel %d cap %d, solve %d" p w fuel max_states solve)
+          expected
+          (solve_point ~fuel ~max_states point)
+      done)
+    budgeted;
+  List.iter
+    (fun (((p, w, _, _) as point), expected) ->
+      for solve = 1 to 2 do
+        check_outcome (Printf.sprintf "P=%d W=%g, solve %d" p w solve) expected (solve_point point)
+      done)
+    pinned
+
+(* P = 6 (8 365 651 states) is solved nowhere else, so its two points
+   start on the pool's two domains with no published chain: both may
+   explore it at once, and the chain of only one of them is kept. Pinned
+   from the same build as [pinned], with the cap raised past the
+   default's 2 000 000 states. *)
+let p6 =
+  [
+    ( (6, 200., 50., 7.5),
+      solved 8_365_651 24
+        [ 0x1.76833efb6835bp+8; 0x1.61ed4fd84a85p-3; 0x1.285ff833ff218p-3;
+          0x1.116c072777c02p-3; 0x1.116c072777af3p-3 ] );
+    ( (6, 1000., 300., 90.),
+      solved 8_365_651 27
+        [ 0x1.0a60ca38c06b1p+11; 0x1.7b0dcb7604751p-3; 0x1.3e03d5701042bp-3;
+          0x1.204fdf918fcaep-3; 0x1.204fdf9189779p-3 ] );
+  ]
+
+let test_exact_pool_matches_serial () =
+  let points = List.map fst p6 @ List.map fst pinned in
+  let solve point = solve_point ~max_states:10_000_000 point in
+  let pooled =
+    Lopc_repro.Parallel.with_pool ~jobs:2 (fun pool ->
+        Lopc_repro.Parallel.run pool (Array.of_list (List.map (fun pt () -> solve pt) points)))
+  in
+  List.iteri
+    (fun i ((p, w, _, _) as point) ->
+      check_outcome (Printf.sprintf "P=%d W=%g, pool vs serial" p w) pooled.(i) (solve point))
+    points;
+  List.iteri
+    (fun i ((p, w, _, _), expected) ->
+      check_outcome (Printf.sprintf "P=%d W=%g, pinned" p w) expected pooled.(i))
+    p6
+
 let suite =
   [
     Alcotest.test_case "ctmc: two-state chain" `Quick test_ctmc_two_state;
@@ -636,4 +804,8 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 36) prop_exact_monotone_in_so;
     Alcotest.test_case "exact machine: R falls from P = 3 to P = 4 under heavy load" `Quick
       test_exact_falls_in_p_under_heavy_load;
+    Alcotest.test_case "exact machine: cold and warm solves match pinned bits" `Quick
+      test_exact_cold_and_warm_pinned;
+    Alcotest.test_case "exact machine: pooled solves match serial ones" `Quick
+      test_exact_pool_matches_serial;
   ]
