@@ -7,6 +7,16 @@ module Time_average = Lopc_stats.Time_average
 module Welford = Lopc_stats.Welford
 module Sim_probe = Lopc_obs.Sim_probe
 
+(* Tables keyed by node id, hashed by the id itself: no [caml_hash] call
+   per lookup, and memory in proportion to the entries. *)
+module Id_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash (id : int) = id
+end)
+
 type result = {
   metrics : Metrics.t;
   final_time : float;
@@ -109,7 +119,7 @@ type node = {
   mutable tries : int;
   mutable timer : Event_heap.handle;
   mutable reply_accepted : bool;
-  seen : (int, int) Hashtbl.t;         (* origin -> highest seq delivered *)
+  seen : int Id_table.t;               (* origin -> highest seq delivered *)
 }
 
 type machine = {
@@ -489,7 +499,7 @@ and arrival m node msg =
     | Request ->
       let origin = Float.to_int p.cycles.(msg).origin in
       (* [find], not [find_opt]: a hit allocates no [Some]. *)
-      (match Hashtbl.find node.seen origin with
+      (match Id_table.find node.seen origin with
       | last when seq <= last ->
         if m.measuring then
           m.metrics.Metrics.duplicate_deliveries <-
@@ -497,8 +507,8 @@ and arrival m node msg =
         (match m.obs with
         | None -> ()
         | Some o -> Sim_probe.fault_event o ~node:node.id ~now:m.now "duplicate")
-      | _ -> Hashtbl.replace node.seen origin seq
-      | exception Not_found -> Hashtbl.replace node.seen origin seq);
+      | _ -> Id_table.replace node.seen origin seq
+      | exception Not_found -> Id_table.replace node.seen origin seq);
       deliver m node msg
     | Reply ->
       if node.pending_seq = seq && not node.reply_accepted then begin
@@ -831,7 +841,7 @@ let prepare ?on_cycle ?rng ?obs ?budget ~seed ~warmup ~spec () =
           tries = 0;
           timer = Event_heap.no_handle;
           reply_accepted = false;
-          seen = Hashtbl.create 8;
+          seen = Id_table.create 8;
         })
   in
   (* Fault streams MUST be split after every node stream so that the node

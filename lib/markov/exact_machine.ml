@@ -76,9 +76,6 @@ type machine = {
   prefix : int array;         (* prefix.(place) = best key / base^place *)
   mutable best : int;
   mutable ties : int;
-  (* Scratch filled by [expand], from the last slot down. *)
-  succ_buf : int array;       (* successor orbits *)
-  kind_buf : kind array;      (* what sets each one's rate *)
 }
 
 let machine p =
@@ -107,14 +104,11 @@ let machine p =
     prefix = Array.make p 0;
     best = max_int;
     ties = 0;
-    (* At most p - 1 issues from each of p nodes, p wire landings and p
-       handler completions. *)
-    succ_buf = Array.make (p * (p + 1)) 0;
-    kind_buf = Array.make (p * (p + 1)) Issue;
   }
 
-(* One integer division per node: the hot loops of both exploration and
-   aggregation run through here. *)
+(* One integer division per node: exploration's hot loop runs through
+   here, and the counts an explored orbit keeps for the aggregates are
+   read off it. *)
 let decode m key =
   let p = m.p in
   for k = 0 to p - 1 do
@@ -249,43 +243,24 @@ let canonical m key =
   search m (p - 1) 0 0;
   (m.best, m.ties)
 
-(* The moves out of one orbit: successor orbits, and what sets each
-   one's rate. *)
-type row = { succ : int array; kind : kind array }
-
-(* The lumped chain of one [p]: the size of every orbit named so far, and
-   the labelled moves out of every orbit expanded so far. It depends on
-   [p] alone, never on W, So or St. Filled by one exploration, and never
-   written again once published. *)
-type chain = {
-  size : (int, int) Hashtbl.t;  (* canonical key -> states in its orbit *)
-  row : (int, row) Hashtbl.t;   (* canonical key -> its labelled moves *)
-}
-
-(* The canonical key of [key]'s orbit, recording the orbit's size the
-   first time the orbit is named, so no representative is canonicalised
-   twice. *)
-let name m chain key =
+(* The canonical key of [key]'s orbit, recording the orbit's size in
+   [sizes] the first time the orbit is named, so no representative is
+   canonicalised twice. *)
+let name m sizes key =
   let rep, ties = canonical m key in
-  Hashtbl.replace chain.size rep (m.n_perms / ties);
+  Hashtbl.replace sizes rep (m.n_perms / ties);
   rep
 
-(* The labelled moves out of orbit [key], recorded in [chain]. Moves are
-   written from the last scratch slot down, so the row lists them in
-   reverse generation order; exploration order, and hence every solved
-   float and the committed tables, depends on that order. Each successor
-   is named by its orbit, so moves into one orbit become duplicate
-   entries whose rates [Ctmc] sums. *)
-let expand m chain key =
+(* The labelled moves out of orbit [key], consed as they are generated,
+   so the list holds them in reverse generation order; exploration order,
+   and hence every solved float and the committed tables, depends on that
+   order. Each successor is named by its orbit, so moves into one orbit
+   become duplicate entries whose rates [Ctmc] sums. *)
+let expand m sizes key =
   let p = m.p in
   decode m key;
-  let slots = Array.length m.succ_buf in
-  let free = ref (slots - 1) in
-  let add delta kind =
-    m.succ_buf.(!free) <- name m chain (key + delta);
-    m.kind_buf.(!free) <- kind;
-    decr free
-  in
+  let moves = ref [] in
+  let add delta kind = moves := (name m sizes (key + delta), kind) :: !moves in
   for i = 0 to p - 1 do
     let c = m.code.(i) and wi = m.weight.(i) in
     if c = 0 then begin
@@ -317,100 +292,100 @@ let expand m chain key =
       else add (shift + ((m.rep_wire - m.code.(h)) * p * m.weight.(h))) Handler
     end
   done;
-  let first = !free + 1 in
-  let row =
-    {
-      succ = Array.sub m.succ_buf first (slots - first);
-      kind = Array.sub m.kind_buf first (slots - first);
-    }
-  in
-  Hashtbl.replace chain.row key row;
-  row
-
-(* [row]'s moves with their rates, in the row's order. *)
-let priced row rate =
-  let moves = ref [] in
-  for k = Array.length row.succ - 1 downto 0 do
-    moves := (row.succ.(k), rate row.kind.(k)) :: !moves
-  done;
   !moves
 
-(* One cell per [p]: the chain of the first solve whose exploration
-   closed, or [None]. *)
+(* The lumped chain of one [p]: its orbit graph, each move labelled with
+   what sets its rate, and per orbit, in discovery order, its size and
+   the four counts [aggregate] weighs. It depends on [p] alone, never on
+   W, So or St, and is never written once built. *)
+type chain = {
+  graph : (int, kind) Ctmc.graph;  (* over canonical keys; start key 0 *)
+  size : int array;                (* states in each orbit *)
+  counts : int array;
+      (* four per orbit: requests queued, replies queued, handlers busy on
+         a request, handlers busy on a reply; all summed over the nodes *)
+  states : int;                    (* the sum of [size] *)
+}
+
+(* One cell per [p]: the first chain explored to completion, or [None]. *)
 let published = Array.init (max_nodes + 1) (fun _ -> Atomic.make None)
 
-(* Publishes [chain] once its exploration has closed, that is once every
-   orbit it named has been expanded. A budget stop or a refusal leaves
-   orbits named but not expanded, so it publishes nothing. Of two chains
-   for one [p], explored at once on two domains, the first stays; they
-   are equal. *)
-let publish p chain =
-  if Hashtbl.length chain.row = Hashtbl.length chain.size then
-    ignore (Atomic.compare_and_set published.(p) None (Some chain))
-
-(* Validated machine: the lumped chain and its transition function, or
-   [None] when its states do not pack into an [int]. The chain is [p]'s
-   published one when there is one, and is otherwise explored as the
-   transition function is called. The start state, every node working
-   and every FIFO empty, is key 0: the smallest key, alone in its orbit.
-   The transition function raises [Ctmc.State_space_too_large] once the
-   orbits it has expanded hold more than [max_states] states. *)
-let model ~max_states ~p ~w ~so ~st =
-  if p < 2 then invalid_arg "Exact_machine: need at least two nodes";
-  List.iter
-    (fun (name, v) ->
-      if v <= 0. || not (Float.is_finite v) then
-        invalid_arg (Printf.sprintf "Exact_machine: %s must be strictly positive" name))
-    [ ("w", w); ("so", so); ("st", st) ];
-  if p > max_nodes then None
-  else begin
-    let m = machine p in
-    let mu_req = 1. /. w /. Float.of_int (p - 1) and mu_so = 1. /. so and mu_st = 1. /. st in
-    let rate = function Issue -> mu_req | Wire -> mu_st | Handler -> mu_so in
-    let chain, row_of =
-      match Atomic.get published.(p) with
-      | Some chain -> (chain, Hashtbl.find chain.row)
-      | None ->
-        let chain = { size = Hashtbl.create 1024; row = Hashtbl.create 1024 } in
-        Hashtbl.replace chain.size 0 1;
-        (chain, expand m chain)
-    in
-    let expanded = ref 0 in
-    let transitions key =
-      expanded := !expanded + Hashtbl.find chain.size key;
-      if !expanded > max_states then raise (Ctmc.State_space_too_large max_states);
-      priced (row_of key) rate
-    in
-    Some (m, chain, transitions)
-  end
-
-(* Steady-state aggregates of the lumped chain, in one pass over its
-   orbits. Every quantity is a per-node average over all [p] nodes, a
-   symmetric function of the state, so an orbit's representative stands
-   for all of its states. *)
-let aggregate m chain ~mu_so sol =
-  let states, qq, qy, uq, uy =
-    Ctmc.fold sol ~init:(0, 0., 0., 0., 0.) ~f:(fun (states, qq, qy, uq, uy) key pi ->
-        decode m key;
-        let items = ref 0 and replies = ref 0 and busy_q = ref 0 and busy_y = ref 0 in
-        for k = 0 to m.p - 1 do
-          items := !items + m.qlen.(k);
-          if m.code.(k) = m.rep_home then incr replies;
-          if m.qlen.(k) > 0 then if m.head.(k) = k then incr busy_y else incr busy_q
-        done;
-        let add acc n = acc +. (pi *. Float.of_int n) in
-        ( states + Hashtbl.find chain.size key,
-          add qq (!items - !replies),
-          add qy !replies,
-          add uq !busy_q,
-          add uy !busy_y ))
+(* Explores [p]'s chain from key 0, every node working and every FIFO
+   empty: the smallest key, alone in its orbit. The transition function
+   refuses once the orbits it has expanded hold more than [max_states]
+   states. A completed exploration is published: of two chains for one
+   [p], explored at once on two domains, the first stays; they are
+   equal. A budget stop or a refusal publishes nothing. *)
+let explore ?budget ~max_states p =
+  let m = machine p in
+  let sizes = Hashtbl.create 1024 in
+  Hashtbl.replace sizes 0 1;
+  let expanded = ref 0 in
+  let transitions key =
+    expanded := !expanded + Hashtbl.find sizes key;
+    if !expanded > max_states then raise (Ctmc.State_space_too_large max_states);
+    expand m sizes key
   in
-  let per_node x = x /. Float.of_int m.p in
+  match Ctmc.explore ?budget ~max_states ~initial:0 ~transitions () with
+  | Error status -> Error status
+  | Ok graph ->
+    let n = Ctmc.size graph in
+    let size = Array.init n (fun i -> Hashtbl.find sizes (Ctmc.state graph i)) in
+    let counts = Array.make (4 * n) 0 in
+    for i = 0 to n - 1 do
+      decode m (Ctmc.state graph i);
+      let items = ref 0 and replies = ref 0 and busy_q = ref 0 and busy_y = ref 0 in
+      for k = 0 to p - 1 do
+        items := !items + m.qlen.(k);
+        if m.code.(k) = m.rep_home then incr replies;
+        if m.qlen.(k) > 0 then if m.head.(k) = k then incr busy_y else incr busy_q
+      done;
+      counts.(4 * i) <- !items - !replies;
+      counts.((4 * i) + 1) <- !replies;
+      counts.((4 * i) + 2) <- !busy_q;
+      counts.((4 * i) + 3) <- !busy_y
+    done;
+    let chain = { graph; size; counts; states = Array.fold_left ( + ) 0 size } in
+    ignore (Atomic.compare_and_set published.(p) None (Some chain));
+    Ok chain
+
+(* A published chain, passed through the checks its exploration made, in
+   the same order: one unit of fuel per orbit, then the cap on the states
+   of the orbits expanded so far and [Ctmc]'s cap on the orbits
+   discovered so far. So every status and fuel count is the one a cold
+   exploration reports. *)
+let replay ?budget ~max_states chain =
+  let refused = Error (Ctmc.Too_large { max_states }) in
+  let n = Ctmc.size chain.graph in
+  let rec row i expanded =
+    if i = n then Ok chain
+    else
+      match Option.bind budget Lopc_robust.Budget.check with
+      | Some reason -> Error (Ctmc.Exhausted { reason })
+      | None ->
+        let expanded = expanded + chain.size.(i) in
+        if expanded > max_states || Ctmc.discovered chain.graph i > max_states then refused
+        else row (i + 1) expanded
+  in
+  (* Exploration discovers the start orbit before its first check. *)
+  if max_states < 1 then refused else row 0 0
+
+(* Steady-state aggregates of the lumped chain: every quantity is a
+   per-node average over all [p] nodes, a symmetric function of the
+   state, so an orbit's counts stand for all of its states. One dot
+   product per quantity over the orbits in discovery order. *)
+let aggregate chain ~p ~mu_so sol =
+  let _, qq, qy, uq, uy =
+    Ctmc.fold sol ~init:(0, 0., 0., 0., 0.) ~f:(fun (i, qq, qy, uq, uy) _ pi ->
+        let add acc c = acc +. (pi *. Float.of_int chain.counts.((4 * i) + c)) in
+        (i + 1, add qq 0, add qy 1, add uq 2, add uy 3))
+  in
+  let per_node x = x /. Float.of_int p in
   (* Per-node completion rate: a reply heads its home FIFO. *)
   let uy = per_node uy in
   let throughput = mu_so *. uy in
   {
-    states;
+    states = chain.states;
     cycle_time = 1. /. throughput;
     throughput;
     qq = per_node qq;
@@ -420,14 +395,27 @@ let aggregate m chain ~mu_so sol =
   }
 
 let all_to_all_status ?budget ?(max_states = 2_000_000) ~p ~w ~so ~st () =
-  match model ~max_states ~p ~w ~so ~st with
-  | None -> (None, Ctmc.Too_large { max_states })
-  | Some (m, chain, transitions) -> (
-    let solved = Ctmc.solve_status ?budget ~max_states ~initial:0 ~transitions () in
-    publish p chain;
-    match solved with
-    | Some sol, status -> (Some (aggregate m chain ~mu_so:(1. /. so) sol), status)
-    | None, status -> (None, status))
+  if p < 2 then invalid_arg "Exact_machine: need at least two nodes";
+  List.iter
+    (fun (name, v) ->
+      if v <= 0. || not (Float.is_finite v) then
+        invalid_arg (Printf.sprintf "Exact_machine: %s must be strictly positive" name))
+    [ ("w", w); ("so", so); ("st", st) ];
+  if p > max_nodes then (None, Ctmc.Too_large { max_states })
+  else
+    let explored =
+      match Atomic.get published.(p) with
+      | Some chain -> replay ?budget ~max_states chain
+      | None -> explore ?budget ~max_states p
+    in
+    match explored with
+    | Error status -> (None, status)
+    | Ok chain -> (
+      let mu_req = 1. /. w /. Float.of_int (p - 1) and mu_so = 1. /. so and mu_st = 1. /. st in
+      let rate = function Issue -> mu_req | Wire -> mu_st | Handler -> mu_so in
+      match Ctmc.solve ?budget chain.graph ~price:rate with
+      | Some sol, status -> (Some (aggregate chain ~p ~mu_so sol), status)
+      | None, status -> (None, status))
 
 (* Raises on overflow and returns the last iterate of a
    non-converged sweep. *)

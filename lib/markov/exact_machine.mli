@@ -35,15 +35,13 @@
     One exploration per [p]. The orbit graph depends on [p] alone: each
     move is labelled with what sets its rate (a request issued, a message
     off the wire, a handler completing), never with W, So or St. The
-    first solve of a [p] whose exploration completes publishes that graph
-    and its orbit sizes for the rest of the process (about 0.5 MB at
-    [p = 5]); later solves of the same [p], on any domain, reuse it and
-    only fill in the three rates. A refused or budget-stopped exploration
-    publishes nothing. Cold or warm, [Ctmc] receives the same transition
-    lists in the same order, the budget is consulted once per orbit and
-    the [max_states] cap counts orbit sizes in the same order, so every
-    status, fuel count and float is the same. A [p = 5] solve takes about
-    11 ms cold and 4 ms warm (2-core x86-64 host). *)
+    first solve of a [p] whose exploration completes publishes that
+    labelled graph, as the {!Ctmc.graph} it explored, with each orbit's
+    size and the four counts the aggregates weigh (about 0.47 MB at
+    [p = 5]). Later solves of the same [p], on any domain, replay the
+    exploration's checks, price the three rates and sweep. A refused or
+    budget-stopped exploration publishes nothing. A [p = 5] solve takes
+    about 9 ms cold and 1.1 ms warm (2-core x86-64 host). *)
 
 type result = {
   states : int;
@@ -100,7 +98,15 @@ val all_to_all_status :
     an exception or a silent wrong answer. [max_states] bounds the
     unlumped state count: exploration stops with [Too_large] once the
     orbits expanded so far hold more than [max_states] states, so a chain
-    too large for the cap is refused although its orbits would fit.
-    [budget] is consulted once per explored orbit and once per sweep.
+    too large for the cap is refused although its orbits would fit; it
+    also stops once more than [max_states] orbits are discovered, which
+    {!Ctmc.explore} refuses on its own. [budget] is consulted once per
+    explored orbit and once per sweep. A warm solve, whose [p] has a
+    published chain, replays all of this in the cold order: before each
+    orbit one unit of fuel, then the two caps, then one unit per sweep;
+    so its status and the fuel it spends are those of a cold solve.
     [p > max_nodes] returns [(None, Too_large { max_states })] at once.
-    Only raises [Invalid_argument] on invalid machine parameters. *)
+    Only raises [Invalid_argument]: on invalid machine parameters, and,
+    once exploration or its replay has finished, on a rate that does not
+    come out finite (a W, So or St so small that its reciprocal
+    overflows, such as [w = 5e-324]). *)

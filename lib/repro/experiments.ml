@@ -692,10 +692,11 @@ let exact_comparison_plan ~fidelity ~seed =
   let so = 200. and st = 40. in
   let cycles = sim_cycles fidelity * 2 in
   (* P = 5's 246,096 states lump into 2,422 orbits: the first P = 5
-     solve in a process explores them and takes about 11 ms, and the
-     later ones reuse that orbit graph and take about 4 ms. The
-     full-fidelity simulator runs dominate its rows. Quick rows stay
-     P <= 4, unchanged from the seed. *)
+     solve in a process explores them and takes about 9 ms, and the
+     later ones reuse that labelled orbit graph, price its three rates
+     and sweep in about 1.1 ms. The full-fidelity simulator runs
+     dominate its rows. Quick rows stay P <= 4, unchanged from the
+     seed. *)
   let machine_sizes = match fidelity with Quick -> [ 2; 3; 4 ] | Full -> [ 2; 3; 4; 5 ] in
   let points =
     List.concat_map

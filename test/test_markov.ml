@@ -778,6 +778,120 @@ let test_exact_pool_matches_serial () =
       check_outcome (Printf.sprintf "P=%d W=%g, pinned" p w) expected pooled.(i))
     p6
 
+(* --- one exploration, several pricings ------------------------------------ *)
+
+(* A chain explored once and solved under two rate maps gives, bit for
+   bit, what two fresh [solve_status] calls give on the priced
+   transitions: the same states in the same order, every probability and
+   the status. The generator's rates are all positive, so the two
+   explorations see the same graph. *)
+let prop_explore_once_solve_twice =
+  QCheck.Test.make ~name:"ctmc: one exploration under two pricings matches solve_status"
+    ~count:150 arb_chain
+    (fun (n, rows) ->
+      let transitions s = if s < n then List.nth rows s else [] in
+      let show (sol, status) =
+        Harness.ctmc_status_to_string status
+        ^
+        match sol with
+        | None -> ""
+        | Some sol -> Ctmc.fold sol ~init:"" ~f:(fun acc s pi -> Printf.sprintf "%s %d:%h" acc s pi)
+      in
+      match Ctmc.explore ~initial:0 ~transitions () with
+      | Error _ -> false
+      | Ok graph ->
+        List.for_all
+          (fun price ->
+            let priced s = List.map (fun (s', r) -> (s', price r)) (transitions s) in
+            String.equal
+              (show (Ctmc.solve ~max_iter:50_000 graph ~price))
+              (show (Ctmc.solve_status ~max_iter:50_000 ~initial:0 ~transitions:priced ())))
+          [ Fun.id; (fun r -> 1. /. r) ])
+
+(* The graph keeps every labelled move, so [solve] refuses a label that
+   prices to zero as well as a negative or non-finite one. *)
+let test_ctmc_solve_refuses_bad_price () =
+  match Ctmc.explore ~initial:0 ~transitions:(function 0 -> [ (1, `Out) ] | _ -> [ (0, `Back) ]) () with
+  | Error status -> Alcotest.failf "explore: %s" (Harness.ctmc_status_to_string status)
+  | Ok graph ->
+    List.iter
+      (fun (name, bad) ->
+        Alcotest.(check bool) name true
+          (try
+             ignore (Ctmc.solve graph ~price:(function `Out -> 1. | `Back -> bad));
+             false
+           with Invalid_argument _ -> true))
+      [ ("zero", 0.); ("negative", -1.); ("infinite", Float.infinity); ("nan", Float.nan) ]
+
+(* --- warm replay at the edges --------------------------------------------- *)
+
+(* (P, fuel, cap) at (W, So, St) = (200, 50, 7.5), with the status and
+   fuel spent recorded from the build whose published chain was a table
+   of rows, each point in a fresh process. P = 3, 4 and 5 have 80, 438
+   and 2 422 orbits and converge in 12, 16 and 20 sweeps. Fuel one short
+   of the orbits stops the last orbit's exploration; the orbit count
+   stops the first sweep; one more unit, the second; orbits plus sweeps
+   minus one, the last; orbits plus sweeps converges. A cap of 0 refuses
+   the start orbit before any fuel is spent. A cap of 1 is refused at
+   orbit 0 by [Ctmc]'s count of discovered orbits (two discovered, one
+   state expanded); at P <= 5 no other cap is refused by that count
+   before the expanded states refuse it. The third cap is refused by the
+   expanded states. *)
+let replay_edges =
+  [
+    ((3, 79, 2_000_000), ("fuel exhausted (budget 79)", 79));
+    ((3, 80, 2_000_000), ("fuel exhausted (budget 80)", 80));
+    ((3, 81, 2_000_000), ("fuel exhausted (budget 81)", 81));
+    ((3, 91, 2_000_000), ("fuel exhausted (budget 91)", 91));
+    ((3, 92, 2_000_000), ("converged in 12 iterations", 92));
+    ((3, 1_000_000, 0), ("state space exceeds 0 states", 0));
+    ((3, 1_000_000, 1), ("state space exceeds 1 states", 1));
+    ((3, 1_000_000, 300), ("state space exceeds 300 states", 58));
+    ((4, 437, 2_000_000), ("fuel exhausted (budget 437)", 437));
+    ((4, 438, 2_000_000), ("fuel exhausted (budget 438)", 438));
+    ((4, 439, 2_000_000), ("fuel exhausted (budget 439)", 439));
+    ((4, 453, 2_000_000), ("fuel exhausted (budget 453)", 453));
+    ((4, 454, 2_000_000), ("converged in 16 iterations", 454));
+    ((4, 1_000_000, 0), ("state space exceeds 0 states", 0));
+    ((4, 1_000_000, 1), ("state space exceeds 1 states", 1));
+    ((4, 1_000_000, 2000), ("state space exceeds 2000 states", 104));
+    ((5, 2421, 2_000_000), ("fuel exhausted (budget 2421)", 2421));
+    ((5, 2422, 2_000_000), ("fuel exhausted (budget 2422)", 2422));
+    ((5, 2423, 2_000_000), ("fuel exhausted (budget 2423)", 2423));
+    ((5, 2441, 2_000_000), ("fuel exhausted (budget 2441)", 2441));
+    ((5, 2442, 2_000_000), ("converged in 20 iterations", 2442));
+    ((5, 1_000_000, 0), ("state space exceeds 0 states", 0));
+    ((5, 1_000_000, 1), ("state space exceeds 1 states", 1));
+    ((5, 1_000_000, 100_000), ("state space exceeds 100000 states", 1006));
+  ]
+
+(* Every point solved twice, and a converged one must also give
+   [pinned]'s bits. In the whole suite every P here is published by
+   earlier tests, so both solves replay; run alone, each P's first solve
+   explores it. A W whose reciprocal overflows raises [Invalid_argument]
+   the same way on both solves. *)
+let test_exact_warm_replay_edges () =
+  for solve = 1 to 2 do
+    Alcotest.(check bool) (Printf.sprintf "w = 5e-324 rejected, solve %d" solve) true
+      (try
+         ignore (EM.all_to_all_status ~p:2 ~w:5e-324 ~so:50. ~st:7.5 ());
+         false
+       with Invalid_argument _ -> true)
+  done;
+  List.iter
+    (fun ((p, fuel, max_states), (status, spent)) ->
+      let point = (p, 200., 50., 7.5) in
+      let solved = List.assoc point pinned in
+      let bits = if String.equal status solved.status then solved.bits else None in
+      let expected = { status; spent = Some spent; bits } in
+      for solve = 1 to 2 do
+        check_outcome
+          (Printf.sprintf "P=%d fuel %d cap %d, solve %d" p fuel max_states solve)
+          expected
+          (solve_point ~fuel ~max_states point)
+      done)
+    replay_edges
+
 let suite =
   [
     Alcotest.test_case "ctmc: two-state chain" `Quick test_ctmc_two_state;
@@ -808,4 +922,9 @@ let suite =
       test_exact_cold_and_warm_pinned;
     Alcotest.test_case "exact machine: pooled solves match serial ones" `Quick
       test_exact_pool_matches_serial;
+    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 37) prop_explore_once_solve_twice;
+    Alcotest.test_case "ctmc: solve refuses a zero or non-finite price" `Quick
+      test_ctmc_solve_refuses_bad_price;
+    Alcotest.test_case "exact machine: warm replay at the budget and cap edges" `Quick
+      test_exact_warm_replay_edges;
   ]
