@@ -1,4 +1,3 @@
-module Roots = Lopc_numerics.Roots
 module Fixed_point = Lopc_numerics.Fixed_point
 module Polynomial = Lopc_numerics.Polynomial
 module Linear = Lopc_numerics.Linear
@@ -17,8 +16,6 @@ type solution = {
 }
 
 type execution = Interrupt | Polling | Protocol_processor
-
-type solve_method = Brent_on_residual | Damped_iteration | Polynomial_roots
 
 type terms = {
   rw : float;
@@ -99,24 +96,6 @@ let quartic ?(execution = Interrupt) (params : Params.t) ~w =
   in
   Polynomial.of_coeffs cleaned
 
-(* The smallest real root of the cleared quartic at or above the
-   contention-free bound, or [None] when the polynomial route is unusable:
-   a singular Vandermonde system (degenerate interpolation points), a
-   failed root isolation or no candidate root. None of these means the
-   model has no solution, so the caller falls back to the bracketed
-   solver. *)
-let solve_polynomial ?execution params ~w =
-  match Polynomial.real_roots (quartic ?execution params ~w) with
-  | exception (Linear.Singular | Roots.No_bracket) -> None
-  | roots -> (
-    let lb = lower_bound params ~w in
-    let candidates =
-      Array.to_list roots |> List.filter (fun r -> r >= lb *. (1. -. 1e-9))
-    in
-    match candidates with
-    | [] -> None
-    | first :: rest -> Some (List.fold_left Float.min first rest))
-
 let solution_of_r (params : Params.t) ~w ~execution r =
   let t = terms ~execution ~load:1. params ~w r in
   {
@@ -135,40 +114,20 @@ let solution_of_r (params : Params.t) ~w ~execution r =
 (* The reliable all-to-all model cannot saturate: the queue denominator's
    positive root is the golden-ratio multiple of So, strictly below the
    contention-free bound W + 2·St + 2·So where every bracket starts, so the
-   residual always crosses zero. [Saturated] is produced by the solvers
-   whose demand can outgrow capacity ([Amva], [Fault_model]); here a
+   residual always crosses zero. [Saturated] is produced only by
+   [Fault_model], whose retried load can outgrow capacity; here a
    structured failure can only be [Diverged] or [Exhausted]. *)
 
-let solve_status ?budget ?(execution = Interrupt) ?(solve_method = Brent_on_residual)
-    params ~w =
-  let lb = lower_bound params ~w in
-  let bracketed () =
-    Fixed_point.solve_above_status ?budget ~f:(fixed_point_map ~execution params ~w) lb
-  in
-  let r, status =
-    match solve_method with
-    | Brent_on_residual -> bracketed ()
-    | Polynomial_roots -> (
-      match solve_polynomial ~execution params ~w with
-      | Some r -> (r, Fixed_point.Converged { iters = 0 })
-      | None -> bracketed ())
-    | Damped_iteration ->
-      let f r =
-        (* Clamp into the region where the closed forms are valid. *)
-        let r = Float.max r lb in
-        fixed_point_map ~execution params ~w r
-      in
-      let r, status =
-        Fixed_point.solve_scalar_status ?budget ~damping:0.5 ~tol:1e-12 ~f lb
-      in
-      (Float.max r lb, status)
-  in
-  match status with
-  | Fixed_point.Converged _ -> (Some (solution_of_r params ~w ~execution r), status)
-  | status -> (None, status)
+let solve_status ?budget ?(execution = Interrupt) params ~w =
+  match
+    Fixed_point.solve_above_status ?budget ~f:(fixed_point_map ~execution params ~w)
+      (lower_bound params ~w)
+  with
+  | r, (Fixed_point.Converged _ as status) -> (Some (solution_of_r params ~w ~execution r), status)
+  | _, status -> (None, status)
 
-let solve ?execution ?solve_method params ~w =
-  match solve_status ?execution ?solve_method params ~w with
+let solve ?execution params ~w =
+  match solve_status ?execution params ~w with
   | Some s, _ -> s
   | None, status ->
     raise (Fixed_point.Diverged ("All_to_all: " ^ Fixed_point.status_to_string status))

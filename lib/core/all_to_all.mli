@@ -16,9 +16,12 @@
     R  = Rw + 2·St + Rq + Ry
     v}
 
+    {!solve_status} finds [R] by bracketing [F R − R] above the
+    contention-free bound ({!Lopc_numerics.Fixed_point.solve_above_status}).
     §5.3 notes the system is a quartic in [R]; {!quartic} constructs that
-    polynomial explicitly and {!solve} offers three interchangeable
-    solution methods (they agree to solver tolerance — see the tests). *)
+    polynomial explicitly. The [ablate.solvers] artifact and the tests
+    check that its smallest root at or above the bound, and a damped
+    iteration of [F], agree with the bracketed answer. *)
 
 type solution = {
   r : float;           (** Cycle time [R] including contention. *)
@@ -67,39 +70,25 @@ val terms : execution:execution -> load:float -> Params.t -> w:float -> float ->
     [Uq = load·So/R], [Uy = So/R] and the per-visit [Rq = Qq·R/load]
     (Little). Requires [r] above the saturation floor. *)
 
-type solve_method =
-  | Brent_on_residual  (** Root of [F R −. R] by Brent's method (default). *)
-  | Damped_iteration   (** Scalar fixed-point iteration with damping. *)
-  | Polynomial_roots   (** Real roots of the cleared-denominator
-                           polynomial of §5.3. *)
-
 val solve_status :
   ?budget:Lopc_robust.Budget.t ->
   ?execution:execution ->
-  ?solve_method:solve_method ->
   Params.t ->
   w:float ->
   solution option * Lopc_numerics.Fixed_point.status
 (** [solve_status params ~w] solves the homogeneous model and reports a
-    structured outcome. [execution] defaults to [Interrupt]. For
-    [Brent_on_residual] the [Converged]
-    iteration count is the number of residual evaluations. The reliable
-    model never reports [Saturated] — its saturation floor lies strictly
-    below the contention-free cycle time (see {!Fault_model} for a model
-    that can).
+    structured outcome. [execution] defaults to [Interrupt]. The
+    [Converged] iteration count is the number of evaluations of [F]. The
+    reliable model never reports [Saturated] — its saturation floor lies
+    strictly below the contention-free cycle time (see {!Fault_model}
+    for a model that can).
 
-    [budget] is consulted once per iteration ([Damped_iteration]) or per
-    residual evaluation (the bracketing methods); when it stops the run
-    the outcome is [(None, Exhausted _)]. [Polynomial_roots] reports
-    [Converged { iters = 0 }] when the quartic yields the root: the
-    direct root computation is a fixed amount of work, cannot spin and
-    consults no budget. When it yields no usable root it falls back to
-    the bracketed solve of [Brent_on_residual], budget included.
+    [budget] is consulted once per evaluation of [F]; when it stops the
+    run the outcome is [(None, Exhausted _)].
     @raise Invalid_argument if [w < 0.] or parameters are invalid. *)
 
 val solve :
   ?execution:execution ->
-  ?solve_method:solve_method ->
   Params.t ->
   w:float ->
   solution

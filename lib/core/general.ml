@@ -113,8 +113,11 @@ let node_queues ~beta ~max_queue a b =
 (* A solve with two or more thread classes stops once every class's
    cycle time is its own map's value, |Fc(R) − Rc| ≤ [tol]·Rc. At the
    hot node of a P = 128 hotspot rounding holds that residual at about
-   2e-14, so 1e-14 is never met there. [max_sweeps] caps the outer steps,
-   bracketed sweeps and Newton steps together. *)
+   2e-14, so 1e-14 is never met there; past P ≈ 8,000 the floor rises
+   above 1e-12, so the solve also stops when Newton finds no step that
+   lowers the residual and the residual is within its rounding floor.
+   [max_sweeps] caps the outer steps, bracketed sweeps and Newton steps
+   together. *)
 let tol = 1e-12
 
 let max_sweeps = 1_000
@@ -258,28 +261,37 @@ let solve_status ?budget t =
       (* One Newton step from [r]: the Jacobian by forward differences
          (one joint evaluation per class), then the step halved until
          every Rc stays at or above its bound and the residual falls.
-         [None] when no such step is found. *)
+         When no such step is found, [Error floor]: the residual's
+         first-order rounding floor read off the same differences,
+         16·ε·max_c (|Fc| + Σ_k |∂Fc/∂Rk|·Rk) / Rc. *)
       let newton r f ~now =
         let jacobian = Array.make_matrix m m 0. in
+        let sensitivity = Array.map Float.abs f in
         for k = 0 to m - 1 do
           let h = Float.ldexp r.(k) (-26) in
           let fh = joint (Array.mapi (fun i ri -> if i = k then ri +. h else ri) r) in
           for c = 0 to m - 1 do
-            jacobian.(c).(k) <- ((fh.(c) -. f.(c)) /. h) -. if c = k then 1. else 0.
+            let d = (fh.(c) -. f.(c)) /. h in
+            sensitivity.(c) <- sensitivity.(c) +. (Float.abs d *. r.(k));
+            jacobian.(c).(k) <- (d -. if c = k then 1. else 0.)
           done
         done;
+        let floor () =
+          16. *. epsilon_float *. Array.fold_left Float.max 0. (Array.map2 ( /. ) sensitivity r)
+        in
         match Lopc_numerics.Linear.solve jacobian (Array.mapi (fun k fk -> r.(k) -. fk) f) with
-        | exception Lopc_numerics.Linear.Singular -> None
+        | exception Lopc_numerics.Linear.Singular -> Error (floor ())
         | step ->
           let rec halve halvings scale =
             let next = Array.mapi (fun k rk -> rk +. (scale *. step.(k))) r in
             let again () =
-              if halvings = max_halvings then None else halve (halvings + 1) (scale /. 2.)
+              if halvings = max_halvings then Error (floor ())
+              else halve (halvings + 1) (scale /. 2.)
             in
             if not (Array.for_all2 ( <= ) bounds next) then again ()
             else
               let fn = joint next in
-              if residual next fn < now then Some (next, fn) else again ()
+              if residual next fn < now then Ok (next, fn) else again ()
           in
           halve 0 1.
       in
@@ -292,8 +304,11 @@ let solve_status ?budget t =
         else if taken = max_sweeps then Fixed_point.Diverged { iters = !evals; residual = now }
         else
           match newton r f ~now with
-          | Some (r, f) -> steps ~taken:(taken + 1) r f
-          | None -> (
+          | Ok (r, f) -> steps ~taken:(taken + 1) r f
+          | Error floor when now <= floor ->
+            set_cycle_times r;
+            Fixed_point.Converged { iters = !evals }
+          | Error _ -> (
             set_cycle_times r;
             match sweep () with
             | Some status -> status

@@ -98,13 +98,17 @@ val repeated : int -> float -> float
 val solve_status :
   ?budget:Lopc_robust.Budget.t -> t -> solution option * Lopc_numerics.Fixed_point.status
 (** Solve the system A.1–A.10. [Converged] once every thread class's
-    cycle time [Rc] satisfies [|Fc(R) − Rc| <= 1e-12 ·. Rc] (one thread
-    class: once its bracketed solve converges); [iters] counts
+    cycle time [Rc] satisfies [|Fc(R) − Rc| <= 1e-12 ·. Rc], or, when
+    no Newton step lowers that residual, once it is within its
+    first-order rounding floor
+    [16·ε·max_c (|Fc| + Σ_k |∂Fc/∂Rk|·Rk) / Rc] (past P ≈ 8,000 rounding
+    at a hot node keeps it above 1e-12); one thread class: once its
+    bracketed solve converges. [iters] counts
     evaluations of a class's cycle-time map, a joint evaluation of all
     [m] thread classes counting [m], and [budget] is consulted once per
     evaluation ([Exhausted] counts every evaluation so far). A
     non-finite time, or 1,000 sweeps and Newton steps without meeting
-    the tolerance, is [Diverged]. There is no
+    either rule, is [Diverged]. There is no
     [Saturated]: each thread's cycle includes the request residence of
     every node it loads, so threads slow down as nodes fill and the
     fixed point has every utilization below 1. Non-converged outcomes

@@ -2,72 +2,29 @@ module Fixed_point = Lopc_numerics.Fixed_point
 
 type approximation = Bard | Schweitzer
 
-(* Stations whose fields are equal bit for bit are interchangeable: the
-   iteration gives them equal queues, so it runs on one queue per class.
-   Comparing bits keeps [-0.] and [0.] apart. Classes are numbered by
-   first occurrence; [class_of.(k)] is station k's class and [reps.(i)]
-   the first station of class i. *)
-let classes stations =
-  let ids = Hashtbl.create 8 and reps = ref [] in
-  let class_of =
-    Array.map
-      (fun (s : Station.t) ->
-        let key = (s.kind, Int64.bits_of_float s.demand, Int64.bits_of_float s.scv, s.servers) in
-        match Hashtbl.find_opt ids key with
-        | Some i -> i
-        | None ->
-          let i = Hashtbl.length ids in
-          Hashtbl.add ids key i;
-          reps := s :: !reps;
-          i)
-      stations
-  in
-  (class_of, Array.of_list (List.rev !reps))
-
-(* [Σ_k v.(class_of.(k))] over the stations in station order, from [0.]:
-   the association [Array.fold_left ( +. ) 0.] over one entry per station
-   uses, so a class sum is bit-identical to the per-station one. *)
-let station_sum class_of v =
-  let acc = ref 0. in
-  for k = 0 to Array.length class_of - 1 do
-    acc := !acc +. v.(class_of.(k))
-  done;
-  !acc
-
-(* Residence times of each class given its queue length and a throughput
-   estimate (the scv residual-life correction term is the per-server
-   utilization U_k = x·D_k/c). Multi-server stations use the Seidmann
-   transformation: a queueing stage of demand D/c plus a fixed delay
-   D·(c−1)/c — exact for c = 1. *)
-let residence_of ~reps ~arrival_factor queues x =
-  Array.mapi
-    (fun i (s : Station.t) ->
-      match s.kind with
-      | Station.Delay -> s.demand
-      | Station.Queueing ->
-        let c = Float.of_int s.servers in
-        let queue_demand = s.demand /. c in
-        let fixed_delay = s.demand *. (c -. 1.) /. c in
-        let arrival_queue = arrival_factor *. queues.(i) in
-        let correction = (s.scv -. 1.) /. 2. *. (x *. queue_demand) in
-        fixed_delay +. (queue_demand *. (1. +. arrival_queue +. correction)))
-    reps
-
-(* Little's law X = n / (Z + Σ R_k(X)) with R linear in X:
-   Σ R = a + X·b, so X solves X²·b + X·a − n = 0. [b] does not depend on
-   the queues; the caller sums it once. *)
-let consistent_throughput ~class_of ~reps ~arrival_factor ~think_time ~b ~n queues =
-  let base = residence_of ~reps ~arrival_factor queues 0. in
-  let a = think_time +. station_sum class_of base in
-  if Float.equal b 0. then n /. a
-  else begin
-    let disc = (a *. a) +. (4. *. n *. b) in
-    if disc < 0. then n /. a
-    else begin
-      let x = ((-.a) +. sqrt disc) /. (2. *. b) in
-      if x > 0. then x else n /. a
-    end
-  end
+(* Station [s]'s residence at throughput [x] when an arrival sees
+   [arrival_factor] of its queue Q = x·R, in units of [unit] (the
+   demand is divided by it). Multi-server stations use the Seidmann
+   transformation: a queueing stage of demand D' = D/c plus a fixed
+   delay D·(c−1)/c, exact for c = 1. The residual-life correction of
+   Eq 5.8 adds (C²−1)/2 of the per-server utilization U = x·D'. With the
+   arrival queue f·x·R on both sides, R is the closed form
+   R·(1 − f·U) = D·(c−1)/c + D'·(1 + (C²−1)/2·U). *)
+let residence ~arrival_factor ~unit x (s : Station.t) =
+  let demand = s.demand /. unit in
+  match s.kind with
+  | Station.Delay -> demand
+  | Station.Queueing ->
+    let c = Float.of_int s.servers in
+    let queue_demand = demand /. c in
+    let u = x *. queue_demand in
+    let fixed_delay = demand *. (c -. 1.) /. c in
+    ((fixed_delay +. (queue_demand *. (1. +. ((s.scv -. 1.) /. 2. *. u))))
+     /. (1. -. (arrival_factor *. u))
+    [@lint.allow
+      "unguarded-division division-by-vanishing"
+        "f·U < 1 at every cycle time the solve evaluates: its bracket starts \
+         strictly above f·N·max D', where the bottleneck's f·U reaches 1"])
 
 (* Collect every input problem before rejecting, so a caller assembling a
    station array from data sees all bad stations (with their indices) in
@@ -88,21 +45,36 @@ let validate_inputs ~think_time ~stations ~population =
   | [] -> ()
   | problems -> invalid_arg ("Amva: " ^ String.concat "; " problems)
 
-(* The most utilized queueing station at the throughput implied by a
-   queue-length iterate: the station a [Saturated] diagnosis names. *)
-let hottest_station ~stations x =
-  let best = ref None in
-  Array.iteri
-    (fun i (s : Station.t) ->
-      match s.kind with
-      | Station.Delay -> ()
-      | Station.Queueing ->
-        let u = x *. s.demand /. Float.of_int s.servers in
-        (match !best with Some (_, u') when u' >= u -> () | _ -> best := Some (i, u)))
-    stations;
-  !best
+(* A lower bound on the cycle time's fixed point R = Z + Σ_k R_k(N/R),
+   at which the map is finite. With f ≥ 1/2 (Bard, or Schweitzer at
+   N ≥ 2) each R_k grows with X, as C² ≥ 0 makes (C²−1)/2 + f ≥ 0, so
+   R_k ≥ R_k(0) = D_k; and R must lie strictly above f·N·max D', where
+   the bottleneck's denominator vanishes. At N = 1 under Schweitzer
+   (f = 0) the map is Z + Σ D + B/R with B = Σ (C²−1)/2·D'², whose larger
+   root lies above (Z + Σ D)/2 — and which has none when
+   (Z + Σ D)² + 4B < 0. *)
+let lower_bound ~arrival_factor ~contention_free ~n stations =
+  let queueing f init =
+    Array.fold_left
+      (fun acc (s : Station.t) ->
+        match s.kind with
+        | Station.Delay -> acc
+        | Station.Queueing -> f acc (s.demand /. Float.of_int s.servers) s.scv)
+      init stations
+  in
+  if arrival_factor > 0. then
+    let bottleneck = queueing (fun acc d _ -> Float.max acc d) 0. in
+    Float.max contention_free (arrival_factor *. n *. bottleneck *. (1. +. 1e-12))
+  else begin
+    let b = queueing (fun acc d scv -> acc +. ((scv -. 1.) /. 2. *. d *. d)) 0. in
+    if (contention_free *. contention_free) +. (4. *. b) < 0. then
+      invalid_arg
+        "Amva: Schweitzer's equations at population 1 have no fixed point (think time plus \
+         demand too small for the C2 < 1 correction)";
+    contention_free /. 2.
+  end
 
-let solve_status ?budget ?(approximation = Bard) ?(think_time = 0.) ?(tol = 1e-12) ?(max_iter = 100_000) ~stations ~population () =
+let solve_status ?budget ?(approximation = Bard) ?(think_time = 0.) ~stations ~population () =
   validate_inputs ~think_time ~stations ~population;
   let k = Array.length stations in
   let n = Float.of_int population in
@@ -120,72 +92,45 @@ let solve_status ?budget ?(approximation = Bard) ?(think_time = 0.) ?(tol = 1e-1
     let arrival_factor =
       match approximation with Bard -> 1. | Schweitzer -> (n -. 1.) /. n
     in
-    let total_demand =
-      Array.fold_left (fun acc (s : Station.t) -> acc +. s.demand) 0. stations
+    let contention_free =
+      think_time +. Array.fold_left (fun acc (s : Station.t) -> acc +. s.demand) 0. stations
     in
-    if think_time +. total_demand <= 0. then
-      invalid_arg "Amva: zero total demand with positive population";
-    (* Every vector below holds one entry per class of equal stations. *)
-    let class_of, reps = classes stations in
-    let b =
-      Array.fold_left
-        (fun acc (s : Station.t) ->
-          match s.kind with
-          | Station.Delay -> acc
-          | Station.Queueing ->
-            let d = s.demand /. Float.of_int s.servers in
-            acc +. ((s.scv -. 1.) /. 2. *. d *. d))
-        0. stations
+    if contention_free <= 0. then invalid_arg "Amva: zero total demand with positive population";
+    let lb = lower_bound ~arrival_factor ~contention_free ~n stations in
+    let overflow () = invalid_arg "Amva: the cycle time or the throughput overflows" in
+    if not (Float.is_finite lb) then overflow ();
+    (* The search runs in units of lb·2⁻⁴⁰, as General's does: the
+       kernel's absolute tolerance then sits below rounding and the map
+       stays finite at its bound whatever the time scale, and scaling
+       every time by a power of two leaves the search bit for bit the
+       same. *)
+    let unit = Float.ldexp lb (-40) in
+    let cycle_time x =
+      (think_time /. unit)
+      +. Array.fold_left (fun acc s -> acc +. residence ~arrival_factor ~unit x s) 0. stations
     in
-    let throughput = consistent_throughput ~class_of ~reps ~arrival_factor ~think_time ~b ~n in
-    let step queues =
-      let x = throughput queues in
-      let residence = residence_of ~reps ~arrival_factor queues x in
-      Array.map (fun r -> x *. r) residence
-    in
-    let q0 =
-      Array.map
-        (fun (s : Station.t) -> n *. s.demand /. (think_time +. total_demand))
-        reps
-    in
-    let queues, status =
-      Fixed_point.solve_vector_status ?budget ~damping:0.5 ~tol ~max_iter ~f:step q0
-    in
-    let x = throughput queues in
-    match status with
-    | Fixed_point.Converged _ ->
-      let residence = residence_of ~reps ~arrival_factor queues x in
-      let per_station v = Array.map (fun i -> v.(i)) class_of in
+    match
+      Fixed_point.solve_above_status ?budget ~f:(fun v -> cycle_time (n /. v)) (lb /. unit)
+    with
+    | v, (Fixed_point.Converged _ as status) ->
+      let x = n /. (v *. unit) in
+      if not (Float.is_finite (v *. unit) && Float.is_finite x) then overflow ();
+      let residence = Array.map (residence ~arrival_factor ~unit:1. x) stations in
       ( Some
           {
             Solution.throughput = x;
-            cycle_time = think_time +. station_sum class_of residence;
-            residence = per_station residence;
-            queue_length = per_station (Array.map (fun r -> x *. r) residence);
+            cycle_time = think_time +. Array.fold_left ( +. ) 0. residence;
+            residence;
+            queue_length = Array.map (fun r -> x *. r) residence;
             utilization =
-              per_station
-                (Array.map
-                   (fun (s : Station.t) -> x *. s.demand /. Float.of_int s.servers)
-                   reps);
+              Array.map (fun (s : Station.t) -> x *. s.demand /. Float.of_int s.servers) stations;
           },
         status )
-    (* A budget stop means the caller's allowance ended, not that the
-       iterate says anything about the model — keep it verbatim. *)
-    | Fixed_point.Exhausted _ -> (None, status)
-    | _ ->
-      (* Diagnose the stall from the last iterate: a queueing station
-         pinned at (or past) full per-server utilization is saturation —
-         the demand admits no finite closed-network solution at this
-         population — which is far more actionable than a bare
-         iteration-budget report. *)
-      (match hottest_station ~stations x with
-      | Some (station, utilization) when utilization >= 1. -. 1e-9 ->
-        (None, Fixed_point.Saturated { station; utilization })
-      | Some _ | None -> (None, status))
+    | _, status -> (None, status)
   end
 
-let solve ?approximation ?think_time ?tol ?max_iter ~stations ~population () =
-  match solve_status ?approximation ?think_time ?tol ?max_iter ~stations ~population () with
+let solve ?approximation ?think_time ~stations ~population () =
+  match solve_status ?approximation ?think_time ~stations ~population () with
   | Some s, _ -> s
   | None, status ->
     raise (Fixed_point.Diverged ("Amva: " ^ Fixed_point.status_to_string status))

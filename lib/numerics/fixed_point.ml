@@ -23,62 +23,6 @@ let pp_status ppf = function
 
 let status_to_string s = Format.asprintf "%a" pp_status s
 
-let max_norm_diff a b =
-  let m = ref 0. in
-  Array.iteri (fun i ai -> m := Float.max !m (Float.abs (ai -. b.(i)))) a;
-  !m
-
-(* The one damped, budgeted iteration loop: returns the last iterate (on
-   convergence, F of it) and the structured status. The scalar solver is
-   its length-1 case. *)
-let vector_impl ?budget ~damping ~tol ~max_iter ~f ~name x0 =
-  if damping <= 0. || damping > 1. then invalid_arg (name ^ ": damping");
-  let n = Array.length x0 in
-  let x = ref (Array.copy x0) in
-  let result : (float array * status) option ref = ref None in
-  (try
-     let stop value status =
-       result := Some (value, status);
-       raise Exit
-     in
-     for iter = 1 to max_iter do
-       (match Option.bind budget Budget.check with
-       | None -> ()
-       | Some reason -> stop !x (Exhausted { iters = iter - 1; reason }));
-       let fx = f !x in
-       if Array.length fx <> n || not (Array.for_all Float.is_finite fx) then
-         stop !x (Diverged { iters = iter; residual = Float.nan });
-       let residual = max_norm_diff fx !x in
-       let scale = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 1. !x in
-       if residual <= tol *. scale then stop fx (Converged { iters = iter });
-       x := Array.mapi (fun i xi -> ((1. -. damping) *. xi) +. (damping *. fx.(i))) !x
-     done
-   with Exit -> ());
-  match !result with
-  | Some r -> r
-  | None ->
-      let fx = f !x in
-      let residual =
-        if Array.length fx = n && Array.for_all Float.is_finite fx then
-          max_norm_diff fx !x
-        else Float.nan
-      in
-      (!x, Diverged { iters = max_iter; residual })
-
-let solve_vector_status ?budget ?(damping = 1.) ?(tol = 1e-10)
-    ?(max_iter = 10_000) ~f x0 =
-  vector_impl ?budget ~damping ~tol ~max_iter ~f
-    ~name:"Fixed_point.solve_vector_status" x0
-
-let solve_scalar_status ?budget ?(damping = 1.) ?(tol = 1e-10)
-    ?(max_iter = 10_000) ~f x0 =
-  let value, status =
-    vector_impl ?budget ~damping ~tol ~max_iter
-      ~f:(fun x -> [| f x.(0) |])
-      ~name:"Fixed_point.solve_scalar_status" [| x0 |]
-  in
-  (value.(0), status)
-
 (* Roots gives the residual callback no way out but an exception, so the
    budget stop and a non-finite residual are raised there ([residual] is
    defined inside the [try], so each raise is lexically within its

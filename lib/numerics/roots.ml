@@ -110,27 +110,22 @@ let brent ?(tol = 1e-12) ?(max_iter = 200) ~f lo hi =
     !answer
   end
 
-(* Geometric expansion (step doubling, at most 100 steps) until [f] changes
-   sign between [lo] and [hi]. *)
+(* Geometric expansion (step doubling) until [f] changes sign between
+   [lo] and [hi], for as long as [hi] stays finite. *)
 let expand_bracket_upward ~f lo =
   let flo = f lo in
   if is_zero flo then (lo, lo)
   else begin
-    let step = ref (Float.max 1. (Float.abs lo *. 0.1)) in
-    let hi = ref (lo +. !step) in
-    let rec search n =
-      if n > 100 then raise No_bracket
+    let rec search step hi =
+      if not (Float.is_finite hi) then raise No_bracket
       else begin
-        let fhi = f !hi in
-        if is_zero fhi || not (same_strict_sign flo fhi) then (lo, !hi)
-        else begin
-          step := !step *. 2.;
-          hi := !hi +. !step;
-          search (n + 1)
-        end
+        let fhi = f hi in
+        if is_zero fhi || not (same_strict_sign flo fhi) then (lo, hi)
+        else search (step *. 2.) (hi +. (step *. 2.))
       end
     in
-    search 0
+    let step = Float.max 1. (Float.abs lo *. 0.1) in
+    search step (lo +. step)
   end
 
 let brent_above ~f lo =

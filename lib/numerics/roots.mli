@@ -25,9 +25,9 @@ val brent :
 val brent_above : f:(float -> float) -> float -> float
 (** [brent_above ~f lo] finds a root of [f] at or above [lo]: it expands
     a bracket upward from [lo] geometrically (initial step
-    [max 1 (|lo|/10)], doubling, at most 100 expansions) until [f]
-    changes sign, then runs {!brent} on it. This is how both the LoPC
+    [max 1 (|lo|/10)], doubling) until [f] changes sign, then runs
+    {!brent} on it. This is how both the LoPC
     fixed point (above its contention-free lower bound) and the
     increasing-function search of [Gap] are found.
-    @raise No_bracket if no sign change is found within the expansion
-    budget. *)
+    @raise No_bracket if no sign change is found before the bracket's
+    upper end overflows to infinity. *)

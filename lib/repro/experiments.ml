@@ -379,6 +379,30 @@ let ablation_scv_correction_plan ~fidelity ~seed =
         ~columns:[ "W"; "simulator"; "LoPC C2=0"; "err %"; "LoPC C2=1"; "err %" ];
   }
 
+(* The two methods [ablate.solvers] holds the bracketed solve against.
+   A damped iteration of F from the contention-free bound, clamped there
+   (damping 1/2, stopping when |F r − r| <= 1e-12·max 1 |r|, at most
+   10,000 steps), returns F of its last iterate. *)
+let damped_cycle_time params ~w =
+  let lb = A.lower_bound params ~w in
+  let rec iterate steps r =
+    let fr = A.fixed_point_map params ~w (Float.max r lb) in
+    if Float.abs (fr -. r) <= 1e-12 *. Float.max 1. (Float.abs r) then Float.max fr lb
+    else if steps = 10_000 then
+      raise (Lopc_numerics.Fixed_point.Diverged "ablate.solvers: damped iteration")
+    else iterate (steps + 1) ((0.5 *. r) +. (0.5 *. fr))
+  in
+  iterate 1 lb
+
+(* The smallest real root of the §5.3 quartic at or above the bound
+   (within 1e-9 of it): [infinity] when there is none. *)
+let quartic_cycle_time params ~w =
+  let lb = A.lower_bound params ~w in
+  Array.fold_left
+    (fun acc r -> if r >= lb *. (1. -. 1e-9) then Float.min acc r else acc)
+    Float.infinity
+    (Lopc_numerics.Polynomial.real_roots (A.quartic params ~w))
+
 let ablation_solvers_plan () =
   let grid =
     [ (16, 0., 100., 0.); (32, 40., 200., 0.); (32, 40., 200., 1000.);
@@ -388,9 +412,9 @@ let ablation_solvers_plan () =
     tasks =
       pure_tasks grid (fun (p, st, so, w) ->
           let params = Params.create ~c2:0. ~p ~st ~so () in
-          let brent = (A.solve ~solve_method:A.Brent_on_residual params ~w).A.r in
-          let iter = (A.solve ~solve_method:A.Damped_iteration params ~w).A.r in
-          let poly = (A.solve ~solve_method:A.Polynomial_roots params ~w).A.r in
+          let brent = (A.solve params ~w).A.r in
+          let iter = damped_cycle_time params ~w in
+          let poly = quartic_cycle_time params ~w in
           [
             [
               Table.Int p;

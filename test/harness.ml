@@ -90,10 +90,76 @@ let little_consistent ?(tol = 1e-6) ~population (s : Solution.t) =
 module Amva = Lopc_mva.Amva
 module FP = Lopc_numerics.Fixed_point
 
-(* The per-station AMVA loop: one queue per station, every sum a fold
-   over the station array. [Amva.solve_status] iterates one queue per
-   class of equal stations and must match this bit for bit, status and
-   iteration count included. Inputs must be valid. *)
+(* A damped, budgeted fixed-point iteration x <- (1−d)·x + d·F x from
+   [x0], until max_i |F x − x|_i <= [tol]·max 1 ‖x‖∞: the reference the
+   bracketed model solves are checked against. One unit of fuel per
+   step, checked before it. Returns F of the last iterate on
+   convergence, otherwise the last iterate, with the status: [Diverged]
+   with a [nan] residual when F leaves the finite domain or changes the
+   length, and with |F x − x| at the last iterate after [max_iter]
+   steps. Raises [Invalid_argument] on a damping outside (0, 1]. *)
+let damped_status ?budget ?(damping = 1.) ?(tol = 1e-10) ?(max_iter = 10_000) ~f x0 =
+  if damping <= 0. || damping > 1. then invalid_arg "Harness.damped_status: damping";
+  let n = Array.length x0 in
+  let max_norm_diff a b =
+    let m = ref 0. in
+    Array.iteri (fun i ai -> m := Float.max !m (Float.abs (ai -. b.(i)))) a;
+    !m
+  in
+  let finite fx = Array.length fx = n && Array.for_all Float.is_finite fx in
+  let rec step iter x : float array * FP.status =
+    if iter > max_iter then
+      let fx = f x in
+      let residual = if finite fx then max_norm_diff fx x else Float.nan in
+      (x, FP.Diverged { iters = max_iter; residual })
+    else
+      match Option.bind budget Lopc_robust.Budget.check with
+      | Some reason -> (x, FP.Exhausted { iters = iter - 1; reason })
+      | None ->
+        let fx = f x in
+        if not (finite fx) then (x, FP.Diverged { iters = iter; residual = Float.nan })
+        else
+          let scale = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 1. x in
+          if max_norm_diff fx x <= tol *. scale then (fx, FP.Converged { iters = iter })
+          else
+            step (iter + 1)
+              (Array.mapi (fun i xi -> ((1. -. damping) *. xi) +. (damping *. fx.(i))) x)
+  in
+  step 1 (Array.copy x0)
+
+(* [damped_status] on one unknown. *)
+let damped_scalar_status ?budget ?damping ?tol ?max_iter ~f x0 =
+  let value, status =
+    damped_status ?budget ?damping ?tol ?max_iter ~f:(fun x -> [| f x.(0) |]) [| x0 |]
+  in
+  (value.(0), status)
+
+module A = Lopc.All_to_all
+
+(* The all-to-all cycle time by damped iteration of F from the
+   contention-free bound, clamped there (damping 1/2, tol 1e-12): the
+   method [ablate.solvers] prints against the bracketed solve. *)
+let damped_all_to_all ?budget ?execution params ~w =
+  let lb = A.lower_bound params ~w in
+  let f r = A.fixed_point_map ?execution params ~w (Float.max r lb) in
+  let r, status = damped_scalar_status ?budget ~damping:0.5 ~tol:1e-12 ~f lb in
+  (Float.max r lb, status)
+
+(* The smallest real root of the §5.3 quartic at or above the
+   contention-free bound (within 1e-9 of it), if any. *)
+let quartic_root ?execution params ~w =
+  let lb = A.lower_bound params ~w in
+  Array.fold_left
+    (fun acc r ->
+      if r >= lb *. (1. -. 1e-9) then Some (Option.fold ~none:r ~some:(Float.min r) acc) else acc)
+    None
+    (Lopc_numerics.Polynomial.real_roots (A.quartic ?execution params ~w))
+
+(* The per-station damped AMVA loop over queue lengths: one queue per
+   station, every sum a fold over the station array, the last iterate's
+   saturation read off as [Saturated]. [Amva.solve_status]'s bracketed
+   solve on the cycle time must agree with it wherever it converges.
+   Inputs must be valid. *)
 let amva_reference_solve_status ?budget ?(approximation = Amva.Bard) ?(think_time = 0.)
     ?(tol = 1e-12) ?(max_iter = 100_000) ~(stations : Station.t array) ~population () =
   let k = Array.length stations in
@@ -157,7 +223,7 @@ let amva_reference_solve_status ?budget ?(approximation = Amva.Bard) ?(think_tim
     let q0 =
       Array.map (fun (s : Station.t) -> n *. s.demand /. (think_time +. total_demand)) stations
     in
-    let queues, status = FP.solve_vector_status ?budget ~damping:0.5 ~tol ~max_iter ~f:step q0 in
+    let queues, status = damped_status ?budget ~damping:0.5 ~tol ~max_iter ~f:step q0 in
     let x = consistent_throughput ~arrival_factor queues in
     match status with
     | FP.Converged _ ->

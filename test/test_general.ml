@@ -450,6 +450,34 @@ let test_hotspot_grid () =
            0. (List.init 201 Fun.id)))
     [ 8; 32; 128 ]
 
+(* The same hot spot past P = 8,000, where rounding holds the per-node
+   residual above the 1e-12 tolerance and the solve stops at its
+   rounding floor: every point from P = 2¹³ to 2²⁴ converges, with
+   R·X = 1 per class. The hot node's distance from saturation shrinks
+   like 1/P, so the residual rounding allows grows like ε·P (about
+   1.5·ε·P at worst on this grid); R·X is held within 16·ε·P. *)
+let test_large_p_hotspot_grid () =
+  List.iter
+    (fun p ->
+      let params = Params.create ~c2:1. ~p ~st:40. ~so:200. () in
+      List.iter
+        (fun fraction ->
+          match
+            G.solve_status
+              (Pattern.to_general params ~w:1000. (Pattern.Hotspot { hot = 0; fraction }))
+          with
+          | Some s, FP.Converged _ ->
+            Array.iteri
+              (fun c r ->
+                let rx = r *. s.G.throughputs.(c) in
+                if Float.abs (rx -. 1.) > 16. *. epsilon_float *. Float.of_int p then
+                  Alcotest.failf "P = %d, f = %g, class %d: R·X = %.17g" p fraction c rx)
+              s.G.cycle_times
+          | _, status ->
+            Alcotest.failf "P = %d, f = %g: %s" p fraction (FP.status_to_string status))
+        [ 0.; 0.05; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 0.95; 1. ])
+    [ 1 lsl 13; 1 lsl 14; 1 lsl 16; 1 lsl 20; 1 lsl 24 ]
+
 (* --- nets written node by node -------------------------------------------------- *)
 
 (* A hot spot written node by node through the public record, every node
@@ -536,4 +564,6 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 37) prop_per_node_hotspot;
     Alcotest.test_case "general: per-node P = 128 hotspot converges" `Quick test_per_node_p128;
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 38) prop_asymmetric_converges;
+    Alcotest.test_case "general: hotspot grid to P = 2^24 converges, R·X = 1" `Quick
+      test_large_p_hotspot_grid;
   ]

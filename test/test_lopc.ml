@@ -103,15 +103,26 @@ let test_contention_about_one_handler () =
           p.Params.so)
     [ 100.; 500.; 1000.; 2048. ]
 
+(* The two references the bracketed solve is held to: the damped
+   iteration of F and the smallest quartic root at or above the bound. *)
+let damped ?execution p ~w =
+  match Harness.damped_all_to_all ?execution p ~w with
+  | r, Lopc_numerics.Fixed_point.Converged _ -> r
+  | _, status ->
+    Alcotest.failf "damped iteration: %s" (Lopc_numerics.Fixed_point.status_to_string status)
+
+let quartic_root ?execution p ~w =
+  match Harness.quartic_root ?execution p ~w with
+  | Some r -> r
+  | None -> Alcotest.fail "no quartic root at or above the bound"
+
 let test_solution_methods_agree () =
   let p = params ~c2:1. () in
   List.iter
     (fun w ->
-      let b = (A.solve ~solve_method:A.Brent_on_residual p ~w).A.r in
-      let i = (A.solve ~solve_method:A.Damped_iteration p ~w).A.r in
-      let q = (A.solve ~solve_method:A.Polynomial_roots p ~w).A.r in
-      feq 1e-4 "brent vs iteration" b i;
-      feq 1e-4 "brent vs polynomial" b q)
+      let b = (A.solve p ~w).A.r in
+      feq 1e-4 "brent vs iteration" b (damped p ~w);
+      feq 1e-4 "brent vs polynomial" b (quartic_root p ~w))
     [ 0.; 100.; 1000. ]
 
 let test_solution_is_fixed_point () =
@@ -200,9 +211,12 @@ let prop_methods_agree =
         (float_range 0. 3000.))
     (fun (p, st, so, w) ->
       let params = Params.create ~c2:0. ~p ~st ~so () in
-      let b = (A.solve ~solve_method:A.Brent_on_residual params ~w).A.r in
-      let q = (A.solve ~solve_method:A.Polynomial_roots params ~w).A.r in
-      Float.abs (b -. q) < 1e-3 *. b)
+      let b = (A.solve params ~w).A.r in
+      let close r = Float.abs (b -. r) < 1e-3 *. b in
+      (match Harness.damped_all_to_all params ~w with
+      | i, Lopc_numerics.Fixed_point.Converged _ -> close i
+      | _ -> false)
+      && match Harness.quartic_root params ~w with Some q -> close q | None -> false)
 
 (* --- client-server ------------------------------------------------------- *)
 
@@ -332,10 +346,10 @@ let test_polling_methods_agree () =
   let p = params ~c2:1. () in
   List.iter
     (fun w ->
-      let r solve_method = (A.solve ~execution:A.Polling ~solve_method p ~w).A.r in
-      let b = r A.Brent_on_residual in
-      feq 1e-4 "brent vs iteration" b (r A.Damped_iteration);
-      feq 1e-4 "brent vs polynomial" b (r A.Polynomial_roots))
+      let execution = A.Polling in
+      let b = (A.solve ~execution p ~w).A.r in
+      feq 1e-4 "brent vs iteration" b (damped ~execution p ~w);
+      feq 1e-4 "brent vs polynomial" b (quartic_root ~execution p ~w))
     [ 0.; 100.; 1000. ]
 
 (* --- calibration ------------------------------------------------------------ *)

@@ -235,51 +235,33 @@ let test_exact_non_finite_think_time () =
           s.Solution.cycle_time)
     [ Float.nan; Float.infinity; Float.neg_infinity; -1. ]
 
-(* --- classes of equal stations ------------------------------------------- *)
+(* --- the bracketed solve on random networks -------------------------------- *)
 
-(* A few station templates, repeated and interleaved: Queueing with 1–3
-   servers and scv 0–3, and Delay stations, with zero and negative-zero
-   demands among them. The first template has a positive demand and is
-   always used, so the total demand is never zero. *)
-let stations_gen =
-  QCheck.Gen.(
-    let demand = frequency [ (1, return 0.); (1, return (-0.)); (6, float_range 0.01 50.) ] in
-    let template ~demand =
-      let* delay = frequencyl [ (1, true); (3, false) ] in
-      if delay then return (Harness.delay_station ~demand)
-      else
-        let* servers = int_range 1 3 in
-        let* scv = oneof [ oneofl [ 0.; 1.; 3. ]; float_range 0. 3. ] in
-        return (Station.queueing ~scv ~servers ~demand ())
-    in
-    let* first = float_range 0.01 50. >>= fun demand -> template ~demand in
-    let* others = list_size (int_range 0 3) (demand >>= fun demand -> template ~demand) in
-    (* Often a zero and a negative-zero Delay station: equal but for the
-       sign bit, so merging them would show in their residences. *)
-    let* zeros = bool in
-    let signed_zeros =
-      if zeros then [ Harness.delay_station ~demand:0.; Harness.delay_station ~demand:(-0.) ] else []
-    in
-    let pool = Array.of_list ((first :: signed_zeros) @ others) in
-    let* picks = list_size (int_range 0 11) (int_range 0 (Array.length pool - 1)) in
-    (* The first template goes in at a random place. *)
-    let* at = int_range 0 (List.length picks) in
-    let picks = List.filteri (fun i _ -> i < at) picks @ (0 :: List.filteri (fun i _ -> i >= at) picks) in
-    return (Array.of_list (List.map (fun i -> pool.(i)) picks)))
-
+(* Closed networks of 1–6 stations, one in five a Delay station, the
+   others Queueing with C² in [0, 3] and 1–3 servers; demands in
+   [0.1, 100], populations 1–500, think times in [0, 1000], Bard or
+   Schweitzer. *)
 let amva_case_gen =
   QCheck.Gen.(
-    let* stations = stations_gen in
+    let station =
+      let* demand = float_range 0.1 100. in
+      let* delay = frequencyl [ (1, true); (4, false) ] in
+      if delay then return (Harness.delay_station ~demand)
+      else
+        let* scv = float_range 0. 3. in
+        let* servers = int_range 1 3 in
+        return (Station.queueing ~scv ~servers ~demand ())
+    in
+    let* stations = array_size (int_range 1 6) station in
     let* approximation = oneofl [ Amva.Bard; Amva.Schweitzer ] in
-    let* think_time = frequency [ (1, return 0.); (3, float_range 0.1 100.) ] in
-    let* population = int_range 0 200 in
-    let* max_iter = frequencyl [ (1, 3); (5, 100_000) ] in
-    return (stations, approximation, think_time, population, max_iter))
+    let* think_time = float_range 0. 1000. in
+    let* population = int_range 1 500 in
+    return (stations, approximation, think_time, population))
 
-let print_amva_case (stations, approximation, think_time, population, max_iter) =
-  Printf.sprintf "%s think=%h N=%d max_iter=%d [%s]"
+let print_amva_case (stations, approximation, think_time, population) =
+  Printf.sprintf "%s think=%h N=%d [%s]"
     (match approximation with Amva.Bard -> "bard" | Schweitzer -> "schweitzer")
-    think_time population max_iter
+    think_time population
     (String.concat "; "
        (Array.to_list
           (Array.map
@@ -289,55 +271,122 @@ let print_amva_case (stations, approximation, think_time, population, max_iter) 
                  s.demand s.scv s.servers)
              stations)))
 
-let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+(* The AMVA map F(R) = Z + Σ_k R_k(N/R), each R_k in closed form from
+   R_k = D(c−1)/c + D'·(1 + f·X·R_k + (C²−1)/2·X·D'), D' = D/c. *)
+let amva_map ~approximation ~think_time ~stations ~population r =
+  let n = Float.of_int population in
+  let f = match approximation with Amva.Bard -> 1. | Schweitzer -> (n -. 1.) /. n in
+  let x = n /. r in
+  Array.fold_left
+    (fun acc (s : Station.t) ->
+      match s.kind with
+      | Station.Delay -> acc +. s.demand
+      | Station.Queueing ->
+        let c = Float.of_int s.servers in
+        let d = s.demand /. c in
+        acc
+        +. ((s.demand *. (c -. 1.) /. c) +. (d *. (1. +. ((s.scv -. 1.) /. 2. *. x *. d))))
+           /. (1. -. (f *. x *. d))
+           [@lint.allow
+             "unguarded-division division-by-vanishing"
+               "evaluated at a converged cycle time, where every f·X·D' < 1"])
+    think_time stations
 
-let same_status (a : FP.status) (b : FP.status) =
-  match (a, b) with
-  | Converged { iters = i }, Converged { iters = j } -> i = j
-  | Saturated { station = s; utilization = u }, Saturated { station = t; utilization = v } ->
-    s = t && bits_equal u v
-  | Diverged { iters = i; residual = r }, Diverged { iters = j; residual = q } ->
-    i = j && bits_equal r q
-  | Exhausted { iters = i; reason = r }, Exhausted { iters = j; reason = q } -> i = j && r = q
-  | _ -> false
-
-let same_solution (a : Solution.t) (b : Solution.t) =
-  let arrays x y = Array.length x = Array.length y && Array.for_all2 bits_equal x y in
-  bits_equal a.throughput b.throughput && bits_equal a.cycle_time b.cycle_time
-  && arrays a.residence b.residence && arrays a.queue_length b.queue_length
-  && arrays a.utilization b.utilization
-
-let same_outcome (sa, ta) (sb, tb) =
-  same_status ta tb
-  && match (sa, sb) with Some a, Some b -> same_solution a b | None, None -> true | _ -> false
-
-let prop_amva_classes_bit_identical =
-  QCheck.Test.make ~name:"amva: class solve equals the per-station loop bit for bit" ~count:500
+let prop_amva_bracketed_solve =
+  QCheck.Test.make ~name:"amva: bracketed solve converges on random nets" ~count:2000
     (QCheck.make ~print:print_amva_case amva_case_gen)
-    (fun (stations, approximation, think_time, population, max_iter) ->
-      let classes =
-        Amva.solve_status ~approximation ~think_time ~max_iter ~stations ~population ()
-      and reference =
-        Harness.amva_reference_solve_status ~approximation ~think_time ~max_iter ~stations
-          ~population ()
-      in
-      same_outcome classes reference
-      || QCheck.Test.fail_reportf "class solve %s, per-station loop %s"
-           (FP.status_to_string (snd classes)) (FP.status_to_string (snd reference)))
+    (fun (stations, approximation, think_time, population) ->
+      let close x y = Float.abs (x -. y) <= 1e-9 *. Float.abs y in
+      match Amva.solve_status ~approximation ~think_time ~stations ~population () with
+      | Some s, FP.Converged _ ->
+        let r = Float.of_int population /. s.throughput in
+        let fr = amva_map ~approximation ~think_time ~stations ~population r in
+        if Float.abs (fr -. r) > 1e-9 *. r then
+          QCheck.Test.fail_reportf "|F(R) - R| = %g at R = %.17g" (Float.abs (fr -. r)) r;
+        (match
+           Harness.amva_reference_solve_status ~approximation ~think_time ~stations ~population ()
+         with
+        | Some reference, FP.Converged _ when not (close s.throughput reference.throughput) ->
+          QCheck.Test.fail_reportf "X = %.17g, damped reference %.17g" s.throughput
+            reference.throughput
+        | _ -> ());
+        (* One customer under Schweitzer sees an empty network, as exact
+           MVA says, when service is exponential on one server. *)
+        let single =
+          Array.map (fun (st : Station.t) -> { st with scv = 1.; servers = 1 }) stations
+        in
+        let exact = (Exact.solve ~think_time ~stations:single ~population:1 ()).throughput in
+        (match
+           Amva.solve_status ~approximation:Amva.Schweitzer ~think_time ~stations:single
+             ~population:1 ()
+         with
+        | Some one, FP.Converged _ when close one.throughput exact -> ()
+        | Some one, _ ->
+          QCheck.Test.fail_reportf "N = 1: X = %.17g, exact %.17g" one.throughput exact
+        | None, status -> QCheck.Test.fail_reportf "N = 1: %s" (FP.status_to_string status));
+        true
+      | _, status -> QCheck.Test.fail_reportf "%s" (FP.status_to_string status))
 
 let test_amva_classes_budget () =
+  (* Fuel buys evaluations of the cycle-time map: three stop the search
+     after three, and the fuel a solve reports is enough to finish it. *)
   let stations =
     [| Station.queueing ~demand:2. (); Harness.delay_station ~demand:1.; Station.queueing ~demand:2. () |]
   in
-  let budget () = Lopc_robust.Budget.create ~fuel:3 () in
-  let classes = Amva.solve_status ~budget:(budget ()) ~stations ~population:40 () in
-  let reference =
-    Harness.amva_reference_solve_status ~budget:(budget ()) ~stations ~population:40 ()
+  let solve fuel =
+    Amva.solve_status ~budget:(Lopc_robust.Budget.create ~fuel ()) ~stations ~population:40 ()
   in
-  (match snd classes with
-  | FP.Exhausted { iters = 3; _ } -> ()
-  | status -> Alcotest.failf "expected exhaustion after 3, got %s" (FP.status_to_string status));
-  Alcotest.(check bool) "same outcome" true (same_outcome classes reference)
+  (match solve 3 with
+  | None, FP.Exhausted { iters = 3; _ } -> ()
+  | _, status -> Alcotest.failf "expected exhaustion after 3, got %s" (FP.status_to_string status));
+  match Amva.solve_status ~stations ~population:40 () with
+  | Some s, FP.Converged { iters } -> (
+    match solve iters with
+    | Some b, FP.Converged { iters = i } when i = iters ->
+      feq 0. "same X under the budget" s.throughput b.throughput
+    | _, status -> Alcotest.failf "fuel %d: %s" iters (FP.status_to_string status))
+  | _, status -> Alcotest.failf "expected convergence, got %s" (FP.status_to_string status)
+
+(* Populations up to 10⁹, demands and think times from 1e-300 to 1e300,
+   all-delay networks: every call converges with a finite answer or
+   raises [Invalid_argument]; none diverges, and no other exception
+   escapes. *)
+let test_amva_hostile_inputs () =
+  let shapes d =
+    [
+      [| Station.queueing ~demand:d () |];
+      [| Station.queueing ~scv:0. ~demand:d () |];
+      [| Station.queueing ~demand:d (); Station.queueing ~scv:3. ~servers:2 ~demand:1. () |];
+      [| Station.queueing ~scv:0. ~servers:3 ~demand:d (); Harness.delay_station ~demand:1. |];
+      [| Harness.delay_station ~demand:d; Harness.delay_station ~demand:1. |];
+      [| Harness.delay_station ~demand:d |];
+    ]
+  in
+  let scales = [ 1e-300; 1e-150; 1e-10; 1.; 1e10; 1e150; 1e300 ] in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun stations ->
+          List.iter
+            (fun think_time ->
+              List.iter
+                (fun population ->
+                  List.iter
+                    (fun approximation ->
+                      match
+                        Amva.solve_status ~approximation ~think_time ~stations ~population ()
+                      with
+                      | exception Invalid_argument _ -> ()
+                      | Some s, FP.Converged _
+                        when Float.is_finite s.throughput && Float.is_finite s.cycle_time -> ()
+                      | _, status ->
+                        Alcotest.failf "d = %g, Z = %g, N = %d: %s" d think_time population
+                          (FP.status_to_string status))
+                    [ Amva.Bard; Amva.Schweitzer ])
+                [ 1; 2; 1000; 1_000_000_000 ])
+            (0. :: scales))
+        (shapes d))
+    scales
 
 let suite =
   [
@@ -365,8 +414,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bard_below_exact;
     Alcotest.test_case "amva: non-finite think time rejected" `Quick
       test_amva_non_finite_think_time;
-    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 29) prop_amva_classes_bit_identical;
+    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 7) prop_amva_bracketed_solve;
     Alcotest.test_case "amva: class solve under a budget" `Quick test_amva_classes_budget;
     Alcotest.test_case "exact: non-finite think time rejected" `Quick
       test_exact_non_finite_think_time;
+    Alcotest.test_case "amva: hostile inputs converge or are rejected" `Quick
+      test_amva_hostile_inputs;
   ]

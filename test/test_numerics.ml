@@ -37,8 +37,15 @@ let test_expand_bracket () =
   Alcotest.check_raises "no sign change" Roots.No_bracket (fun () ->
       ignore (Roots.brent_above ~f:(fun x -> x +. 1.) 0.))
 
+let test_expand_bracket_far () =
+  (* The root lies some 500 doublings above the start: the bracket grows
+     for as long as it stays finite. *)
+  let r = Roots.brent_above ~f:(fun x -> x -. 1e150) 1. in
+  Alcotest.(check bool) (Printf.sprintf "root %g near 1e150" r) true
+    (Float.abs (r -. 1e150) <= 1e-12 *. 1e150)
+
 let scalar_converged ?damping ~f x0 =
-  match Fixed_point.solve_scalar_status ?damping ~f x0 with
+  match Harness.damped_scalar_status ?damping ~f x0 with
   | x, Fixed_point.Converged _ -> x
   | _, status ->
     Alcotest.failf "expected convergence, got %s" (Fixed_point.status_to_string status)
@@ -57,7 +64,7 @@ let test_fixed_point_damped () =
 let test_fixed_point_vector () =
   (* Rotation-like contraction toward (1, 2). *)
   let f v = [| 1. +. (0.5 *. (v.(1) -. 2.)); 2. +. (0.25 *. (v.(0) -. 1.)) |] in
-  let value, status = Fixed_point.solve_vector_status ~f [| 0.; 0. |] in
+  let value, status = Harness.damped_status ~f [| 0.; 0. |] in
   Alcotest.(check bool) "converged" true
     (match status with Fixed_point.Converged _ -> true | _ -> false);
   feq 1e-6 "x" 1. value.(0);
@@ -66,7 +73,7 @@ let test_fixed_point_vector () =
 let test_fixed_point_diverged () =
   (* x = 2x + 1 repels from its fixed point −1: the iterate doubles away
      and [max_iter] ends the run with a finite residual. *)
-  match Fixed_point.solve_scalar_status ~max_iter:50 ~f:(fun x -> (2. *. x) +. 1.) 1. with
+  match Harness.damped_scalar_status ~max_iter:50 ~f:(fun x -> (2. *. x) +. 1.) 1. with
   | _, Fixed_point.Diverged { iters; residual } ->
     Alcotest.(check int) "all iterations used" 50 iters;
     Alcotest.(check bool) "finite residual" true (Float.is_finite residual && residual > 0.)
@@ -375,4 +382,5 @@ let suite =
     Alcotest.test_case "stationary distribution" `Quick test_stationary_distribution;
     Alcotest.test_case "stationary rejects bad matrix" `Quick test_stationary_invalid;
     QCheck_alcotest.to_alcotest prop_linear_roundtrip;
+    Alcotest.test_case "expand bracket to a far root" `Quick test_expand_bracket_far;
   ]

@@ -297,8 +297,9 @@ let test_reservoir_decimates () =
 let test_solver_residuals_strictly_decrease () =
   (* A converging fig5.2 operating point; damped fixed-point iteration on
      a contraction must show monotonically shrinking residuals. The map
-     is All_to_all's, clamped at the contention-free bound as its
-     [Damped_iteration] method does, and records [|F r − r|] per call. *)
+     is All_to_all's, clamped at the contention-free bound as the damped
+     reference [Harness.damped_all_to_all] does, and records [|F r − r|]
+     per call. *)
   let params = Params.create ~c2:0. ~p:32 ~st:40. ~so:200. () in
   let w = 1000. in
   let lb = A.lower_bound params ~w in
@@ -308,7 +309,7 @@ let test_solver_residuals_strictly_decrease () =
     residuals := Float.abs (fr -. r) :: !residuals;
     fr
   in
-  match Fixed_point.solve_scalar_status ~damping:0.5 ~tol:1e-12 ~f lb with
+  match Harness.damped_scalar_status ~damping:0.5 ~tol:1e-12 ~f lb with
   | r, Fixed_point.Converged { iters } ->
     let residuals = List.rev !residuals in
     Alcotest.(check int) "one map call per iteration" iters (List.length residuals);
@@ -319,27 +320,30 @@ let test_solver_residuals_strictly_decrease () =
     in
     Alcotest.(check bool) "residual strictly decreasing" true
       (strictly_decreasing residuals);
-    feq 1e-6 "the fixed point is the solution"
-      (A.solve ~solve_method:A.Damped_iteration params ~w).A.r r
+    feq 1e-6 "the fixed point is the solution" (A.solve params ~w).A.r r
   | _, status ->
     Alcotest.failf "fig5.2 point must converge, got %s" (Fixed_point.status_to_string status)
 
-let test_saturated_station_identified () =
-  (* One station with dominating demand at a large population: the AMVA
-     iteration stalls against a tiny budget with that station's implied
-     utilization past 1, and the Saturated status names it. *)
+let test_dominant_station_bounds_x () =
+  (* One station with dominating demand at a large population: the
+     closed network runs that station just below full utilization, so
+     the solve converges with X at most 1/D_max and the bottleneck's
+     U below 1. *)
   let stations =
     [|
       Station.queueing ~demand:5. (); Station.queueing ~demand:120. ();
       Station.queueing ~demand:10. ();
     |]
   in
-  match Amva.solve_status ~think_time:50. ~stations ~population:5000 ~max_iter:3 () with
-  | None, Fixed_point.Saturated { station; utilization } ->
-    Alcotest.(check int) "the dominant-demand station saturates" 1 station;
-    Alcotest.(check bool) "reported at or past full utilization" true (utilization >= 1.)
+  match Amva.solve_status ~think_time:50. ~stations ~population:5000 () with
+  | Some s, Fixed_point.Converged _ ->
+    Alcotest.(check bool) "X <= 1/D_max" true (s.Lopc_mva.Solution.throughput <= 1. /. 120.);
+    let u = s.Lopc_mva.Solution.utilization.(1) in
+    Alcotest.(check bool) (Printf.sprintf "bottleneck U = %.17g < 1" u) true (u < 1.);
+    Alcotest.(check bool) "the dominant station is the busiest" true
+      (Array.for_all (fun v -> v <= u) s.Lopc_mva.Solution.utilization)
   | _, status ->
-    Alcotest.failf "expected Saturated, got %s" (Fixed_point.status_to_string status)
+    Alcotest.failf "expected convergence, got %s" (Fixed_point.status_to_string status)
 
 let test_general_hammered_server () =
   (* The Appendix-A solver: a server node everyone hammers. The
@@ -387,8 +391,8 @@ let suite =
     Alcotest.test_case "reservoir decimates" `Quick test_reservoir_decimates;
     Alcotest.test_case "solver residuals strictly decrease" `Quick
       test_solver_residuals_strictly_decrease;
-    Alcotest.test_case "saturated station identified (AMVA)" `Quick
-      test_saturated_station_identified;
+    Alcotest.test_case "dominant station bounds X" `Quick
+      test_dominant_station_bounds_x;
     Alcotest.test_case "hammered server converges (general)" `Quick
       test_general_hammered_server;
   ]

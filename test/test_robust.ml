@@ -58,13 +58,15 @@ let test_cancel_outranks_fuel () =
 
 (* --- every solver honours its budget ------------------------------------- *)
 
+(* Fixed point 10,000: the bracket search from 0 needs more than ten
+   evaluations to reach it. *)
 let slow_map x = (0.9999 *. x) +. 1.
 
 let test_fixed_point_budget () =
   let b = Budget.create ~fuel:10 () in
-  match FP.solve_scalar_status ~budget:b ~tol:1e-15 ~f:slow_map 0. with
+  match FP.solve_above_status ~budget:b ~f:slow_map 0. with
   | _, FP.Exhausted { iters; reason = Budget.Fuel_exhausted _ } ->
-    Alcotest.(check int) "one unit of fuel per iteration" 10 iters
+    Alcotest.(check int) "one unit of fuel per evaluation" 10 iters
   | _, status -> Alcotest.failf "expected exhaustion, got %s" (FP.status_to_string status)
 
 let test_cancelled_solver_stops_within_one_iteration () =
@@ -76,10 +78,10 @@ let test_cancelled_solver_stops_within_one_iteration () =
     if !calls = 5 then Cancel.cancel cancel;
     slow_map x
   in
-  match FP.solve_scalar_status ~budget:b ~tol:1e-15 ~f 0. with
+  match FP.solve_above_status ~budget:b ~f 0. with
   | _, FP.Exhausted { iters; reason = Budget.Cancelled } ->
     Alcotest.(check bool)
-      (Printf.sprintf "stopped within one iteration of the flip (iters = %d)" iters)
+      (Printf.sprintf "stopped within one evaluation of the flip (iters = %d)" iters)
       true (iters <= 6)
   | _, status -> Alcotest.failf "expected cancellation, got %s" (FP.status_to_string status)
 
@@ -170,29 +172,36 @@ let params_gen =
 let print_params ((params : Params.t), w) =
   Printf.sprintf "p=%d st=%h so=%h c2=%h w=%h" params.p params.st params.so params.c2 w
 
+(* The bracketed solve and its damped reference: both spend one unit of
+   fuel per evaluation of F. *)
+type method_ = Brent | Damped
+
 let prop_all_to_all_fuel_law =
   let gen =
     QCheck.Gen.(
       triple params_gen
         (oneofl [ A.Interrupt; A.Polling; A.Protocol_processor ])
-        (oneofl [ A.Brent_on_residual; A.Damped_iteration ]))
+        (oneofl [ Brent; Damped ]))
   in
-  let print (pw, execution, solve_method) =
+  let print (pw, execution, method_) =
     Printf.sprintf "%s %s %s" (print_params pw)
       (match execution with
       | A.Interrupt -> "interrupt"
       | A.Polling -> "polling"
       | A.Protocol_processor -> "protocol-processor")
-      (match solve_method with
-      | A.Brent_on_residual -> "brent"
-      | A.Damped_iteration -> "damped"
-      | A.Polynomial_roots -> "polynomial")
+      (match method_ with Brent -> "brent" | Damped -> "damped")
   in
   QCheck.Test.make ~name:"fuel law: all-to-all" ~count:60 (QCheck.make ~print gen)
-    (fun ((params, w), execution, solve_method) ->
+    (fun ((params, w), execution, method_) ->
       fuel_law (fun budget ->
-          let s, status = A.solve_status ?budget ~execution ~solve_method params ~w in
-          (Option.map (fun s -> [| s.A.r |]) s, status)))
+          match method_ with
+          | Brent ->
+            let s, status = A.solve_status ?budget ~execution params ~w in
+            (Option.map (fun s -> [| s.A.r |]) s, status)
+          | Damped -> (
+            match Harness.damped_all_to_all ?budget ~execution params ~w with
+            | r, (FP.Converged _ as status) -> (Some [| r |], status)
+            | _, status -> (None, status))))
 
 (* Half the draws sit in the regime where the retry-inflated saturation
    floor lies above the contention-free bound (little work and wire time,
