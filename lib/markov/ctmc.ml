@@ -243,14 +243,13 @@ let solve ?budget ?(tol = 1e-12) ?(max_iter = 200_000) g ~price =
   let r = rates g price in
   let n = size g in
   try
-    (* One unit of fuel per sweep, whatever the method; the checks live
-       inside this [try] (see [explore_kept]). *)
+    (* One unit of fuel per counted sweep, whatever the method; the checks
+       live inside this [try] (see [explore_kept]). *)
     let lambda = 1.01 *. Array.fold_left Float.max 1e-12 r.out_rate in
-    let pi = Array.make n (1. /. Float.of_int n) in
     let iter = ref 0 in
     let last_diff = ref Float.infinity in
     let converged = ref false in
-    let power () =
+    let power pi next =
       (* Uniformized power iteration pi <- pi P, P = I + Q / lambda, pulled
          column by column. [next.(j)] adds its incoming terms in ascending
          source order with its own stay term between the sources below [j]
@@ -261,7 +260,6 @@ let solve ?budget ?(tol = 1e-12) ?(max_iter = 200_000) g ~price =
          renormalized so float drift cannot accumulate over long runs
          (historically [sum pi] drifted freely and convergence was
          declared on the raw step). *)
-      let next = Array.make n 0. in
       while (not !converged) && !iter < max_iter do
         Lopc_robust.Budget.check_exn budget;
         incr iter;
@@ -288,41 +286,88 @@ let solve ?budget ?(tol = 1e-12) ?(max_iter = 200_000) g ~price =
         if !diff <= tol then converged := true
       done
     in
-    if not g.gauss_seidel then power ()
-    else
-      (* Balance-equation Gauss–Seidel on the incoming moves:
-         pi_j <- (sum_{i<>j} pi_i q_ij) / q_j, sweeping states in id order
-         and consuming updated values immediately. Only selected when the
-         chain is strongly connected, so every q_j is strictly positive and
-         the fixed point is the unique stationary distribution — the same
-         limit power iteration reaches, in far fewer sweeps on the stiff
-         chains the exact LoPC machine produces. Each sweep renormalizes
-         and convergence is the same scaled residual as the power path. *)
-      while (not !converged) && !iter < max_iter do
-        Lopc_robust.Budget.check_exn budget;
-        incr iter;
-        for j = 0 to n - 1 do
-          let q_j = r.out_rate.(j) in
-          if q_j > 0. then begin
-            let inflow = ref 0. in
-            for k = g.col_ptr.(j) to g.col_ptr.(j + 1) - 1 do
-              inflow := !inflow +. (pi.(g.src.(k)) *. r.in_rate.(k))
-            done;
-            pi.(j) <- !inflow /. q_j
-          end
+    (* Balance-equation Gauss–Seidel on the incoming moves:
+       pi_j <- (sum_{i<>j} pi_i q_ij) / q_j, sweeping states in id order
+       and consuming updated values immediately. Only selected when the
+       chain is strongly connected, so every q_j is strictly positive and
+       the fixed point is the unique stationary distribution — the same
+       limit power iteration reaches, in far fewer sweeps on the stiff
+       chains the exact LoPC machine produces.
+
+       [sweep cur next] writes the renormalized x(k+1) into [next] from
+       x(k) in [cur], and in the same pass returns the scaled residual of
+       x(k): a source below [j] enters the Gauss–Seidel sum from [next]
+       and the residual from [cur], a source above [j] enters both from
+       [cur] with one product. The residual adds the same terms in the
+       same order as [residual g r ~lambda cur], so testing x(k) costs no
+       pass of its own. *)
+    let sweep cur next =
+      let acc = ref 0. in
+      for j = 0 to n - 1 do
+        let q_j = r.out_rate.(j) in
+        let inflow = ref 0. and old = ref 0. in
+        let hi = g.col_ptr.(j + 1) in
+        let k = ref g.col_ptr.(j) in
+        while !k < hi && g.src.(!k) < j do
+          let rate = r.in_rate.(!k) and i = g.src.(!k) in
+          inflow := !inflow +. (next.(i) *. rate);
+          old := !old +. (cur.(i) *. rate);
+          incr k
         done;
-        normalize pi;
-        let res = residual g r ~lambda pi in
-        last_diff := res;
-        if res <= tol then converged := true
-        else if not (Float.is_finite res) then begin
-          (* Defensive: a sweep went non-finite (pathological rate
-             spread). Restart on the unconditionally safe power path,
-             keeping the fuel and iteration budgets already spent. *)
-          Array.fill pi 0 n (1. /. Float.of_int n);
-          power ()
-        end
+        while !k < hi do
+          let x = cur.(g.src.(!k)) *. r.in_rate.(!k) in
+          inflow := !inflow +. x;
+          old := !old +. x;
+          incr k
+        done;
+        acc := !acc +. Float.abs (!old -. (cur.(j) *. q_j));
+        next.(j) <- (if q_j > 0. then !inflow /. q_j else cur.(j))
       done;
+      normalize next;
+      !acc /. lambda
+    in
+    let pi = Array.make n (1. /. Float.of_int n) and spare = Array.make n 0. in
+    let pi =
+      if not g.gauss_seidel then begin
+        power pi spare;
+        pi
+      end
+      else if max_iter <= 0 then pi
+      else begin
+        (* [settle cur next] starts with x(k) in [cur] after [iter] = k
+           counted sweeps. Once x(k) is known to miss the tolerance, sweep
+           k + 1 is charged its fuel and counted; when x(k) meets it, sweep
+           k + 1 is discarded uncharged and x(k) is the answer. At
+           [max_iter] only x(k)'s residual is computed. *)
+        let rec settle cur next =
+          let res = if !iter < max_iter then sweep cur next else residual g r ~lambda cur in
+          last_diff := res;
+          if res <= tol then begin
+            converged := true;
+            cur
+          end
+          else if not (Float.is_finite res) then begin
+            (* Defensive: an iterate went non-finite (pathological rate
+               spread). Restart on the unconditionally safe power path,
+               keeping the fuel and iteration budgets already spent. *)
+            Array.fill cur 0 n (1. /. Float.of_int n);
+            power cur next;
+            cur
+          end
+          else if !iter >= max_iter then cur
+          else begin
+            Lopc_robust.Budget.check_exn budget;
+            incr iter;
+            settle next cur
+          end
+        in
+        (* The residual of the uniform start is never tested. *)
+        Lopc_robust.Budget.check_exn budget;
+        iter := 1;
+        ignore (sweep pi spare : float);
+        settle spare pi
+      end
+    in
     let sol = { state_of_id = g.state_of_id; pi } in
     if !converged then (Some sol, Converged { iters = !iter })
     else (Some sol, Not_converged { iters = !iter; diff = !last_diff })

@@ -40,8 +40,9 @@ exception State_space_too_large of int
 
 type status =
   | Converged of { iters : int }
-      (** The sweeps, Gauss–Seidel or power, met the tolerance on the
-          scaled residual after [iters] sweeps. *)
+      (** The sweeps, Gauss–Seidel or power, met the tolerance after
+          [iters] sweeps. The residual tested is the scaled L1 residual
+          [||pi Q||_1 / lambda] of the returned iterate. *)
   | Not_converged of { iters : int; diff : float }
       (** [max_iter] sweeps without meeting the tolerance; [diff] is the
           last scaled L1 residual [||pi Q||_1 / lambda]. The returned
@@ -72,12 +73,16 @@ val solve_status :
     (structural equality). State-space overflow comes back as [Too_large],
     a non-converged iteration is reported with its last scaled L1
     residual, and [budget] — consulted once per explored state and once
-    per sweep, whatever the [iteration] method — stops the computation
-    with [Exhausted]. Every method renormalizes the iterate each sweep, so
-    [sum pi = 1] holds to rounding error regardless of sweep count, and
-    declares convergence on the residual of the current iterate (never on
-    the raw successive step alone). Only raises [Invalid_argument], on a
-    negative or non-finite rate, when exploration meets it. *)
+    per counted sweep, whatever the [iteration] method — stops the
+    computation with [Exhausted]. Every method renormalizes the iterate
+    each sweep, so [sum pi = 1] holds to rounding error regardless of
+    sweep count, and declares convergence on the residual of the current
+    iterate (never on the raw successive step alone). Gauss–Seidel
+    computes an iterate's residual inside the sweep that follows it, so a
+    converged Gauss–Seidel solve runs one sweep more than its [iters]
+    reports; that sweep is discarded and costs no fuel. Only raises
+    [Invalid_argument], on a negative or non-finite rate, when
+    exploration meets it. *)
 
 type ('state, 'label) graph
 (** The chain reachable from one initial state, each move carrying the
@@ -129,8 +134,9 @@ val solve :
     that prices to zero, a negative or a non-finite rate raises
     [Invalid_argument] before the first sweep (the graph keeps every
     move, so a zero rate would leave a move the sweep choice counted on).
-    [budget] is consulted once per sweep; [tol] and [max_iter] are as in
-    {!solve_status}. Exploring once and solving under several pricings
+    [budget] is consulted once per counted sweep; [tol] and [max_iter]
+    are as in {!solve_status}, and so is the one discarded sweep after a
+    converged Gauss–Seidel solve, which costs no fuel. Exploring once and solving under several pricings
     gives, bit for bit, what {!solve_status} gives on the priced
     transitions. *)
 

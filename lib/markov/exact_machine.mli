@@ -101,9 +101,10 @@ val all_to_all_status :
     too large for the cap is refused although its orbits would fit; it
     also stops once more than [max_states] orbits are discovered, which
     {!Ctmc.explore} refuses on its own. [budget] is consulted once per
-    explored orbit and once per sweep. A warm solve, whose [p] has a
-    published chain, replays all of this in the cold order: before each
-    orbit one unit of fuel, then the two caps, then one unit per sweep;
+    explored orbit and once per counted sweep (see {!Ctmc.solve}). A
+    warm solve, whose [p] has a published chain, replays all of this in
+    the cold order: before each orbit one unit of fuel, then the two
+    caps, then one unit per counted sweep;
     so its status and the fuel it spends are those of a cold solve.
     [p > max_nodes] returns [(None, Too_large { max_states })] at once.
     Only raises [Invalid_argument]: on invalid machine parameters, and,

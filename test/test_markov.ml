@@ -136,6 +136,44 @@ let test_exact_machine_validation () =
 
 (* --- differential reference: the seed solver ----------------------------- *)
 
+(* The reachable chain as [Ctmc] explores it: ids in discovery order,
+   states expanded in id order, and each row the successors in the order
+   [transitions] lists them, duplicates kept and zero rates and
+   self-loops dropped. [budget] is charged one unit before each state
+   is expanded. Gives the id of each state, and the states and their
+   rows in id order. *)
+let reference_rows ?budget ~initial ~transitions () =
+  let index = Hashtbl.create 64 and frontier = Queue.create () and states = ref [] in
+  let id_of s =
+    match Hashtbl.find_opt index s with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length index in
+      Hashtbl.add index s i;
+      Queue.push s frontier;
+      states := s :: !states;
+      i
+  in
+  ignore (id_of initial);
+  let rows = ref [] in
+  while not (Queue.is_empty frontier) do
+    Lopc_robust.Budget.check_exn budget;
+    let s = Queue.pop frontier in
+    let i = id_of s in
+    let row =
+      List.filter_map
+        (fun (s', r) ->
+          if Float.equal r 0. then None
+          else begin
+            let j = id_of s' in
+            if j = i then None else Some (j, r)
+          end)
+        (transitions s)
+    in
+    rows := row :: !rows
+  done;
+  (index, Array.of_list (List.rev !states), Array.of_list (List.rev !rows))
+
 (* The pre-CSR solver in miniature: list-of-rows generator built by the
    same BFS, and uniformized power iteration with successive-step
    convergence and no renormalization. The qcheck law below pins the
@@ -144,50 +182,8 @@ let test_exact_machine_validation () =
    self-loops and duplicate successors. *)
 module Seed_reference = struct
   let solve ?(tol = 1e-12) ?(max_iter = 50_000) ~initial ~transitions () =
-    let index = Hashtbl.create 64 in
-    let count = ref 0 in
-    let id_of s =
-      match Hashtbl.find_opt index s with
-      | Some i -> i
-      | None ->
-        let i = !count in
-        Hashtbl.add index s i;
-        incr count;
-        i
-    in
-    ignore (id_of initial);
-    let rows = ref (Array.make 64 []) in
-    let ensure i =
-      if i >= Array.length !rows then begin
-        let fresh = Array.make (max (2 * Array.length !rows) (i + 1)) [] in
-        Array.blit !rows 0 fresh 0 (Array.length !rows);
-        rows := fresh
-      end
-    in
-    let frontier = Queue.create () in
-    Queue.push initial frontier;
-    while not (Queue.is_empty frontier) do
-      match Queue.take_opt frontier with
-      | None -> ()
-      | Some s ->
-        let i = id_of s in
-        ensure i;
-        let out =
-          List.filter_map
-            (fun (s', r) ->
-              if Float.equal r 0. then None
-              else begin
-                let before = !count in
-                let j = id_of s' in
-                if !count > before then Queue.push s' frontier;
-                if j = i then None else Some (j, r)
-              end)
-            (transitions s)
-        in
-        (!rows).(i) <- out
-    done;
-    let n = !count in
-    let rows = Array.sub !rows 0 n in
+    let index, _, rows = reference_rows ~initial ~transitions () in
+    let n = Array.length rows in
     let out_rate =
       Array.map (fun row -> List.fold_left (fun a (_, r) -> a +. r) 0. row) rows
     in
@@ -213,6 +209,89 @@ module Seed_reference = struct
       if !diff <= tol then converged := true
     done;
     (n, fun s -> match Hashtbl.find_opt index s with Some i -> pi.(i) | None -> 0.)
+end
+
+(* Gauss–Seidel as the solver first ran it: sweep in place, renormalize,
+   then test the new iterate in a residual pass of its own, restarting on
+   the power path when that residual is not finite. It explores with
+   [reference_rows], takes the incoming moves with sources ascending and
+   a source's moves in row order, and uses [Ctmc]'s [lambda]. One unit of
+   fuel is charged per expanded state and one per sweep. Strongly
+   connected chains only, where
+   [Auto] picks Gauss–Seidel: there the reference's iterate, status and
+   fuel are what [Ctmc.solve_status] must give bit for bit. *)
+module Gs_reference = struct
+  let solve ?budget ?(tol = 1e-12) ?(max_iter = 200_000) ~initial ~transitions () =
+    let check () = Lopc_robust.Budget.check_exn budget in
+    try
+      let _, state, rows = reference_rows ?budget ~initial ~transitions () in
+      let n = Array.length rows in
+      let incoming = Array.make n [] in
+      Array.iteri
+        (fun i row -> List.iter (fun (j, r) -> incoming.(j) <- (i, r) :: incoming.(j)) row)
+        rows;
+      let incoming = Array.map List.rev incoming in
+      let out_rate = Array.map (List.fold_left (fun a (_, r) -> a +. r) 0.) rows in
+      let lambda = 1.01 *. Array.fold_left Float.max 1e-12 out_rate in
+      let pi = Array.make n (1. /. Float.of_int n) in
+      let normalize () =
+        let s = Array.fold_left ( +. ) 0. pi in
+        if s > 0. && Float.is_finite s then Array.iteri (fun i x -> pi.(i) <- x /. s) pi
+      in
+      let inflow j = List.fold_left (fun a (i, r) -> a +. (pi.(i) *. r)) 0. incoming.(j) in
+      let residual () =
+        let acc = ref 0. in
+        for j = 0 to n - 1 do
+          acc := !acc +. Float.abs (inflow j -. (pi.(j) *. out_rate.(j)))
+        done;
+        !acc /. lambda
+      in
+      let iter = ref 0 and last_diff = ref Float.infinity and converged = ref false in
+      let power () =
+        let next = Array.make n 0. in
+        while (not !converged) && !iter < max_iter do
+          check ();
+          incr iter;
+          for j = 0 to n - 1 do
+            let stay = pi.(j) *. (1. -. (out_rate.(j) /. lambda)) in
+            let acc, stayed =
+              List.fold_left
+                (fun (acc, stayed) (i, r) ->
+                  let acc = if i > j && not stayed then acc +. stay else acc in
+                  (acc +. (pi.(i) *. r /. lambda), stayed || i > j))
+                (0., false) incoming.(j)
+            in
+            next.(j) <- (if stayed then acc else acc +. stay)
+          done;
+          let diff = ref 0. in
+          for i = 0 to n - 1 do
+            diff := !diff +. Float.abs (next.(i) -. pi.(i))
+          done;
+          Array.blit next 0 pi 0 n;
+          normalize ();
+          last_diff := !diff;
+          if !diff <= tol then converged := true
+        done
+      in
+      while (not !converged) && !iter < max_iter do
+        check ();
+        incr iter;
+        for j = 0 to n - 1 do
+          if out_rate.(j) > 0. then pi.(j) <- inflow j /. out_rate.(j)
+        done;
+        normalize ();
+        let res = residual () in
+        last_diff := res;
+        if res <= tol then converged := true
+        else if not (Float.is_finite res) then begin
+          Array.fill pi 0 n (1. /. Float.of_int n);
+          power ()
+        end
+      done;
+      let pi = Some (List.init n (fun i -> (state.(i), pi.(i)))) in
+      if !converged then (pi, Ctmc.Converged { iters = !iter })
+      else (pi, Ctmc.Not_converged { iters = !iter; diff = !last_diff })
+    with Lopc_robust.Budget.Stop reason -> (None, Ctmc.Exhausted { reason })
 end
 
 let arb_chain =
@@ -892,6 +971,116 @@ let test_exact_warm_replay_edges () =
       done)
     replay_edges
 
+(* --- the convergence test inside the next sweep ----------------------------- *)
+
+(* A solve's outcome with every float printed by [%h]: the status
+   (including a non-converged residual), the fuel left when there was a
+   budget, and each state's probability. *)
+let show_run ?budget (pi, status) =
+  let status =
+    match status with
+    | Ctmc.Not_converged { iters; diff } ->
+      Printf.sprintf "not converged after %d iterations (l1 residual %h)" iters diff
+    | status -> Harness.ctmc_status_to_string status
+  in
+  let fuel =
+    match Option.bind budget Lopc_robust.Budget.remaining with
+    | Some f -> Printf.sprintf ", fuel left %d" f
+    | None -> ""
+  in
+  status ^ fuel
+  ^ String.concat "" (List.map (fun (s, p) -> Printf.sprintf " %d:%h" s p) (Option.value pi ~default:[]))
+
+let ctmc_run ?budget ?max_iter ~transitions () =
+  let sol, status = Ctmc.solve_status ?budget ?max_iter ~initial:0 ~transitions () in
+  ( Option.map (fun sol -> List.rev (Ctmc.fold sol ~init:[] ~f:(fun acc s p -> (s, p) :: acc))) sol,
+    status )
+
+(* Rings with chords, so strongly connected, whose rates mix moderate
+   values with 1e±100 to 1e±300: stiff enough that some Gauss–Seidel
+   sweeps go non-finite and restart on the power path. *)
+let arb_stiff_irreducible =
+  let open QCheck in
+  let rate =
+    Gen.frequency
+      [
+        (3, Gen.oneofl [ 0.3; 1.; 4.; 20. ]);
+        (2, Gen.oneofl [ 1e-300; 1e-200; 1e-100; 1e100; 1e200; 1e300 ]);
+      ]
+  in
+  let print (n, ring, extra) =
+    Printf.sprintf "n=%d ring=[%s] extra=[%s]" n
+      (String.concat ";" (List.map (Printf.sprintf "%g") ring))
+      (String.concat ";" (List.map (fun (i, j, r) -> Printf.sprintf "%d->%d@%g" i j r) extra))
+  in
+  make ~print
+    Gen.(
+      let* n = int_range 2 6 in
+      let* ring = list_repeat n rate in
+      let+ extra = list_size (int_range 0 (2 * n)) (triple (int_bound (n - 1)) (int_bound (n - 1)) rate) in
+      (n, ring, extra))
+
+(* The solver tests each iterate's residual inside the sweep that follows
+   it. Against [Gs_reference], which tests it in a pass of its own, every
+   probability, the status with its residual and the fuel left must match
+   bit for bit, at every sweep cap and at every fuel from the bare
+   exploration to 20 sweeps past it: a converged solve's extra sweep is
+   discarded and charges nothing. *)
+let prop_fused_sweep_matches_reference =
+  QCheck.Test.make ~name:"ctmc: convergence tested inside the next sweep matches the reference"
+    ~count:300 arb_stiff_irreducible
+    (fun (n, ring, extra) ->
+      let transitions s =
+        ((s + 1) mod n, List.nth ring s)
+        :: List.filter_map (fun (i, j, r) -> if i = s && j <> s then Some (j, r) else None) extra
+      in
+      List.for_all
+        (fun max_iter ->
+          List.for_all
+            (fun extra_fuel ->
+              let budget () =
+                Option.map (fun f -> Lopc_robust.Budget.create ~fuel:(n + f) ()) extra_fuel
+              in
+              let b = budget () and b' = budget () in
+              let got = show_run ?budget:b (ctmc_run ?budget:b ?max_iter ~transitions ())
+              and want =
+                show_run ?budget:b'
+                  (Gs_reference.solve ?budget:b' ?max_iter ~initial:0 ~transitions ())
+              in
+              String.equal got want
+              || QCheck.Test.fail_reportf "max_iter %s, fuel n + %s:\n  solver    %s\n  reference %s"
+                   (Option.fold ~none:"default" ~some:string_of_int max_iter)
+                   (Option.fold ~none:"unlimited" ~some:string_of_int extra_fuel)
+                   got want)
+            [ None; Some 0; Some 1; Some 2; Some 3; Some 5; Some 10; Some 20 ])
+        [ Some 0; Some 1; Some 2; Some 3; Some 10; None ])
+
+(* The two-state ring 0 -> 1 at 1e-200, 1 -> 0 at 1e200 sends the first
+   Gauss–Seidel sweep to infinity (0.5 · 1e200 / 1e-200), so the solve
+   restarts on the power path from the uniform start, keeping the sweep
+   it counted and charged. Pinned with [%h] from the solver that tested
+   each iterate in a residual pass of its own: uncapped it converges
+   after the Gauss–Seidel sweep and 7 power sweeps, spending 2 units of
+   fuel on exploration and 8 on sweeps; a cap of 1 sweep stops at the
+   restart with the uniform start and a nan residual; a cap of 2 allows
+   one power sweep. *)
+let test_ctmc_power_restart () =
+  let transitions = function 0 -> [ (1, 1e-200) ] | _ -> [ (0, 1e200) ] in
+  List.iter
+    (fun (max_iter, expected) ->
+      let budget = Lopc_robust.Budget.create ~fuel:100 () in
+      Alcotest.(check string)
+        (Printf.sprintf "max_iter %s" (Option.fold ~none:"default" ~some:string_of_int max_iter))
+        expected
+        (show_run ~budget (ctmc_run ~budget ?max_iter ~transitions ())))
+    [
+      (None, "converged in 8 iterations, fuel left 90 0:0x1.fffffffffffd6p-1 1:0x1.500c0e65c7d07p-48");
+      (Some 1, "not converged after 1 iterations (l1 residual nan), fuel left 97 0:0x1p-1 1:0x1p-1");
+      ( Some 2,
+        "not converged after 2 iterations (l1 residual 0x1.faee41e6a7498p-1), fuel left 96 \
+         0:0x1.fd7720f353a4cp-1 1:0x1.446f86562d9cp-8" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "ctmc: two-state chain" `Quick test_ctmc_two_state;
@@ -927,4 +1116,7 @@ let suite =
       test_ctmc_solve_refuses_bad_price;
     Alcotest.test_case "exact machine: warm replay at the budget and cap edges" `Quick
       test_exact_warm_replay_edges;
+    QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 38) prop_fused_sweep_matches_reference;
+    Alcotest.test_case "ctmc: a non-finite sweep restarts on the power path" `Quick
+      test_ctmc_power_restart;
   ]
