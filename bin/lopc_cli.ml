@@ -488,9 +488,7 @@ let predict_cmd =
                   print_general ?budget params ~w ~protocol_processor:pp pat)
           with
           | Invalid_argument msg -> `Error (false, msg)
-          | Fixed_point.Diverged msg ->
-            Format.eprintf "solver outcome: %s@." msg;
-            `Ok exit_diverged)))
+          | Fixed_point.Unsolved status -> solver_failure ~what:"model solver" status)))
   in
   let optimal_arg =
     Arg.(
@@ -561,43 +559,49 @@ let simulate_cmd =
           Format.printf "trace written to %s (%d events, %d dropped)@." path
             (Recorder.length recorder) (Recorder.dropped recorder)
         | _ -> ());
-        Format.printf "simulated %s: P=%d W=%g So=%g St=%g C2=%g seed=%d@."
-          (Pattern.description pat) p w so st c2 seed;
-        Format.printf "  measured cycles     = %d (%d events, final time %.0f)@."
-          m.Metrics.cycles r.Machine.events r.Machine.final_time;
-        Format.printf "  mean cycle time R   = %.2f +- %.2f (95%%)@."
-          (Metrics.mean_response m)
-          (Welford.confidence_interval m.Metrics.response);
-        Format.printf "    Rw=%.2f Rq=%.2f Ry=%.2f wire=%.2f@."
-          (Welford.mean m.Metrics.rw) (Welford.mean m.Metrics.rq)
-          (Welford.mean m.Metrics.ry)
-          (Welford.mean m.Metrics.wire_time);
-        Format.printf "  throughput X        = %.6f cycles/cycle@." (Metrics.throughput m);
-        Format.printf "  Qq=%.4f Qy=%.4f Uq=%.4f Uy=%.4f Uthread=%.4f@."
-          (Metrics.avg_request_queue m) (Metrics.avg_reply_queue m)
-          (Metrics.avg_request_util m) (Metrics.avg_reply_util m)
-          (Metrics.avg_thread_util m);
-        Format.printf "  R percentiles       = %s@."
-          (String.concat ", "
-             (List.map2
-                (fun (name, _) v -> Printf.sprintf "%s %.1f" name v)
-                percentiles (estimates ())));
-        (match fault with
-        | None -> ()
-        | Some _ ->
-          Format.printf
-            "  fault: tries=%.4f failed=%d retrans=%d dropped=%d dup=%d stale=%d@."
-            (Metrics.mean_tries m) m.Metrics.failed_cycles m.Metrics.retransmits
-            m.Metrics.dropped_messages m.Metrics.duplicate_deliveries
-            m.Metrics.stale_replies;
-          Format.printf "  goodput/offered     = %.4f (goodput %.6f, offered %.6f)@."
-            (Metrics.goodput m /. Metrics.offered_load m)
-            (Metrics.goodput m) (Metrics.offered_load m));
+        (* A run stopped before its first measured cycle has no statistics
+           to print, only the stop; an uninterrupted one was refused above. *)
+        let measured = m.Metrics.cycles > 0 in
+        if measured then begin
+          Format.printf "simulated %s: P=%d W=%g So=%g St=%g C2=%g seed=%d@."
+            (Pattern.description pat) p w so st c2 seed;
+          Format.printf "  measured cycles     = %d (%d events, final time %.0f)@."
+            m.Metrics.cycles r.Machine.events r.Machine.final_time;
+          Format.printf "  mean cycle time R   = %.2f +- %.2f (95%%)@."
+            (Metrics.mean_response m)
+            (Welford.confidence_interval m.Metrics.response);
+          Format.printf "    Rw=%.2f Rq=%.2f Ry=%.2f wire=%.2f@."
+            (Welford.mean m.Metrics.rw) (Welford.mean m.Metrics.rq)
+            (Welford.mean m.Metrics.ry)
+            (Welford.mean m.Metrics.wire_time);
+          Format.printf "  throughput X        = %.6f cycles/cycle@." (Metrics.throughput m);
+          Format.printf "  Qq=%.4f Qy=%.4f Uq=%.4f Uy=%.4f Uthread=%.4f@."
+            (Metrics.avg_request_queue m) (Metrics.avg_reply_queue m)
+            (Metrics.avg_request_util m) (Metrics.avg_reply_util m)
+            (Metrics.avg_thread_util m);
+          Format.printf "  R percentiles       = %s@."
+            (String.concat ", "
+               (List.map2
+                  (fun (name, _) v -> Printf.sprintf "%s %.1f" name v)
+                  percentiles (estimates ())));
+          (match fault with
+          | None -> ()
+          | Some _ ->
+            Format.printf
+              "  fault: tries=%.4f failed=%d retrans=%d dropped=%d dup=%d stale=%d@."
+              (Metrics.mean_tries m) m.Metrics.failed_cycles m.Metrics.retransmits
+              m.Metrics.dropped_messages m.Metrics.duplicate_deliveries
+              m.Metrics.stale_replies;
+            Format.printf "  goodput/offered     = %.4f (goodput %.6f, offered %.6f)@."
+              (Metrics.goodput m /. Metrics.offered_load m)
+              (Metrics.goodput m) (Metrics.offered_load m))
+        end;
         (match r.Machine.interrupted with
         | None -> `Ok 0
         | Some reason ->
           (* Metrics above are whatever accumulated before the stop. *)
-          Format.eprintf "simulation interrupted: %s@."
+          Format.eprintf "simulation interrupted%s: %s@."
+            (if measured then "" else " before any measured cycle")
             (Budget.reason_to_string reason);
           `Ok exit_exhausted)
       with Invalid_argument msg | Sys_error msg -> `Error (false, msg)))
@@ -757,7 +761,9 @@ let calibrate_cmd =
             "  note: St and So are nearly degenerate from R(W) alone; pass\n\
             \        --fixed-st with a ping-pong-measured latency to identify So.@.");
         `Ok 0
-      with Invalid_argument msg -> `Error (false, msg))
+      with
+      | Invalid_argument msg -> `Error (false, msg)
+      | Fixed_point.Unsolved status -> solver_failure ~what:"model solver" status)
   in
   Cmd.v
     (Cmd.info "calibrate" ~exits
@@ -839,9 +845,7 @@ let sweep_cmd =
             selected);
       `Ok 0
     with
-    | Fixed_point.Diverged msg ->
-      Format.eprintf "solver outcome: %s@." msg;
-      `Ok exit_diverged
+    | Fixed_point.Unsolved status -> solver_failure ~what:"sweep" status
     | Invalid_argument msg | Sys_error msg -> `Error (false, msg)
   in
   Cmd.v

@@ -86,11 +86,11 @@ let () =
       ( "--effects",
         Arg.String (fun k -> effects_key := Some k),
         "KEY Print the transitive effect footprint of a definition (normalised \
-         key, e.g. Amva.solve) and exit" );
+         key, e.g. Amva.solve_status) and exit" );
       ( "--show-intervals",
         Arg.String (fun k -> intervals_key := Some k),
         "KEY Print the interval summary of a definition (params and return; \
-         normalised key, e.g. Amva.solve) and exit" );
+         normalised key, e.g. Amva.solve_status) and exit" );
       ( "--catalogue-md",
         Arg.Set want_catalogue_md,
         " Print the whole rule catalogue as markdown (the generated RULES.md) \
@@ -130,7 +130,7 @@ let () =
     else begin
       Format.eprintf
         "lopc_lint: unknown definition %S (use the normalised key, e.g. \
-         Amva.solve)@."
+         Amva.solve_status)@."
         key;
       exit 2
     end
@@ -142,7 +142,7 @@ let () =
     else begin
       Format.eprintf
         "lopc_lint: unknown definition %S (use the normalised key, e.g. \
-         Amva.solve)@."
+         Amva.solve_status)@."
         key;
       exit 2
     end

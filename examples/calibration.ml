@@ -47,7 +47,10 @@ let () =
       Printf.printf "%10.0f %12.1f %12.1f\n" w measured fitted)
     (Cal.predictions fit ~observations);
   (* The calibrated model now extrapolates. *)
-  let extrapolated = (Lopc.All_to_all.solve fit.Cal.params ~w:12_800.).Lopc.All_to_all.r in
+  let extrapolated =
+    (Lopc_numerics.Fixed_point.get_exn (Lopc.All_to_all.solve_status fit.Cal.params ~w:12_800.))
+      .Lopc.All_to_all.r
+  in
   let spec =
     Spec.all_to_all ~nodes:p ~work:(D.Exponential 12_800.)
       ~handler:(D.Exponential true_so) ~wire:(D.Constant true_st) ()

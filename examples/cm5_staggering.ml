@@ -28,7 +28,7 @@ let simulate ?barrier ~staggered ~work () =
 let () =
   let w = 1000. in
   let params = Lopc.Params.create ~c2:0. ~p:32 ~st:40. ~so:200. () in
-  let lopc = (A.solve params ~w).A.r in
+  let lopc = (Lopc_numerics.Fixed_point.get_exn (A.solve_status params ~w)).A.r in
   let lower = A.lower_bound params ~w in
   Printf.printf "all-to-all on P=32, W=1000, So=200, St=40 (constant handlers)\n\n";
   Printf.printf "contention-free cost (perfect schedule): %.0f cycles\n" lower;

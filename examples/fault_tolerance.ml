@@ -39,7 +39,7 @@ let model_config fault =
 
 let () =
   (* Baseline: the reliable machine of §5. *)
-  let base = Lopc.All_to_all.solve params ~w in
+  let base = Lopc_numerics.Fixed_point.get_exn (Lopc.All_to_all.solve_status params ~w) in
   let base_sim = Machine.run ~spec:(spec None) ~cycles () in
   Printf.printf "reliable network:          model R = %7.1f   sim R = %7.1f\n"
     base.Lopc.All_to_all.r
@@ -53,7 +53,9 @@ let () =
       ~backoff:(Fault.Exponential { factor = 2.; cap = 8. })
       ~max_tries:10 ~timeout ()
   in
-  let predicted = Lopc.Fault_model.solve (model_config fault) params ~w in
+  let predicted =
+    Lopc_numerics.Fixed_point.get_exn (Lopc.Fault_model.solve_status (model_config fault) params ~w)
+  in
   let sim = Machine.run ~spec:(spec (Some fault)) ~cycles () in
   let metrics = sim.Machine.metrics in
   let measured = Metrics.mean_response metrics in

@@ -21,7 +21,7 @@ let () =
   Printf.printf "%6s  %10s  %10s  %10s  %12s\n" "g" "model R" "sim R" "penalty" "NI util";
   List.iter
     (fun gap ->
-      let m = Gap.solve ~gap params ~w in
+      let m = Lopc_numerics.Fixed_point.get_exn (Gap.solve_status ~gap params ~w) in
       let spec =
         Spec.all_to_all ~gap ~nodes:p ~work:(D.Exponential w)
           ~handler:(D.Exponential so) ~wire:(D.Constant st) ()

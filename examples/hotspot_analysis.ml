@@ -25,7 +25,9 @@ let () =
   List.iter
     (fun fraction ->
       let pat = Pattern.Hotspot { hot = 0; fraction } in
-      let sol = G.solve (Pattern.to_general params ~w pat) in
+      let sol =
+        Lopc_numerics.Fixed_point.get_exn (G.solve_status (Pattern.to_general params ~w pat))
+      in
       let spec =
         Pattern.to_spec ~nodes:p ~work:(D.Exponential w) ~handler:(D.Exponential so)
           ~wire:(D.Constant st) pat

@@ -16,6 +16,8 @@ module Spec = Lopc_activemsg.Spec
 module Machine = Lopc_activemsg.Machine
 module Metrics = Lopc_activemsg.Metrics
 
+let solve ?window params ~w = Lopc_numerics.Fixed_point.get_exn (W.solve_status ?window params ~w)
+
 let () =
   let p = 32 and wk = 1000. and so = 200. and st = 40. in
   let params = Lopc.Params.create ~c2:1. ~p ~st ~so () in
@@ -27,7 +29,7 @@ let () =
     "speedup" "proc util";
   List.iter
     (fun window ->
-      let model = W.solve ~window params ~w:wk in
+      let model = solve ~window params ~w:wk in
       let spec =
         Spec.all_to_all ~window ~nodes:p ~work:(D.Exponential wk)
           ~handler:(D.Exponential so) ~wire:(D.Constant st) ()
@@ -37,7 +39,7 @@ let () =
         /. Float.of_int p
       in
       Printf.printf "%7d  %13.6f  %13.6f  %8.2fx  %10.3f\n" window model.W.node_rate sim
-        (model.W.node_rate /. (W.solve ~window:1 params ~w:wk).W.node_rate)
+        (model.W.node_rate /. (solve ~window:1 params ~w:wk).W.node_rate)
         model.W.processor_util)
     [ 1; 2; 3; 4; 6; 8 ];
   Printf.printf

@@ -18,6 +18,10 @@ module D = Lopc_dist.Distribution
 module Spec = Lopc_activemsg.Spec
 module Machine = Lopc_activemsg.Machine
 module Metrics = Lopc_activemsg.Metrics
+module Fixed_point = Lopc_numerics.Fixed_point
+
+let cycle_time ?execution params ~w =
+  (Fixed_point.get_exn (A.solve_status ?execution params ~w)).A.r
 
 let simulate ~polling ~w =
   let spec =
@@ -33,17 +37,16 @@ let () =
     "polling R" "(sim)" "winner";
   List.iter
     (fun w ->
-      let ri = (A.solve params ~w).A.r in
-      let rp = (A.solve ~execution:A.Polling params ~w).A.r in
+      let ri = cycle_time params ~w in
+      let rp = cycle_time ~execution:A.Polling params ~w in
       Printf.printf "%6.0f  %12.1f  %10.1f  %12.1f  %10.1f  %10s\n" w ri
         (simulate ~polling:false ~w) rp (simulate ~polling:true ~w)
         (if rp < ri then "polling" else "interrupt"))
     [ 0.; 50.; 100.; 200.; 400.; 800.; 1600.; 3200. ];
   (* Locate the model's crossover point. *)
   let crossover =
-    Lopc_numerics.Roots.bisect ~tol:0.5
-      ~f:(fun w ->
-        (A.solve ~execution:A.Polling params ~w).A.r -. (A.solve params ~w).A.r)
+    Lopc_numerics.Roots.brent ~tol:0.5
+      ~f:(fun w -> cycle_time ~execution:A.Polling params ~w -. cycle_time params ~w)
       1. 3200.
   in
   Printf.printf
@@ -53,7 +56,7 @@ let () =
      long work quanta. A protocol processor (shared memory) dominates both:\n\
      R = %.1f at W=%.0f vs interrupt %.1f and polling %.1f.\n"
     crossover
-    (A.solve ~execution:A.Protocol_processor params ~w:crossover).A.r
+    (cycle_time ~execution:A.Protocol_processor params ~w:crossover)
     crossover
-    (A.solve params ~w:crossover).A.r
-    (A.solve ~execution:A.Polling params ~w:crossover).A.r
+    (cycle_time params ~w:crossover)
+    (cycle_time ~execution:A.Polling params ~w:crossover)

@@ -51,7 +51,9 @@ let () =
 
   (* The paper's rule of thumb: contention costs about one extra handler
      per request (Eq 5.12). *)
-  let s = Lopc.All_to_all.solve machine ~w:alg.Lopc.Params.w in
+  let s =
+    Lopc_numerics.Fixed_point.get_exn (Lopc.All_to_all.solve_status machine ~w:alg.Lopc.Params.w)
+  in
   Printf.printf "\nrule of thumb check: contention = %.1f cycles ~ %.2f handlers\n"
     s.Lopc.All_to_all.contention
     (s.Lopc.All_to_all.contention /. 200.)

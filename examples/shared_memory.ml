@@ -15,6 +15,9 @@ module D = Lopc_dist.Distribution
 module Machine = Lopc_activemsg.Machine
 module Metrics = Lopc_activemsg.Metrics
 
+let cycle_time ?execution params ~w =
+  (Lopc_numerics.Fixed_point.get_exn (A.solve_status ?execution params ~w)).A.r
+
 let simulate ~protocol_processor ~w =
   let spec =
     Pattern.to_spec ~protocol_processor ~nodes:32 ~work:(D.Exponential w)
@@ -29,8 +32,8 @@ let () =
     "protocol R" "(sim)" "penalty";
   List.iter
     (fun w ->
-      let mp = (A.solve params ~w).A.r in
-      let pp = (A.solve ~execution:A.Protocol_processor params ~w).A.r in
+      let mp = cycle_time params ~w in
+      let pp = cycle_time ~execution:A.Protocol_processor params ~w in
       let sim_mp = simulate ~protocol_processor:false ~w in
       let sim_pp = simulate ~protocol_processor:true ~w in
       Printf.printf "%6.0f  %14.1f  %14.1f  %14.1f  %14.1f  %8.1f%%\n" w mp sim_mp pp

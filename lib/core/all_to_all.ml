@@ -126,23 +126,22 @@ let solve_status ?budget ?(execution = Interrupt) params ~w =
   | r, (Fixed_point.Converged _ as status) -> (Some (solution_of_r params ~w ~execution r), status)
   | _, status -> (None, status)
 
-let solve ?execution params ~w =
-  match solve_status ?execution params ~w with
-  | Some s, _ -> s
-  | None, status ->
-    raise (Fixed_point.Diverged ("All_to_all: " ^ Fixed_point.status_to_string status))
+let solve ?execution params ~w = Fixed_point.get_exn (solve_status ?execution params ~w)
+[@@lint.allow
+  "test-only-export"
+    "perfbench/workloads.ml uses it; perfbench/ is linted apart until ROADMAP item 1"]
 
 let rule_of_thumb_constant ~c2 =
   let params = Params.create ~c2 ~p:2 ~st:0. ~so:1. () in
-  (solve params ~w:0.).r
+  (Fixed_point.get_exn (solve_status params ~w:0.)).r
 
 let upper_bound (params : Params.t) ~w =
   check params ~w;
   w +. (2. *. params.st) +. (rule_of_thumb_constant ~c2:params.c2 *. params.so)
 
 let contention_fraction params ~w =
-  let s = solve params ~w in
+  let s = Fixed_point.get_exn (solve_status params ~w) in
   s.contention /. s.r
 
 let total_runtime ?execution params (alg : Params.algorithm) =
-  Float.of_int alg.n *. (solve ?execution params ~w:alg.w).r
+  Float.of_int alg.n *. (Fixed_point.get_exn (solve_status ?execution params ~w:alg.w)).r

@@ -92,9 +92,11 @@ val solve :
   Params.t ->
   w:float ->
   solution
-(** Raising variant of {!solve_status}.
+(** [solve] is {!solve_status} through
+    {!Lopc_numerics.Fixed_point.get_exn}, kept for the benchmark
+    harness; new code calls {!solve_status}.
     @raise Invalid_argument as {!solve_status}.
-    @raise Lopc_numerics.Fixed_point.Diverged on any non-converged
+    @raise Lopc_numerics.Fixed_point.Unsolved on any non-converged
     outcome. *)
 
 val fixed_point_map : ?execution:execution -> Params.t -> w:float -> float -> float

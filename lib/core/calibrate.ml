@@ -1,4 +1,5 @@
 module Minimize = Lopc_numerics.Minimize
+module Fixed_point = Lopc_numerics.Fixed_point
 
 type fit = { params : Params.t; residual : float; relative_residual : float }
 
@@ -14,7 +15,7 @@ let check_observations observations =
 
 let model_r ~c2 ~p ~st ~so ~w =
   let params = Params.create ~c2 ~p ~st ~so () in
-  (All_to_all.solve params ~w).All_to_all.r
+  (Fixed_point.get_exn (All_to_all.solve_status params ~w)).All_to_all.r
 
 let fit ?(c2 = 1.) ?fixed_st ~p ~observations () =
   check_observations observations;
@@ -64,5 +65,5 @@ let predictions f ~observations =
     (fun (w, measured) ->
       ( w,
         measured,
-        (All_to_all.solve f.params ~w).All_to_all.r ))
+        (Fixed_point.get_exn (All_to_all.solve_status f.params ~w)).All_to_all.r ))
     observations

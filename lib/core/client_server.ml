@@ -37,7 +37,7 @@ let net (params : Params.t) ~w ~servers =
   }
 
 let throughput params ~w ~servers =
-  let s = General.solve (net params ~w ~servers) in
+  let s = Lopc_numerics.Fixed_point.get_exn (General.solve_status (net params ~w ~servers)) in
   let server = s.General.node_solutions.(0) in
   {
     servers;

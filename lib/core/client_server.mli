@@ -37,7 +37,7 @@ val net : Params.t -> w:float -> servers:int -> General.t
 val throughput : Params.t -> w:float -> servers:int -> solution
 (** [throughput params ~w ~servers] solves {!net}.
     @raise Invalid_argument as {!net}.
-    @raise Lopc_numerics.Fixed_point.Diverged on a non-finite time. *)
+    @raise Lopc_numerics.Fixed_point.Unsolved on a non-finite time. *)
 
 val server_residence_at_optimum : Params.t -> float
 (** [Rs = So·(1 + sqrt((C²+1)/2))] (Eq 6.6) — e.g. [2·So] when

@@ -171,8 +171,7 @@ let solve_status ?budget c (params : Params.t) ~w =
        below) the contention-free bound, and the kernel answers [lb]. *)
     solution (solve_from lb)
 
-let solve c params ~w =
-  match solve_status c params ~w with
-  | Some s, _ -> s
-  | None, status ->
-    raise (Fixed_point.Diverged ("Fault_model: " ^ Fixed_point.status_to_string status))
+let solve c params ~w = Fixed_point.get_exn (solve_status c params ~w)
+[@@lint.allow
+  "test-only-export"
+    "perfbench/workloads.ml uses it; perfbench/ is linted apart until ROADMAP item 1"]

@@ -18,7 +18,7 @@
     {!All_to_all.terms} at request load [kq = handler_load]: the shared
     {!Contention} kernel with request-handler utilization [kq·So/R] and
     reply-handler utilization [So/R]. At zero fault probabilities every
-    quantity reduces exactly to {!All_to_all.solve}.
+    quantity reduces exactly to {!All_to_all.solve_status}.
 
     Validity: interrupt-notification blocking threads (the restrictions
     {!Lopc_activemsg.Spec.validate} enforces on faulty specs), and a
@@ -106,5 +106,7 @@ val solve_status :
     @raise Invalid_argument on invalid [config], [params] or [w]. *)
 
 val solve : config -> Params.t -> w:float -> solution
-(** Like {!solve_status}.
-    @raise Lopc_numerics.Fixed_point.Diverged when no solution exists. *)
+(** [solve] is {!solve_status} through
+    {!Lopc_numerics.Fixed_point.get_exn}, kept for the benchmark
+    harness; new code calls {!solve_status}.
+    @raise Lopc_numerics.Fixed_point.Unsolved when no solution exists. *)

@@ -29,12 +29,21 @@ type solution = {
   penalty : float;        (** Relative slowdown, [r / r_without_gap − 1]. *)
 }
 
-val solve : ?gap:float -> Params.t -> w:float -> solution
-(** [solve ~gap params ~w] solves the gap-extended model. [gap] defaults
-    to [0.] (recovering {!All_to_all.solve} exactly).
-    @raise Invalid_argument if [gap < 0.] or [w < 0.].
-    @raise Lopc_numerics.Fixed_point.Diverged if no fixed point is
-    bracketed. *)
+val solve_status :
+  ?budget:Lopc_robust.Budget.t ->
+  ?gap:float ->
+  Params.t ->
+  w:float ->
+  solution option * Lopc_numerics.Fixed_point.status
+(** [solve_status ~gap params ~w] solves the gap-extended model. [gap]
+    defaults to [0.] (recovering {!All_to_all.solve_status} exactly). It
+    first solves the [g = 0] model for [r_without_gap] and, when
+    [g > 0], then brackets the NI-extended map from {!lower_bound}; the
+    status is the first solve's when it fails or [g = 0], the second's
+    otherwise, so [Converged { iters }] counts the second solve's
+    evaluations. [budget] spans both solves, one unit of fuel per
+    evaluation.
+    @raise Invalid_argument if [gap < 0.] or [w < 0.]. *)
 
 val lower_bound : gap:float -> Params.t -> w:float -> float
 (** Contention-free cycle with NIs: [W + 2·St + 4·g + 2·So]. *)

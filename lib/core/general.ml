@@ -341,9 +341,3 @@ let solve_status ?budget t =
         },
       status )
   | status -> (None, status)
-
-let solve t =
-  match solve_status t with
-  | Some s, _ -> s
-  | None, status ->
-    raise (Fixed_point.Diverged ("General: " ^ Fixed_point.status_to_string status))

@@ -114,9 +114,3 @@ val solve_status :
     fixed point has every utilization below 1. Non-converged outcomes
     return no solution.
     @raise Invalid_argument when {!validate} fails. *)
-
-val solve : t -> solution
-(** Raising variant of {!solve_status}.
-    @raise Invalid_argument when {!validate} fails.
-    @raise Lopc_numerics.Fixed_point.Diverged on any non-converged
-    outcome. *)

@@ -36,10 +36,18 @@ type solution = {
                                 the paper's assumption. *)
 }
 
-val solve : Params.t -> topology:Topology.t -> w:float -> solution
-(** [solve params ~topology ~w] solves the torus-extended all-to-all
-    model. [params.st] is ignored (the topology defines the network);
-    [params.p] must equal the torus size.
-    @raise Invalid_argument on mismatched sizes or invalid [w].
-    @raise Lopc_numerics.Fixed_point.Diverged if no fixed point is
-    bracketed. *)
+val solve_status :
+  ?budget:Lopc_robust.Budget.t ->
+  Params.t ->
+  topology:Topology.t ->
+  w:float ->
+  solution option * Lopc_numerics.Fixed_point.status
+(** [solve_status params ~topology ~w] solves the torus-extended
+    all-to-all model. [params.st] is ignored (the topology defines the
+    network); [params.p] must equal the torus size. It first solves the
+    contention-free model for [r_contention_free], then brackets the
+    torus map; the status is the first solve's when it fails, the
+    second's otherwise, so [Converged { iters }] counts the second
+    solve's evaluations. [budget] spans both solves, one unit of fuel per
+    evaluation.
+    @raise Invalid_argument on mismatched sizes or invalid [w]. *)

@@ -1,4 +1,4 @@
-module Roots = Lopc_numerics.Roots
+module Fixed_point = Lopc_numerics.Fixed_point
 
 type solution = {
   window : int;
@@ -51,43 +51,51 @@ let residencies (params : Params.t) ~w ~window x =
     end
   end
 
-let solve ?(window = 1) (params : Params.t) ~w =
+let solve_status ?budget ?(window = 1) (params : Params.t) ~w =
   Params.check ~who:"Windowed" params ~w;
   if window < 1 then invalid_arg "Windowed: window must be at least 1";
   let kf = Float.of_int window in
-  (* h x = window / R(x) − x changes sign exactly once in (0, x_max). *)
-  let h x =
-    match residencies params ~w ~window x with
-    | None -> -1.
-    | Some (rw, rq, ry, _, _) ->
-      let r = rw +. (2. *. params.st) +. rq +. ry in
-      (kf /. r) -. x
-  in
   (* The rate can never exceed the handler-capacity and BKT-validity
-     ceilings; bisect within them. *)
+     ceilings, so the slot cycle R = window / X is at least [lb]. *)
   let x_max =
     Float.min (u_limit /. params.so) (if w > 0. then 1. /. w else infinity) *. 0.999
   in
-  let x_lo = 1e-12 in
-  let x =
-    if h x_max >= 0. then x_max
-    else Roots.bisect ~tol:1e-14 ~f:h x_lo x_max
+  let lb =
+    (kf /. x_max
+    [@lint.allow
+      "division-by-vanishing"
+        "x_max > 0: Params.check admits only a finite So > 0 and W >= 0"])
   in
-  match residencies params ~w ~window x with
-  | None ->
-    (* Only reachable if bisection landed on the infeasible edge. *)
-    invalid_arg "Windowed: configuration saturates the processors"
-  | Some (rw, rq, ry, uq, qq) ->
-    let r = rw +. (2. *. params.st) +. rq +. ry in
-    {
-      window;
-      r;
-      rw;
-      rq;
-      ry;
-      uq;
-      qq;
-      node_rate = x;
-      throughput = Float.of_int params.p *. x;
-      processor_util = x *. (w +. (2. *. params.so));
-    }
+  (* The search runs on R in units of lb·2⁻⁴⁰, as Amva's does: the
+     kernel's absolute tolerance then sits below rounding whatever the
+     time scale, and scaling every time by a power of two leaves the
+     search bit for bit the same. A cycle time whose rate saturates a
+     denominator maps to [max_float], above every R, so the search moves
+     up and away from it. *)
+  let unit = Float.ldexp lb (-40) in
+  let f v =
+    match residencies params ~w ~window (kf /. (v *. unit)) with
+    | None -> Float.max_float
+    | Some (rw, rq, ry, _, _) -> (rw +. (2. *. params.st) +. rq +. ry) /. unit
+  in
+  match Fixed_point.solve_above_status ?budget ~f (lb /. unit) with
+  | v, (Fixed_point.Converged { iters } as status) -> (
+    let x = kf /. (v *. unit) in
+    match residencies params ~w ~window x with
+    | None -> (None, Fixed_point.Diverged { iters; residual = Float.abs (f v -. v) })
+    | Some (rw, rq, ry, uq, qq) ->
+      ( Some
+          {
+            window;
+            r = rw +. (2. *. params.st) +. rq +. ry;
+            rw;
+            rq;
+            ry;
+            uq;
+            qq;
+            node_rate = x;
+            throughput = Float.of_int params.p *. x;
+            processor_util = x *. (w +. (2. *. params.so));
+          },
+        status ))
+  | _, status -> (None, status)

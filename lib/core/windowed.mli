@@ -29,9 +29,11 @@
     R  = Rw + 2·St + Rq + Ry       and X = window / R.
     v}
 
-    The fixed point in [X] is bracketed by [0] and the node saturation
-    rate and solved by bisection. Validated against the simulator's
-    windowed mode within ~10% across window ∈ 1..8 (see
+    {!solve_status} brackets the fixed point in [R], with [X = window/R],
+    upward from [window / x_max], where [x_max] sits just below the
+    handler-capacity and BKT-validity rate ceilings
+    ({!Lopc_numerics.Fixed_point.solve_above_status}). Validated against
+    the simulator's windowed mode within ~10% across window ∈ 1..8 (see
     [test_integration.ml]). *)
 
 type solution = {
@@ -51,9 +53,18 @@ type solution = {
                                processor consumed per unit time. *)
 }
 
-val solve : ?window:int -> Params.t -> w:float -> solution
-(** [solve params ~w] solves the windowed homogeneous all-to-all model.
-    [window] defaults to [1].
+val solve_status :
+  ?budget:Lopc_robust.Budget.t ->
+  ?window:int ->
+  Params.t ->
+  w:float ->
+  solution option * Lopc_numerics.Fixed_point.status
+(** [solve_status params ~w] solves the windowed homogeneous all-to-all
+    model. [window] defaults to [1]. [Converged { iters }] counts
+    evaluations of the cycle-time map, and [budget] is consulted once
+    per evaluation; other outcomes return no solution. A cycle time the
+    search ends on whose rate saturates a handler or thread denominator
+    is [Diverged], never an exception.
     @raise Invalid_argument if [window < 1] or [w < 0.]. *)
 
 val saturation_rate : Params.t -> w:float -> float

@@ -34,9 +34,8 @@ type iteration =
           if a sweep goes non-finite). *)
 
 exception State_space_too_large of int
-(** The state budget a raising caller reports when {!solve_status}
-    returns [Too_large]. A [transitions] function may raise it to impose
-    its own cap; {!solve_status} maps it to [Too_large] as well. *)
+(** A [transitions] function may raise it to impose its own cap;
+    {!solve_status} and {!explore} map it to [Too_large]. *)
 
 type status =
   | Converged of { iters : int }

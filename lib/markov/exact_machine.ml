@@ -416,13 +416,3 @@ let all_to_all_status ?budget ?(max_states = 2_000_000) ~p ~w ~so ~st () =
       match Ctmc.solve ?budget chain.graph ~price:rate with
       | Some sol, status -> (Some (aggregate chain ~p ~mu_so sol), status)
       | None, status -> (None, status))
-
-(* Raises on overflow and returns the last iterate of a
-   non-converged sweep. *)
-let all_to_all ?max_states ~p ~w ~so ~st () =
-  match all_to_all_status ?max_states ~p ~w ~so ~st () with
-  | Some r, _ -> r
-  | None, Ctmc.Too_large { max_states } -> raise (Ctmc.State_space_too_large max_states)
-  | None, _ ->
-    (* No budget was passed, so no other solution-less status can occur. *)
-    assert false

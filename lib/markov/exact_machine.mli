@@ -77,26 +77,17 @@ val canonical : machine -> int -> int * int
     [p! / ties] keys. Any [key] whose [p] digits are below [(2p + 3)·p]
     is accepted, reachable or not. *)
 
-val all_to_all :
-  ?max_states:int -> p:int -> w:float -> so:float -> st:float -> unit -> result
-(** [all_to_all ~p ~w ~so ~st ()] solves the [p]-node machine exactly.
-    All times must be strictly positive (exponential rates); [p >= 2].
-    [max_states] bounds the unlumped state count and defaults to
-    [2_000_000].
-    @raise Invalid_argument on non-positive parameters.
-    @raise Ctmc.State_space_too_large if the chain has more than
-    [max_states] states or [p > max_nodes]. *)
-
 val all_to_all_status :
   ?budget:Lopc_robust.Budget.t ->
   ?max_states:int ->
   p:int -> w:float -> so:float -> st:float -> unit ->
   result option * Ctmc.status
-(** Non-raising variant of {!all_to_all} for supervised callers (the
-    degradation cascade): state-space overflow, a non-converged power
-    iteration, and budget stops come back as a {!Ctmc.status} instead of
-    an exception or a silent wrong answer. [max_states] bounds the
-    unlumped state count: exploration stops with [Too_large] once the
+(** [all_to_all_status ~p ~w ~so ~st ()] solves the [p]-node machine
+    exactly. All times must be strictly positive (exponential rates);
+    [p >= 2]. State-space overflow, a non-converged power iteration, and
+    budget stops come back as a {!Ctmc.status} instead of an exception
+    or a silent wrong answer. [max_states] bounds the unlumped state
+    count and defaults to [2_000_000]: exploration stops with [Too_large] once the
     orbits expanded so far hold more than [max_states] states, so a chain
     too large for the cap is refused although its orbits would fit; it
     also stops once more than [max_states] orbits are discovered, which

@@ -128,9 +128,3 @@ let solve_status ?budget ?(approximation = Bard) ?(think_time = 0.) ~stations ~p
         status )
     | _, status -> (None, status)
   end
-
-let solve ?approximation ?think_time ~stations ~population () =
-  match solve_status ?approximation ?think_time ~stations ~population () with
-  | Some s, _ -> s
-  | None, status ->
-    raise (Fixed_point.Diverged ("Amva: " ^ Fixed_point.status_to_string status))

@@ -64,15 +64,3 @@ val solve_status :
     {!Exact_mva.solve}, every problem is reported at once, stations with
     their index — e.g. ["Amva: think time must be finite and >= 0, got
     nan; station 2: station scv must be finite and >= 0, got -1"]. *)
-
-val solve :
-  ?approximation:approximation ->
-  ?think_time:float ->
-  stations:Station.t array ->
-  population:int ->
-  unit ->
-  Solution.t
-(** Raising variant of {!solve_status}.
-    @raise Invalid_argument on invalid inputs (as {!solve_status}).
-    @raise Lopc_numerics.Fixed_point.Diverged on any non-converged
-    outcome, with the rendered status as message. *)

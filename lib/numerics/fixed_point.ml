@@ -6,10 +6,9 @@ type status =
   | Diverged of { iters : int; residual : float }
   | Exhausted of { iters : int; reason : Budget.stop_reason }
 
-(* The model solvers' raising [solve] wrappers predate the structured
-   [status] type; type-directed disambiguation separates the exception from
-   the [status] constructor of the same name. *)
-exception Diverged of string
+exception Unsolved of status
+
+let get_exn = function Some answer, _ -> answer | None, status -> raise (Unsolved status)
 
 let pp_status ppf = function
   | Converged { iters } -> Format.fprintf ppf "converged in %d iterations" iters

@@ -1,10 +1,12 @@
 (** The one budgeted solve kernel of the model solvers.
 
-    [All_to_all], [Fault_model], [Gap], [Torus], [General]'s per-class
-    solves and Bard's AMVA in [Amva] each solve a fixed point [R = F R]
-    of a scalar map in the cycle time, with [F] decreasing above a lower
-    bound. {!solve_above_status} finds it by bracketing the residual
-    [F R − R] from that bound. *)
+    [All_to_all], [Fault_model], [Gap], [Torus], [Windowed], [General]'s
+    per-class solves and Bard's AMVA in [Amva] each solve a fixed point
+    [R = F R] of a scalar map in the cycle time, with [F] decreasing
+    above a lower bound. {!solve_above_status} finds it by bracketing the
+    residual [F R − R] from that bound. Each model exports one
+    [solve_status] returning [(answer option, status)]; {!get_exn} turns
+    that pair into the answer or an {!Unsolved} exception. *)
 
 type status =
   | Converged of { iters : int }
@@ -32,10 +34,15 @@ val pp_status : Format.formatter -> status -> unit
 val status_to_string : status -> string
 (** [status_to_string s] is {!pp_status} rendered to a string. *)
 
-exception Diverged of string
-(** Raised by the model solvers' raising [solve] entry points on any
-    outcome but [Converged]. New code should prefer the [_status]
-    variants. *)
+exception Unsolved of status
+(** Raised by {!get_exn} on an outcome without an answer; it carries
+    that outcome's status. *)
+
+val get_exn : 'a option * status -> 'a
+(** [get_exn (solve_status …)] is the answer of a model's
+    [solve_status], for callers that treat any other outcome as an
+    error.
+    @raise Unsolved with the status when there is no answer. *)
 
 val solve_above_status :
   ?budget:Lopc_robust.Budget.t ->

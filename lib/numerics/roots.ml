@@ -10,33 +10,6 @@ exception No_bracket
 
 let same_strict_sign a b = (a > 0. && b > 0.) || (a < 0. && b < 0.)
 
-let bisect ?(tol = 1e-9) ?(max_iter = 200) ~f lo hi =
-  let flo = f lo and fhi = f hi in
-  if is_zero flo then lo
-  else if is_zero fhi then hi
-  else if same_strict_sign flo fhi then raise No_bracket
-  else begin
-    let lo = ref lo and hi = ref hi and flo = ref flo in
-    let result = ref Float.nan in
-    (try
-       for _ = 1 to max_iter do
-         let mid = 0.5 *. (!lo +. !hi) in
-         let fmid = f mid in
-         if is_zero fmid || !hi -. !lo < tol then begin
-           result := mid;
-           raise Exit
-         end;
-         if same_strict_sign !flo fmid then begin
-           lo := mid;
-           flo := fmid
-         end
-         else hi := mid
-       done;
-       result := 0.5 *. (!lo +. !hi)
-     with Exit -> ());
-    !result
-  end
-
 (* Brent's method, following the classical Brent (1973) formulation. *)
 let brent ?(tol = 1e-12) ?(max_iter = 200) ~f lo hi =
   let a = ref lo and b = ref hi in

@@ -9,12 +9,6 @@ exception No_bracket
 (** Raised when a bracketing interval does not actually bracket a sign
     change. *)
 
-val bisect :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float -> float
-(** [bisect ~f lo hi] finds a root of [f] in [\[lo, hi\]] by bisection.
-    [tol] (default [1e-9]) bounds the final interval width.
-    @raise No_bracket if [f lo] and [f hi] have the same strict sign. *)
-
 val brent :
   ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float -> float
 (** [brent ~f lo hi] finds a root with Brent's method — inverse quadratic

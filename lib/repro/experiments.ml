@@ -15,6 +15,7 @@ module Priority = Lopc_mva.Priority
 module Rng = Lopc_prng.Rng
 module Recorder = Lopc_obs.Recorder
 module Sim_probe = Lopc_obs.Sim_probe
+module Fixed_point = Lopc_numerics.Fixed_point
 
 type fidelity = Quick | Full
 
@@ -64,6 +65,12 @@ let point_tasks ~seed ~artifact points row =
    each so even the analytic tables parallelise. *)
 let pure_tasks points row =
   Array.map (fun point () -> row point) (Array.of_list points)
+
+(* An artifact has no fallback for a model without an answer: the
+   [Fixed_point.Unsolved] that [get_exn] raises ends the sweep, which
+   reports its status. *)
+let all_to_all_model ?execution params ~w =
+  Fixed_point.get_exn (A.solve_status ?execution params ~w)
 
 (* Shared experiment constants (see EXPERIMENTS.md). *)
 let nodes = 32
@@ -143,7 +150,7 @@ let fig5_2_plan ?trace_dir ~fidelity ~seed =
       point_tasks ~seed ~artifact:"fig5.2" w_sweep (fun ~rng w ->
           let lb = A.lower_bound params ~w in
           let ub = A.upper_bound params ~w in
-          let model = (A.solve params ~w).A.r in
+          let model = (all_to_all_model params ~w).A.r in
           let sim =
             with_trace ~trace_dir ~artifact:"fig5.2"
               ~label:(Printf.sprintf "w%g" w) ~nodes (fun obs ->
@@ -170,7 +177,7 @@ let fig5_3_plan ~fidelity ~seed =
   {
     tasks =
       point_tasks ~seed ~artifact:"fig5.3" w_sweep (fun ~rng w ->
-          let s = A.solve params ~w in
+          let s = all_to_all_model params ~w in
           let replication = Rng.split rng in
           let m = simulate_all_to_all ~fidelity ~rng:replication ~w ~so ~c2 () in
           let sim_rw = Welford.mean m.Metrics.rw -. w in
@@ -212,7 +219,7 @@ let table5_3_plan ~fidelity ~seed =
             Metrics.mean_response
               (simulate_all_to_all ~fidelity ~rng:replication ~w ~so ~c2 ())
           in
-          let lopc = (A.solve params ~w).A.r in
+          let lopc = (all_to_all_model params ~w).A.r in
           let logp = Logp.cycle_time params ~w in
           [
             [
@@ -297,7 +304,8 @@ let ablation_arrival_theorem_plan () =
             let population = nodes - servers in
             let exact = Exact_mva.solve ~think_time:think ~stations ~population () in
             let solve approximation =
-              (Amva.solve ~approximation ~think_time:think ~stations ~population ())
+              (Fixed_point.get_exn
+                 (Amva.solve_status ~approximation ~think_time:think ~stations ~population ()))
                 .Solution.throughput
             in
             let xe = exact.Solution.throughput in
@@ -329,7 +337,7 @@ let ablation_priority_plan () =
   {
     tasks =
       pure_tasks w_sweep (fun w ->
-          let s = A.solve params ~w in
+          let s = all_to_all_model params ~w in
           let bkt =
             Priority.bkt ~work:w ~handler_service:so ~handler_queue:s.A.qq
               ~handler_util:s.A.uq
@@ -359,8 +367,8 @@ let ablation_scv_correction_plan ~fidelity ~seed =
             Metrics.mean_response
               (simulate_all_to_all ~fidelity ~rng:replication ~w ~so ~c2:0. ())
           in
-          let corrected = (A.solve with_corr ~w).A.r in
-          let uncorrected = (A.solve without_corr ~w).A.r in
+          let corrected = (all_to_all_model with_corr ~w).A.r in
+          let uncorrected = (all_to_all_model without_corr ~w).A.r in
           [
             [
               Table.Float w;
@@ -389,7 +397,8 @@ let damped_cycle_time params ~w =
     let fr = A.fixed_point_map params ~w (Float.max r lb) in
     if Float.abs (fr -. r) <= 1e-12 *. Float.max 1. (Float.abs r) then Float.max fr lb
     else if steps = 10_000 then
-      raise (Lopc_numerics.Fixed_point.Diverged "ablate.solvers: damped iteration")
+      Fixed_point.get_exn
+        (None, Fixed_point.Diverged { iters = steps; residual = Float.abs (fr -. r) })
     else iterate (steps + 1) ((0.5 *. r) +. (0.5 *. fr))
   in
   iterate 1 lb
@@ -412,7 +421,7 @@ let ablation_solvers_plan () =
     tasks =
       pure_tasks grid (fun (p, st, so, w) ->
           let params = Params.create ~c2:0. ~p ~st ~so () in
-          let brent = (A.solve params ~w).A.r in
+          let brent = (all_to_all_model params ~w).A.r in
           let iter = damped_cycle_time params ~w in
           let poly = quartic_cycle_time params ~w in
           [
@@ -439,8 +448,8 @@ let shared_memory_comparison_plan ~fidelity ~seed =
     tasks =
       point_tasks ~seed ~artifact:"shared-memory" [ 2.; 32.; 256.; 1024.; 2048. ]
         (fun ~rng w ->
-          let mp = (A.solve params ~w).A.r in
-          let pp = (A.solve ~execution:A.Protocol_processor params ~w).A.r in
+          let mp = (all_to_all_model params ~w).A.r in
+          let pp = (all_to_all_model ~execution:A.Protocol_processor params ~w).A.r in
           let rep_mp = Rng.split rng in
           let sim_mp =
             Metrics.mean_response
@@ -474,11 +483,13 @@ let windowed_speedup_plan ~fidelity ~seed =
   let so = 200. and w = 1000. and c2 = 1. in
   let params = Params.create ~c2 ~p:nodes ~st:wire_latency ~so () in
   let saturation = Lopc.Windowed.saturation_rate params ~w in
-  let base = (Lopc.Windowed.solve ~window:1 params ~w).Lopc.Windowed.node_rate in
+  let base =
+    (Fixed_point.get_exn (Lopc.Windowed.solve_status ~window:1 params ~w)).Lopc.Windowed.node_rate
+  in
   {
     tasks =
       point_tasks ~seed ~artifact:"windowed" [ 1; 2; 3; 4; 6; 8 ] (fun ~rng window ->
-          let model = Lopc.Windowed.solve ~window params ~w in
+          let model = Fixed_point.get_exn (Lopc.Windowed.solve_status ~window params ~w) in
           let spec =
             Lopc_activemsg.Spec.all_to_all ~window ~nodes ~work:(D.Exponential w)
               ~handler:(D.Exponential so) ~wire:(D.Constant wire_latency) ()
@@ -524,7 +535,9 @@ let ablation_multiserver_plan () =
               Array.init servers (fun _ -> Station.queueing ~scv:1. ~servers:threads ~demand ())
             in
             let population = nodes - servers in
-            (Amva.solve ~approximation:Amva.Bard ~think_time:think ~stations ~population ())
+            (Fixed_point.get_exn
+               (Amva.solve_status ~approximation:Amva.Bard ~think_time:think ~stations
+                  ~population ()))
               .Solution.throughput
           in
           [
@@ -566,9 +579,9 @@ let notification_modes_plan ~fidelity ~seed =
       point_tasks ~seed ~artifact:"notification"
         [ 0.; 50.; 100.; 200.; 500.; 1000.; 2000.; 4000. ]
         (fun ~rng w ->
-          let interrupt = (A.solve params ~w).A.r in
-          let polling = (A.solve ~execution:A.Polling params ~w).A.r in
-          let pp = (A.solve ~execution:A.Protocol_processor params ~w).A.r in
+          let interrupt = (all_to_all_model params ~w).A.r in
+          let polling = (all_to_all_model ~execution:A.Polling params ~w).A.r in
+          let pp = (all_to_all_model ~execution:A.Protocol_processor params ~w).A.r in
           let rep_interrupt = Rng.split rng in
           let rep_polling = Rng.split rng in
           let rep_pp = Rng.split rng in
@@ -604,7 +617,7 @@ let gap_study_plan ~fidelity ~seed =
     tasks =
       point_tasks ~seed ~artifact:"gap" [ 0.; 5.; 10.; 25.; 50.; 100.; 200.; 400. ]
         (fun ~rng gap ->
-          let model = Lopc.Gap.solve ~gap params ~w in
+          let model = Fixed_point.get_exn (Lopc.Gap.solve_status ~gap params ~w) in
           let spec =
             Lopc_activemsg.Spec.all_to_all ~gap ~nodes ~work:(D.Exponential w)
               ~handler:(D.Exponential so) ~wire:(D.Constant wire_latency) ()
@@ -642,7 +655,7 @@ let assumptions_audit_plan ~fidelity ~seed =
         (fun ~rng w ->
           let replication = Rng.split rng in
           let m = simulate_all_to_all ~fidelity ~rng:replication ~w ~so ~c2 () in
-          let model = A.solve params ~w in
+          let model = all_to_all_model params ~w in
           let arrival = Welford.mean (Metrics.arrival_backlog m) in
           let steady = Metrics.avg_request_queue m +. Metrics.avg_reply_queue m in
           [
@@ -679,7 +692,7 @@ let network_contention_plan ~fidelity ~seed =
     tasks =
       point_tasks ~seed ~artifact:"network" points (fun ~rng (w, link_time) ->
           let topo = Lopc_topology.Topology.create ~nodes ~per_hop:10. ~link_time () in
-          let model = Lopc.Torus.solve params ~topology:topo ~w in
+          let model = Fixed_point.get_exn (Lopc.Torus.solve_status params ~topology:topo ~w) in
           let base =
             Lopc_activemsg.Spec.all_to_all ~nodes ~work:(D.of_mean_scv ~mean:w ~scv:1.)
               ~handler:(D.Exponential so) ~wire:(D.Constant 0.) ()
@@ -712,6 +725,16 @@ let network_contention_plan ~fidelity ~seed =
             "penalty %"; "link util" ];
   }
 
+(* Short space-free reason tokens for provenance cells. *)
+let ctmc_reason = function
+  | Lopc_markov.Ctmc.Converged _ -> "converged"
+  | Lopc_markov.Ctmc.Not_converged _ -> "not-converged"
+  | Lopc_markov.Ctmc.Exhausted { reason } ->
+    (match reason with
+    | Lopc_robust.Budget.Cancelled -> "cancelled"
+    | Lopc_robust.Budget.Fuel_exhausted _ -> "exhausted")
+  | Lopc_markov.Ctmc.Too_large _ -> "state-space"
+
 let exact_comparison_plan ~fidelity ~seed =
   let so = 200. and st = 40. in
   let cycles = sim_cycles fidelity * 2 in
@@ -730,7 +753,12 @@ let exact_comparison_plan ~fidelity ~seed =
   {
     tasks =
       point_tasks ~seed ~artifact:"exact" points (fun ~rng (p, w) ->
-          let exact = Lopc_markov.Exact_machine.all_to_all ~p ~w ~so ~st () in
+          let exact =
+            match Lopc_markov.Exact_machine.all_to_all_status ~p ~w ~so ~st () with
+            | Some exact, _ -> exact
+            | None, status ->
+              invalid_arg (Printf.sprintf "exact: P = %d: %s" p (ctmc_reason status))
+          in
           let spec =
             Lopc_activemsg.Spec.all_to_all ~nodes:p ~work:(D.Exponential w)
               ~handler:(D.Exponential so) ~wire:(D.Exponential st) ()
@@ -741,7 +769,7 @@ let exact_comparison_plan ~fidelity ~seed =
               (Machine.run ~rng:replication ~spec ~cycles ()).Machine.metrics
           in
           let params = Params.create ~c2:1. ~p ~st ~so () in
-          let model = (A.solve params ~w).A.r in
+          let model = (all_to_all_model params ~w).A.r in
           let exact_r = exact.Lopc_markov.Exact_machine.cycle_time in
           [
             [
@@ -765,16 +793,6 @@ let exact_comparison_plan ~fidelity ~seed =
           [ "P"; "W"; "states"; "exact R"; "simulator R"; "sim err %"; "LoPC R";
             "LoPC err %" ];
   }
-
-(* Short space-free reason tokens for provenance cells. *)
-let ctmc_reason = function
-  | Lopc_markov.Ctmc.Converged _ -> "converged"
-  | Lopc_markov.Ctmc.Not_converged _ -> "not-converged"
-  | Lopc_markov.Ctmc.Exhausted { reason } ->
-    (match reason with
-    | Lopc_robust.Budget.Cancelled -> "cancelled"
-    | Lopc_robust.Budget.Fuel_exhausted _ -> "exhausted")
-  | Lopc_markov.Ctmc.Too_large _ -> "state-space"
 
 let fixed_point_reason = function
   | Lopc_numerics.Fixed_point.Converged _ -> "converged"
@@ -890,10 +908,11 @@ let fault_sweep_plan ?trace_dir ~fidelity ~seed =
       point_tasks ~seed ~artifact:"fault" scenarios
         (fun ~rng (drop, duplicate, delay_epsilon) ->
           let model =
-            Lopc.Fault_model.solve
-              (Lopc.Fault_model.config ~drop ~duplicate ~delay_epsilon ~spike_mean
-                 ~max_tries ~timeout ())
-              params ~w
+            Fixed_point.get_exn
+              (Lopc.Fault_model.solve_status
+                 (Lopc.Fault_model.config ~drop ~duplicate ~delay_epsilon ~spike_mean
+                    ~max_tries ~timeout ())
+                 params ~w)
           in
           let fault =
             Lopc_activemsg.Fault.create ~drop ~duplicate ~delay_epsilon

@@ -332,6 +332,25 @@ module Params = Lopc.Params
 module G = Lopc.General
 module Pattern = Lopc_workloads.Pattern
 
+(* Each model exports one [solve_status]. A test that only wants the
+   answer takes it through [FP.get_exn], which raises [FP.Unsolved] on
+   any other outcome. *)
+let general_solve t = FP.get_exn (G.solve_status t)
+
+let amva_solve ?approximation ?think_time ~stations ~population () =
+  FP.get_exn (Amva.solve_status ?approximation ?think_time ~stations ~population ())
+
+let gap_solve ?gap params ~w = FP.get_exn (Lopc.Gap.solve_status ?gap params ~w)
+
+let torus_solve params ~topology ~w = FP.get_exn (Lopc.Torus.solve_status params ~topology ~w)
+
+let windowed_solve ?window params ~w = FP.get_exn (Lopc.Windowed.solve_status ?window params ~w)
+
+let exact_all_to_all ~p ~w ~so ~st =
+  match Lopc_markov.Exact_machine.all_to_all_status ~p ~w ~so ~st () with
+  | Some r, _ -> r
+  | None, status -> Alcotest.failf "exact P=%d: %s" p (ctmc_status_to_string status)
+
 (* The dense per-node form of an Appendix A net: [visits.(k)] is a thread
    at this node's request-handler executions at node [k] per cycle, and a
    pure server ([work = None]) has no row the model reads. [General.t]
@@ -497,7 +516,7 @@ let workpile_amva ?(threads = 1) (params : Params.t) ~w ~servers =
         Station.queueing ~scv:params.c2 ~servers:threads
           ~demand:(params.so /. Float.of_int servers) ())
   in
-  Amva.solve ~approximation:Amva.Bard ~think_time:(w +. (2. *. params.st) +. params.so) ~stations
+  amva_solve ~approximation:Amva.Bard ~think_time:(w +. (2. *. params.st) +. params.so) ~stations
     ~population:(params.p - servers) ()
 
 module Fixed_point = Lopc_numerics.Fixed_point

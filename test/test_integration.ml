@@ -157,7 +157,9 @@ let test_protocol_processor_validation () =
 let test_hotspot_validation () =
   let params = Params.create ~c2:1. ~p:16 ~st:40. ~so:200. () in
   let pat = Pattern.Hotspot { hot = 0; fraction = 0.3 } in
-  let model = (G.solve (Pattern.to_general params ~w:1000. pat)).G.system_throughput in
+  let model =
+    (Harness.general_solve (Pattern.to_general params ~w:1000. pat)).G.system_throughput
+  in
   let sim = simulate ~w:1000. ~so:200. ~st:40. ~c2:1. pat in
   let measured = Metrics.throughput sim.Machine.metrics in
   let err = (model -. measured) /. measured in
@@ -167,7 +169,9 @@ let test_hotspot_validation () =
 let test_multihop_validation () =
   let params = Params.create ~c2:1. ~p:16 ~st:40. ~so:200. () in
   let pat = Pattern.Multi_hop { hops = 2 } in
-  let model = (G.solve (Pattern.to_general params ~w:1000. pat)).G.system_throughput in
+  let model =
+    (Harness.general_solve (Pattern.to_general params ~w:1000. pat)).G.system_throughput
+  in
   let sim = simulate ~w:1000. ~so:200. ~st:40. ~c2:1. pat in
   let measured = Metrics.throughput sim.Machine.metrics in
   let err = (model -. measured) /. measured in
@@ -192,7 +196,7 @@ let test_windowed_model_accuracy () =
   let params = Params.create ~c2:1. ~p:16 ~st:40. ~so:200. () in
   List.iter
     (fun window ->
-      let model = (Lopc.Windowed.solve ~window params ~w:1000.).Lopc.Windowed.node_rate in
+      let model = (Harness.windowed_solve ~window params ~w:1000.).Lopc.Windowed.node_rate in
       let spec =
         Lopc_activemsg.Spec.all_to_all ~window ~nodes:16 ~work:(D.Exponential 1000.)
           ~handler:(D.Exponential 200.) ~wire:(D.Constant 40.) ()
@@ -385,7 +389,7 @@ let test_work_counts () =
    246,096 states over its orbits, and the R committed in
    results/exact.csv. *)
 let test_exact_p5 () =
-  let r = Lopc_markov.Exact_machine.all_to_all ~p:5 ~w:1. ~so:200. ~st:40. () in
+  let r = Harness.exact_all_to_all ~p:5 ~w:1. ~so:200. ~st:40. in
   Alcotest.(check int) "exact P=5 states" 246_096 r.Lopc_markov.Exact_machine.states;
   Alcotest.(check string) "exact P=5 R" "766.715"
     (Printf.sprintf "%.6g" r.Lopc_markov.Exact_machine.cycle_time)

@@ -465,20 +465,20 @@ module Gp = Lopc.Gap
 
 let test_gap_zero_recovers_base () =
   let p = params ~c2:1. () in
-  let s = Gp.solve ~gap:0. p ~w:1000. in
+  let s = Harness.gap_solve ~gap:0. p ~w:1000. in
   feq 1e-9 "same as base model" (A.solve p ~w:1000.).A.r s.Gp.r;
   feq 0. "penalty 0" 0. s.Gp.penalty
 
 let test_gap_monotone () =
   let p = params ~c2:1. () in
-  let r g = (Gp.solve ~gap:g p ~w:1000.).Gp.r in
+  let r g = (Harness.gap_solve ~gap:g p ~w:1000.).Gp.r in
   Alcotest.(check bool) "cycle grows with g" true (r 0. < r 10. && r 10. < r 100. && r 100. < r 400.)
 
 let test_gap_lower_bound_respected () =
   let p = params ~c2:1. () in
   List.iter
     (fun g ->
-      let s = Gp.solve ~gap:g p ~w:500. in
+      let s = Harness.gap_solve ~gap:g p ~w:500. in
       Alcotest.(check bool) "above NI-aware contention-free cost" true
         (s.Gp.r >= Gp.lower_bound ~gap:g p ~w:500.))
     [ 0.; 20.; 100.; 300. ]
@@ -488,17 +488,17 @@ let test_tolerable_gap () =
   let g = Gp.tolerable_gap p ~w:1000. in
   Alcotest.(check bool) "positive" true (g > 0.);
   (* At the threshold the penalty is exactly the target. *)
-  let s = Gp.solve ~gap:g p ~w:1000. in
+  let s = Harness.gap_solve ~gap:g p ~w:1000. in
   Alcotest.(check bool) "penalty ~ 5%" true (Float.abs (s.Gp.penalty -. 0.05) < 1e-3);
   (* A small gap really is irrelevant — the paper's claim. *)
   Alcotest.(check bool) "g = 2 cycles is harmless" true
-    ((Gp.solve ~gap:2. p ~w:1000.).Gp.penalty < 0.01)
+    ((Harness.gap_solve ~gap:2. p ~w:1000.).Gp.penalty < 0.01)
 
 let test_gap_validation () =
   let p = params () in
   Alcotest.(check bool) "negative gap rejected" true
     (try
-       ignore (Gp.solve ~gap:(-1.) p ~w:1.);
+       ignore (Harness.gap_solve ~gap:(-1.) p ~w:1.);
        false
      with Invalid_argument _ -> true)
 
@@ -511,13 +511,13 @@ let test_windowed_one_matches_blocking () =
   List.iter
     (fun w ->
       let blocking = (A.solve p ~w).A.r in
-      let windowed = (W.solve ~window:1 p ~w).W.r in
+      let windowed = (Harness.windowed_solve ~window:1 p ~w).W.r in
       feq (1e-6 *. blocking) "same R" blocking windowed)
     [ 0.; 100.; 1000. ]
 
 let test_windowed_monotone_rate () =
   let p = params ~c2:1. () in
-  let rate k = (W.solve ~window:k p ~w:1000.).W.node_rate in
+  let rate k = (Harness.windowed_solve ~window:k p ~w:1000.).W.node_rate in
   let rec check k = if k > 8 then () else begin
     Alcotest.(check bool) "nondecreasing" true (rate k >= rate (k - 1) -. 1e-12);
     check (k + 1)
@@ -529,14 +529,14 @@ let test_windowed_respects_saturation () =
   let ceiling = W.saturation_rate p ~w:1000. in
   List.iter
     (fun k ->
-      let s = W.solve ~window:k p ~w:1000. in
+      let s = Harness.windowed_solve ~window:k p ~w:1000. in
       Alcotest.(check bool) "below ceiling" true (s.W.node_rate <= ceiling +. 1e-12);
       Alcotest.(check bool) "util <= 1" true (s.W.processor_util <= 1. +. 1e-9))
     [ 1; 2; 4; 8; 16 ]
 
 let test_windowed_speedup_curve () =
   let p = params ~c2:1. () in
-  let rate k = (W.solve ~window:k p ~w:1000.).W.node_rate in
+  let rate k = (Harness.windowed_solve ~window:k p ~w:1000.).W.node_rate in
   let curve = Array.init 6 (fun i -> (i + 1, rate (i + 1) /. rate 1)) in
   Alcotest.(check int) "six points" 6 (Array.length curve);
   let _, s1 = curve.(0) in
@@ -547,7 +547,7 @@ let test_windowed_validation () =
   let p = params () in
   Alcotest.(check bool) "window 0 rejected" true
     (try
-       ignore (W.solve ~window:0 p ~w:1.);
+       ignore (Harness.windowed_solve ~window:0 p ~w:1.);
        false
      with Invalid_argument _ -> true)
 
@@ -558,10 +558,38 @@ let prop_windowed_bounded =
         (float_range 1. 4000.))
     (fun (window, st, so, w) ->
       let p = Params.create ~c2:1. ~p:16 ~st ~so () in
-      let s = W.solve ~window p ~w in
+      let s = Harness.windowed_solve ~window p ~w in
       s.W.node_rate > 0.
       && s.W.node_rate <= W.saturation_rate p ~w +. 1e-12
       && s.W.processor_util <= 1. +. 1e-9)
+
+(* Scaling W, St and So by k scales the slot cycle by k, so node_rate·k
+   is the same number at every k: bit for bit when k is a power of two,
+   since the search runs on R in units of its own lower bound, and to
+   rounding otherwise. The machine is the [windowed] artifact's (P = 32,
+   W/St/So = 1000/40/200, C² = 1). A bisection on the rate with an
+   absolute tolerance in rate units drifted by 5e-6 relative at k = 1e6
+   and found no bracket at all from k = 1e9. *)
+let test_windowed_time_scaling () =
+  let rate window k =
+    let p = Params.create ~c2:1. ~p:32 ~st:(40. *. k) ~so:(200. *. k) () in
+    (Harness.windowed_solve ~window p ~w:(1000. *. k)).W.node_rate *. k
+  in
+  List.iter
+    (fun window ->
+      let base = rate window 1. in
+      List.iter
+        (fun e ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "window %d, k = 2^%d: bit for bit" window e)
+            base
+            (rate window (Float.ldexp 1. e)))
+        [ 20; -20; 40 ];
+      List.iter
+        (fun k ->
+          feq (1e-12 *. base) (Printf.sprintf "window %d, k = %g" window k) base (rate window k))
+        [ 1e-6; 1e6; 1e9; 1e12 ])
+    [ 1; 2; 8 ]
 
 let test_cs_threaded_servers () =
   (* Extra server threads help exactly where servers are the bottleneck. *)
@@ -671,7 +699,7 @@ let prop_all_to_all_monotone =
 let test_general_reduces_to_all_to_all () =
   let p = params ~c2:0. () in
   let direct = A.solve p ~w:1000. in
-  let g = G.solve (Harness.general_all_to_all p ~w:1000.) in
+  let g = Harness.general_solve (Harness.general_all_to_all p ~w:1000.) in
   feq 1e-6 "same cycle time" direct.A.r g.G.cycle_times.(0);
   feq 1e-6 "same throughput" direct.A.throughput g.G.system_throughput;
   feq 1e-6 "same Qq" direct.A.qq g.G.node_solutions.(0).G.qq
@@ -680,7 +708,7 @@ let test_general_reduces_to_all_to_all () =
    AMVA on the same closed network. *)
 let test_general_reduces_to_client_server () =
   let amva = Harness.workpile_amva cs_params ~w:1000. ~servers:5 in
-  let g = G.solve (Harness.general_client_server cs_params ~w:1000. ~servers:5) in
+  let g = Harness.general_solve (Harness.general_client_server cs_params ~w:1000. ~servers:5) in
   feq 1e-5 "same throughput" amva.Lopc_mva.Solution.throughput g.G.system_throughput
 
 let test_general_multi_hop_slower () =
@@ -701,9 +729,9 @@ let test_general_multi_hop_slower () =
                  });
          })
   in
-  let r1 = (G.solve (mk 1)).G.cycle_times.(0) in
-  let r2 = (G.solve (mk 2)).G.cycle_times.(0) in
-  let r3 = (G.solve (mk 3)).G.cycle_times.(0) in
+  let r1 = (Harness.general_solve (mk 1)).G.cycle_times.(0) in
+  let r2 = (Harness.general_solve (mk 2)).G.cycle_times.(0) in
+  let r3 = (Harness.general_solve (mk 3)).G.cycle_times.(0) in
   Alcotest.(check bool) "hops increase cycle time" true (r1 < r2 && r2 < r3);
   (* Each extra hop adds at least St + So. *)
   Alcotest.(check bool) "at least contention-free increment" true
@@ -726,7 +754,7 @@ let test_general_asymmetric_work () =
               });
       }
   in
-  let s = Harness.per_node class_of (G.solve net) in
+  let s = Harness.per_node class_of (Harness.general_solve net) in
   for c = 1 to 7 do
     Alcotest.(check bool) "node 0 slowest" true (s.G.cycle_times.(0) > s.G.cycle_times.(c))
   done
@@ -735,7 +763,7 @@ let test_general_hotspot_contended () =
   (* The hot node must show the largest request queue. *)
   let p = params ~c2:1. ~p:8 () in
   let net = Lopc_workloads.Pattern.to_general p ~w:500. (Lopc_workloads.Pattern.Hotspot { hot = 0; fraction = 0.5 }) in
-  let s = G.solve net in
+  let s = Harness.general_solve net in
   (* Class 0 is the hot node, class 1 the seven others. *)
   Alcotest.(check int) "two classes" 2 (Array.length s.G.node_solutions);
   Alcotest.(check bool) "hot node has longest queue" true
@@ -760,7 +788,7 @@ let test_general_validation () =
   | Ok _ -> Alcotest.fail "ragged visit matrix accepted"
 
 let test_general_servers_have_nan_cycles () =
-  let s = G.solve (Harness.general_client_server cs_params ~w:1000. ~servers:3) in
+  let s = Harness.general_solve (Harness.general_client_server cs_params ~w:1000. ~servers:3) in
   Alcotest.(check bool) "server cycle time undefined" true (Float.is_nan s.G.cycle_times.(0));
   feq 0. "server throughput zero" 0. s.G.throughputs.(0)
 
@@ -772,7 +800,9 @@ let prop_general_homogeneous_matches =
     (fun (p, st, so, w) ->
       let params = Params.create ~c2:1. ~p ~st ~so () in
       let direct = (A.solve params ~w).A.r in
-      let general = (G.solve (Harness.general_all_to_all params ~w)).G.cycle_times.(0) in
+      let general =
+        (Harness.general_solve (Harness.general_all_to_all params ~w)).G.cycle_times.(0)
+      in
       Float.abs (direct -. general) < 1e-9 *. direct)
 
 (* --- shared node equations and input check --------------------------------- *)
@@ -816,11 +846,11 @@ let test_params_check_messages () =
   let fault = Lopc.Fault_model.config ~drop:0.01 ~timeout:20000. () in
   let entry_points =
     [
-      ("All_to_all", fun params ~w -> ignore (A.solve params ~w));
-      ("Fault_model", fun params ~w -> ignore (Lopc.Fault_model.solve fault params ~w));
-      ("Gap", fun params ~w -> ignore (Gp.solve ~gap:1. params ~w));
-      ("Torus", fun params ~w -> ignore (Lopc.Torus.solve params ~topology ~w));
-      ("Windowed", fun params ~w -> ignore (W.solve ~window:2 params ~w));
+      ("All_to_all", fun params ~w -> ignore (A.solve_status params ~w));
+      ("Fault_model", fun params ~w -> ignore (Lopc.Fault_model.solve_status fault params ~w));
+      ("Gap", fun params ~w -> ignore (Gp.solve_status ~gap:1. params ~w));
+      ("Torus", fun params ~w -> ignore (Lopc.Torus.solve_status params ~topology ~w));
+      ("Windowed", fun params ~w -> ignore (W.solve_status ~window:2 params ~w));
       ("Windowed", fun params ~w -> ignore (W.saturation_rate params ~w));
       ("Client_server", fun params ~w -> ignore (CS.throughput params ~w ~servers:4));
     ]
@@ -911,4 +941,5 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 31) prop_cs_monotone_in_w;
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 35) prop_all_to_all_time_scaling;
     QCheck_alcotest.to_alcotest ~rand:(Harness.fixed_rand 38) prop_all_to_all_monotone;
+    Alcotest.test_case "windowed: time scaling" `Quick test_windowed_time_scaling;
   ]

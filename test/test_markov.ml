@@ -69,9 +69,9 @@ let test_ctmc_invalid_rate () =
      with Invalid_argument _ -> true)
 
 let test_exact_machine_small_state_spaces () =
-  let r2 = EM.all_to_all ~p:2 ~w:1000. ~so:200. ~st:40. () in
+  let r2 = Harness.exact_all_to_all ~p:2 ~w:1000. ~so:200. ~st:40. in
   Alcotest.(check bool) "P=2 compact" true (r2.EM.states < 100);
-  let r3 = EM.all_to_all ~p:3 ~w:1000. ~so:200. ~st:40. () in
+  let r3 = Harness.exact_all_to_all ~p:3 ~w:1000. ~so:200. ~st:40. in
   Alcotest.(check bool) "P=3 moderate" true (r3.EM.states < 10_000);
   (* More nodes, slightly more contention. *)
   Alcotest.(check bool) "R grows with P" true (r3.EM.cycle_time > r2.EM.cycle_time)
@@ -79,7 +79,7 @@ let test_exact_machine_small_state_spaces () =
 let test_exact_machine_validates_simulator () =
   (* The exact chain and the event-driven simulator describe the same
      machine: agreement well inside Monte-Carlo noise. *)
-  let exact = EM.all_to_all ~p:3 ~w:1000. ~so:200. ~st:40. () in
+  let exact = Harness.exact_all_to_all ~p:3 ~w:1000. ~so:200. ~st:40. in
   let spec =
     Spec.all_to_all ~nodes:3 ~work:(D.Exponential 1000.) ~handler:(D.Exponential 200.)
       ~wire:(D.Exponential 40.) ()
@@ -97,7 +97,7 @@ let test_exact_machine_measures_model_error () =
      and within the paper's error envelope. *)
   List.iter
     (fun w ->
-      let exact = EM.all_to_all ~p:4 ~w ~so:200. ~st:40. () in
+      let exact = Harness.exact_all_to_all ~p:4 ~w ~so:200. ~st:40. in
       let params = Lopc.Params.create ~c2:1. ~p:4 ~st:40. ~so:200. () in
       let model = (Lopc.All_to_all.solve params ~w).Lopc.All_to_all.r in
       let err = (model -. exact.EM.cycle_time) /. exact.EM.cycle_time in
@@ -109,7 +109,7 @@ let test_exact_machine_measures_model_error () =
 let test_exact_machine_littles_law () =
   (* Exact X, Qq, Qy and per-node utilizations must satisfy the identities
      the model is built on. *)
-  let r = EM.all_to_all ~p:3 ~w:500. ~so:100. ~st:20. () in
+  let r = Harness.exact_all_to_all ~p:3 ~w:500. ~so:100. ~st:20. in
   (* Uq + Uy <= 1 (one handler at a time). *)
   Alcotest.(check bool) "processor not oversubscribed" true (r.EM.uq +. r.EM.uy <= 1.);
   (* Utilization = throughput x service (per node, one request and one
@@ -126,12 +126,12 @@ let test_exact_machine_validation () =
            false
          with Invalid_argument _ -> true))
     [
-      (fun () -> EM.all_to_all ~p:1 ~w:1. ~so:1. ~st:1. ());
-      (fun () -> EM.all_to_all ~p:0 ~w:1. ~so:1. ~st:1. ());
-      (fun () -> EM.all_to_all ~p:(-3) ~w:1. ~so:1. ~st:1. ());
-      (fun () -> EM.all_to_all ~p:min_int ~w:1. ~so:1. ~st:1. ());
-      (fun () -> EM.all_to_all ~p:2 ~w:0. ~so:1. ~st:1. ());
-      (fun () -> EM.all_to_all ~p:2 ~w:1. ~so:(-1.) ~st:1. ());
+      (fun () -> EM.all_to_all_status ~p:1 ~w:1. ~so:1. ~st:1. ());
+      (fun () -> EM.all_to_all_status ~p:0 ~w:1. ~so:1. ~st:1. ());
+      (fun () -> EM.all_to_all_status ~p:(-3) ~w:1. ~so:1. ~st:1. ());
+      (fun () -> EM.all_to_all_status ~p:min_int ~w:1. ~so:1. ~st:1. ());
+      (fun () -> EM.all_to_all_status ~p:2 ~w:0. ~so:1. ~st:1. ());
+      (fun () -> EM.all_to_all_status ~p:2 ~w:1. ~so:(-1.) ~st:1. ());
     ]
 
 (* --- differential reference: the seed solver ----------------------------- *)
@@ -584,27 +584,23 @@ let prop_packed_matches_lists =
   QCheck.Test.make ~name:"exact machine: packed states match the list machine"
     ~count:12 arb_machine
     (fun (p, w, so, st) ->
-      let a = EM.all_to_all ~p ~w ~so ~st () and b = List_machine.all_to_all ~p ~w ~so ~st in
+      let a = Harness.exact_all_to_all ~p ~w ~so ~st
+      and b = List_machine.all_to_all ~p ~w ~so ~st in
       let close x y = Float.abs (x -. y) <= 1e-9 *. Float.abs y in
       a.EM.states = b.EM.states
       && close a.cycle_time b.cycle_time
       && close a.qq b.qq && close a.qy b.qy && close a.uq b.uq && close a.uy b.uy)
 
-(* Past [max_nodes] the key would overflow: the status entry point reports
-   [Too_large] without exploring, the raising one raises, and [p] itself
-   never enters the arithmetic (so [max_int] cannot overflow). *)
+(* Past [max_nodes] the key would overflow: the solve reports [Too_large]
+   without exploring, and [p] itself never enters the arithmetic (so
+   [max_int] cannot overflow). *)
 let test_exact_machine_hostile_p () =
   List.iter
     (fun p ->
-      (match EM.all_to_all_status ~p ~w:1. ~so:1. ~st:1. () with
+      match EM.all_to_all_status ~p ~w:1. ~so:1. ~st:1. () with
       | None, Ctmc.Too_large { max_states = 2_000_000 } -> ()
       | _, st ->
-        Alcotest.failf "p=%d: expected Too_large, got %s" p (Harness.ctmc_status_to_string st));
-      Alcotest.(check bool) (Printf.sprintf "p=%d raises" p) true
-        (try
-           ignore (EM.all_to_all ~p ~w:1. ~so:1. ~st:1. ());
-           false
-         with Ctmc.State_space_too_large 2_000_000 -> true))
+        Alcotest.failf "p=%d: expected Too_large, got %s" p (Harness.ctmc_status_to_string st))
     [ EM.max_nodes + 1; max_int ];
   (* At the bound itself the key still fits: exploration runs until the
      state budget stops it. *)
@@ -648,8 +644,8 @@ let prop_exact_time_scaling =
   QCheck.Test.make ~name:"exact machine: scaling W, So and St by k scales R by k" ~count:40
     QCheck.(pair arb_machine (make ~print:string_of_float Gen.(oneofl [ 2.; 4.; 0.5 ])))
     (fun ((p, w, so, st), k) ->
-      let a = EM.all_to_all ~p ~w ~so ~st ()
-      and b = EM.all_to_all ~p ~w:(k *. w) ~so:(k *. so) ~st:(k *. st) () in
+      let a = Harness.exact_all_to_all ~p ~w ~so ~st
+      and b = Harness.exact_all_to_all ~p ~w:(k *. w) ~so:(k *. so) ~st:(k *. st) in
       a.EM.states = b.EM.states
       && Float.equal a.qq b.qq && Float.equal a.qy b.qy
       && Float.equal a.uq b.uq && Float.equal a.uy b.uy
@@ -660,8 +656,8 @@ let prop_exact_monotone_in_w =
   QCheck.Test.make ~name:"exact machine: R non-decreasing in W" ~count:40
     QCheck.(pair arb_machine (float_range 1. 4.))
     (fun ((p, w, so, st), g) ->
-      (EM.all_to_all ~p ~w ~so ~st ()).EM.cycle_time
-      <= (EM.all_to_all ~p ~w:(g *. w) ~so ~st ()).EM.cycle_time)
+      (Harness.exact_all_to_all ~p ~w ~so ~st).EM.cycle_time
+      <= (Harness.exact_all_to_all ~p ~w:(g *. w) ~so ~st).EM.cycle_time)
 
 (* Monotonicity in So (ROADMAP item 4): a longer handler cannot shorten
    the cycle. The chain is solved to a tolerance, so a step that barely
@@ -670,7 +666,7 @@ let prop_exact_monotone_in_so =
   QCheck.Test.make ~name:"exact machine: R non-decreasing in So" ~count:20
     QCheck.(pair arb_machine (float_range 1. 4.))
     (fun ((p, w, so, st), g) ->
-      let r so = (EM.all_to_all ~p ~w ~so ~st ()).EM.cycle_time in
+      let r so = (Harness.exact_all_to_all ~p ~w ~so ~st).EM.cycle_time in
       let before = r so and after = r (g *. so) in
       before <= after *. (1. +. 1e-9)
       || QCheck.Test.fail_reportf "R fell from %.17g to %.17g" before after)
@@ -684,7 +680,7 @@ let prop_exact_monotone_in_so =
    from P = 3 to P = 4, by up to 1 %; the LoPC model, in contrast, is
    non-decreasing in P (the [lopc] suite's monotonicity law). *)
 let test_exact_falls_in_p_under_heavy_load () =
-  let r p = (EM.all_to_all ~p ~w:10. ~so:400. ~st:1. ()).EM.cycle_time in
+  let r p = (Harness.exact_all_to_all ~p ~w:10. ~so:400. ~st:1.).EM.cycle_time in
   let r2 = r 2 and r3 = r 3 and r4 = r 4 in
   if not (r2 > r3 && r3 > r4 *. 1.005) then
     Alcotest.failf "expected R to fall with P: %.4f, %.4f, %.4f at P = 2, 3, 4" r2 r3 r4

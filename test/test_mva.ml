@@ -67,7 +67,7 @@ let test_exact_invalid () =
 let amva_vs_exact approximation ~n ~expect_within =
   let stations = [| Station.queueing ~demand:1. (); Station.queueing ~demand:0.7 () |] in
   let exact = Exact.solve ~think_time:5. ~stations ~population:n () in
-  let approx = Amva.solve ~approximation ~think_time:5. ~stations ~population:n () in
+  let approx = Harness.amva_solve ~approximation ~think_time:5. ~stations ~population:n () in
   let err =
     Float.abs (approx.Solution.throughput -. exact.Solution.throughput)
     /. exact.Solution.throughput
@@ -86,7 +86,7 @@ let test_schweitzer_beats_bard () =
   let stations = [| Station.queueing ~demand:1. (); Station.queueing ~demand:0.7 () |] in
   let exact = Exact.solve ~think_time:5. ~stations ~population:10 () in
   let err approximation =
-    let s = Amva.solve ~approximation ~think_time:5. ~stations ~population:10 () in
+    let s = Harness.amva_solve ~approximation ~think_time:5. ~stations ~population:10 () in
     Float.abs (s.Solution.throughput -. exact.Solution.throughput)
   in
   Alcotest.(check bool) "schweitzer at least as accurate" true
@@ -97,20 +97,22 @@ let test_bard_pessimistic () =
      lengths => under-predicts throughput. *)
   let stations = [| Station.queueing ~demand:1. () |] in
   let exact = Exact.solve ~think_time:2. ~stations ~population:5 () in
-  let bard = Amva.solve ~approximation:Amva.Bard ~think_time:2. ~stations ~population:5 () in
+  let bard =
+    Harness.amva_solve ~approximation:Amva.Bard ~think_time:2. ~stations ~population:5 ()
+  in
   Alcotest.(check bool) "bard underestimates X" true
     (bard.Solution.throughput <= exact.Solution.throughput +. 1e-9)
 
 let test_amva_population_zero () =
   let stations = [| Station.queueing ~demand:1. () |] in
-  let s = Amva.solve ~stations ~population:0 () in
+  let s = Harness.amva_solve ~stations ~population:0 () in
   feq 0. "zero throughput" 0. s.Solution.throughput
 
 let test_amva_scv_reduces_waiting () =
   (* Constant service (scv 0) queues less than exponential (scv 1). *)
   let solve scv =
     let stations = [| Station.queueing ~scv ~demand:1. () |] in
-    (Amva.solve ~think_time:1. ~stations ~population:8 ()).Solution.throughput
+    (Harness.amva_solve ~think_time:1. ~stations ~population:8 ()).Solution.throughput
   in
   Alcotest.(check bool) "X(scv=0) > X(scv=1)" true (solve 0. > solve 1.);
   Alcotest.(check bool) "X(scv=2) < X(scv=1)" true (solve 2. < solve 1.)
@@ -139,10 +141,10 @@ let test_multiserver_reduces_to_single () =
   let demand = 1.3 in
   let solve servers =
     let stations = [| Station.queueing ~servers ~demand () |] in
-    (Amva.solve ~think_time:4. ~stations ~population:10 ()).Solution.throughput
+    (Harness.amva_solve ~think_time:4. ~stations ~population:10 ()).Solution.throughput
   in
   feq 1e-12 "c=1 unchanged" (solve 1)
-    ((Amva.solve ~think_time:4.
+    ((Harness.amva_solve ~think_time:4.
         ~stations:[| Station.queueing ~demand () |]
         ~population:10 ())
        .Solution.throughput)
@@ -150,7 +152,7 @@ let test_multiserver_reduces_to_single () =
 let test_multiserver_monotone () =
   let solve servers =
     let stations = [| Station.queueing ~servers ~demand:2. () |] in
-    (Amva.solve ~think_time:2. ~stations ~population:20 ()).Solution.throughput
+    (Harness.amva_solve ~think_time:2. ~stations ~population:20 ()).Solution.throughput
   in
   Alcotest.(check bool) "more servers, more throughput" true
     (solve 1 < solve 2 && solve 2 < solve 4)
@@ -159,7 +161,7 @@ let test_multiserver_delay_limit () =
   (* With many servers the station degenerates into a pure delay:
      X -> N / (Z + D). *)
   let stations = [| Station.queueing ~servers:64 ~demand:2. () |] in
-  let s = Amva.solve ~think_time:2. ~stations ~population:8 () in
+  let s = Harness.amva_solve ~think_time:2. ~stations ~population:8 () in
   Alcotest.(check bool) "close to delay limit" true
     (Float.abs (s.Solution.throughput -. (8. /. 4.)) /. 2. < 0.15)
 
@@ -196,7 +198,9 @@ let prop_bard_below_exact =
     (fun (n, d, z) ->
       let stations = [| Station.queueing ~demand:d () |] in
       let exact = Exact.solve ~think_time:z ~stations ~population:n () in
-      let bard = Amva.solve ~approximation:Amva.Bard ~think_time:z ~stations ~population:n () in
+      let bard =
+        Harness.amva_solve ~approximation:Amva.Bard ~think_time:z ~stations ~population:n ()
+      in
       bard.Solution.throughput <= exact.Solution.throughput +. 1e-6)
 
 (* --- non-finite think time ------------------------------------------------- *)

@@ -8,14 +8,6 @@ module Minimize = Lopc_numerics.Minimize
 
 let feq tol = Alcotest.(check (float tol))
 
-let test_bisect_sqrt2 () =
-  let r = Roots.bisect ~f:(fun x -> (x *. x) -. 2.) 0. 2. in
-  feq 1e-8 "sqrt 2" (sqrt 2.) r
-
-let test_bisect_no_bracket () =
-  Alcotest.check_raises "no bracket" Roots.No_bracket (fun () ->
-      ignore (Roots.bisect ~f:(fun x -> (x *. x) +. 1.) (-1.) 1.))
-
 let test_brent_cos () =
   let r = Roots.brent ~f:cos 1. 2. in
   feq 1e-10 "pi/2" (2. *. atan 1.) r
@@ -343,8 +335,6 @@ let prop_linear_roundtrip =
 
 let suite =
   [
-    Alcotest.test_case "bisect sqrt2" `Quick test_bisect_sqrt2;
-    Alcotest.test_case "bisect requires bracket" `Quick test_bisect_no_bracket;
     Alcotest.test_case "brent cos" `Quick test_brent_cos;
     Alcotest.test_case "brent endpoint root" `Quick test_brent_endpoint_root;
     Alcotest.test_case "brent steep function" `Quick test_brent_steep;

@@ -444,6 +444,72 @@ let test_cascade_jobs_invariant () =
   in
   Alcotest.(check string) "--jobs 1 = --jobs 8, byte for byte" (render 1) (render 8)
 
+(* Every model's one solving entry at one default point (P = 32,
+   W/St/So = 1000/40/200, C² = 1): no fuel stops it before its first
+   evaluation, a flipped token stops it too, and without a budget it
+   converges. The pinned bits are what each model's raising [solve]
+   returned before those entries went; Windowed's are its bracketed
+   solve's on R, which the bisection on the rate it replaced missed by
+   about 2e-12 relative (0x1.4b99dda5420c3p-11). *)
+let test_every_solve_status_budget () =
+  let params = Params.create ~c2:1. ~p:32 ~st:40. ~so:200. () and w = 1000. in
+  let answer field (s, status) = (Option.map field s, status) in
+  let fault = FM.config ~drop:0.01 ~timeout:20000. () in
+  let hotspot =
+    Lopc_workloads.Pattern.to_general params ~w
+      (Lopc_workloads.Pattern.Hotspot { hot = 0; fraction = 0.3 })
+  in
+  let stations = [| Station.queueing ~demand:1. (); Station.queueing ~demand:2. () |] in
+  let topology = Lopc_topology.Topology.create ~nodes:32 ~per_hop:1. ~link_time:20. () in
+  let cases =
+    [
+      ( "All_to_all",
+        (fun budget -> answer (fun s -> s.A.r) (A.solve_status ?budget params ~w)),
+        0x1.b07eb2a5ca21fp+10 );
+      ( "Fault_model",
+        (fun budget -> answer (fun s -> s.FM.r) (FM.solve_status ?budget fault params ~w)),
+        0x1.0509507e49e2ap+11 );
+      ( "General",
+        (fun budget -> answer (fun s -> s.G.cycle_times.(0)) (G.solve_status ?budget hotspot)),
+        0x1.fcd7a629a1759p+14 );
+      ( "Amva",
+        (fun budget ->
+          answer
+            (fun s -> s.Lopc_mva.Solution.cycle_time)
+            (Amva.solve_status ?budget ~think_time:3. ~stations ~population:5 ())),
+        0x1.a2e2ac13ef8e9p+3 );
+      ( "Gap",
+        (fun budget ->
+          answer (fun s -> s.Lopc.Gap.r) (Lopc.Gap.solve_status ?budget ~gap:10. params ~w)),
+        0x1.b917e74064b44p+10 );
+      ( "Torus",
+        (fun budget ->
+          answer (fun s -> s.Lopc.Torus.r) (Lopc.Torus.solve_status ?budget params ~topology ~w)),
+        0x1.bb77ceb1308ebp+10 );
+      ( "Windowed",
+        (fun budget ->
+          answer
+            (fun s -> s.Lopc.Windowed.node_rate)
+            (Lopc.Windowed.solve_status ?budget ~window:2 params ~w)),
+        0x1.4b99dda53ec27p-11 );
+    ]
+  in
+  List.iter
+    (fun (who, solve, bits) ->
+      (match solve (Some (Budget.create ~fuel:0 ())) with
+      | None, FP.Exhausted { iters = 0; reason = Budget.Fuel_exhausted _ } -> ()
+      | _, status -> Alcotest.failf "%s, no fuel: %s" who (FP.status_to_string status));
+      let cancel = Cancel.create () in
+      Cancel.cancel cancel;
+      (match solve (Some (Budget.create ~cancel ())) with
+      | None, FP.Exhausted { iters = 0; reason = Budget.Cancelled } -> ()
+      | _, status -> Alcotest.failf "%s, cancelled: %s" who (FP.status_to_string status));
+      match solve None with
+      | Some x, FP.Converged _ ->
+        Alcotest.(check (float 0.)) (who ^ ": converged bits") bits x
+      | _, status -> Alcotest.failf "%s: %s" who (FP.status_to_string status))
+    cases
+
 let suite =
   [
     Alcotest.test_case "budget: fuel accounting" `Quick test_budget_fuel;
@@ -468,4 +534,6 @@ let suite =
     Alcotest.test_case "cascade: fallback provenance" `Quick test_cascade_fallback;
     Alcotest.test_case "cascade: all stages fail" `Quick test_cascade_all_fail;
     Alcotest.test_case "cascade: jobs invariant" `Quick test_cascade_jobs_invariant;
+    Alcotest.test_case "every solve_status: budget, cancel, pinned bits" `Quick
+      test_every_solve_status_budget;
   ]

@@ -156,7 +156,7 @@ let test_model_zero_links_matches_base () =
      St = mean distance · per_hop. *)
   let t = T.create ~nodes:32 ~per_hop:10. ~link_time:0. () in
   let params = Lopc.Params.create ~c2:1. ~p:32 ~st:0. ~so:200. () in
-  let s = Torus.solve params ~topology:t ~w:1000. in
+  let s = Harness.torus_solve params ~topology:t ~w:1000. in
   let st = T.mean_distance t *. 10. in
   let direct = Lopc.All_to_all.solve (Lopc.Params.create ~c2:1. ~p:32 ~st ~so:200. ()) ~w:1000. in
   feq 1e-6 "matches contention-free" direct.Lopc.All_to_all.r s.Torus.r;
@@ -167,7 +167,7 @@ let test_model_vs_simulator () =
   List.iter
     (fun link_time ->
       let t = T.create ~nodes:16 ~per_hop:10. ~link_time () in
-      let model = (Torus.solve params ~topology:t ~w:1000.).Torus.r in
+      let model = (Harness.torus_solve params ~topology:t ~w:1000.).Torus.r in
       let base =
         Spec.all_to_all ~nodes:16 ~work:(D.Exponential 1000.)
           ~handler:(D.Exponential 200.) ~wire:(D.Constant 0.) ()
@@ -185,15 +185,15 @@ let test_model_vs_simulator () =
 let test_model_penalty_grows_with_load () =
   let params = Lopc.Params.create ~c2:1. ~p:32 ~st:0. ~so:200. () in
   let t = T.create ~nodes:32 ~per_hop:10. ~link_time:100. () in
-  let p_fine = (Torus.solve params ~topology:t ~w:0.).Torus.penalty in
-  let p_coarse = (Torus.solve params ~topology:t ~w:4000.).Torus.penalty in
+  let p_fine = (Harness.torus_solve params ~topology:t ~w:0.).Torus.penalty in
+  let p_coarse = (Harness.torus_solve params ~topology:t ~w:4000.).Torus.penalty in
   Alcotest.(check bool) "finer grain, more link contention" true (p_fine > p_coarse)
 
 (* The link time at which network contention costs [penalty] (5%) over
    the contention-free torus: a root find on the penalty. *)
 let tolerable_link_time ?(penalty = 0.05) params ~(topology : T.t) ~w =
   let slowdown lt =
-    (Torus.solve params ~topology:{ topology with T.link_time = lt } ~w).Torus.penalty
+    (Harness.torus_solve params ~topology:{ topology with T.link_time = lt } ~w).Torus.penalty
     -. penalty
   in
   Lopc_numerics.Roots.brent_above ~f:slowdown 1e-9
@@ -203,7 +203,7 @@ let test_tolerable_link_time () =
   let t = T.create ~nodes:32 ~per_hop:10. ~link_time:0. () in
   let lt = tolerable_link_time params ~topology:t ~w:0. in
   Alcotest.(check bool) "positive threshold" true (lt > 0.);
-  let s = Torus.solve params ~topology:{ t with T.link_time = lt } ~w:0. in
+  let s = Harness.torus_solve params ~topology:{ t with T.link_time = lt } ~w:0. in
   Alcotest.(check bool) "penalty ~ 5% at threshold" true
     (Float.abs (s.Torus.penalty -. 0.05) < 2e-3)
 
